@@ -472,8 +472,9 @@ func BenchmarkSSDRead(b *testing.B) {
 
 // BenchmarkSSDReadCold forces a level-cache miss on every read: each
 // call sees a BER that quantizes to a fresh berKey (steps of 1e-4 in
-// log space, 10x the 1e-5 quantum), so the full UBER bisection runs
-// every time. The warm/cold pair brackets what the caches buy.
+// log space, 10x the 1e-5 quantum), so every read falls through to the
+// shared sensing-level table. The warm/cold pair brackets what the
+// level cache buys.
 func BenchmarkSSDReadCold(b *testing.B) {
 	calls := 0
 	d := benchDevice(b, func(state ftl.BlockState, pe int, ageHours float64) float64 {
@@ -574,10 +575,10 @@ func BenchmarkTraceGenerate(b *testing.B) {
 }
 
 // replayBench replays a Fig. 6(a)-style fin-2 trace under FlexLevel on
-// an 8-channel device, through either the legacy serial path (qd 1) or
-// the batched event-driven path (qd > 1). The pair gates the scheduler
-// tentpole: the batched path's level-table fast path and in-flight
-// window must beat the serial path by a wide margin at equal work.
+// an 8-channel device, through either the open-loop Step path (qd 1) or
+// the batched event-driven path (qd > 1). Both drive the same device
+// read path, so the pair prices the batched engine's completion window
+// against the plain per-request loop at equal work.
 func replayBench(b *testing.B, qd int) {
 	b.Helper()
 	opts := core.DefaultOptions(core.FlexLevel, 6000)
@@ -610,14 +611,12 @@ func replayBench(b *testing.B, qd int) {
 	b.ReportMetric(m.AvgResponse*1e6, "avg-resp-µs")
 }
 
-// BenchmarkReplaySerialQD1 is the pre-scheduler replay path: one
-// request in flight, Step per request, LevelRule bisection on level
-// cache misses.
+// BenchmarkReplaySerialQD1 is the Fig. 6(a) replay path: Step per
+// request at its recorded arrival.
 func BenchmarkReplaySerialQD1(b *testing.B) { replayBench(b, 1) }
 
-// BenchmarkReplayBatchedQD8 is the scheduler path: StepBatch keeps 8
-// requests in flight over the completion heap and the device resolves
-// sensing levels through the precomputed level table.
+// BenchmarkReplayBatchedQD8 is the batched path: StepBatch keeps 8
+// requests in flight over its completion heap.
 func BenchmarkReplayBatchedQD8(b *testing.B) { replayBench(b, 8) }
 
 // scenarioBenchSpec is the default three-tenant mix at bench size.

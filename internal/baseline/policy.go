@@ -14,21 +14,13 @@ package baseline
 
 // ReadPolicy decides the sensing-level attempts a read performs.
 // required is the true number of extra soft sensing levels the page
-// needs for successful LDPC decoding; the returned slice is the sequence
-// of levels the controller tries, ending with one that is >= required.
+// needs for successful LDPC decoding. AppendAttempts appends the
+// sequence of levels the controller tries, ending with one that is >=
+// required, to dst (usually a reused scratch buffer, so steady-state
+// reads allocate nothing) and returns the extended slice.
 type ReadPolicy interface {
-	Attempts(block int, required int) []int
-	Name() string
-}
-
-// AttemptAppender is the zero-allocation variant of ReadPolicy: the
-// caller supplies the destination slice (usually a reused scratch
-// buffer) and the policy appends its attempt sequence to it. Semantics —
-// including any per-block memory updates — are identical to Attempts.
-// All policies in this package implement it; the ssd read path uses it
-// when available so steady-state reads allocate nothing.
-type AttemptAppender interface {
 	AppendAttempts(dst []int, block int, required int) []int
+	Name() string
 }
 
 // FixedWorstCase always senses at a fixed conservative level, escalating
@@ -40,12 +32,7 @@ type FixedWorstCase struct {
 // Name implements ReadPolicy.
 func (FixedWorstCase) Name() string { return "baseline" }
 
-// Attempts implements ReadPolicy.
-func (p FixedWorstCase) Attempts(_ int, required int) []int {
-	return p.AppendAttempts(nil, 0, required)
-}
-
-// AppendAttempts implements AttemptAppender.
+// AppendAttempts implements ReadPolicy.
 func (p FixedWorstCase) AppendAttempts(dst []int, _ int, required int) []int {
 	if required <= p.Levels {
 		return append(dst, p.Levels)
@@ -69,16 +56,10 @@ func NewLDPCInSSD() *LDPCInSSD {
 // Name implements ReadPolicy.
 func (*LDPCInSSD) Name() string { return "ldpc-in-ssd" }
 
-// Attempts implements ReadPolicy: start at the remembered level (0 for
-// an unseen block), escalate until sufficient, and memorize the result.
-// Memory only rises — a block's BER only grows with wear and retention
-// within an erase cycle.
-func (p *LDPCInSSD) Attempts(block int, required int) []int {
-	return p.AppendAttempts(nil, block, required)
-}
-
-// AppendAttempts implements AttemptAppender (same escalation and
-// memorization as Attempts).
+// AppendAttempts implements ReadPolicy: start at the remembered level
+// (0 for an unseen block), escalate until sufficient, and memorize the
+// result. Memory only rises — a block's BER only grows with wear and
+// retention within an erase cycle.
 func (p *LDPCInSSD) AppendAttempts(dst []int, block int, required int) []int {
 	start := p.mem[block]
 	if start >= required {
@@ -137,12 +118,7 @@ func (p *AdaptiveRetry) budget() int {
 	return DefaultRetryBudget
 }
 
-// Attempts implements ReadPolicy.
-func (p *AdaptiveRetry) Attempts(block int, required int) []int {
-	return p.AppendAttempts(nil, block, required)
-}
-
-// AppendAttempts implements AttemptAppender: start at the remembered
+// AppendAttempts implements ReadPolicy: start at the remembered
 // level; on escalation the stride doubles each retry (0,1,3,7 from a
 // cold block) and the final budgeted attempt jumps straight to the
 // requirement, so the sequence always ends >= required within Budget
@@ -196,10 +172,7 @@ type Oracle struct{}
 // Name implements ReadPolicy.
 func (Oracle) Name() string { return "oracle" }
 
-// Attempts implements ReadPolicy.
-func (Oracle) Attempts(_ int, required int) []int { return []int{required} }
-
-// AppendAttempts implements AttemptAppender.
+// AppendAttempts implements ReadPolicy.
 func (Oracle) AppendAttempts(dst []int, _ int, required int) []int {
 	return append(dst, required)
 }

@@ -1,21 +1,27 @@
 package baseline
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
+// attempts runs one read's policy decision into a fresh slice.
+func attempts(p ReadPolicy, block, required int) []int {
+	return p.AppendAttempts(nil, block, required)
+}
+
 func TestFixedWorstCase(t *testing.T) {
 	p := FixedWorstCase{Levels: 4}
-	if got := p.Attempts(0, 2); len(got) != 1 || got[0] != 4 {
-		t.Errorf("Attempts(required=2) = %v, want [4]", got)
+	if got := attempts(p, 0, 2); len(got) != 1 || got[0] != 4 {
+		t.Errorf("attempts(required=2) = %v, want [4]", got)
 	}
-	if got := p.Attempts(0, 4); len(got) != 1 || got[0] != 4 {
-		t.Errorf("Attempts(required=4) = %v, want [4]", got)
+	if got := attempts(p, 0, 4); len(got) != 1 || got[0] != 4 {
+		t.Errorf("attempts(required=4) = %v, want [4]", got)
 	}
 	// Escalates when even the fixed level is insufficient.
-	if got := p.Attempts(0, 6); len(got) != 3 || got[0] != 4 || got[2] != 6 {
-		t.Errorf("Attempts(required=6) = %v, want [4 5 6]", got)
+	if got := attempts(p, 0, 6); len(got) != 3 || got[0] != 4 || got[2] != 6 {
+		t.Errorf("attempts(required=6) = %v, want [4 5 6]", got)
 	}
 	if p.Name() != "baseline" {
 		t.Error("name wrong")
@@ -25,32 +31,32 @@ func TestFixedWorstCase(t *testing.T) {
 func TestLDPCInSSDProgression(t *testing.T) {
 	p := NewLDPCInSSD()
 	// First read of a block with requirement 3: tries 0,1,2,3.
-	got := p.Attempts(5, 3)
+	got := attempts(p, 5, 3)
 	want := []int{0, 1, 2, 3}
 	if len(got) != len(want) {
-		t.Fatalf("Attempts = %v, want %v", got, want)
+		t.Fatalf("attempts = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Attempts = %v, want %v", got, want)
+			t.Fatalf("attempts = %v, want %v", got, want)
 		}
 	}
 	// Second read of the same block: memorized, single attempt.
-	if got := p.Attempts(5, 3); len(got) != 1 || got[0] != 3 {
-		t.Errorf("memorized Attempts = %v, want [3]", got)
+	if got := attempts(p, 5, 3); len(got) != 1 || got[0] != 3 {
+		t.Errorf("memorized attempts = %v, want [3]", got)
 	}
 	// Lower requirement later still uses the memorized level (memory
 	// only rises within an erase cycle).
-	if got := p.Attempts(5, 1); len(got) != 1 || got[0] != 3 {
-		t.Errorf("Attempts after memory = %v, want [3]", got)
+	if got := attempts(p, 5, 1); len(got) != 1 || got[0] != 3 {
+		t.Errorf("attempts after memory = %v, want [3]", got)
 	}
 	// Higher requirement escalates from the memory.
-	if got := p.Attempts(5, 5); len(got) != 3 || got[0] != 3 || got[2] != 5 {
+	if got := attempts(p, 5, 5); len(got) != 3 || got[0] != 3 || got[2] != 5 {
 		t.Errorf("escalation = %v, want [3 4 5]", got)
 	}
 	// Other blocks are independent.
-	if got := p.Attempts(6, 0); len(got) != 1 || got[0] != 0 {
-		t.Errorf("fresh block Attempts = %v, want [0]", got)
+	if got := attempts(p, 6, 0); len(got) != 1 || got[0] != 0 {
+		t.Errorf("fresh block attempts = %v, want [0]", got)
 	}
 	if p.Name() != "ldpc-in-ssd" {
 		t.Error("name wrong")
@@ -59,19 +65,19 @@ func TestLDPCInSSDProgression(t *testing.T) {
 
 func TestLDPCInSSDForget(t *testing.T) {
 	p := NewLDPCInSSD()
-	p.Attempts(9, 4)
+	attempts(p, 9, 4)
 	p.Forget(9)
 	// After erase, the block starts over from hard decision.
-	if got := p.Attempts(9, 2); len(got) != 3 || got[0] != 0 {
-		t.Errorf("Attempts after Forget = %v, want [0 1 2]", got)
+	if got := attempts(p, 9, 2); len(got) != 3 || got[0] != 0 {
+		t.Errorf("attempts after Forget = %v, want [0 1 2]", got)
 	}
 }
 
 func TestOracle(t *testing.T) {
 	var p Oracle
 	for _, req := range []int{0, 3, 7} {
-		if got := p.Attempts(1, req); len(got) != 1 || got[0] != req {
-			t.Errorf("Oracle.Attempts(%d) = %v", req, got)
+		if got := attempts(p, 1, req); len(got) != 1 || got[0] != req {
+			t.Errorf("Oracle attempts(%d) = %v", req, got)
 		}
 	}
 	if p.Name() != "oracle" {
@@ -83,29 +89,29 @@ func TestAdaptiveRetryLadder(t *testing.T) {
 	p := NewAdaptiveRetry(4)
 	// Cold block, worst requirement: doubling strides reach 7 within the
 	// budget instead of walking all eight levels.
-	got := p.Attempts(2, 7)
+	got := attempts(p, 2, 7)
 	want := []int{0, 1, 3, 7}
 	if len(got) != len(want) {
-		t.Fatalf("Attempts = %v, want %v", got, want)
+		t.Fatalf("attempts = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Attempts = %v, want %v", got, want)
+			t.Fatalf("attempts = %v, want %v", got, want)
 		}
 	}
 	// Memorized: single attempt.
-	if got := p.Attempts(2, 7); len(got) != 1 || got[0] != 7 {
-		t.Errorf("memorized Attempts = %v, want [7]", got)
+	if got := attempts(p, 2, 7); len(got) != 1 || got[0] != 7 {
+		t.Errorf("memorized attempts = %v, want [7]", got)
 	}
 	// Lower: a recalibration shrank the requirement; memory follows down.
 	p.Lower(2, 1)
-	if got := p.Attempts(2, 1); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Attempts after Lower = %v, want [1]", got)
+	if got := attempts(p, 2, 1); len(got) != 1 || got[0] != 1 {
+		t.Errorf("attempts after Lower = %v, want [1]", got)
 	}
 	// Lower never raises.
 	p.Lower(2, 5)
-	if got := p.Attempts(2, 1); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Lower raised memory: Attempts = %v, want [1]", got)
+	if got := attempts(p, 2, 1); len(got) != 1 || got[0] != 1 {
+		t.Errorf("Lower raised memory: attempts = %v, want [1]", got)
 	}
 	if p.Name() != "adaptive-retry" {
 		t.Error("name wrong")
@@ -119,9 +125,9 @@ func TestAdaptiveRetryBudget(t *testing.T) {
 		budget := int(budgetRaw)%7 + 2
 		p := NewAdaptiveRetry(budget)
 		if m := int(memRaw) % 8; m > 0 {
-			p.Attempts(1, m) // seed the memory
+			attempts(p, 1, m) // seed the memory
 		}
-		got := p.Attempts(1, int(reqRaw)%8)
+		got := attempts(p, 1, int(reqRaw)%8)
 		return len(got) >= 1 && len(got) <= budget
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -132,7 +138,9 @@ func TestAdaptiveRetryBudget(t *testing.T) {
 // Property: every policy's attempt sequence is non-empty, non-negative,
 // strictly increasing, and ends at a level >= required. (The ssd.Read
 // fast path indexes attempts[len-1] and charges each level's latency, so
-// the simulator depends on every clause.)
+// the simulator depends on every clause.) The sequence is appended after
+// whatever dst already holds — the device passes its scratch buffer —
+// so a non-empty prefix must survive untouched.
 func TestPolicyContract(t *testing.T) {
 	policies := []ReadPolicy{
 		FixedWorstCase{Levels: 3},
@@ -141,23 +149,32 @@ func TestPolicyContract(t *testing.T) {
 		NewAdaptiveRetry(2),
 		Oracle{},
 	}
-	f := func(blockRaw uint8, reqRaw uint8) bool {
+	meetsContract := func(got []int, required int) bool {
+		if len(got) == 0 || got[0] < 0 {
+			return false
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				return false
+			}
+		}
+		return got[len(got)-1] >= required
+	}
+	f := func(blockRaw uint8, reqRaw uint8, prefixRaw []int) bool {
 		block := int(blockRaw) % 16
 		required := int(reqRaw) % 8
+		prefix := append(prefixRaw, -1) // never empty
 		for _, p := range policies {
-			got := p.Attempts(block, required)
-			if len(got) == 0 {
+			if !meetsContract(p.AppendAttempts(nil, block, required), required) {
 				return false
 			}
-			if got[0] < 0 {
+			dst := make([]int, len(prefix), len(prefix)+16) // spare capacity, like the scratch buffer
+			copy(dst, prefix)
+			got := p.AppendAttempts(dst, block, required)
+			if len(got) <= len(prefix) || !reflect.DeepEqual(got[:len(prefix)], prefix) {
 				return false
 			}
-			for i := 1; i < len(got); i++ {
-				if got[i] <= got[i-1] {
-					return false
-				}
-			}
-			if got[len(got)-1] < required {
+			if !meetsContract(got[len(prefix):], required) {
 				return false
 			}
 		}
@@ -173,10 +190,10 @@ func TestPolicyContract(t *testing.T) {
 		if !ok {
 			continue
 		}
-		p.Attempts(3, 7)
+		attempts(p, 3, 7)
 		forgetter.Forget(3)
-		if got := p.Attempts(3, 0); len(got) != 1 || got[0] != 0 {
-			t.Errorf("%s: Attempts after Forget = %v, want [0]", p.Name(), got)
+		if got := attempts(p, 3, 0); len(got) != 1 || got[0] != 0 {
+			t.Errorf("%s: attempts after Forget = %v, want [0]", p.Name(), got)
 		}
 	}
 }

@@ -112,9 +112,6 @@ func TestShedDoesNotMovePercentiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.TrackTenants(trace.TenantNames(tenants))
-		if err := r.EnableScheduler(); err != nil {
-			t.Fatal(err)
-		}
 		if err := r.Prepare(reqs, 4096); err != nil {
 			t.Fatal(err)
 		}

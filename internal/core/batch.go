@@ -1,16 +1,17 @@
-// The batched, queue-depth-aware replay engine. The legacy
-// Runner.Step/RunRequests path issues every request at its recorded
-// arrival and lets the device's per-channel FIFOs absorb contention —
-// an open-loop host with unbounded queue depth. StepBatch instead
-// models an NCQ-style host that keeps at most QD requests outstanding:
-// a request is submitted at the later of its arrival and the moment a
-// queue slot frees, where slots free in deterministic completion order
-// (earliest completion first, ties broken by submission sequence).
+// The batched, queue-depth-aware replay engine. Runner.Step/RunRequests
+// issue every request at its recorded arrival and let the device's
+// per-channel FIFOs absorb contention — an open-loop host with
+// unbounded queue depth. StepBatch instead models an NCQ-style host
+// that keeps at most QD requests outstanding: a request is submitted at
+// the later of its arrival and the moment a queue slot frees, where
+// slots free in deterministic completion order (earliest completion
+// first, ties broken by submission sequence). The completion window is
+// the host's own heap; the device has one read path for both engines.
 //
 // Device calls still happen in submission order — the stream order —
 // so the engine is deterministic by construction and produces
 // bit-identical results for any host parallelism; only the submit
-// times differ from the serial path.
+// times differ from the open-loop path.
 package core
 
 import (
@@ -167,10 +168,8 @@ func (r *Runner) stepAt(req trace.Request, at time.Duration) (time.Duration, err
 }
 
 // RunRequestsQD is RunRequests driven by the batched engine: it
-// preconditions the device, enables the inverted sensing-level table
-// (bit-identical to the rule, but cache misses cost float compares
-// instead of a binomial-tail search), and replays the stream with up to
-// qd requests outstanding.
+// preconditions the device and replays the stream with up to qd
+// requests outstanding.
 func (r *Runner) RunRequestsQD(name string, reqs []trace.Request, workingSet uint64, qd int) (Metrics, error) {
 	return r.RunRequestsQDCtx(nil, name, reqs, workingSet, qd)
 }
@@ -179,9 +178,6 @@ func (r *Runner) RunRequestsQD(name string, reqs []trace.Request, workingSet uin
 // StepBatchCtx). A cancelled replay returns the context's error; the
 // metrics of the completed prefix remain available through Finish.
 func (r *Runner) RunRequestsQDCtx(ctx context.Context, name string, reqs []trace.Request, workingSet uint64, qd int) (Metrics, error) {
-	if err := r.EnableScheduler(); err != nil {
-		return Metrics{}, err
-	}
 	if err := r.Prepare(reqs, workingSet); err != nil {
 		return Metrics{}, err
 	}
@@ -189,14 +185,6 @@ func (r *Runner) RunRequestsQDCtx(ctx context.Context, name string, reqs []trace
 		return Metrics{}, err
 	}
 	return r.Finish(name), nil
-}
-
-// EnableScheduler switches the device into scheduler mode (inverted
-// sensing-level table + per-channel in-flight tracking). RunRequestsQD
-// does this implicitly; long-running drivers that issue requests one at
-// a time through StepAt (the serve daemon) call it once at startup.
-func (r *Runner) EnableScheduler() error {
-	return r.device.EnableLevelTable()
 }
 
 // StepAt replays one request submitted at time at — which under

@@ -20,6 +20,7 @@ import (
 	"flexlevel/internal/accesseval"
 	"flexlevel/internal/baseline"
 	"flexlevel/internal/ftl"
+	"flexlevel/internal/sensing"
 	"flexlevel/internal/ssd"
 	"flexlevel/internal/trace"
 )
@@ -231,8 +232,11 @@ func NewRunner(opts Options) (*Runner, error) {
 	case Baseline:
 		// Worst-case fixed sensing: the levels needed at the maximum
 		// retention age for this P/E point.
-		worstBER := berOf(ftl.NormalState, opts.PE, opts.SSD.MaxDataAgeHours)
-		levels, _ := opts.SSD.Rule.RequiredLevels(worstBER)
+		table, err := sensing.SharedTable(opts.SSD.Rule)
+		if err != nil {
+			return nil, err
+		}
+		levels, _ := table.RequiredLevels(berOf(ftl.NormalState, opts.PE, opts.SSD.MaxDataAgeHours))
 		policy = baseline.FixedWorstCase{Levels: levels}
 	case LDPCInSSD, LevelAdjustOnly, FlexLevel:
 		policy = baseline.NewLDPCInSSD()

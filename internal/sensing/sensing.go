@@ -8,6 +8,7 @@ package sensing
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"flexlevel/internal/noise"
@@ -48,7 +49,7 @@ func (r LevelRule) Validate() error {
 	if err := r.Code.Validate(); err != nil {
 		return err
 	}
-	if r.Target <= 0 || r.Target >= 1 {
+	if !(r.Target > 0 && r.Target < 1) { // also rejects NaN
 		return fmt.Errorf("sensing: target UBER %g out of range", r.Target)
 	}
 	if r.KBase <= 0 || r.KStep <= 0 {
@@ -130,6 +131,31 @@ func NewLevelTable(rule LevelRule) (*LevelTable, error) {
 		}
 		t.okBelow[l], t.failAt[l] = lo, hi
 	}
+	return t, nil
+}
+
+// shared memoizes SharedTable: one immutable table per rule.
+var shared = struct {
+	sync.Mutex
+	tables map[LevelRule]*LevelTable
+}{tables: make(map[LevelRule]*LevelTable)}
+
+// SharedTable returns the process-wide LevelTable for rule, building it
+// on first use. Safe for concurrent use: a table is immutable and a
+// pure function of its (comparable) rule, so every device and runner
+// with the same rule shares one instead of paying the ~8 ms build each.
+// An invalid rule returns its Validate error and is not cached.
+func SharedTable(rule LevelRule) (*LevelTable, error) {
+	shared.Lock()
+	defer shared.Unlock()
+	if t, ok := shared.tables[rule]; ok {
+		return t, nil
+	}
+	t, err := NewLevelTable(rule)
+	if err != nil {
+		return nil, err
+	}
+	shared.tables[rule] = t
 	return t, nil
 }
 

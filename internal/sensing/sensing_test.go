@@ -1,8 +1,10 @@
 package sensing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -260,5 +262,81 @@ func TestLevelTableValidation(t *testing.T) {
 	bad.KStep = 0
 	if _, err := NewLevelTable(bad); err == nil {
 		t.Error("invalid rule accepted")
+	}
+}
+
+// TestSharedTableConcurrent hammers SharedTable from many goroutines
+// (run it under -race): every caller of one rule gets the same table,
+// distinct rules get distinct tables, and invalid rules — including a
+// NaN target, which as a map key would never match itself — fail with
+// their Validate error and leave nothing in the memo.
+func TestSharedTableConcurrent(t *testing.T) {
+	second := DefaultRule()
+	second.KStep++
+	nan := DefaultRule()
+	nan.Target = math.NaN()
+	zeroStep := DefaultRule()
+	zeroStep.KStep = 0
+	rules := []LevelRule{DefaultRule(), second}
+	invalid := []LevelRule{nan, zeroStep}
+	shared.Lock()
+	shared.tables = make(map[LevelRule]*LevelTable) // empty memo: its size is checkable
+	shared.Unlock()
+
+	const callers = 16
+	got := make([][]*LevelTable, len(rules))
+	for i := range got {
+		got[i] = make([]*LevelTable, callers)
+	}
+	errs := make(chan error, callers*(len(rules)+len(invalid)))
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		for i, r := range rules {
+			wg.Add(1)
+			go func(i, c int, r LevelRule) {
+				defer wg.Done()
+				tab, err := SharedTable(r)
+				if err != nil {
+					errs <- err
+				}
+				got[i][c] = tab
+			}(i, c, r)
+		}
+		for _, r := range invalid {
+			wg.Add(1)
+			go func(r LevelRule) {
+				defer wg.Done()
+				tab, err := SharedTable(r)
+				want := r.Validate()
+				if tab != nil || err == nil || err.Error() != want.Error() {
+					errs <- fmt.Errorf("invalid rule %+v: got (%p, %v), want (nil, %v)", r, tab, err, want)
+				}
+			}(r)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for i, r := range rules {
+		for c, tab := range got[i] {
+			if tab == nil || tab != got[i][0] {
+				t.Fatalf("rule %d caller %d got table %p, want the shared %p", i, c, tab, got[i][0])
+			}
+		}
+		if got[i][0].Rule() != r {
+			t.Errorf("rule %d: table inverts %+v, want %+v", i, got[i][0].Rule(), r)
+		}
+	}
+	if got[0][0] == got[1][0] {
+		t.Error("distinct rules share one table")
+	}
+	shared.Lock()
+	n := len(shared.tables)
+	_, cachedBad := shared.tables[zeroStep]
+	shared.Unlock()
+	if cachedBad || n != len(rules) {
+		t.Errorf("memo holds %d tables (invalid cached: %v), want exactly %d", n, cachedBad, len(rules))
 	}
 }

@@ -54,7 +54,10 @@ type LoadConfig struct {
 // of the server. Sizing the idle pool to the concurrency (with
 // headroom for retry bursts) means every connection dialed during
 // warmup is kept and reused: zero extra dials after warmup, which
-// TestLoadReusesConnections pins.
+// TestLoadReusesConnections pins. MaxConnsPerHost holds the fleet to
+// one connection per worker: net/http pools a connection only after the
+// caller has seen EOF, so without the cap a worker's next request could
+// dial instead of waiting for its own connection to come back.
 func LoadTransport(concurrency int) *http.Transport {
 	if concurrency < 1 {
 		concurrency = 1
@@ -65,6 +68,7 @@ func LoadTransport(concurrency int) *http.Transport {
 			Timeout:   30 * time.Second,
 			KeepAlive: 30 * time.Second,
 		}).DialContext,
+		MaxConnsPerHost:     concurrency,
 		MaxIdleConns:        2 * concurrency,
 		MaxIdleConnsPerHost: 2 * concurrency,
 		IdleConnTimeout:     90 * time.Second,

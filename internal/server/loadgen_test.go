@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,8 +117,8 @@ func TestLoadValidation(t *testing.T) {
 
 // TestLoadReusesConnections pins the client-bottleneck fix: with
 // LoadTransport's idle pool sized to the worker fleet, every TCP
-// connection dialed during a warmup run is kept alive and reused — a
-// second, larger run dials zero new connections. (The stock
+// connection dialed during warmup is kept alive and reused — a second,
+// larger run dials zero new connections. (The stock
 // http.DefaultClient caps idle conns per host at 2, so >2 workers
 // churn dials and the generator measures its own handshakes.)
 func TestLoadReusesConnections(t *testing.T) {
@@ -151,7 +153,30 @@ func TestLoadReusesConnections(t *testing.T) {
 			t.Fatalf("run failed: %+v", res)
 		}
 	}
-	run(1) // warmup: every worker dials at most once
+	// Warmup opens the whole fleet: one request per worker, each holding
+	// its response until all have one, needs one connection per worker.
+	// A short load run alone may never have every worker in flight at
+	// once, leaving the second run to dial the rest.
+	fleet := tr.MaxConnsPerHost
+	var responded, finished sync.WaitGroup
+	responded.Add(fleet)
+	finished.Add(fleet)
+	for i := 0; i < fleet; i++ {
+		go func() {
+			defer finished.Done()
+			resp, err := client.Get(hs.URL + "/healthz")
+			responded.Done()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			responded.Wait()
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}()
+	}
+	finished.Wait()
+	run(1)
 	warm := atomic.LoadInt64(&dials)
 	if warm == 0 {
 		t.Fatal("warmup run dialed nothing")

@@ -133,9 +133,6 @@ func newEngineShard(id int, cfg Config, owned []int) (*engineShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.EnableScheduler(); err != nil {
-		return nil, err
-	}
 	var maxEnd uint64
 	for _, ti := range owned {
 		t := cfg.Tenants[ti]

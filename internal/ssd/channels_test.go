@@ -41,7 +41,7 @@ func TestChannelsDefaultSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.chans); got != 1 {
+	if got := len(d.chanFree); got != 1 {
 		t.Errorf("Channels=0 created %d channels, want 1", got)
 	}
 	bad := smallConfig()

@@ -14,8 +14,8 @@ import (
 // emptyPolicy violates the ReadPolicy contract by returning no attempts.
 type emptyPolicy struct{}
 
-func (emptyPolicy) Attempts(int, int) []int { return nil }
-func (emptyPolicy) Name() string            { return "empty" }
+func (emptyPolicy) AppendAttempts(dst []int, _, _ int) []int { return dst }
+func (emptyPolicy) Name() string                             { return "empty" }
 
 func TestEmptyAttemptsGuard(t *testing.T) {
 	d := newDevice(t, flatBER(0, 0), emptyPolicy{})

@@ -2,128 +2,59 @@ package ssd
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"flexlevel/internal/baseline"
 	"flexlevel/internal/fault"
 	"flexlevel/internal/ftl"
+	"flexlevel/internal/sensing"
 )
 
-func TestInFlightAndNextCompletion(t *testing.T) {
+// TestLevelTableDeviceEquivalence checks the device's sensing-level
+// table against the rule's bisection called directly: with the Oracle
+// policy every read senses at exactly the level the rule gives for the
+// BER the device evaluated, and flags exactly the pages the rule calls
+// unreadable — across every level regime.
+func TestLevelTableDeviceEquivalence(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Channels = 4
-	d, err := New(cfg, flatBER(0, 0), baseline.Oracle{})
-	if err != nil {
-		t.Fatal(err)
+	var last float64
+	ber := func(_ ftl.BlockState, _ int, ageHours float64) float64 {
+		// Log-sweep 1e-4..5e-2 over the preload's age range: every
+		// sensing-level threshold lies inside it.
+		last = 1e-4 * math.Pow(500, ageHours/cfg.MaxDataAgeHours)
+		return last
 	}
-	if err := d.EnableLevelTable(); err != nil { // in-flight tracking is scheduler-mode only
+	d, err := New(cfg, ber, baseline.Oracle{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Preload(512); err != nil {
 		t.Fatal(err)
 	}
-	if n := d.InFlight(0); n != 0 {
-		t.Fatalf("idle device reports %d in flight", n)
-	}
-	if _, ok := d.NextCompletion(0); ok {
-		t.Fatal("idle device reports a pending completion")
-	}
-	// lpn 0 and 16 sit in consecutive blocks => different channels.
-	r1, _ := d.Read(0, 0)
-	r2, _ := d.Read(0, 16)
-	if r1 != r2 {
-		t.Fatalf("cross-channel reads %v / %v should not queue", r1, r2)
-	}
-	if n := d.InFlight(0); n != 2 {
-		t.Fatalf("2 outstanding reads, InFlight = %d", n)
-	}
-	at, ok := d.NextCompletion(0)
-	if !ok || at != r1 {
-		t.Fatalf("NextCompletion = (%v,%v), want (%v,true)", at, ok, r1)
-	}
-	// Equal completion times tie-break on submission order, so the next
-	// completion is stable; past it, only later ops remain.
-	if n := d.InFlight(at); n != 0 {
-		t.Fatalf("after both completions InFlight = %d, want 0", n)
-	}
-	// Same-channel reads queue: completions stay distinct and ordered.
-	r3, _ := d.Read(time.Second, 1)
-	r4, _ := d.Read(time.Second, 2)
-	if r4 <= r3 {
-		t.Fatalf("same-channel reads %v / %v should queue", r3, r4)
-	}
-	at, ok = d.NextCompletion(time.Second)
-	if !ok || at != time.Second+r3 {
-		t.Fatalf("NextCompletion = (%v,%v), want first queued read at %v", at, ok, time.Second+r3)
-	}
-	if n := d.InFlight(time.Second + r3); n != 1 {
-		t.Fatalf("one read still queued, InFlight = %d", n)
-	}
-}
-
-func TestChannelHeapOrdering(t *testing.T) {
-	var c channel
-	times := []time.Duration{5, 1, 4, 1, 3, 2, 1}
-	for i, ct := range times {
-		c.push(chanOp{complete: ct, seq: uint64(i)}, 0)
-	}
-	want := []chanOp{{1, 1}, {1, 3}, {1, 6}, {2, 5}, {3, 4}, {4, 2}, {5, 0}}
-	for i, w := range want {
-		got := c.pop()
-		if got != w {
-			t.Fatalf("pop %d = %+v, want %+v (completion order with seq tie-break)", i, got, w)
-		}
-	}
-}
-
-func TestChannelLazyPrune(t *testing.T) {
-	var c channel
-	c.push(chanOp{complete: 10, seq: 1}, 0)
-	c.push(chanOp{complete: 20, seq: 2}, 0)
-	// Pushing at now=15 retires the op that completed at 10.
-	c.push(chanOp{complete: 30, seq: 3}, 15)
-	if len(c.inflight) != 2 {
-		t.Fatalf("heap holds %d ops after prune, want 2", len(c.inflight))
-	}
-	if c.inflight[0].complete != 20 {
-		t.Fatalf("heap min %v, want 20", c.inflight[0].complete)
-	}
-}
-
-// TestLevelTableDeviceEquivalence replays the same read sequence on a
-// rule-backed and a table-backed device: every response time and level
-// histogram entry must be bit-identical.
-func TestLevelTableDeviceEquivalence(t *testing.T) {
-	ber := func(state ftl.BlockState, pe int, ageHours float64) float64 {
-		// Spread BERs across every sensing-level regime.
-		return 1e-4 + 2e-3*float64(pe%9) + 1e-4*ageHours
-	}
-	build := func(table bool) *Device {
-		d := newDevice(t, ber, baseline.Oracle{})
-		if table {
-			if err := d.EnableLevelTable(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := d.Preload(512); err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	plain, fast := build(false), build(true)
-	for i := 0; i < 2000; i++ {
+	var seen [sensing.MaxExtraLevels + 2]int // last slot: unreadable
+	for i := 0; i < 4000; i++ {
 		lpn := uint64(i*7) % 512
-		now := time.Duration(i) * time.Millisecond
-		r1, l1 := plain.Read(now, lpn)
-		r2, l2 := fast.Read(now, lpn)
-		if r1 != r2 || l1 != l2 {
-			t.Fatalf("read %d diverged: rule (%v,%d) vs table (%v,%d)", i, r1, l1, r2, l2)
+		unreadable := d.Results().Unreadable
+		_, final := d.Read(time.Duration(i)*time.Millisecond, lpn)
+		want, ok := cfg.Rule.RequiredLevels(last)
+		if final != want {
+			t.Fatalf("read %d at BER %g: device sensed %d levels, rule wants %d", i, last, final, want)
+		}
+		if flagged := d.Results().Unreadable > unreadable; flagged == ok {
+			t.Fatalf("read %d at BER %g: device unreadable=%v, rule ok=%v", i, last, flagged, ok)
+		}
+		if ok {
+			seen[want]++
+		} else {
+			seen[len(seen)-1]++
 		}
 	}
-	if plain.Results().LevelHist != fast.Results().LevelHist {
-		t.Fatalf("level histograms diverged:\nrule  %v\ntable %v",
-			plain.Results().LevelHist, fast.Results().LevelHist)
+	for l, n := range seen {
+		if n == 0 {
+			t.Errorf("regime %d never exercised (last slot = unreadable): %v", l, seen)
+		}
 	}
 }
 
@@ -174,8 +105,8 @@ func TestWriteFailureChargesOwningChannel(t *testing.T) {
 	if want == 0 {
 		t.Fatalf("degenerate vector: failing block %d owned by channel 0", block)
 	}
-	for i := range d.chans {
-		busy := d.chans[i].free > 0
+	for i, free := range d.chanFree {
+		busy := free > 0
 		if busy != (i == want) {
 			t.Errorf("channel %d busy=%v; want the cost only on channel %d (owner of block %d)",
 				i, busy, want, block)

@@ -302,14 +302,12 @@ type Device struct {
 	progTime  []time.Duration
 	birth     []int32
 
-	chans []channel // per-channel FIFO tail + in-flight completion heap
-	seq   uint64    // monotone op sequence; breaks completion-time ties
-	track bool      // register ops on the in-flight heaps (scheduler mode)
+	chanFree []time.Duration // per-channel FIFO busy-until time
 
-	// levels evaluates the sensing-level rule on a cache miss. It starts
-	// as the direct bisection rule and EnableLevelTable swaps in the
-	// (provably equivalent) inverted threshold table.
-	levels func(pc float64) (levels int, ok bool)
+	// levels answers the sensing-level rule on a level-cache miss: the
+	// rule's inverted threshold table, shared by every device with the
+	// same rule and provably equal to the rule's bisection.
+	levels *sensing.LevelTable
 
 	res       Results
 	rng       *rand.Rand
@@ -323,11 +321,9 @@ type Device struct {
 
 	levelCache map[int64]*levelEntry // quantized BER -> required levels
 
-	// attemptsBuf is the reusable scratch the read path hands to
-	// baseline.AttemptAppender policies, so steady-state reads allocate
-	// nothing. appender is the policy's appender view, resolved once.
+	// attemptsBuf is the reusable scratch the read path hands to the
+	// policy's AppendAttempts, so steady-state reads allocate nothing.
 	attemptsBuf []int
-	appender    baseline.AttemptAppender
 
 	// berStats, when registered, snapshots the counters of the cache
 	// behind berOf (e.g. core's BER surface); berBase is its value at the
@@ -338,7 +334,7 @@ type Device struct {
 	// Adaptive ladder state: the per-block threshold calibration tracker
 	// (nil unless Config.Calib.Enabled) and the shifted-BER evaluation
 	// its probes use. lower is the policy's downward-memory hook,
-	// resolved once like appender.
+	// resolved once in New.
 	calib      *calib.Tracker
 	shiftedBER ShiftedBERFunc
 	lower      interface{ Lower(int, int) }
@@ -403,149 +399,18 @@ func (d *Device) compactLevelCache() {
 }
 
 // channelOf maps a physical block to its flash channel.
-func (d *Device) channelOf(block int) int { return block % len(d.chans) }
-
-// chanOp is one in-flight flash operation on a channel.
-type chanOp struct {
-	complete time.Duration
-	seq      uint64 // submission order; breaks completion-time ties
-}
-
-// opLess orders in-flight ops by (completion time, submission seq) —
-// the deterministic completion order the batched replay engine relies
-// on.
-func opLess(a, b chanOp) bool {
-	if a.complete != b.complete {
-		return a.complete < b.complete
-	}
-	return a.seq < b.seq
-}
-
-// channel is one independent flash channel: the FIFO busy-until tail
-// that decides when new work starts service, plus a min-heap of
-// in-flight operations for out-of-order completion queries (which op
-// finishes next, how many are outstanding). The heap is hand-rolled on
-// a reused backing slice — ops are pruned lazily when new work arrives
-// — so the steady-state read path allocates nothing.
-type channel struct {
-	free     time.Duration
-	inflight []chanOp
-}
-
-// push registers an op, first retiring ops already complete at now.
-func (c *channel) push(op chanOp, now time.Duration) {
-	for len(c.inflight) > 0 && c.inflight[0].complete <= now {
-		c.pop()
-	}
-	c.inflight = append(c.inflight, op)
-	i := len(c.inflight) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !opLess(c.inflight[i], c.inflight[parent]) {
-			break
-		}
-		c.inflight[i], c.inflight[parent] = c.inflight[parent], c.inflight[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the earliest-completing op.
-func (c *channel) pop() chanOp {
-	h := c.inflight
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	c.inflight = h
-	i := 0
-	for {
-		small := i
-		if l := 2*i + 1; l < n && opLess(h[l], h[small]) {
-			small = l
-		}
-		if r := 2*i + 2; r < n && opLess(h[r], h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return top
-}
+func (d *Device) channelOf(block int) int { return block % len(d.chanFree) }
 
 // charge occupies channel ch FIFO-style: service begins when the
 // channel frees (or at now when idle) and the channel stays busy until
-// it ends; the completion time is returned. In scheduler mode the op
-// also joins the channel's in-flight heap under a fresh sequence
-// number — the legacy serial path skips the registration so its read
-// cost stays exactly the pre-scheduler scalar update.
+// it ends; the completion time is returned.
 func (d *Device) charge(ch int, now, service time.Duration) time.Duration {
-	c := &d.chans[ch]
 	start := now
-	if c.free > start {
-		start = c.free
+	if d.chanFree[ch] > start {
+		start = d.chanFree[ch]
 	}
-	complete := start + service
-	c.free = complete
-	if d.track {
-		d.seq++
-		c.push(chanOp{complete: complete, seq: d.seq}, now)
-	}
-	return complete
-}
-
-// InFlight returns the number of operations still outstanding at now
-// across all channels (ops that already completed are pruned). Ops are
-// only registered in scheduler mode (EnableLevelTable); outside it the
-// device always reports an empty window.
-func (d *Device) InFlight(now time.Duration) int {
-	n := 0
-	for i := range d.chans {
-		c := &d.chans[i]
-		for len(c.inflight) > 0 && c.inflight[0].complete <= now {
-			c.pop()
-		}
-		n += len(c.inflight)
-	}
-	return n
-}
-
-// NextCompletion returns the earliest completion among operations still
-// in flight at now; ok is false when every channel is idle.
-func (d *Device) NextCompletion(now time.Duration) (at time.Duration, ok bool) {
-	var best chanOp
-	for i := range d.chans {
-		c := &d.chans[i]
-		for len(c.inflight) > 0 && c.inflight[0].complete <= now {
-			c.pop()
-		}
-		if len(c.inflight) > 0 && (!ok || opLess(c.inflight[0], best)) {
-			best = c.inflight[0]
-			ok = true
-		}
-	}
-	return best.complete, ok
-}
-
-// EnableLevelTable switches the device into scheduler mode: sensing
-// levels are evaluated through the precomputed inverted threshold
-// table instead of the direct bisection rule, and every charged op is
-// registered on its channel's in-flight heap (InFlight /
-// NextCompletion). Outputs are bit-identical (sensing.LevelTable
-// provably agrees with the rule everywhere) but a level-cache miss
-// drops from ~17 binomial-tail evaluations to at most 8 float
-// comparisons. The batched replay engine enables it; the legacy serial
-// path keeps the direct rule and the untracked scalar channels.
-func (d *Device) EnableLevelTable() error {
-	tab, err := sensing.NewLevelTable(d.cfg.Rule)
-	if err != nil {
-		return err
-	}
-	d.levels = tab.RequiredLevels
-	d.track = true
-	return nil
+	d.chanFree[ch] = start + service
+	return d.chanFree[ch]
 }
 
 // newReadSample builds the read response-time sample the config asks
@@ -582,6 +447,9 @@ func New(cfg Config, berOf BERFunc, policy baseline.ReadPolicy) (*Device, error)
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		levelCache: make(map[int64]*levelEntry),
 	}
+	if d.levels, err = sensing.SharedTable(cfg.Rule); err != nil {
+		return nil, err
+	}
 	if cfg.PackedMeta {
 		d.birth = make([]int32, phys)
 	} else {
@@ -589,9 +457,6 @@ func New(cfg Config, berOf BERFunc, policy baseline.ReadPolicy) (*Device, error)
 		d.progTime = make([]time.Duration, phys)
 	}
 	d.attemptsBuf = make([]int, 0, sensing.MaxExtraLevels+2)
-	if ap, ok := policy.(baseline.AttemptAppender); ok {
-		d.appender = ap
-	}
 	if lp, ok := policy.(interface{ Lower(int, int) }); ok {
 		d.lower = lp
 	}
@@ -612,8 +477,7 @@ func New(cfg Config, berOf BERFunc, policy baseline.ReadPolicy) (*Device, error)
 		// owns retirement and remapping; read faults are injected here.
 		f.Fault = inj.Fails
 	}
-	d.chans = make([]channel, cfg.channels())
-	d.levels = cfg.Rule.RequiredLevels
+	d.chanFree = make([]time.Duration, cfg.channels())
 	d.res.ReadSample = d.newReadSample()
 	f.OnRelocate = func(lpn uint64, oldPPN, newPPN int64) {
 		// A GC copy reprograms the data: retention age restarts.
@@ -687,11 +551,9 @@ func (d *Device) PreloadState(pages uint64, state ftl.BlockState) error {
 // regular Write path (instead of Preload) use it to start a clean
 // measured phase.
 func (d *Device) ResetMeasurement() {
-	for i := range d.chans {
-		d.chans[i].free = 0
-		d.chans[i].inflight = d.chans[i].inflight[:0]
+	for i := range d.chanFree {
+		d.chanFree[i] = 0
 	}
-	d.seq = 0
 	d.res = Results{ReadSample: d.newReadSample()}
 	d.faultBase = d.inj.Stats()
 	if d.berStats != nil {
@@ -809,7 +671,7 @@ func (d *Device) levelsForBER(ber float64) (int, bool) {
 		return e.levels, e.achievable
 	}
 	d.res.LevelCache.Misses++
-	levels, achievable := d.levels(ber)
+	levels, achievable := d.levels.RequiredLevels(ber)
 	if len(d.levelCache) >= levelCacheCap {
 		d.compactLevelCache()
 	}
@@ -844,14 +706,7 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 		state = st
 		mapped = true
 	}
-	var attempts []int
-	if d.appender != nil {
-		// Zero-alloc path: the policy appends into the device's scratch
-		// buffer instead of allocating a fresh slice per read.
-		attempts = d.appender.AppendAttempts(d.attemptsBuf[:0], block, required)
-	} else {
-		attempts = d.policy.Attempts(block, required)
-	}
+	attempts := d.policy.AppendAttempts(d.attemptsBuf[:0], block, required)
 	if len(attempts) == 0 {
 		// Defensive fallback for a broken policy: a single hard-decision
 		// attempt instead of an index panic below.
@@ -953,10 +808,8 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 			d.res.RefreshFailures++
 		}
 	}
-	if d.appender != nil {
-		// Keep whatever capacity the retry path grew for the next read.
-		d.attemptsBuf = attempts[:0]
-	}
+	// Keep whatever capacity the retry path grew for the next read.
+	d.attemptsBuf = attempts[:0]
 	return resp, final
 }
 
@@ -1039,7 +892,7 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 	ch := d.channelOf(int(ppn) / d.cfg.FTL.PagesPerBlock)
 	d.charge(ch, now, d.opsTime(ops))
 
-	backlog := d.chans[ch].free - now
+	backlog := d.chanFree[ch] - now
 	allowance := time.Duration(d.cfg.BufferPages) * d.cfg.Timing.Program
 	resp := d.cfg.BufferLatency
 	if backlog > allowance {
@@ -1145,9 +998,8 @@ func (d *Device) Restart(now time.Duration) (ftl.RecoveryReport, error) {
 	// programs. Whatever was queued on the channels died with the power.
 	rt := time.Duration(rep.TotalReads())*d.cfg.Timing.Read +
 		time.Duration(rep.CheckpointWritePages)*d.cfg.Timing.Program
-	for i := range d.chans {
-		d.chans[i].free = now + rt
-		d.chans[i].inflight = d.chans[i].inflight[:0]
+	for i := range d.chanFree {
+		d.chanFree[i] = now + rt
 	}
 	d.res.RecoveryReads += int64(rep.TotalReads())
 	d.res.RecoveryRecords += int64(rep.RecordsReplayed)
@@ -1189,8 +1041,8 @@ func (d *Device) Degraded() bool { return d.ftl.Degraded() }
 // work.
 func (d *Device) Now() time.Duration {
 	var max time.Duration
-	for i := range d.chans {
-		if t := d.chans[i].free; t > max {
+	for _, t := range d.chanFree {
+		if t > max {
 			max = t
 		}
 	}
