@@ -462,7 +462,7 @@ func benchDevice(b *testing.B, berOf ssd.BERFunc) *ssd.Device {
 // BenchmarkSSDRead measures one simulated read end to end with a warm
 // level cache (the steady-state path).
 func BenchmarkSSDRead(b *testing.B) {
-	d := benchDevice(b, func(state ftl.BlockState, pe int, ageHours float64) float64 { return 5e-3 })
+	d := benchDevice(b, func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 { return 5e-3 })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -477,7 +477,7 @@ func BenchmarkSSDRead(b *testing.B) {
 // level cache buys.
 func BenchmarkSSDReadCold(b *testing.B) {
 	calls := 0
-	d := benchDevice(b, func(state ftl.BlockState, pe int, ageHours float64) float64 {
+	d := benchDevice(b, func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 		calls++
 		return 5e-3 * math.Exp(float64(calls)*1e-4)
 	})
@@ -507,7 +507,7 @@ func BenchmarkAdaptiveRead(b *testing.B) {
 	// Drifted landscape: pages past 100h are unreadable at nominal
 	// references and decode cleanly within 50mV of a -120mV shift, so
 	// the warm-up pass calibrates every block once and then holds.
-	shifted := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	berOf := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 		if ageHours <= 100 {
 			return 1e-4
 		}
@@ -520,14 +520,10 @@ func BenchmarkAdaptiveRead(b *testing.B) {
 		}
 		return 0.1
 	}
-	berOf := func(state ftl.BlockState, pe int, ageHours float64) float64 {
-		return shifted(state, pe, ageHours, 0)
-	}
 	d, err := ssd.New(cfg, berOf, baseline.NewAdaptiveRetry(0))
 	if err != nil {
 		b.Fatal(err)
 	}
-	d.SetShiftedBER(shifted)
 	if err := d.Preload(4096); err != nil {
 		b.Fatal(err)
 	}

@@ -176,11 +176,6 @@ func (t *Tracker) ShiftMv(block int) int {
 	return 0
 }
 
-// Shift returns the block's current read-reference shift in volts.
-func (t *Tracker) Shift(block int) float64 {
-	return float64(t.ShiftMv(block)) / 1000
-}
-
 // Observe records one read outcome at the block's current calibration:
 // the sensing levels the decode needed and whether the page was
 // readable at all. It returns true when a background recalibration is

@@ -1,31 +1,14 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"flexlevel/internal/calib"
 	"flexlevel/internal/ftl"
+	"flexlevel/internal/noise"
 )
-
-// The shifted surface at shift 0 must route through the unshifted
-// surface bit-for-bit: an uncalibrated block on an adaptive device
-// reads exactly like a static one.
-func TestSurfaceShiftZeroBitIdentical(t *testing.T) {
-	s, err := newBERSurface("NUNMA 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, state := range []ftl.BlockState{ftl.NormalState, ftl.ReducedState} {
-		for _, pe := range []int{0, 1000, 6000} {
-			for _, age := range []float64{0, 24.5, 720} {
-				if got, want := s.BERShifted(state, pe, age, 0), s.BER(state, pe, age); got != want {
-					t.Errorf("BERShifted(%v,%d,%g,0) = %g, BER = %g", state, pe, age, got, want)
-				}
-			}
-		}
-	}
-}
 
 // Shifted evaluations memoize: the same probe repeated is a cache hit,
 // and cached values agree with direct model evaluation.
@@ -34,9 +17,9 @@ func TestSurfaceShiftedMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := s.BERShifted(ftl.NormalState, 6000, 720, -120)
+	a := s.BER(ftl.NormalState, 6000, 720, -120)
 	miss := s.Stats().Misses
-	b := s.BERShifted(ftl.NormalState, 6000, 720.7, -120) // same quantized age
+	b := s.BER(ftl.NormalState, 6000, 720.7, -120) // same quantized age
 	if a != b {
 		t.Errorf("memoized %g != %g", a, b)
 	}
@@ -48,8 +31,62 @@ func TestSurfaceShiftedMemo(t *testing.T) {
 		t.Errorf("cached %g != direct %g", a, direct)
 	}
 	// A drift-tracking negative shift recovers BER at high wear+age.
-	if a >= s.BER(ftl.NormalState, 6000, 720) {
+	if a >= s.BER(ftl.NormalState, 6000, 720, 0) {
 		t.Error("negative shift did not reduce BER under heavy drift")
+	}
+}
+
+// Inputs just outside the packed key's ranges are evaluated directly:
+// the cache counters do not move, and the value equals the model's.
+// The in-range neighbours of each point do pack, so the test pins the
+// exact field edges.
+func TestSurfaceKeyFallback(t *testing.T) {
+	s, err := newBERSurface("NUNMA 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		state   ftl.BlockState
+		pe      int
+		age     float64
+		shiftMv int
+		model   *noise.BERModel
+	}{
+		{ftl.NormalState, 1 << 24, 720, 0, s.normal},
+		{ftl.ReducedState, 6000, 1 << 26, -120, s.reduced},
+		{ftl.NormalState, 6000, 720, -2049, s.normal},
+		{ftl.ReducedState, 6000, 720, 2048, s.reduced},
+		{ftl.NormalState, -1, 720, 0, s.normal},
+		{ftl.NormalState, 6000, -1, 0, s.normal},
+	} {
+		before := s.Stats()
+		got := s.BER(tc.state, tc.pe, tc.age, tc.shiftMv)
+		if st := s.Stats(); st != before {
+			t.Errorf("BER(%v,%d,%g,%d) touched the cache: %+v -> %+v",
+				tc.state, tc.pe, tc.age, tc.shiftMv, before, st)
+		}
+		want := tc.model.TotalBERShifted(tc.pe, float64(int(tc.age)), float64(tc.shiftMv)/1000)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("BER(%v,%d,%g,%d) = %g, direct %g", tc.state, tc.pe, tc.age, tc.shiftMv, got, want)
+		}
+	}
+	// Every field at its edges packs, and no two such inputs share a key.
+	seen := map[int64]bool{}
+	for _, state := range []ftl.BlockState{ftl.NormalState, ftl.ReducedState} {
+		for _, pe := range []int{0, 1<<24 - 1} {
+			for _, ageQ := range []int{0, 1<<26 - 1} {
+				for _, shiftMv := range []int{-2048, 0, 2047} {
+					key, ok := surfaceKey(state, pe, ageQ, shiftMv)
+					if !ok {
+						t.Errorf("surfaceKey(%v,%d,%d,%d) fell back; want it packed", state, pe, ageQ, shiftMv)
+					}
+					if seen[key] {
+						t.Errorf("surfaceKey(%v,%d,%d,%d) = %#x collides", state, pe, ageQ, shiftMv, key)
+					}
+					seen[key] = true
+				}
+			}
+		}
 	}
 }
 

@@ -114,7 +114,7 @@ func (r *Runner) StepBatchCtx(ctx context.Context, reqs []trace.Request, qd int)
 				submit = c.at
 			}
 		}
-		done, err := r.stepAt(req, submit)
+		done, err := r.StepAt(req, submit)
 		if err != nil {
 			return err
 		}
@@ -124,12 +124,16 @@ func (r *Runner) StepBatchCtx(ctx context.Context, reqs []trace.Request, qd int)
 	return nil
 }
 
-// stepAt replays one request at time at (under batching this may be
-// later than its recorded arrival) and returns when its last page
-// completes. Pages of one request are issued together at the submit
-// time; same-channel pages serialize in the device's FIFO, so the
-// request completes when its slowest page does.
-func (r *Runner) stepAt(req trace.Request, at time.Duration) (time.Duration, error) {
+// StepAt replays one request submitted at time at — which under
+// queue-depth batching or a live server's admission queue may be later
+// than its recorded arrival — and returns the completion time of the
+// request's last page. Pages of one request are issued together at the
+// submit time; same-channel pages serialize in the device's FIFO, so the
+// request completes when its slowest page does. It is the single-request
+// surface of the batched event loop, exported for drivers that compute
+// submit times themselves (per-tenant queue-depth windows in the serve
+// daemon).
+func (r *Runner) StepAt(req trace.Request, at time.Duration) (time.Duration, error) {
 	if r.device.Crashed() {
 		return 0, ftl.ErrPowerLoss
 	}
@@ -185,14 +189,4 @@ func (r *Runner) RunRequestsQDCtx(ctx context.Context, name string, reqs []trace
 		return Metrics{}, err
 	}
 	return r.Finish(name), nil
-}
-
-// StepAt replays one request submitted at time at — which under
-// queue-depth batching or a live server's admission queue may be later
-// than its recorded arrival — and returns the completion time of the
-// request's last page. It is the single-request surface of the batched
-// event loop, exported for drivers that compute submit times themselves
-// (per-tenant queue-depth windows in the serve daemon).
-func (r *Runner) StepAt(req trace.Request, at time.Duration) (time.Duration, error) {
-	return r.stepAt(req, at)
 }

@@ -201,8 +201,7 @@ type Runner struct {
 	opts    Options
 	device  *ssd.Device
 	ctrl    *accesseval.Controller // non-nil only for FlexLevel
-	berOf   ssd.BERFunc
-	tenants []*tenantTrack // per-tenant attribution, nil unless tracking
+	tenants []*tenantTrack         // per-tenant attribution, nil unless tracking
 
 	// Admission outcomes recorded via CountShed/CountDeadlineExceeded.
 	// Kept apart from the latency accumulators by construction: a
@@ -224,7 +223,6 @@ func NewRunner(opts Options) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	berOf := ssd.BERFunc(surface.BER)
 	opts.SSD.FTL.InitialPE = opts.PE
 
 	var policy baseline.ReadPolicy
@@ -236,7 +234,7 @@ func NewRunner(opts Options) (*Runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		levels, _ := table.RequiredLevels(berOf(ftl.NormalState, opts.PE, opts.SSD.MaxDataAgeHours))
+		levels, _ := table.RequiredLevels(surface.BER(ftl.NormalState, opts.PE, opts.SSD.MaxDataAgeHours, 0))
 		policy = baseline.FixedWorstCase{Levels: levels}
 	case LDPCInSSD, LevelAdjustOnly, FlexLevel:
 		policy = baseline.NewLDPCInSSD()
@@ -250,15 +248,12 @@ func NewRunner(opts Options) (*Runner, error) {
 		policy = baseline.NewAdaptiveRetry(0)
 	}
 
-	device, err := ssd.New(opts.SSD, berOf, policy)
+	device, err := ssd.New(opts.SSD, surface.BER, policy)
 	if err != nil {
 		return nil, err
 	}
 	device.SetBERCacheStats(surface.Stats)
-	if opts.SSD.Calib.Enabled {
-		device.SetShiftedBER(surface.BERShifted)
-	}
-	r := &Runner{opts: opts, device: device, berOf: berOf}
+	r := &Runner{opts: opts, device: device}
 	if opts.System == FlexLevel {
 		p := opts.AccessEval
 		if p.Lf == 0 {
@@ -347,7 +342,7 @@ func (r *Runner) Prepare(reqs []trace.Request, workingSet uint64) error {
 // ftl.ErrPowerLoss; the caller decides whether that is fatal or the cue
 // to run ssd.Device.Restart and resume.
 func (r *Runner) Step(req trace.Request) error {
-	_, err := r.stepAt(req, req.Arrival)
+	_, err := r.StepAt(req, req.Arrival)
 	return err
 }
 

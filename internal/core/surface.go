@@ -1,9 +1,10 @@
 // BER surface: the memoized channel-statistics lookup behind every
 // simulated read (DESIGN.md §11). The device physics BER is a function
-// of (block state, P/E count, retention age); reads quantize age to
-// whole hours — exactly the truncation the pre-surface code applied —
-// so the key space a steady-state workload touches is tiny (states ×
-// P/E points × distinct age hours). Caching on an int64 composite key
+// of (block state, P/E count, retention age, read-reference shift);
+// reads quantize age to whole hours — exactly the truncation the
+// pre-surface code applied — and shifts are whole millivolts, so the key
+// space a steady-state workload touches is tiny (states × P/E points ×
+// distinct age hours × the few shifts calibration visits). Caching on an int64 composite key
 // makes the steady-state read path evaluate zero Erfc/pow calls.
 //
 // Quantized precomputation of channel statistics at these resolutions
@@ -29,15 +30,29 @@ import (
 // correctness.
 const berSurfaceCap = 1 << 15
 
-// surfaceKey packs (state, pe, quantized age) into one int64:
-// bit 61 the block state, bits 31..60 the P/E count, bits 0..30 the
-// age in whole hours. Inputs outside those ranges fall back to direct
+// Packed surface key layout, from the top: one unused sign bit, one
+// block-state bit, then the P/E count, the age in whole hours and the
+// read-reference shift in millivolts (stored offset by keyShiftBias so
+// negative shifts pack as non-negative fields).
+const (
+	keyShiftBits = 12
+	keyAgeBits   = 26
+	keyPEBits    = 24
+	keyShiftBias = 1 << (keyShiftBits - 1)
+)
+
+// surfaceKey packs (state, pe, quantized age, shift) into one int64.
+// Inputs outside the packed ranges (pe ≥ 2^24, age ≥ 2^26 hours, a
+// shift outside [-2048, 2047] mV) report false and fall back to direct
 // (uncached) evaluation.
-func surfaceKey(state ftl.BlockState, pe, ageQ int) (int64, bool) {
-	if pe < 0 || pe >= 1<<30 || ageQ < 0 || ageQ >= 1<<31 || state < 0 || state > 1 {
+func surfaceKey(state ftl.BlockState, pe, ageQ, shiftMv int) (int64, bool) {
+	shiftQ := shiftMv + keyShiftBias
+	if pe < 0 || pe >= 1<<keyPEBits || ageQ < 0 || ageQ >= 1<<keyAgeBits ||
+		shiftQ < 0 || shiftQ >= 1<<keyShiftBits || state < 0 || state > 1 {
 		return 0, false
 	}
-	return int64(state)<<61 | int64(pe)<<31 | int64(ageQ), true
+	return int64(state)<<(keyPEBits+keyAgeBits+keyShiftBits) |
+		int64(pe)<<(keyAgeBits+keyShiftBits) | int64(ageQ)<<keyShiftBits | int64(shiftQ), true
 }
 
 // BERSurface memoizes the two per-state BER models over the quantized
@@ -49,19 +64,6 @@ type BERSurface struct {
 	reduced *noise.BERModel
 	cache   map[int64]float64
 	stats   ssd.CacheStats
-
-	// shiftCache memoizes the drift-aware evaluations of BERShifted.
-	// Calibrated reads and probe sweeps revisit the same few shifts per
-	// (state, pe, age) point, so the shifted key space stays small; it is
-	// kept apart from the main cache so the adaptive path cannot evict
-	// the unshifted working set.
-	shiftCache map[shiftKey]float64
-}
-
-// shiftKey addresses one shifted-BER evaluation.
-type shiftKey struct {
-	base    int64 // the surfaceKey of (state, pe, ageQ)
-	shiftMv int
 }
 
 // newBERSurface builds the surface for the named reduced-state
@@ -80,28 +82,28 @@ func newBERSurface(nunmaName string) (*BERSurface, error) {
 		return nil, err
 	}
 	return &BERSurface{
-		normal:     normalModel,
-		reduced:    reducedModel,
-		cache:      make(map[int64]float64),
-		shiftCache: make(map[shiftKey]float64),
+		normal:  normalModel,
+		reduced: reducedModel,
+		cache:   make(map[int64]float64),
 	}, nil
 }
 
-// BER is the ssd.BERFunc the surface exports. Age is truncated to whole
+// BER is the ssd.BERFunc the surface exports: the raw BER with every
+// read reference moved by shiftMv millivolts. Age is truncated to whole
 // hours before evaluation — the same quantization the pre-surface code
 // applied — so cached and uncached paths return bit-identical values.
-func (s *BERSurface) BER(state ftl.BlockState, pe int, ageHours float64) float64 {
+func (s *BERSurface) BER(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 	ageQ := int(ageHours)
-	key, ok := surfaceKey(state, pe, ageQ)
+	key, ok := surfaceKey(state, pe, ageQ, shiftMv)
 	if !ok {
-		return s.eval(state, pe, ageQ)
+		return s.eval(state, pe, ageQ, shiftMv)
 	}
 	if v, hit := s.cache[key]; hit {
 		s.stats.Hits++
 		return v
 	}
 	s.stats.Misses++
-	v := s.eval(state, pe, ageQ)
+	v := s.eval(state, pe, ageQ, shiftMv)
 	if len(s.cache) >= berSurfaceCap {
 		s.cache = make(map[int64]float64, berSurfaceCap/4)
 		s.stats.Resets++
@@ -110,47 +112,8 @@ func (s *BERSurface) BER(state ftl.BlockState, pe int, ageHours float64) float64
 	return v
 }
 
-// BERShifted is the ssd.ShiftedBERFunc the surface exports for the
-// adaptive ladder: BER with every read reference moved by shiftMv
-// millivolts. The zero shift routes through BER itself, so an
-// uncalibrated block reads bit-identically to a device without the
-// surface's shifted path.
-func (s *BERSurface) BERShifted(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
-	if shiftMv == 0 {
-		return s.BER(state, pe, ageHours)
-	}
-	ageQ := int(ageHours)
-	base, ok := surfaceKey(state, pe, ageQ)
-	if !ok {
-		return s.evalShifted(state, pe, ageQ, shiftMv)
-	}
-	key := shiftKey{base: base, shiftMv: shiftMv}
-	if v, hit := s.shiftCache[key]; hit {
-		s.stats.Hits++
-		return v
-	}
-	s.stats.Misses++
-	v := s.evalShifted(state, pe, ageQ, shiftMv)
-	if len(s.shiftCache) >= berSurfaceCap {
-		s.shiftCache = make(map[shiftKey]float64, berSurfaceCap/4)
-		s.stats.Resets++
-	}
-	s.shiftCache[key] = v
-	return v
-}
-
 // eval computes the BER directly from the state's model.
-func (s *BERSurface) eval(state ftl.BlockState, pe, ageQ int) float64 {
-	m := s.normal
-	if state == ftl.ReducedState {
-		m = s.reduced
-	}
-	return m.TotalBER(pe, float64(ageQ))
-}
-
-// evalShifted computes the drift-aware BER directly from the state's
-// model.
-func (s *BERSurface) evalShifted(state ftl.BlockState, pe, ageQ, shiftMv int) float64 {
+func (s *BERSurface) eval(state ftl.BlockState, pe, ageQ, shiftMv int) float64 {
 	m := s.normal
 	if state == ftl.ReducedState {
 		m = s.reduced

@@ -97,21 +97,39 @@ func (m *BERModel) cellErrorToBER(p float64) float64 {
 }
 
 // C2CBER returns the bit error rate caused by cell-to-cell interference
-// immediately after programming (what Fig. 5 plots).
-func (m *BERModel) C2CBER() float64 {
+// immediately after programming (what Fig. 5 plots), at the nominal
+// read references.
+func (m *BERModel) C2CBER() float64 { return m.C2CBERShifted(0) }
+
+// RetentionBER returns the bit error rate caused by retention charge
+// loss after pe cycles and hours of storage (what Table 4 tabulates),
+// at the nominal read references.
+func (m *BERModel) RetentionBER(pe int, hours float64) float64 {
+	return m.RetentionBERShifted(pe, hours, 0)
+}
+
+// TotalBER returns the combined raw bit error rate a reader sees at the
+// nominal read references.
+func (m *BERModel) TotalBER(pe int, hours float64) float64 {
+	return m.TotalBERShifted(pe, hours, 0)
+}
+
+// C2CBERShifted returns the interference bit error rate with every read
+// reference moved by shift volts.
+func (m *BERModel) C2CBERShifted(shift float64) float64 {
 	p := 0.0
 	for i := 0; i < m.Spec.NumLevels(); i++ {
-		p += m.Enc.Occupancy[i] * m.C2C.LevelErrorProb(m.Spec, i)
+		p += m.Enc.Occupancy[i] * m.C2C.LevelErrorProb(m.Spec, i, shift)
 	}
 	return m.cellErrorToBER(p)
 }
 
-// RetentionBER returns the bit error rate caused by retention charge
-// loss after pe cycles and hours of storage (what Table 4 tabulates).
-func (m *BERModel) RetentionBER(pe int, hours float64) float64 {
+// RetentionBERShifted returns the retention bit error rate with every
+// read reference moved by shift volts.
+func (m *BERModel) RetentionBERShifted(pe int, hours, shift float64) float64 {
 	p := 0.0
 	for i := 0; i < m.Spec.NumLevels(); i++ {
-		p += m.Enc.Occupancy[i] * m.Retention.LevelErrorProb(m.Spec, i, pe, hours)
+		p += m.Enc.Occupancy[i] * m.Retention.LevelErrorProb(m.Spec, i, pe, hours, shift)
 	}
 	return m.cellErrorToBER(p)
 }
@@ -123,7 +141,7 @@ func (m *BERModel) RetentionLevelShare(pe int, hours float64) []float64 {
 	shares := make([]float64, m.Spec.NumLevels())
 	total := 0.0
 	for i := range shares {
-		shares[i] = m.Enc.Occupancy[i] * m.Retention.LevelErrorProb(m.Spec, i, pe, hours)
+		shares[i] = m.Enc.Occupancy[i] * m.Retention.LevelErrorProb(m.Spec, i, pe, hours, 0)
 		total += shares[i]
 	}
 	if total > 0 {
@@ -134,37 +152,11 @@ func (m *BERModel) RetentionLevelShare(pe int, hours float64) []float64 {
 	return shares
 }
 
-// TotalBER returns the combined raw bit error rate a reader sees: the
-// sum of interference and retention contributions (independent rare
-// events).
-func (m *BERModel) TotalBER(pe int, hours float64) float64 {
-	return m.C2CBER() + m.RetentionBER(pe, hours)
-}
-
-// C2CBERShifted is C2CBER with every read reference moved by shift
-// volts (adaptive calibration).
-func (m *BERModel) C2CBERShifted(shift float64) float64 {
-	p := 0.0
-	for i := 0; i < m.Spec.NumLevels(); i++ {
-		p += m.Enc.Occupancy[i] * m.C2C.LevelErrorProbShifted(m.Spec, i, shift)
-	}
-	return m.cellErrorToBER(p)
-}
-
-// RetentionBERShifted is RetentionBER with every read reference moved
-// by shift volts.
-func (m *BERModel) RetentionBERShifted(pe int, hours, shift float64) float64 {
-	p := 0.0
-	for i := 0; i < m.Spec.NumLevels(); i++ {
-		p += m.Enc.Occupancy[i] * m.Retention.LevelErrorProbShifted(m.Spec, i, pe, hours, shift)
-	}
-	return m.cellErrorToBER(p)
-}
-
 // TotalBERShifted returns the raw BER a reader sees with every read
-// reference moved by shift volts: the drift-aware evaluation behind the
-// adaptive read-retry ladder. A downward shift trades interference
-// margin for retention margin; at shift 0 it equals TotalBER exactly.
+// reference moved by shift volts: the sum of interference and retention
+// contributions (independent rare events). It is the drift-aware
+// evaluation behind the adaptive read-retry ladder: a downward shift
+// trades interference margin for retention margin.
 func (m *BERModel) TotalBERShifted(pe int, hours, shift float64) float64 {
 	return m.C2CBERShifted(shift) + m.RetentionBERShifted(pe, hours, shift)
 }

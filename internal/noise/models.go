@@ -112,30 +112,18 @@ func (m C2CModel) ShiftDistribution(aggSpec *Spec) Gaussian {
 // LevelErrorProb returns the probability that a victim cell programmed
 // to level i under spec is misread because interference pushed its Vth
 // above the level's upper read reference (or above Vpass for the top
-// level).
-func (m C2CModel) LevelErrorProb(spec *Spec, i int) float64 {
+// level), with every read reference moved by refShift volts. A downward
+// (negative) refShift narrows the interference margin — the price of
+// tracking retention drift — while Vpass stays fixed, so the top
+// level's interference exposure never changes.
+func (m C2CModel) LevelErrorProb(spec *Spec, i int, refShift float64) float64 {
 	prog := spec.Programmed(i)
 	shift := m.ShiftDistribution(spec)
 	total := Gaussian{
 		Mu:    prog.Mu + shift.Mu,
 		Sigma: math.Sqrt(prog.Sigma*prog.Sigma + shift.Sigma*shift.Sigma + m.DisturbSigma*m.DisturbSigma),
 	}
-	return total.Tail(spec.UpperRef(i))
-}
-
-// LevelErrorProbShifted is LevelErrorProb with every read reference
-// moved by shift volts (adaptive calibration). A downward (negative)
-// shift narrows the interference margin — the price of tracking
-// retention drift — while Vpass stays fixed, so the top level's
-// interference exposure never changes.
-func (m C2CModel) LevelErrorProbShifted(spec *Spec, i int, shift float64) float64 {
-	prog := spec.Programmed(i)
-	cshift := m.ShiftDistribution(spec)
-	total := Gaussian{
-		Mu:    prog.Mu + cshift.Mu,
-		Sigma: math.Sqrt(prog.Sigma*prog.Sigma + cshift.Sigma*cshift.Sigma + m.DisturbSigma*m.DisturbSigma),
-	}
-	return total.Tail(spec.UpperRefShifted(i, shift))
+	return total.Tail(spec.UpperRef(i, refShift))
 }
 
 // SampleShift draws one aggregate interference shift. Aggressor levels
@@ -195,8 +183,12 @@ func (r RetentionModel) Shift(x float64, pe int, hours float64) Gaussian {
 
 // LevelErrorProb returns the probability that a cell programmed to level
 // i under spec drifts below the level's lower read reference after pe
-// cycles and hours of storage. The erased level cannot under-drift.
-func (r RetentionModel) LevelErrorProb(spec *Spec, i int, pe int, hours float64) float64 {
+// cycles and hours of storage, with every read reference moved by
+// refShift volts. A negative refShift follows the drifting distribution
+// down, cancelling the mean charge loss and leaving only the widened
+// spread — exactly the recovery adaptive read thresholds buy (Peleato
+// et al., PAPERS.md). The erased level cannot under-drift.
+func (r RetentionModel) LevelErrorProb(spec *Spec, i int, pe int, hours, refShift float64) float64 {
 	if i == 0 {
 		return 0
 	}
@@ -213,30 +205,7 @@ func (r RetentionModel) LevelErrorProb(spec *Spec, i int, pe int, hours float64)
 		Mu:    prog.Mu - shift.Mu,
 		Sigma: math.Sqrt(prog.Sigma*prog.Sigma + shift.Sigma*shift.Sigma + extraVar),
 	}
-	return after.CDF(spec.LowerRef(i))
-}
-
-// LevelErrorProbShifted is LevelErrorProb with every read reference
-// moved by refShift volts: a negative refShift follows the drifting
-// distribution down, cancelling the mean charge loss and leaving only
-// the widened spread — exactly the recovery adaptive read thresholds
-// buy (Peleato et al., PAPERS.md).
-func (r RetentionModel) LevelErrorProbShifted(spec *Spec, i int, pe int, hours, refShift float64) float64 {
-	if i == 0 {
-		return 0
-	}
-	prog := spec.Programmed(i)
-	shift := r.Shift(prog.Mu, pe, hours)
-	slope := 0.0
-	if prog.Mu-r.X0.Mu > 0 {
-		slope = shift.Mu / (prog.Mu - r.X0.Mu)
-	}
-	extraVar := slope * slope * (prog.Sigma*prog.Sigma + r.X0.Sigma*r.X0.Sigma)
-	after := Gaussian{
-		Mu:    prog.Mu - shift.Mu,
-		Sigma: math.Sqrt(prog.Sigma*prog.Sigma + shift.Sigma*shift.Sigma + extraVar),
-	}
-	return after.CDF(spec.LowerRefShifted(i, refShift))
+	return after.CDF(spec.LowerRef(i, refShift))
 }
 
 // SampleShift draws one retention shift for a cell with initial Vth x

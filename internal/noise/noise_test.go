@@ -172,11 +172,11 @@ func TestSpecMargins(t *testing.T) {
 	if m := s.InterferenceMargin(3); math.Abs(m-(DefaultVpass-3.675)) > 1e-9 {
 		t.Errorf("InterferenceMargin(3) = %g", m)
 	}
-	if !math.IsInf(s.LowerRef(0), -1) {
-		t.Error("LowerRef(0) should be -Inf")
+	if !math.IsInf(s.LowerRef(0, 0), -1) {
+		t.Error("LowerRef(0, 0) should be -Inf")
 	}
-	if s.UpperRef(3) != DefaultVpass {
-		t.Error("UpperRef(top) should be Vpass")
+	if s.UpperRef(3, 0) != DefaultVpass {
+		t.Error("UpperRef(top, 0) should be Vpass")
 	}
 }
 
@@ -228,13 +228,13 @@ func TestC2CLevelErrorOrdering(t *testing.T) {
 	m := DefaultC2C()
 	// Middle levels (small margins) must err more than the top level
 	// (margin to Vpass is larger).
-	p1 := m.LevelErrorProb(s, 1)
-	p3 := m.LevelErrorProb(s, 3)
+	p1 := m.LevelErrorProb(s, 1, 0)
+	p3 := m.LevelErrorProb(s, 3, 0)
 	if p1 <= p3 {
 		t.Errorf("C2C p(level1)=%g should exceed p(level3)=%g", p1, p3)
 	}
 	for i := 0; i < s.NumLevels(); i++ {
-		p := m.LevelErrorProb(s, i)
+		p := m.LevelErrorProb(s, i, 0)
 		if p < 0 || p > 1 {
 			t.Errorf("p(level %d) = %g out of range", i, p)
 		}
@@ -284,21 +284,21 @@ func TestRetentionShiftMagnitude(t *testing.T) {
 func TestRetentionLevelErrorMonotone(t *testing.T) {
 	s := testSpec()
 	r := DefaultRetention()
-	if p := r.LevelErrorProb(s, 0, 5000, 720); p != 0 {
+	if p := r.LevelErrorProb(s, 0, 5000, 720, 0); p != 0 {
 		t.Errorf("erased level retention error = %g, want 0", p)
 	}
 	// Higher level -> larger (x-x0) -> more errors (same margins).
-	p1 := r.LevelErrorProb(s, 1, 5000, 720)
-	p3 := r.LevelErrorProb(s, 3, 5000, 720)
+	p1 := r.LevelErrorProb(s, 1, 5000, 720, 0)
+	p3 := r.LevelErrorProb(s, 3, 5000, 720, 0)
 	if p3 <= p1 {
 		t.Errorf("retention p(level3)=%g should exceed p(level1)=%g", p3, p1)
 	}
 	// More time -> more errors.
-	if a, b := r.LevelErrorProb(s, 3, 5000, 24), r.LevelErrorProb(s, 3, 5000, 720); b <= a {
+	if a, b := r.LevelErrorProb(s, 3, 5000, 24, 0), r.LevelErrorProb(s, 3, 5000, 720, 0); b <= a {
 		t.Errorf("retention should grow with time: %g vs %g", a, b)
 	}
 	// More cycles -> more errors.
-	if a, b := r.LevelErrorProb(s, 3, 2000, 168), r.LevelErrorProb(s, 3, 6000, 168); b <= a {
+	if a, b := r.LevelErrorProb(s, 3, 2000, 168, 0), r.LevelErrorProb(s, 3, 6000, 168, 0); b <= a {
 		t.Errorf("retention should grow with P/E: %g vs %g", a, b)
 	}
 }
@@ -421,8 +421,8 @@ func TestLevelErrorProbWithinUnitInterval(t *testing.T) {
 		pe := int(peRaw)
 		hours := float64(hoursRaw)
 		lvl := int(lvlRaw) % s.NumLevels()
-		p := c2c.LevelErrorProb(s, lvl)
-		q := ret.LevelErrorProb(s, lvl, pe, hours)
+		p := c2c.LevelErrorProb(s, lvl, 0)
+		q := ret.LevelErrorProb(s, lvl, pe, hours, 0)
 		return p >= 0 && p <= 1 && q >= 0 && q <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {

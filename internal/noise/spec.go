@@ -74,40 +74,21 @@ func (s *Spec) Programmed(i int) Gaussian {
 	return Gaussian{Mu: l.Verify + s.Vpp/2, Sigma: l.Sigma}
 }
 
-// LowerRef returns the lower read reference of level i
-// (negative infinity for the erased level).
-func (s *Spec) LowerRef(i int) float64 {
-	if i == 0 {
-		return math.Inf(-1)
-	}
-	return s.ReadRefs[i-1]
-}
-
-// UpperRef returns the upper read reference of level i
-// (Vpass for the top level).
-func (s *Spec) UpperRef(i int) float64 {
-	if i == len(s.Levels)-1 {
-		return s.Vpass
-	}
-	return s.ReadRefs[i]
-}
-
-// LowerRefShifted returns the lower read reference of level i with all
-// read references moved by shift volts (the adaptive-calibration view:
-// a negative shift tracks downward retention drift). The erased level
-// keeps its -Inf boundary.
-func (s *Spec) LowerRefShifted(i int, shift float64) float64 {
+// LowerRef returns the lower read reference of level i with every read
+// reference moved by shift volts (0 is the nominal placement; a
+// negative shift is the adaptive-calibration view that tracks downward
+// retention drift). The erased level's boundary stays at -Inf.
+func (s *Spec) LowerRef(i int, shift float64) float64 {
 	if i == 0 {
 		return math.Inf(-1)
 	}
 	return s.ReadRefs[i-1] + shift
 }
 
-// UpperRefShifted returns the upper read reference of level i under a
-// calibration shift. Vpass is a physical property of the sense
-// amplifier, not a tunable reference, so the top level's boundary never
-// moves.
-func (s *Spec) UpperRefShifted(i int, shift float64) float64 {
+// UpperRef returns the upper read reference of level i under a read
+// reference shift. Vpass is a physical property of the sense amplifier,
+// not a tunable reference, so the top level's boundary never moves.
+func (s *Spec) UpperRef(i int, shift float64) float64 {
 	if i == len(s.Levels)-1 {
 		return s.Vpass
 	}
@@ -122,14 +103,14 @@ func (s *Spec) RetentionMargin(i int) float64 {
 	if i == 0 {
 		return math.Inf(1)
 	}
-	return s.Programmed(i).Mu - s.LowerRef(i)
+	return s.Programmed(i).Mu - s.LowerRef(i, 0)
 }
 
 // InterferenceMargin returns the paper's cell-to-cell interference noise
 // margin for level i: the distance between the post-program Vth mean and
 // the upper read reference voltage.
 func (s *Spec) InterferenceMargin(i int) float64 {
-	return s.UpperRef(i) - s.Programmed(i).Mu
+	return s.UpperRef(i, 0) - s.Programmed(i).Mu
 }
 
 // ReadLevel classifies a Vth value against the spec's read references,

@@ -311,14 +311,6 @@ func clampLLR(x float64) float64 {
 	return x
 }
 
-// Shifted rebuilds the quantizer with the nominal boundary (and every
-// extra sensing reference with it) moved by shift volts — the bracket a
-// calibrated read senses against. The level distributions stay put; only
-// the references move.
-func (q *Quantizer) Shifted(shift float64) (*Quantizer, error) {
-	return NewQuantizer(q.Lower, q.Upper, q.Boundary+shift, q.ExtraLevels, q.Delta)
-}
-
 // Boundaries returns the sensing reference voltages, ascending.
 func (q *Quantizer) Boundaries() []float64 {
 	out := make([]float64, len(q.bounds))

@@ -10,28 +10,22 @@ import (
 	"flexlevel/internal/ftl"
 )
 
-// driftBER builds the shifted-BER fixture of a drifted Vth landscape:
-// pages older than cliffHours are unreadable at the nominal references
-// but decode cleanly once the read shift is within 50mV of -120mV.
-// Younger pages decode cleanly everywhere.
-func driftBER() (BERFunc, ShiftedBERFunc) {
-	shifted := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
-		if ageHours <= 100 {
-			return 1e-4
-		}
-		d := shiftMv + 120
-		if d < 0 {
-			d = -d
-		}
-		if d <= 50 {
-			return 1e-4 // recovered: references track the drift
-		}
-		return 0.1 // hopeless at stale references
+// driftBER is the BER of a drifted Vth landscape: pages older than
+// 100 hours are unreadable at the nominal references but decode cleanly
+// once the read shift is within 50mV of -120mV. Younger pages decode
+// cleanly everywhere.
+func driftBER(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	if ageHours <= 100 {
+		return 1e-4
 	}
-	berOf := func(state ftl.BlockState, pe int, ageHours float64) float64 {
-		return shifted(state, pe, ageHours, 0)
+	d := shiftMv + 120
+	if d < 0 {
+		d = -d
 	}
-	return berOf, shifted
+	if d <= 50 {
+		return 1e-4 // recovered: references track the drift
+	}
+	return 0.1 // hopeless at stale references
 }
 
 // newAdaptiveDevice builds a preloaded device with the adaptive ladder
@@ -43,12 +37,10 @@ func newAdaptiveDevice(t *testing.T, mutate func(*Config)) *Device {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	berOf, shifted := driftBER()
-	d, err := New(cfg, berOf, baseline.NewAdaptiveRetry(0))
+	d, err := New(cfg, driftBER, baseline.NewAdaptiveRetry(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetShiftedBER(shifted)
 	if err := d.Preload(512); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +52,7 @@ func newAdaptiveDevice(t *testing.T, mutate func(*Config)) *Device {
 func agedVictim(t *testing.T, d *Device) uint64 {
 	t.Helper()
 	for lpn := uint64(0); lpn < 512; lpn++ {
-		if _, ok := d.requiredLevels(lpn, 0); !ok {
+		if _, ok := d.Patrol(lpn, 0); !ok {
 			return lpn
 		}
 	}
@@ -118,7 +110,7 @@ func victimBlock(d *Device, lpn uint64) int {
 func TestRefreshFailureCountedInDegradedMode(t *testing.T) {
 	cfg := smallConfig()
 	cfg.AutoRefresh = true
-	berOf := func(state ftl.BlockState, pe int, ageHours float64) float64 {
+	berOf := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 		if ageHours > 100 {
 			return 0.1
 		}
@@ -179,7 +171,7 @@ func TestRefreshFailureEscalatesToRetirement(t *testing.T) {
 		script = append(script, fault.ScriptEvent{Op: fault.Program, Index: i})
 	}
 	cfg.Faults = fault.Config{Script: script}
-	berOf := func(state ftl.BlockState, pe int, ageHours float64) float64 {
+	berOf := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 		if ageHours > 100 {
 			return 0.1
 		}
@@ -215,19 +207,15 @@ func TestRefreshFailureEscalatesToRetirement(t *testing.T) {
 	}
 }
 
-// A device with calibration disabled is bit-identical whether or not a
-// shifted-BER hook is registered: the adaptive machinery must be
-// completely inert unless Config.Calib enables it.
+// A device with calibration disabled reads every page at the nominal
+// references: it is bit-identical to a device whose BER ignores the
+// shift altogether, so the adaptive machinery is completely inert
+// unless Config.Calib enables it.
 func TestDisabledCalibInert(t *testing.T) {
-	run := func(register bool) Results {
-		cfg := smallConfig()
-		berOf, shifted := driftBER()
-		d, err := New(cfg, berOf, baseline.NewLDPCInSSD())
+	run := func(berOf BERFunc) Results {
+		d, err := New(smallConfig(), berOf, baseline.NewLDPCInSSD())
 		if err != nil {
 			t.Fatal(err)
-		}
-		if register {
-			d.SetShiftedBER(shifted)
 		}
 		if err := d.Preload(512); err != nil {
 			t.Fatal(err)
@@ -237,10 +225,16 @@ func TestDisabledCalibInert(t *testing.T) {
 		}
 		return d.Results()
 	}
-	a, b := run(false), run(true)
+	nominal := func(state ftl.BlockState, pe int, ageHours float64, _ int) float64 {
+		return driftBER(state, pe, ageHours, 0)
+	}
+	a, b := run(nominal), run(driftBER)
 	if a.ReadResp != b.ReadResp || a.Unreadable != b.Unreadable ||
 		a.SensingAttempts != b.SensingAttempts || a.LevelHist != b.LevelHist {
-		t.Error("registering a shifted-BER hook perturbed a calibration-disabled device")
+		t.Error("a shift-dependent BER perturbed a calibration-disabled device")
+	}
+	if b.Unreadable == 0 {
+		t.Error("no page read unreadable at the nominal references; fixture broken?")
 	}
 	if b.Recalibrations != 0 || b.CalibProbes != 0 {
 		t.Errorf("disabled calibration recalibrated: %d/%d", b.Recalibrations, b.CalibProbes)

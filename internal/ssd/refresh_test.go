@@ -28,7 +28,7 @@ func TestAutoRefreshRestoresReadability(t *testing.T) {
 	// Age-driven BER: old pages unreadable, rewritten pages fine.
 	cfg := smallConfig()
 	cfg.AutoRefresh = true
-	berOf := func(state ftl.BlockState, pe int, ageHours float64) float64 {
+	berOf := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 		if ageHours > 100 {
 			return 0.1 // hopeless
 		}
@@ -45,7 +45,7 @@ func TestAutoRefreshRestoresReadability(t *testing.T) {
 	var victim uint64
 	found := false
 	for lpn := uint64(0); lpn < 512; lpn++ {
-		if _, ok := d.requiredLevels(lpn, 0); !ok {
+		if _, ok := d.Patrol(lpn, 0); !ok {
 			victim, found = lpn, true
 			break
 		}
@@ -59,7 +59,7 @@ func TestAutoRefreshRestoresReadability(t *testing.T) {
 		t.Fatalf("unreadable/refreshes = %d/%d, want 1/1", res.Unreadable, res.Refreshes)
 	}
 	// After the refresh the page reads clean.
-	if _, ok := d.requiredLevels(victim, 2*time.Second); !ok {
+	if _, ok := d.Patrol(victim, 2*time.Second); !ok {
 		t.Error("page still unreadable after refresh")
 	}
 	d.Read(2*time.Second, victim)

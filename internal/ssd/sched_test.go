@@ -20,7 +20,7 @@ import (
 func TestLevelTableDeviceEquivalence(t *testing.T) {
 	cfg := smallConfig()
 	var last float64
-	ber := func(_ ftl.BlockState, _ int, ageHours float64) float64 {
+	ber := func(_ ftl.BlockState, _ int, ageHours float64, _ int) float64 {
 		// Log-sweep 1e-4..5e-2 over the preload's age range: every
 		// sensing-level threshold lies inside it.
 		last = 1e-4 * math.Pow(500, ageHours/cfg.MaxDataAgeHours)

@@ -23,13 +23,10 @@ import (
 )
 
 // BERFunc returns the raw bit error rate of a page in a block of the
-// given state, at the block's P/E wear, after ageHours of storage.
-type BERFunc func(state ftl.BlockState, pe int, ageHours float64) float64
-
-// ShiftedBERFunc is BERFunc with the read references moved by shiftMv
-// millivolts — the drift-aware evaluation the calibration tracker
-// probes. At shiftMv 0 it must agree with the device's BERFunc exactly.
-type ShiftedBERFunc func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64
+// given state, at the block's P/E wear, after ageHours of storage, read
+// with every reference moved by shiftMv millivolts (0 is the nominal
+// placement; the calibration tracker probes and reads at other shifts).
+type BERFunc func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64
 
 // Config parameterizes a Device.
 type Config struct {
@@ -80,9 +77,8 @@ type Config struct {
 
 	// Calib configures online per-block read-threshold calibration (the
 	// adaptive read-retry ladder, DESIGN.md §13). Disabled by default;
-	// when enabled the caller must also register a ShiftedBERFunc via
-	// SetShiftedBER or calibration probes see a flat landscape and the
-	// shift never moves.
+	// when enabled, reads and calibration probes evaluate the device's
+	// BERFunc at each block's tracked reference shift.
 	Calib calib.Config
 
 	// SampleCap, when positive, bounds the read response-time sample to
@@ -332,12 +328,10 @@ type Device struct {
 	berBase  CacheStats
 
 	// Adaptive ladder state: the per-block threshold calibration tracker
-	// (nil unless Config.Calib.Enabled) and the shifted-BER evaluation
-	// its probes use. lower is the policy's downward-memory hook,
-	// resolved once in New.
-	calib      *calib.Tracker
-	shiftedBER ShiftedBERFunc
-	lower      interface{ Lower(int, int) }
+	// (nil unless Config.Calib.Enabled). lower is the policy's
+	// downward-memory hook, resolved once in New.
+	calib *calib.Tracker
+	lower interface{ Lower(int, int) }
 }
 
 // levelCacheCap bounds the level cache; BER is a continuous input, so an
@@ -506,11 +500,6 @@ func (d *Device) wireOnErase(f *ftl.FTL) {
 	}
 }
 
-// SetShiftedBER registers the drift-aware BER evaluation calibration
-// probes use. Without it an enabled tracker sees a flat landscape and
-// never moves any shift.
-func (d *Device) SetShiftedBER(fn ShiftedBERFunc) { d.shiftedBER = fn }
-
 // Calib exposes the calibration tracker (nil when disabled).
 func (d *Device) Calib() *calib.Tracker { return d.calib }
 
@@ -611,13 +600,6 @@ func (d *Device) ageHours(ppn int64, now time.Duration) float64 {
 	return d.ageOffset[ppn] + elapsed.Hours()
 }
 
-// RequiredLevels computes the soft sensing levels a read of lpn needs
-// right now, from the device physics.
-func (d *Device) RequiredLevels(lpn uint64, now time.Duration) int {
-	levels, _ := d.requiredLevels(lpn, now)
-	return levels
-}
-
 // Patrol evaluates lpn's current read health without serving a read:
 // the sensing levels a read would need right now, and whether the page
 // is readable at all within the maximum sensing capability. Unmapped
@@ -625,12 +607,6 @@ func (d *Device) RequiredLevels(lpn uint64, now time.Duration) int {
 // response sample — the lifetime sweep's scrub/refresh policies use it
 // as the media scan behind their refresh decisions.
 func (d *Device) Patrol(lpn uint64, now time.Duration) (levels int, readable bool) {
-	return d.requiredLevels(lpn, now)
-}
-
-// requiredLevels also reports whether the page is readable at all
-// within the device's maximum sensing capability.
-func (d *Device) requiredLevels(lpn uint64, now time.Duration) (int, bool) {
 	ppn, state, ok := d.ftl.Lookup(lpn)
 	if !ok {
 		return 0, true
@@ -638,7 +614,7 @@ func (d *Device) requiredLevels(lpn uint64, now time.Duration) (int, bool) {
 	return d.requiredLevelsAt(ppn, state, now)
 }
 
-// requiredLevelsAt is requiredLevels for an already-resolved mapping, so
+// requiredLevelsAt is Patrol for an already-resolved mapping, so
 // the read path pays one FTL lookup instead of two. With calibration
 // enabled the page is evaluated at its block's current reference shift.
 func (d *Device) requiredLevelsAt(ppn int64, state ftl.BlockState, now time.Duration) (int, bool) {
@@ -647,17 +623,14 @@ func (d *Device) requiredLevelsAt(ppn int64, state ftl.BlockState, now time.Dura
 	return d.levelsForBER(d.pageBER(state, pe, d.ageHours(ppn, now), block))
 }
 
-// pageBER evaluates a page's raw BER at its block's calibration. The
-// zero-shift fast path goes through the unshifted BERFunc so a device
-// with calibration at its starting point stays bit-identical to one
-// without.
+// pageBER evaluates a page's raw BER at its block's calibrated reference
+// shift, or at the nominal references when calibration is off.
 func (d *Device) pageBER(state ftl.BlockState, pe int, age float64, block int) float64 {
-	if d.calib != nil && d.shiftedBER != nil {
-		if s := d.calib.ShiftMv(block); s != 0 {
-			return d.shiftedBER(state, pe, age, s)
-		}
+	shiftMv := 0
+	if d.calib != nil {
+		shiftMv = d.calib.ShiftMv(block)
 	}
-	return d.berOf(state, pe, age)
+	return d.berOf(state, pe, age, shiftMv)
 }
 
 // levelsForBER answers the sensing-level rule for a raw BER through the
@@ -748,12 +721,12 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 	// block's thresholds are stale, retune them from decoder feedback
 	// and, if that lowered (or restored) the requirement, serve the read
 	// with one final re-sense at the fresh calibration.
-	if d.calib != nil && d.shiftedBER != nil && mapped &&
+	if d.calib != nil && mapped &&
 		d.calib.Observe(block, required, achievable) {
 		pe := d.ftl.BlockPE(block)
 		age := d.ageHours(ppn, now)
 		probes, lev, ok := d.calib.Calibrate(block, func(shiftMv int) (int, bool) {
-			return d.levelsForBER(d.shiftedBER(state, pe, age, shiftMv))
+			return d.levelsForBER(d.berOf(state, pe, age, shiftMv))
 		})
 		d.res.Recalibrations++
 		d.res.CalibProbes += int64(probes)

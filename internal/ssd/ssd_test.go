@@ -10,7 +10,7 @@ import (
 
 // flatBER returns a BERFunc with fixed per-state values.
 func flatBER(normal, reduced float64) BERFunc {
-	return func(state ftl.BlockState, pe int, ageHours float64) float64 {
+	return func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 		if state == ftl.ReducedState {
 			return reduced
 		}
@@ -20,7 +20,7 @@ func flatBER(normal, reduced float64) BERFunc {
 
 // agedBER grows linearly with age: ber = slope * ageHours.
 func agedBER(slope float64) BERFunc {
-	return func(state ftl.BlockState, pe int, ageHours float64) float64 {
+	return func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 		if state == ftl.ReducedState {
 			return 0
 		}
@@ -180,7 +180,7 @@ func TestWriteResetsAge(t *testing.T) {
 	var victim uint64
 	found := false
 	for lpn := uint64(0); lpn < 512; lpn++ {
-		if d.RequiredLevels(lpn, 0) > 0 {
+		if l, _ := d.Patrol(lpn, 0); l > 0 {
 			victim, found = lpn, true
 			break
 		}
@@ -191,7 +191,7 @@ func TestWriteResetsAge(t *testing.T) {
 	if _, err := d.Write(time.Second, victim, ftl.NormalState); err != nil {
 		t.Fatal(err)
 	}
-	if l := d.RequiredLevels(victim, time.Second); l != 0 {
+	if l, _ := d.Patrol(victim, time.Second); l != 0 {
 		t.Errorf("levels after rewrite = %d, want 0 (age reset)", l)
 	}
 }
@@ -204,7 +204,7 @@ func TestGCRelocationResetsAge(t *testing.T) {
 	// accounting: total old pages must shrink.
 	before := 0
 	for lpn := uint64(0); lpn < 512; lpn++ {
-		if d.RequiredLevels(lpn, 0) > 0 {
+		if l, _ := d.Patrol(lpn, 0); l > 0 {
 			before++
 		}
 	}
@@ -218,7 +218,7 @@ func TestGCRelocationResetsAge(t *testing.T) {
 	}
 	after := 0
 	for lpn := uint64(0); lpn < 512; lpn++ {
-		if d.RequiredLevels(lpn, time.Second) > 0 {
+		if l, _ := d.Patrol(lpn, time.Second); l > 0 {
 			after++
 		}
 	}
