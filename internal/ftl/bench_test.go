@@ -74,3 +74,40 @@ func BenchmarkRecoverLargeDevice(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFTLPickVictim measures one garbage-collection victim scan
+// over the default geometry (about 700 blocks) in steady state: the
+// logical space written once across both pools, then churned by random
+// overwrites until GC has been running for a while.
+func BenchmarkFTLPickVictim(b *testing.B) {
+	cfg := DefaultConfig()
+	f, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	state := func() BlockState {
+		if rng.Intn(4) == 0 {
+			return ReducedState
+		}
+		return NormalState
+	}
+	for lpn := uint64(0); lpn < cfg.LogicalPages; lpn++ {
+		if _, _, err := f.Write(lpn, state()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*int(cfg.LogicalPages); i++ {
+		if _, _, err := f.Write(uint64(rng.Intn(int(cfg.LogicalPages))), state()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if f.Stats().GCRuns == 0 || f.pickVictim() < 0 {
+		b.Fatal("churn never reached steady-state GC")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.pickVictim()
+	}
+}

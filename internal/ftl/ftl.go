@@ -72,6 +72,8 @@ const (
 	ReducedState
 )
 
+func (s BlockState) valid() bool { return s == NormalState || s == ReducedState }
+
 func (s BlockState) String() string {
 	if s == ReducedState {
 		return "reduced"
@@ -283,6 +285,9 @@ type activeBlock struct {
 	nextPage int
 }
 
+// numStates is the number of BlockState pools, the length of FTL.active.
+const numStates = int(ReducedState) + 1
+
 // FTL is the page-mapping flash translation layer. The mapping tables
 // and per-block counters are packed (int32 arrays, bitsets) so a
 // multi-million-page device fits in memory; Config.Validate bounds the
@@ -308,7 +313,9 @@ type FTL struct {
 	// ascending-slice order exactly.
 	spare *bitset.Set
 
-	active map[BlockState]*activeBlock
+	// active holds each pool's open block, indexed by BlockState; nil
+	// when the pool has none.
+	active [numStates]*activeBlock
 
 	stats     Stats
 	wearSwaps int64
@@ -375,7 +382,6 @@ func New(cfg Config) (*FTL, error) {
 	for b := cfg.Blocks - cfg.SpareBlocks - 1; b >= 0; b-- {
 		f.free = append(f.free, int32(b))
 	}
-	f.active = map[BlockState]*activeBlock{}
 	if cfg.Journal.Enabled {
 		f.media = newMedia(cfg)
 	}
@@ -559,6 +565,9 @@ func (f *FTL) Write(lpn uint64, state BlockState) (int64, OpCount, error) {
 	if lpn >= f.cfg.LogicalPages {
 		return 0, ops, fmt.Errorf("ftl: lpn %d out of range", lpn)
 	}
+	if !state.valid() {
+		return 0, ops, fmt.Errorf("ftl: write lpn %d: unknown block state %d", lpn, int(state))
+	}
 	if f.dead {
 		return 0, ops, ErrPowerLoss
 	}
@@ -614,6 +623,9 @@ func (f *FTL) Migrate(lpn uint64, state BlockState) (int64, OpCount, error) {
 	var ops OpCount
 	if !f.Mapped(lpn) {
 		return 0, ops, fmt.Errorf("ftl: migrate of unmapped lpn %d", lpn)
+	}
+	if !state.valid() {
+		return 0, ops, fmt.Errorf("ftl: migrate lpn %d: unknown block state %d", lpn, int(state))
 	}
 	if f.dead {
 		return 0, ops, ErrPowerLoss
@@ -907,9 +919,9 @@ func (f *FTL) retire(b int, ops *OpCount) {
 			return // power died in the flush; the FTL is dead
 		}
 	}
-	for state, ab := range f.active {
+	for i, ab := range f.active {
 		if ab != nil && ab.block == b {
-			f.active[state] = nil
+			f.active[i] = nil
 		}
 	}
 	state := f.blockState[b]
@@ -1015,21 +1027,23 @@ func (f *FTL) maybeGC(ops *OpCount) {
 }
 
 // pickVictim returns the fully-written non-active block with the fewest
-// valid pages, or -1. Blocks with no invalid pages are skipped: erasing
-// them reclaims nothing and would loop the collector forever.
+// valid pages (lowest index on ties), or -1. Blocks with no invalid
+// pages are skipped: erasing them reclaims nothing and would loop the
+// collector forever. The per-block counters are tested first, so the
+// bad-block and open-block checks run only on full candidates that
+// would beat the current best.
 func (f *FTL) pickVictim() int {
-	best, bestValid := -1, 1<<31
+	best, bestValid := -1, int32(1<<31-1)
 	for b := 0; b < f.cfg.Blocks; b++ {
-		usable := f.usablePages(f.blockState[b])
-		if f.bad.Get(b) || f.isActive(b) || int(f.blockUsed[b]) < usable {
-			continue // retired, still open, or free
+		used, valid := f.blockUsed[b], f.blockValid[b]
+		usable := int32(f.usablePages(f.blockState[b]))
+		if used == 0 || used < usable || valid >= usable || valid >= bestValid {
+			continue // free, still filling, fully valid, or no better
 		}
-		if f.blockUsed[b] == 0 || int(f.blockValid[b]) >= usable {
-			continue // free, or fully valid: no garbage to reclaim
+		if f.bad.Get(b) || f.isActive(b) {
+			continue // retired, or open
 		}
-		if int(f.blockValid[b]) < bestValid {
-			best, bestValid = b, int(f.blockValid[b])
-		}
+		best, bestValid = b, valid
 	}
 	return best
 }

@@ -190,7 +190,7 @@ func parseRecord(data []byte) (Record, int, error) {
 	default:
 		return Record{}, 0, fmt.Errorf("%w: unknown record type %d", ErrCorruptJournal, r.Type)
 	}
-	if r.State != NormalState && r.State != ReducedState {
+	if !r.State.valid() {
 		return Record{}, 0, fmt.Errorf("%w: unknown block state %d", ErrCorruptJournal, int(r.State))
 	}
 	return r, n, nil
@@ -381,7 +381,7 @@ func DecodeCheckpoint(data []byte) (*checkpointState, error) {
 	st.BlockState = make([]BlockState, st.Blocks)
 	for b := 0; b < st.Blocks; b++ {
 		s := BlockState(rest[b])
-		if s != NormalState && s != ReducedState {
+		if !s.valid() {
 			return nil, fmt.Errorf("%w: unknown block state %d", ErrCorruptJournal, int(s))
 		}
 		st.BlockState[b] = s

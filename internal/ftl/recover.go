@@ -272,7 +272,7 @@ func Recover(cfg Config, m *Media, faultFn func(op fault.Op, block, pe int) bool
 	// One partially-filled block per pool resumes as the active block —
 	// the most recently written one. Any others (strays from recovered
 	// crashes) are sealed so the collector can reclaim them.
-	f.active = map[BlockState]*activeBlock{}
+	f.active = [numStates]*activeBlock{}
 	for _, state := range []BlockState{NormalState, ReducedState} {
 		usable := f.usablePages(state)
 		best, bestSeq := -1, uint64(0)

@@ -4,10 +4,7 @@
 // access frequency with bounded memory and automatic decay.
 package hotdata
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // Identifier tracks approximate read frequency per LPN.
 type Identifier struct {
@@ -59,24 +56,41 @@ func New(cfg Config) (*Identifier, error) {
 	return id, nil
 }
 
-// hash returns the i-th bit position for lpn (double hashing over FNV).
-func (id *Identifier) hash(lpn uint64, i int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+// FNV-1a 64-bit offset basis and prime.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv64a returns the 64-bit FNV-1a hash of lpn's 8 little-endian bytes.
+func fnv64a(lpn uint64) uint64 {
+	h := uint64(fnvOffset64)
 	for b := 0; b < 8; b++ {
-		buf[b] = byte(lpn >> (8 * b))
+		h ^= uint64(byte(lpn >> (8 * b)))
+		h *= fnvPrime64
 	}
-	h.Write(buf[:])
-	h1 := h.Sum64()
-	h2 := h1>>33 | h1<<31
-	return (h1 + uint64(i)*h2) % id.bits
+	return h
 }
+
+// probe holds the double-hashing pair for one LPN: bit position i is
+// (h1 + i*h2) mod bits. It is computed once per call and shared by every
+// hash function.
+type probe struct{ h1, h2 uint64 }
+
+func newProbe(lpn uint64) probe {
+	h1 := fnv64a(lpn)
+	return probe{h1: h1, h2: h1>>33 | h1<<31}
+}
+
+// pos returns the i-th bit position of the probe in a filter of bits.
+func (p probe) pos(i int, bits uint64) uint64 { return (p.h1 + uint64(i)*p.h2) % bits }
 
 // Record notes one read access to lpn.
 func (id *Identifier) Record(lpn uint64) {
 	f := id.filters[id.current]
+	pb := newProbe(lpn)
 	for i := 0; i < id.hashes; i++ {
-		pos := id.hash(lpn, i)
+		pos := pb.pos(i, id.bits)
 		f[pos/64] |= 1 << (pos % 64)
 	}
 	id.accesses++
@@ -94,10 +108,10 @@ func (id *Identifier) rotate() {
 	}
 }
 
-// contains reports whether filter f claims lpn.
-func (id *Identifier) contains(f []uint64, lpn uint64) bool {
+// contains reports whether filter f claims the probed LPN.
+func (id *Identifier) contains(f []uint64, pb probe) bool {
 	for i := 0; i < id.hashes; i++ {
-		pos := id.hash(lpn, i)
+		pos := pb.pos(i, id.bits)
 		if f[pos/64]&(1<<(pos%64)) == 0 {
 			return false
 		}
@@ -109,8 +123,9 @@ func (id *Identifier) contains(f []uint64, lpn uint64) bool {
 // approximate, recency-decayed access count in [0, Filters].
 func (id *Identifier) Frequency(lpn uint64) int {
 	n := 0
+	pb := newProbe(lpn)
 	for _, f := range id.filters {
-		if id.contains(f, lpn) {
+		if id.contains(f, pb) {
 			n++
 		}
 	}

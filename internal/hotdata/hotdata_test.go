@@ -1,6 +1,11 @@
 package hotdata
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 )
 
@@ -135,5 +140,56 @@ func TestDistinguishesHotFromCold(t *testing.T) {
 	}
 	if hf, cf := id.Frequency(hot), id.Frequency(cold); hf <= cf {
 		t.Errorf("hot frequency %d not above cold %d", hf, cf)
+	}
+}
+
+// TestBitPositionsMatchFNV pins the inlined hash: for a table of LPNs,
+// every bit position Identifier derives equals the double-hashing
+// formula over hash/fnv's 64-bit FNV-1a of the LPN's little-endian
+// bytes, and Record sets exactly those bits.
+func TestBitPositionsMatchFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	lpns := []uint64{0, 1, 1<<32 - 1, 1 << 63, math.MaxUint64}
+	for i := 0; i < 64; i++ {
+		lpns = append(lpns, rng.Uint64())
+	}
+	for _, cfg := range []Config{
+		DefaultConfig(),
+		{Filters: 2, BitsPerFilter: 1000, Hashes: 8, Window: 1 << 20},
+	} {
+		for _, lpn := range lpns {
+			h := fnv.New64a()
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], lpn)
+			h.Write(buf[:])
+			h1 := h.Sum64()
+			h2 := h1>>33 | h1<<31
+			want := map[uint64]bool{}
+			id, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb := newProbe(lpn)
+			for i := 0; i < cfg.Hashes; i++ {
+				ref := (h1 + uint64(i)*h2) % uint64(cfg.BitsPerFilter)
+				if got := pb.pos(i, id.bits); got != ref {
+					t.Fatalf("lpn %#x hash %d: bit %d, hash/fnv reference %d", lpn, i, got, ref)
+				}
+				want[ref] = true
+			}
+			id.Record(lpn)
+			set := 0
+			for _, word := range id.filters[0] {
+				set += bits.OnesCount64(word)
+			}
+			for pos := range want {
+				if id.filters[0][pos/64]&(1<<(pos%64)) == 0 {
+					t.Fatalf("lpn %#x: reference bit %d not set", lpn, pos)
+				}
+			}
+			if set != len(want) {
+				t.Fatalf("lpn %#x: %d bits set, reference sets %d", lpn, set, len(want))
+			}
+		}
 	}
 }

@@ -361,7 +361,8 @@ func (e *engineShard) handlePowerLoss(o *op) opResult {
 
 // refreshDeviceMetrics caches this shard's full telemetry (device,
 // cache, calibration, crash-recovery counters) for /metrics. Engine
-// goroutine only: Finish sorts the shared read sample.
+// goroutine only: Finish reorders the shared read sample to answer its
+// percentiles.
 func (e *engineShard) refreshDeviceMetrics() {
 	m := e.runner.Finish("serve")
 	s := e.srv

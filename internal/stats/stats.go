@@ -1,6 +1,6 @@
 // Package stats provides small statistical accumulators used across the
-// FlexLevel simulator: streaming mean/variance, percentile estimation via
-// sorted samples, fixed-bucket histograms, and normalized comparison
+// FlexLevel simulator: streaming mean/variance, exact percentiles by
+// in-place selection, fixed-bucket histograms, and normalized comparison
 // helpers used by the experiment harnesses.
 package stats
 
@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Accumulator tracks count, mean, variance (Welford), min and max of a
@@ -114,9 +113,11 @@ func (a *Accumulator) String() string {
 // the stream is bounded. NewReservoir bounds memory for long-running
 // streams (the serve daemon) by uniform reservoir sampling: percentiles
 // become estimates over a cap-sized uniform subsample.
+//
+// Observations must be finite: a NaN has no rank, so a sample holding
+// one answers percentile queries without meaning.
 type Sample struct {
-	xs     []float64
-	sorted bool
+	xs []float64
 
 	// Reservoir mode (cap > 0): seen counts every Add, rng drives the
 	// replacement draw (algorithm R), deterministic from the seed.
@@ -153,12 +154,10 @@ func (s *Sample) Add(x float64) {
 	if s.cap > 0 && len(s.xs) >= s.cap {
 		if j := s.rng.Int63n(s.seen); j < int64(s.cap) {
 			s.xs[j] = x
-			s.sorted = false
 		}
 		return
 	}
 	s.xs = append(s.xs, x)
-	s.sorted = false
 }
 
 // N returns the number of kept observations (at most the reservoir cap).
@@ -181,34 +180,126 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-func (s *Sample) sort() {
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
+// Percentile returns the p-th percentile using linear interpolation
+// between closest ranks; p below 0 or above 100 is clamped. Returns 0
+// with no observations and NaN for a NaN p. The ranks come from an
+// in-place selection, which reorders the kept observations but, order
+// statistics being exact, answers exactly what a full sort would.
+func (s *Sample) Percentile(p float64) float64 {
+	n := len(s.xs)
+	switch {
+	case n == 0:
+		return 0
+	case math.IsNaN(p):
+		return math.NaN()
+	case p <= 0:
+		return minOf(s.xs)
+	case p >= 100:
+		return maxOf(s.xs)
 	}
+	rank := p / 100 * float64(n-1)
+	lo := int(math.Floor(rank))
+	x := selectRank(s.xs, lo)
+	if float64(lo) == rank {
+		return x
+	}
+	// Selection left every larger rank above lo, so rank lo+1 is the
+	// smallest of the tail.
+	frac := rank - float64(lo)
+	return x*(1-frac) + minOf(s.xs[lo+1:])*frac
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks. Returns 0 with no observations.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
+// selectRank reorders xs so that xs[k] holds the k-th smallest value,
+// with nothing larger before it and nothing smaller after it, and
+// returns that value. It is quickselect with a median-of-three pivot and
+// a three-way split made of two branch-free passes (below the pivot,
+// then equal to it), so a run of equal values — response times cluster
+// on a few sensing steps — is settled in one level.
+func selectRank(xs []float64, k int) float64 {
+	for len(xs) > 1 {
+		pivot := median3(xs[0], xs[len(xs)/2], xs[len(xs)-1])
+		lt := partitionBelow(xs, pivot)
+		if k < lt {
+			xs = xs[:lt]
+			continue
+		}
+		le := lt + partitionEqual(xs[lt:], pivot)
+		if k < le {
+			return pivot
+		}
+		xs, k = xs[le:], k-le
 	}
-	s.sort()
-	if p <= 0 {
-		return s.xs[0]
+	return xs[k]
+}
+
+// partitionBelow moves the elements below pivot to the front of xs,
+// keeping no order, and returns how many there are. The count is a
+// conditional add rather than a branch so the compiler emits a flag
+// set: a branch on a random pivot comparison mispredicts half the time.
+func partitionBelow(xs []float64, pivot float64) int {
+	j := 0
+	for i, x := range xs {
+		xs[i] = xs[j]
+		xs[j] = x
+		d := 0
+		if x < pivot {
+			d = 1
+		}
+		j += d
 	}
-	if p >= 100 {
-		return s.xs[len(s.xs)-1]
+	return j
+}
+
+// partitionEqual is partitionBelow for "not above pivot"; on elements
+// already at or above the pivot it gathers the ones equal to it. A NaN,
+// false in every comparison, also lands here, so the pivot's own slot
+// always counts and selection shrinks its range at every level even on
+// data breaking the finite-observation contract.
+func partitionEqual(xs []float64, pivot float64) int {
+	j := 0
+	for i, x := range xs {
+		xs[i] = xs[j]
+		xs[j] = x
+		d := 0
+		if !(x > pivot) {
+			d = 1
+		}
+		j += d
 	}
-	rank := p / 100 * float64(len(s.xs)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s.xs[lo]
+	return j
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
 	}
-	frac := rank - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
+}
+
+func minOf(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
+
+func maxOf(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
 }
 
 // Median returns the 50th percentile.

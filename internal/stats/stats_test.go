@@ -117,7 +117,7 @@ func TestAccumulatorMeanWithinBounds(t *testing.T) {
 
 func TestSamplePercentiles(t *testing.T) {
 	s := NewSample(101)
-	for i := 100; i >= 0; i-- { // reverse order: Percentile must sort
+	for i := 100; i >= 0; i-- { // reverse order: Percentile must rank
 		s.Add(float64(i))
 	}
 	cases := []struct{ p, want float64 }{
