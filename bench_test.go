@@ -437,6 +437,15 @@ func BenchmarkFTLWrite(b *testing.B) {
 	}
 }
 
+// keyedBER adapts a plain BER function to an ssd.BERFunc, pairing every
+// value with its ssd.LevelKey as a non-memoizing BERFunc must.
+func keyedBER(ber func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64) ssd.BERFunc {
+	return func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64) {
+		v := ber(state, pe, ageHours, shiftMv)
+		return v, ssd.LevelKey(v)
+	}
+}
+
 // benchDevice builds the small read-bench device around berOf.
 func benchDevice(b *testing.B, berOf ssd.BERFunc) *ssd.Device {
 	b.Helper()
@@ -460,9 +469,13 @@ func benchDevice(b *testing.B, berOf ssd.BERFunc) *ssd.Device {
 }
 
 // BenchmarkSSDRead measures one simulated read end to end with a warm
-// level cache (the steady-state path).
+// level cache (the steady-state path). The BER and its level key come
+// precomputed, as from a BER-surface hit.
 func BenchmarkSSDRead(b *testing.B) {
-	d := benchDevice(b, func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 { return 5e-3 })
+	key := ssd.LevelKey(5e-3)
+	d := benchDevice(b, func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64) {
+		return 5e-3, key
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -471,16 +484,16 @@ func BenchmarkSSDRead(b *testing.B) {
 }
 
 // BenchmarkSSDReadCold forces a level-cache miss on every read: each
-// call sees a BER that quantizes to a fresh berKey (steps of 1e-4 in
-// log space, 10x the 1e-5 quantum), so every read falls through to the
+// call sees a BER whose ssd.LevelKey is fresh (steps of 1e-4 in log
+// space, 10x the 1e-5 quantum), so every read falls through to the
 // shared sensing-level table. The warm/cold pair brackets what the
 // level cache buys.
 func BenchmarkSSDReadCold(b *testing.B) {
 	calls := 0
-	d := benchDevice(b, func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	d := benchDevice(b, keyedBER(func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 		calls++
 		return 5e-3 * math.Exp(float64(calls)*1e-4)
-	})
+	}))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -520,7 +533,7 @@ func BenchmarkAdaptiveRead(b *testing.B) {
 		}
 		return 0.1
 	}
-	d, err := ssd.New(cfg, berOf, baseline.NewAdaptiveRetry(0))
+	d, err := ssd.New(cfg, keyedBER(berOf), baseline.NewAdaptiveRetry(0))
 	if err != nil {
 		b.Fatal(err)
 	}

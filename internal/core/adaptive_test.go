@@ -8,18 +8,19 @@ import (
 	"flexlevel/internal/calib"
 	"flexlevel/internal/ftl"
 	"flexlevel/internal/noise"
+	"flexlevel/internal/ssd"
 )
 
 // Shifted evaluations memoize: the same probe repeated is a cache hit,
 // and cached values agree with direct model evaluation.
 func TestSurfaceShiftedMemo(t *testing.T) {
-	s, err := newBERSurface("NUNMA 3")
+	s, err := newBERSurface("NUNMA 3", 6000, 720)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := s.BER(ftl.NormalState, 6000, 720, -120)
+	a, _ := s.BER(ftl.NormalState, 6000, 720, -120)
 	miss := s.Stats().Misses
-	b := s.BER(ftl.NormalState, 6000, 720.7, -120) // same quantized age
+	b, _ := s.BER(ftl.NormalState, 6000, 720.7, -120) // same quantized age
 	if a != b {
 		t.Errorf("memoized %g != %g", a, b)
 	}
@@ -31,7 +32,7 @@ func TestSurfaceShiftedMemo(t *testing.T) {
 		t.Errorf("cached %g != direct %g", a, direct)
 	}
 	// A drift-tracking negative shift recovers BER at high wear+age.
-	if a >= s.BER(ftl.NormalState, 6000, 720, 0) {
+	if nominal, _ := s.BER(ftl.NormalState, 6000, 720, 0); a >= nominal {
 		t.Error("negative shift did not reduce BER under heavy drift")
 	}
 }
@@ -41,7 +42,7 @@ func TestSurfaceShiftedMemo(t *testing.T) {
 // The in-range neighbours of each point do pack, so the test pins the
 // exact field edges.
 func TestSurfaceKeyFallback(t *testing.T) {
-	s, err := newBERSurface("NUNMA 3")
+	s, err := newBERSurface("NUNMA 3", 6000, 720)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestSurfaceKeyFallback(t *testing.T) {
 		{ftl.NormalState, 6000, -1, 0, s.normal},
 	} {
 		before := s.Stats()
-		got := s.BER(tc.state, tc.pe, tc.age, tc.shiftMv)
+		got, key := s.BER(tc.state, tc.pe, tc.age, tc.shiftMv)
 		if st := s.Stats(); st != before {
 			t.Errorf("BER(%v,%d,%g,%d) touched the cache: %+v -> %+v",
 				tc.state, tc.pe, tc.age, tc.shiftMv, before, st)
@@ -68,6 +69,9 @@ func TestSurfaceKeyFallback(t *testing.T) {
 		want := tc.model.TotalBERShifted(tc.pe, float64(int(tc.age)), float64(tc.shiftMv)/1000)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("BER(%v,%d,%g,%d) = %g, direct %g", tc.state, tc.pe, tc.age, tc.shiftMv, got, want)
+		}
+		if key != ssd.LevelKey(got) {
+			t.Errorf("BER(%v,%d,%g,%d) key %d, want LevelKey %d", tc.state, tc.pe, tc.age, tc.shiftMv, key, ssd.LevelKey(got))
 		}
 	}
 	// Every field at its edges packs, and no two such inputs share a key.

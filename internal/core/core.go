@@ -219,7 +219,7 @@ func NewRunner(opts Options) (*Runner, error) {
 	if opts.NUNMAConfig == "" {
 		opts.NUNMAConfig = "NUNMA 3"
 	}
-	surface, err := newBERSurface(opts.NUNMAConfig)
+	surface, err := newBERSurface(opts.NUNMAConfig, opts.PE, opts.SSD.MaxDataAgeHours)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +234,8 @@ func NewRunner(opts Options) (*Runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		levels, _ := table.RequiredLevels(surface.BER(ftl.NormalState, opts.PE, opts.SSD.MaxDataAgeHours, 0))
+		ber, _ := surface.BER(ftl.NormalState, opts.PE, opts.SSD.MaxDataAgeHours, 0)
+		levels, _ := table.RequiredLevels(ber)
 		policy = baseline.FixedWorstCase{Levels: levels}
 	case LDPCInSSD, LevelAdjustOnly, FlexLevel:
 		policy = baseline.NewLDPCInSSD()

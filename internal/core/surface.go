@@ -4,8 +4,10 @@
 // reads quantize age to whole hours — exactly the truncation the
 // pre-surface code applied — and shifts are whole millivolts, so the key
 // space a steady-state workload touches is tiny (states × P/E points ×
-// distinct age hours × the few shifts calibration visits). Caching on an int64 composite key
-// makes the steady-state read path evaluate zero Erfc/pow calls.
+// distinct age hours × the few shifts calibration visits). Each entry
+// also carries its level-cache key (ssd.LevelKey), so the steady-state
+// read path evaluates zero Erfc/pow/Log calls, and nominal reads inside
+// the dense window (below) hash nothing either.
 //
 // Quantized precomputation of channel statistics at these resolutions
 // is lossless for the decisions downstream (cf. mutual-information
@@ -23,11 +25,11 @@ import (
 	"flexlevel/internal/ssd"
 )
 
-// berSurfaceCap bounds the memo map. The practical key space is a few
-// thousand entries; the cap only guards pathological sweeps that walk
-// millions of distinct (pe, age) points. Overflow resets the map — the
-// surface is a pure memo, so a reset costs recomputation, never
-// correctness.
+// berSurfaceCap bounds the memo: dense window and map together. The
+// practical key space is a few thousand entries; the cap only guards
+// pathological sweeps that walk millions of distinct (pe, age) points.
+// Overflow resets both — the surface is a pure memo, so a reset costs
+// recomputation, never correctness.
 const berSurfaceCap = 1 << 15
 
 // Packed surface key layout, from the top: one unused sign bit, one
@@ -55,20 +57,57 @@ func surfaceKey(state ftl.BlockState, pe, ageQ, shiftMv int) (int64, bool) {
 		int64(pe)<<(keyAgeBits+keyShiftBits) | int64(ageQ)<<keyShiftBits | int64(shiftQ), true
 }
 
+// Dense shift-0 window. Nominal (uncalibrated) reads are almost all of
+// the traffic, and their P/E counts sit just above the runner's starting
+// wear while their ages stay below MaxDataAgeHours plus the simulated
+// span. Those points live in plain arrays instead of the map: per block
+// state, one row per P/E count in [anchorPE, anchorPE+densePERows),
+// each row indexed by whole age hour in [0, ageRows).
+const (
+	densePERows = 32
+	// denseAgeHeadroom is the simulated span (hours) past MaxDataAgeHours
+	// the window still covers; older pages take the map.
+	denseAgeHeadroom = 48
+	// maxDenseAgeRows caps a row so an extreme MaxDataAgeHours cannot
+	// make one lazily allocated row large.
+	maxDenseAgeRows = 1 << 13
+)
+
+// surfaceEntry is one memoized surface point: the raw BER and its
+// level-cache key, ssd.LevelKey(ber), both computed once on a miss. set
+// marks a filled dense slot; map entries always have it.
+type surfaceEntry struct {
+	ber float64
+	key int64
+	set bool
+}
+
 // BERSurface memoizes the two per-state BER models over the quantized
 // key space. It is deliberately NOT goroutine-safe: one surface belongs
 // to one Runner, and the experiment engine gives every shard its own
 // Runner (DESIGN.md §9), so no lock is needed on the hot path.
+//
+// Every valid key lives in exactly one place: the dense window when it
+// is a shift-0 point inside it, the map otherwise. n counts the entries
+// of both, so the cap, the reset and the Hits/Misses/Resets counters
+// behave as if all entries sat in one map.
 type BERSurface struct {
 	normal  *noise.BERModel
 	reduced *noise.BERModel
-	cache   map[int64]float64
-	stats   ssd.CacheStats
+
+	anchorPE int
+	ageRows  int
+	dense    [2][][]surfaceEntry // [state][pe-anchorPE] -> row over age hours; rows allocate on first use
+
+	cache map[int64]surfaceEntry
+	n     int
+	stats ssd.CacheStats
 }
 
 // newBERSurface builds the surface for the named reduced-state
-// (NUNMA) configuration.
-func newBERSurface(nunmaName string) (*BERSurface, error) {
+// (NUNMA) configuration, with its dense window anchored at P/E count
+// anchorPE and sized for ages up to maxAgeHours plus headroom.
+func newBERSurface(nunmaName string, anchorPE int, maxAgeHours float64) (*BERSurface, error) {
 	normalModel, err := noise.NewBERModel(nunma.BaselineMLC(), noise.MLCGray())
 	if err != nil {
 		return nil, err
@@ -81,35 +120,93 @@ func newBERSurface(nunmaName string) (*BERSurface, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BERSurface{
-		normal:  normalModel,
-		reduced: reducedModel,
-		cache:   make(map[int64]float64),
-	}, nil
+	s := &BERSurface{
+		normal:   normalModel,
+		reduced:  reducedModel,
+		anchorPE: anchorPE,
+		ageRows:  maxDenseAgeRows,
+		cache:    make(map[int64]surfaceEntry),
+	}
+	if maxAgeHours < maxDenseAgeRows-denseAgeHeadroom-1 {
+		s.ageRows = int(maxAgeHours) + 1 + denseAgeHeadroom
+	}
+	// The window holds only keys surfaceKey packs: window and map
+	// together cache (and count) exactly the packable points.
+	rows := min(densePERows, max(1<<keyPEBits-anchorPE, 0))
+	for st := range s.dense {
+		s.dense[st] = make([][]surfaceEntry, rows)
+	}
+	return s, nil
 }
 
 // BER is the ssd.BERFunc the surface exports: the raw BER with every
-// read reference moved by shiftMv millivolts. Age is truncated to whole
-// hours before evaluation — the same quantization the pre-surface code
-// applied — so cached and uncached paths return bit-identical values.
-func (s *BERSurface) BER(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+// read reference moved by shiftMv millivolts, and its level-cache key.
+// Age is truncated to whole hours before evaluation — the same
+// quantization the pre-surface code applied — so cached and uncached
+// paths return bit-identical values.
+func (s *BERSurface) BER(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64) {
 	ageQ := int(ageHours)
+	if shiftMv == 0 {
+		if e := s.denseSlot(state, pe, ageQ); e != nil {
+			if e.set {
+				s.stats.Hits++
+				return e.ber, e.key
+			}
+			v := s.miss(state, pe, ageQ, 0)
+			*e = v
+			return v.ber, v.key
+		}
+	}
 	key, ok := surfaceKey(state, pe, ageQ, shiftMv)
 	if !ok {
-		return s.eval(state, pe, ageQ, shiftMv)
+		v := s.eval(state, pe, ageQ, shiftMv)
+		return v, ssd.LevelKey(v)
 	}
-	if v, hit := s.cache[key]; hit {
+	if e, hit := s.cache[key]; hit {
 		s.stats.Hits++
-		return v
+		return e.ber, e.key
 	}
+	v := s.miss(state, pe, ageQ, shiftMv)
+	s.cache[key] = v
+	return v.ber, v.key
+}
+
+// denseSlot returns the window slot of a shift-0 point, allocating its
+// row on first use, or nil when the point lies outside the window.
+func (s *BERSurface) denseSlot(state ftl.BlockState, pe, ageQ int) *surfaceEntry {
+	if uint(state) >= uint(len(s.dense)) || uint(ageQ) >= uint(s.ageRows) {
+		return nil
+	}
+	rows := s.dense[state]
+	i := pe - s.anchorPE
+	if uint(i) >= uint(len(rows)) {
+		return nil
+	}
+	if rows[i] == nil {
+		rows[i] = make([]surfaceEntry, s.ageRows)
+	}
+	return &rows[i][ageQ]
+}
+
+// miss evaluates a point not in the memo and makes room for it: a full
+// surface drops every entry, dense and mapped alike, before the new one
+// is stored. Rows are cleared in place, so a slot pointer taken before
+// the reset stays valid.
+func (s *BERSurface) miss(state ftl.BlockState, pe, ageQ, shiftMv int) surfaceEntry {
 	s.stats.Misses++
 	v := s.eval(state, pe, ageQ, shiftMv)
-	if len(s.cache) >= berSurfaceCap {
-		s.cache = make(map[int64]float64, berSurfaceCap/4)
+	if s.n >= berSurfaceCap {
+		s.cache = make(map[int64]surfaceEntry, berSurfaceCap/4)
+		for _, rows := range s.dense {
+			for _, row := range rows {
+				clear(row)
+			}
+		}
+		s.n = 0
 		s.stats.Resets++
 	}
-	s.cache[key] = v
-	return v
+	s.n++
+	return surfaceEntry{ber: v, key: ssd.LevelKey(v), set: true}
 }
 
 // eval computes the BER directly from the state's model.

@@ -32,6 +32,12 @@ var ErrWriteFailed = errors.New("ftl: program retries exhausted")
 // the end of write service; stored data stays readable.
 var ErrNoFreeBlocks = errors.New("ftl: out of free blocks")
 
+// ErrEmptyBlock is returned by RetireBlock for a block that holds no
+// programmed page: a free or reserved spare block. Retiring one would
+// leave a bad block on the free list or in the spare pool, where
+// allocation could hand it out again.
+var ErrEmptyBlock = errors.New("ftl: block holds no data")
+
 // BlockError attributes a media-level failure to the physical block it
 // hit, so timing layers can charge the wasted flash work to the channel
 // that owns the block instead of guessing. It formats exactly like the
@@ -883,7 +889,8 @@ func (f *FTL) appendPage(lpn uint64, state BlockState, ops *OpCount) (int64, err
 // of the same retire path program/erase failures use: the block is
 // marked bad, its valid pages relocate, a spare backfills if one is
 // left, and the returned OpCount carries the flash work so the caller
-// can charge it. Retiring an already-bad block is a no-op.
+// can charge it. Retiring an already-bad block is a no-op; a block with
+// no programmed page is refused with ErrEmptyBlock.
 func (f *FTL) RetireBlock(b int) (OpCount, error) {
 	var ops OpCount
 	if b < 0 || b >= f.cfg.Blocks {
@@ -894,6 +901,9 @@ func (f *FTL) RetireBlock(b int) (OpCount, error) {
 	}
 	if f.bad.Get(b) {
 		return ops, nil
+	}
+	if f.blockUsed[b] == 0 {
+		return ops, fmt.Errorf("ftl: retire of block %d: %w", b, ErrEmptyBlock)
 	}
 	f.retire(b, &ops)
 	if f.dead {

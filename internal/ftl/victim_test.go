@@ -89,8 +89,10 @@ func checkActive(t *testing.T, f *FTL, open map[int]bool) {
 }
 
 // churn drives ops random writes, overwrites and migrations across both
-// pools, plus occasional forced retirements, on a journaled FTL, checking pickVictim against the
-// reference after every operation. It returns the number of checks
+// pools, plus occasional forced retirements of data-holding and of
+// arbitrary blocks, on a journaled FTL, checking pickVictim against the
+// reference and that no bad block sits on the free list or in the spare
+// pool after every operation. It returns the number of checks
 // that found a victim.
 func churn(t *testing.T, f *FTL, rng *rand.Rand, ops int) int {
 	t.Helper()
@@ -109,6 +111,18 @@ func churn(t *testing.T, f *FTL, rng *rand.Rand, ops int) int {
 			if ppn, _, ok := f.Lookup(lpn); ok {
 				_, err = f.RetireBlock(f.blockOf(ppn))
 			}
+		case r < 4:
+			// Retire an arbitrary block. One that holds no data (free,
+			// spare or just opened) is refused and stays in service.
+			b := rng.Intn(f.cfg.Blocks)
+			empty := !f.BadBlock(b) && f.blockUsed[b] == 0
+			_, err = f.RetireBlock(b)
+			if empty {
+				if !errors.Is(err, ErrEmptyBlock) || f.BadBlock(b) {
+					t.Fatalf("op %d: retire of empty block %d: err %v, bad %v", i, b, err, f.BadBlock(b))
+				}
+				err = nil
+			}
 		case r < 12 && f.Mapped(lpn):
 			_, _, err = f.Migrate(lpn, st)
 		default:
@@ -120,6 +134,16 @@ func churn(t *testing.T, f *FTL, rng *rand.Rand, ops int) int {
 		var be *BlockError
 		if err != nil && !errors.As(err, &be) {
 			t.Fatalf("op %d: %v", i, err)
+		}
+		for _, b := range f.free {
+			if f.BadBlock(int(b)) {
+				t.Fatalf("op %d: bad block %d on the free list", i, b)
+			}
+		}
+		for b := 0; b < f.cfg.Blocks; b++ {
+			if f.spare.Get(b) && f.BadBlock(b) {
+				t.Fatalf("op %d: bad block %d in the spare pool", i, b)
+			}
 		}
 		open := openBlocks(f)
 		checkActive(t, f, open)

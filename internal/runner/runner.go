@@ -174,9 +174,10 @@ func (s *Summary) WriteJSON(w io.Writer) error {
 // Map runs fn over every item on a worker pool and returns the results
 // in item order. key must give every item a stable, unique identity —
 // it names the shard in metrics and, with the master seed, determines
-// the shard's derived seed. The first error (by item order) aborts
-// dispatch of not-yet-started shards and is returned after running
-// shards finish; results of successful shards are still populated.
+// the shard's derived seed. The first error (by item order) is returned
+// after running shards finish; results of successful shards are still
+// populated. Once any shard's error is recorded no further shard
+// starts: shards already running finish, the rest stay unrun.
 //
 // ctx (nil is treated as context.Background) cancels dispatch: shards
 // not yet started stay unrun, running shards finish, and Map returns
@@ -216,6 +217,11 @@ func Map[I, O any](ctx context.Context, cfg Config, items []I, key func(i int, i
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
+				select {
+				case <-stop:
+					continue // an error is recorded: start nothing new
+				default:
+				}
 				item := items[i]
 				k := key(i, item)
 				shard := Shard{Index: i, Key: k, Seed: DeriveSeed(cfg.Seed, k), ops: &ops[i], counters: &counters[i], gauges: &gauges[i]}

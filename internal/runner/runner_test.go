@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -89,16 +90,26 @@ func TestMapOrdering(t *testing.T) {
 	}
 }
 
+// TestMapError: a failing shard aborts dispatch. Shards 3 and 4 wait
+// for each other, so with two workers both are running at once and no
+// worker is free; each then fails, so whichever worker comes free first
+// has already recorded an error. No shard past 4 may start, whatever
+// the scheduling.
 func TestMapError(t *testing.T) {
 	boom := errors.New("boom")
 	items := make([]int, 32)
 	ran := make([]bool, len(items))
+	var started sync.WaitGroup
+	started.Add(2)
 	_, sum, err := Map(nil, Config{Workers: 2}, items,
 		func(i int, _ int) string { return fmt.Sprintf("s%d", i) },
 		func(s Shard, _ int) (int, error) {
 			ran[s.Index] = true
-			if s.Index == 3 {
-				return 0, boom
+			switch s.Index {
+			case 3, 4:
+				started.Done()
+				started.Wait()
+				return 0, fmt.Errorf("shard %d: %w", s.Index, boom)
 			}
 			return s.Index, nil
 		})
@@ -106,15 +117,18 @@ func TestMapError(t *testing.T) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 	if !strings.Contains(err.Error(), `shard "s3"`) {
-		t.Errorf("error %q does not name the failing shard", err)
+		t.Errorf("error %q does not name the first failing shard", err)
 	}
 	if sum == nil {
 		t.Fatal("no summary on error")
 	}
 	dispatched := 0
-	for _, r := range ran {
+	for i, r := range ran {
 		if r {
 			dispatched++
+		}
+		if r != (i <= 4) {
+			t.Errorf("shard %d ran = %v; want exactly shards 0-4 to run", i, r)
 		}
 	}
 	if dispatched == len(items) {

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -37,7 +38,7 @@ func newAdaptiveDevice(t *testing.T, mutate func(*Config)) *Device {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	d, err := New(cfg, driftBER, baseline.NewAdaptiveRetry(0))
+	d, err := New(cfg, keyed(driftBER), baseline.NewAdaptiveRetry(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,20 +117,20 @@ func TestRefreshFailureCountedInDegradedMode(t *testing.T) {
 		}
 		return 1e-4
 	}
-	d, err := New(cfg, berOf, baseline.NewLDPCInSSD())
+	d, err := New(cfg, keyed(berOf), baseline.NewLDPCInSSD())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Preload(512); err != nil {
 		t.Fatal(err)
 	}
-	// Retire empty blocks until the FTL gives up spare capacity and
-	// degrades. Blocks holding no valid data relocate nothing.
+	// Retire blocks until the FTL gives up spare capacity and degrades.
+	// Free and spare blocks hold no data and are refused.
 	for b := 0; b < cfg.FTL.Blocks && !d.ftl.Degraded(); b++ {
 		if d.ftl.BadBlock(b) {
 			continue
 		}
-		if _, err := d.ftl.RetireBlock(b); err != nil {
+		if _, err := d.ftl.RetireBlock(b); err != nil && !errors.Is(err, ftl.ErrEmptyBlock) {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +178,7 @@ func TestRefreshFailureEscalatesToRetirement(t *testing.T) {
 		}
 		return 1e-4
 	}
-	d, err := New(cfg, berOf, baseline.NewLDPCInSSD())
+	d, err := New(cfg, keyed(berOf), baseline.NewLDPCInSSD())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestDisabledCalibInert(t *testing.T) {
 	nominal := func(state ftl.BlockState, pe int, ageHours float64, _ int) float64 {
 		return driftBER(state, pe, ageHours, 0)
 	}
-	a, b := run(nominal), run(driftBER)
+	a, b := run(keyed(nominal)), run(keyed(driftBER))
 	if a.ReadResp != b.ReadResp || a.Unreadable != b.Unreadable ||
 		a.SensingAttempts != b.SensingAttempts || a.LevelHist != b.LevelHist {
 		t.Error("a shift-dependent BER perturbed a calibration-disabled device")

@@ -34,7 +34,7 @@ func TestAutoRefreshRestoresReadability(t *testing.T) {
 		}
 		return 1e-4
 	}
-	d, err := New(cfg, berOf, baseline.NewLDPCInSSD())
+	d, err := New(cfg, keyed(berOf), baseline.NewLDPCInSSD())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestLevelTableDeviceEquivalence(t *testing.T) {
 		last = 1e-4 * math.Pow(500, ageHours/cfg.MaxDataAgeHours)
 		return last
 	}
-	d, err := New(cfg, ber, baseline.Oracle{})
+	d, err := New(cfg, keyed(ber), baseline.Oracle{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,11 @@ import (
 // BERFunc returns the raw bit error rate of a page in a block of the
 // given state, at the block's P/E wear, after ageHours of storage, read
 // with every reference moved by shiftMv millivolts (0 is the nominal
-// placement; the calibration tracker probes and reads at other shifts).
-type BERFunc func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64
+// placement; the calibration tracker probes and reads at other shifts),
+// together with its level-cache key, which must equal LevelKey(ber). A
+// memoizing implementation stores the key beside the BER, so the read
+// path never recomputes it.
+type BERFunc func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (ber float64, key int64)
 
 // Config parameterizes a Device.
 type Config struct {
@@ -341,14 +344,14 @@ type Device struct {
 // recomputation.
 const levelCacheCap = 8192
 
-// berKey quantizes a BER to ~1e-5 relative resolution in log space so
+// LevelKey quantizes a BER to ~1e-5 relative resolution in log space so
 // continuous BER values collapse onto a finite key set. The level rule's
 // step boundaries are orders of magnitude wider than the quantum, so the
 // quantization does not change computed levels in practice. The key is
 // an integer: float64 map keys hash poorly in this range and leave the
 // -0/+0 ambiguity open (both quantize to key 0 here, but -0 == +0 as
 // int64 where they were distinct bit patterns as floats).
-func berKey(ber float64) int64 {
+func LevelKey(ber float64) int64 {
 	if ber <= 0 {
 		return math.MinInt64
 	}
@@ -623,9 +626,10 @@ func (d *Device) requiredLevelsAt(ppn int64, state ftl.BlockState, now time.Dura
 	return d.levelsForBER(d.pageBER(state, pe, d.ageHours(ppn, now), block))
 }
 
-// pageBER evaluates a page's raw BER at its block's calibrated reference
-// shift, or at the nominal references when calibration is off.
-func (d *Device) pageBER(state ftl.BlockState, pe int, age float64, block int) float64 {
+// pageBER evaluates a page's raw BER and level key at its block's
+// calibrated reference shift, or at the nominal references when
+// calibration is off.
+func (d *Device) pageBER(state ftl.BlockState, pe int, age float64, block int) (float64, int64) {
 	shiftMv := 0
 	if d.calib != nil {
 		shiftMv = d.calib.ShiftMv(block)
@@ -634,10 +638,10 @@ func (d *Device) pageBER(state ftl.BlockState, pe int, age float64, block int) f
 }
 
 // levelsForBER answers the sensing-level rule for a raw BER through the
-// level cache. It is the shared back end of the read path and of
-// calibration probes (which feed it shifted BERs).
-func (d *Device) levelsForBER(ber float64) (int, bool) {
-	key := berKey(ber)
+// level cache, under the BERFunc's key for it (LevelKey(ber)). It is the
+// shared back end of the read path and of calibration probes (which
+// feed it shifted BERs).
+func (d *Device) levelsForBER(ber float64, key int64) (int, bool) {
 	if e, ok := d.levelCache[key]; ok {
 		e.hits++
 		d.res.LevelCache.Hits++

@@ -8,24 +8,33 @@ import (
 	"flexlevel/internal/ftl"
 )
 
+// keyed adapts a plain BER function to a BERFunc, pairing every value
+// with its LevelKey as the contract requires.
+func keyed(ber func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64) BERFunc {
+	return func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64) {
+		v := ber(state, pe, ageHours, shiftMv)
+		return v, LevelKey(v)
+	}
+}
+
 // flatBER returns a BERFunc with fixed per-state values.
 func flatBER(normal, reduced float64) BERFunc {
-	return func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	return keyed(func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 		if state == ftl.ReducedState {
 			return reduced
 		}
 		return normal
-	}
+	})
 }
 
 // agedBER grows linearly with age: ber = slope * ageHours.
 func agedBER(slope float64) BERFunc {
-	return func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	return keyed(func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 		if state == ftl.ReducedState {
 			return 0
 		}
 		return slope * ageHours
-	}
+	})
 }
 
 func smallConfig() Config {
