@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"flexlevel/internal/runner"
+	"flexlevel/internal/sensing"
 )
 
 // update rewrites the golden files from the current output:
@@ -73,6 +74,63 @@ func goldenSweep(t *testing.T, name string, sweep func(cfg SimConfig) ([]byte, e
 		}
 	}
 	checkGolden(t, name, serial)
+}
+
+// TestGoldenTable5 pins the required-sensing-level table. Table 5 is a
+// closed-form function of the baseline model and the UBER rule, so it
+// runs no engine sweep; the worker loop still guards its writer.
+func TestGoldenTable5(t *testing.T) {
+	goldenSweep(t, "table5.csv", func(SimConfig) ([]byte, error) {
+		rows, err := Table5(sensing.DefaultRule())
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		if err := WriteTable5CSV(&buf, rows); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	})
+}
+
+// TestGoldenFig6aFig7 pins the Fig. 6(a) grid and the Fig. 7 endurance
+// rows derived from it: one replay per worker count serves both files.
+func TestGoldenFig6aFig7(t *testing.T) {
+	var fig7 []byte
+	goldenSweep(t, "fig6a.csv", func(cfg SimConfig) ([]byte, error) {
+		data, err := Fig6a(cfg)
+		if err != nil {
+			return nil, err
+		}
+		var b6, b7 bytes.Buffer
+		if err := WriteFig6aCSV(&b6, data); err != nil {
+			return nil, err
+		}
+		if err := WriteFig7CSV(&b7, Fig7(data)); err != nil {
+			return nil, err
+		}
+		if fig7 != nil && !bytes.Equal(b7.Bytes(), fig7) {
+			t.Errorf("fig7.csv: parallel=%d output differs from serial", cfg.Parallel)
+		}
+		fig7 = b7.Bytes()
+		return b6.Bytes(), nil
+	})
+	checkGolden(t, "fig7.csv", fig7)
+}
+
+// TestGoldenCrash pins the per-crash-point rows of the power-loss sweep.
+func TestGoldenCrash(t *testing.T) {
+	goldenSweep(t, "crash.csv", func(cfg SimConfig) ([]byte, error) {
+		data, err := CrashRecovery(cfg, 4)
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		if err := WriteCrashCSV(&buf, data.Rows); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	})
 }
 
 func TestGoldenFig5(t *testing.T) {
