@@ -611,7 +611,7 @@ func replayBench(b *testing.B, qd int) {
 		if qd <= 1 {
 			m, err = r.RunRequests(w.Name, reqs, w.WorkingSet)
 		} else {
-			m, err = r.RunRequestsQD(w.Name, reqs, w.WorkingSet, qd)
+			m, err = r.RunRequestsQD(nil, w.Name, reqs, w.WorkingSet, qd)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -684,7 +684,7 @@ func BenchmarkScenarioReplayQD8(b *testing.B) {
 			b.Fatal(err)
 		}
 		r.TrackTenants(trace.TenantNames(spec.Tenants))
-		m, err = r.RunRequestsQD("scenario", reqs, workingSet, 8)
+		m, err = r.RunRequestsQD(nil, "scenario", reqs, workingSet, 8)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,24 +14,9 @@ import (
 
 	"flexlevel/internal/noise"
 	"flexlevel/internal/nunma"
-	"flexlevel/internal/reducecode"
 	"flexlevel/internal/sensing"
 	"flexlevel/internal/uber"
 )
-
-func modelFor(scheme string) (*noise.BERModel, error) {
-	if scheme == "baseline" {
-		return noise.NewBERModel(nunma.BaselineMLC(), noise.MLCGray())
-	}
-	if scheme == "basic" {
-		return noise.NewBERModel(nunma.BasicLevelAdjust(), reducecode.Encoding())
-	}
-	cfg, err := nunma.ByName(scheme)
-	if err != nil {
-		return nil, err
-	}
-	return noise.NewBERModel(cfg.Spec(), reducecode.Encoding())
-}
 
 func main() {
 	scheme := flag.String("scheme", "baseline", `scheme: baseline, basic, "NUNMA 1", "NUNMA 2", "NUNMA 3"`)
@@ -41,7 +26,7 @@ func main() {
 	density := flag.Bool("density", false, "emit the scheme's Vth density as CSV (Fig. 4-style)")
 	flag.Parse()
 
-	m, err := modelFor(*scheme)
+	m, err := nunma.Model(*scheme)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bercalc:", err)
 		os.Exit(1)

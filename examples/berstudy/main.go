@@ -15,9 +15,7 @@ import (
 	"math/rand"
 
 	"flexlevel/internal/nand"
-	"flexlevel/internal/noise"
 	"flexlevel/internal/nunma"
-	"flexlevel/internal/reducecode"
 )
 
 const (
@@ -34,11 +32,11 @@ func main() {
 	}
 
 	// Analytic predictions.
-	baseModel, err := noise.NewBERModel(nunma.BaselineMLC(), noise.MLCGray())
+	baseModel, err := nunma.Model("baseline")
 	if err != nil {
 		log.Fatal(err)
 	}
-	redModel, err := noise.NewBERModel(cfg.Spec(), reducecode.Encoding())
+	redModel, err := nunma.Model(cfg.Name)
 	if err != nil {
 		log.Fatal(err)
 	}

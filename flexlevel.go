@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"flexlevel/internal/core"
-	"flexlevel/internal/noise"
 	"flexlevel/internal/nunma"
 	"flexlevel/internal/reducecode"
 	"flexlevel/internal/sensing"
@@ -90,22 +89,9 @@ func Schemes() []string {
 // cell-to-cell interference BER and the retention BER after pe
 // program/erase cycles and hours of storage.
 func DeviceBER(scheme string, pe int, hours float64) (c2c, retention float64, err error) {
-	var m *noise.BERModel
-	switch scheme {
-	case "baseline":
-		m, err = noise.NewBERModel(nunma.BaselineMLC(), noise.MLCGray())
-	case "basic":
-		m, err = noise.NewBERModel(nunma.BasicLevelAdjust(), reducecode.Encoding())
-	default:
-		var cfg nunma.Config
-		cfg, err = nunma.ByName(scheme)
-		if err != nil {
-			return 0, 0, fmt.Errorf("flexlevel: unknown scheme %q (want one of %v)", scheme, Schemes())
-		}
-		m, err = noise.NewBERModel(cfg.Spec(), reducecode.Encoding())
-	}
+	m, err := nunma.Model(scheme)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("flexlevel: unknown scheme %q (want one of %v)", scheme, Schemes())
 	}
 	return m.C2CBER(), m.RetentionBER(pe, hours), nil
 }

@@ -84,13 +84,15 @@ func TestMinimalPolyDividesXnMinus1(t *testing.T) {
 
 func TestNewKnownCodes(t *testing.T) {
 	// Classic parameters: (15,7) t=2, (15,5) t=3, (255,239) t=2,
-	// (255,231) t=3.
+	// (255,231) t=3, plus a GF(2^15) instance: the field the hard-ECC
+	// study sizes its equal-parity BCH code in.
 	cases := []struct{ m, t, wantN, wantK int }{
 		{4, 2, 15, 7},
 		{4, 3, 15, 5},
 		{8, 2, 255, 239},
 		{8, 3, 255, 231},
 		{8, 8, 255, 191},
+		{15, 24, 32767, 32407},
 	}
 	for _, c := range cases {
 		code, err := New(c.m, c.t)

@@ -10,7 +10,7 @@ import (
 
 // countdownCtx is a context whose Err becomes non-nil after n calls —
 // a deterministic stand-in for "cancelled mid-flight" that needs no
-// goroutines or timers. Done is never closed; StepBatchCtx polls Err.
+// goroutines or timers. Done is never closed; StepBatch polls Err.
 type countdownCtx struct {
 	context.Context
 	remaining int
@@ -35,7 +35,7 @@ func TestStepBatchCtxCancelsMidFlight(t *testing.T) {
 	}
 	const admit = 100
 	ctx := &countdownCtx{Context: context.Background(), remaining: admit}
-	_, err = r.RunRequestsQDCtx(ctx, "cancelled", reqs, 4096, 4)
+	_, err = r.RunRequestsQD(ctx, "cancelled", reqs, 4096, 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled replay returned %v, want context.Canceled", err)
 	}
@@ -72,7 +72,7 @@ func TestStepBatchCtxPreCancelled(t *testing.T) {
 	if err := r.Prepare(reqs, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.StepBatchCtx(ctx, reqs, 4); !errors.Is(err, context.Canceled) {
+	if err := r.StepBatch(ctx, reqs, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled replay returned %v", err)
 	}
 	if res := r.Device().Results(); res.Reads+res.Writes != 0 {
@@ -80,8 +80,9 @@ func TestStepBatchCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestStepBatchCtxNilMatchesLegacy: a nil context replays identically to
-// the legacy path (the wrappers delegate, so this guards the refactor).
+// TestStepBatchCtxNilMatchesLegacy: a nil context, the no-cancellation
+// form callers without a context pass, replays identically to a live
+// context that never cancels.
 func TestStepBatchCtxNilMatchesLegacy(t *testing.T) {
 	reqs, _ := tenantTestStream(t)
 	run := func(ctx context.Context) Metrics {
@@ -89,7 +90,7 @@ func TestStepBatchCtxNilMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := r.RunRequestsQDCtx(ctx, "legacy", reqs, 4096, 4)
+		m, err := r.RunRequestsQD(ctx, "legacy", reqs, 4096, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,18 +83,14 @@ func popCompletion(h *[]completion) completion {
 // the request whose slot it takes; qd <= 1 serializes requests
 // back-to-back (closed loop at depth 1). The usual Prepare/Finish
 // bracket applies, as with Step.
-func (r *Runner) StepBatch(reqs []trace.Request, qd int) error {
-	return r.StepBatchCtx(nil, reqs, qd)
-}
-
-// StepBatchCtx is StepBatch with cancellation: the event loop checks ctx
-// before every request, so a deadline, SIGINT or server drain stops a
-// batched replay mid-flight instead of only between runner.Map shards.
-// On cancellation the context's error is returned and the device keeps
-// the requests replayed so far (Finish still yields a consistent partial
-// metric set). A nil ctx never cancels and adds no per-request cost
-// beyond one pointer test.
-func (r *Runner) StepBatchCtx(ctx context.Context, reqs []trace.Request, qd int) error {
+//
+// The event loop checks ctx before every request, so a deadline, SIGINT
+// or server drain stops a batched replay mid-flight instead of only
+// between runner.Map shards. On cancellation the context's error is
+// returned and the device keeps the requests replayed so far (Finish
+// still yields a consistent partial metric set). A nil ctx never
+// cancels and adds no per-request cost beyond one pointer test.
+func (r *Runner) StepBatch(ctx context.Context, reqs []trace.Request, qd int) error {
 	if qd < 1 {
 		qd = 1
 	}
@@ -173,19 +169,14 @@ func (r *Runner) StepAt(req trace.Request, at time.Duration) (time.Duration, err
 
 // RunRequestsQD is RunRequests driven by the batched engine: it
 // preconditions the device and replays the stream with up to qd
-// requests outstanding.
-func (r *Runner) RunRequestsQD(name string, reqs []trace.Request, workingSet uint64, qd int) (Metrics, error) {
-	return r.RunRequestsQDCtx(nil, name, reqs, workingSet, qd)
-}
-
-// RunRequestsQDCtx is RunRequestsQD with mid-replay cancellation (see
-// StepBatchCtx). A cancelled replay returns the context's error; the
-// metrics of the completed prefix remain available through Finish.
-func (r *Runner) RunRequestsQDCtx(ctx context.Context, name string, reqs []trace.Request, workingSet uint64, qd int) (Metrics, error) {
+// requests outstanding. ctx cancels mid-replay as in StepBatch (nil
+// never cancels); a cancelled replay returns the context's error, and
+// the metrics of the completed prefix remain available through Finish.
+func (r *Runner) RunRequestsQD(ctx context.Context, name string, reqs []trace.Request, workingSet uint64, qd int) (Metrics, error) {
 	if err := r.Prepare(reqs, workingSet); err != nil {
 		return Metrics{}, err
 	}
-	if err := r.StepBatchCtx(ctx, reqs, qd); err != nil {
+	if err := r.StepBatch(ctx, reqs, qd); err != nil {
 		return Metrics{}, err
 	}
 	return r.Finish(name), nil

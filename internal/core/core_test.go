@@ -62,10 +62,14 @@ func TestNewRunnerValidation(t *testing.T) {
 	if _, err := NewRunner(opts); err == nil {
 		t.Error("negative P/E accepted")
 	}
-	opts = fastOptions(Baseline, 6000)
-	opts.NUNMAConfig = "NUNMA 9"
-	if _, err := NewRunner(opts); err == nil {
-		t.Error("unknown NUNMA config accepted")
+	// The reduced pool takes Table 3 configurations only, even though
+	// nunma.Model also builds the baseline and basic cells.
+	for _, name := range []string{"NUNMA 9", "baseline", "basic"} {
+		opts = fastOptions(Baseline, 6000)
+		opts.NUNMAConfig = name
+		if _, err := NewRunner(opts); err == nil {
+			t.Errorf("NUNMA config %q accepted", name)
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"flexlevel/internal/ftl"
 	"flexlevel/internal/noise"
 	"flexlevel/internal/nunma"
-	"flexlevel/internal/reducecode"
 	"flexlevel/internal/ssd"
 )
 
@@ -108,15 +107,16 @@ type BERSurface struct {
 // (NUNMA) configuration, with its dense window anchored at P/E count
 // anchorPE and sized for ages up to maxAgeHours plus headroom.
 func newBERSurface(nunmaName string, anchorPE int, maxAgeHours float64) (*BERSurface, error) {
-	normalModel, err := noise.NewBERModel(nunma.BaselineMLC(), noise.MLCGray())
+	// The reduced pool takes a Table 3 configuration only; nunma.Model
+	// would also accept the baseline and basic cells.
+	if _, err := nunma.ByName(nunmaName); err != nil {
+		return nil, err
+	}
+	normalModel, err := nunma.Model("baseline")
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := nunma.ByName(nunmaName)
-	if err != nil {
-		return nil, err
-	}
-	reducedModel, err := noise.NewBERModel(cfg.Spec(), reducecode.Encoding())
+	reducedModel, err := nunma.Model(nunmaName)
 	if err != nil {
 		return nil, err
 	}

@@ -10,8 +10,6 @@ import (
 	"flexlevel/internal/nunma"
 	"flexlevel/internal/reducecode"
 	"flexlevel/internal/runner"
-	"flexlevel/internal/stats"
-	"flexlevel/internal/trace"
 )
 
 // AblationEncoding compares ReduceCode against the naive Gray-on-3-levels
@@ -81,27 +79,23 @@ type AblationMargin struct {
 	RetentionBER float64 // at P/E 6000, 1 month
 }
 
-// marginCase names one margin policy and its device spec.
+// marginCase names one margin policy and its nunma.Model scheme.
 type marginCase struct {
-	name string
-	spec *noise.Spec
+	name   string
+	scheme string
 }
 
 // MarginAblation evaluates the two margin policies, one engine shard
 // per policy.
 func MarginAblation(cfg SimConfig) ([]AblationMargin, error) {
-	cfg3, err := nunma.ByName("NUNMA 3")
-	if err != nil {
-		return nil, err
-	}
 	cases := []marginCase{
-		{"uniform (basic §4.1)", nunma.BasicLevelAdjust()},
-		{"NUNMA 3", cfg3.Spec()},
+		{"uniform (basic §4.1)", "basic"},
+		{"NUNMA 3", "NUNMA 3"},
 	}
 	out, _, err := runner.Map(cfg.Ctx, cfg.engine("ablation-margins"), cases,
 		func(_ int, c marginCase) string { return "margins=" + c.name },
 		func(_ runner.Shard, c marginCase) (AblationMargin, error) {
-			m, err := noise.NewBERModel(c.spec, reducecode.Encoding())
+			m, err := nunma.Model(c.scheme)
 			if err != nil {
 				return AblationMargin{}, err
 			}
@@ -163,20 +157,7 @@ func HLOAblation(cfg SimConfig) ([]AblationHLO, error) {
 			} else {
 				o.AccessEval = c.params(o.SSD.FTL.LogicalPages)
 			}
-			w, err := trace.ByName("fin-2", cfg.Requests, o.SSD.FTL.LogicalPages, cfg.Seed)
-			if err != nil {
-				return core.Metrics{}, err
-			}
-			r, err := core.NewRunner(o)
-			if err != nil {
-				return core.Metrics{}, err
-			}
-			m, err := r.Run(w)
-			if err != nil {
-				return core.Metrics{}, err
-			}
-			s.AddOps(int64(cfg.Requests))
-			return m, nil
+			return cfg.replay(s, "fin-2", o)
 		})
 	if err != nil {
 		return nil, err
@@ -237,20 +218,7 @@ func PoolSweep(cfg SimConfig, fractions []float64) ([]AblationPool, error) {
 				o.AccessEval = accesseval.DefaultParams(o.SSD.FTL.LogicalPages)
 				o.AccessEval.PoolPages = int(float64(o.SSD.FTL.LogicalPages) * frac)
 			}
-			w, err := trace.ByName("web-1", cfg.Requests, o.SSD.FTL.LogicalPages, cfg.Seed)
-			if err != nil {
-				return core.Metrics{}, err
-			}
-			r, err := core.NewRunner(o)
-			if err != nil {
-				return core.Metrics{}, err
-			}
-			m, err := r.Run(w)
-			if err != nil {
-				return core.Metrics{}, err
-			}
-			s.AddOps(int64(cfg.Requests))
-			return m, nil
+			return cfg.replay(s, "web-1", o)
 		})
 	if err != nil {
 		return nil, err
@@ -310,21 +278,7 @@ func ScrubAblation(cfg SimConfig) ([]AblationScrub, error) {
 	results, _, err := runner.Map(cfg.Ctx, cfg.engine("ablation-scrub"), cases,
 		func(_ int, c scrubCase) string { return "scheme=" + c.scheme },
 		func(s runner.Shard, c scrubCase) (core.Metrics, error) {
-			o := c.opts()
-			w, err := trace.ByName("web-1", cfg.Requests, o.SSD.FTL.LogicalPages, cfg.Seed)
-			if err != nil {
-				return core.Metrics{}, err
-			}
-			r, err := core.NewRunner(o)
-			if err != nil {
-				return core.Metrics{}, err
-			}
-			m, err := r.Run(w)
-			if err != nil {
-				return core.Metrics{}, err
-			}
-			s.AddOps(int64(cfg.Requests))
-			return m, nil
+			return cfg.replay(s, "web-1", c.opts())
 		})
 	if err != nil {
 		return nil, err
@@ -386,20 +340,7 @@ func ChannelAblation(cfg SimConfig, channelCounts []int) ([]AblationChannels, er
 		func(s runner.Shard, c chCell) (core.Metrics, error) {
 			o := core.DefaultOptions(c.System, cfg.PE)
 			o.SSD.Channels = c.Channels
-			w, err := trace.ByName("web-1", cfg.Requests, o.SSD.FTL.LogicalPages, cfg.Seed)
-			if err != nil {
-				return core.Metrics{}, err
-			}
-			r, err := core.NewRunner(o)
-			if err != nil {
-				return core.Metrics{}, err
-			}
-			m, err := r.Run(w)
-			if err != nil {
-				return core.Metrics{}, err
-			}
-			s.AddOps(int64(cfg.Requests))
-			return m, nil
+			return cfg.replay(s, "web-1", o)
 		})
 	if err != nil {
 		return nil, err
@@ -423,6 +364,3 @@ func PrintChannelAblation(w io.Writer, rows []AblationChannels) {
 		fmt.Fprintf(w, "  %2d channels: %5.0f%% reduction\n", r.Channels, 100*r.Reduction)
 	}
 }
-
-// MeanNorm is a small helper shared by benches.
-func MeanNorm(xs []float64) float64 { return stats.Mean(xs) }

@@ -19,7 +19,6 @@ import (
 	"flexlevel/internal/core"
 	"flexlevel/internal/nunma"
 	"flexlevel/internal/runner"
-	"flexlevel/internal/trace"
 )
 
 // AdaptivePEs are the P/E wear points of the grid: the paper's mid and
@@ -123,23 +122,10 @@ func Adaptive(cfg SimConfig) ([]AdaptiveRow, error) {
 			if c.Mode == AdaptiveMode {
 				opts.SSD.Calib = calib.DefaultConfig()
 			}
-			w, err := trace.ByName(AdaptiveWorkload, cfg.Requests, opts.SSD.FTL.LogicalPages, cfg.Seed)
+			m, err := cfg.replay(s, AdaptiveWorkload, opts)
 			if err != nil {
 				return AdaptiveRow{}, err
 			}
-			r, err := core.NewRunner(opts)
-			if err != nil {
-				return AdaptiveRow{}, err
-			}
-			m, err := r.Run(w)
-			if err != nil {
-				return AdaptiveRow{}, fmt.Errorf("exp: adaptive %s/%s pe=%d age=%g: %w",
-					c.Scheme.Name, c.Mode, c.PE, c.Age, err)
-			}
-			s.AddOps(int64(cfg.Requests))
-			addCacheCounters(s, m.LevelCache, m.BERCache)
-			addLatencyGauges(s, m)
-			addRobustnessCounters(s, m)
 			return AdaptiveRow{
 				Scheme: c.Scheme.Name, Mode: c.Mode, PE: c.PE, AgeHours: c.Age,
 				MeanLevels: meanLevels(m.LevelHist), Metrics: m,
@@ -189,24 +175,4 @@ func PrintAdaptive(w io.Writer, rows []AdaptiveRow) {
 		fmt.Fprintf(w, "  %-32s mean levels %.3f -> %.3f, unreadable %d -> %d\n",
 			key, s.MeanLevels, a.MeanLevels, s.Unreadable, a.Unreadable)
 	}
-}
-
-// adaptiveCSVHeader is the column layout of the adaptive artifact;
-// ReadAdaptiveCSV requires it verbatim.
-const adaptiveCSVHeader = "scheme,mode,pe,age_hours,mean_levels,avg_read_s,unreadable,refreshes,refresh_failures,recalibrations,calib_probes,calib_rescues,calib_rereads,escalated_retirements"
-
-// WriteAdaptiveCSV emits the sweep in long form.
-func WriteAdaptiveCSV(w io.Writer, rows []AdaptiveRow) error {
-	if _, err := fmt.Fprintln(w, adaptiveCSVHeader); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%g,%.4f,%.6e,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			r.Scheme, r.Mode, r.PE, r.AgeHours, r.MeanLevels, r.AvgRead,
-			r.Unreadable, r.Refreshes, r.RefreshFailures, r.Recalibrations,
-			r.CalibProbes, r.CalibRescues, r.CalibReReads, r.EscalatedRetirements); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -255,21 +255,6 @@ func restartAndAudit(r *core.Runner, ftlCfg ftl.Config, workingSet uint64, row *
 	return rep, nil
 }
 
-// WriteCrashCSV emits the per-crash-point rows.
-func WriteCrashCSV(w io.Writer, rows []CrashRow) error {
-	if _, err := fmt.Fprintln(w, "crash_point,recovery_reads,recovery_records,torn_pages,recovery_time_s,in_flight_lost,data_loss,oob_mismatches,idempotent"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%.9f,%d,%d,%d,%t\n",
-			r.CrashPoint, r.RecoveryReads, r.RecoveryRecords, r.RecoveryTornPages,
-			r.RecoveryTimeSec, r.InFlightLost, r.DataLoss, r.OOBMismatches, r.Idempotent); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteCrashSummary emits crash_summary.json.
 func (s CrashSummary) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

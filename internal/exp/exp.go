@@ -17,7 +17,6 @@ import (
 	"flexlevel/internal/core"
 	"flexlevel/internal/noise"
 	"flexlevel/internal/nunma"
-	"flexlevel/internal/reducecode"
 	"flexlevel/internal/runner"
 	"flexlevel/internal/ssd"
 	"flexlevel/internal/stats"
@@ -67,22 +66,35 @@ var RetentionTimes = []struct {
 	{"1 month", 720},
 }
 
-// deviceModels builds the BER models for the baseline MLC and the three
-// NUNMA reduced-state configurations.
-func deviceModels() (base *noise.BERModel, nunmas []*noise.BERModel, names []string, err error) {
-	base, err = noise.NewBERModel(nunma.BaselineMLC(), noise.MLCGray())
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// baselineLabel is how Fig. 5 and Table 4 print the baseline MLC scheme
+// ("baseline" to nunma.Model).
+const baselineLabel = "Baseline"
+
+// deviceSchemes names the four device schemes of Fig. 5 and Table 4 as
+// the artifacts print them: the baseline MLC, then the three NUNMA
+// reduced-state configurations of Table 3.
+func deviceSchemes() []string {
+	names := []string{baselineLabel}
 	for _, cfg := range nunma.Table3() {
-		m, err := noise.NewBERModel(cfg.Spec(), reducecode.Encoding())
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		nunmas = append(nunmas, m)
 		names = append(names, cfg.Name)
 	}
-	return base, nunmas, names, nil
+	return names
+}
+
+// deviceModels builds the BER model of each deviceSchemes entry.
+func deviceModels() ([]*noise.BERModel, error) {
+	var models []*noise.BERModel
+	for _, scheme := range deviceSchemes() {
+		if scheme == baselineLabel {
+			scheme = "baseline"
+		}
+		m, err := nunma.Model(scheme)
+		if err != nil {
+			return nil, err
+		}
+		models = append(models, m)
+	}
+	return models, nil
 }
 
 // ---------------------------------------------------------------- Fig 5
@@ -96,39 +108,17 @@ type Fig5Row struct {
 // Fig5 computes the interference BER of the baseline MLC cell and the
 // three NUNMA reduced-state configurations, one engine shard per scheme.
 func Fig5(cfg SimConfig) ([]Fig5Row, error) {
-	schemes := append([]string{"Baseline"}, nunmaNames()...)
-	rows, _, err := runner.Map(cfg.Ctx, cfg.engine("fig5"), schemes,
-		func(_ int, scheme string) string { return "scheme=" + scheme },
-		func(_ runner.Shard, scheme string) (Fig5Row, error) {
-			m, err := schemeModel(scheme)
-			if err != nil {
-				return Fig5Row{}, err
-			}
-			return Fig5Row{Scheme: scheme, C2CBER: m.C2CBER()}, nil
-		})
-	return rows, err
-}
-
-// nunmaNames lists the Table 3 configuration names in order.
-func nunmaNames() []string {
-	var names []string
-	for _, cfg := range nunma.Table3() {
-		names = append(names, cfg.Name)
-	}
-	return names
-}
-
-// schemeModel builds the BER model for one scheme name ("Baseline" or a
-// Table 3 configuration).
-func schemeModel(scheme string) (*noise.BERModel, error) {
-	if scheme == "Baseline" {
-		return noise.NewBERModel(nunma.BaselineMLC(), noise.MLCGray())
-	}
-	cfg, err := nunma.ByName(scheme)
+	models, err := deviceModels()
 	if err != nil {
 		return nil, err
 	}
-	return noise.NewBERModel(cfg.Spec(), reducecode.Encoding())
+	schemes := deviceSchemes()
+	rows, _, err := runner.Map(cfg.Ctx, cfg.engine("fig5"), schemes,
+		func(_ int, scheme string) string { return "scheme=" + scheme },
+		func(s runner.Shard, scheme string) (Fig5Row, error) {
+			return Fig5Row{Scheme: scheme, C2CBER: models[s.Index].C2CBER()}, nil
+		})
+	return rows, err
 }
 
 // PrintFig5 renders Fig. 5 as text.
@@ -158,19 +148,17 @@ type Table4Cell struct {
 func Table4(cfg SimConfig) ([]Table4Cell, error) {
 	// The models are stateless and identical for every P/E shard; build
 	// them once instead of once per grid point.
-	base, nunmas, names, err := deviceModels()
+	models, err := deviceModels()
 	if err != nil {
 		return nil, err
 	}
+	schemes := deviceSchemes()
 	perPE, _, err := runner.Map(cfg.Ctx, cfg.engine("table4"), PEPoints,
 		func(_ int, pe int) string { return fmt.Sprintf("pe=%d", pe) },
 		func(s runner.Shard, pe int) ([]Table4Cell, error) {
-			rows := []Table4Cell{{PE: pe, Scheme: "Baseline"}}
-			for ti, t := range RetentionTimes {
-				rows[0].BER[ti] = base.RetentionBER(pe, t.Hours)
-			}
-			for i, m := range nunmas {
-				row := Table4Cell{PE: pe, Scheme: names[i]}
+			var rows []Table4Cell
+			for i, m := range models {
+				row := Table4Cell{PE: pe, Scheme: schemes[i]}
 				for ti, t := range RetentionTimes {
 					row.BER[ti] = m.RetentionBER(pe, t.Hours)
 				}
@@ -197,7 +185,7 @@ func Table4Reductions(cells []Table4Cell) map[string]float64 {
 	var baseVals []float64
 	for _, c := range cells {
 		for _, b := range c.BER {
-			if c.Scheme == "Baseline" {
+			if c.Scheme == baselineLabel {
 				baseVals = append(baseVals, b)
 			} else {
 				byScheme[c.Scheme] = append(byScheme[c.Scheme], b)
@@ -247,10 +235,14 @@ func PrintTable4(w io.Writer, cells []Table4Cell) {
 
 // -------------------------------------------------------------- Table 5
 
+// table5Hours are the storage-time columns of Table 5: 0 days, then
+// the four RetentionTimes columns.
+var table5Hours = [...]float64{0, 24, 48, 168, 720}
+
 // Table5Row is one P/E row of the required-sensing-level table.
 type Table5Row struct {
 	PE     int
-	Levels [5]int // 0 day + the four RetentionTimes columns
+	Levels [len(table5Hours)]int // one per table5Hours column
 }
 
 // Table5 computes the extra soft sensing levels the baseline MLC needs
@@ -258,15 +250,14 @@ type Table5Row struct {
 func Table5(rule interface {
 	RequiredLevels(float64) (int, bool)
 }) ([]Table5Row, error) {
-	base, _, _, err := deviceModels()
+	base, err := nunma.Model("baseline")
 	if err != nil {
 		return nil, err
 	}
-	hours := []float64{0, 24, 48, 168, 720}
 	var out []Table5Row
 	for _, pe := range PEPoints[1:] { // paper's table starts at 3000
 		row := Table5Row{PE: pe}
-		for i, h := range hours {
+		for i, h := range table5Hours {
 			l, _ := rule.RequiredLevels(base.TotalBER(pe, h))
 			row.Levels[i] = l
 		}
@@ -313,6 +304,37 @@ func (c SimConfig) engine(name string) runner.Config {
 	return runner.Config{Name: name, Workers: c.Parallel, Seed: c.Seed, OnSummary: c.OnSummary}
 }
 
+// replay is one replaying sweep cell: it builds the named workload
+// against opts' logical space, replays it on a fresh runner, and records
+// the run on the shard. Errors need no cell context here: runner.Map
+// wraps every shard error with the cell key.
+func (c SimConfig) replay(s runner.Shard, workload string, opts core.Options) (core.Metrics, error) {
+	w, err := trace.ByName(workload, c.Requests, opts.SSD.FTL.LogicalPages, c.Seed)
+	if err != nil {
+		return core.Metrics{}, err
+	}
+	r, err := core.NewRunner(opts)
+	if err != nil {
+		return core.Metrics{}, err
+	}
+	m, err := r.Run(w)
+	if err != nil {
+		return core.Metrics{}, err
+	}
+	c.record(s, m)
+	return m, nil
+}
+
+// record adds a finished replay of c.Requests requests to the shard's
+// engine counters, so every replaying sweep's <name>_summary.json
+// carries the same ops, cache, latency and robustness keys.
+func (c SimConfig) record(s runner.Shard, m core.Metrics) {
+	s.AddOps(int64(c.Requests))
+	addCacheCounters(s, m.LevelCache, m.BERCache)
+	addLatencyGauges(s, m)
+	addRobustnessCounters(s, m)
+}
+
 // DefaultSim returns the evaluation defaults (P/E 6000 as in Fig. 6(a)).
 func DefaultSim() SimConfig {
 	return SimConfig{Requests: 60000, Seed: 1, PE: 6000}
@@ -357,24 +379,8 @@ func Fig6a(cfg SimConfig) (*Fig6aData, error) {
 			return fmt.Sprintf("workload=%s/system=%v", c.Workload, c.System)
 		},
 		func(s runner.Shard, c fig6aCell) (RunResult, error) {
-			o := core.DefaultOptions(c.System, cfg.PE)
-			w, err := trace.ByName(c.Workload, cfg.Requests, o.SSD.FTL.LogicalPages, cfg.Seed)
-			if err != nil {
-				return RunResult{}, err
-			}
-			r, err := core.NewRunner(o)
-			if err != nil {
-				return RunResult{}, err
-			}
-			m, err := r.Run(w)
-			if err != nil {
-				return RunResult{}, fmt.Errorf("exp: %s under %v: %w", c.Workload, c.System, err)
-			}
-			s.AddOps(int64(cfg.Requests))
-			addCacheCounters(s, m.LevelCache, m.BERCache)
-			addLatencyGauges(s, m)
-			addRobustnessCounters(s, m)
-			return RunResult{m}, nil
+			m, err := cfg.replay(s, c.Workload, core.DefaultOptions(c.System, cfg.PE))
+			return RunResult{m}, err
 		})
 	if err != nil {
 		return nil, err

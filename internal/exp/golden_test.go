@@ -261,3 +261,58 @@ func TestSummaryEmitted(t *testing.T) {
 		}
 	}
 }
+
+// TestReplaySummaryCounters checks the addCacheCounters contract: every
+// sweep that replays a workload reports its ops plus the cache, latency
+// and robustness keys in its engine summary, ablations included.
+func TestReplaySummaryCounters(t *testing.T) {
+	seen := map[string]*runner.Summary{}
+	cfg := goldenSim()
+	cfg.Requests = 300 // smoke-sized: only the summary keys matter
+	cfg.OnSummary = func(s *runner.Summary) { seen[s.Name] = s }
+	sweeps := []func() error{
+		func() error { _, err := Fig6a(cfg); return err },
+		func() error { _, err := Reliability(cfg, []float64{0}); return err },
+		func() error { _, err := Adaptive(cfg); return err },
+		func() error { _, err := Throughput(cfg); return err },
+		func() error { _, err := Scenario(cfg, nil); return err },
+		func() error { _, err := HLOAblation(cfg); return err },
+		func() error { _, err := PoolSweep(cfg, []float64{0.25}); return err },
+		func() error { _, err := ScrubAblation(cfg); return err },
+		func() error { _, err := ChannelAblation(cfg, []int{1}); return err },
+	}
+	for _, run := range sweeps {
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := []string{"fig6a-pe6000", "reliability", "adaptive", "throughput", "scenario",
+		"ablation-hlo", "ablation-pool", "ablation-scrub", "ablation-channels"}
+	counters := []string{
+		"level_cache_hits", "level_cache_misses", "level_cache_resets",
+		"ber_cache_hits", "ber_cache_misses", "ber_cache_resets",
+		"unreadable", "refreshes", "refresh_failures", "recalibrations",
+		"calib_probes", "calib_rescues", "calib_rereads", "escalated_retirements",
+	}
+	for _, name := range names {
+		s := seen[name]
+		if s == nil {
+			t.Errorf("sweep %s emitted no summary", name)
+			continue
+		}
+		if want := int64(s.Shards * cfg.Requests); s.Ops != want {
+			t.Errorf("sweep %s: %d ops, want %d", name, s.Ops, want)
+		}
+		for _, c := range counters {
+			if _, ok := s.Counters[c]; !ok {
+				t.Errorf("sweep %s: summary lacks counter %s", name, c)
+			}
+		}
+		if v, ok := s.Gauges["p99_read_s"]; !ok || v <= 0 {
+			t.Errorf("sweep %s: p99_read_s gauge = %g (present=%v), want positive", name, v, ok)
+		}
+		if s.Counters["level_cache_hits"]+s.Counters["level_cache_misses"] == 0 {
+			t.Errorf("sweep %s: no level-cache activity recorded", name)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 
-	"flexlevel/internal/bch"
 	"flexlevel/internal/runner"
 	"flexlevel/internal/sensing"
 	"flexlevel/internal/uber"
@@ -33,11 +32,6 @@ func HardECCStudy(cfg SimConfig) ([]HardECCRow, error) {
 	// budget: t = parity / m.
 	const m = 15
 	t := code.ParityBits() / m
-	bchCode, err := bch.New(m, 24) // small instance to validate machinery
-	if err != nil {
-		return nil, err
-	}
-	_ = bchCode // construction sanity only; capability math uses t below
 
 	cases := []HardECCRow{
 		{Name: fmt.Sprintf("BCH (m=%d, t=%d, same parity)", m, t), Correctable: t},

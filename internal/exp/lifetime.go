@@ -378,23 +378,3 @@ func PrintLifetime(w io.Writer, rows []LifetimeRow) {
 			r.Refreshes, refWA, r.SparesLeft, r.UBER)
 	}
 }
-
-// lifetimeCSVHeader is the column layout of the lifetime artifact.
-const lifetimeCSVHeader = "scheme,policy,epoch,age_hours,mean_pe,spares_left,retired_blocks,patrolled,unreadable,uber,refreshes,user_writes,total_programs,write_amp,tbw_bytes,degraded"
-
-// WriteLifetimeCSV emits the per-epoch trajectories in long form.
-func WriteLifetimeCSV(w io.Writer, rows []LifetimeRow) error {
-	if _, err := fmt.Fprintln(w, lifetimeCSVHeader); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%g,%.2f,%d,%d,%d,%d,%.6e,%d,%d,%d,%.4f,%d,%t\n",
-			r.Scheme, r.Policy, r.Epoch, r.AgeHours, r.MeanPE, r.SparesLeft,
-			r.RetiredBlocks, r.Patrolled, r.Unreadable, r.UBER,
-			r.Refreshes, r.UserWrites, r.TotalPrograms, r.WriteAmp,
-			r.TBWBytes, r.Degraded); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -6,7 +6,6 @@ import (
 
 	"flexlevel/internal/noise"
 	"flexlevel/internal/nunma"
-	"flexlevel/internal/reducecode"
 	"flexlevel/internal/runner"
 	"flexlevel/internal/sensing"
 )
@@ -26,38 +25,33 @@ type RefTuneRow struct {
 // and the soft sensing levels each still needs. Each scheme is one
 // engine shard (reference tuning runs a grid search, the costly cell).
 func RefTuneAblation(cfg SimConfig, pe int, hours float64) ([]RefTuneRow, error) {
-	schemes := []string{"baseline MLC", "baseline + ref tuning", "LevelAdjust (NUNMA 3)"}
-	rows, _, err := runner.Map(cfg.Ctx, cfg.engine("ablation-reftune"), schemes,
-		func(_ int, scheme string) string { return "scheme=" + scheme },
-		func(_ runner.Shard, scheme string) (RefTuneRow, error) {
-			rule := sensing.DefaultRule()
+	// A case with a model scheme reads that cell at nominal references;
+	// the reference-tuned baseline runs the grid search instead.
+	type refTuneCase struct{ name, model string }
+	cases := []refTuneCase{
+		{"baseline MLC", "baseline"},
+		{"baseline + ref tuning", ""},
+		{"LevelAdjust (NUNMA 3)", "NUNMA 3"},
+	}
+	rows, _, err := runner.Map(cfg.Ctx, cfg.engine("ablation-reftune"), cases,
+		func(_ int, c refTuneCase) string { return "scheme=" + c.name },
+		func(_ runner.Shard, c refTuneCase) (RefTuneRow, error) {
 			var ber float64
-			switch scheme {
-			case "baseline MLC":
-				base, err := noise.NewBERModel(nunma.BaselineMLC(), noise.MLCGray())
-				if err != nil {
-					return RefTuneRow{}, err
-				}
-				ber = base.TotalBER(pe, hours)
-			case "baseline + ref tuning":
+			if c.model == "" {
 				tuned, err := nunma.TuneReadRefs(nunma.BaselineMLC(), noise.MLCGray(), pe, hours)
 				if err != nil {
 					return RefTuneRow{}, err
 				}
 				ber = tuned.BERAfter
-			default:
-				c, err := nunma.ByName("NUNMA 3")
+			} else {
+				m, err := nunma.Model(c.model)
 				if err != nil {
 					return RefTuneRow{}, err
 				}
-				red, err := noise.NewBERModel(c.Spec(), reducecode.Encoding())
-				if err != nil {
-					return RefTuneRow{}, err
-				}
-				ber = red.TotalBER(pe, hours)
+				ber = m.TotalBER(pe, hours)
 			}
-			l, _ := rule.RequiredLevels(ber)
-			return RefTuneRow{Scheme: scheme, BER: ber, Levels: l}, nil
+			l, _ := sensing.DefaultRule().RequiredLevels(ber)
+			return RefTuneRow{Scheme: c.name, BER: ber, Levels: l}, nil
 		})
 	return rows, err
 }

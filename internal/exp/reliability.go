@@ -7,7 +7,6 @@ import (
 	"flexlevel/internal/core"
 	"flexlevel/internal/fault"
 	"flexlevel/internal/runner"
-	"flexlevel/internal/trace"
 )
 
 // Reliability experiment: the paper evaluates FlexLevel on a fault-free
@@ -96,22 +95,10 @@ func Reliability(cfg SimConfig, scales []float64) ([]ReliabilityRow, error) {
 			opts := core.DefaultOptions(c.System, cfg.PE)
 			opts.SSD.FTL.SpareBlocks = reliabilitySpares(opts.SSD.FTL.Blocks)
 			opts.SSD.Faults = DefaultFaultConfig(s.Seed).Scaled(c.Scale)
-			w, err := trace.ByName(ReliabilityWorkload, cfg.Requests, opts.SSD.FTL.LogicalPages, cfg.Seed)
+			m, err := cfg.replay(s, ReliabilityWorkload, opts)
 			if err != nil {
 				return ReliabilityRow{}, err
 			}
-			r, err := core.NewRunner(opts)
-			if err != nil {
-				return ReliabilityRow{}, err
-			}
-			m, err := r.Run(w)
-			if err != nil {
-				return ReliabilityRow{}, fmt.Errorf("exp: reliability %.1fx under %v: %w", c.Scale, c.System, err)
-			}
-			s.AddOps(int64(cfg.Requests))
-			addCacheCounters(s, m.LevelCache, m.BERCache)
-			addLatencyGauges(s, m)
-			addRobustnessCounters(s, m)
 			row := ReliabilityRow{Scale: c.Scale, System: c.System, Metrics: m}
 			if m.Reads > 0 {
 				row.EffectiveUBER = float64(m.DataLoss) / (float64(m.Reads) * pageBits)
@@ -154,26 +141,4 @@ func PrintReliability(w io.Writer, rows []ReliabilityRow) {
 				l.Scale, sys, 100*(l.AvgRead/b-1))
 		}
 	}
-}
-
-// reliabilityCSVHeader is the column layout of the reliability artifact;
-// ReadReliabilityCSV requires it verbatim.
-const reliabilityCSVHeader = "scale,system,avg_response_s,avg_read_s,retired_blocks,program_failures,erase_failures,grown_bad,spares_used,writes_rejected,write_failures,transient_read_faults,read_retries,data_loss,effective_uber,write_amp,degraded"
-
-// WriteReliabilityCSV emits the sweep in long form.
-func WriteReliabilityCSV(w io.Writer, rows []ReliabilityRow) error {
-	if _, err := fmt.Fprintln(w, reliabilityCSVHeader); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%g,%v,%.6e,%.6e,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.6e,%.4f,%t\n",
-			r.Scale, r.System, r.AvgResponse, r.AvgRead,
-			r.RetiredBlocks, r.ProgramFailures, r.EraseFailures, r.GrownBadBlocks,
-			r.SparesUsed, r.WritesRejected, r.WriteFailures,
-			r.TransientReadFaults, r.ReadRetries, r.DataLoss,
-			r.EffectiveUBER, r.WriteAmp, r.Degraded); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"flexlevel/internal/noise"
 	"flexlevel/internal/nunma"
-	"flexlevel/internal/reducecode"
 	"flexlevel/internal/runner"
 )
 
@@ -35,7 +33,7 @@ func RetentionShares(cfg SimConfig) ([]RetentionShare, []float64, error) {
 	}
 	// One stateless model serves every grid cell; constructing it per
 	// shard only re-validated the same spec/encoding 20 times.
-	m, err := noise.NewBERModel(nunma.BasicLevelAdjust(), reducecode.Encoding())
+	m, err := nunma.Model("basic")
 	if err != nil {
 		return nil, nil, err
 	}

@@ -184,15 +184,11 @@ func Scenario(cfg SimConfig, tenants []trace.TenantSpec) ([]ScenarioRow, error) 
 			r.TrackTenants(trace.TenantNames(shaped))
 			// cfg.Ctx propagates into the event loop, so SIGINT stops a
 			// cell mid-replay instead of only between shards.
-			m, err := r.RunRequestsQDCtx(cfg.Ctx, "scenario", reqs, workingSet, c.QD)
+			m, err := r.RunRequestsQD(cfg.Ctx, "scenario", reqs, workingSet, c.QD)
 			if err != nil {
-				return nil, fmt.Errorf("exp: scenario shape=%s faults=%g qd=%d under %v: %w",
-					c.Shape, c.Scale, c.QD, c.System, err)
+				return nil, err
 			}
-			s.AddOps(int64(cfg.Requests))
-			addCacheCounters(s, m.LevelCache, m.BERCache)
-			addLatencyGauges(s, m)
-			addRobustnessCounters(s, m)
+			cfg.record(s, m)
 			rows := make([]ScenarioRow, 0, 1+len(m.Tenants))
 			all := ScenarioRow{
 				Shape: c.Shape, Scale: c.Scale, QD: c.QD, System: c.System,
@@ -268,23 +264,4 @@ func PrintScenario(w io.Writer, rows []ScenarioRow) {
 		fmt.Fprintf(w, "    %-8s %.1fx (%s %.1fµs vs %s %.1fµs)\n",
 			shape, max/min, maxName, max*1e6, minName, min*1e6)
 	}
-}
-
-// scenarioCSVHeader is the column layout of the scenario artifact.
-const scenarioCSVHeader = "shape,faults,qd,system,tenant,requests,iops,avg_read_s,p50_read_s,p95_read_s,p99_read_s,sim_time_s,unreadable,retired_blocks,data_loss"
-
-// WriteScenarioCSV emits the matrix in long form.
-func WriteScenarioCSV(w io.Writer, rows []ScenarioRow) error {
-	if _, err := fmt.Fprintln(w, scenarioCSVHeader); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%g,%d,%v,%s,%d,%.6e,%.6e,%.6e,%.6e,%.6e,%.6e,%d,%d,%d\n",
-			r.Shape, r.Scale, r.QD, r.System, r.Tenant, r.Requests, r.IOPS,
-			r.AvgRead, r.P50Read, r.P95Read, r.P99Read, r.SimTime,
-			r.Unreadable, r.RetiredBlocks, r.DataLoss); err != nil {
-			return err
-		}
-	}
-	return nil
 }

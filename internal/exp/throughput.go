@@ -85,14 +85,11 @@ func Throughput(cfg SimConfig) ([]ThroughputRow, error) {
 			if err != nil {
 				return ThroughputRow{}, err
 			}
-			m, err := r.RunRequestsQDCtx(cfg.Ctx, w.Name, trace.CloseLoop(reqs), w.WorkingSet, c.QD)
+			m, err := r.RunRequestsQD(cfg.Ctx, w.Name, trace.CloseLoop(reqs), w.WorkingSet, c.QD)
 			if err != nil {
-				return ThroughputRow{}, fmt.Errorf("exp: throughput qd=%d under %v: %w", c.QD, c.System, err)
+				return ThroughputRow{}, err
 			}
-			s.AddOps(int64(cfg.Requests))
-			addCacheCounters(s, m.LevelCache, m.BERCache)
-			addLatencyGauges(s, m)
-			addRobustnessCounters(s, m)
+			cfg.record(s, m)
 			row := ThroughputRow{QD: c.QD, System: c.System, Metrics: m}
 			if m.SimTime > 0 {
 				row.IOPS = float64(cfg.Requests) / m.SimTime
@@ -129,22 +126,4 @@ func PrintThroughput(w io.Writer, rows []ThroughputRow) {
 				sys, last[sys].IOPS/b, last[sys].QD, QueueDepths[0])
 		}
 	}
-}
-
-// throughputCSVHeader is the column layout of the throughput artifact.
-const throughputCSVHeader = "qd,system,iops,avg_response_s,avg_read_s,p50_read_s,p95_read_s,p99_read_s,sim_time_s"
-
-// WriteThroughputCSV emits the sweep in long form.
-func WriteThroughputCSV(w io.Writer, rows []ThroughputRow) error {
-	if _, err := fmt.Fprintln(w, throughputCSVHeader); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%d,%v,%.6e,%.6e,%.6e,%.6e,%.6e,%.6e,%.6e\n",
-			r.QD, r.System, r.IOPS, r.AvgResponse, r.AvgRead,
-			r.P50Read, r.P95Read, r.P99Read, r.SimTime); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"flexlevel/internal/noise"
+	"flexlevel/internal/reducecode"
 )
 
 // Config is one row of paper Table 3: the program step and the verify /
@@ -41,6 +42,25 @@ func ByName(name string) (Config, error) {
 		}
 	}
 	return Config{}, fmt.Errorf("nunma: unknown configuration %q", name)
+}
+
+// Model builds the BER model of a device scheme: "baseline" (the
+// regular MLC cell, Gray-coded), "basic" (the uniform-margin reduced
+// cell of §4.1) or a Table 3 configuration name; the reduced cells use
+// ReduceCode. It is the one place a scheme name picks its spec and
+// encoding.
+func Model(scheme string) (*noise.BERModel, error) {
+	switch scheme {
+	case "baseline":
+		return noise.NewBERModel(BaselineMLC(), noise.MLCGray())
+	case "basic":
+		return noise.NewBERModel(BasicLevelAdjust(), reducecode.Encoding())
+	}
+	cfg, err := ByName(scheme)
+	if err != nil {
+		return nil, err
+	}
+	return noise.NewBERModel(cfg.Spec(), reducecode.Encoding())
 }
 
 // Spec builds the 3-level reduced-state device spec for the config.

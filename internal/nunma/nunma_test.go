@@ -39,6 +39,33 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestModel pins the scheme → spec/encoding choice of Model: the
+// baseline is the Gray-coded MLC cell, every reduced cell uses
+// ReduceCode, and names outside the scheme set are rejected.
+func TestModel(t *testing.T) {
+	want := map[string]struct{ spec, enc string }{
+		"baseline": {BaselineMLC().Name, noise.MLCGray().Name},
+		"basic":    {BasicLevelAdjust().Name, reducecode.Encoding().Name},
+	}
+	for _, c := range Table3() {
+		want[c.Name] = struct{ spec, enc string }{c.Name, reducecode.Encoding().Name}
+	}
+	for scheme, w := range want {
+		m, err := Model(scheme)
+		if err != nil {
+			t.Fatalf("Model(%q): %v", scheme, err)
+		}
+		if m.Spec.Name != w.spec || m.Enc.Name != w.enc {
+			t.Errorf("Model(%q) = %s/%s, want %s/%s", scheme, m.Spec.Name, m.Enc.Name, w.spec, w.enc)
+		}
+	}
+	for _, bad := range []string{"", "Baseline", "NUNMA 9"} {
+		if _, err := Model(bad); err == nil {
+			t.Errorf("Model(%q) accepted", bad)
+		}
+	}
+}
+
 func TestSpecsValidate(t *testing.T) {
 	for _, c := range Table3() {
 		if err := c.Spec().Validate(); err != nil {
