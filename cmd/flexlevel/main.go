@@ -40,6 +40,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -243,7 +244,7 @@ func main() {
 			}
 			exp.PrintRetentionShares(os.Stdout, rows, avg)
 		case "replay":
-			return replay(*inFile, *format, *pe)
+			return replay(os.Stdout, *inFile, *format, *pe)
 		case "reliability":
 			scales := []float64{0}
 			if m := *faults; m > 0 {
@@ -373,8 +374,9 @@ func loadTenants(path string) ([]trace.TenantSpec, error) {
 }
 
 // replay runs a trace file through all four systems and prints the
-// Fig. 6(a)-style comparison.
-func replay(path, format string, pe int) error {
+// Fig. 6(a)-style comparison, each system followed by the write cost
+// and the sensing-level histogram that explain its latency.
+func replay(w io.Writer, path, format string, pe int) error {
 	if path == "" {
 		return fmt.Errorf("replay needs -in <file>")
 	}
@@ -397,7 +399,7 @@ func replay(path, format string, pe int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replaying %d requests from %s (%s format) at P/E %d\n", len(reqs), path, format, pe)
+	fmt.Fprintf(w, "replaying %d requests from %s (%s format) at P/E %d\n", len(reqs), path, format, pe)
 	var metrics []core.Metrics
 	var ref float64
 	for _, sys := range core.Systems() {
@@ -419,8 +421,11 @@ func replay(path, format string, pe int) error {
 		if ref > 0 {
 			norm = m.AvgResponse / ref
 		}
-		fmt.Printf("  %-22s avg %9.1fµs (norm %5.2f) p99 read %9.1fµs\n",
+		fmt.Fprintf(w, "  %-22s avg %9.1fµs (norm %5.2f) p99 read %9.1fµs\n",
 			m.System, m.AvgResponse*1e6, norm, m.P99Read*1e6)
+		fmt.Fprintf(w, "  %22s programs %d, erases %d, WA %.2f, migrations %d, capacity loss %.1f%%\n",
+			"", m.TotalPrograms, m.Erases, m.WriteAmp, m.Migrations, 100*m.CapacityLoss)
+		fmt.Fprintf(w, "  %22s sensing levels per read: %v\n", "", m.LevelHist)
 	}
 	return nil
 }

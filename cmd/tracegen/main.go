@@ -18,13 +18,15 @@ import (
 	"fmt"
 	"os"
 
+	"flexlevel/internal/core"
 	"flexlevel/internal/trace"
 )
 
 func main() {
 	name := flag.String("w", "fin-2", "workload name")
 	n := flag.Int("n", 100000, "number of requests")
-	ws := flag.Uint64("pages", 65536, "logical page count the working sets scale against")
+	ws := flag.Uint64("pages", core.DefaultOptions(core.Baseline, 0).SSD.FTL.LogicalPages,
+		"logical page count the working sets scale against (the simulated device's)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	list := flag.Bool("list", false, "list available workloads and exit")
 	summary := flag.Bool("summary", false, "print workload statistics instead of the trace")

@@ -5,8 +5,8 @@
 // that keeps at most QD requests outstanding: a request is submitted at
 // the later of its arrival and the moment a queue slot frees, where
 // slots free in deterministic completion order (earliest completion
-// first, ties broken by submission sequence). The completion window is
-// the host's own heap; the device has one read path for both engines.
+// first). The completion window is the host's own Window; the device
+// has one read path for both engines.
 //
 // Device calls still happen in submission order — the stream order —
 // so the engine is deterministic by construction and produces
@@ -24,59 +24,60 @@ import (
 	"flexlevel/internal/trace"
 )
 
-// completion is one outstanding request in the host's queue window.
-type completion struct {
-	at  time.Duration
-	seq uint64 // submission order; breaks equal-completion ties
+// Window is a host's queue-depth window: the completion times of at
+// most qd outstanding requests, sorted. A request is submitted at the
+// later of its arrival and, when the window is full, the earliest
+// outstanding completion, whose slot it then takes. Only completion
+// times are ever read, so equal times need no tie-break. StepBatch
+// drives one over a trace; the serve daemon keeps one per tenant.
+//
+// For nondecreasing arrivals this pop-when-full rule gives the same
+// submit times as eagerly dropping every completion ≤ arrival: such a
+// completion can only ever yield "submit at arrival", under either
+// rule.
+type Window struct {
+	qd   int
+	done []time.Duration // ascending
 }
 
-func completionLess(a, b completion) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// NewWindow returns an empty window of depth qd (qd < 1 means 1).
+func NewWindow(qd int) *Window {
+	if qd < 1 {
+		qd = 1
 	}
-	return a.seq < b.seq
+	return &Window{qd: qd, done: make([]time.Duration, 0, qd)}
 }
 
-// pushCompletion adds c to the min-heap in *h.
-func pushCompletion(h *[]completion, c completion) {
-	*h = append(*h, c)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !completionLess(s[i], s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
+// Submit returns the submit time of a request arriving at arrival. It
+// leaves the window unchanged, so a caller may still reject the request
+// on its projected wait (submit − arrival) without taking a slot.
+func (w *Window) Submit(arrival time.Duration) time.Duration {
+	if len(w.done) >= w.qd && w.done[0] > arrival {
+		return w.done[0]
 	}
+	return arrival
 }
 
-// popCompletion removes and returns the earliest completion.
-func popCompletion(h *[]completion) completion {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		small := i
-		if l := 2*i + 1; l < n && completionLess(s[l], s[small]) {
-			small = l
-		}
-		if r := 2*i + 2; r < n && completionLess(s[r], s[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
+// Complete records a submitted request's completion time. When the
+// window is full the request took the earliest slot, which is freed.
+func (w *Window) Complete(done time.Duration) {
+	d := w.done
+	if len(d) >= w.qd {
+		d = d[:copy(d, d[1:])]
 	}
-	return top
+	i := len(d)
+	for i > 0 && d[i-1] > done {
+		i--
+	}
+	d = append(d, 0)
+	copy(d[i+1:], d[i:])
+	d[i] = done
+	w.done = d
 }
+
+// Reset empties the window: its requests died with the device's queues
+// in a crash.
+func (w *Window) Reset() { w.done = w.done[:0] }
 
 // StepBatch replays reqs with up to qd requests in flight. Each request
 // is submitted at the later of its arrival time and the completion of
@@ -91,31 +92,18 @@ func popCompletion(h *[]completion) completion {
 // still yields a consistent partial metric set). A nil ctx never
 // cancels and adds no per-request cost beyond one pointer test.
 func (r *Runner) StepBatch(ctx context.Context, reqs []trace.Request, qd int) error {
-	if qd < 1 {
-		qd = 1
-	}
-	pending := make([]completion, 0, qd)
-	seq := uint64(0)
+	w := NewWindow(qd)
 	for _, req := range reqs {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		submit := req.Arrival
-		if len(pending) >= qd {
-			// The window is full: this request waits for the earliest
-			// outstanding completion.
-			if c := popCompletion(&pending); c.at > submit {
-				submit = c.at
-			}
-		}
-		done, err := r.StepAt(req, submit)
+		done, err := r.StepAt(req, w.Submit(req.Arrival))
 		if err != nil {
 			return err
 		}
-		seq++
-		pushCompletion(&pending, completion{at: done, seq: seq})
+		w.Complete(done)
 	}
 	return nil
 }

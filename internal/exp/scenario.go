@@ -129,9 +129,12 @@ type scenarioCell struct {
 // as in the reliability sweep. Each cell yields an "all" row plus one
 // row per tenant.
 func Scenario(cfg SimConfig, tenants []trace.TenantSpec) ([]ScenarioRow, error) {
+	logical := core.DefaultOptions(core.Baseline, cfg.PE).SSD.FTL.LogicalPages
 	if tenants == nil {
-		logical := core.DefaultOptions(core.Baseline, cfg.PE).SSD.FTL.LogicalPages
 		tenants = ScenarioTenants(logical)
+	}
+	if err := trace.CheckWindows(tenants, logical); err != nil {
+		return nil, fmt.Errorf("exp: scenario: %w", err)
 	}
 	var cells []scenarioCell
 	for _, shape := range ScenarioShapes {

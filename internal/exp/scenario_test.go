@@ -137,6 +137,18 @@ func TestScenarioCustomTenants(t *testing.T) {
 	}
 }
 
+// TestScenarioRejectsWindowPastDevice: a spec sized for a larger device
+// (tracegen's old 65536-page default) fails before any cell runs, naming
+// the tenant whose window runs past the device.
+func TestScenarioRejectsWindowPastDevice(t *testing.T) {
+	cfg := goldenSim()
+	cfg.Requests = 400
+	_, err := Scenario(cfg, trace.SampleTenants(5, 65536))
+	if err == nil || !strings.Contains(err.Error(), "tenant web") {
+		t.Fatalf("window past the device: err %v", err)
+	}
+}
+
 func TestScenarioSummaryGauges(t *testing.T) {
 	cfg := goldenSim()
 	cfg.Requests = 400 // smoke-sized: only the summary shape matters

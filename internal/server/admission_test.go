@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -72,4 +73,20 @@ func TestServerRejectsBadTenants(t *testing.T) {
 	if _, err := New(Config{FTL: smallFTL(), Tenants: bad}); err == nil {
 		t.Fatal("empty working set accepted")
 	}
+}
+
+// TestServerRejectsWindowPastDevice: a tenant window that runs past the
+// device's logical pages fails construction, naming the tenant, instead
+// of wrapping its LPNs onto other tenants' pages. Windows that overlap
+// each other or end exactly at the device's edge stay legal.
+func TestServerRejectsWindowPastDevice(t *testing.T) {
+	bad := testTenants()
+	bad[1].Base = 1536 // beta: [1536, 2560) on a 2048-page device
+	_, err := New(Config{FTL: smallFTL(), Tenants: bad})
+	if err == nil || !strings.Contains(err.Error(), "tenant beta") {
+		t.Fatalf("window past the device: err %v", err)
+	}
+	edge := testTenants()
+	edge[0].WorkingSet = 2048 // alpha spans the whole device, overlapping beta
+	newTestServer(t, Config{Tenants: edge})
 }

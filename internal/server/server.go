@@ -226,16 +226,8 @@ type tenantState struct {
 	tokens     float64
 	lastRefill time.Duration
 
-	// Outstanding completions: the tenant's queue-depth window,
-	// maintained with the same min-heap discipline as core.StepBatch.
-	outstanding []simCompletion
-	seq         uint64 // submission tie-break counter
-}
-
-// simCompletion mirrors core's completion heap entry.
-type simCompletion struct {
-	at  time.Duration
-	seq uint64
+	// The tenant's queue-depth window, the one core.StepBatch uses.
+	window *core.Window
 }
 
 // Server is the block service. Create with New, serve via Handler (or
@@ -289,6 +281,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		index[t.Name] = i
 	}
+	if err := trace.CheckWindows(cfg.Tenants, logical); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 
 	router := newShardRouter(cfg.Shards, logical, cfg.Tenants)
 	owned := make([][]int, cfg.Shards)
@@ -308,7 +303,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.tenants = make([]*tenantState, len(cfg.Tenants))
 	for i, t := range cfg.Tenants {
-		s.tenants[i] = &tenantState{spec: t, tokens: cfg.Burst}
+		s.tenants[i] = &tenantState{spec: t, tokens: cfg.Burst, window: core.NewWindow(cfg.QueueDepth)}
 	}
 	s.stats.init(cfg, tenantNames(cfg.Tenants))
 
@@ -495,52 +490,3 @@ func (s *Server) Device() *ssd.Device { return s.shards[0].runner.Device() }
 // ShardDevice exposes shard k's simulator. Only safe once Shutdown has
 // returned.
 func (s *Server) ShardDevice(k int) *ssd.Device { return s.shards[k].runner.Device() }
-
-// pushSimCompletion / popSimCompletion maintain the per-tenant
-// completion min-heap, ordered like core.StepBatch's (time, then
-// submission sequence).
-func pushSimCompletion(h *[]simCompletion, c simCompletion) {
-	*h = append(*h, c)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !simLess(s[i], s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func popSimCompletion(h *[]simCompletion) simCompletion {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		small := i
-		if l := 2*i + 1; l < n && simLess(s[l], s[small]) {
-			small = l
-		}
-		if r := 2*i + 2; r < n && simLess(s[r], s[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
-	return top
-}
-
-func simLess(a, b simCompletion) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}

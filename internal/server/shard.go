@@ -222,14 +222,7 @@ func (e *engineShard) process(o *op) opResult {
 
 	// The tenant's queue-depth window, with StepBatch's discipline:
 	// when full, the op waits for the earliest outstanding completion.
-	for len(t.outstanding) > 0 && t.outstanding[0].at <= arrival {
-		popSimCompletion(&t.outstanding)
-	}
-	submit := arrival
-	windowFull := len(t.outstanding) >= s.cfg.QueueDepth
-	if windowFull && t.outstanding[0].at > submit {
-		submit = t.outstanding[0].at
-	}
+	submit := t.window.Submit(arrival)
 	wait := submit - arrival
 
 	// SLO shedding: the projected wait is known before the device is
@@ -293,11 +286,7 @@ func (e *engineShard) process(o *op) opResult {
 		s.statMu.Unlock()
 		return opResult{status: 500, code: CodeInternal, message: err.Error()}
 	}
-	if windowFull {
-		popSimCompletion(&t.outstanding)
-	}
-	t.seq++
-	pushSimCompletion(&t.outstanding, simCompletion{at: done, seq: t.seq})
+	t.window.Complete(done)
 
 	latency := done - arrival
 	res := opResult{status: 200, latency: latency}
@@ -339,7 +328,7 @@ func (e *engineShard) handlePowerLoss(o *op) opResult {
 			// This shard's tenants' outstanding windows died with the
 			// queues; other shards' windows are untouched.
 			for _, ti := range e.tenantIdx {
-				s.tenants[ti].outstanding = s.tenants[ti].outstanding[:0]
+				s.tenants[ti].window.Reset()
 			}
 		}
 	}

@@ -37,8 +37,8 @@ type ArrivalModel interface {
 }
 
 // Steady is a homogeneous Poisson process: exponential gaps around a
-// fixed mean. It reproduces the legacy Workload.Generate arrival
-// behaviour draw for draw.
+// fixed mean. It is Workload.Generate's arrival process when the
+// workload names none.
 type Steady struct {
 	Mean time.Duration // mean interarrival gap
 }

@@ -110,12 +110,12 @@ func TestDiurnalPeriodDetectable(t *testing.T) {
 	}
 }
 
-// A workload with an explicit Steady model must reproduce the legacy
-// nil-Arrivals stream draw for draw — the compatibility contract that
-// keeps every pre-scenario golden artifact bit-identical.
+// A nil arrival model means Steady around the workload's Interarrive:
+// both streams match draw for draw, which keeps every pre-scenario
+// golden artifact bit-identical.
 func TestSteadyMatchesLegacyArrivals(t *testing.T) {
 	for _, w := range Workloads(2000, 8192, 9) {
-		legacy, err := w.Generate()
+		unnamed, err := w.Generate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,8 +124,8 @@ func TestSteadyMatchesLegacyArrivals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(legacy, shaped) {
-			t.Fatalf("%s: Steady model diverges from legacy arrivals", w.Name)
+		if !reflect.DeepEqual(unnamed, shaped) {
+			t.Fatalf("%s: nil arrivals diverge from the Steady model", w.Name)
 		}
 	}
 }

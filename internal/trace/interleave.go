@@ -103,6 +103,20 @@ func (t TenantSpec) Validate() error {
 	return nil
 }
 
+// CheckWindows rejects a tenant set whose windows do not fit a device
+// of logicalPages pages, naming the first tenant that runs past it.
+// Windows may overlap each other; none may wrap onto the start of the
+// device, where it would land on pages other tenants own.
+func CheckWindows(tenants []TenantSpec, logicalPages uint64) error {
+	for _, t := range tenants {
+		if t.Base > logicalPages || t.WorkingSet > logicalPages-t.Base {
+			return fmt.Errorf("trace: tenant %s window [%d, +%d) runs past the device's %d logical pages",
+				t.Name, t.Base, t.WorkingSet, logicalPages)
+		}
+	}
+	return nil
+}
+
 // arrivals builds the tenant's ArrivalModel around its mean gap.
 func (t TenantSpec) arrivals(mean time.Duration) (ArrivalModel, error) {
 	var m ArrivalModel

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -32,6 +34,27 @@ func TestSampleTenantsValid(t *testing.T) {
 				}
 				seen[ten.Name] = true
 			}
+		}
+	}
+}
+
+// TestCheckWindows: every sampled tenant set fits the logical space it
+// was sized for, and a window that runs past the device — by one page,
+// or starting beyond it — is rejected by name.
+func TestCheckWindows(t *testing.T) {
+	for _, pages := range []uint64{16, 4096, 32768, 1 << 30} {
+		for _, n := range []int{3, 10, 64} {
+			if err := CheckWindows(SampleTenants(n, pages), pages); err != nil {
+				t.Fatalf("SampleTenants(%d, %d): %v", n, pages, err)
+			}
+		}
+	}
+	for _, w := range []struct{ base, ws uint64 }{{0, 4097}, {4000, 97}, {4097, 1}, {math.MaxUint64, 1}} {
+		tenants := SampleTenants(3, 4096)
+		tenants[1].Base, tenants[1].WorkingSet = w.base, w.ws
+		err := CheckWindows(tenants, 4096)
+		if err == nil || !strings.Contains(err.Error(), "tenant web") {
+			t.Errorf("window [%d, +%d): err %v", w.base, w.ws, err)
 		}
 	}
 }

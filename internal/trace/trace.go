@@ -60,10 +60,8 @@ type Workload struct {
 	Requests      int
 	Seed          int64
 
-	// Arrivals optionally replaces the default steady-Poisson arrival
-	// process with a shaped one (burst, diurnal — see ArrivalModel).
-	// nil keeps the legacy exponential-gap behaviour around
-	// Interarrive, draw for draw.
+	// Arrivals is the arrival process (steady, burst, diurnal — see
+	// ArrivalModel). nil means Steady{Mean: Interarrive}.
 	Arrivals ArrivalModel
 
 	// QueueDepth is replay metadata, not a generator parameter: the
@@ -121,17 +119,15 @@ func (w Workload) Generate() ([]Request, error) {
 	rng := rand.New(rand.NewSource(w.Seed))
 	zipf := rand.NewZipf(rng, w.ZipfS, 1, w.WorkingSet-1)
 	reqs := make([]Request, 0, w.Requests)
+	arrivals := w.Arrivals
+	if arrivals == nil {
+		arrivals = Steady{Mean: w.Interarrive}
+	}
 	clock := time.Duration(0)
 	var lastLPN uint64
 	var lastPages int
 	for i := 0; i < w.Requests; i++ {
-		// Interarrival gap: the configured arrival model, or the legacy
-		// exponential gap around the mean.
-		if w.Arrivals != nil {
-			clock += w.Arrivals.Gap(rng, clock)
-		} else {
-			clock += time.Duration(rng.ExpFloat64() * float64(w.Interarrive))
-		}
+		clock += arrivals.Gap(rng, clock)
 		op := Write
 		if rng.Float64() < w.ReadRatio {
 			op = Read
