@@ -43,6 +43,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 
 	"flexlevel/internal/core"
 	"flexlevel/internal/exp"
@@ -51,8 +53,13 @@ import (
 	"flexlevel/internal/trace"
 )
 
+// experiments lists the experiment subcommands in usage order. all runs
+// every one but replay, which needs an input file.
+var experiments = []string{"fig5", "table4", "table5", "fig6a", "fig6b", "fig7", "ablations", "ecc", "retshare",
+	"replay", "reliability", "crash", "throughput", "adaptive", "scenario", "lifetime"}
+
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: flexlevel <fig5|table4|table5|fig6a|fig6b|fig7|ablations|ecc|retshare|replay|reliability|crash|throughput|adaptive|scenario|lifetime|all> [-n requests] [-seed s] [-pe cycles] [-parallel w] [-faults m] [-crashes k] [-scale f] [-in file -format csv|msr] [-tenants file] [-cpuprofile f] [-memprofile f] [-trace f]")
+	fmt.Fprintln(os.Stderr, "usage: flexlevel <"+strings.Join(experiments, "|")+"|all> [-n requests] [-seed s] [-pe cycles] [-parallel w] [-faults m] [-crashes k] [-scale f] [-in file -format csv|msr] [-tenants file] [-cpuprofile f] [-memprofile f] [-trace f]")
 	fmt.Fprintln(os.Stderr, "       flexlevel serve [-addr a] [-shards n] [-tenants f] [-qd d] [-rate r] [-slo d] [-deadline d] [-faults m] [-crash-at n] [-crash-shard k] [-auto-restart] [-snapshot f] [-pprof]")
 	fmt.Fprintln(os.Stderr, "       flexlevel load  [-url u] [-n requests] [-tenants f] [-workers w] [-readratio r] [-gate] [-json]")
 	os.Exit(2)
@@ -321,18 +328,12 @@ func main() {
 		return nil
 	}
 
-	var names []string
-	if cmd == "all" {
-		names = []string{"fig5", "table4", "table5", "fig6a", "fig6b", "fig7", "ablations", "ecc", "retshare", "reliability", "crash", "throughput", "adaptive", "scenario", "lifetime"}
-	} else {
-		switch cmd {
-		case "fig5", "table4", "table5", "fig6a", "fig6b", "fig7", "ablations",
-			"ecc", "retshare", "replay", "reliability", "crash", "throughput",
-			"adaptive", "scenario", "lifetime":
-		default:
-			usage() // before any profile file is created
-		}
-		names = []string{cmd}
+	names := []string{cmd}
+	switch {
+	case cmd == "all":
+		names = slices.DeleteFunc(slices.Clone(experiments), func(n string) bool { return n == "replay" })
+	case !slices.Contains(experiments, cmd):
+		usage() // before any profile file is created
 	}
 	// Profiling brackets the experiment work itself; usage errors above
 	// exit before any profile file is created. os.Exit skips defers, so
@@ -385,13 +386,18 @@ func replay(w io.Writer, path, format string, pe int) error {
 		return err
 	}
 	defer f.Close()
+	logical := core.DefaultOptions(core.Baseline, pe).SSD.FTL.LogicalPages
 	var reqs []trace.Request
 	switch format {
 	case "csv":
-		reqs, err = trace.ReadCSV(f)
+		// MSR input is wrapped into the device; CSV requests must already
+		// lie inside it.
+		if reqs, err = trace.ReadCSV(f); err == nil {
+			err = trace.CheckStream(reqs, logical)
+		}
 	case "msr":
 		cfg := trace.DefaultMSRConfig()
-		cfg.WrapPages = core.DefaultOptions(core.Baseline, pe).SSD.FTL.LogicalPages / 2
+		cfg.WrapPages = logical / 2
 		reqs, err = trace.ReadMSR(f, cfg)
 	default:
 		return fmt.Errorf("unknown trace format %q", format)

@@ -88,6 +88,15 @@ func TestReplayErrors(t *testing.T) {
 	if err := replay(&out, path, "blk", 6000); err == nil || !strings.Contains(err.Error(), `unknown trace format "blk"`) {
 		t.Errorf("unknown -format: err %v", err)
 	}
+	// Requests past the device's logical pages (here also overflowing
+	// LPN+Pages) are refused before any system replays them.
+	big := filepath.Join(t.TempDir(), "big.csv")
+	if err := os.WriteFile(big, []byte("arrival_us,op,lpn,pages\n0,read,18446744073709551615,200000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := replay(&out, big, "csv", 6000); err == nil || !strings.Contains(err.Error(), "outside working set") {
+		t.Errorf("out-of-device request: err %v", err)
+	}
 	if out.Len() != 0 {
 		t.Errorf("failed replays printed %q", out.String())
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"flexlevel/internal/csvtab"
 )
 
 // adaptiveSeeds and reliabilitySeeds are the seed inputs of the two
@@ -11,39 +13,39 @@ import (
 // the third readable artifact that shipped with a reader.
 var (
 	adaptiveSeeds = []string{
-		adaptiveCSV.header() + "\n",
-		adaptiveCSV.header() + "\n" +
+		adaptiveCSV.Header() + "\n",
+		adaptiveCSV.Header() + "\n" +
 			"baseline-mlc,static,6000,2160,6.0704,1.403085e-03,4288,0,0,0,0,0,0,0\n",
-		adaptiveCSV.header() + "\n" +
+		adaptiveCSV.Header() + "\n" +
 			"NUNMA 1,adaptive,6000,2160,0.8041,3.450135e-04,0,0,0,110,880,75,75,0\n" +
 			"NUNMA 3,static,4000,720,0.0000,1.424000e-04,0,0,0,0,0,0,0,0\n",
-		adaptiveCSV.header() + "\n" +
+		adaptiveCSV.Header() + "\n" +
 			"x,adaptive,0,0,0,0,0,0,0,0,0,0,0,0\n",
-		adaptiveCSV.header() + "\n" +
+		adaptiveCSV.Header() + "\n" +
 			"x,retry,6000,720,0,0,0,0,0,0,0,0,0,0\n",
 		"scheme,mode\nx,static\n",
 		"",
 	}
 	reliabilitySeeds = []string{
-		reliabilityCSV.header() + "\n",
-		reliabilityCSV.header() + "\n" +
+		reliabilityCSV.Header() + "\n",
+		reliabilityCSV.Header() + "\n" +
 			"0,Baseline,1.234567e-04,9.876543e-05,0,0,0,0,0,0,0,0,0,0,0.000000e+00,1.2345,false\n",
-		reliabilityCSV.header() + "\n" +
+		reliabilityCSV.Header() + "\n" +
 			"4,FlexLevel,1.0e-3,1.0e-4,17,3,2,5,9,0,1,25,40,2,3.1e-12,2.5000,true\n",
-		reliabilityCSV.header() + "\n" +
+		reliabilityCSV.Header() + "\n" +
 			"1,LDPC-in-SSD,1e-3,1e-4,-1,0,0,0,0,0,0,0,0,0,0,1.0,false\n",
 		"scale,system\n1,Baseline\n",
 		"",
 	}
 	lifetimeSeeds = []string{
-		lifetimeCSV.header() + "\n" +
+		lifetimeCSV.Header() + "\n" +
 			"NUNMA 3,threshold,1,120,6000.50,5,0,3072,0,0.000000e+00,0,1024,1100,1.0742,16777216,false\n" +
 			"baseline-mlc,scrub,2,240,6001.25,4,1,3072,7,1.780000e-08,3072,2048,5300,2.5879,33554432,true\n",
-		lifetimeCSV.header() + "\n" +
+		lifetimeCSV.Header() + "\n" +
 			"baseline-mlc,none,0,120,6000,5,0,0,0,0,0,0,0,0,0,true\n",
-		lifetimeCSV.header() + "\n" +
+		lifetimeCSV.Header() + "\n" +
 			"baseline-mlc,scrub,2,-1,6000,5,0,0,0,0,0,0,0,0,0,true\n",
-		lifetimeCSV.header() + "\n" +
+		lifetimeCSV.Header() + "\n" +
 			"x,none,1,NaN,+Inf,1,1,1,1,NaN,1,1,1,+Inf,1,1\n",
 	}
 )
@@ -56,8 +58,8 @@ var (
 // round-trip tests and the CI determinism check both rely on.
 func FuzzReadArtifactCSV(f *testing.F) {
 	for _, h := range []string{
-		fig5CSV.header(), table4CSV.header(), table5CSV.header(), fig6aCSV.header(),
-		fig7CSV.header(), crashCSV.header(), throughputCSV.header(), scenarioCSV.header(),
+		fig5CSV.Header(), table4CSV.Header(), table5CSV.Header(), fig6aCSV.Header(),
+		fig7CSV.Header(), crashCSV.Header(), throughputCSV.Header(), scenarioCSV.Header(),
 	} {
 		f.Add(h + "\n")
 	}
@@ -103,26 +105,26 @@ func fuzzArtifactTables(t *testing.T, data string) {
 
 // checkFixedPoint parses data with tb and, if tb accepts it, checks that
 // write∘parse is idempotent.
-func checkFixedPoint[R any](t *testing.T, tb table[R], data string) {
+func checkFixedPoint[R any](t *testing.T, tb csvtab.Table[R], data string) {
 	t.Helper()
-	rows, err := tb.read(strings.NewReader(data))
+	rows, err := tb.Read(strings.NewReader(data), nil)
 	if err != nil {
 		return
 	}
 	var first bytes.Buffer
-	if err := tb.write(&first, rows); err != nil {
-		t.Fatalf("%s: write of accepted input: %v", tb.name, err)
+	if err := tb.Write(&first, rows); err != nil {
+		t.Fatalf("%s: write of accepted input: %v", tb.Name, err)
 	}
-	again, err := tb.read(bytes.NewReader(first.Bytes()))
+	again, err := tb.Read(bytes.NewReader(first.Bytes()), nil)
 	if err != nil {
-		t.Fatalf("%s: reparse of written output: %v\noutput: %q", tb.name, err, first.String())
+		t.Fatalf("%s: reparse of written output: %v\noutput: %q", tb.Name, err, first.String())
 	}
 	var second bytes.Buffer
-	if err := tb.write(&second, again); err != nil {
+	if err := tb.Write(&second, again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatalf("%s: write∘parse is not idempotent:\nfirst:  %q\nsecond: %q",
-			tb.name, first.String(), second.String())
+			tb.Name, first.String(), second.String())
 	}
 }

@@ -168,12 +168,6 @@ func Scenario(cfg SimConfig, tenants []trace.TenantSpec) ([]ScenarioRow, error) 
 			if c.Shape == ScenarioClosedShape {
 				reqs = trace.CloseLoop(reqs)
 			}
-			var workingSet uint64
-			for _, t := range shaped {
-				if end := t.Base + t.WorkingSet; end > workingSet {
-					workingSet = end
-				}
-			}
 			opts := core.DefaultOptions(c.System, cfg.PE)
 			opts.SSD.Channels = ScenarioChannels
 			if c.Scale > 0 {
@@ -187,7 +181,7 @@ func Scenario(cfg SimConfig, tenants []trace.TenantSpec) ([]ScenarioRow, error) 
 			r.TrackTenants(trace.TenantNames(shaped))
 			// cfg.Ctx propagates into the event loop, so SIGINT stops a
 			// cell mid-replay instead of only between shards.
-			m, err := r.RunRequestsQD(cfg.Ctx, "scenario", reqs, workingSet, c.QD)
+			m, err := r.RunRequestsQD(cfg.Ctx, "scenario", reqs, trace.WindowEnd(shaped), c.QD)
 			if err != nil {
 				return nil, err
 			}

@@ -305,7 +305,7 @@ func New(cfg Config) (*Server, error) {
 	for i, t := range cfg.Tenants {
 		s.tenants[i] = &tenantState{spec: t, tokens: cfg.Burst, window: core.NewWindow(cfg.QueueDepth)}
 	}
-	s.stats.init(cfg, tenantNames(cfg.Tenants))
+	s.stats.init(cfg, trace.TenantNames(cfg.Tenants))
 
 	s.shards = make([]*engineShard, cfg.Shards)
 	for k := 0; k < cfg.Shards; k++ {
@@ -323,14 +323,6 @@ func New(cfg Config) (*Server, error) {
 		go e.engine()
 	}
 	return s, nil
-}
-
-func tenantNames(tenants []trace.TenantSpec) []string {
-	names := make([]string, len(tenants))
-	for i, t := range tenants {
-		names[i] = t.Name
-	}
-	return names
 }
 
 // Tenant resolves a tenant name to its index.

@@ -133,14 +133,11 @@ func newEngineShard(id int, cfg Config, owned []int) (*engineShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	var maxEnd uint64
-	for _, ti := range owned {
-		t := cfg.Tenants[ti]
-		if end := t.Base + t.WorkingSet; end > maxEnd {
-			maxEnd = end
-		}
+	mine := make([]trace.TenantSpec, len(owned))
+	for i, ti := range owned {
+		mine[i] = cfg.Tenants[ti]
 	}
-	if err := r.Prepare(nil, maxEnd); err != nil {
+	if err := r.Prepare(nil, trace.WindowEnd(mine)); err != nil {
 		return nil, err
 	}
 	e := &engineShard{

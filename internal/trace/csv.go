@@ -1,102 +1,38 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
-	"strings"
 	"time"
+
+	"flexlevel/internal/csvtab"
 )
 
-// csvHeader is the column layout of the trace interchange format.
-const csvHeader = "arrival_us,op,lpn,pages"
-
-// WriteCSV emits requests in the tracegen interchange format:
-// a header line followed by one "arrival_us,op,lpn,pages" row per
-// request.
-func WriteCSV(w io.Writer, reqs []Request) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, csvHeader); err != nil {
-		return err
-	}
-	for _, r := range reqs {
-		if _, err := fmt.Fprintf(bw, "%d,%s,%d,%d\n",
-			r.Arrival.Microseconds(), r.Op, r.LPN, r.Pages); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCSV parses the tracegen interchange format. The header line is
-// required; blank lines are skipped; a malformed row fails with its
-// line number.
-func ReadCSV(r io.Reader) ([]Request, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	line := 0
-	var reqs []Request
-	sawHeader := false
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if !sawHeader {
-			if text != csvHeader {
-				return nil, fmt.Errorf("trace: line %d: missing header %q", line, csvHeader)
+// traceCSV is the trace interchange format: one
+// "arrival_us,op,lpn,pages" row per request.
+var traceCSV = csvtab.Table[Request]{Name: "trace", Cols: []csvtab.Column[Request]{
+	csvtab.Micros("arrival_us", func(r *Request) *time.Duration { return &r.Arrival }),
+	{Name: "op", Verb: "%s",
+		Value: func(r *Request) any { return r.Op },
+		Parse: func(r *Request, s string) error {
+			switch s {
+			case "read":
+				r.Op = Read
+			case "write":
+				r.Op = Write
+			default:
+				return fmt.Errorf("bad op %q", s)
 			}
-			sawHeader = true
-			continue
-		}
-		req, err := parseCSVRow(text)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		reqs = append(reqs, req)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !sawHeader {
-		return nil, fmt.Errorf("trace: empty input")
-	}
-	return reqs, nil
-}
+			return nil
+		}},
+	csvtab.Uint("lpn", func(r *Request) *uint64 { return &r.LPN }),
+	csvtab.IntMin("pages", 1, func(r *Request) *int { return &r.Pages }),
+}}
 
-func parseCSVRow(text string) (Request, error) {
-	fields := strings.Split(text, ",")
-	if len(fields) != 4 {
-		return Request{}, fmt.Errorf("want 4 fields, have %d", len(fields))
-	}
-	us, err := strconv.ParseInt(strings.TrimSpace(fields[0]), 10, 64)
-	if err != nil || us < 0 || us > math.MaxInt64/int64(time.Microsecond) {
-		return Request{}, fmt.Errorf("bad arrival %q", fields[0])
-	}
-	var op Op
-	switch strings.TrimSpace(fields[1]) {
-	case "read":
-		op = Read
-	case "write":
-		op = Write
-	default:
-		return Request{}, fmt.Errorf("bad op %q", fields[1])
-	}
-	lpn, err := strconv.ParseUint(strings.TrimSpace(fields[2]), 10, 64)
-	if err != nil {
-		return Request{}, fmt.Errorf("bad lpn %q", fields[2])
-	}
-	pages, err := strconv.Atoi(strings.TrimSpace(fields[3]))
-	if err != nil || pages < 1 {
-		return Request{}, fmt.Errorf("bad pages %q", fields[3])
-	}
-	return Request{
-		Arrival: time.Duration(us) * time.Microsecond,
-		Op:      op,
-		LPN:     lpn,
-		Pages:   pages,
-	}, nil
-}
+// WriteCSV emits requests in the tracegen interchange format: a header
+// line followed by one row per request.
+func WriteCSV(w io.Writer, reqs []Request) error { return traceCSV.Write(w, reqs) }
+
+// ReadCSV parses the tracegen interchange format (see csvtab.Table.Read
+// for the header, blank-line and line-number rules).
+func ReadCSV(r io.Reader) ([]Request, error) { return traceCSV.Read(r, nil) }

@@ -8,11 +8,11 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"time"
+
+	"flexlevel/internal/runner"
 )
 
 // TenantSpec parameterizes one tenant of an interleaved trace.
@@ -38,7 +38,10 @@ type TenantSpec struct {
 const maxTenantWeight = 1 << 20
 
 // Validate reports parameter problems, NaN-proof like
-// Workload.Validate.
+// Workload.Validate. The access shape and the arrival model are checked
+// by the rules the tenant's generated stream is held to (the workload
+// shape check and the ArrivalModel's Validate); the rest is
+// tenant-only.
 func (t TenantSpec) Validate() error {
 	if t.Name == "" {
 		return fmt.Errorf("trace: tenant with empty name")
@@ -51,24 +54,14 @@ func (t TenantSpec) Validate() error {
 	if t.Weight < 1 || t.Weight > maxTenantWeight {
 		return fmt.Errorf("trace: tenant %s weight %d out of [1,%d]", t.Name, t.Weight, maxTenantWeight)
 	}
-	switch t.Model {
-	case SteadyModel:
-	case BurstModel:
-		if !(t.Duty > 0 && t.Duty < 1) {
-			return fmt.Errorf("trace: tenant %s burst duty %g out of (0,1)", t.Name, t.Duty)
-		}
-		if t.Period <= 0 {
-			return fmt.Errorf("trace: tenant %s burst period %v not positive", t.Name, t.Period)
-		}
-	case DiurnalModel:
-		if !(t.Amplitude >= 0 && t.Amplitude < 1) {
-			return fmt.Errorf("trace: tenant %s diurnal amplitude %g out of [0,1)", t.Name, t.Amplitude)
-		}
-		if t.Period <= 0 {
-			return fmt.Errorf("trace: tenant %s diurnal period %v not positive", t.Name, t.Period)
-		}
-	default:
-		return fmt.Errorf("trace: tenant %s unknown arrival model %q", t.Name, t.Model)
+	if err := t.workload().validateShape(); err != nil {
+		return err
+	}
+	if t.Base > math.MaxUint64-t.WorkingSet {
+		return fmt.Errorf("trace: tenant %s window [%d, +%d) overflows the page space", t.Name, t.Base, t.WorkingSet)
+	}
+	if _, err := t.arrivals(1); err != nil {
+		return err
 	}
 	// The off-model shape fields still travel through specs and
 	// artifacts; keep them finite and non-negative so a spec row is
@@ -82,25 +75,30 @@ func (t TenantSpec) Validate() error {
 	if !(t.Amplitude >= 0 && t.Amplitude < 1) {
 		return fmt.Errorf("trace: tenant %s amplitude %g out of [0,1)", t.Name, t.Amplitude)
 	}
-	if !(t.ReadRatio >= 0 && t.ReadRatio <= 1) {
-		return fmt.Errorf("trace: tenant %s read ratio %g out of [0,1]", t.Name, t.ReadRatio)
-	}
-	if !(t.ZipfS > 1) || math.IsInf(t.ZipfS, 0) {
-		return fmt.Errorf("trace: tenant %s zipf s %g must be finite and exceed 1", t.Name, t.ZipfS)
-	}
-	if t.WorkingSet == 0 {
-		return fmt.Errorf("trace: tenant %s empty working set", t.Name)
-	}
-	if t.Base > math.MaxUint64-t.WorkingSet {
-		return fmt.Errorf("trace: tenant %s window [%d, +%d) overflows the page space", t.Name, t.Base, t.WorkingSet)
-	}
-	if !(t.MeanPages >= 1) || math.IsInf(t.MeanPages, 0) {
-		return fmt.Errorf("trace: tenant %s mean pages %g must be finite and at least 1", t.Name, t.MeanPages)
-	}
-	if !(t.SeqProb >= 0 && t.SeqProb < 1) {
-		return fmt.Errorf("trace: tenant %s seq prob %g out of [0,1)", t.Name, t.SeqProb)
-	}
 	return nil
+}
+
+// workload is the tenant's access shape as a Workload; the generator
+// fields (budget, arrivals, seed) are left for Interleave to fill.
+func (t TenantSpec) workload() Workload {
+	return Workload{
+		Name:       "tenant " + t.Name,
+		ReadRatio:  t.ReadRatio,
+		ZipfS:      t.ZipfS,
+		WorkingSet: t.WorkingSet,
+		MeanPages:  t.MeanPages,
+		SeqProb:    t.SeqProb,
+	}
+}
+
+// WindowEnd is the first page past every tenant's window: the working
+// set a replay of the tenants' merged stream must cover.
+func WindowEnd(tenants []TenantSpec) uint64 {
+	var end uint64
+	for _, t := range tenants {
+		end = max(end, t.Base+t.WorkingSet)
+	}
+	return end
 }
 
 // CheckWindows rejects a tenant set whose windows do not fit a device
@@ -131,7 +129,7 @@ func (t TenantSpec) arrivals(mean time.Duration) (ArrivalModel, error) {
 		return nil, fmt.Errorf("trace: tenant %s unknown arrival model %q", t.Name, t.Model)
 	}
 	if err := m.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: tenant %s: %w", t.Name, err)
 	}
 	return m, nil
 }
@@ -174,16 +172,11 @@ func (s InterleaveSpec) Validate() error {
 }
 
 // TenantSeed derives a tenant's generator seed from the master seed and
-// the tenant's name (FNV-1a 64, the same construction the experiment
-// engine uses for shard seeds). Distinct tenants get distinct streams;
-// the same spec and master seed always reproduce the same trace.
+// the tenant's name, as runner.DeriveSeed derives shard seeds. Distinct
+// tenants get distinct streams; the same spec and master seed always
+// reproduce the same trace.
 func TenantSeed(master int64, name string) int64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(master))
-	h.Write(b[:])
-	h.Write([]byte("tenant/" + name))
-	return int64(h.Sum64())
+	return runner.DeriveSeed(master, "tenant/"+name)
 }
 
 // TenantCounts splits the request budget across tenants proportionally
@@ -222,11 +215,7 @@ func Interleave(spec InterleaveSpec) ([]Request, error) {
 		totalWeight += t.Weight
 	}
 	streams := make([][]Request, len(spec.Tenants))
-	var maxEnd uint64
 	for i, t := range spec.Tenants {
-		if end := t.Base + t.WorkingSet; end > maxEnd {
-			maxEnd = end
-		}
 		if counts[i] == 0 {
 			continue
 		}
@@ -237,21 +226,14 @@ func Interleave(spec InterleaveSpec) ([]Request, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := Workload{
-			Name:        t.Name,
-			ReadRatio:   t.ReadRatio,
-			ZipfS:       t.ZipfS,
-			WorkingSet:  t.WorkingSet,
-			MeanPages:   t.MeanPages,
-			SeqProb:     t.SeqProb,
-			Interarrive: mean,
-			Requests:    counts[i],
-			Seed:        TenantSeed(spec.Seed, t.Name),
-			Arrivals:    model,
-		}
+		w := t.workload()
+		w.Interarrive = mean
+		w.Requests = counts[i]
+		w.Seed = TenantSeed(spec.Seed, t.Name)
+		w.Arrivals = model
 		reqs, err := w.Generate()
 		if err != nil {
-			return nil, fmt.Errorf("trace: tenant %s: %w", t.Name, err)
+			return nil, err
 		}
 		for j := range reqs {
 			reqs[j].LPN += t.Base
@@ -260,7 +242,7 @@ func Interleave(spec InterleaveSpec) ([]Request, error) {
 		streams[i] = reqs
 	}
 	merged := mergeStreams(streams, spec.Requests)
-	if err := CheckStream(merged, maxEnd); err != nil {
+	if err := CheckStream(merged, WindowEnd(spec.Tenants)); err != nil {
 		return nil, fmt.Errorf("trace: interleave: %w", err)
 	}
 	return merged, nil

@@ -1,19 +1,17 @@
-// The scenario tenant-spec interchange format: one CSV-style row per
-// tenant, so scenario tenant sets can be versioned, hand-edited and fed
-// to `flexlevel scenario -tenants`. ReadScenarioSpec is the validating
+// The scenario tenant-spec interchange format: one CSV row per tenant,
+// so scenario tenant sets can be versioned, hand-edited and fed to
+// `flexlevel scenario -tenants`. ReadScenarioSpec is the validating
 // parser (fuzzed by FuzzScenarioConfig); WriteScenarioSpec emits the
 // canonical form the parser is closed over.
 package trace
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
-	"strings"
 	"time"
+
+	"flexlevel/internal/csvtab"
 )
 
 // ErrBadSpec tags every scenario-spec rejection, so callers can
@@ -21,126 +19,50 @@ import (
 // failures.
 var ErrBadSpec = errors.New("bad scenario spec")
 
-// scenarioSpecHeader is the column layout of the tenant spec format.
-const scenarioSpecHeader = "tenant,weight,model,read_ratio,zipf_s,base,working_set,mean_pages,seq_prob,duty,period_us,amplitude"
+// specCSV is the column layout of the tenant spec format. The range
+// rules live in TenantSpec.Validate, which ReadScenarioSpec runs on
+// every row.
+var specCSV = csvtab.Table[TenantSpec]{Name: "scenario spec", Tag: ErrBadSpec, Cols: []csvtab.Column[TenantSpec]{
+	csvtab.Str("tenant", nil, func(t *TenantSpec) *string { return &t.Name }),
+	csvtab.Int("weight", func(t *TenantSpec) *int { return &t.Weight }),
+	csvtab.Str("model", nil, func(t *TenantSpec) *string { return &t.Model }),
+	csvtab.Float("read_ratio", "%g", func(t *TenantSpec) *float64 { return &t.ReadRatio }),
+	csvtab.Float("zipf_s", "%g", func(t *TenantSpec) *float64 { return &t.ZipfS }),
+	csvtab.Uint("base", func(t *TenantSpec) *uint64 { return &t.Base }),
+	csvtab.Uint("working_set", func(t *TenantSpec) *uint64 { return &t.WorkingSet }),
+	csvtab.Float("mean_pages", "%g", func(t *TenantSpec) *float64 { return &t.MeanPages }),
+	csvtab.Float("seq_prob", "%g", func(t *TenantSpec) *float64 { return &t.SeqProb }),
+	csvtab.Float("duty", "%g", func(t *TenantSpec) *float64 { return &t.Duty }),
+	csvtab.Micros("period_us", func(t *TenantSpec) *time.Duration { return &t.Period }),
+	csvtab.Float("amplitude", "%g", func(t *TenantSpec) *float64 { return &t.Amplitude }),
+}}
 
 // WriteScenarioSpec emits tenants in the spec interchange format.
 func WriteScenarioSpec(w io.Writer, tenants []TenantSpec) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, scenarioSpecHeader); err != nil {
-		return err
-	}
-	for _, t := range tenants {
-		if _, err := fmt.Fprintf(bw, "%s,%d,%s,%g,%g,%d,%d,%g,%g,%g,%d,%g\n",
-			t.Name, t.Weight, t.Model, t.ReadRatio, t.ZipfS, t.Base, t.WorkingSet,
-			t.MeanPages, t.SeqProb, t.Duty, t.Period.Microseconds(), t.Amplitude); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return specCSV.Write(w, tenants)
 }
 
-// ReadScenarioSpec parses the tenant spec format. The header line is
-// required verbatim; blank lines are skipped; every accepted tenant
+// ReadScenarioSpec parses the tenant spec format. Every accepted tenant
 // satisfies TenantSpec.Validate (NaN, infinite, negative and
 // overflowing fields are all rejected) and names are unique. Every
-// rejection wraps ErrBadSpec with the offending line number.
+// rejection wraps ErrBadSpec; a rejected row names its line number.
 func ReadScenarioSpec(r io.Reader) ([]TenantSpec, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	line := 0
-	sawHeader := false
-	var tenants []TenantSpec
 	seen := map[string]bool{}
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if !sawHeader {
-			if text != scenarioSpecHeader {
-				return nil, fmt.Errorf("trace: line %d: missing header %q: %w", line, scenarioSpecHeader, ErrBadSpec)
-			}
-			sawHeader = true
-			continue
-		}
-		t, err := parseTenantRow(text)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w: %w", line, err, ErrBadSpec)
+	tenants, err := specCSV.Read(r, func(t *TenantSpec) error {
+		if err := t.Validate(); err != nil {
+			return err
 		}
 		if seen[t.Name] {
-			return nil, fmt.Errorf("trace: line %d: duplicate tenant %q: %w", line, t.Name, ErrBadSpec)
+			return fmt.Errorf("duplicate tenant %q", t.Name)
 		}
 		seen[t.Name] = true
-		tenants = append(tenants, t)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if !sawHeader {
-		return nil, fmt.Errorf("trace: empty scenario spec: %w", ErrBadSpec)
 	}
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("trace: scenario spec has no tenants: %w", ErrBadSpec)
 	}
 	return tenants, nil
-}
-
-// specFloat parses a finite float field; NaN and infinities are
-// rejected here so range checks downstream never see them.
-func specFloat(name, field string) (float64, error) {
-	v, err := strconv.ParseFloat(field, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("bad %s %q", name, field)
-	}
-	return v, nil
-}
-
-func parseTenantRow(text string) (TenantSpec, error) {
-	fields := strings.Split(text, ",")
-	if len(fields) != 12 {
-		return TenantSpec{}, fmt.Errorf("want 12 fields, have %d", len(fields))
-	}
-	var t TenantSpec
-	t.Name = strings.TrimSpace(fields[0])
-	weight, err := strconv.ParseInt(strings.TrimSpace(fields[1]), 10, 64)
-	if err != nil || weight < 1 || weight > maxTenantWeight {
-		return TenantSpec{}, fmt.Errorf("bad weight %q", fields[1])
-	}
-	t.Weight = int(weight)
-	t.Model = strings.TrimSpace(fields[2])
-	if t.ReadRatio, err = specFloat("read_ratio", fields[3]); err != nil {
-		return TenantSpec{}, err
-	}
-	if t.ZipfS, err = specFloat("zipf_s", fields[4]); err != nil {
-		return TenantSpec{}, err
-	}
-	if t.Base, err = strconv.ParseUint(strings.TrimSpace(fields[5]), 10, 64); err != nil {
-		return TenantSpec{}, fmt.Errorf("bad base %q", fields[5])
-	}
-	if t.WorkingSet, err = strconv.ParseUint(strings.TrimSpace(fields[6]), 10, 64); err != nil {
-		return TenantSpec{}, fmt.Errorf("bad working_set %q", fields[6])
-	}
-	if t.MeanPages, err = specFloat("mean_pages", fields[7]); err != nil {
-		return TenantSpec{}, err
-	}
-	if t.SeqProb, err = specFloat("seq_prob", fields[8]); err != nil {
-		return TenantSpec{}, err
-	}
-	if t.Duty, err = specFloat("duty", fields[9]); err != nil {
-		return TenantSpec{}, err
-	}
-	periodUS, err := strconv.ParseInt(strings.TrimSpace(fields[10]), 10, 64)
-	if err != nil || periodUS < 0 || periodUS > math.MaxInt64/int64(time.Microsecond) {
-		return TenantSpec{}, fmt.Errorf("bad period_us %q", fields[10])
-	}
-	t.Period = time.Duration(periodUS) * time.Microsecond
-	if t.Amplitude, err = specFloat("amplitude", fields[11]); err != nil {
-		return TenantSpec{}, err
-	}
-	if err := t.Validate(); err != nil {
-		return TenantSpec{}, err
-	}
-	return t, nil
 }

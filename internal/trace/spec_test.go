@@ -30,18 +30,18 @@ func TestScenarioSpecRejections(t *testing.T) {
 	cases := []string{
 		"",                       // empty
 		"not,the,header\n" + row, // wrong header
-		scenarioSpecHeader,       // no tenants
-		scenarioSpecHeader + "\noltp,4,burst,0.8,1.3,0,4096,1.2,0.05",                                   // short row
-		scenarioSpecHeader + "\n" + row + "\n" + row,                                                    // duplicate name
-		scenarioSpecHeader + "\noltp,0,burst,0.8,1.3,0,4096,1.2,0.05,0.25,20000,0.5",                    // weight 0
-		scenarioSpecHeader + "\noltp,4,square,0.8,1.3,0,4096,1.2,0.05,0.25,20000,0.5",                   // bad model
-		scenarioSpecHeader + "\noltp,4,burst,NaN,1.3,0,4096,1.2,0.05,0.25,20000,0.5",                    // NaN
-		scenarioSpecHeader + "\noltp,4,burst,0.8,+Inf,0,4096,1.2,0.05,0.25,20000,0.5",                   // Inf
-		scenarioSpecHeader + "\noltp,4,burst,-0.8,1.3,0,4096,1.2,0.05,0.25,20000,0.5",                   // negative
-		scenarioSpecHeader + "\noltp,4,burst,0.8,1.3,0,4096,1.2,0.05,0.25,-1,0.5",                       // negative period
-		scenarioSpecHeader + "\noltp,4,burst,0.8,1.3,0,4096,1.2,0.05,0.25,99999999999999999999,0.5",     // period overflow
-		scenarioSpecHeader + "\noltp,4,burst,0.8,1.3,18446744073709551615,4096,1.2,0.05,0.25,20000,0.5", // window overflow
-		scenarioSpecHeader + "\noltp,4,diurnal,0.8,1.3,0,4096,1.2,0.05,0.25,20000,1.5",                  // amplitude out of range
+		specCSV.Header(),         // no tenants
+		specCSV.Header() + "\noltp,4,burst,0.8,1.3,0,4096,1.2,0.05",                                   // short row
+		specCSV.Header() + "\n" + row + "\n" + row,                                                    // duplicate name
+		specCSV.Header() + "\noltp,0,burst,0.8,1.3,0,4096,1.2,0.05,0.25,20000,0.5",                    // weight 0
+		specCSV.Header() + "\noltp,4,square,0.8,1.3,0,4096,1.2,0.05,0.25,20000,0.5",                   // bad model
+		specCSV.Header() + "\noltp,4,burst,NaN,1.3,0,4096,1.2,0.05,0.25,20000,0.5",                    // NaN
+		specCSV.Header() + "\noltp,4,burst,0.8,+Inf,0,4096,1.2,0.05,0.25,20000,0.5",                   // Inf
+		specCSV.Header() + "\noltp,4,burst,-0.8,1.3,0,4096,1.2,0.05,0.25,20000,0.5",                   // negative
+		specCSV.Header() + "\noltp,4,burst,0.8,1.3,0,4096,1.2,0.05,0.25,-1,0.5",                       // negative period
+		specCSV.Header() + "\noltp,4,burst,0.8,1.3,0,4096,1.2,0.05,0.25,99999999999999999999,0.5",     // period overflow
+		specCSV.Header() + "\noltp,4,burst,0.8,1.3,18446744073709551615,4096,1.2,0.05,0.25,20000,0.5", // window overflow
+		specCSV.Header() + "\noltp,4,diurnal,0.8,1.3,0,4096,1.2,0.05,0.25,20000,1.5",                  // amplitude out of range
 	}
 	for i, in := range cases {
 		_, err := ReadScenarioSpec(strings.NewReader(in))

@@ -71,25 +71,10 @@ type Workload struct {
 	QueueDepth int
 }
 
-// Validate reports parameter problems. The float comparisons are
-// written in accepting form (!(x in range)) so NaN parameters — which
-// compare false against everything and used to slip through the
-// rejecting form — are refused too.
+// Validate reports parameter problems.
 func (w Workload) Validate() error {
-	if !(w.ReadRatio >= 0 && w.ReadRatio <= 1) {
-		return fmt.Errorf("trace: %s read ratio %g out of [0,1]", w.Name, w.ReadRatio)
-	}
-	if !(w.ZipfS > 1) || math.IsInf(w.ZipfS, 0) {
-		return fmt.Errorf("trace: %s zipf s %g must be finite and exceed 1", w.Name, w.ZipfS)
-	}
-	if w.WorkingSet == 0 {
-		return fmt.Errorf("trace: %s empty working set", w.Name)
-	}
-	if !(w.MeanPages >= 1) || math.IsInf(w.MeanPages, 0) {
-		return fmt.Errorf("trace: %s mean pages %g must be finite and at least 1", w.Name, w.MeanPages)
-	}
-	if !(w.SeqProb >= 0 && w.SeqProb < 1) {
-		return fmt.Errorf("trace: %s seq prob %g out of [0,1)", w.Name, w.SeqProb)
+	if err := w.validateShape(); err != nil {
+		return err
 	}
 	if w.Requests <= 0 {
 		return fmt.Errorf("trace: %s non-positive request count", w.Name)
@@ -104,6 +89,30 @@ func (w Workload) Validate() error {
 		if err := w.Arrivals.Validate(); err != nil {
 			return fmt.Errorf("trace: %s arrivals: %w", w.Name, err)
 		}
+	}
+	return nil
+}
+
+// validateShape checks the access-shape parameters a workload shares
+// with a tenant. The float comparisons are written in accepting form
+// (!(x in range)) so NaN parameters — which compare false against
+// everything and used to slip through the rejecting form — are refused
+// too.
+func (w Workload) validateShape() error {
+	if !(w.ReadRatio >= 0 && w.ReadRatio <= 1) {
+		return fmt.Errorf("trace: %s read ratio %g out of [0,1]", w.Name, w.ReadRatio)
+	}
+	if !(w.ZipfS > 1) || math.IsInf(w.ZipfS, 0) {
+		return fmt.Errorf("trace: %s zipf s %g must be finite and exceed 1", w.Name, w.ZipfS)
+	}
+	if w.WorkingSet == 0 {
+		return fmt.Errorf("trace: %s empty working set", w.Name)
+	}
+	if !(w.MeanPages >= 1) || math.IsInf(w.MeanPages, 0) {
+		return fmt.Errorf("trace: %s mean pages %g must be finite and at least 1", w.Name, w.MeanPages)
+	}
+	if !(w.SeqProb >= 0 && w.SeqProb < 1) {
+		return fmt.Errorf("trace: %s seq prob %g out of [0,1)", w.Name, w.SeqProb)
 	}
 	return nil
 }
