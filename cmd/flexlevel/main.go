@@ -17,7 +17,7 @@
 //	flexlevel adaptive [-n N]    adaptive threshold calibration vs static references
 //	flexlevel scenario [-n N] [-tenants f]  workload-shape x fault x queue-depth x system matrix
 //	flexlevel lifetime [-scale f]  full-device end-of-life: scrub/refresh policies, TBW to read-only
-//	flexlevel all   [-n N]       everything above in order
+//	flexlevel all   [-n N]       everything above but replay, in order
 //
 // Beyond the one-shot experiments, serve runs the simulated SSD as a
 // long-running multi-tenant block service and load drives it:
@@ -38,31 +38,100 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
-	"slices"
+	"path/filepath"
 	"strings"
 
 	"flexlevel/internal/core"
 	"flexlevel/internal/exp"
 	"flexlevel/internal/runner"
-	"flexlevel/internal/sensing"
 	"flexlevel/internal/trace"
 )
 
-// experiments lists the experiment subcommands in usage order. all runs
-// every one but replay, which needs an input file.
-var experiments = []string{"fig5", "table4", "table5", "fig6a", "fig6b", "fig7", "ablations", "ecc", "retshare",
-	"replay", "reliability", "crash", "throughput", "adaptive", "scenario", "lifetime"}
+// subcommands lists the experiment subcommands in usage order: the exp
+// registry, with replay before reliability. replay reads a trace file,
+// so it runs here and all leaves it out.
+func subcommands() []string {
+	var names []string
+	for _, s := range exp.Sweeps {
+		if s.Name == "reliability" {
+			names = append(names, "replay")
+		}
+		names = append(names, s.Name)
+	}
+	return names
+}
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: flexlevel <"+strings.Join(experiments, "|")+"|all> [-n requests] [-seed s] [-pe cycles] [-parallel w] [-faults m] [-crashes k] [-scale f] [-in file -format csv|msr] [-tenants file] [-cpuprofile f] [-memprofile f] [-trace f]")
+	fmt.Fprintln(os.Stderr, "usage: flexlevel <"+strings.Join(subcommands(), "|")+"|all> [-n requests] [-seed s] [-pe cycles] [-parallel w] [-faults m] [-crashes k] [-scale f] [-in file -format csv|msr] [-tenants file] [-cpuprofile f] [-memprofile f] [-trace f]")
 	fmt.Fprintln(os.Stderr, "       flexlevel serve [-addr a] [-shards n] [-tenants f] [-qd d] [-rate r] [-slo d] [-deadline d] [-faults m] [-crash-at n] [-crash-shard k] [-auto-restart] [-snapshot f] [-pprof]")
 	fmt.Fprintln(os.Stderr, "       flexlevel load  [-url u] [-n requests] [-tenants f] [-workers w] [-readratio r] [-gate] [-json]")
 	os.Exit(2)
+}
+
+// checkRate refuses a multiplier flag that is NaN, infinite or negative,
+// or zero when positive is set.
+func checkRate(flag string, v float64, positive bool) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || positive && v == 0 {
+		bound := ">= 0"
+		if positive {
+			bound = "> 0"
+		}
+		return fmt.Errorf("-%s must be finite and %s, got %g", flag, bound, v)
+	}
+	return nil
+}
+
+// expOpts is the parsed form of an experiment subcommand: the registry
+// environment plus the flags the CLI handles itself.
+type expOpts struct {
+	env                              exp.Env
+	traceFile, format, csvDir        string
+	cpuProfile, memProfile, traceOut string
+}
+
+func parseExp(cmd string, args []string) (expOpts, error) {
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	n := fs.Int("n", 60000, "requests per workload for system experiments")
+	seed := fs.Int64("seed", 1, "master seed: workload generation and per-shard derived seeds")
+	pe := fs.Int("pe", 6000, "P/E cycle point for fig6a/fig7/ablations/reliability/crash/throughput/scenario/lifetime/replay (fig6b sweeps 4000-6000)")
+	parallel := fs.Int("parallel", 0, "experiment engine workers (0 = all cores); results are byte-identical for any value")
+	faults := fs.Float64("faults", 1, "fault-rate multiplier for the reliability and lifetime sweeps (0 disables injection)")
+	scale := fs.Float64("scale", 1, "device-scale multiplier for the lifetime sweep (1 = the full 1M+ physical-page device)")
+	crashes := fs.Int("crashes", 24, "crash points for the crash subcommand")
+	var o expOpts
+	fs.StringVar(&o.traceFile, "in", "", "trace file for the replay subcommand")
+	fs.StringVar(&o.env.In.Tenants, "tenants", "", "tenant spec file for the scenario subcommand (default: built-in three-tenant mix)")
+	fs.StringVar(&o.format, "format", "csv", "trace file format: csv (tracegen) or msr (MSR-Cambridge)")
+	fs.StringVar(&o.csvDir, "csv", "", "also write plotting-friendly CSV artifacts into this directory")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit")
+	fs.StringVar(&o.traceOut, "trace", "", "write a runtime execution trace to this file")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if err := errors.Join(checkRate("faults", *faults, false), checkRate("scale", *scale, true)); err != nil {
+		return o, err
+	}
+	o.env.Sim = exp.SimConfig{Requests: *n, Seed: *seed, PE: *pe, Parallel: *parallel}
+	in := &o.env.In
+	in.CrashPoints = *crashes
+	in.FaultScales = []float64{0}
+	if m := *faults; m > 0 {
+		in.FaultScales = append(in.FaultScales, 0.25*m, m, 4*m)
+	}
+	in.Lifetime = exp.DefaultLifetime()
+	if *scale != 1 {
+		in.Lifetime = in.Lifetime.Scaled(*scale)
+	}
+	in.Lifetime.FaultScale = *faults
+	return o, nil
 }
 
 func main() {
@@ -84,270 +153,50 @@ func main() {
 		}
 		return
 	}
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	n := fs.Int("n", 60000, "requests per workload for system experiments")
-	seed := fs.Int64("seed", 1, "master seed: workload generation and per-shard derived seeds")
-	pe := fs.Int("pe", 6000, "P/E cycle point for fig6a/fig7/ablations")
-	parallel := fs.Int("parallel", 0, "experiment engine workers (0 = all cores); results are byte-identical for any value")
-	faults := fs.Float64("faults", 1, "fault-rate multiplier for the reliability and lifetime sweeps (0 disables injection)")
-	scale := fs.Float64("scale", 1, "device-scale multiplier for the lifetime sweep (1 = the full 1M+ physical-page device)")
-	crashes := fs.Int("crashes", 24, "crash points for the crash subcommand")
-	inFile := fs.String("in", "", "trace file for the replay subcommand")
-	tenantsFile := fs.String("tenants", "", "tenant spec file for the scenario subcommand (default: built-in three-tenant mix)")
-	format := fs.String("format", "csv", "trace file format: csv (tracegen) or msr (MSR-Cambridge)")
-	csvDir := fs.String("csv", "", "also write plotting-friendly CSV artifacts into this directory")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
-	traceOut := fs.String("trace", "", "write a runtime execution trace to this file")
-	if err := fs.Parse(os.Args[2:]); err != nil {
+	o, err := parseExp(cmd, os.Args[2:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "flexlevel:", err)
 		usage()
+	}
+	sweeps := exp.Sweeps
+	switch cmd {
+	case "all": // the whole registry, in order
+	case "replay":
+		sweeps = []exp.Sweep{{Name: cmd, Run: func(e *exp.Env) error {
+			return replay(e.Out, o.traceFile, o.format, e.Sim.PE)
+		}}}
+	default:
+		s, ok := exp.Lookup(cmd)
+		if !ok {
+			usage() // before any profile file is created
+		}
+		sweeps = []exp.Sweep{s}
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	cfg := exp.SimConfig{Requests: *n, Seed: *seed, PE: *pe, Parallel: *parallel, Ctx: ctx}
+	env := &o.env
+	env.Out, env.Emit, env.Sim.Ctx = os.Stdout, o.writeArtifact, ctx
 	// Every engine sweep emits a machine-readable JSON summary (wall
 	// time, speedup vs serial, ops/sec, per-shard timing) next to the
 	// CSV artifacts when -csv is given.
-	cfg.OnSummary = func(s *runner.Summary) {
-		if *csvDir == "" {
-			return
-		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "flexlevel: summary:", err)
-			return
-		}
-		f, err := os.Create(*csvDir + "/" + s.Name + "_summary.json")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexlevel: summary:", err)
-			return
-		}
-		defer f.Close()
-		if err := s.WriteJSON(f); err != nil {
+	env.Sim.OnSummary = func(s *runner.Summary) {
+		if err := env.Emit(s.Name+"_summary.json", s.WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "flexlevel: summary:", err)
 		}
-	}
-
-	writeCSV := func(name string, emit func(w *os.File) error) error {
-		if *csvDir == "" {
-			return nil
-		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(*csvDir + "/" + name)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return emit(f)
-	}
-
-	run := func(name string) error {
-		switch name {
-		case "fig5":
-			rows, err := exp.Fig5(cfg)
-			if err != nil {
-				return err
-			}
-			exp.PrintFig5(os.Stdout, rows)
-			if err := writeCSV("fig5.csv", func(f *os.File) error { return exp.WriteFig5CSV(f, rows) }); err != nil {
-				return err
-			}
-		case "table4":
-			cells, err := exp.Table4(cfg)
-			if err != nil {
-				return err
-			}
-			exp.PrintTable4(os.Stdout, cells)
-			if err := writeCSV("table4.csv", func(f *os.File) error { return exp.WriteTable4CSV(f, cells) }); err != nil {
-				return err
-			}
-		case "table5":
-			rows, err := exp.Table5(sensing.DefaultRule())
-			if err != nil {
-				return err
-			}
-			exp.PrintTable5(os.Stdout, rows)
-			if err := writeCSV("table5.csv", func(f *os.File) error { return exp.WriteTable5CSV(f, rows) }); err != nil {
-				return err
-			}
-		case "fig6a":
-			data, err := exp.Fig6a(cfg)
-			if err != nil {
-				return err
-			}
-			exp.PrintFig6a(os.Stdout, data)
-			if err := writeCSV("fig6a.csv", func(f *os.File) error { return exp.WriteFig6aCSV(f, data) }); err != nil {
-				return err
-			}
-		case "fig6b":
-			pts, err := exp.Fig6b(cfg, []int{4000, 5000, 6000})
-			if err != nil {
-				return err
-			}
-			exp.PrintFig6b(os.Stdout, pts)
-		case "fig7":
-			data, err := exp.Fig6a(cfg)
-			if err != nil {
-				return err
-			}
-			rows := exp.Fig7(data)
-			exp.PrintFig7(os.Stdout, rows)
-			if err := writeCSV("fig7.csv", func(f *os.File) error { return exp.WriteFig7CSV(f, rows) }); err != nil {
-				return err
-			}
-		case "ablations":
-			enc, err := exp.EncodingAblation(cfg)
-			if err != nil {
-				return err
-			}
-			exp.PrintEncodingAblation(os.Stdout, enc)
-			fmt.Println()
-			margins, err := exp.MarginAblation(cfg)
-			if err != nil {
-				return err
-			}
-			exp.PrintMarginAblation(os.Stdout, margins)
-			fmt.Println()
-			hlo, err := exp.HLOAblation(cfg)
-			if err != nil {
-				return err
-			}
-			exp.PrintHLOAblation(os.Stdout, hlo)
-			fmt.Println()
-			pool, err := exp.PoolSweep(cfg, []float64{0.001, 0.005, 0.02, 0.25})
-			if err != nil {
-				return err
-			}
-			exp.PrintPoolSweep(os.Stdout, pool)
-			fmt.Println()
-			rt, err := exp.RefTuneAblation(cfg, *pe, 720)
-			if err != nil {
-				return err
-			}
-			exp.PrintRefTune(os.Stdout, *pe, 720, rt)
-			fmt.Println()
-			scrub, err := exp.ScrubAblation(cfg)
-			if err != nil {
-				return err
-			}
-			exp.PrintScrubAblation(os.Stdout, scrub)
-			fmt.Println()
-			ch, err := exp.ChannelAblation(cfg, []int{1, 2, 4, 8})
-			if err != nil {
-				return err
-			}
-			exp.PrintChannelAblation(os.Stdout, ch)
-		case "ecc":
-			rows, err := exp.HardECCStudy(cfg)
-			if err != nil {
-				return err
-			}
-			exp.PrintHardECC(os.Stdout, rows)
-		case "retshare":
-			rows, avg, err := exp.RetentionShares(cfg)
-			if err != nil {
-				return err
-			}
-			exp.PrintRetentionShares(os.Stdout, rows, avg)
-		case "replay":
-			return replay(os.Stdout, *inFile, *format, *pe)
-		case "reliability":
-			scales := []float64{0}
-			if m := *faults; m > 0 {
-				scales = append(scales, 0.25*m, m, 4*m)
-			}
-			rows, err := exp.Reliability(cfg, scales)
-			if err != nil {
-				return err
-			}
-			exp.PrintReliability(os.Stdout, rows)
-			if err := writeCSV("reliability.csv", func(f *os.File) error { return exp.WriteReliabilityCSV(f, rows) }); err != nil {
-				return err
-			}
-		case "crash":
-			data, err := exp.CrashRecovery(cfg, *crashes)
-			if err != nil {
-				return err
-			}
-			exp.PrintCrash(os.Stdout, data)
-			if err := writeCSV("crash.csv", func(f *os.File) error { return exp.WriteCrashCSV(f, data.Rows) }); err != nil {
-				return err
-			}
-			if err := writeCSV("crash_summary.json", func(f *os.File) error { return data.Summary.WriteJSON(f) }); err != nil {
-				return err
-			}
-		case "throughput":
-			rows, err := exp.Throughput(cfg)
-			if err != nil {
-				return err
-			}
-			exp.PrintThroughput(os.Stdout, rows)
-			if err := writeCSV("throughput.csv", func(f *os.File) error { return exp.WriteThroughputCSV(f, rows) }); err != nil {
-				return err
-			}
-		case "scenario":
-			tenants, err := loadTenants(*tenantsFile)
-			if err != nil {
-				return err
-			}
-			rows, err := exp.Scenario(cfg, tenants)
-			if err != nil {
-				return err
-			}
-			exp.PrintScenario(os.Stdout, rows)
-			if err := writeCSV("scenario.csv", func(f *os.File) error { return exp.WriteScenarioCSV(f, rows) }); err != nil {
-				return err
-			}
-		case "lifetime":
-			p := exp.DefaultLifetime()
-			if *scale != 1 {
-				p = p.Scaled(*scale)
-			}
-			p.FaultScale = *faults
-			rows, err := exp.Lifetime(cfg, p)
-			if err != nil {
-				return err
-			}
-			exp.PrintLifetime(os.Stdout, rows)
-			if err := writeCSV("lifetime.csv", func(f *os.File) error { return exp.WriteLifetimeCSV(f, rows) }); err != nil {
-				return err
-			}
-		case "adaptive":
-			rows, err := exp.Adaptive(cfg)
-			if err != nil {
-				return err
-			}
-			exp.PrintAdaptive(os.Stdout, rows)
-			if err := writeCSV("adaptive.csv", func(f *os.File) error { return exp.WriteAdaptiveCSV(f, rows) }); err != nil {
-				return err
-			}
-		default:
-			usage()
-		}
-		return nil
-	}
-
-	names := []string{cmd}
-	switch {
-	case cmd == "all":
-		names = slices.DeleteFunc(slices.Clone(experiments), func(n string) bool { return n == "replay" })
-	case !slices.Contains(experiments, cmd):
-		usage() // before any profile file is created
 	}
 	// Profiling brackets the experiment work itself; usage errors above
 	// exit before any profile file is created. os.Exit skips defers, so
 	// every exit path below stops the profiler explicitly.
-	prof, err := startProfiles(*cpuProfile, *memProfile, *traceOut)
+	prof, err := startProfiles(o.cpuProfile, o.memProfile, o.traceOut)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flexlevel:", err)
 		os.Exit(1)
 	}
-	for i, name := range names {
+	for i, s := range sweeps {
 		if i > 0 {
 			fmt.Println()
 		}
-		if err := run(name); err != nil {
+		if err := s.Run(env); err != nil {
 			fmt.Fprintln(os.Stderr, "flexlevel:", err)
 			prof.stop()
 			os.Exit(1)
@@ -356,22 +205,20 @@ func main() {
 	prof.stop()
 }
 
-// loadTenants reads a scenario tenant spec file, or returns nil (the
-// built-in default mix) when no file is given.
-func loadTenants(path string) ([]trace.TenantSpec, error) {
-	if path == "" {
-		return nil, nil
+// writeArtifact writes one named artifact into the -csv directory;
+// without -csv it writes nothing.
+func (o *expOpts) writeArtifact(name string, write func(io.Writer) error) error {
+	if o.csvDir == "" {
+		return nil
 	}
-	f, err := os.Open(path)
+	if err := os.MkdirAll(o.csvDir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(o.csvDir, name))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer f.Close()
-	tenants, err := trace.ReadScenarioSpec(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return tenants, nil
+	return errors.Join(write(f), f.Close())
 }
 
 // replay runs a trace file through all four systems and prints the

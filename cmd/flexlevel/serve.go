@@ -64,11 +64,14 @@ func parseServe(args []string) (serveOpts, error) {
 	if err := fs.Parse(args); err != nil {
 		return serveOpts{}, err
 	}
+	if err := checkRate("faults", *faults, false); err != nil {
+		return serveOpts{}, err
+	}
 	sys, err := core.ParseSystem(*system)
 	if err != nil {
 		return serveOpts{}, err
 	}
-	tenants, err := loadTenants(*tenantsFile)
+	tenants, err := exp.LoadTenants(*tenantsFile)
 	if err != nil {
 		return serveOpts{}, err
 	}
@@ -208,7 +211,7 @@ func parseLoad(args []string) (loadOpts, error) {
 	if err := fs.Parse(args); err != nil {
 		return loadOpts{}, err
 	}
-	tenants, err := loadTenants(*tenantsFile)
+	tenants, err := exp.LoadTenants(*tenantsFile)
 	if err != nil {
 		return loadOpts{}, err
 	}

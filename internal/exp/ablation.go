@@ -162,16 +162,11 @@ func HLOAblation(cfg SimConfig) ([]AblationHLO, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := results[0]
 	var out []AblationHLO
 	for i, m := range results[1:] {
-		norm := 0.0
-		if ref.AvgResponse > 0 {
-			norm = m.AvgResponse / ref.AvgResponse
-		}
 		out = append(out, AblationHLO{
 			Rule:       cases[i+1].name,
-			Norm:       norm,
+			Norm:       norm(m, results[0]),
 			Migrations: m.Migrations,
 			WriteAmp:   m.WriteAmp,
 		})
@@ -223,16 +218,11 @@ func PoolSweep(cfg SimConfig, fractions []float64) ([]AblationPool, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := results[0]
 	var out []AblationPool
 	for i, m := range results[1:] {
-		norm := 0.0
-		if ref.AvgResponse > 0 {
-			norm = m.AvgResponse / ref.AvgResponse
-		}
 		out = append(out, AblationPool{
 			PoolFraction: fractions[i],
-			Norm:         norm,
+			Norm:         norm(m, results[0]),
 			CapacityLoss: m.CapacityLoss,
 		})
 	}
@@ -284,16 +274,10 @@ func ScrubAblation(cfg SimConfig) ([]AblationScrub, error) {
 		return nil, err
 	}
 	ref, scrub, flex := results[0], results[1], results[2]
-	norm := func(m core.Metrics) float64 {
-		if ref.AvgResponse == 0 {
-			return 0
-		}
-		return m.AvgResponse / ref.AvgResponse
-	}
 	return []AblationScrub{
 		{Scheme: "LDPC-in-SSD", Norm: 1, WriteAmp: ref.WriteAmp, CapacityLoss: ref.CapacityLoss},
-		{Scheme: "+ scrubbing [10]", Norm: norm(scrub), WriteAmp: scrubWA(scrub), CapacityLoss: scrub.CapacityLoss},
-		{Scheme: "FlexLevel", Norm: norm(flex), WriteAmp: scrubWA(flex), CapacityLoss: flex.CapacityLoss},
+		{Scheme: "+ scrubbing [10]", Norm: norm(scrub, ref), WriteAmp: scrubWA(scrub), CapacityLoss: scrub.CapacityLoss},
+		{Scheme: "FlexLevel", Norm: norm(flex, ref), WriteAmp: scrubWA(flex), CapacityLoss: flex.CapacityLoss},
 	}, nil
 }
 

@@ -13,17 +13,7 @@ func TestGoldenAdaptive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptive sweep is slow")
 	}
-	goldenSweep(t, "adaptive.csv", func(cfg SimConfig) ([]byte, error) {
-		rows, err := Adaptive(cfg)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := WriteAdaptiveCSV(&buf, rows); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
+	goldenSweep(t, "adaptive")
 }
 
 // readGoldenAdaptive loads and parses the committed adaptive artifact.

@@ -215,13 +215,10 @@ func WriteFig6aCSV(w io.Writer, d *Fig6aData) error {
 	var lines []fig6aLine
 	ri := d.systemIndex(core.LDPCInSSD)
 	for wi, name := range d.Workloads {
-		ref := d.Cells[wi][ri].AvgResponse
 		for si, sys := range d.Systems {
-			line := fig6aLine{Workload: name, System: sys, Metrics: d.Cells[wi][si].Metrics}
-			if ref > 0 {
-				line.Norm = line.AvgResponse / ref
-			}
-			lines = append(lines, line)
+			m := d.Cells[wi][si].Metrics
+			lines = append(lines, fig6aLine{Workload: name, System: sys,
+				Norm: norm(m, d.Cells[wi][ri].Metrics), Metrics: m})
 		}
 	}
 	return fig6aCSV.Write(w, lines)
@@ -240,14 +237,6 @@ func ReadReliabilityCSV(r io.Reader) ([]ReliabilityRow, error) { return reliabil
 
 // WriteCrashCSV emits the per-crash-point rows.
 func WriteCrashCSV(w io.Writer, rows []CrashRow) error { return crashCSV.Write(w, rows) }
-
-// WriteThroughputCSV emits the throughput sweep in long form.
-func WriteThroughputCSV(w io.Writer, rows []ThroughputRow) error {
-	return throughputCSV.Write(w, rows)
-}
-
-// WriteScenarioCSV emits the scenario matrix in long form.
-func WriteScenarioCSV(w io.Writer, rows []ScenarioRow) error { return scenarioCSV.Write(w, rows) }
 
 // WriteAdaptiveCSV emits the adaptive sweep in long form.
 func WriteAdaptiveCSV(w io.Writer, rows []AdaptiveRow) error { return adaptiveCSV.Write(w, rows) }

@@ -5,13 +5,15 @@
 // (response-time reduction vs P/E), and Fig. 7 (write count, erase
 // count, lifetime). It also hosts the ablation studies DESIGN.md §5
 // calls out. Each experiment returns structured data plus a text
-// renderer used by cmd/flexlevel and EXPERIMENTS.md.
+// renderer; Sweeps declares once how each one runs, prints and emits
+// its artifacts for cmd/flexlevel and the golden tests.
 package exp
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"flexlevel/internal/core"
@@ -170,11 +172,7 @@ func Table4(cfg SimConfig) ([]Table4Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Table4Cell
-	for _, rows := range perPE {
-		out = append(out, rows...)
-	}
-	return out, nil
+	return slices.Concat(perPE...), nil
 }
 
 // Table4Reductions returns the mean BER-reduction factor of each NUNMA
@@ -335,11 +333,6 @@ func (c SimConfig) record(s runner.Shard, m core.Metrics) {
 	addRobustnessCounters(s, m)
 }
 
-// DefaultSim returns the evaluation defaults (P/E 6000 as in Fig. 6(a)).
-func DefaultSim() SimConfig {
-	return SimConfig{Requests: 60000, Seed: 1, PE: 6000}
-}
-
 // RunResult is one (workload, system) cell of Fig. 6/7.
 type RunResult struct {
 	core.Metrics
@@ -407,11 +400,18 @@ func (d *Fig6aData) Normalized(sys, ref core.System) []float64 {
 	si, ri := d.systemIndex(sys), d.systemIndex(ref)
 	out := make([]float64, len(d.Cells))
 	for w, row := range d.Cells {
-		if row[ri].AvgResponse > 0 {
-			out[w] = row[si].AvgResponse / row[ri].AvgResponse
-		}
+		out[w] = norm(row[si].Metrics, row[ri].Metrics)
 	}
 	return out
+}
+
+// norm returns m's average response time relative to ref's, or 0 when
+// ref recorded none.
+func norm(m, ref core.Metrics) float64 {
+	if ref.AvgResponse > 0 {
+		return m.AvgResponse / ref.AvgResponse
+	}
+	return 0
 }
 
 // MeanReduction returns the average relative response-time reduction of
@@ -431,13 +431,9 @@ func PrintFig6a(w io.Writer, d *Fig6aData) {
 	fmt.Fprintln(w)
 	for wi, name := range d.Workloads {
 		fmt.Fprintf(w, "  %-8s", name)
-		ref := d.Cells[wi][d.systemIndex(core.LDPCInSSD)].AvgResponse
-		for si := range d.Systems {
-			v := 0.0
-			if ref > 0 {
-				v = d.Cells[wi][si].AvgResponse / ref
-			}
-			fmt.Fprintf(w, " %22.2f", v)
+		ref := d.Cells[wi][d.systemIndex(core.LDPCInSSD)]
+		for _, c := range d.Cells[wi] {
+			fmt.Fprintf(w, " %22.2f", norm(c.Metrics, ref.Metrics))
 		}
 		fmt.Fprintln(w)
 	}
@@ -462,11 +458,15 @@ type Fig6bPoint struct {
 // Fig6b sweeps the P/E cycle count (paper: 4000..6000) and reports the
 // mean reduction of FlexLevel vs LDPC-in-SSD.
 func Fig6b(cfg SimConfig, pes []int) ([]Fig6bPoint, error) {
+	return (&Env{Sim: cfg}).fig6b(pes)
+}
+
+// fig6b is Fig6b over the Env's grids, so a grid already replayed at
+// one of pes is reused.
+func (e *Env) fig6b(pes []int) ([]Fig6bPoint, error) {
 	var out []Fig6bPoint
 	for _, pe := range pes {
-		c := cfg
-		c.PE = pe
-		data, err := Fig6a(c)
+		data, err := e.grid(pe)
 		if err != nil {
 			return nil, err
 		}
@@ -498,8 +498,8 @@ const EnduranceActivatePE = 4000
 // EnduranceLimit is the rated endurance used by the lifetime model.
 const EnduranceLimit = 6000
 
-// Fig7 derives the endurance metrics from a Fig. 6(a) grid run at P/E
-// 6000 (as the paper does).
+// Fig7 derives the endurance metrics from a Fig. 6(a) grid (the paper
+// runs it at P/E 6000).
 func Fig7(d *Fig6aData) []Fig7Row {
 	li := d.systemIndex(core.LDPCInSSD)
 	fi := d.systemIndex(core.FlexLevel)
@@ -525,9 +525,9 @@ func Fig7(d *Fig6aData) []Fig7Row {
 	return out
 }
 
-// PrintFig7 renders the endurance table.
-func PrintFig7(w io.Writer, rows []Fig7Row) {
-	fmt.Fprintln(w, "Fig. 7 — endurance impact of LevelAdjust+AccessEval (vs LDPC-in-SSD, P/E 6000)")
+// PrintFig7 renders the endurance table of a grid run at P/E pe.
+func PrintFig7(w io.Writer, pe int, rows []Fig7Row) {
+	fmt.Fprintf(w, "Fig. 7 — endurance impact of LevelAdjust+AccessEval (vs LDPC-in-SSD, P/E %d)\n", pe)
 	fmt.Fprintf(w, "  %-8s %12s %12s %12s\n", "workload", "write incr", "erase incr", "lifetime")
 	var wi, ei, lt []float64
 	for _, r := range rows {

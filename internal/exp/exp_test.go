@@ -149,7 +149,7 @@ func TestFig6aSmall(t *testing.T) {
 		}
 	}
 	var sb2 strings.Builder
-	PrintFig7(&sb2, rows)
+	PrintFig7(&sb2, 6000, rows)
 	if !strings.Contains(sb2.String(), "average") {
 		t.Error("Fig7 renderer missing summary")
 	}

@@ -3,13 +3,14 @@ package exp
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"flexlevel/internal/runner"
-	"flexlevel/internal/sensing"
 )
 
 // update rewrites the golden files from the current output:
@@ -49,133 +50,138 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// goldenSweep runs one sweep at several worker counts, asserts the CSV
-// output is byte-identical across all of them, and checks the serial
-// bytes against the golden file. This is the determinism contract of
-// internal/runner made executable: results depend only on the master
-// seed, never on scheduling.
-func goldenSweep(t *testing.T, name string, sweep func(cfg SimConfig) ([]byte, error)) {
+// goldenInputs are the sweep inputs every golden file is generated
+// with: 4 crash points, fault scales {0, 1}, the scaled-down lifetime
+// device and the built-in tenant mix.
+func goldenInputs() Inputs {
+	return Inputs{CrashPoints: 4, FaultScales: []float64{0, 1}, Lifetime: goldenLifetimeParams()}
+}
+
+// stdoutKey is where sweepOutputs files the sweeps' text among the
+// artifacts.
+const stdoutKey = "<stdout>"
+
+// sweepOutputs runs the named registry entries in one Env, as `flexlevel
+// all` does, at the golden config with the given worker count. It
+// returns every artifact they emit plus their text under stdoutKey.
+func sweepOutputs(t *testing.T, workers int, names ...string) map[string][]byte {
 	t.Helper()
-	var serial []byte
-	for _, workers := range []int{1, 2, 3, 8} {
-		cfg := goldenSim()
-		cfg.Parallel = workers
-		got, err := sweep(cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	cfg := goldenSim()
+	cfg.Parallel = workers
+	var stdout bytes.Buffer
+	out := map[string][]byte{}
+	env := &Env{Sim: cfg, In: goldenInputs(), Out: &stdout,
+		Emit: func(name string, write func(io.Writer) error) error {
+			var b bytes.Buffer
+			err := write(&b)
+			out[name] = b.Bytes()
+			return err
+		}}
+	for _, name := range names {
+		s, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("no registered sweep %q", name)
 		}
-		if workers == 1 {
-			serial = got
-			continue
-		}
-		if !bytes.Equal(got, serial) {
-			t.Errorf("%s: parallel=%d output differs from serial\n got: %q\nwant: %q",
-				name, workers, got, serial)
+		if err := s.Run(env); err != nil {
+			t.Fatalf("%s, workers=%d: %v", name, workers, err)
 		}
 	}
-	checkGolden(t, name, serial)
+	out[stdoutKey] = stdout.Bytes()
+	return out
+}
+
+// sameOutputs asserts a run at workers emitted exactly the serial run's
+// text and artifacts, byte for byte.
+func sameOutputs(t *testing.T, workers int, serial, got map[string][]byte) {
+	t.Helper()
+	for name, want := range serial {
+		if g, ok := got[name]; !ok {
+			t.Errorf("%s: parallel=%d did not emit it", name, workers)
+		} else if !bytes.Equal(g, want) {
+			t.Errorf("%s: parallel=%d output differs from serial\n got: %q\nwant: %q",
+				name, workers, g, want)
+		}
+	}
+	for name := range got {
+		if _, ok := serial[name]; !ok {
+			t.Errorf("%s: emitted at parallel=%d only", name, workers)
+		}
+	}
+}
+
+// goldenSweep runs the named registry entries at several worker counts,
+// asserts their text and every artifact are byte-identical across all
+// of them, and checks each serial CSV artifact against its golden file.
+// This is the determinism contract of internal/runner made executable:
+// results depend only on the master seed, never on scheduling.
+func goldenSweep(t *testing.T, names ...string) {
+	t.Helper()
+	serial := sweepOutputs(t, 1, names...)
+	for _, workers := range []int{2, 3, 8} {
+		sameOutputs(t, workers, serial, sweepOutputs(t, workers, names...))
+	}
+	pinned := 0
+	for name, got := range serial {
+		if strings.HasSuffix(name, ".csv") {
+			checkGolden(t, name, got)
+			pinned++
+		}
+	}
+	if pinned == 0 {
+		t.Fatalf("%v emitted no CSV artifact to pin", names)
+	}
 }
 
 // TestGoldenTable5 pins the required-sensing-level table. Table 5 is a
 // closed-form function of the baseline model and the UBER rule, so it
 // runs no engine sweep; the worker loop still guards its writer.
 func TestGoldenTable5(t *testing.T) {
-	goldenSweep(t, "table5.csv", func(SimConfig) ([]byte, error) {
-		rows, err := Table5(sensing.DefaultRule())
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := WriteTable5CSV(&buf, rows); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
+	goldenSweep(t, "table5")
 }
 
 // TestGoldenFig6aFig7 pins the Fig. 6(a) grid and the Fig. 7 endurance
 // rows derived from it: one replay per worker count serves both files.
 func TestGoldenFig6aFig7(t *testing.T) {
-	var fig7 []byte
-	goldenSweep(t, "fig6a.csv", func(cfg SimConfig) ([]byte, error) {
-		data, err := Fig6a(cfg)
-		if err != nil {
-			return nil, err
-		}
-		var b6, b7 bytes.Buffer
-		if err := WriteFig6aCSV(&b6, data); err != nil {
-			return nil, err
-		}
-		if err := WriteFig7CSV(&b7, Fig7(data)); err != nil {
-			return nil, err
-		}
-		if fig7 != nil && !bytes.Equal(b7.Bytes(), fig7) {
-			t.Errorf("fig7.csv: parallel=%d output differs from serial", cfg.Parallel)
-		}
-		fig7 = b7.Bytes()
-		return b6.Bytes(), nil
-	})
-	checkGolden(t, "fig7.csv", fig7)
+	goldenSweep(t, "fig6a", "fig7")
 }
 
 // TestGoldenCrash pins the per-crash-point rows of the power-loss sweep.
 func TestGoldenCrash(t *testing.T) {
-	goldenSweep(t, "crash.csv", func(cfg SimConfig) ([]byte, error) {
-		data, err := CrashRecovery(cfg, 4)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := WriteCrashCSV(&buf, data.Rows); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
+	goldenSweep(t, "crash")
 }
 
 func TestGoldenFig5(t *testing.T) {
-	goldenSweep(t, "fig5.csv", func(cfg SimConfig) ([]byte, error) {
-		rows, err := Fig5(cfg)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := WriteFig5CSV(&buf, rows); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
+	goldenSweep(t, "fig5")
 }
 
 func TestGoldenTable4(t *testing.T) {
-	goldenSweep(t, "table4.csv", func(cfg SimConfig) ([]byte, error) {
-		cells, err := Table4(cfg)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := WriteTable4CSV(&buf, cells); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
+	goldenSweep(t, "table4")
 }
 
 func TestGoldenReliability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reliability sweep is slow")
 	}
-	goldenSweep(t, "reliability.csv", func(cfg SimConfig) ([]byte, error) {
-		rows, err := Reliability(cfg, []float64{0, 1})
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := WriteReliabilityCSV(&buf, rows); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
+	goldenSweep(t, "reliability")
+}
+
+// slowSweeps are the registry entries -short skips, as it skips their
+// goldens.
+var slowSweeps = map[string]bool{"reliability": true, "adaptive": true, "lifetime": true}
+
+// TestSweepsDeterministic runs every registered sweep at workers 1 and
+// 8 and requires byte-identical text and artifacts. For fig6b,
+// ablations, ecc and retshare, which pin no golden, it is the only
+// determinism check.
+func TestSweepsDeterministic(t *testing.T) {
+	for _, s := range Sweeps {
+		t.Run(s.Name, func(t *testing.T) {
+			if testing.Short() && slowSweeps[s.Name] {
+				t.Skipf("%s sweep is slow", s.Name)
+			}
+			sameOutputs(t, 8, sweepOutputs(t, 1, s.Name), sweepOutputs(t, 8, s.Name))
+		})
+	}
 }
 
 // TestGoldenReliabilityRoundTrip pins the CSV reader to the writer: the

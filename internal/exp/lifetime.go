@@ -21,6 +21,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"time"
 
 	"flexlevel/internal/core"
@@ -210,11 +211,7 @@ func Lifetime(cfg SimConfig, p LifetimeParams) ([]LifetimeRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []LifetimeRow
-	for _, rows := range perCell {
-		out = append(out, rows...)
-	}
-	return out, nil
+	return slices.Concat(perCell...), nil
 }
 
 // lifetimeShard drives one (scheme, policy) cell from rated endurance

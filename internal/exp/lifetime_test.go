@@ -26,17 +26,7 @@ func TestGoldenLifetime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lifetime sweep is slow")
 	}
-	goldenSweep(t, "lifetime.csv", func(cfg SimConfig) ([]byte, error) {
-		rows, err := Lifetime(cfg, goldenLifetimeParams())
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := WriteLifetimeCSV(&buf, rows); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
+	goldenSweep(t, "lifetime")
 }
 
 // TestGoldenLifetimeRoundTrip pins the CSV reader to the writer: the

@@ -12,6 +12,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"flexlevel/internal/core"
@@ -218,11 +219,7 @@ func Scenario(cfg SimConfig, tenants []trace.TenantSpec) ([]ScenarioRow, error) 
 	if err != nil {
 		return nil, err
 	}
-	var rows []ScenarioRow
-	for _, g := range groups {
-		rows = append(rows, g...)
-	}
-	return rows, nil
+	return slices.Concat(groups...), nil
 }
 
 // PrintScenario renders the matrix.

@@ -98,17 +98,7 @@ func TestScenarioFaultsBite(t *testing.T) {
 // executable: serial and parallel runs at workers 1/2/3/8 must emit a
 // byte-identical CSV, pinned against the committed golden.
 func TestGoldenScenario(t *testing.T) {
-	goldenSweep(t, "scenario.csv", func(cfg SimConfig) ([]byte, error) {
-		rows, err := Scenario(cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := WriteScenarioCSV(&buf, rows); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
+	goldenSweep(t, "scenario")
 }
 
 // TestScenarioCustomTenants runs the matrix over a parsed tenant spec —

@@ -80,17 +80,7 @@ func TestThroughputPercentilesOrdered(t *testing.T) {
 // 1/2/3/8 (the golden harness runs all of them) and match the
 // committed golden file.
 func TestGoldenThroughput(t *testing.T) {
-	goldenSweep(t, "throughput.csv", func(cfg SimConfig) ([]byte, error) {
-		rows, err := Throughput(cfg)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := WriteThroughputCSV(&buf, rows); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
+	goldenSweep(t, "throughput")
 }
 
 func TestThroughputSummaryGauges(t *testing.T) {

@@ -105,19 +105,20 @@ func (c RateCurve) Prob(pe int) float64 {
 	return p
 }
 
-// Validate reports structural problems.
+// Validate reports structural problems. The range checks are written
+// so that a NaN field fails them.
 func (c RateCurve) Validate() error {
-	if c.Base < 0 || c.Base > 1 {
+	if !(c.Base >= 0 && c.Base <= 1) {
 		return fmt.Errorf("fault: base probability %g out of [0,1]", c.Base)
 	}
-	if c.Amp < 0 || c.Base+c.Amp > 1 {
+	if !(c.Amp >= 0 && c.Base+c.Amp <= 1) {
 		return fmt.Errorf("fault: base+amp %g out of [0,1]", c.Base+c.Amp)
 	}
-	if c.Amp > 0 && c.Scale <= 0 {
+	if math.IsNaN(c.Scale) || c.Amp > 0 && c.Scale <= 0 {
 		return fmt.Errorf("fault: wear-scaled curve needs positive scale, got %g", c.Scale)
 	}
-	if c.Shape < 0 {
-		return fmt.Errorf("fault: negative Weibull shape %g", c.Shape)
+	if !(c.Shape >= 0) {
+		return fmt.Errorf("fault: Weibull shape %g not >= 0", c.Shape)
 	}
 	return nil
 }

@@ -54,6 +54,13 @@ func TestRateCurveValidate(t *testing.T) {
 		{Base: 0.6, Amp: 0.6, Scale: 1},
 		{Amp: 0.1}, // missing scale
 		{Base: 0.1, Shape: -1},
+		// NaN fails every range comparison, so it must be refused
+		// explicitly rather than slip past them.
+		{Base: math.NaN()},
+		{Base: 0.1, Amp: math.NaN(), Scale: 1},
+		{Amp: 0.1, Scale: math.NaN()},
+		{Scale: math.NaN()},
+		{Base: 0.1, Shape: math.NaN()},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {
@@ -74,6 +81,7 @@ func TestConfigValidate(t *testing.T) {
 		{Erase: RateCurve{Base: -1}},
 		{Grown: RateCurve{Amp: 0.1}},
 		{Read: RateCurve{Base: 0.1, Shape: -2}},
+		Config{Read: wornCurve()}.Scaled(math.NaN()),
 		{Script: []ScriptEvent{{Op: NumOps, Index: 0}}},
 		{Script: []ScriptEvent{{Op: Program, Index: -1}}},
 	}
