@@ -127,6 +127,9 @@ func parseExp(cmd string, args []string) (expOpts, error) {
 		in.FaultScales = append(in.FaultScales, 0.25*m, m, 4*m)
 	}
 	in.Lifetime = exp.DefaultLifetime()
+	if floor := in.Lifetime.MinScale(); *scale < floor {
+		return o, fmt.Errorf("-scale %g is below the smallest device scale %g", *scale, floor)
+	}
 	if *scale != 1 {
 		in.Lifetime = in.Lifetime.Scaled(*scale)
 	}

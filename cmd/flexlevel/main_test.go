@@ -2,8 +2,11 @@ package main
 
 import (
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"flexlevel/internal/exp"
 )
 
 // TestSubcommandsUsageOrder pins the usage line's subcommand list: the
@@ -52,5 +55,31 @@ func TestRateFlags(t *testing.T) {
 	}
 	if _, err := parseServe([]string{"-faults", "0"}); err != nil {
 		t.Errorf("serve -faults 0: %v", err)
+	}
+}
+
+// TestScaleFloor checks that a -scale small enough to clamp the
+// lifetime device to its block floor is refused with an error naming
+// the flag and the smallest accepted value, while the floor itself and
+// the CI scale still map onto DefaultLifetime().Scaled.
+func TestScaleFloor(t *testing.T) {
+	floor := exp.DefaultLifetime().MinScale()
+	for _, s := range []string{"0.01", "1e-9", strconv.FormatFloat(floor*0.999, 'g', -1, 64)} {
+		_, err := parseExp("lifetime", []string{"-scale", s})
+		if err == nil || !strings.Contains(err.Error(), "-scale") ||
+			!strings.Contains(err.Error(), strconv.FormatFloat(floor, 'g', -1, 64)) {
+			t.Errorf("-scale %s: err %v, want one naming -scale and %g", s, err, floor)
+		}
+	}
+	for _, f := range []float64{floor, 0.015625} {
+		o, err := parseExp("lifetime", []string{"-scale", strconv.FormatFloat(f, 'g', -1, 64)})
+		if err != nil {
+			t.Fatalf("-scale %g: %v", f, err)
+		}
+		want := exp.DefaultLifetime().Scaled(f)
+		want.FaultScale = 1
+		if o.env.In.Lifetime != want {
+			t.Errorf("-scale %g: lifetime %+v, want %+v", f, o.env.In.Lifetime, want)
+		}
 	}
 }

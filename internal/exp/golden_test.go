@@ -3,11 +3,13 @@ package exp
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"flexlevel/internal/runner"
@@ -61,11 +63,28 @@ func goldenInputs() Inputs {
 // artifacts.
 const stdoutKey = "<stdout>"
 
+// sweepMemo keeps each successful sweepOutputs result for the life of
+// the test binary, keyed by entry list and worker count: the goldens
+// and TestSweepsDeterministic ask for the same runs, and the output is
+// a pure function of the key.
+var sweepMemo struct {
+	sync.Mutex
+	m map[string]map[string][]byte
+}
+
 // sweepOutputs runs the named registry entries in one Env, as `flexlevel
 // all` does, at the golden config with the given worker count. It
-// returns every artifact they emit plus their text under stdoutKey.
+// returns every artifact they emit plus their text under stdoutKey;
+// callers must not modify the result, which is shared through
+// sweepMemo.
 func sweepOutputs(t *testing.T, workers int, names ...string) map[string][]byte {
 	t.Helper()
+	key := fmt.Sprint(workers, names)
+	sweepMemo.Lock()
+	defer sweepMemo.Unlock()
+	if out, ok := sweepMemo.m[key]; ok {
+		return out
+	}
 	cfg := goldenSim()
 	cfg.Parallel = workers
 	var stdout bytes.Buffer
@@ -87,6 +106,10 @@ func sweepOutputs(t *testing.T, workers int, names ...string) map[string][]byte 
 		}
 	}
 	out[stdoutKey] = stdout.Bytes()
+	if sweepMemo.m == nil {
+		sweepMemo.m = map[string]map[string][]byte{}
+	}
+	sweepMemo.m[key] = out
 	return out
 }
 

@@ -103,13 +103,16 @@ func DefaultLifetime() LifetimeParams {
 	}
 }
 
+// minLifetimeBlocks is the smallest device Scaled builds.
+const minLifetimeBlocks = 44
+
 // Scaled shrinks (or grows) the device geometry and its host traffic by
 // f, preserving the over-provisioning ratio and the epoch structure.
 func (p LifetimeParams) Scaled(f float64) LifetimeParams {
 	op := float64(p.Blocks*p.PagesPerBlock) / float64(p.LogicalPages)
 	p.Blocks = int(float64(p.Blocks) * f)
-	if p.Blocks < 44 {
-		p.Blocks = 44
+	if p.Blocks < minLifetimeBlocks {
+		p.Blocks = minLifetimeBlocks
 	}
 	p.LogicalPages = uint64(float64(p.Blocks*p.PagesPerBlock) / op)
 	p.SpareBlocks = int(float64(p.SpareBlocks) * f)
@@ -121,6 +124,13 @@ func (p LifetimeParams) Scaled(f float64) LifetimeParams {
 		p.WritesPerEpoch = 1024
 	}
 	return p
+}
+
+// MinScale is the smallest factor Scaled honours: below it the block
+// count clamps to the same floor, so every smaller factor builds the
+// same device.
+func (p LifetimeParams) MinScale() float64 {
+	return minLifetimeBlocks / float64(p.Blocks)
 }
 
 // lifetimeFaults returns the past-rated-endurance retirement curves. A
@@ -219,7 +229,6 @@ func Lifetime(cfg SimConfig, p LifetimeParams) ([]LifetimeRow, error) {
 func lifetimeShard(s runner.Shard, c lifetimeCell, cfg SimConfig, p LifetimeParams) ([]LifetimeRow, error) {
 	opts := core.DefaultOptions(c.Scheme.System, cfg.PE)
 	opts.NUNMAConfig = c.Scheme.NUNMA
-	opts.AgedReducedPreload = true
 	opts.SSD.PackedMeta = true
 	opts.SSD.FTL.PagesPerBlock = p.PagesPerBlock
 	opts.SSD.FTL.Blocks = p.Blocks

@@ -45,7 +45,6 @@ func TestValidateErrorBranches(t *testing.T) {
 		{func(c *Config) { c.SpareBlocks = -1 }, "negative spare"},
 		{func(c *Config) { c.SpareBlocks = 44 }, "not below total"},
 		{func(c *Config) { c.SpareBlocks = 13 }, "in-service"},
-		{func(c *Config) { c.MaxProgramRetries = -1 }, "retry"},
 	}
 	for i, tc := range cases {
 		c := smallConfig()

@@ -20,7 +20,7 @@ import (
 // controller goes read-only rather than corrupting data).
 var ErrDegraded = errors.New("ftl: degraded mode, writes disabled (bad blocks exceed spare capacity)")
 
-// ErrWriteFailed is returned when a program failed on MaxProgramRetries
+// ErrWriteFailed is returned when a program failed on DefaultProgramRetries
 // consecutive fresh blocks; the previous mapping of the page (if any) is
 // left intact.
 var ErrWriteFailed = errors.New("ftl: program retries exhausted")
@@ -106,10 +106,6 @@ type Config struct {
 	// into service so capacity (and GC headroom) is preserved until the
 	// pool runs dry. 0 means no reserved spares.
 	SpareBlocks int
-	// MaxProgramRetries bounds how many fresh blocks a failing page
-	// program is retried on before the write errs out. 0 selects
-	// DefaultProgramRetries.
-	MaxProgramRetries int
 	// Journal enables the crash-consistency layer: per-page OOB
 	// metadata, the write-ahead metadata journal and periodic
 	// checkpoints (DESIGN.md §10). Disabled by default — a journal-free
@@ -117,8 +113,8 @@ type Config struct {
 	Journal JournalConfig
 }
 
-// DefaultProgramRetries is the program-retry bound when
-// Config.MaxProgramRetries is zero.
+// DefaultProgramRetries bounds how many fresh blocks a failing page
+// program is retried on before the write errs out.
 const DefaultProgramRetries = 3
 
 // DefaultConfig returns the scaled evaluation system: a 512MB logical
@@ -183,21 +179,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ftl: in-service pages %d (after %d spares) not above logical %d",
 			inService, c.SpareBlocks, c.LogicalPages)
 	}
-	if c.MaxProgramRetries < 0 {
-		return fmt.Errorf("ftl: negative program-retry bound")
-	}
 	if err := c.Journal.Validate(); err != nil {
 		return err
 	}
 	return nil
-}
-
-// programRetries returns the effective program-retry bound.
-func (c Config) programRetries() int {
-	if c.MaxProgramRetries > 0 {
-		return c.MaxProgramRetries
-	}
-	return DefaultProgramRetries
 }
 
 // OpCount tallies the physical operations one FTL call performed, for
@@ -580,17 +565,10 @@ func (f *FTL) Write(lpn uint64, state BlockState) (int64, OpCount, error) {
 	if f.degraded {
 		return 0, ops, ErrDegraded
 	}
-	old := f.mapOf(lpn)
-	f.invalidate(lpn)
-	newPPN, err := f.appendPage(lpn, state, &ops)
+	newPPN, err := f.rewrite(lpn, state, &f.stats.UserPrograms, &ops)
 	if err != nil {
-		// Re-establish the previous mapping: a rejected write must not
-		// lose the stored data.
-		f.restoreMapping(lpn, old)
 		return 0, ops, err
 	}
-	f.stats.UserPrograms++
-	ops.Programs++
 	f.maybeGC(&ops)
 	return newPPN, ops, nil
 }
@@ -641,17 +619,56 @@ func (f *FTL) Migrate(lpn uint64, state BlockState) (int64, OpCount, error) {
 	}
 	ops.CopyReads++
 	f.stats.CopyReads++
-	old := f.mapOf(lpn)
-	f.invalidate(lpn)
-	newPPN, err := f.appendPage(lpn, state, &ops)
+	newPPN, err := f.rewrite(lpn, state, &f.stats.MigrationPrograms, &ops)
 	if err != nil {
-		f.restoreMapping(lpn, old)
 		return 0, ops, err
 	}
-	f.stats.MigrationPrograms++
-	ops.Programs++
 	f.maybeGC(&ops)
 	return newPPN, ops, nil
+}
+
+// rewrite moves lpn's data to a fresh page of the state pool and counts
+// the program in ops and in the per-cause counter. When the append
+// fails the previous mapping is re-established: a rejected rewrite must
+// not lose the stored data.
+func (f *FTL) rewrite(lpn uint64, state BlockState, counter *int64, ops *OpCount) (int64, error) {
+	old := f.mapOf(lpn)
+	f.invalidate(lpn)
+	newPPN, err := f.appendPage(lpn, state, ops)
+	if err != nil {
+		f.restoreMapping(lpn, old)
+		return 0, err
+	}
+	*counter++
+	ops.Programs++
+	return newPPN, nil
+}
+
+// relocate copies block b's valid pages into fresh blocks of its pool,
+// counting each copy in counter (the retirement or GC cause). It stops
+// at the first page it cannot place, which stays mapped where it is —
+// the caller sees a stuck FTL rather than lost data — and reports
+// whether every page moved.
+func (f *FTL) relocate(b int, counter *int64, ops *OpCount) bool {
+	state := f.blockState[b]
+	base := f.ppn(b, 0)
+	for p := 0; p < f.cfg.PagesPerBlock; p++ {
+		old := base + int64(p)
+		lpn := f.pageLPN(old)
+		if lpn == unmapped {
+			continue
+		}
+		newPPN, err := f.rewrite(uint64(lpn), state, counter, ops)
+		if err != nil {
+			return false
+		}
+		ops.CopyReads++
+		f.stats.CopyReads++
+		if f.OnRelocate != nil {
+			f.OnRelocate(uint64(lpn), old, newPPN)
+		}
+	}
+	return true
 }
 
 func (f *FTL) invalidate(lpn uint64) {
@@ -856,7 +873,7 @@ func (f *FTL) appendPage(lpn uint64, state BlockState, ops *OpCount) (int64, err
 			if f.dead {
 				return 0, fmt.Errorf("ftl: retire of block %d: %w", ab.block, ErrPowerLoss)
 			}
-			if retries >= f.cfg.programRetries() {
+			if retries >= DefaultProgramRetries {
 				return 0, &BlockError{Block: ab.block,
 					Err: fmt.Errorf("ftl: program block %d page %d (lpn %d, %v pool): %w",
 						ab.block, page, lpn, state, ErrWriteFailed)}
@@ -934,35 +951,12 @@ func (f *FTL) retire(b int, ops *OpCount) {
 			f.active[i] = nil
 		}
 	}
-	state := f.blockState[b]
 	wasRetiring := f.inRetire
 	f.inRetire = true
-	base := f.ppn(b, 0)
-	for p := 0; p < f.cfg.PagesPerBlock; p++ {
-		old := base + int64(p)
-		lpn := f.pageLPN(old)
-		if lpn == unmapped {
-			continue
-		}
-		f.l2p[lpn] = unmapped32
-		f.clearP2L(old)
-		f.blockValid[b]--
-		newPPN, err := f.appendPage(uint64(lpn), state, ops)
-		if err != nil {
-			// No room to relocate: keep the page mapped where it is. A
-			// bad block's programmed data stays readable; the block is
-			// simply never erased or programmed again.
-			f.restoreMapping(uint64(lpn), old)
-			break
-		}
-		ops.CopyReads++
-		ops.Programs++
-		f.stats.CopyReads++
-		f.stats.RetireCopies++
-		if f.OnRelocate != nil {
-			f.OnRelocate(uint64(lpn), old, newPPN)
-		}
-	}
+	// A page left behind when relocation runs out of room stays
+	// readable: the bad block is simply never erased or programmed
+	// again.
+	f.relocate(b, &f.stats.RetireCopies, ops)
 	f.inRetire = wasRetiring
 	if s, ok := f.spare.Max(); ok {
 		f.spare.Clear(s)
@@ -1071,34 +1065,8 @@ func (f *FTL) isActive(b int) bool {
 // erases it. It reports false when relocation stalled (no free blocks
 // for the copies), leaving all mappings intact.
 func (f *FTL) reclaim(victim int, ops *OpCount) bool {
-	state := f.blockState[victim]
-	base := f.ppn(victim, 0)
-	for p := 0; p < f.cfg.PagesPerBlock; p++ {
-		old := base + int64(p)
-		lpn := f.pageLPN(old)
-		if lpn == unmapped {
-			continue
-		}
-		// Relocate: invalidate then append to the same pool.
-		f.l2p[lpn] = unmapped32
-		f.clearP2L(old)
-		f.blockValid[victim]--
-		newPPN, err := f.appendPage(uint64(lpn), state, ops)
-		if err != nil {
-			// Re-establish the old mapping; the caller sees a stuck FTL
-			// rather than lost data.
-			f.l2p[lpn] = int32(old)
-			f.setP2L(old, uint64(lpn))
-			f.blockValid[victim]++
-			return false
-		}
-		ops.CopyReads++
-		ops.Programs++
-		f.stats.CopyReads++
-		f.stats.GCPrograms++
-		if f.OnRelocate != nil {
-			f.OnRelocate(uint64(lpn), old, newPPN)
-		}
+	if !f.relocate(victim, &f.stats.GCPrograms, ops) {
+		return false
 	}
 	if !f.mediaTick(victim) {
 		// The erase pulse was interrupted by power loss. Model it as

@@ -168,7 +168,6 @@ func TestPickVictimMatchesReference(t *testing.T) {
 		cfg := smallConfig()
 		cfg.Blocks = 60
 		cfg.SpareBlocks = 8
-		cfg.MaxProgramRetries = 3
 		cfg.Journal = JournalConfig{Enabled: true}
 		f, err := New(cfg)
 		if err != nil {

@@ -105,12 +105,6 @@ func New(p Params) (*Code, error) {
 	return c, nil
 }
 
-// PaperParams returns construction parameters for the paper's rate-8/9
-// code over a 4KB data block (k = 32768, m = 4096).
-func PaperParams() Params {
-	return Params{InfoBits: 4096 * 8, ParityBits: 4096, ColWeight: 4, Seed: 20150607}
-}
-
 // TestParams returns a small code with the same 8/9 rate for fast tests
 // (k = 1024, m = 128).
 func TestParams() Params {

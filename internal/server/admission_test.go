@@ -42,9 +42,7 @@ func TestLatencyRingWindow(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.QueueDepth != DefaultQueueDepth || c.MaxQueue != DefaultMaxQueue ||
-		c.SimGap != DefaultSimGap || c.RingSize != DefaultRingSize ||
-		c.SampleCap != DefaultSampleCap || c.MetricsEvery != DefaultMetricsEvery ||
-		c.MaxPages != DefaultMaxPages {
+		c.SimGap != DefaultSimGap || c.MetricsEvery != DefaultMetricsEvery {
 		t.Fatalf("zero config resolved to %+v", c)
 	}
 	if c.Burst != 0 {

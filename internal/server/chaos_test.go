@@ -144,7 +144,7 @@ func TestServeChaosCrashUnderFaults(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	f := s.Device().FTL()
+	f := s.ShardDevice(0).FTL()
 	baseOf := map[string]uint64{}
 	for _, spec := range s.Tenants() {
 		baseOf[spec.Name] = spec.Base

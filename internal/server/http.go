@@ -104,8 +104,8 @@ func (s *Server) parseOp(r *http.Request, write bool) (*op, string, error) {
 			return nil, name, fmt.Errorf("bad pages %q", p)
 		}
 	}
-	if pages > s.cfg.MaxPages {
-		return nil, name, fmt.Errorf("pages %d exceeds limit %d", pages, s.cfg.MaxPages)
+	if pages > DefaultMaxPages {
+		return nil, name, fmt.Errorf("pages %d exceeds limit %d", pages, DefaultMaxPages)
 	}
 	if lpn >= spec.WorkingSet || uint64(pages) > spec.WorkingSet-lpn {
 		return nil, name, fmt.Errorf("range [%d,+%d) outside tenant window of %d pages", lpn, pages, spec.WorkingSet)

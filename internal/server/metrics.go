@@ -1,9 +1,9 @@
 // Observability: the bounded latency rings behind /metrics and the
 // JSON snapshot they produce. Percentiles here describe what clients
 // experienced at this server (simulated response time, queue wait
-// included) over the last RingSize admitted ops per shard — a sliding
-// window, so a long-running daemon reports current behaviour, not its
-// lifetime average. Shed and deadline-exceeded requests never enter a
+// included) over the last DefaultRingSize admitted ops per shard — a
+// sliding window, so a long-running daemon reports current behaviour,
+// not its lifetime average. Shed and deadline-exceeded requests never enter a
 // ring.
 //
 // With Shards > 1 every per-shard artifact merges deterministically:
@@ -81,7 +81,8 @@ func (r *latencyRing) percentiles() (p50, p95, p99, mean float64) {
 	return percentilesOf([]*latencyRing{r})
 }
 
-// tenantStats is one tenant's shared counters.
+// tenantStats is one tenant's shared counters: the only copy of each
+// request outcome count (the snapshot totals are their sums).
 type tenantStats struct {
 	name      string
 	admitted  int64
@@ -98,27 +99,18 @@ type tenantStats struct {
 
 // serverStats is every shared observability field, guarded by statMu.
 // Per-shard slices are indexed by shard id; each engine writes only
-// its own slot (plus the shared counters), handlers read them all.
+// its own slot (plus its tenants' counters), handlers read them all.
 type serverStats struct {
-	admitted       int64
-	reads          int64
-	writes         int64
-	shed           int64
-	deadline       int64
-	queueFull      int64
-	readOnly       int64
-	powerLoss      int64
-	internalErrors int64
+	internalErrors int64 // no tenant owns these; counted once here
 	tenants        []*tenantStats
 
-	// Per-shard state: latency rings, sim clocks, admitted counts,
-	// cached device telemetry and crash flags.
-	rings         []*latencyRing
-	shardSimTime  []time.Duration
-	shardAdmitted []int64
-	shardDevice   []core.Metrics
-	haveDevice    []bool
-	shardCrashed  []bool // shard's device is down awaiting restart
+	// Per-shard state: latency rings, sim clocks, cached device
+	// telemetry and crash flags.
+	rings        []*latencyRing
+	shardSimTime []time.Duration
+	shardDevice  []core.Metrics
+	haveDevice   []bool
+	shardCrashed []bool // shard's device is down awaiting restart
 
 	snapshotErr string
 	final       *Snapshot
@@ -127,16 +119,15 @@ type serverStats struct {
 func (st *serverStats) init(cfg Config, names []string) {
 	st.rings = make([]*latencyRing, cfg.Shards)
 	for i := range st.rings {
-		st.rings[i] = newLatencyRing(cfg.RingSize)
+		st.rings[i] = newLatencyRing(DefaultRingSize)
 	}
 	st.shardSimTime = make([]time.Duration, cfg.Shards)
-	st.shardAdmitted = make([]int64, cfg.Shards)
 	st.shardDevice = make([]core.Metrics, cfg.Shards)
 	st.haveDevice = make([]bool, cfg.Shards)
 	st.shardCrashed = make([]bool, cfg.Shards)
 	st.tenants = make([]*tenantStats, len(names))
 	for i, name := range names {
-		st.tenants[i] = &tenantStats{name: name, ring: newLatencyRing(cfg.RingSize)}
+		st.tenants[i] = &tenantStats{name: name, ring: newLatencyRing(DefaultRingSize)}
 	}
 }
 
@@ -209,32 +200,52 @@ func (s Snapshot) marshal() ([]byte, error) {
 }
 
 // snapshotLocked composes the current snapshot. Callers must NOT hold
-// statMu; any engine or handler may call it.
+// statMu; any engine or handler may call it. The outcome totals and
+// each shard's admitted count are sums over the tenant rows.
 func (s *Server) snapshotLocked() Snapshot {
 	draining := s.Draining()
 	s.statMu.Lock()
 	defer s.statMu.Unlock()
 	st := &s.stats
 	snap := Snapshot{
-		UptimeSeconds:    time.Since(s.started).Seconds(),
-		Draining:         draining,
-		Admitted:         st.admitted,
-		Reads:            st.reads,
-		Writes:           st.writes,
-		Shed:             st.shed,
-		DeadlineExceeded: st.deadline,
-		QueueFull:        st.queueFull,
-		ReadOnlyRejects:  st.readOnly,
-		PowerLossErrors:  st.powerLoss,
-		InternalErrors:   st.internalErrors,
-		SnapshotError:    st.snapshotErr,
+		UptimeSeconds:  time.Since(s.started).Seconds(),
+		Draining:       draining,
+		InternalErrors: st.internalErrors,
+		SnapshotError:  st.snapshotErr,
+	}
+	snap.Tenants = make([]TenantSnapshot, len(st.tenants))
+	shardAdmitted := make([]int64, len(st.rings))
+	for i, ts := range st.tenants {
+		t := TenantSnapshot{
+			Name:             ts.name,
+			Admitted:         ts.admitted,
+			Reads:            ts.reads,
+			Writes:           ts.writes,
+			Shed:             ts.shed,
+			DeadlineExceeded: ts.deadline,
+			QueueFull:        ts.queueFull,
+			ReadOnlyRejects:  ts.readOnly,
+			PowerLossErrors:  ts.powerLoss,
+			AckSeq:           ts.ackSeq,
+		}
+		t.P50, t.P95, t.P99, t.Mean = ts.ring.percentiles()
+		snap.Tenants[i] = t
+		snap.Admitted += t.Admitted
+		snap.Reads += t.Reads
+		snap.Writes += t.Writes
+		snap.Shed += t.Shed
+		snap.DeadlineExceeded += t.DeadlineExceeded
+		snap.QueueFull += t.QueueFull
+		snap.ReadOnlyRejects += t.ReadOnlyRejects
+		snap.PowerLossErrors += t.PowerLossErrors
+		shardAdmitted[s.router.tenantOf(i)] += t.Admitted
 	}
 	for k := range st.shardCrashed {
 		if st.shardCrashed[k] {
 			snap.Crashed = true
 		}
 		if st.shardSimTime[k] > 0 {
-			snap.IOPS += float64(st.shardAdmitted[k]) / st.shardSimTime[k].Seconds()
+			snap.IOPS += float64(shardAdmitted[k]) / st.shardSimTime[k].Seconds()
 		}
 		if sec := st.shardSimTime[k].Seconds(); sec > snap.SimTimeSeconds {
 			snap.SimTimeSeconds = sec
@@ -259,23 +270,6 @@ func (s *Server) snapshotLocked() Snapshot {
 		snap.ShardDevices = append([]core.Metrics(nil), st.shardDevice...)
 	}
 	snap.P50, snap.P95, snap.P99, snap.Mean = percentilesOf(st.rings)
-	snap.Tenants = make([]TenantSnapshot, len(st.tenants))
-	for i, ts := range st.tenants {
-		t := TenantSnapshot{
-			Name:             ts.name,
-			Admitted:         ts.admitted,
-			Reads:            ts.reads,
-			Writes:           ts.writes,
-			Shed:             ts.shed,
-			DeadlineExceeded: ts.deadline,
-			QueueFull:        ts.queueFull,
-			ReadOnlyRejects:  ts.readOnly,
-			PowerLossErrors:  ts.powerLoss,
-			AckSeq:           ts.ackSeq,
-		}
-		t.P50, t.P95, t.P99, t.Mean = ts.ring.percentiles()
-		snap.Tenants[i] = t
-	}
 	return snap
 }
 

@@ -54,7 +54,10 @@ import (
 	"flexlevel/internal/trace"
 )
 
-// Defaults for the knobs a zero Config leaves unset.
+// Defaults for the knobs a zero Config leaves unset, and the fixed
+// service bounds: the length of each /metrics latency ring, each
+// device's read response-time reservoir (ssd.Config.SampleCap) and the
+// page count of one request (400 beyond it).
 const (
 	DefaultQueueDepth   = 8
 	DefaultMaxQueue     = 64
@@ -110,15 +113,8 @@ type Config struct {
 	// — the modeled load intensity of the arriving stream (per shard).
 	SimGap time.Duration
 
-	// SampleCap bounds each device's read response-time reservoir
-	// (ssd.Config.SampleCap); RingSize bounds each latency ring the
-	// server keeps for /metrics percentiles.
-	SampleCap int
-	RingSize  int
 	// MetricsEvery refreshes the cached device telemetry every N ops.
 	MetricsEvery int
-	// MaxPages bounds the page count of one request (400 beyond it).
-	MaxPages int
 
 	// Faults forwards a deterministic fault-injection config to the
 	// devices (Weibull wear-out curves, transient read faults, ...);
@@ -161,17 +157,8 @@ func (c Config) withDefaults() Config {
 	if c.SimGap <= 0 {
 		c.SimGap = DefaultSimGap
 	}
-	if c.RingSize < 1 {
-		c.RingSize = DefaultRingSize
-	}
-	if c.SampleCap == 0 {
-		c.SampleCap = DefaultSampleCap
-	}
 	if c.MetricsEvery < 1 {
 		c.MetricsEvery = DefaultMetricsEvery
-	}
-	if c.MaxPages < 1 {
-		c.MaxPages = DefaultMaxPages
 	}
 	if c.Rate > 0 && c.Burst <= 0 {
 		c.Burst = c.Rate
@@ -340,9 +327,6 @@ func (s *Server) Shards() int { return len(s.shards) }
 // ShardOfTenant reports which engine owns tenant i's window.
 func (s *Server) ShardOfTenant(i int) int { return s.router.tenantOf(i) }
 
-// ShardOfLPN reports which engine owns an absolute logical page.
-func (s *Server) ShardOfLPN(lpn uint64) int { return s.router.lpnShard(lpn) }
-
 // errQueueFull and errDraining are the handler-side admission
 // rejections.
 var (
@@ -379,7 +363,6 @@ func (s *Server) do(ctx context.Context, o *op) opResult {
 			return opResult{status: 503, code: CodeDraining, message: "server is draining"}
 		}
 		s.statMu.Lock()
-		s.stats.queueFull++
 		s.stats.tenants[o.tenant].queueFull++
 		s.statMu.Unlock()
 		return opResult{
@@ -399,7 +382,6 @@ func (s *Server) do(ctx context.Context, o *op) opResult {
 func (s *Server) countShed(e *engineShard, tenant int) {
 	e.runner.CountShed(tenant)
 	s.statMu.Lock()
-	s.stats.shed++
 	s.stats.tenants[tenant].shed++
 	s.statMu.Unlock()
 }
@@ -407,7 +389,6 @@ func (s *Server) countShed(e *engineShard, tenant int) {
 func (s *Server) countDeadline(e *engineShard, tenant int) {
 	e.runner.CountDeadlineExceeded(tenant)
 	s.statMu.Lock()
-	s.stats.deadline++
 	s.stats.tenants[tenant].deadline++
 	s.statMu.Unlock()
 }
@@ -474,11 +455,7 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Device exposes shard 0's simulator for audits (chaos tests verifying
-// acked writes survived recovery). Only safe once Shutdown has
-// returned.
-func (s *Server) Device() *ssd.Device { return s.shards[0].runner.Device() }
-
-// ShardDevice exposes shard k's simulator. Only safe once Shutdown has
-// returned.
+// ShardDevice exposes shard k's simulator for audits (chaos tests
+// verifying acked writes survived recovery). Only safe once Shutdown
+// has returned.
 func (s *Server) ShardDevice(k int) *ssd.Device { return s.shards[k].runner.Device() }

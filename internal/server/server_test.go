@@ -384,7 +384,7 @@ func TestServeCrashRestart(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	f := s.Device().FTL()
+	f := s.ShardDevice(0).FTL()
 	base := s.Tenants()[0].Base
 	for _, a := range acks {
 		if _, _, ok := f.Lookup(base + a.lpn); !ok {

@@ -113,7 +113,7 @@ func newEngineShard(id int, cfg Config, owned []int) (*engineShard, error) {
 	if seed != 0 {
 		opts.SSD.Seed = seed
 	}
-	opts.SSD.SampleCap = cfg.SampleCap
+	opts.SSD.SampleCap = DefaultSampleCap
 	opts.SSD.Faults = cfg.Faults
 	if id > 0 && opts.SSD.Faults.Seed != 0 {
 		// Decorrelate the Weibull draws across shards the same way the
@@ -254,7 +254,6 @@ func (e *engineShard) process(o *op) opResult {
 	// lives here).
 	if o.write && e.runner.Device().Degraded() {
 		s.statMu.Lock()
-		s.stats.readOnly++
 		s.stats.tenants[o.tenant].readOnly++
 		s.statMu.Unlock()
 		return opResult{
@@ -290,19 +289,15 @@ func (e *engineShard) process(o *op) opResult {
 	s.statMu.Lock()
 	ts := s.stats.tenants[o.tenant]
 	ts.admitted++
-	s.stats.admitted++
 	s.stats.rings[e.id].add(latency.Seconds())
 	ts.ring.add(latency.Seconds())
 	if o.write {
 		ts.ackSeq++
 		res.seq = ts.ackSeq
 		ts.writes++
-		s.stats.writes++
 	} else {
 		ts.reads++
-		s.stats.reads++
 	}
-	s.stats.shardAdmitted[e.id]++
 	s.stats.shardSimTime[e.id] = e.simNow
 	s.statMu.Unlock()
 	return res
@@ -330,7 +325,6 @@ func (e *engineShard) handlePowerLoss(o *op) opResult {
 		}
 	}
 	s.statMu.Lock()
-	s.stats.powerLoss++
 	s.stats.tenants[o.tenant].powerLoss++
 	s.stats.shardCrashed[e.id] = !recovered
 	s.statMu.Unlock()

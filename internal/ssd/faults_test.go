@@ -39,13 +39,10 @@ func TestValidateErrorBranches(t *testing.T) {
 	}{
 		{func(c *Config) { c.FTL.LogicalPages = 0 }, "ftl:"},
 		{func(c *Config) { c.Rule.Target = 2 }, "target UBER"},
-		{func(c *Config) { c.BufferPages = -1 }, "buffer pages"},
-		{func(c *Config) { c.BufferLatency = -time.Second }, "buffer latency"},
 		{func(c *Config) { c.MaxDataAgeHours = -1 }, "data age"},
 		{func(c *Config) { c.Channels = -1 }, "channel count"},
 		{func(c *Config) { c.WearLevelEvery = -1 }, "wear-level"},
 		{func(c *Config) { c.RefreshAboveLevels = -1 }, "refresh threshold"},
-		{func(c *Config) { c.MaxReadRetries = -1 }, "read-retry"},
 		{func(c *Config) { c.Faults.Read.Base = 2 }, "fault:"},
 	}
 	for i, tc := range cases {
@@ -66,10 +63,9 @@ func TestValidateErrorBranches(t *testing.T) {
 }
 
 // readScript builds a config whose injector fails exactly the first n
-// transient-read checks.
-func readScript(n int, maxRetries int) Config {
+// transient-read checks (the retry bound is DefaultReadRetries, 3).
+func readScript(n int) Config {
 	cfg := smallConfig()
-	cfg.MaxReadRetries = maxRetries
 	for i := 0; i < n; i++ {
 		cfg.Faults.Script = append(cfg.Faults.Script, fault.ScriptEvent{Op: fault.Read, Index: int64(i)})
 	}
@@ -77,7 +73,7 @@ func readScript(n int, maxRetries int) Config {
 }
 
 func TestTransientReadRetryEscalation(t *testing.T) {
-	d, err := New(readScript(2, 3), flatBER(0, 0), baseline.Oracle{})
+	d, err := New(readScript(2), flatBER(0, 0), baseline.Oracle{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +109,7 @@ func TestTransientReadRetryEscalation(t *testing.T) {
 }
 
 func TestReadRetryExhaustionIsDataLoss(t *testing.T) {
-	d, err := New(readScript(4, 3), flatBER(0, 0), baseline.Oracle{})
+	d, err := New(readScript(4), flatBER(0, 0), baseline.Oracle{})
 	if err != nil {
 		t.Fatal(err)
 	}

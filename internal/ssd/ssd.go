@@ -37,11 +37,6 @@ type Config struct {
 	Timing sensing.Timing
 	Rule   sensing.LevelRule
 
-	// Write-back buffer: writes complete at BufferLatency as long as the
-	// flash backlog stays within BufferPages' worth of program time.
-	BufferPages   int
-	BufferLatency time.Duration
-
 	// MaxDataAgeHours is the upper bound of the uniform retention age
 	// assigned to preloaded data (the paper evaluates at up to 1 month).
 	MaxDataAgeHours float64
@@ -73,11 +68,6 @@ type Config struct {
 	// bit-identical to a fault-free device.
 	Faults fault.Config
 
-	// MaxReadRetries bounds how many escalating re-reads a transient
-	// read fault may trigger before the page is declared lost. 0 selects
-	// DefaultReadRetries.
-	MaxReadRetries int
-
 	// Calib configures online per-block read-threshold calibration (the
 	// adaptive read-retry ladder, DESIGN.md §13). Disabled by default;
 	// when enabled, reads and calibration probes evaluate the device's
@@ -104,9 +94,16 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultReadRetries is the transient-read-retry bound when
-// Config.MaxReadRetries is zero.
+// DefaultReadRetries bounds how many escalating re-reads a transient
+// read fault may trigger before the page is declared lost.
 const DefaultReadRetries = 3
+
+// Write-back buffer: writes complete at bufferLatency as long as the
+// flash backlog stays within bufferPages' worth of program time.
+const (
+	bufferPages   = 64
+	bufferLatency = 5 * time.Microsecond
+)
 
 // DefaultConfig returns the scaled paper evaluation system.
 func DefaultConfig() Config {
@@ -114,8 +111,6 @@ func DefaultConfig() Config {
 		FTL:             ftl.DefaultConfig(),
 		Timing:          sensing.DefaultTiming(),
 		Rule:            sensing.DefaultRule(),
-		BufferPages:     64,
-		BufferLatency:   5 * time.Microsecond,
 		MaxDataAgeHours: 720,
 		Seed:            1,
 	}
@@ -129,12 +124,6 @@ func (c Config) Validate() error {
 	if err := c.Rule.Validate(); err != nil {
 		return err
 	}
-	if c.BufferPages < 0 {
-		return fmt.Errorf("ssd: negative buffer pages")
-	}
-	if c.BufferLatency < 0 {
-		return fmt.Errorf("ssd: negative buffer latency")
-	}
 	if c.MaxDataAgeHours < 0 {
 		return fmt.Errorf("ssd: negative max data age")
 	}
@@ -147,9 +136,6 @@ func (c Config) Validate() error {
 	if c.RefreshAboveLevels < 0 {
 		return fmt.Errorf("ssd: negative refresh threshold")
 	}
-	if c.MaxReadRetries < 0 {
-		return fmt.Errorf("ssd: negative read-retry bound")
-	}
 	if err := c.Calib.Validate(); err != nil {
 		return err
 	}
@@ -157,14 +143,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// readRetries returns the effective transient-read-retry bound.
-func (c Config) readRetries() int {
-	if c.MaxReadRetries > 0 {
-		return c.MaxReadRetries
-	}
-	return DefaultReadRetries
 }
 
 // channels normalizes the configured channel count.
@@ -698,7 +676,7 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 		retries := 0
 		for d.inj.Fails(fault.Read, block, pe) {
 			d.res.TransientReadFaults++
-			if retries >= d.cfg.readRetries() {
+			if retries >= DefaultReadRetries {
 				d.res.DataLoss++
 				break
 			}
@@ -840,7 +818,7 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 			// Degraded mode: the write is refused at buffer latency, the
 			// previously stored data stays intact and readable.
 			d.res.WritesRejected++
-			resp := d.cfg.BufferLatency
+			resp := bufferLatency
 			d.res.WriteResp.Add(resp.Seconds())
 			d.res.OverallResp.Add(resp.Seconds())
 			return resp, nil
@@ -857,7 +835,7 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 				ch = d.channelOf(b)
 			}
 			d.charge(ch, now, d.opsTime(ops))
-			resp := d.cfg.BufferLatency
+			resp := bufferLatency
 			d.res.WriteResp.Add(resp.Seconds())
 			d.res.OverallResp.Add(resp.Seconds())
 			return resp, nil
@@ -870,8 +848,8 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 	d.charge(ch, now, d.opsTime(ops))
 
 	backlog := d.chanFree[ch] - now
-	allowance := time.Duration(d.cfg.BufferPages) * d.cfg.Timing.Program
-	resp := d.cfg.BufferLatency
+	allowance := bufferPages * d.cfg.Timing.Program
+	resp := bufferLatency
 	if backlog > allowance {
 		resp += backlog - allowance
 	}

@@ -72,9 +72,9 @@ func TestNewValidation(t *testing.T) {
 		t.Error("nil policy accepted")
 	}
 	bad := cfg
-	bad.BufferPages = -1
+	bad.Channels = -1
 	if _, err := New(bad, flatBER(0, 0), baseline.Oracle{}); err == nil {
-		t.Error("negative buffer accepted")
+		t.Error("negative channel count accepted")
 	}
 	bad = cfg
 	bad.MaxDataAgeHours = -1
@@ -167,18 +167,18 @@ func TestWriteBufferAbsorbsWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp != d.cfg.BufferLatency {
-		t.Errorf("buffered write resp = %v, want %v", resp, d.cfg.BufferLatency)
+	if resp != bufferLatency {
+		t.Errorf("buffered write resp = %v, want %v", resp, bufferLatency)
 	}
 	// Saturate the buffer: responses grow once backlog exceeds capacity.
 	var last time.Duration
-	for i := 0; i < d.cfg.BufferPages+50; i++ {
+	for i := 0; i < bufferPages+50; i++ {
 		last, err = d.Write(time.Second, uint64(i%512), ftl.NormalState)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if last <= d.cfg.BufferLatency {
+	if last <= bufferLatency {
 		t.Errorf("overflowing write resp = %v, want above buffer latency", last)
 	}
 }
