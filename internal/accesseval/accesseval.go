@@ -7,8 +7,8 @@
 package accesseval
 
 import (
-	"container/list"
 	"fmt"
+	"math"
 
 	"flexlevel/internal/hotdata"
 	"flexlevel/internal/sensing"
@@ -62,16 +62,34 @@ type Decision struct {
 }
 
 // Controller is the AccessEval module.
+//
+// The ReducedCell pool is an intrusive LRU list indexed by LPN: slot lpn
+// of links holds the page's list links and membership, so a pool lookup,
+// a move to the front and an eviction are array work with no hashing.
+// The slots grow on demand up to the largest LPN ever admitted. Links
+// are int32 LPNs, so pages at or above math.MaxInt32 are never admitted;
+// no device addresses them (ftl.Config.Validate bounds the packed
+// tables to 2^31-1 pages).
 type Controller struct {
 	params Params
 	hot    *hotdata.Identifier
 
-	pool map[uint64]*list.Element
-	lru  *list.List // front = most recently accessed
+	links      []lruLink
+	head, tail int32 // most and least recently accessed member, noLink when empty
+	size       int
 
 	migrations int64
 	evictions  int64
 }
+
+// lruLink is one LPN's slot of the pool list.
+type lruLink struct {
+	prev, next int32 // neighbours towards head and tail, noLink at the ends
+	in         bool  // the LPN is a pool member
+}
+
+// noLink terminates the pool list.
+const noLink = -1
 
 // New builds a Controller.
 func New(p Params) (*Controller, error) {
@@ -82,12 +100,7 @@ func New(p Params) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Controller{
-		params: p,
-		hot:    hot,
-		pool:   make(map[uint64]*list.Element),
-		lru:    list.New(),
-	}, nil
+	return &Controller{params: p, hot: hot, head: noLink, tail: noLink}, nil
 }
 
 // Params returns the controller's configuration.
@@ -95,18 +108,58 @@ func (c *Controller) Params() Params { return c.params }
 
 // InPool reports whether lpn currently lives in reduced state.
 func (c *Controller) InPool(lpn uint64) bool {
-	_, ok := c.pool[lpn]
-	return ok
+	return lpn < uint64(len(c.links)) && c.links[lpn].in
 }
 
 // PoolSize returns the number of pages in the reduced pool.
-func (c *Controller) PoolSize() int { return len(c.pool) }
+func (c *Controller) PoolSize() int { return c.size }
 
 // Migrations returns how many pages were admitted to the pool.
 func (c *Controller) Migrations() int64 { return c.migrations }
 
 // Evictions returns how many pages were evicted back to normal state.
 func (c *Controller) Evictions() int64 { return c.evictions }
+
+// pushFront makes the non-member lpn the pool's most recent member,
+// growing the slots to hold it.
+func (c *Controller) pushFront(lpn int32) {
+	if int(lpn) >= len(c.links) {
+		c.links = append(c.links, make([]lruLink, int(lpn)+1-len(c.links))...)
+	}
+	c.links[lpn] = lruLink{prev: noLink, next: c.head, in: true}
+	if c.head != noLink {
+		c.links[c.head].prev = lpn
+	} else {
+		c.tail = lpn
+	}
+	c.head = lpn
+	c.size++
+}
+
+// unlink removes the member lpn from the pool.
+func (c *Controller) unlink(lpn int32) {
+	l := c.links[lpn]
+	if l.prev != noLink {
+		c.links[l.prev].next = l.next
+	} else {
+		c.head = l.next
+	}
+	if l.next != noLink {
+		c.links[l.next].prev = l.prev
+	} else {
+		c.tail = l.prev
+	}
+	c.links[lpn] = lruLink{}
+	c.size--
+}
+
+// touch moves the member lpn to the front of the pool.
+func (c *Controller) touch(lpn int32) {
+	if c.head != lpn {
+		c.unlink(lpn)
+		c.pushFront(lpn)
+	}
+}
 
 // SensingBucket maps a read's extra sensing-level count to the paper's
 // L_sensing bucket in [1, Lsensing]: level 0 (hard decision) is bucket 1
@@ -125,39 +178,35 @@ func (c *Controller) SensingBucket(levels int) int {
 // Overhead returns the LDPC-overhead estimate L_f × L_sensing for a read
 // of lpn that used the given sensing levels.
 func (c *Controller) Overhead(lpn uint64, levels int) int {
-	lf := c.hot.FreqLevel(lpn, c.params.Lf)
-	return lf * c.SensingBucket(levels)
+	return c.hot.FreqLevel(lpn, c.params.Lf) * c.SensingBucket(levels)
 }
 
 // OnRead records a read of lpn that needed the given extra sensing
 // levels and returns the migration decision. Pool membership is updated
 // immediately; the caller performs the physical page moves.
 func (c *Controller) OnRead(lpn uint64, levels int) Decision {
-	c.hot.Record(lpn)
-	if el, ok := c.pool[lpn]; ok {
-		c.lru.MoveToFront(el)
+	member := c.InPool(lpn)
+	if member || c.params.PoolPages == 0 || lpn >= math.MaxInt32 {
+		// No admission to decide: the read only counts towards hotness.
+		c.hot.Record(lpn)
+		if member {
+			c.touch(int32(lpn))
+		}
 		return Decision{}
 	}
-	if c.params.PoolPages == 0 {
-		return Decision{}
-	}
-	if c.Overhead(lpn, levels) < c.params.Threshold {
+	// The read's L_f × L_sensing, as Overhead reports it after the read.
+	if c.hot.RecordLevel(lpn, c.params.Lf)*c.SensingBucket(levels) < c.params.Threshold {
 		return Decision{}
 	}
 	var d Decision
 	d.Migrate = true
-	for len(c.pool) >= c.params.PoolPages {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(uint64)
-		c.lru.Remove(back)
-		delete(c.pool, victim)
+	for c.size >= c.params.PoolPages {
+		victim := c.tail
+		c.unlink(victim)
 		c.evictions++
-		d.Evict = append(d.Evict, victim)
+		d.Evict = append(d.Evict, uint64(victim))
 	}
-	c.pool[lpn] = c.lru.PushFront(lpn)
+	c.pushFront(int32(lpn))
 	c.migrations++
 	return d
 }
@@ -166,8 +215,8 @@ func (c *Controller) OnRead(lpn uint64, levels int) Decision {
 // pool (pool members stay reduced; everything else is normal) and
 // refreshes the page's LRU position.
 func (c *Controller) OnWrite(lpn uint64) (reduced bool) {
-	if el, ok := c.pool[lpn]; ok {
-		c.lru.MoveToFront(el)
+	if c.InPool(lpn) {
+		c.touch(int32(lpn))
 		return true
 	}
 	return false
@@ -175,9 +224,8 @@ func (c *Controller) OnWrite(lpn uint64) (reduced bool) {
 
 // Remove drops lpn from the pool (e.g. the caller failed to migrate it).
 func (c *Controller) Remove(lpn uint64) {
-	if el, ok := c.pool[lpn]; ok {
-		c.lru.Remove(el)
-		delete(c.pool, lpn)
+	if c.InPool(lpn) {
+		c.unlink(int32(lpn))
 	}
 }
 

@@ -43,15 +43,40 @@ func (p FixedWorstCase) AppendAttempts(dst []int, _ int, required int) []int {
 	return dst
 }
 
+// blockMem is the per-block level memory of the retry policies: slot b
+// holds non-negative block b's remembered level, and a block never seen
+// (or forgotten) reads 0, hard-decision sensing. It grows on demand, so
+// a policy needs no device geometry up front.
+type blockMem []int
+
+func (m blockMem) get(block int) int {
+	if uint(block) < uint(len(m)) {
+		return m[block]
+	}
+	return 0
+}
+
+func (m *blockMem) set(block, level int) {
+	if block >= len(*m) {
+		*m = append(*m, make([]int, block+1-len(*m))...)
+	}
+	(*m)[block] = level
+}
+
+// forget zeroes a block's slot.
+func (m blockMem) forget(block int) {
+	if uint(block) < uint(len(m)) {
+		m[block] = 0
+	}
+}
+
 // LDPCInSSD is the progressive read-retry with per-block level memory.
 type LDPCInSSD struct {
-	mem map[int]int
+	mem blockMem
 }
 
 // NewLDPCInSSD returns an empty-memory policy.
-func NewLDPCInSSD() *LDPCInSSD {
-	return &LDPCInSSD{mem: make(map[int]int)}
-}
+func NewLDPCInSSD() *LDPCInSSD { return &LDPCInSSD{} }
 
 // Name implements ReadPolicy.
 func (*LDPCInSSD) Name() string { return "ldpc-in-ssd" }
@@ -61,28 +86,24 @@ func (*LDPCInSSD) Name() string { return "ldpc-in-ssd" }
 // result. Memory only rises — a block's BER only grows with wear and
 // retention within an erase cycle.
 func (p *LDPCInSSD) AppendAttempts(dst []int, block int, required int) []int {
-	start := p.mem[block]
+	start := p.mem.get(block)
 	if start >= required {
 		return append(dst, start)
 	}
 	for l := start; l <= required; l++ {
 		dst = append(dst, l)
 	}
-	p.mem[block] = required
+	p.mem.set(block, required)
 	return dst
 }
 
 // Forget clears a block's memory (called on erase: a fresh block starts
 // over at hard-decision sensing).
-func (p *LDPCInSSD) Forget(block int) {
-	delete(p.mem, block)
-}
+func (p *LDPCInSSD) Forget(block int) { p.mem.forget(block) }
 
 // Reset drops all remembered levels (called on power loss: the memory
 // is controller RAM and does not survive a crash).
-func (p *LDPCInSSD) Reset() {
-	p.mem = make(map[int]int)
-}
+func (p *LDPCInSSD) Reset() { clear(p.mem) }
 
 // DefaultRetryBudget is the per-read attempt bound of AdaptiveRetry.
 const DefaultRetryBudget = 4
@@ -95,7 +116,7 @@ const DefaultRetryBudget = 4
 // recalibration reduces what the block needs, so memory tracks the
 // calibrated state instead of ratcheting up for the block's lifetime.
 type AdaptiveRetry struct {
-	mem map[int]int
+	mem blockMem
 	// Budget bounds the attempts of one read (>= 2: the remembered
 	// level plus at least one escalation). 0 selects DefaultRetryBudget.
 	Budget int
@@ -104,7 +125,7 @@ type AdaptiveRetry struct {
 // NewAdaptiveRetry returns an empty-memory policy with the given
 // per-read attempt budget (0 selects DefaultRetryBudget).
 func NewAdaptiveRetry(budget int) *AdaptiveRetry {
-	return &AdaptiveRetry{mem: make(map[int]int), Budget: budget}
+	return &AdaptiveRetry{Budget: budget}
 }
 
 // Name implements ReadPolicy.
@@ -124,7 +145,7 @@ func (p *AdaptiveRetry) budget() int {
 // requirement, so the sequence always ends >= required within Budget
 // attempts.
 func (p *AdaptiveRetry) AppendAttempts(dst []int, block int, required int) []int {
-	start := p.mem[block]
+	start := p.mem.get(block)
 	if start >= required {
 		return append(dst, start)
 	}
@@ -140,7 +161,7 @@ func (p *AdaptiveRetry) AppendAttempts(dst []int, block int, required int) []int
 		dst = append(dst, lvl)
 		n++
 	}
-	p.mem[block] = required
+	p.mem.set(block, required)
 	return dst
 }
 
@@ -151,20 +172,16 @@ func (p *AdaptiveRetry) Lower(block, level int) {
 	if level < 0 {
 		level = 0
 	}
-	if cur, ok := p.mem[block]; ok && cur > level {
+	if p.mem.get(block) > level {
 		p.mem[block] = level
 	}
 }
 
 // Forget clears a block's memory (called on erase).
-func (p *AdaptiveRetry) Forget(block int) {
-	delete(p.mem, block)
-}
+func (p *AdaptiveRetry) Forget(block int) { p.mem.forget(block) }
 
 // Reset drops all remembered levels (called on power loss).
-func (p *AdaptiveRetry) Reset() {
-	p.mem = make(map[int]int)
-}
+func (p *AdaptiveRetry) Reset() { clear(p.mem) }
 
 // Oracle always senses at exactly the required level.
 type Oracle struct{}

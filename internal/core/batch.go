@@ -113,10 +113,11 @@ func (r *Runner) StepBatch(ctx context.Context, reqs []trace.Request, qd int) er
 // than its recorded arrival — and returns the completion time of the
 // request's last page. Pages of one request are issued together at the
 // submit time; same-channel pages serialize in the device's FIFO, so the
-// request completes when its slowest page does. It is the single-request
-// surface of the batched event loop, exported for drivers that compute
-// submit times themselves (per-tenant queue-depth windows in the serve
-// daemon).
+// request completes when its slowest page does. A failed write page
+// stops the request with a *WriteError naming how many pages went
+// through. It is the single-request surface of the batched event loop,
+// exported for drivers that compute submit times themselves
+// (per-tenant queue-depth windows in the serve daemon).
 func (r *Runner) StepAt(req trace.Request, at time.Duration) (time.Duration, error) {
 	if r.device.Crashed() {
 		return 0, ftl.ErrPowerLoss
@@ -142,7 +143,7 @@ func (r *Runner) StepAt(req trace.Request, at time.Duration) (time.Duration, err
 				if errors.Is(err, ftl.ErrPowerLoss) {
 					return done, err
 				}
-				return done, fmt.Errorf("core: %s write lpn %d: %w", r.opts.System, lpn, err)
+				return done, &WriteError{Page: p, err: fmt.Errorf("core: %s write lpn %d: %w", r.opts.System, lpn, err)}
 			}
 		}
 		if end := at + resp; end > done {
@@ -154,6 +155,17 @@ func (r *Runner) StepAt(req trace.Request, at time.Duration) (time.Duration, err
 	}
 	return done, nil
 }
+
+// WriteError is StepAt's error for a write request whose page Page
+// failed: the request's pages before it are programmed and remapped,
+// the rest are not.
+type WriteError struct {
+	Page int
+	err  error
+}
+
+func (e *WriteError) Error() string { return e.err.Error() }
+func (e *WriteError) Unwrap() error { return e.err }
 
 // RunRequestsQD is RunRequests driven by the batched engine: it
 // preconditions the device and replays the stream with up to qd

@@ -396,23 +396,26 @@ func (r *Runner) read(now time.Duration, lpn uint64) (time.Duration, error) {
 }
 
 // migrationSkippable reports whether a background pool conversion may be
-// silently skipped: a degraded or write-failing device keeps serving the
-// data from its current pool, so AccessEval migrations are best-effort.
+// silently skipped: a degraded, write-failing or out-of-blocks device
+// keeps serving the data from its current pool, so AccessEval
+// migrations are best-effort.
 func migrationSkippable(err error) bool {
-	return errors.Is(err, ftl.ErrDegraded) || errors.Is(err, ftl.ErrWriteFailed)
+	return errors.Is(err, ftl.ErrDegraded) || errors.Is(err, ftl.ErrWriteFailed) ||
+		errors.Is(err, ftl.ErrNoFreeBlocks)
 }
 
 func (r *Runner) metrics(workload string) Metrics {
 	res := r.device.Results()
+	q := res.ReadSample.Percentiles(50, 95, 99)
 	m := Metrics{
 		Workload:      workload,
 		System:        r.opts.System,
 		AvgResponse:   res.OverallResp.Mean(),
 		AvgRead:       res.ReadResp.Mean(),
 		AvgWrite:      res.WriteResp.Mean(),
-		P50Read:       res.ReadSample.Percentile(50),
-		P95Read:       res.ReadSample.Percentile(95),
-		P99Read:       res.ReadSample.Percentile(99),
+		P50Read:       q[0],
+		P95Read:       q[1],
+		P99Read:       q[2],
 		SimTime:       r.device.Now().Seconds(),
 		UserWrites:    res.FTL.UserPrograms,
 		TotalPrograms: res.FTL.TotalPrograms(),

@@ -167,3 +167,45 @@ func BenchmarkBERSurfaceHit(b *testing.B) {
 		b.Fatal("steady-state lookups missed")
 	}
 }
+
+// BenchmarkBERSurfaceMiss measures a fresh runner's surface misses:
+// every lookup misses the surface and evaluates the point's BER model.
+func BenchmarkBERSurfaceMiss(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]surfacePoint, 0, 4096)
+	seen := map[int64]bool{}
+	for len(pts) < cap(pts) {
+		p := surfacePoint{
+			state: ftl.BlockState(rng.Intn(2)),
+			pe:    6000 + rng.Intn(8),
+			age:   float64(rng.Intn(720)),
+		}
+		if key, _ := surfaceKey(p.state, p.pe, int(p.age), 0); !seen[key] {
+			seen[key] = true
+			pts = append(pts, p)
+		}
+	}
+	var s *BERSurface
+	var err error
+	misses := int64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(pts) == 0 {
+			b.StopTimer()
+			if s != nil {
+				misses += s.Stats().Misses
+			}
+			if s, err = newBERSurface("NUNMA 3", 6000, 720); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		p := &pts[i%len(pts)]
+		_, surfaceSink = s.BER(p.state, p.pe, p.age, 0)
+	}
+	b.StopTimer()
+	if misses += s.Stats().Misses; misses != int64(b.N) {
+		b.Fatalf("%d of %d lookups missed the fresh surfaces", misses, b.N)
+	}
+}

@@ -102,15 +102,16 @@ func (r *Runner) tenantMetrics() []TenantMetrics {
 	}
 	out := make([]TenantMetrics, len(r.tenants))
 	for i, t := range r.tenants {
+		q := t.reads.Percentiles(50, 95, 99)
 		out[i] = TenantMetrics{
 			Name:             t.name,
 			Requests:         t.requests,
 			Reads:            int64(t.reads.N()),
 			Writes:           t.writes,
 			AvgRead:          t.reads.Mean(),
-			P50Read:          t.reads.Percentile(50),
-			P95Read:          t.reads.Percentile(95),
-			P99Read:          t.reads.Percentile(99),
+			P50Read:          q[0],
+			P95Read:          q[1],
+			P99Read:          q[2],
 			Shed:             t.shed,
 			DeadlineExceeded: t.deadline,
 		}

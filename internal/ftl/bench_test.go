@@ -111,3 +111,26 @@ func BenchmarkFTLPickVictim(b *testing.B) {
 		f.pickVictim()
 	}
 }
+
+// BenchmarkFTLAllocBlock fills a fresh default FTL at P/E 6000 the way
+// preload does, one sequential write per logical page: every 64th write
+// opens a block through allocBlock's least-worn pick, over a free list
+// that starts with every block in it.
+func BenchmarkFTLAllocBlock(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.InitialPE = 6000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for lpn := uint64(0); lpn < cfg.LogicalPages; lpn++ {
+			if _, _, err := f.Write(lpn, NormalState); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

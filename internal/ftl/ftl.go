@@ -7,8 +7,10 @@
 package ftl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"flexlevel/internal/bitset"
 	"flexlevel/internal/fault"
@@ -276,6 +278,9 @@ type activeBlock struct {
 	nextPage int
 }
 
+// peCount is one entry of FTL.freePE: n free blocks sit at P/E count pe.
+type peCount struct{ pe, n int32 }
+
 // numStates is the number of BlockState pools, the length of FTL.active.
 const numStates = int(ReducedState) + 1
 
@@ -296,8 +301,15 @@ type FTL struct {
 	blockUsed  []int32 // pages programmed in block (valid + invalid)
 	blockState []BlockState
 	blockPE    []int32
-	free       []int32     // free (erased) block indexes, LIFO
-	bad        *bitset.Set // retired (grown bad) blocks, never reused
+	free       []int32 // free (erased) block indexes, LIFO
+	// freePE counts the free blocks at each P/E value present, ascending
+	// by P/E, so allocBlock reads the least wear off the front instead
+	// of comparing every free block. It is a host-side index of free and
+	// blockPE, not device metadata, so MetaBytes leaves it out.
+	freePE []peCount
+	// reducedPages is usablePages(ReducedState), computed once.
+	reducedPages int
+	bad          *bitset.Set // retired (grown bad) blocks, never reused
 	// spare is the reserved replacement pool. Retirement always consumes
 	// the highest-numbered spare and nothing is ever added, so the pool
 	// only shrinks — a bitset (popped via Max) reproduces the old
@@ -342,7 +354,7 @@ func New(cfg Config) (*FTL, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := &FTL{cfg: cfg}
+	f := &FTL{cfg: cfg, reducedPages: int(float64(cfg.PagesPerBlock) * cfg.ReducedFactor)}
 	phys := cfg.PagesPerBlock * cfg.Blocks
 	f.l2p = make([]int32, cfg.LogicalPages)
 	for i := range f.l2p {
@@ -371,7 +383,7 @@ func New(cfg Config) (*FTL, error) {
 	}
 	f.free = make([]int32, 0, cfg.Blocks)
 	for b := cfg.Blocks - cfg.SpareBlocks - 1; b >= 0; b-- {
-		f.free = append(f.free, int32(b))
+		f.pushFree(b)
 	}
 	if cfg.Journal.Enabled {
 		f.media = newMedia(cfg)
@@ -498,7 +510,7 @@ func (f *FTL) MetaBytes() int64 {
 // usablePages returns the programmable page slots of a block in state s.
 func (f *FTL) usablePages(s BlockState) int {
 	if s == ReducedState {
-		return int(float64(f.cfg.PagesPerBlock) * f.cfg.ReducedFactor)
+		return f.reducedPages
 	}
 	return f.cfg.PagesPerBlock
 }
@@ -960,7 +972,7 @@ func (f *FTL) retire(b int, ops *OpCount) {
 	f.inRetire = wasRetiring
 	if s, ok := f.spare.Max(); ok {
 		f.spare.Clear(s)
-		f.free = append(f.free, int32(s))
+		f.pushFree(s)
 		f.stats.SparesUsed++
 	}
 	f.checkDegraded()
@@ -989,15 +1001,13 @@ func (f *FTL) allocBlock(state BlockState, ops *OpCount) (int, error) {
 		return 0, fmt.Errorf("%w (logical space overcommitted for the %v pool; %d blocks retired, %d spares left)",
 			ErrNoFreeBlocks, state, f.retired, f.spare.Count())
 	}
-	best := 0
-	for i := 1; i < len(f.free); i++ {
-		if f.blockPE[f.free[i]] < f.blockPE[f.free[best]] {
-			best = i
-		}
-	}
+	best := f.leastWornFree()
 	b := int(f.free[best])
 	f.free[best] = f.free[len(f.free)-1]
 	f.free = f.free[:len(f.free)-1]
+	if f.freePE[0].n--; f.freePE[0].n == 0 {
+		f.freePE = slices.Delete(f.freePE, 0, 1)
+	}
 	f.blockState[b] = state // erased block: state switch is legal
 	f.blockUsed[b] = 0
 	if f.media != nil {
@@ -1117,8 +1127,33 @@ func (f *FTL) reclaim(victim int, ops *OpCount) bool {
 		f.retire(victim, ops)
 		return !f.dead
 	}
-	f.free = append(f.free, int32(victim))
+	f.pushFree(victim)
 	return true
+}
+
+// leastWornFree returns the free-list position of the block allocBlock
+// takes: the lowest P/E, the earliest position among equals. freePE
+// names the lowest P/E, so the search stops at the first free block
+// that has it. The free list must not be empty.
+func (f *FTL) leastWornFree() int {
+	least := f.freePE[0].pe
+	i := 0
+	for f.blockPE[f.free[i]] != least {
+		i++
+	}
+	return i
+}
+
+// pushFree appends block b to the free list and counts it at its P/E.
+func (f *FTL) pushFree(b int) {
+	f.free = append(f.free, int32(b))
+	pe := f.blockPE[b]
+	i, found := slices.BinarySearchFunc(f.freePE, pe, func(c peCount, pe int32) int { return cmp.Compare(c.pe, pe) })
+	if found {
+		f.freePE[i].n++
+		return
+	}
+	f.freePE = slices.Insert(f.freePE, i, peCount{pe: pe, n: 1})
 }
 
 // ResetStats zeroes the cumulative counters (used after preconditioning

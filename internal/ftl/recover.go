@@ -263,10 +263,10 @@ func Recover(cfg Config, m *Media, faultFn func(op fault.Op, block, pe int) bool
 		owner[p] = int32(lpn)
 		f.blockValid[f.blockOf(int64(p))]++
 	}
-	f.free = f.free[:0]
+	f.free, f.freePE = f.free[:0], f.freePE[:0]
 	for b := 0; b < cfg.Blocks; b++ {
 		if !f.bad.Get(b) && !f.spare.Get(b) && f.blockUsed[b] == 0 {
-			f.free = append(f.free, int32(b))
+			f.pushFree(b)
 		}
 	}
 	// One partially-filled block per pool resumes as the active block —

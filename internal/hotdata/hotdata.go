@@ -10,9 +10,10 @@ import "fmt"
 type Identifier struct {
 	filters  [][]uint64 // V bit arrays
 	bits     uint64     // bits per filter
+	mask     uint64     // bits-1 when bits is a power of two, else 0
 	hashes   int
 	window   int // accesses between rotations
-	accesses int
+	accesses int // since the last rotation
 	current  int // filter receiving inserts
 }
 
@@ -49,6 +50,9 @@ func New(cfg Config) (*Identifier, error) {
 		hashes:  cfg.Hashes,
 		window:  cfg.Window,
 	}
+	if id.bits&(id.bits-1) == 0 {
+		id.mask = id.bits - 1
+	}
 	words := (cfg.BitsPerFilter + 63) / 64
 	for i := range id.filters {
 		id.filters[i] = make([]uint64, words)
@@ -74,7 +78,7 @@ func fnv64a(lpn uint64) uint64 {
 
 // probe holds the double-hashing pair for one LPN: bit position i is
 // (h1 + i*h2) mod bits. It is computed once per call and shared by every
-// hash function.
+// hash function of every filter.
 type probe struct{ h1, h2 uint64 }
 
 func newProbe(lpn uint64) probe {
@@ -82,19 +86,36 @@ func newProbe(lpn uint64) probe {
 	return probe{h1: h1, h2: h1>>33 | h1<<31}
 }
 
-// pos returns the i-th bit position of the probe in a filter of bits.
-func (p probe) pos(i int, bits uint64) uint64 { return (p.h1 + uint64(i)*p.h2) % bits }
+// pos returns the i-th bit position of the probe; a power-of-two filter
+// size reduces it with a mask instead of a 64-bit division.
+func (id *Identifier) pos(pb probe, i int) uint64 {
+	h := pb.h1 + uint64(i)*pb.h2
+	if id.mask != 0 {
+		return h & id.mask
+	}
+	return h % id.bits
+}
 
 // Record notes one read access to lpn.
-func (id *Identifier) Record(lpn uint64) {
-	f := id.filters[id.current]
+func (id *Identifier) Record(lpn uint64) { id.record(newProbe(lpn)) }
+
+// RecordLevel notes one read access to lpn and returns the page's
+// frequency level after it — Record then FreqLevel, hashing lpn once.
+func (id *Identifier) RecordLevel(lpn uint64, nLevels int) int {
 	pb := newProbe(lpn)
+	id.record(pb)
+	return id.freqLevel(pb, nLevels)
+}
+
+func (id *Identifier) record(pb probe) {
+	f := id.filters[id.current]
 	for i := 0; i < id.hashes; i++ {
-		pos := pb.pos(i, id.bits)
+		pos := id.pos(pb, i)
 		f[pos/64] |= 1 << (pos % 64)
 	}
 	id.accesses++
-	if id.accesses%id.window == 0 {
+	if id.accesses == id.window {
+		id.accesses = 0
 		id.rotate()
 	}
 }
@@ -111,7 +132,7 @@ func (id *Identifier) rotate() {
 // contains reports whether filter f claims the probed LPN.
 func (id *Identifier) contains(f []uint64, pb probe) bool {
 	for i := 0; i < id.hashes; i++ {
-		pos := pb.pos(i, id.bits)
+		pos := id.pos(pb, i)
 		if f[pos/64]&(1<<(pos%64)) == 0 {
 			return false
 		}
@@ -121,9 +142,10 @@ func (id *Identifier) contains(f []uint64, pb probe) bool {
 
 // Frequency returns the number of filters containing lpn: an
 // approximate, recency-decayed access count in [0, Filters].
-func (id *Identifier) Frequency(lpn uint64) int {
+func (id *Identifier) Frequency(lpn uint64) int { return id.frequency(newProbe(lpn)) }
+
+func (id *Identifier) frequency(pb probe) int {
 	n := 0
-	pb := newProbe(lpn)
 	for _, f := range id.filters {
 		if id.contains(f, pb) {
 			n++
@@ -140,10 +162,14 @@ func (id *Identifier) MaxFrequency() int { return len(id.filters) }
 // [1, MaxFrequency] evenly, so with nLevels=2 a page seen in at least
 // half the filters counts as hot.
 func (id *Identifier) FreqLevel(lpn uint64, nLevels int) int {
+	return id.freqLevel(newProbe(lpn), nLevels)
+}
+
+func (id *Identifier) freqLevel(pb probe, nLevels int) int {
 	if nLevels < 1 {
 		return 1
 	}
-	f := id.Frequency(lpn)
+	f := id.frequency(pb)
 	lvl := 1 + f*nLevels/id.MaxFrequency()
 	if lvl > nLevels {
 		lvl = nLevels

@@ -172,7 +172,7 @@ func TestBitPositionsMatchFNV(t *testing.T) {
 			pb := newProbe(lpn)
 			for i := 0; i < cfg.Hashes; i++ {
 				ref := (h1 + uint64(i)*h2) % uint64(cfg.BitsPerFilter)
-				if got := pb.pos(i, id.bits); got != ref {
+				if got := id.pos(pb, i); got != ref {
 					t.Fatalf("lpn %#x hash %d: bit %d, hash/fnv reference %d", lpn, i, got, ref)
 				}
 				want[ref] = true
@@ -189,6 +189,30 @@ func TestBitPositionsMatchFNV(t *testing.T) {
 			}
 			if set != len(want) {
 				t.Fatalf("lpn %#x: %d bits set, reference sets %d", lpn, set, len(want))
+			}
+		}
+	}
+}
+
+// TestRecordLevelMatchesRecordThenFreqLevel: the one-hash RecordLevel
+// answers what Record followed by FreqLevel does, at a power-of-two and
+// a non-power-of-two filter size, across rotations.
+func TestRecordLevelMatchesRecordThenFreqLevel(t *testing.T) {
+	for _, bits := range []int{1 << 10, 1000} {
+		cfg := Config{Filters: 4, BitsPerFilter: bits, Hashes: 3, Window: 37}
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := New(cfg)
+		rng := rand.New(rand.NewSource(int64(bits)))
+		for i := 0; i < 5000; i++ {
+			lpn := uint64(rng.Intn(300))
+			levels := 1 + rng.Intn(4)
+			got := a.RecordLevel(lpn, levels)
+			b.Record(lpn)
+			if want := b.FreqLevel(lpn, levels); got != want {
+				t.Fatalf("bits %d access %d lpn %d: RecordLevel %d, Record+FreqLevel %d", bits, i, lpn, got, want)
 			}
 		}
 	}

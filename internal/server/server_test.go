@@ -9,8 +9,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -313,6 +315,110 @@ func TestServeDegradedReadOnly(t *testing.T) {
 	if snap := s.Snapshot(); snap.ReadOnlyRejects == 0 || !snap.Degraded {
 		t.Fatalf("snapshot misses degradation: rejects=%d degraded=%v",
 			snap.ReadOnlyRejects, snap.Degraded)
+	}
+}
+
+// TestServeOutOfBlocksReadOnly: a device can run out of free blocks
+// before the FTL's capacity check trips degraded mode — every erase
+// grows a bad block, and with random writes spread over the whole
+// device GC strands the survivors faster than their count falls. The
+// write that finds no free block is the end of write life: from then on
+// every write answers the typed 503 read_only, the tenants count them,
+// /healthz and /metrics report the shard degraded, and reads keep
+// flowing — FlexLevel's included, whose AccessEval migrations need
+// blocks too. The one write that may not be a refusal is a multi-page
+// write whose later page found no block: its earlier pages are already
+// remapped, so it fails unacked with a 500 that says so.
+func TestServeOutOfBlocksReadOnly(t *testing.T) {
+	for _, tc := range []struct {
+		system  core.System
+		pages   int
+		partial bool // the first failing write had pages through already
+	}{
+		{core.Baseline, 1, false},
+		{core.FlexLevel, 1, false},
+		{core.Baseline, 8, true},
+	} {
+		t.Run(fmt.Sprintf("%v/pages=%d", tc.system, tc.pages), func(t *testing.T) {
+			serveOutOfBlocks(t, tc.system, tc.pages, tc.partial)
+		})
+	}
+}
+
+func serveOutOfBlocks(t *testing.T, system core.System, pages int, partial bool) {
+	geo := smallFTL()
+	geo.SpareBlocks = 1
+	tenants := spreadTenants(4, geo.LogicalPages)
+	_, hs := newTestServer(t, Config{
+		System: system, PE: 6000, Seed: 11,
+		FTL:     geo,
+		Tenants: tenants,
+		Faults:  fault.Config{Seed: 1, Grown: fault.RateCurve{Base: 1}},
+	})
+	c := hs.Client()
+
+	const writes = 3000
+	rng := rand.New(rand.NewSource(1))
+	codes := map[int]int{}
+	readOnly, failed := 0, 0
+	first := ""
+	for i := 0; i < writes; i++ {
+		ti := i % len(tenants)
+		url := fmt.Sprintf("%s/v1/write?tenant=%s&lpn=%d&pages=%d", hs.URL, tenants[ti].Name, rng.Intn(512-pages+1), pages)
+		var er ErrorResponse
+		code := post(t, c, url, &er)
+		codes[code]++
+		switch {
+		case code == 200:
+			if failed > 0 {
+				t.Fatalf("write %d acked after the device turned read-only", i)
+			}
+		case code == 503 && er.Code == CodeReadOnly:
+			if failed == 0 {
+				first = er.Message
+			}
+			readOnly++
+			failed++
+		case code == 500 && failed == 0:
+			first = er.Message
+			failed++
+		default:
+			t.Fatalf("write %d: %d %q %q; want 200, then 503 read_only (or one 500 first)", i, code, er.Code, er.Message)
+		}
+	}
+	if readOnly == 0 || codes[200]+codes[503]+codes[500] != writes {
+		t.Fatalf("write status counts %v: want 200s, then 503 read_only", codes)
+	}
+	// The FTL's own degraded mode must not be what stopped the writes.
+	if !strings.Contains(first, "out of free blocks") {
+		t.Fatalf("first failed write answered %q; the scenario no longer runs out of blocks first", first)
+	}
+	if got := codes[500] == 1; got != partial {
+		t.Fatalf("first failed write answered %q; want a partial write %v", first, partial)
+	}
+	if partial && !strings.Contains(first, "pages written before the device turned read-only") {
+		t.Fatalf("partial write answered %q, not naming the pages written", first)
+	}
+	var h healthStatus
+	if code := get(t, c, hs.URL+"/healthz", &h); code != 200 || !h.Degraded || h.Status != "degraded" {
+		t.Fatalf("/healthz %d %+v, want 200 degraded", code, h)
+	}
+	// Enough reads that FlexLevel's pool fills and evicts: both
+	// conversions need a block the device no longer has.
+	const nReads = 5000
+	reads := map[int]int{}
+	for i := 0; i < nReads; i++ {
+		var rr ReadResponse
+		reads[get(t, c, fmt.Sprintf("%s/v1/read?tenant=%s&lpn=%d", hs.URL, tenants[i%len(tenants)].Name, rng.Intn(512)), &rr)]++
+	}
+	if reads[200] != nReads {
+		t.Fatalf("reads on a read-only device answered %v, want only 200s", reads)
+	}
+	var snap Snapshot
+	get(t, c, hs.URL+"/metrics", &snap)
+	if !snap.Degraded || snap.ReadOnlyRejects != int64(readOnly) || snap.InternalErrors != int64(codes[500]) {
+		t.Fatalf("/metrics degraded=%v read_only_rejects=%d internal=%d, want degraded, %d, %d",
+			snap.Degraded, snap.ReadOnlyRejects, snap.InternalErrors, readOnly, codes[500])
 	}
 }
 

@@ -39,10 +39,9 @@ import (
 // rebuilt router sends every LPN back to the shard whose journal
 // holds it.
 type shardRouter struct {
-	shards       int
-	logicalPages uint64
-	perShard     uint64 // ceil(logicalPages / shards)
-	tenantShard  []int  // tenant index -> owning shard
+	shards      int
+	perShard    uint64 // ceil(logicalPages / shards)
+	tenantShard []int  // tenant index -> owning shard
 }
 
 func newShardRouter(shards int, logicalPages uint64, tenants []trace.TenantSpec) *shardRouter {
@@ -53,7 +52,7 @@ func newShardRouter(shards int, logicalPages uint64, tenants []trace.TenantSpec)
 	if per == 0 {
 		per = 1
 	}
-	r := &shardRouter{shards: shards, logicalPages: logicalPages, perShard: per}
+	r := &shardRouter{shards: shards, perShard: per}
 	r.tenantShard = make([]int, len(tenants))
 	for i, t := range tenants {
 		r.tenantShard[i] = r.lpnShard(t.Base)
@@ -95,6 +94,11 @@ type engineShard struct {
 	// Engine-owned simulation state (no locks: one goroutine).
 	simNow  time.Duration
 	opCount int64
+	// outOfBlocks latches once a write found no free block to program:
+	// the device has reached the end of its write life even though the
+	// FTL's capacity check still counts enough surviving blocks, so the
+	// shard serves as degraded and read-only from then on.
+	outOfBlocks bool
 }
 
 // newEngineShard builds shard id's runner and preloads the windows of
@@ -252,14 +256,8 @@ func (e *engineShard) process(o *op) opResult {
 	// Degraded device: reads keep flowing, writes fail typed (the
 	// device itself silently rejects degraded writes, so the contract
 	// lives here).
-	if o.write && e.runner.Device().Degraded() {
-		s.statMu.Lock()
-		s.stats.tenants[o.tenant].readOnly++
-		s.statMu.Unlock()
-		return opResult{
-			status: 503, code: CodeReadOnly,
-			message: "device degraded: read-only mode",
-		}
+	if o.write && (e.outOfBlocks || e.runner.Device().Degraded()) {
+		return e.readOnly(o)
 	}
 
 	req := trace.Request{
@@ -277,10 +275,26 @@ func (e *engineShard) process(o *op) opResult {
 		if errors.Is(err, ftl.ErrPowerLoss) {
 			return e.handlePowerLoss(o)
 		}
+		msg := err.Error()
+		if o.write && errors.Is(err, ftl.ErrNoFreeBlocks) {
+			// The end of write life, as the lifetime sweep treats it:
+			// the shard turns read-only and reads keep working.
+			e.outOfBlocks = true
+			e.refreshDeviceMetrics()
+			var we *core.WriteError
+			if !errors.As(err, &we) || we.Page == 0 {
+				// No page went through, so the write's old mapping
+				// survives: a refusal like every later write's.
+				return e.readOnly(o)
+			}
+			// The pages before the failing one are remapped already,
+			// so this is no clean refusal: the write fails unacked.
+			msg = fmt.Sprintf("%s: %d of %d pages written before the device turned read-only", msg, we.Page, o.pages)
+		}
 		s.statMu.Lock()
 		s.stats.internalErrors++
 		s.statMu.Unlock()
-		return opResult{status: 500, code: CodeInternal, message: err.Error()}
+		return opResult{status: 500, code: CodeInternal, message: msg}
 	}
 	t.window.Complete(done)
 
@@ -301,6 +315,20 @@ func (e *engineShard) process(o *op) opResult {
 	s.stats.shardSimTime[e.id] = e.simNow
 	s.statMu.Unlock()
 	return res
+}
+
+// readOnly refuses a write on a shard past its write life with the
+// typed 503 and counts it against the tenant.
+func (e *engineShard) readOnly(o *op) opResult {
+	s := e.srv
+	s.statMu.Lock()
+	s.stats.tenants[o.tenant].readOnly++
+	s.statMu.Unlock()
+	msg := "device degraded: read-only mode"
+	if e.outOfBlocks {
+		msg = "device out of free blocks: read-only mode"
+	}
+	return opResult{status: 503, code: CodeReadOnly, message: msg}
 }
 
 // handlePowerLoss settles an op that died in a crash of this shard:
@@ -345,6 +373,7 @@ func (e *engineShard) handlePowerLoss(o *op) opResult {
 // percentiles.
 func (e *engineShard) refreshDeviceMetrics() {
 	m := e.runner.Finish("serve")
+	m.Degraded = m.Degraded || e.outOfBlocks
 	s := e.srv
 	s.statMu.Lock()
 	s.stats.shardDevice[e.id] = m

@@ -261,7 +261,8 @@ func (r Results) ReadPercentiles() (p50, p95, p99 float64) {
 	if r.ReadSample == nil || r.ReadSample.N() == 0 {
 		return 0, 0, 0
 	}
-	return r.ReadSample.Percentile(50), r.ReadSample.Percentile(95), r.ReadSample.Percentile(99)
+	q := r.ReadSample.Percentiles(50, 95, 99)
+	return q[0], q[1], q[2]
 }
 
 // Device is the simulated SSD.
@@ -734,9 +735,10 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 	d.res.Reads++
 	d.res.SensingAttempts += senses
 	d.res.LevelHist[final]++
-	d.res.ReadResp.Add(resp.Seconds())
-	d.res.ReadSample.Add(resp.Seconds())
-	d.res.OverallResp.Add(resp.Seconds())
+	sec := resp.Seconds()
+	d.res.ReadResp.Add(sec)
+	d.res.ReadSample.Add(sec)
+	d.res.OverallResp.Add(sec)
 
 	if !achievable && mapped {
 		d.res.Unreadable++
@@ -818,10 +820,8 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 			// Degraded mode: the write is refused at buffer latency, the
 			// previously stored data stays intact and readable.
 			d.res.WritesRejected++
-			resp := bufferLatency
-			d.res.WriteResp.Add(resp.Seconds())
-			d.res.OverallResp.Add(resp.Seconds())
-			return resp, nil
+			d.recordWrite(bufferLatency)
+			return bufferLatency, nil
 		case errors.Is(err, ftl.ErrWriteFailed):
 			// Program retries exhausted: the write is dropped (its old
 			// mapping survives), but the failed attempts and relocations
@@ -835,10 +835,8 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 				ch = d.channelOf(b)
 			}
 			d.charge(ch, now, d.opsTime(ops))
-			resp := bufferLatency
-			d.res.WriteResp.Add(resp.Seconds())
-			d.res.OverallResp.Add(resp.Seconds())
-			return resp, nil
+			d.recordWrite(bufferLatency)
+			return bufferLatency, nil
 		}
 		return 0, err
 	}
@@ -854,8 +852,7 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 		resp += backlog - allowance
 	}
 	d.res.Writes++
-	d.res.WriteResp.Add(resp.Seconds())
-	d.res.OverallResp.Add(resp.Seconds())
+	d.recordWrite(resp)
 
 	if d.cfg.WearLevelEvery > 0 && d.res.Writes%int64(d.cfg.WearLevelEvery) == 0 {
 		// Static wear leveling rides along as background work.
@@ -865,6 +862,14 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 		}
 	}
 	return resp, nil
+}
+
+// recordWrite adds one write's response time to the write and overall
+// statistics.
+func (d *Device) recordWrite(resp time.Duration) {
+	sec := resp.Seconds()
+	d.res.WriteResp.Add(sec)
+	d.res.OverallResp.Add(sec)
 }
 
 // Migrate rewrites lpn into the given pool in the background (AccessEval

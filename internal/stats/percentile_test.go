@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -122,6 +123,61 @@ func TestPercentileMatchesSort(t *testing.T) {
 	}
 }
 
+// TestPercentilesMatchSeparateCalls: one Percentiles pass answers each
+// query exactly as a Percentile call on its own copy of the sample (in
+// arrival order) does, over small, tied and reservoir samples and query
+// lists with repeats, clamped and NaN percentiles in any order, and it
+// only reorders the kept observations.
+func TestPercentilesMatchSeparateCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	queries := [][]float64{
+		{50, 95, 99},
+		{99, 95, 50},
+		{0, 100},
+		{100, 50, 0, 50},
+		{99.9, 1e-9, math.NaN(), -1, 101, 25, 25},
+		{},
+	}
+	gens := map[string]func() float64{
+		"lognormal": func() float64 { return math.Exp(rng.NormFloat64()) * 300 },
+		"ties":      func() float64 { return float64(rng.Intn(3)) },
+		"one value": func() float64 { return 7 },
+	}
+	for _, n := range []int{0, 1, 2, 3, 5, 100, 44521} {
+		for name, gen := range gens {
+			for _, reservoir := range []bool{false, true} {
+				s := NewSample(n)
+				if reservoir {
+					s = NewReservoir(1+n/3, int64(n))
+				}
+				for i := 0; i < n; i++ {
+					s.Add(gen())
+				}
+				for _, ps := range queries {
+					arrival := append([]float64(nil), s.xs...)
+					got := s.Percentiles(ps...)
+					if len(got) != len(ps) {
+						t.Fatalf("n=%d %s: %d answers to %d queries", n, name, len(got), len(ps))
+					}
+					for i, p := range ps {
+						c := &Sample{xs: append([]float64(nil), arrival...)}
+						if want := c.Percentile(p); !sameFloat(got[i], want) {
+							t.Fatalf("n=%d %s reservoir=%v queries %v: Percentiles[%d] = %v, Percentile(%v) = %v",
+								n, name, reservoir, ps, i, got[i], p, want)
+						}
+					}
+					after := append([]float64(nil), s.xs...)
+					sort.Float64s(arrival)
+					sort.Float64s(after)
+					if !slices.Equal(arrival, after) {
+						t.Fatalf("n=%d %s: Percentiles changed the kept observations", n, name)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzSamplePercentile drives a Sample — unbounded or a small reservoir
 // — through an arbitrary interleaving of Adds and percentile queries,
 // and checks every answer against the sort-based reference. Each op
@@ -207,8 +263,6 @@ func BenchmarkSamplePercentiles(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(s.xs, src)
-		_ = s.Percentile(50)
-		_ = s.Percentile(95)
-		_ = s.Percentile(99)
+		_ = s.Percentiles(50, 95, 99)
 	}
 }

@@ -5,9 +5,11 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Accumulator tracks count, mean, variance (Welford), min and max of a
@@ -185,28 +187,55 @@ func (s *Sample) Mean() float64 {
 // with no observations and NaN for a NaN p. The ranks come from an
 // in-place selection, which reorders the kept observations but, order
 // statistics being exact, answers exactly what a full sort would.
-func (s *Sample) Percentile(p float64) float64 {
+func (s *Sample) Percentile(p float64) float64 { return s.Percentiles(p)[0] }
+
+// Percentiles answers Percentile for each of ps, in order, from one
+// selection pass: the ranks are settled in ascending order, and each
+// selection searches only the part of the observations the previous one
+// left above its rank. When a rank is not whole, the next rank up is the
+// minimum of that part. Order statistics being exact, every answer is
+// the one a separate Percentile call gives (a zero's sign aside: -0 and
+// +0 tie, so either may come first).
+func (s *Sample) Percentiles(ps ...float64) []float64 {
+	out := make([]float64, len(ps))
 	n := len(s.xs)
-	switch {
-	case n == 0:
-		return 0
-	case math.IsNaN(p):
-		return math.NaN()
-	case p <= 0:
-		return minOf(s.xs)
-	case p >= 100:
-		return maxOf(s.xs)
+	if n == 0 {
+		return out
 	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	x := selectRank(s.xs, lo)
-	if float64(lo) == rank {
-		return x
+	order := make([]int, len(ps))
+	for i := range order {
+		order[i] = i
 	}
-	// Selection left every larger rank above lo, so rank lo+1 is the
-	// smallest of the tail.
-	frac := rank - float64(lo)
-	return x*(1-frac) + minOf(s.xs[lo+1:])*frac
+	// NaN sorts first, the clamped ranks next; none of them selects.
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ps[a], ps[b]) })
+	settled, x := -1, 0.0 // xs[settled] == x, nothing smaller after it
+	for _, i := range order {
+		p := ps[i]
+		switch {
+		case math.IsNaN(p):
+			out[i] = math.NaN()
+			continue
+		case p <= 0:
+			out[i] = minOf(s.xs)
+			continue
+		case p >= 100:
+			out[i] = maxOf(s.xs)
+			continue
+		}
+		rank := p / 100 * float64(n-1)
+		lo := int(math.Floor(rank))
+		if lo != settled {
+			x = selectRank(s.xs[settled+1:], lo-settled-1)
+			settled = lo
+		}
+		if float64(lo) == rank {
+			out[i] = x
+			continue
+		}
+		frac := rank - float64(lo)
+		out[i] = x*(1-frac) + minOf(s.xs[lo+1:])*frac
+	}
+	return out
 }
 
 // selectRank reorders xs so that xs[k] holds the k-th smallest value,
