@@ -584,10 +584,10 @@ func BenchmarkTraceGenerate(b *testing.B) {
 }
 
 // replayBench replays a Fig. 6(a)-style fin-2 trace under FlexLevel on
-// an 8-channel device, through either the open-loop Step path (qd 1) or
-// the batched event-driven path (qd > 1). Both drive the same device
-// read path, so the pair prices the batched engine's completion window
-// against the plain per-request loop at equal work.
+// an 8-channel device through Replay, either open-loop (qd 0, every
+// request at its arrival) or with a queue-depth window (qd > 0). Both
+// drive the same device read path, so the pair prices the completion
+// window against the plain per-request loop at equal work.
 func replayBench(b *testing.B, qd int) {
 	b.Helper()
 	opts := core.DefaultOptions(core.FlexLevel, 6000)
@@ -608,12 +608,7 @@ func replayBench(b *testing.B, qd int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if qd <= 1 {
-			m, err = r.RunRequests(w.Name, reqs, w.WorkingSet)
-		} else {
-			m, err = r.RunRequestsQD(nil, w.Name, reqs, w.WorkingSet, qd)
-		}
-		if err != nil {
+		if m, err = r.Replay(nil, w.Name, reqs, w.WorkingSet, qd); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -622,10 +617,10 @@ func replayBench(b *testing.B, qd int) {
 
 // BenchmarkReplaySerialQD1 is the Fig. 6(a) replay path: Step per
 // request at its recorded arrival.
-func BenchmarkReplaySerialQD1(b *testing.B) { replayBench(b, 1) }
+func BenchmarkReplaySerialQD1(b *testing.B) { replayBench(b, 0) }
 
-// BenchmarkReplayBatchedQD8 is the batched path: StepBatch keeps 8
-// requests in flight over its completion heap.
+// BenchmarkReplayBatchedQD8 is the queue-depth path: Replay keeps 8
+// requests in flight over its completion window.
 func BenchmarkReplayBatchedQD8(b *testing.B) { replayBench(b, 8) }
 
 // scenarioBenchSpec is the default three-tenant mix at bench size.
@@ -684,7 +679,7 @@ func BenchmarkScenarioReplayQD8(b *testing.B) {
 			b.Fatal(err)
 		}
 		r.TrackTenants(trace.TenantNames(spec.Tenants))
-		m, err = r.RunRequestsQD(nil, "scenario", reqs, workingSet, 8)
+		m, err = r.Replay(nil, "scenario", reqs, workingSet, 8)
 		if err != nil {
 			b.Fatal(err)
 		}

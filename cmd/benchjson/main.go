@@ -3,7 +3,7 @@
 // artifact per run and benchmark trajectories can be tracked across
 // commits without parsing free-form text.
 //
-//	go test -run '^$' -bench . ./... | benchjson > BENCH_2026-08-06.json
+//	go test -run '^$' -bench . ./... | benchjson > BENCH_$(date +%F).json
 //
 // Standard metrics (ns/op, B/op, allocs/op, MB/s) get their own fields;
 // anything else — such as the custom %reduction metrics the figure
@@ -13,6 +13,9 @@
 // CI benchmark-regression gate:
 //
 //	benchjson -diff BENCH_old.json BENCH_new.json -tol 0.15 [-bench regex]
+//
+// CI's baseline is the newest committed BENCH_<date>.json, picked with
+// `git ls-files 'BENCH_*.json' | sort | tail -n1`.
 //
 // Benchmarks are matched by (package, name); ns/op and allocs/op are
 // gated at the tolerance (default 15%). Exit status 1 means at least

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"flexlevel/internal/noise"
@@ -25,6 +26,11 @@ func main() {
 	sweep := flag.Bool("sweep", false, "print a P/E x time sweep for the scheme")
 	density := flag.Bool("density", false, "emit the scheme's Vth density as CSV (Fig. 4-style)")
 	flag.Parse()
+	if err := checkPoint(*pe, *hours); err != nil {
+		fmt.Fprintln(os.Stderr, "bercalc:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	m, err := nunma.Model(*scheme)
 	if err != nil {
@@ -76,4 +82,16 @@ func main() {
 	fmt.Println()
 	fmt.Printf("read latency:      %v (vs %v hard-decision)\n",
 		sensing.DefaultTiming().ReadLatency(levels), sensing.DefaultTiming().ReadLatency(0))
+}
+
+// checkPoint rejects a device point the models cannot evaluate: a
+// negative P/E count, or a storage time that is negative or not finite.
+func checkPoint(pe int, hours float64) error {
+	if pe < 0 {
+		return fmt.Errorf("-pe %d: P/E cycles must be >= 0", pe)
+	}
+	if math.IsNaN(hours) || math.IsInf(hours, 0) || hours < 0 {
+		return fmt.Errorf("-hours %v: retention time must be finite and >= 0", hours)
+	}
+	return nil
 }

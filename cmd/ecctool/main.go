@@ -9,9 +9,9 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strconv"
@@ -29,18 +29,21 @@ func main() {
 	seed := flag.Int64("seed", 1, "RNG seed")
 	withBCH := flag.Bool("bch", true, "include the BCH(255,191) t=8 comparator")
 	flag.Parse()
-	if err := run(*frames, *bersFlag, *construction, *seed, *withBCH); err != nil {
+	if err := run(os.Stdout, *frames, *bersFlag, *construction, *seed, *withBCH); err != nil {
 		fmt.Fprintln(os.Stderr, "ecctool:", err)
 		os.Exit(1)
 	}
 }
 
-func run(frames int, bersFlag, construction string, seed int64, withBCH bool) error {
+func run(w io.Writer, frames int, bersFlag, construction string, seed int64, withBCH bool) error {
+	if frames < 1 {
+		return fmt.Errorf("-frames %d: need at least 1 frame per point", frames)
+	}
 	var bers []float64
 	for _, s := range strings.Split(bersFlag, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || v <= 0 || v >= 0.5 {
-			return fmt.Errorf("bad BER %q", s)
+		if err != nil || !(v > 0 && v < 0.5) {
+			return fmt.Errorf("bad BER %q: want a number in (0, 0.5)", s)
 		}
 		bers = append(bers, v)
 	}
@@ -58,9 +61,9 @@ func run(frames int, bersFlag, construction string, seed int64, withBCH bool) er
 	if err != nil {
 		return err
 	}
-	fmt.Printf("LDPC (%s): n=%d k=%d rate=%.3f, %d frames per point\n",
+	fmt.Fprintf(w, "LDPC (%s): n=%d k=%d rate=%.3f, %d frames per point\n",
 		construction, code.N, code.K, code.Rate(), frames)
-	fmt.Printf("%-8s %26s %26s\n", "BER", "flooding FER [95% CI]", "layered FER [95% CI]")
+	fmt.Fprintf(w, "%-8s %26s %26s\n", "BER", "flooding FER [95% CI]", "layered FER [95% CI]")
 	for _, p := range bers {
 		flood, err := ldpc.SimulateFER(code, ldpc.NewDecoder(code), p, frames, rand.New(rand.NewSource(seed)))
 		if err != nil {
@@ -70,19 +73,14 @@ func run(frames int, bersFlag, construction string, seed int64, withBCH bool) er
 		if err != nil {
 			return err
 		}
-		fl, fh := stats.ProportionCI95(int64(flood.FrameFails), int64(flood.Frames))
-		ll, lh := stats.ProportionCI95(int64(layer.FrameFails), int64(layer.Frames))
-		fmt.Printf("%-8.4f %8.3f [%5.3f, %5.3f] %11.3f [%5.3f, %5.3f]   iters %.1f vs %.1f\n",
+		fl, fh := ci95(flood)
+		ll, lh := ci95(layer)
+		fmt.Fprintf(w, "%-8.4f %8.3f [%5.3f, %5.3f] %11.3f [%5.3f, %5.3f]   iters %.1f vs %.1f\n",
 			p, flood.FER(), fl, fh, layer.FER(), ll, lh, flood.AvgIters, layer.AvgIters)
 	}
 
-	fmt.Printf("\nLDPC hard bit-flip (%s):\n", construction)
-	hard := ldpc.NewHardDecoder(code)
-	if err := hardFER(bers, frames, code.K, rand.New(rand.NewSource(seed)), code.Encode,
-		func(cw []byte) ([]byte, bool, error) {
-			res, err := hard.Decode(cw)
-			return res.Data, res.OK, err
-		}); err != nil {
+	fmt.Fprintf(w, "\nLDPC hard bit-flip (%s):\n", construction)
+	if err := hardSweep(w, bers, frames, seed, code.K, code.Encode, ldpc.NewHardDecoder(code).Decode); err != nil {
 		return err
 	}
 
@@ -93,47 +91,31 @@ func run(frames int, bersFlag, construction string, seed int64, withBCH bool) er
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nBCH (n=%d, k=%d, t=%d):\n", bchCode.N, bchCode.K, bchCode.T)
-	return hardFER(bers, frames, bchCode.K, rand.New(rand.NewSource(seed)), bchCode.Encode,
-		func(cw []byte) ([]byte, bool, error) {
-			res, err := bchCode.Decode(cw)
-			return res.Data, res.OK, err
-		})
+	fmt.Fprintf(w, "\nBCH (n=%d, k=%d, t=%d):\n", bchCode.N, bchCode.K, bchCode.T)
+	return hardSweep(w, bers, frames, seed, bchCode.K, bchCode.Encode, func(cw []byte) (ldpc.Result, error) {
+		res, err := bchCode.Decode(cw)
+		return ldpc.Result{Data: res.Data, OK: res.OK}, err
+	})
 }
 
-// hardFER is the hard-decision frame loop: for each BER it encodes
-// frames random k-bit words, flips each codeword bit with probability
-// BER, decodes, and prints the frame error rate with its 95% interval.
-// Data and flips are drawn from one rng across the whole sweep.
-func hardFER(bers []float64, frames, k int, rng *rand.Rand,
-	encode func([]byte) ([]byte, error), decode func([]byte) ([]byte, bool, error)) error {
-	fmt.Printf("%-8s %26s\n", "BER", "FER [95% CI]")
+// hardSweep prints one hard-decision decoder's FER at every BER. All
+// points draw from one rng, so the sweep is one deterministic stream.
+func hardSweep(w io.Writer, bers []float64, frames int, seed int64, k int,
+	encode func([]byte) ([]byte, error), decode func([]byte) (ldpc.Result, error)) error {
+	rng := rand.New(rand.NewSource(seed))
+	fmt.Fprintf(w, "%-8s %26s\n", "BER", "FER [95% CI]")
 	for _, p := range bers {
-		fails := 0
-		for f := 0; f < frames; f++ {
-			data := make([]byte, k)
-			for i := range data {
-				data[i] = byte(rng.Intn(2))
-			}
-			cw, err := encode(data)
-			if err != nil {
-				return err
-			}
-			for i := range cw {
-				if rng.Float64() < p {
-					cw[i] ^= 1
-				}
-			}
-			got, ok, err := decode(cw)
-			if err != nil {
-				return err
-			}
-			if !ok || !bytes.Equal(got, data) {
-				fails++
-			}
+		res, err := ldpc.SimulateBSC(k, encode, decode, p, frames, rng)
+		if err != nil {
+			return err
 		}
-		lo, hi := stats.ProportionCI95(int64(fails), int64(frames))
-		fmt.Printf("%-8.4f %8.3f [%5.3f, %5.3f]\n", p, float64(fails)/float64(frames), lo, hi)
+		lo, hi := ci95(res)
+		fmt.Fprintf(w, "%-8.4f %8.3f [%5.3f, %5.3f]\n", p, res.FER(), lo, hi)
 	}
 	return nil
+}
+
+// ci95 is the Wilson 95% interval of a sweep point's frame error rate.
+func ci95(r ldpc.FERResult) (lo, hi float64) {
+	return stats.ProportionCI95(int64(r.FrameFails), int64(r.Frames))
 }

@@ -263,7 +263,7 @@ func replay(w io.Writer, path, format string, pe int) error {
 		if err != nil {
 			return err
 		}
-		m, err := r.RunRequests(path, reqs, 0)
+		m, err := r.Replay(nil, path, reqs, 0, 0)
 		if err != nil {
 			return err
 		}

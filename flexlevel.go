@@ -69,11 +69,15 @@ func Run(sys System, pe int, workload string, requests int) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
+	reqs, err := w.Generate()
+	if err != nil {
+		return Metrics{}, err
+	}
 	r, err := core.NewRunner(opts)
 	if err != nil {
 		return Metrics{}, err
 	}
-	return r.Run(w)
+	return r.Replay(nil, w.Name, reqs, w.WorkingSet, 0)
 }
 
 // Schemes lists the device-level schemes DeviceBER accepts.

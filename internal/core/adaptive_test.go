@@ -106,7 +106,7 @@ func TestRunnerWiresAdaptiveStack(t *testing.T) {
 	if r.Device().Calib() == nil {
 		t.Fatal("calibration tracker not wired")
 	}
-	m, err := r.Run(fastWorkload("web-1", t))
+	m, err := replayWorkload(r, fastWorkload("web-1", t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRunnerWithoutCalibUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := r.Run(fastWorkload("web-1", t))
+		m, err := replayWorkload(r, fastWorkload("web-1", t))
 		if err != nil {
 			t.Fatal(err)
 		}

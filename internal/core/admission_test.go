@@ -10,7 +10,7 @@ import (
 
 // countdownCtx is a context whose Err becomes non-nil after n calls —
 // a deterministic stand-in for "cancelled mid-flight" that needs no
-// goroutines or timers. Done is never closed; StepBatch polls Err.
+// goroutines or timers. Done is never closed; Replay polls Err.
 type countdownCtx struct {
 	context.Context
 	remaining int
@@ -25,7 +25,7 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestStepBatchCtxCancelsMidFlight is the satellite regression test:
-// cancellation must stop the batched event loop between requests, not
+// cancellation must stop the replay loop between requests, not
 // only between runner.Map shards.
 func TestStepBatchCtxCancelsMidFlight(t *testing.T) {
 	reqs, _ := tenantTestStream(t)
@@ -35,7 +35,7 @@ func TestStepBatchCtxCancelsMidFlight(t *testing.T) {
 	}
 	const admit = 100
 	ctx := &countdownCtx{Context: context.Background(), remaining: admit}
-	_, err = r.RunRequestsQD(ctx, "cancelled", reqs, 4096, 4)
+	_, err = r.Replay(ctx, "cancelled", reqs, 4096, 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled replay returned %v, want context.Canceled", err)
 	}
@@ -69,10 +69,7 @@ func TestStepBatchCtxPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := r.Prepare(reqs, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.StepBatch(ctx, reqs, 4); !errors.Is(err, context.Canceled) {
+	if _, err := r.Replay(ctx, "pre-cancelled", reqs, 4096, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled replay returned %v", err)
 	}
 	if res := r.Device().Results(); res.Reads+res.Writes != 0 {
@@ -90,7 +87,7 @@ func TestStepBatchCtxNilMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := r.RunRequestsQD(ctx, "legacy", reqs, 4096, 4)
+		m, err := r.Replay(ctx, "legacy", reqs, 4096, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,17 +1,17 @@
-// The batched, queue-depth-aware replay engine. Runner.Step/RunRequests
-// issue every request at its recorded arrival and let the device's
-// per-channel FIFOs absorb contention — an open-loop host with
-// unbounded queue depth. StepBatch instead models an NCQ-style host
-// that keeps at most QD requests outstanding: a request is submitted at
-// the later of its arrival and the moment a queue slot frees, where
-// slots free in deterministic completion order (earliest completion
-// first). The completion window is the host's own Window; the device
-// has one read path for both engines.
+// The replay engine. Runner.Replay runs one request stream through the
+// device in one of two host models. With qd < 1 it is an open-loop host
+// with unbounded queue depth: every request is issued at its recorded
+// arrival and the device's per-channel FIFOs absorb contention. With
+// qd >= 1 it models an NCQ-style host that keeps at most qd requests
+// outstanding: a request is submitted at the later of its arrival and
+// the moment a queue slot frees, where slots free in deterministic
+// completion order (earliest completion first). The completion window is
+// the host's own Window; the device has one read path for both models.
 //
-// Device calls still happen in submission order — the stream order —
-// so the engine is deterministic by construction and produces
-// bit-identical results for any host parallelism; only the submit
-// times differ from the open-loop path.
+// Device calls always happen in submission order — the stream order —
+// so replay is deterministic by construction and produces bit-identical
+// results for any host parallelism; only the submit times differ
+// between the two host models.
 package core
 
 import (
@@ -28,8 +28,9 @@ import (
 // most qd outstanding requests, sorted. A request is submitted at the
 // later of its arrival and, when the window is full, the earliest
 // outstanding completion, whose slot it then takes. Only completion
-// times are ever read, so equal times need no tie-break. StepBatch
-// drives one over a trace; the serve daemon keeps one per tenant.
+// times are ever read, so equal times need no tie-break. Replay at
+// qd >= 1 drives one over a trace; the serve daemon keeps one per
+// tenant.
 //
 // For nondecreasing arrivals this pop-when-full rule gives the same
 // submit times as eagerly dropping every completion ≤ arrival: such a
@@ -79,33 +80,48 @@ func (w *Window) Complete(done time.Duration) {
 // in a crash.
 func (w *Window) Reset() { w.done = w.done[:0] }
 
-// StepBatch replays reqs with up to qd requests in flight. Each request
-// is submitted at the later of its arrival time and the completion of
-// the request whose slot it takes; qd <= 1 serializes requests
-// back-to-back (closed loop at depth 1). The usual Prepare/Finish
-// bracket applies, as with Step.
+// Replay preconditions the device for reqs (Prepare), replays them, and
+// returns the metrics (Finish). workingSet is the number of logical
+// pages to precondition; pass 0 to derive it from the largest page the
+// stream touches. With qd < 1 every request is submitted at its recorded
+// arrival, exactly as a Prepare/Step/Finish loop does. With qd >= 1 at
+// most qd requests are in flight: each is submitted at the later of its
+// arrival and the completion of the request whose slot it takes, so
+// qd == 1 serializes requests back-to-back (closed loop at depth 1).
 //
-// The event loop checks ctx before every request, so a deadline, SIGINT
-// or server drain stops a batched replay mid-flight instead of only
-// between runner.Map shards. On cancellation the context's error is
-// returned and the device keeps the requests replayed so far (Finish
-// still yields a consistent partial metric set). A nil ctx never
-// cancels and adds no per-request cost beyond one pointer test.
-func (r *Runner) StepBatch(ctx context.Context, reqs []trace.Request, qd int) error {
-	w := NewWindow(qd)
+// The loop checks ctx before every request, so a deadline, SIGINT or
+// server drain stops a replay mid-flight instead of only between
+// runner.Map shards. On cancellation the context's error is returned and
+// the device keeps the requests replayed so far (Finish still yields a
+// consistent partial metric set). A nil ctx never cancels and adds no
+// per-request cost beyond one pointer test.
+func (r *Runner) Replay(ctx context.Context, name string, reqs []trace.Request, workingSet uint64, qd int) (Metrics, error) {
+	if err := r.Prepare(reqs, workingSet); err != nil {
+		return Metrics{}, err
+	}
+	var w *Window
+	if qd >= 1 {
+		w = NewWindow(qd)
+	}
 	for _, req := range reqs {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return err
+				return Metrics{}, err
 			}
 		}
-		done, err := r.StepAt(req, w.Submit(req.Arrival))
-		if err != nil {
-			return err
+		at := req.Arrival
+		if w != nil {
+			at = w.Submit(at)
 		}
-		w.Complete(done)
+		done, err := r.StepAt(req, at)
+		if err != nil {
+			return Metrics{}, err
+		}
+		if w != nil {
+			w.Complete(done)
+		}
 	}
-	return nil
+	return r.Finish(name), nil
 }
 
 // StepAt replays one request submitted at time at — which under
@@ -115,9 +131,9 @@ func (r *Runner) StepBatch(ctx context.Context, reqs []trace.Request, qd int) er
 // submit time; same-channel pages serialize in the device's FIFO, so the
 // request completes when its slowest page does. A failed write page
 // stops the request with a *WriteError naming how many pages went
-// through. It is the single-request surface of the batched event loop,
-// exported for drivers that compute submit times themselves
-// (per-tenant queue-depth windows in the serve daemon).
+// through. It is the single-request surface of Replay, exported for
+// drivers that compute submit times themselves (per-tenant queue-depth
+// windows in the serve daemon).
 func (r *Runner) StepAt(req trace.Request, at time.Duration) (time.Duration, error) {
 	if r.device.Crashed() {
 		return 0, ftl.ErrPowerLoss
@@ -166,18 +182,3 @@ type WriteError struct {
 
 func (e *WriteError) Error() string { return e.err.Error() }
 func (e *WriteError) Unwrap() error { return e.err }
-
-// RunRequestsQD is RunRequests driven by the batched engine: it
-// preconditions the device and replays the stream with up to qd
-// requests outstanding. ctx cancels mid-replay as in StepBatch (nil
-// never cancels); a cancelled replay returns the context's error, and
-// the metrics of the completed prefix remain available through Finish.
-func (r *Runner) RunRequestsQD(ctx context.Context, name string, reqs []trace.Request, workingSet uint64, qd int) (Metrics, error) {
-	if err := r.Prepare(reqs, workingSet); err != nil {
-		return Metrics{}, err
-	}
-	if err := r.StepBatch(ctx, reqs, qd); err != nil {
-		return Metrics{}, err
-	}
-	return r.Finish(name), nil
-}

@@ -295,33 +295,6 @@ func (r *Runner) writeState(lpn uint64) ftl.BlockState {
 	}
 }
 
-// Run replays the workload and returns its metrics. The device is
-// preloaded (every working-set page written once, with random retention
-// ages) before the measured phase.
-func (r *Runner) Run(w trace.Workload) (Metrics, error) {
-	reqs, err := w.Generate()
-	if err != nil {
-		return Metrics{}, err
-	}
-	return r.RunRequests(w.Name, reqs, w.WorkingSet)
-}
-
-// RunRequests replays an explicit request stream (synthetic or parsed
-// from a real trace file) against the system. workingSet is the number
-// of logical pages to precondition; pass 0 to derive it from the
-// largest page the stream touches.
-func (r *Runner) RunRequests(name string, reqs []trace.Request, workingSet uint64) (Metrics, error) {
-	if err := r.Prepare(reqs, workingSet); err != nil {
-		return Metrics{}, err
-	}
-	for _, req := range reqs {
-		if err := r.Step(req); err != nil {
-			return Metrics{}, err
-		}
-	}
-	return r.Finish(name), nil
-}
-
 // Prepare preconditions the device for a request stream: it derives the
 // working set (when 0) from the largest page the stream touches and
 // preloads it. After Prepare, the stream can be replayed one request at

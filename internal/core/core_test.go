@@ -34,6 +34,15 @@ func fastWorkload(name string, t *testing.T) trace.Workload {
 	return w
 }
 
+// replayWorkload generates w and replays it open-loop on r.
+func replayWorkload(r *Runner, w trace.Workload) (Metrics, error) {
+	reqs, err := w.Generate()
+	if err != nil {
+		return Metrics{}, err
+	}
+	return r.Replay(nil, w.Name, reqs, w.WorkingSet, 0)
+}
+
 func TestSystemsEnumeration(t *testing.T) {
 	ss := Systems()
 	if len(ss) != 4 {
@@ -78,7 +87,7 @@ func TestRunProducesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := r.Run(fastWorkload("fin-2", t))
+	m, err := replayWorkload(r, fastWorkload("fin-2", t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +113,7 @@ func TestFlexLevelBeatsLDPCInSSDOnReadHeavy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := r.Run(w)
+		m, err := replayWorkload(r, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +143,7 @@ func TestBaselineSlowest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := r.Run(w)
+		m, err := replayWorkload(r, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +160,7 @@ func TestLevelAdjustOnlyFullCapacityLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := r.Run(fastWorkload("fin-2", t))
+	m, err := replayWorkload(r, fastWorkload("fin-2", t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +185,7 @@ func TestFlexLevelWritesMoreThanLDPCInSSD(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := r.Run(w)
+		m, err := replayWorkload(r, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +206,7 @@ func TestPerformanceGainGrowsWithPE(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := r.Run(w)
+			m, err := replayWorkload(r, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +254,7 @@ func TestRunnerDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := r.Run(w)
+		m, err := replayWorkload(r, w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ func TestZeroRateFaultConfigBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := r.Run(w)
+		m, err := replayWorkload(r, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestFaultyRunSurfacesReliabilityMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := r.Run(fastWorkload("fin-2", t))
+	m, err := replayWorkload(r, fastWorkload("fin-2", t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -24,7 +26,7 @@ func TestRunRequestsFromMSRTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := r.RunRequests("msr-snippet", reqs, 0)
+	m, err := r.Replay(nil, "msr-snippet", reqs, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestRunRequestsDerivesWorkingSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := r.RunRequests("tiny", reqs, 0)
+	m, err := r.Replay(nil, "tiny", reqs, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +69,89 @@ func TestRunRequestsP99(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := r.Run(w)
+	m, err := replayWorkload(r, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.P99Read < m.AvgRead {
 		t.Errorf("p99 read %g below mean %g", m.P99Read, m.AvgRead)
+	}
+}
+
+// TestReplayMatchesStepLoops checks Replay against the two loops it
+// replaces, for all four systems over randomly seeded streams on a
+// two-channel device, each both at its recorded arrivals and closed
+// loop: at qd 0 against a Prepare/Step/Finish loop, and at qd 4 against
+// a test-local copy of the old StepBatch loop. The metric sets must
+// print identically. 8000 fin-2 requests give FlexLevel enough read
+// history to migrate.
+func TestReplayMatchesStepLoops(t *testing.T) {
+	stepBatch := func(r *Runner, reqs []trace.Request, qd int) error {
+		w := NewWindow(qd)
+		for _, req := range reqs {
+			done, err := r.StepAt(req, w.Submit(req.Arrival))
+			if err != nil {
+				return err
+			}
+			w.Complete(done)
+		}
+		return nil
+	}
+	rng := rand.New(rand.NewSource(66))
+	migrated := false
+	for _, tc := range []struct {
+		name     string
+		requests int
+	}{{"fin-2", 8000}, {"web-1", 2500}} {
+		seed := rng.Int63n(1000)
+		w, err := trace.ByName(tc.name, tc.requests, 4096, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		open, err := w.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, reqs := range [][]trace.Request{open, trace.CloseLoop(open)} {
+			for _, sys := range Systems() {
+				for _, qd := range []int{0, 4} {
+					opts := fastOptions(sys, 6000)
+					opts.SSD.Channels = 2
+					runner := func() *Runner {
+						r, err := NewRunner(opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return r
+					}
+					got, err := runner().Replay(nil, w.Name, reqs, w.WorkingSet, qd)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := runner()
+					if err := ref.Prepare(reqs, w.WorkingSet); err != nil {
+						t.Fatal(err)
+					}
+					if qd == 0 {
+						for _, req := range reqs {
+							if err := ref.Step(req); err != nil {
+								t.Fatal(err)
+							}
+						}
+					} else if err := stepBatch(ref, reqs, qd); err != nil {
+						t.Fatal(err)
+					}
+					want := ref.Finish(w.Name)
+					if g, x := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != x {
+						t.Errorf("%s seed %d %v qd %d: Replay diverges from the step loop\n got: %s\nwant: %s",
+							tc.name, seed, sys, qd, g, x)
+					}
+					migrated = migrated || got.Migrations > 0
+				}
+			}
+		}
+	}
+	if !migrated {
+		t.Error("no FlexLevel run migrated; the streams miss the AccessEval path")
 	}
 }

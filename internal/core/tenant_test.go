@@ -43,7 +43,7 @@ func TestTrackTenantsAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.TrackTenants(trace.TenantNames(tenants))
-		m, err := r.RunRequestsQD(nil, "tenants", reqs, 4096, 4)
+		m, err := r.Replay(nil, "tenants", reqs, 4096, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestTrackTenantsDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := r.RunRequestsQD(nil, "plain", reqs, 4096, 4)
+	m, err := r.Replay(nil, "plain", reqs, 4096, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTrackTenantsDisabledByDefault(t *testing.T) {
 		{Op: trace.Read, LPN: 2, Pages: 1, Tenant: 5},
 		{Op: trace.Write, LPN: 3, Pages: 1, Tenant: -1},
 	}
-	m2, err := r2.RunRequestsQD(nil, "stray", stray, 64, 1)
+	m2, err := r2.Replay(nil, "stray", stray, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,11 +311,15 @@ func (c SimConfig) replay(s runner.Shard, workload string, opts core.Options) (c
 	if err != nil {
 		return core.Metrics{}, err
 	}
+	reqs, err := w.Generate()
+	if err != nil {
+		return core.Metrics{}, err
+	}
 	r, err := core.NewRunner(opts)
 	if err != nil {
 		return core.Metrics{}, err
 	}
-	m, err := r.Run(w)
+	m, err := r.Replay(nil, w.Name, reqs, w.WorkingSet, 0)
 	if err != nil {
 		return core.Metrics{}, err
 	}

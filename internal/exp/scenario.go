@@ -182,7 +182,7 @@ func Scenario(cfg SimConfig, tenants []trace.TenantSpec) ([]ScenarioRow, error) 
 			r.TrackTenants(trace.TenantNames(shaped))
 			// cfg.Ctx propagates into the event loop, so SIGINT stops a
 			// cell mid-replay instead of only between shards.
-			m, err := r.RunRequestsQD(cfg.Ctx, "scenario", reqs, trace.WindowEnd(shaped), c.QD)
+			m, err := r.Replay(cfg.Ctx, "scenario", reqs, trace.WindowEnd(shaped), c.QD)
 			if err != nil {
 				return nil, err
 			}

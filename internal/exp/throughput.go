@@ -1,8 +1,8 @@
 // The throughput sweep: the paper evaluates FlexLevel on a
 // single-channel FIFO device at queue depth 1, but real SSDs overlap
 // reads across channels under NCQ-style queue depth. This sweep drives
-// the batched event-driven replay engine (core.Runner.StepBatch) over
-// an 8-channel device at queue depths 1..32 and reports the saturation
+// the queue-depth replay (core.Runner.Replay at qd >= 1) over an
+// 8-channel device at queue depths 1..32 and reports the saturation
 // curve — IOPS and p50/p99 read latency per system — behind
 // `flexlevel throughput`.
 package exp
@@ -85,7 +85,7 @@ func Throughput(cfg SimConfig) ([]ThroughputRow, error) {
 			if err != nil {
 				return ThroughputRow{}, err
 			}
-			m, err := r.RunRequestsQD(cfg.Ctx, w.Name, trace.CloseLoop(reqs), w.WorkingSet, c.QD)
+			m, err := r.Replay(cfg.Ctx, w.Name, trace.CloseLoop(reqs), w.WorkingSet, c.QD)
 			if err != nil {
 				return ThroughputRow{}, err
 			}

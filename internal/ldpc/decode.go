@@ -5,24 +5,30 @@ import (
 	"math"
 )
 
-// Decoder runs flooding-schedule normalized min-sum belief propagation
-// over a Code: every check-node update in an iteration reads the
-// posteriors from the end of the previous iteration (see LayeredDecoder
-// for the serial schedule). A Decoder is NOT safe for concurrent use;
-// create one per goroutine.
+// Decoder runs normalized min-sum belief propagation over a Code under
+// one of two schedules. The flooding schedule (NewDecoder) has every
+// check-node update in an iteration read the posteriors from the end of
+// the previous iteration. The layered (serial) schedule
+// (NewLayeredDecoder) processes checks one at a time and lets their
+// updated messages take effect immediately within the iteration,
+// roughly halving the iterations needed — the scheduling hardware
+// decoders use. A Decoder is NOT safe for concurrent use; create one
+// per goroutine.
 type Decoder struct {
 	code    *Code
 	MaxIter int     // BP iteration cap (default 30)
 	Alpha   float64 // min-sum normalization factor (default 0.75)
 
+	layered bool // serial schedule; set only by NewLayeredDecoder
+
 	// scratch, laid out per check in checkVars order
 	c2v     [][]float64
 	post    []float64
-	postOld []float64
+	postOld []float64 // flooding: start-of-iteration posteriors
 	hard    []byte
 }
 
-// NewDecoder allocates a decoder for code.
+// NewDecoder allocates a flooding-schedule decoder for code.
 func NewDecoder(code *Code) *Decoder {
 	d := &Decoder{code: code, MaxIter: 30, Alpha: 0.75}
 	d.c2v = make([][]float64, code.M)
@@ -32,6 +38,13 @@ func NewDecoder(code *Code) *Decoder {
 	d.post = make([]float64, code.N)
 	d.postOld = make([]float64, code.N)
 	d.hard = make([]byte, code.N)
+	return d
+}
+
+// NewLayeredDecoder allocates a layered-schedule decoder for code.
+func NewLayeredDecoder(code *Code) *Decoder {
+	d := NewDecoder(code)
+	d.layered = true
 	return d
 }
 
@@ -59,19 +72,25 @@ func (d *Decoder) Decode(llr []float64) (Result, error) {
 	}
 	copy(d.post, llr)
 
+	// Check updates read v2c = in[v] - c2v_old. Layered reads the live
+	// posteriors; flooding reads the previous iteration's copy, so its
+	// updates land in post and only become visible next iteration.
+	in := d.post
+	if !d.layered {
+		in = d.postOld
+	}
 	iter := 0
 	for ; iter < d.MaxIter; iter++ {
-		// Flooding schedule: every check reads the posteriors of the
-		// previous iteration (v2c = postOld[v] - c2v_old); updates land
-		// in post and only become visible next iteration.
-		copy(d.postOld, d.post)
+		if !d.layered {
+			copy(d.postOld, d.post)
+		}
 		for ci, vars := range code.checkVars {
 			row := d.c2v[ci]
 			sign := 1.0
 			min1, min2 := math.Inf(1), math.Inf(1)
 			minIdx := -1
 			for j, v := range vars {
-				m := d.postOld[v] - row[j]
+				m := in[v] - row[j]
 				if m < 0 {
 					sign = -sign
 					m = -m
@@ -85,7 +104,7 @@ func (d *Decoder) Decode(llr []float64) (Result, error) {
 				}
 			}
 			for j, v := range vars {
-				m := d.postOld[v] - row[j]
+				m := in[v] - row[j]
 				s := sign
 				if m < 0 {
 					s = -s

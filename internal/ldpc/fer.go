@@ -27,37 +27,44 @@ func (r FERResult) BER() float64 {
 	return float64(r.BitErrors) / float64(r.TotalBits)
 }
 
-// frameDecoder is satisfied by both min-sum schedules.
-type frameDecoder interface {
-	Decode(llr []float64) (Result, error)
+// SimulateFER Monte-Carlo-simulates the min-sum decoder over a binary
+// symmetric channel at crossover probability p: SimulateBSC's frames,
+// decoded from ±log((1-p)/p) LLRs. It drives the k(L) calibration
+// (DESIGN.md) and the decoder-schedule ablation.
+func SimulateFER(code *Code, dec *Decoder, p float64, frames int, rng *rand.Rand) (FERResult, error) {
+	mag := BSCLLR(p)
+	return SimulateBSC(code.K, code.Encode, func(received []byte) (Result, error) {
+		return dec.Decode(HardToLLR(received, mag))
+	}, p, frames, rng)
 }
 
-// SimulateFER Monte-Carlo-simulates the decoder over a binary symmetric
-// channel at crossover probability p: frames random codewords, each bit
-// flipped with probability p, decoded from ±log((1-p)/p) LLRs. It
-// drives the k(L) calibration (DESIGN.md) and the decoder-schedule
-// ablation.
-func SimulateFER(code *Code, dec frameDecoder, p float64, frames int, rng *rand.Rand) (FERResult, error) {
+// SimulateBSC is the binary-symmetric-channel frame loop every decoder
+// shares. For each of frames frames it draws k random data bits,
+// encodes them, flips each codeword bit with probability p in place
+// (encode must return a fresh slice), and hands the received hard bits
+// to decode, which must return k data bits. A frame fails when decode
+// reports a parity failure or any data bit differs. Data and flips come
+// from rng in that order, so one rng shared across calls yields one
+// deterministic sweep.
+func SimulateBSC(k int, encode func(data []byte) ([]byte, error),
+	decode func(received []byte) (Result, error), p float64, frames int, rng *rand.Rand) (FERResult, error) {
 	res := FERResult{Frames: frames}
-	mag := BSCLLR(p)
 	var iterSum int64
 	for f := 0; f < frames; f++ {
-		data := make([]byte, code.K)
+		data := make([]byte, k)
 		for i := range data {
 			data[i] = byte(rng.Intn(2))
 		}
-		cw, err := code.Encode(data)
+		cw, err := encode(data)
 		if err != nil {
 			return FERResult{}, err
 		}
-		noisy := make([]byte, len(cw))
-		copy(noisy, cw)
-		for i := range noisy {
+		for i := range cw {
 			if rng.Float64() < p {
-				noisy[i] ^= 1
+				cw[i] ^= 1
 			}
 		}
-		out, err := dec.Decode(HardToLLR(noisy, mag))
+		out, err := decode(cw)
 		if err != nil {
 			return FERResult{}, err
 		}

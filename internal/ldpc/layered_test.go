@@ -133,3 +133,40 @@ func TestFERThresholdOrdering(t *testing.T) {
 		prev = res.FER()
 	}
 }
+
+// TestSimulateBSCFrameOutcomes drives the shared frame loop with
+// scripted decoders: a frame fails on a parity failure even when the
+// data came back right, and on wrong data even when parity passed.
+func TestSimulateBSCFrameOutcomes(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		ok, flip  bool
+		wantFails int
+		wantBits  int64
+	}{
+		{"clean", true, false, 0, 0},
+		{"parity failure, right data", false, false, 5, 0},
+		{"wrong data, parity passed", true, true, 5, 5},
+	} {
+		var sent []byte
+		encode := func(data []byte) ([]byte, error) {
+			sent = append(sent[:0], data...)
+			return append([]byte(nil), data...), nil
+		}
+		decode := func(received []byte) (Result, error) {
+			data := append([]byte(nil), sent...)
+			if tc.flip {
+				data[0] ^= 1
+			}
+			return Result{Data: data, OK: tc.ok, Iterations: 2}, nil
+		}
+		res, err := SimulateBSC(8, encode, decode, 0.3, 5, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FrameFails != tc.wantFails || res.BitErrors != tc.wantBits ||
+			res.TotalBits != 40 || res.AvgIters != 2 {
+			t.Errorf("%s: %+v, want %d fails and %d bit errors over 40 bits", tc.name, res, tc.wantFails, tc.wantBits)
+		}
+	}
+}

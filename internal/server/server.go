@@ -20,12 +20,12 @@
 // engine owns its shard's simulated clock: each admitted op advances
 // it by Config.SimGap (the modeled interarrival gap), computes the
 // op's submit time under the tenant's queue-depth window exactly as
-// the batched replay engine (core.StepBatch) would, and rejects —
-// token bucket empty, projected queue wait past the SLO budget,
-// deadline already blown — before the device is touched. Rejections
-// are counted (core.Runner.CountShed / CountDeadlineExceeded) and
-// never produce a latency sample, so the served percentiles describe
-// admitted traffic only.
+// a queue-depth replay (core.Runner.Replay at qd >= 1) would, and
+// rejects — token bucket empty, projected queue wait past the SLO
+// budget, deadline already blown — before the device is touched.
+// Rejections are counted (core.Runner.CountShed /
+// CountDeadlineExceeded) and never produce a latency sample, so the
+// served percentiles describe admitted traffic only.
 //
 // Robustness: a power loss (injected, or scripted via CrashAtOp) kills
 // the in-flight op with a retryable error — it is never acknowledged —
@@ -89,7 +89,7 @@ type Config struct {
 	Tenants []trace.TenantSpec
 
 	// QueueDepth is the per-tenant outstanding window on the device —
-	// the NCQ slice each tenant gets (StepBatch semantics per tenant).
+	// the NCQ slice each tenant gets (Replay's qd semantics per tenant).
 	QueueDepth int
 	// MaxQueue bounds each tenant's admission queue: requests beyond it
 	// are shed at the door with 429 before touching the engine.
@@ -213,7 +213,7 @@ type tenantState struct {
 	tokens     float64
 	lastRefill time.Duration
 
-	// The tenant's queue-depth window, the one core.StepBatch uses.
+	// The tenant's queue-depth window, the one core.Runner.Replay uses.
 	window *core.Window
 }
 

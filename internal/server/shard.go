@@ -221,7 +221,7 @@ func (e *engineShard) process(o *op) opResult {
 		t.tokens--
 	}
 
-	// The tenant's queue-depth window, with StepBatch's discipline:
+	// The tenant's queue-depth window, with Replay's discipline:
 	// when full, the op waits for the earliest outstanding completion.
 	submit := t.window.Submit(arrival)
 	wait := submit - arrival
