@@ -438,11 +438,12 @@ func BenchmarkFTLWrite(b *testing.B) {
 }
 
 // keyedBER adapts a plain BER function to an ssd.BERFunc, pairing every
-// value with its ssd.LevelKey as a non-memoizing BERFunc must.
+// value with its ssd.LevelKey as a non-memoizing BERFunc must, with no
+// level slot.
 func keyedBER(ber func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64) ssd.BERFunc {
-	return func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64) {
+	return func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64, *ssd.LevelSlot) {
 		v := ber(state, pe, ageHours, shiftMv)
-		return v, ssd.LevelKey(v)
+		return v, ssd.LevelKey(v), nil
 	}
 }
 
@@ -469,17 +470,45 @@ func benchDevice(b *testing.B, berOf ssd.BERFunc) *ssd.Device {
 }
 
 // BenchmarkSSDRead measures one simulated read end to end with a warm
-// level cache (the steady-state path). The BER and its level key come
-// precomputed, as from a BER-surface hit.
+// level cache, answered from the cache's map: the BER and its level key
+// come precomputed but without a level slot, as from a BER-surface hit
+// off the dense window (a shifted or far-aged point).
 func BenchmarkSSDRead(b *testing.B) {
 	key := ssd.LevelKey(5e-3)
-	d := benchDevice(b, func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64) {
-		return 5e-3, key
+	d := benchDevice(b, func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64, *ssd.LevelSlot) {
+		return 5e-3, key, nil
 	})
+	benchReads(b, d)
+}
+
+// benchReads times b.N reads cycling over d's 4096 pages, after one
+// untimed read that fills the level cache. The read sample is sized up
+// front, as a Runner sizes it for a replay, so no timed read regrows
+// it.
+func benchReads(b *testing.B, d *ssd.Device) {
+	d.ReserveReads(b.N + 1)
+	d.Read(0, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Read(time.Duration(i)*time.Millisecond, uint64(i%4096))
+	}
+}
+
+// BenchmarkSSDReadMemoized is BenchmarkSSDRead through a memoizing
+// BERFunc that hands out the point's level slot, as a dense-window
+// BER-surface hit does: the steady-state nominal read, whose sensing
+// decision is one slot check instead of a map probe.
+func BenchmarkSSDReadMemoized(b *testing.B) {
+	key := ssd.LevelKey(5e-3)
+	var slot ssd.LevelSlot
+	d := benchDevice(b, func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64, *ssd.LevelSlot) {
+		return 5e-3, key, &slot
+	})
+	benchReads(b, d)
+	b.StopTimer()
+	if lc := d.Results().LevelCache; lc.Misses != 1 || lc.Hits != int64(b.N) {
+		b.Fatalf("level cache %+v over %d timed reads, want one miss before them", lc, b.N)
 	}
 }
 

@@ -18,9 +18,9 @@ func TestSurfaceShiftedMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := s.BER(ftl.NormalState, 6000, 720, -120)
+	a, _, _ := s.BER(ftl.NormalState, 6000, 720, -120)
 	miss := s.Stats().Misses
-	b, _ := s.BER(ftl.NormalState, 6000, 720.7, -120) // same quantized age
+	b, _, _ := s.BER(ftl.NormalState, 6000, 720.7, -120) // same quantized age
 	if a != b {
 		t.Errorf("memoized %g != %g", a, b)
 	}
@@ -32,7 +32,7 @@ func TestSurfaceShiftedMemo(t *testing.T) {
 		t.Errorf("cached %g != direct %g", a, direct)
 	}
 	// A drift-tracking negative shift recovers BER at high wear+age.
-	if nominal, _ := s.BER(ftl.NormalState, 6000, 720, 0); a >= nominal {
+	if nominal, _, _ := s.BER(ftl.NormalState, 6000, 720, 0); a >= nominal {
 		t.Error("negative shift did not reduce BER under heavy drift")
 	}
 }
@@ -53,15 +53,18 @@ func TestSurfaceKeyFallback(t *testing.T) {
 		shiftMv int
 		model   *noise.BERModel
 	}{
-		{ftl.NormalState, 1 << 24, 720, 0, s.normal},
-		{ftl.ReducedState, 6000, 1 << 26, -120, s.reduced},
-		{ftl.NormalState, 6000, 720, -2049, s.normal},
-		{ftl.ReducedState, 6000, 720, 2048, s.reduced},
-		{ftl.NormalState, -1, 720, 0, s.normal},
-		{ftl.NormalState, 6000, -1, 0, s.normal},
+		{ftl.NormalState, 1 << 24, 720, 0, s.normal.BERModel},
+		{ftl.ReducedState, 6000, 1 << 26, -120, s.reduced.BERModel},
+		{ftl.NormalState, 6000, 720, -2049, s.normal.BERModel},
+		{ftl.ReducedState, 6000, 720, 2048, s.reduced.BERModel},
+		{ftl.NormalState, -1, 720, 0, s.normal.BERModel},
+		{ftl.NormalState, 6000, -1, 0, s.normal.BERModel},
 	} {
 		before := s.Stats()
-		got, key := s.BER(tc.state, tc.pe, tc.age, tc.shiftMv)
+		got, key, slot := s.BER(tc.state, tc.pe, tc.age, tc.shiftMv)
+		if slot != nil {
+			t.Errorf("BER(%v,%d,%g,%d) handed out a level slot", tc.state, tc.pe, tc.age, tc.shiftMv)
+		}
 		if st := s.Stats(); st != before {
 			t.Errorf("BER(%v,%d,%g,%d) touched the cache: %+v -> %+v",
 				tc.state, tc.pe, tc.age, tc.shiftMv, before, st)

@@ -138,6 +138,9 @@ func (r *Runner) StepAt(req trace.Request, at time.Duration) (time.Duration, err
 	if r.device.Crashed() {
 		return 0, ftl.ErrPowerLoss
 	}
+	if r.unsized != nil {
+		r.sizeReadSample()
+	}
 	done := at
 	for p := 0; p < req.Pages; p++ {
 		lpn := req.LPN + uint64(p)

@@ -203,6 +203,10 @@ type Runner struct {
 	ctrl    *accesseval.Controller // non-nil only for FlexLevel
 	tenants []*tenantTrack         // per-tenant attribution, nil unless tracking
 
+	// unsized is the stream Prepare was given, kept until the replay's
+	// first step sizes the device's read sample for its read pages.
+	unsized []trace.Request
+
 	// Admission outcomes recorded via CountShed/CountDeadlineExceeded.
 	// Kept apart from the latency accumulators by construction: a
 	// rejected request has no completion, so it must never move a
@@ -234,7 +238,7 @@ func NewRunner(opts Options) (*Runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		ber, _ := surface.BER(ftl.NormalState, opts.PE, opts.SSD.MaxDataAgeHours, 0)
+		ber, _, _ := surface.BER(ftl.NormalState, opts.PE, opts.SSD.MaxDataAgeHours, 0)
 		levels, _ := table.RequiredLevels(ber)
 		policy = baseline.FixedWorstCase{Levels: levels}
 	case LDPCInSSD, LevelAdjustOnly, FlexLevel:
@@ -299,7 +303,8 @@ func (r *Runner) writeState(lpn uint64) ftl.BlockState {
 // working set (when 0) from the largest page the stream touches and
 // preloads it. After Prepare, the stream can be replayed one request at
 // a time with Step — the decomposition the crash-recovery experiments
-// use to cut power mid-stream, Restart, and continue.
+// use to cut power mid-stream, Restart, and continue. The first Step
+// sizes the read sample for the stream's read pages (sizeReadSample).
 func (r *Runner) Prepare(reqs []trace.Request, workingSet uint64) error {
 	if workingSet == 0 {
 		for _, req := range reqs {
@@ -308,7 +313,28 @@ func (r *Runner) Prepare(reqs []trace.Request, workingSet uint64) error {
 			}
 		}
 	}
-	return r.preload(workingSet)
+	if err := r.preload(workingSet); err != nil {
+		return err
+	}
+	r.unsized = reqs
+	return nil
+}
+
+// sizeReadSample sizes the device's exact read sample for the read
+// pages of the stream Prepare was given, so the replay allocates it once
+// instead of regrowing it by doubling. It runs at the replay's first
+// step, not in Prepare: counting the pages and the allocation are the
+// replay's cost, and set-up should not pay for memory only the replay
+// uses.
+func (r *Runner) sizeReadSample() {
+	reads := 0
+	for _, req := range r.unsized {
+		if req.Op == trace.Read && req.Pages > 0 {
+			reads += req.Pages
+		}
+	}
+	r.device.ReserveReads(reads)
+	r.unsized = nil
 }
 
 // Step replays one request. A device felled by a power loss (before the

@@ -7,7 +7,9 @@
 // distinct age hours × the few shifts calibration visits). Each entry
 // also carries its level-cache key (ssd.LevelKey), so the steady-state
 // read path evaluates zero Erfc/pow/Log calls, and nominal reads inside
-// the dense window (below) hash nothing either.
+// the dense window (below) hash nothing either: their entries also hold
+// an ssd.LevelSlot, through which the device answers the sensing-level
+// rule without probing its level cache's map.
 //
 // Quantized precomputation of channel statistics at these resolutions
 // is lossless for the decisions downstream (cf. mutual-information
@@ -74,11 +76,26 @@ const (
 
 // surfaceEntry is one memoized surface point: the raw BER and its
 // level-cache key, ssd.LevelKey(ber), both computed once on a miss. set
-// marks a filled dense slot; map entries always have it.
+// marks a filled dense slot; map entries always have it. slot is the
+// device's level-cache shortcut for the point; only dense entries hand
+// it out, since a map value has no stable address.
 type surfaceEntry struct {
-	ber float64
-	key int64
-	set bool
+	ber  float64
+	key  int64
+	set  bool
+	slot ssd.LevelSlot
+}
+
+// stateModel is one block state's BER model with its shift-0
+// interference term, which depends on neither P/E nor age and so is
+// computed once instead of on every miss.
+type stateModel struct {
+	*noise.BERModel
+	c2c0 float64
+}
+
+func newStateModel(m *noise.BERModel) stateModel {
+	return stateModel{BERModel: m, c2c0: m.C2CBERShifted(0)}
 }
 
 // BERSurface memoizes the two per-state BER models over the quantized
@@ -91,8 +108,8 @@ type surfaceEntry struct {
 // of both, so the cap, the reset and the Hits/Misses/Resets counters
 // behave as if all entries sat in one map.
 type BERSurface struct {
-	normal  *noise.BERModel
-	reduced *noise.BERModel
+	normal  stateModel
+	reduced stateModel
 
 	anchorPE int
 	ageRows  int
@@ -121,8 +138,8 @@ func newBERSurface(nunmaName string, anchorPE int, maxAgeHours float64) (*BERSur
 		return nil, err
 	}
 	s := &BERSurface{
-		normal:   normalModel,
-		reduced:  reducedModel,
+		normal:   newStateModel(normalModel),
+		reduced:  newStateModel(reducedModel),
 		anchorPE: anchorPE,
 		ageRows:  maxDenseAgeRows,
 		cache:    make(map[int64]surfaceEntry),
@@ -140,35 +157,35 @@ func newBERSurface(nunmaName string, anchorPE int, maxAgeHours float64) (*BERSur
 }
 
 // BER is the ssd.BERFunc the surface exports: the raw BER with every
-// read reference moved by shiftMv millivolts, and its level-cache key.
-// Age is truncated to whole hours before evaluation — the same
-// quantization the pre-surface code applied — so cached and uncached
-// paths return bit-identical values.
-func (s *BERSurface) BER(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64) {
+// read reference moved by shiftMv millivolts, its level-cache key, and
+// the point's level slot when it lies in the dense window (nil for map
+// and unpackable points). Age is truncated to whole hours before
+// evaluation — the same quantization the pre-surface code applied — so
+// cached and uncached paths return bit-identical values.
+func (s *BERSurface) BER(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64, *ssd.LevelSlot) {
 	ageQ := int(ageHours)
 	if shiftMv == 0 {
 		if e := s.denseSlot(state, pe, ageQ); e != nil {
 			if e.set {
 				s.stats.Hits++
-				return e.ber, e.key
+			} else {
+				*e = s.miss(state, pe, ageQ, 0)
 			}
-			v := s.miss(state, pe, ageQ, 0)
-			*e = v
-			return v.ber, v.key
+			return e.ber, e.key, &e.slot
 		}
 	}
 	key, ok := surfaceKey(state, pe, ageQ, shiftMv)
 	if !ok {
 		v := s.eval(state, pe, ageQ, shiftMv)
-		return v, ssd.LevelKey(v)
+		return v, ssd.LevelKey(v), nil
 	}
 	if e, hit := s.cache[key]; hit {
 		s.stats.Hits++
-		return e.ber, e.key
+		return e.ber, e.key, nil
 	}
 	v := s.miss(state, pe, ageQ, shiftMv)
 	s.cache[key] = v
-	return v.ber, v.key
+	return v.ber, v.key, nil
 }
 
 // denseSlot returns the window slot of a shift-0 point, allocating its
@@ -191,7 +208,8 @@ func (s *BERSurface) denseSlot(state ftl.BlockState, pe, ageQ int) *surfaceEntry
 // miss evaluates a point not in the memo and makes room for it: a full
 // surface drops every entry, dense and mapped alike, before the new one
 // is stored. Rows are cleared in place, so a slot pointer taken before
-// the reset stays valid.
+// the reset stays valid, and every level slot is emptied with its
+// entry.
 func (s *BERSurface) miss(state ftl.BlockState, pe, ageQ, shiftMv int) surfaceEntry {
 	s.stats.Misses++
 	v := s.eval(state, pe, ageQ, shiftMv)
@@ -209,11 +227,16 @@ func (s *BERSurface) miss(state ftl.BlockState, pe, ageQ, shiftMv int) surfaceEn
 	return surfaceEntry{ber: v, key: ssd.LevelKey(v), set: true}
 }
 
-// eval computes the BER directly from the state's model.
+// eval computes the BER directly from the state's model. A nominal
+// point adds the precomputed interference term to its retention term in
+// TotalBERShifted's operand order, so the sum is bit-identical.
 func (s *BERSurface) eval(state ftl.BlockState, pe, ageQ, shiftMv int) float64 {
-	m := s.normal
+	m := &s.normal
 	if state == ftl.ReducedState {
-		m = s.reduced
+		m = &s.reduced
+	}
+	if shiftMv == 0 {
+		return m.c2c0 + m.RetentionBERShifted(pe, float64(ageQ), 0)
 	}
 	return m.TotalBERShifted(pe, float64(ageQ), float64(shiftMv)/1000)
 }

@@ -1,34 +1,55 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"flexlevel/internal/ftl"
+	"flexlevel/internal/noise"
 	"flexlevel/internal/ssd"
 )
 
 // mapSurface is the reference memo: the map-only surface the dense
-// window replaced, with its own counters.
+// window replaced, with its own counters. It evaluates every point with
+// the model's TotalBERShifted, so it also pins the surface's hoisted
+// shift-0 interference term.
 type mapSurface struct {
-	models *BERSurface // eval only
-	cache  map[int64]float64
-	stats  ssd.CacheStats
+	normal, reduced *noise.BERModel
+	cache           map[int64]float64
+	stats           ssd.CacheStats
+}
+
+func newMapSurface(t *testing.T) *mapSurface {
+	t.Helper()
+	models, err := newBERSurface("NUNMA 3", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &mapSurface{normal: models.normal.BERModel, reduced: models.reduced.BERModel, cache: map[int64]float64{}}
+}
+
+func (r *mapSurface) eval(state ftl.BlockState, pe, ageQ, shiftMv int) float64 {
+	m := r.normal
+	if state == ftl.ReducedState {
+		m = r.reduced
+	}
+	return m.TotalBERShifted(pe, float64(ageQ), float64(shiftMv)/1000)
 }
 
 func (r *mapSurface) BER(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 	ageQ := int(ageHours)
 	key, ok := surfaceKey(state, pe, ageQ, shiftMv)
 	if !ok {
-		return r.models.eval(state, pe, ageQ, shiftMv)
+		return r.eval(state, pe, ageQ, shiftMv)
 	}
 	if v, hit := r.cache[key]; hit {
 		r.stats.Hits++
 		return v
 	}
 	r.stats.Misses++
-	v := r.models.eval(state, pe, ageQ, shiftMv)
+	v := r.eval(state, pe, ageQ, shiftMv)
 	if len(r.cache) >= berSurfaceCap {
 		r.cache = make(map[int64]float64, berSurfaceCap/4)
 		r.stats.Resets++
@@ -77,12 +98,61 @@ func randomPoint(rng *rand.Rand, anchor, ageRows int) surfacePoint {
 	return p
 }
 
-// TestSurfaceMatchesMapMemo: over random query sequences the dense
-// window plus map fallback answers exactly like the map-only memo — the
-// same BER bits, a level key equal to ssd.LevelKey of that BER, and the
-// same Hits/Misses/Resets after every call. The sequences walk more
-// than berSurfaceCap distinct keys, so resets fire while both the dense
-// rows and the map hold entries.
+// denseEntry returns the window entry a point occupies, or nil when the
+// point is not a shift-0 point inside the window. It allocates nothing.
+func denseEntry(s *BERSurface, p surfacePoint) *surfaceEntry {
+	ageQ := int(p.age)
+	if p.shiftMv != 0 || p.state < 0 || int(p.state) >= len(s.dense) || ageQ < 0 || ageQ >= s.ageRows {
+		return nil
+	}
+	i := p.pe - s.anchorPE
+	if i < 0 || i >= len(s.dense[p.state]) || s.dense[p.state][i] == nil {
+		return nil
+	}
+	return &s.dense[p.state][i][ageQ]
+}
+
+// matchMapMemo feeds n points from next to s and to the map-only
+// reference and fails on the first call where they differ: the BER
+// bits, a level key other than ssd.LevelKey of that BER, a level slot
+// other than the point's own dense entry's (nil off the window), or the
+// Hits/Misses/Resets after the call. It returns how many resets fired
+// while both the dense rows and the map held entries.
+func matchMapMemo(t *testing.T, name string, s *BERSurface, n int, next func() surfacePoint) (crossed int) {
+	t.Helper()
+	ref := newMapSurface(t)
+	for i := 0; i < n; i++ {
+		p := next()
+		mapped, resets := len(s.cache), s.stats.Resets
+		got, key, slot := s.BER(p.state, p.pe, p.age, p.shiftMv)
+		want := ref.BER(p.state, p.pe, p.age, p.shiftMv)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s call %d %+v: BER %g, map memo %g", name, i, p, got, want)
+		}
+		if key != ssd.LevelKey(got) {
+			t.Fatalf("%s call %d %+v: key %d, LevelKey %d", name, i, p, key, ssd.LevelKey(got))
+		}
+		if e := denseEntry(s, p); (e == nil && slot != nil) || (e != nil && slot != &e.slot) {
+			t.Fatalf("%s call %d %+v: slot %p, dense entry %p", name, i, p, slot, e)
+		}
+		if s.Stats() != ref.stats {
+			t.Fatalf("%s call %d %+v: stats %+v, map memo %+v", name, i, p, s.Stats(), ref.stats)
+		}
+		if s.stats.Resets != resets && mapped > 0 && berSurfaceCap-mapped > 0 {
+			crossed++ // the reset dropped dense and mapped entries alike
+		}
+	}
+	return crossed
+}
+
+// TestSurfaceMatchesMapMemo: the dense window plus map fallback answers
+// exactly like the map-only memo (see matchMapMemo), and hands out a
+// level slot for dense points only. The random sequences walk more than
+// berSurfaceCap distinct keys, so resets fire while both the dense rows
+// and the map hold entries. The lifetime sequence reads as a device
+// ageing under wear does: P/E drifts past the window's last row, ages
+// grow past its headroom, and calibrated blocks read at shifted
+// references, so the map path and its nil slots run beside the window.
 func TestSurfaceMatchesMapMemo(t *testing.T) {
 	crossed := 0
 	for seed := int64(1); seed <= 3; seed++ {
@@ -93,46 +163,69 @@ func TestSurfaceMatchesMapMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		models, err := newBERSurface("NUNMA 3", 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := &mapSurface{models: models, cache: map[int64]float64{}}
 		var recent []surfacePoint
-		for i := 0; i < 90000; i++ {
+		crossed += matchMapMemo(t, fmt.Sprintf("seed %d", seed), s, 90000, func() surfacePoint {
 			// Half the queries revisit a recent point, so hits interleave
 			// with the misses that fill the surface past its cap.
-			var p surfacePoint
 			if len(recent) > 0 && rng.Intn(2) == 0 {
-				p = recent[rng.Intn(len(recent))]
+				return recent[rng.Intn(len(recent))]
+			}
+			p := randomPoint(rng, anchor, s.ageRows)
+			if len(recent) < 512 {
+				recent = append(recent, p)
 			} else {
-				p = randomPoint(rng, anchor, s.ageRows)
-				if len(recent) < 512 {
-					recent = append(recent, p)
-				} else {
-					recent[rng.Intn(len(recent))] = p
-				}
+				recent[rng.Intn(len(recent))] = p
 			}
-			mapped, resets := len(s.cache), s.stats.Resets
-			got, key := s.BER(p.state, p.pe, p.age, p.shiftMv)
-			want := ref.BER(p.state, p.pe, p.age, p.shiftMv)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("seed %d call %d %+v: BER %g, map memo %g", seed, i, p, got, want)
-			}
-			if key != ssd.LevelKey(got) {
-				t.Fatalf("seed %d call %d %+v: key %d, LevelKey %d", seed, i, p, key, ssd.LevelKey(got))
-			}
-			if s.Stats() != ref.stats {
-				t.Fatalf("seed %d call %d %+v: stats %+v, map memo %+v", seed, i, p, s.Stats(), ref.stats)
-			}
-			if s.stats.Resets != resets && mapped > 0 && berSurfaceCap-mapped > 0 {
-				crossed++ // the reset dropped dense and mapped entries alike
-			}
-		}
+			return p
+		})
 	}
 	if crossed == 0 {
 		t.Fatal("no reset fired with both the dense rows and the map populated")
 	}
+
+	t.Run("lifetime", func(t *testing.T) {
+		const (
+			anchor = 6000
+			maxAge = 720.0
+			epochs = 40
+			reads  = 2000
+		)
+		s, err := newBERSurface("NUNMA 3", anchor, maxAge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(11))
+		// Per epoch: wear grows by 4 P/E (past row 32 by epoch 8), the
+		// data ages by one day (past the 48 h headroom by epoch 3), and
+		// about a third of the reads hit calibrated blocks.
+		shifts := []int{-160, -120, -80, -40}
+		i := 0
+		var dense, mapped int
+		matchMapMemo(t, "lifetime", s, epochs*reads, func() surfacePoint {
+			epoch := i / reads
+			i++
+			p := surfacePoint{
+				state: ftl.BlockState(rng.Intn(2)),
+				pe:    anchor + 4*epoch + rng.Intn(4),
+				age:   rng.Float64()*maxAge + 24*float64(epoch),
+			}
+			if rng.Intn(3) == 0 {
+				p.shiftMv = shifts[rng.Intn(len(shifts))]
+			}
+			if rng.Intn(500) == 0 {
+				p.state = 2 // no such state: evaluated as a normal block
+			}
+			if p.shiftMv == 0 && p.state <= ftl.ReducedState && p.pe < anchor+densePERows && int(p.age) < s.ageRows {
+				dense++
+			} else {
+				mapped++
+			}
+			return p
+		})
+		if s.stats.Resets == 0 || dense < reads || mapped < reads {
+			t.Fatalf("lifetime stream too narrow: %d resets, %d dense and %d off-window points", s.stats.Resets, dense, mapped)
+		}
+	})
 }
 
 // surfaceSink keeps the benchmarked lookups' results live.
@@ -160,7 +253,7 @@ func BenchmarkBERSurfaceHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := &pts[i&(len(pts)-1)]
-		_, surfaceSink = s.BER(p.state, p.pe, p.age, 0)
+		_, surfaceSink, _ = s.BER(p.state, p.pe, p.age, 0)
 	}
 	b.StopTimer()
 	if s.Stats().Misses != misses {
@@ -202,7 +295,7 @@ func BenchmarkBERSurfaceMiss(b *testing.B) {
 			b.StartTimer()
 		}
 		p := &pts[i%len(pts)]
-		_, surfaceSink = s.BER(p.state, p.pe, p.age, 0)
+		_, surfaceSink, _ = s.BER(p.state, p.pe, p.age, 0)
 	}
 	b.StopTimer()
 	if misses += s.Stats().Misses; misses != int64(b.N) {

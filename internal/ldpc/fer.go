@@ -1,6 +1,9 @@
 package ldpc
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // FERResult summarizes a frame-error-rate simulation.
 type FERResult struct {
@@ -45,9 +48,13 @@ func SimulateFER(code *Code, dec *Decoder, p float64, frames int, rng *rand.Rand
 // to decode, which must return k data bits. A frame fails when decode
 // reports a parity failure or any data bit differs. Data and flips come
 // from rng in that order, so one rng shared across calls yields one
-// deterministic sweep.
+// deterministic sweep. A count below one frame is an error: it has no
+// frame error rate to report.
 func SimulateBSC(k int, encode func(data []byte) ([]byte, error),
 	decode func(received []byte) (Result, error), p float64, frames int, rng *rand.Rand) (FERResult, error) {
+	if frames < 1 {
+		return FERResult{}, fmt.Errorf("ldpc: %d frames, need at least 1", frames)
+	}
 	res := FERResult{Frames: frames}
 	var iterSum int64
 	for f := 0; f < frames; f++ {
@@ -81,8 +88,6 @@ func SimulateBSC(k int, encode func(data []byte) ([]byte, error),
 			res.FrameFails++
 		}
 	}
-	if frames > 0 {
-		res.AvgIters = float64(iterSum) / float64(frames)
-	}
+	res.AvgIters = float64(iterSum) / float64(frames)
 	return res, nil
 }

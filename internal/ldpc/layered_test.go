@@ -107,13 +107,28 @@ func TestSimulateFER(t *testing.T) {
 	if low.AvgIters <= 0 {
 		t.Error("average iterations not tracked")
 	}
-	// Empty run is well-defined.
-	empty, err := SimulateFER(c, NewDecoder(c), 0.01, 0, rng)
-	if err != nil {
-		t.Fatal(err)
+	// A zero-value result (no frames run) reports zeros.
+	if empty := (FERResult{}); empty.FER() != 0 || empty.BER() != 0 {
+		t.Error("empty result should report zeros")
 	}
-	if empty.FER() != 0 || empty.BER() != 0 {
-		t.Error("empty simulation should report zeros")
+}
+
+// TestSimulateRejectsNoFrames: a run of fewer than one frame is an
+// error from both frame-loop entry points, never a result with a
+// negative frame count.
+func TestSimulateRejectsNoFrames(t *testing.T) {
+	c := testCode(t)
+	for _, frames := range []int{0, -3} {
+		rng := rand.New(rand.NewSource(1))
+		if res, err := SimulateFER(c, NewDecoder(c), 0.01, frames, rng); err == nil {
+			t.Errorf("SimulateFER with %d frames: %+v, want an error", frames, res)
+		}
+		decode := func(received []byte) (Result, error) {
+			return Result{Data: received[:c.K], OK: true}, nil
+		}
+		if res, err := SimulateBSC(c.K, c.Encode, decode, 0.01, frames, rng); err == nil {
+			t.Errorf("SimulateBSC with %d frames: %+v, want an error", frames, res)
+		}
 	}
 }
 

@@ -28,8 +28,27 @@ import (
 // placement; the calibration tracker probes and reads at other shifts),
 // together with its level-cache key, which must equal LevelKey(ber). A
 // memoizing implementation stores the key beside the BER, so the read
-// path never recomputes it.
-type BERFunc func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (ber float64, key int64)
+// path never recomputes it, and may keep a LevelSlot beside each point
+// and return it as slot; it returns nil otherwise. A slot must only
+// ever be handed out with the one key its point has.
+type BERFunc func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (ber float64, key int64, slot *LevelSlot)
+
+// LevelSlot is the level-cache answer a memoizing BERFunc keeps beside
+// one of its points, so a repeated read of that point finds its sensing
+// levels without probing the level cache's map (DESIGN.md §11). The
+// zero value is an empty slot; the device fills it and owns its
+// contents. A slot counts as a level-cache hit only while its epoch is
+// the device's current one: New, every compaction and every Restart
+// start a fresh epoch, so a slot can never answer for an entry the
+// cache has since dropped.
+type LevelSlot struct {
+	epoch *levelEpoch
+	e     *levelEntry
+}
+
+// levelEpoch is the identity of one level-cache generation. It has a
+// non-zero size so that every allocation has its own address.
+type levelEpoch struct{ _ byte }
 
 // Config parameterizes a Device.
 type Config struct {
@@ -298,6 +317,7 @@ type Device struct {
 	ftlPrior ftl.Stats
 
 	levelCache map[int64]*levelEntry // quantized BER -> required levels
+	levelEpoch *levelEpoch           // the generation LevelSlots must match
 
 	// attemptsBuf is the reusable scratch the read path hands to the
 	// policy's AppendAttempts, so steady-state reads allocate nothing.
@@ -371,6 +391,7 @@ func (d *Device) compactLevelCache() {
 		it.e.hits = 0
 		d.levelCache[it.key] = it.e
 	}
+	d.levelEpoch = new(levelEpoch)
 	d.res.LevelCache.Resets++
 }
 
@@ -422,6 +443,7 @@ func New(cfg Config, berOf BERFunc, policy baseline.ReadPolicy) (*Device, error)
 		policy:     policy,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		levelCache: make(map[int64]*levelEntry),
+		levelEpoch: new(levelEpoch),
 	}
 	if d.levels, err = sensing.SharedTable(cfg.Rule); err != nil {
 		return nil, err
@@ -534,6 +556,12 @@ func (d *Device) ResetMeasurement() {
 	d.ftl.ResetStats()
 }
 
+// ReserveReads makes room in the exact read response-time sample for n
+// more reads (stats.Sample.Grow), so a replay whose length is known up
+// front allocates it once instead of regrowing it. A bounded
+// (SampleCap) reservoir already holds its cap and is left as it is.
+func (d *Device) ReserveReads(n int) { d.res.ReadSample.Grow(n) }
+
 // SetBERCacheStats registers a counter snapshot function for the cache
 // behind the device's BERFunc, so Results can report BER-cache activity
 // for the measurement window alongside the level cache's.
@@ -605,10 +633,10 @@ func (d *Device) requiredLevelsAt(ppn int64, state ftl.BlockState, now time.Dura
 	return d.levelsForBER(d.pageBER(state, pe, d.ageHours(ppn, now), block))
 }
 
-// pageBER evaluates a page's raw BER and level key at its block's
-// calibrated reference shift, or at the nominal references when
+// pageBER evaluates a page's raw BER, level key and level slot at its
+// block's calibrated reference shift, or at the nominal references when
 // calibration is off.
-func (d *Device) pageBER(state ftl.BlockState, pe int, age float64, block int) (float64, int64) {
+func (d *Device) pageBER(state ftl.BlockState, pe int, age float64, block int) (float64, int64, *LevelSlot) {
 	shiftMv := 0
 	if d.calib != nil {
 		shiftMv = d.calib.ShiftMv(block)
@@ -619,20 +647,33 @@ func (d *Device) pageBER(state ftl.BlockState, pe int, age float64, block int) (
 // levelsForBER answers the sensing-level rule for a raw BER through the
 // level cache, under the BERFunc's key for it (LevelKey(ber)). It is the
 // shared back end of the read path and of calibration probes (which
-// feed it shifted BERs).
-func (d *Device) levelsForBER(ber float64, key int64) (int, bool) {
-	if e, ok := d.levelCache[key]; ok {
+// feed it shifted BERs). A slot of the current epoch holds the cache's
+// entry for key, so it answers as a map hit would, counters included;
+// any other slot is refilled from the map path.
+func (d *Device) levelsForBER(ber float64, key int64, slot *LevelSlot) (int, bool) {
+	if slot != nil && slot.epoch == d.levelEpoch {
+		e := slot.e
 		e.hits++
 		d.res.LevelCache.Hits++
 		return e.levels, e.achievable
 	}
-	d.res.LevelCache.Misses++
-	levels, achievable := d.levels.RequiredLevels(ber)
-	if len(d.levelCache) >= levelCacheCap {
-		d.compactLevelCache()
+	e, ok := d.levelCache[key]
+	if ok {
+		e.hits++
+		d.res.LevelCache.Hits++
+	} else {
+		d.res.LevelCache.Misses++
+		levels, achievable := d.levels.RequiredLevels(ber)
+		if len(d.levelCache) >= levelCacheCap {
+			d.compactLevelCache()
+		}
+		e = &levelEntry{levels: levels, achievable: achievable}
+		d.levelCache[key] = e
 	}
-	d.levelCache[key] = &levelEntry{levels: levels, achievable: achievable}
-	return levels, achievable
+	if slot != nil {
+		*slot = LevelSlot{epoch: d.levelEpoch, e: e}
+	}
+	return e.levels, e.achievable
 }
 
 // Read simulates a one-page read arriving at time now. It returns the
@@ -946,6 +987,7 @@ func (d *Device) Restart(now time.Duration) (ftl.RecoveryReport, error) {
 	// Controller RAM did not survive: the level cache, the policy's
 	// per-block sensing memory and the calibration tracker start cold.
 	d.levelCache = make(map[int64]*levelEntry)
+	d.levelEpoch = new(levelEpoch)
 	d.res.LevelCache.Resets++
 	if r, ok := d.policy.(interface{ Reset() }); ok {
 		r.Reset()

@@ -8,12 +8,13 @@ import (
 	"flexlevel/internal/ftl"
 )
 
-// keyed adapts a plain BER function to a BERFunc, pairing every value
-// with its LevelKey as the contract requires.
+// keyed adapts a plain BER function to a non-memoizing BERFunc, pairing
+// every value with its LevelKey as the contract requires and handing
+// out no level slot.
 func keyed(ber func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64) BERFunc {
-	return func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64) {
+	return func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64, *LevelSlot) {
 		v := ber(state, pe, ageHours, shiftMv)
-		return v, LevelKey(v)
+		return v, LevelKey(v), nil
 	}
 }
 

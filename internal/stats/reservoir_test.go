@@ -99,3 +99,36 @@ func TestReservoirZeroCapIsUnbounded(t *testing.T) {
 
 // exactP99 is the linear-interpolation 99th percentile of 0..n-1.
 func exactP99(n int) float64 { return 0.99 * float64(n-1) }
+
+// TestSampleGrow: after Grow(n) an exact sample takes n more Adds in
+// place, keeping what it held; a reservoir keeps its cap-sized buffer,
+// and a non-positive n changes nothing.
+func TestSampleGrow(t *testing.T) {
+	s := NewSample(0)
+	s.Add(1)
+	s.Grow(1000)
+	if cap(s.xs) < 1001 {
+		t.Fatalf("Grow(1000) on one kept value left cap %d", cap(s.xs))
+	}
+	buf := &s.xs[0]
+	for i := 0; i < 1000; i++ {
+		s.Add(float64(i + 2))
+	}
+	if &s.xs[0] != buf {
+		t.Error("Adds within the grown capacity reallocated")
+	}
+	if s.N() != 1001 || s.Percentile(0) != 1 || s.Percentile(100) != 1001 {
+		t.Errorf("grown sample kept N=%d, min %g, max %g", s.N(), s.Percentile(0), s.Percentile(100))
+	}
+	before := cap(s.xs)
+	s.Grow(0)
+	s.Grow(-5)
+	if s.N() != 1001 || cap(s.xs) != before {
+		t.Errorf("Grow of a non-positive count changed N to %d, cap %d to %d", s.N(), before, cap(s.xs))
+	}
+	r := NewReservoir(64, 1)
+	r.Grow(1000)
+	if cap(r.xs) != 64 {
+		t.Errorf("Grow on a reservoir changed its buffer to cap %d", cap(r.xs))
+	}
+}

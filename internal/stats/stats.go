@@ -162,6 +162,15 @@ func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
 }
 
+// Grow makes room for n more observations, so the next n Adds of an
+// unbounded sample never reallocate. A reservoir is sized to its cap
+// from the start and is left as it is.
+func (s *Sample) Grow(n int) {
+	if s.cap == 0 && n > 0 {
+		s.xs = slices.Grow(s.xs, n)
+	}
+}
+
 // N returns the number of kept observations (at most the reservoir cap).
 func (s *Sample) N() int { return len(s.xs) }
 
