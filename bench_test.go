@@ -13,7 +13,6 @@ import (
 
 	"flexlevel/internal/baseline"
 	"flexlevel/internal/bch"
-	"flexlevel/internal/calib"
 	"flexlevel/internal/core"
 	"flexlevel/internal/exp"
 	"flexlevel/internal/ftl"
@@ -545,7 +544,7 @@ func BenchmarkAdaptiveRead(b *testing.B) {
 		GCThreshold:   3,
 		GCTarget:      4,
 	}
-	cfg.Calib = calib.DefaultConfig()
+	cfg.Calib = true
 	// Drifted landscape: pages past 100h are unreadable at nominal
 	// references and decode cleanly within 50mV of a -120mV shift, so
 	// the warm-up pass calibrates every block once and then holds.
@@ -562,7 +561,7 @@ func BenchmarkAdaptiveRead(b *testing.B) {
 		}
 		return 0.1
 	}
-	d, err := ssd.New(cfg, keyedBER(berOf), baseline.NewAdaptiveRetry(0))
+	d, err := ssd.New(cfg, keyedBER(berOf), baseline.NewAdaptiveRetry())
 	if err != nil {
 		b.Fatal(err)
 	}

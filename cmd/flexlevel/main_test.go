@@ -58,6 +58,30 @@ func TestRateFlags(t *testing.T) {
 	}
 }
 
+// TestServeBucketFlags: serve refuses a NaN, infinite or negative -rate
+// or -burst with an error naming the flag instead of reading it as
+// "unlimited" or "default"; zero means off.
+func TestServeBucketFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-rate", "NaN"}, {"-rate", "-1"}, {"-rate", "+Inf"},
+		{"-burst", "NaN"}, {"-burst", "-0.5"}, {"-burst", "Inf"},
+	} {
+		if _, err := parseServe(args); err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("serve %v: err %v, want one naming %s", args, err, args[0])
+		}
+	}
+	o, err := parseServe([]string{"-rate", "10", "-burst", "2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.cfg.Rate != 10 || o.cfg.Burst != 2 {
+		t.Errorf("-rate 10 -burst 2: rate %g, burst %g", o.cfg.Rate, o.cfg.Burst)
+	}
+	if _, err := parseServe([]string{"-rate", "0", "-burst", "0"}); err != nil {
+		t.Errorf("serve -rate 0 -burst 0: %v", err)
+	}
+}
+
 // TestScaleFloor checks that a -scale small enough to clamp the
 // lifetime device to its block floor is refused with an error naming
 // the flag and the smallest accepted value, while the floor itself and

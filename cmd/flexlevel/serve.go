@@ -14,6 +14,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -64,7 +65,8 @@ func parseServe(args []string) (serveOpts, error) {
 	if err := fs.Parse(args); err != nil {
 		return serveOpts{}, err
 	}
-	if err := checkRate("faults", *faults, false); err != nil {
+	if err := errors.Join(checkRate("faults", *faults, false),
+		checkRate("rate", *rate, false), checkRate("burst", *burst, false)); err != nil {
 		return serveOpts{}, err
 	}
 	sys, err := core.ParseSystem(*system)

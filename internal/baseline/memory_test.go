@@ -81,11 +81,9 @@ type memoryPolicy interface {
 func TestRetryMemoryMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		budget := 2 + rng.Intn(4)
 		pairs := []struct{ got, want memoryPolicy }{
 			{NewLDPCInSSD(), &refLDPCInSSD{mem: map[int]int{}}},
-			{NewAdaptiveRetry(budget), &refAdaptiveRetry{mem: map[int]int{}, budget: budget}},
-			{NewAdaptiveRetry(0), &refAdaptiveRetry{mem: map[int]int{}, budget: DefaultRetryBudget}},
+			{NewAdaptiveRetry(), &refAdaptiveRetry{mem: map[int]int{}, budget: 4}},
 		}
 		blocks := 4 + rng.Intn(300)
 		for i := 0; i < 20000; i++ {

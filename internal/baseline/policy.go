@@ -105,45 +105,32 @@ func (p *LDPCInSSD) Forget(block int) { p.mem.forget(block) }
 // is controller RAM and does not survive a crash).
 func (p *LDPCInSSD) Reset() { clear(p.mem) }
 
-// DefaultRetryBudget is the per-read attempt bound of AdaptiveRetry.
-const DefaultRetryBudget = 4
+// RetryBudget bounds the attempts of one AdaptiveRetry read: the
+// remembered level plus at most three escalations.
+const RetryBudget = 4
 
 // AdaptiveRetry is the read policy of the adaptive ladder (DESIGN.md
 // §13): per-block level memory like LDPCInSSD, but with a bounded retry
 // budget — escalation strides double so a cold block reaches any
-// requirement within Budget attempts instead of walking every level —
+// requirement within RetryBudget attempts instead of walking every level —
 // and a downward path: the device lowers a block's memory after a
 // recalibration reduces what the block needs, so memory tracks the
 // calibrated state instead of ratcheting up for the block's lifetime.
 type AdaptiveRetry struct {
 	mem blockMem
-	// Budget bounds the attempts of one read (>= 2: the remembered
-	// level plus at least one escalation). 0 selects DefaultRetryBudget.
-	Budget int
 }
 
-// NewAdaptiveRetry returns an empty-memory policy with the given
-// per-read attempt budget (0 selects DefaultRetryBudget).
-func NewAdaptiveRetry(budget int) *AdaptiveRetry {
-	return &AdaptiveRetry{Budget: budget}
-}
+// NewAdaptiveRetry returns an empty-memory policy.
+func NewAdaptiveRetry() *AdaptiveRetry { return &AdaptiveRetry{} }
 
 // Name implements ReadPolicy.
 func (*AdaptiveRetry) Name() string { return "adaptive-retry" }
 
-// budget returns the effective attempt bound.
-func (p *AdaptiveRetry) budget() int {
-	if p.Budget >= 2 {
-		return p.Budget
-	}
-	return DefaultRetryBudget
-}
-
 // AppendAttempts implements ReadPolicy: start at the remembered
 // level; on escalation the stride doubles each retry (0,1,3,7 from a
 // cold block) and the final budgeted attempt jumps straight to the
-// requirement, so the sequence always ends >= required within Budget
-// attempts.
+// requirement, so the sequence always ends >= required within
+// RetryBudget attempts.
 func (p *AdaptiveRetry) AppendAttempts(dst []int, block int, required int) []int {
 	start := p.mem.get(block)
 	if start >= required {
@@ -152,7 +139,7 @@ func (p *AdaptiveRetry) AppendAttempts(dst []int, block int, required int) []int
 	dst = append(dst, start)
 	n, stride, lvl := 1, 1, start
 	for lvl < required {
-		if n >= p.budget()-1 || lvl+stride >= required {
+		if n >= RetryBudget-1 || lvl+stride >= required {
 			lvl = required
 		} else {
 			lvl += stride

@@ -86,7 +86,7 @@ func TestOracle(t *testing.T) {
 }
 
 func TestAdaptiveRetryLadder(t *testing.T) {
-	p := NewAdaptiveRetry(4)
+	p := NewAdaptiveRetry()
 	// Cold block, worst requirement: doubling strides reach 7 within the
 	// budget instead of walking all eight levels.
 	got := attempts(p, 2, 7)
@@ -118,12 +118,12 @@ func TestAdaptiveRetryLadder(t *testing.T) {
 	}
 }
 
-// Property: AdaptiveRetry respects its attempt budget for any block
-// state, requirement, and budget knob.
+// Property: AdaptiveRetry respects its attempt budget of 4 for any
+// block state and requirement.
 func TestAdaptiveRetryBudget(t *testing.T) {
-	f := func(budgetRaw, memRaw, reqRaw uint8) bool {
-		budget := int(budgetRaw)%7 + 2
-		p := NewAdaptiveRetry(budget)
+	f := func(memRaw, reqRaw uint8) bool {
+		const budget = 4
+		p := NewAdaptiveRetry()
 		if m := int(memRaw) % 8; m > 0 {
 			attempts(p, 1, m) // seed the memory
 		}
@@ -145,8 +145,7 @@ func TestPolicyContract(t *testing.T) {
 	policies := []ReadPolicy{
 		FixedWorstCase{Levels: 3},
 		NewLDPCInSSD(),
-		NewAdaptiveRetry(0),
-		NewAdaptiveRetry(2),
+		NewAdaptiveRetry(),
 		Oracle{},
 	}
 	meetsContract := func(got []int, required int) bool {

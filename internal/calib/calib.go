@@ -17,111 +17,21 @@
 // byte-identical at any engine worker count.
 package calib
 
-import "fmt"
-
-// Config parameterizes a Tracker. The zero value is disabled.
-type Config struct {
-	// Enabled turns calibration on.
-	Enabled bool
-
-	// StepMv is the initial probe step in millivolts. A recalibration
-	// proposes shift±step candidates and halves the step when neither
-	// improves, down to MinStepMv. 0 selects DefaultStepMv.
-	StepMv int
-
-	// MinStepMv is the convergence floor of the probe step. 0 selects
-	// DefaultMinStepMv.
-	MinStepMv int
-
-	// MaxShiftMv bounds |shift|: real read-retry tables cover a finite
-	// reference range. 0 selects DefaultMaxShiftMv.
-	MaxShiftMv int
-
-	// MaxProbes bounds the re-sense probes one recalibration may issue
-	// (the retry budget of the ladder's recalibrate stage). 0 selects
-	// DefaultMaxProbes.
-	MaxProbes int
-
-	// LowWater, when positive, marks reads needing at least that many
-	// extra sensing levels as calibration candidates: Observe returns
-	// true for them (once per drift stage) so the device can retune the
-	// block in the background before it falls off the unreadable cliff.
-	LowWater int
-}
-
-// Defaults for the zero-valued knobs.
+// The ladder's calibration constants. A recalibration proposes
+// shift±step candidates starting at initialStepMv and halves the step
+// when neither improves, down to minStepMv; |shift| stays within
+// maxShiftMv (real read-retry tables cover a finite reference range);
+// one recalibration issues at most maxProbes re-sense probes (the retry
+// budget of the ladder's recalibrate stage). Reads needing at least
+// lowWater extra sensing levels are calibration candidates, so the
+// device retunes a block before it falls off the unreadable cliff.
 const (
-	DefaultStepMv     = 40
-	DefaultMinStepMv  = 5
-	DefaultMaxShiftMv = 400
-	DefaultMaxProbes  = 8
+	initialStepMv = 40
+	minStepMv     = 5
+	maxShiftMv    = 400
+	maxProbes     = 8
+	lowWater      = 2
 )
-
-// DefaultConfig returns an enabled tracker configuration with the
-// default probe budget and step schedule.
-func DefaultConfig() Config {
-	return Config{
-		Enabled:    true,
-		StepMv:     DefaultStepMv,
-		MinStepMv:  DefaultMinStepMv,
-		MaxShiftMv: DefaultMaxShiftMv,
-		MaxProbes:  DefaultMaxProbes,
-		LowWater:   2,
-	}
-}
-
-// stepMv returns the effective initial probe step.
-func (c Config) stepMv() int {
-	if c.StepMv > 0 {
-		return c.StepMv
-	}
-	return DefaultStepMv
-}
-
-// minStepMv returns the effective convergence floor.
-func (c Config) minStepMv() int {
-	if c.MinStepMv > 0 {
-		return c.MinStepMv
-	}
-	return DefaultMinStepMv
-}
-
-// maxShiftMv returns the effective shift bound.
-func (c Config) maxShiftMv() int {
-	if c.MaxShiftMv > 0 {
-		return c.MaxShiftMv
-	}
-	return DefaultMaxShiftMv
-}
-
-// maxProbes returns the effective per-recalibration probe budget.
-func (c Config) maxProbes() int {
-	if c.MaxProbes > 0 {
-		return c.MaxProbes
-	}
-	return DefaultMaxProbes
-}
-
-// Validate reports configuration problems.
-func (c Config) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.StepMv < 0 || c.MinStepMv < 0 || c.MaxShiftMv < 0 || c.MaxProbes < 0 {
-		return fmt.Errorf("calib: negative knob (step %d, min step %d, max shift %d, max probes %d)",
-			c.StepMv, c.MinStepMv, c.MaxShiftMv, c.MaxProbes)
-	}
-	if c.LowWater < 0 {
-		return fmt.Errorf("calib: negative low-water level %d", c.LowWater)
-	}
-	if c.minStepMv() > c.stepMv() {
-		return fmt.Errorf("calib: min step %dmV above initial step %dmV", c.minStepMv(), c.stepMv())
-	}
-	if c.stepMv() > c.maxShiftMv() {
-		return fmt.Errorf("calib: initial step %dmV above max shift %dmV", c.stepMv(), c.maxShiftMv())
-	}
-	return nil
-}
 
 // Stats counts tracker activity.
 type Stats struct {
@@ -145,21 +55,14 @@ type blockCal struct {
 // one device, and the experiment engine gives every shard its own
 // device (DESIGN.md §9).
 type Tracker struct {
-	cfg    Config
 	blocks map[int]*blockCal
 	stats  Stats
 }
 
-// New builds a Tracker.
-func New(cfg Config) (*Tracker, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Tracker{cfg: cfg, blocks: make(map[int]*blockCal)}, nil
+// New builds a Tracker with no calibration state.
+func New() *Tracker {
+	return &Tracker{blocks: make(map[int]*blockCal)}
 }
-
-// Config returns the tracker's configuration.
-func (t *Tracker) Config() Config { return t.cfg }
 
 // Stats returns a snapshot of the activity counters.
 func (t *Tracker) Stats() Stats { return t.stats }
@@ -179,7 +82,7 @@ func (t *Tracker) ShiftMv(block int) int {
 // Observe records one read outcome at the block's current calibration:
 // the sensing levels the decode needed and whether the page was
 // readable at all. It returns true when a background recalibration is
-// warranted — the page was unreadable, or it needed at least LowWater
+// warranted — the page was unreadable, or it needed at least lowWater
 // levels and has drifted past what the last calibration achieved. The
 // once-per-drift-stage gate bounds recalibration traffic: a block whose
 // levels are stable never re-triggers.
@@ -187,7 +90,7 @@ func (t *Tracker) Observe(block, levels int, ok bool) bool {
 	if !ok {
 		return true
 	}
-	if t.cfg.LowWater <= 0 || levels < t.cfg.LowWater {
+	if levels < lowWater {
 		return false
 	}
 	if c, calibrated := t.blocks[block]; calibrated && c.seen {
@@ -223,15 +126,10 @@ func better(lev int, ok bool, bestLev int, bestOK bool) bool {
 func (t *Tracker) Calibrate(block int, eval func(shiftMv int) (levels int, ok bool)) (probes, levels int, ok bool) {
 	c := t.blocks[block]
 	if c == nil {
-		c = &blockCal{stepMv: t.cfg.stepMv()}
+		c = &blockCal{stepMv: initialStepMv}
 		t.blocks[block] = c
 	}
-	if c.stepMv <= 0 {
-		c.stepMv = t.cfg.stepMv()
-	}
 	t.stats.Recalibrations++
-	budget := t.cfg.maxProbes()
-	maxShift := t.cfg.maxShiftMv()
 
 	best := c.shiftMv
 	bestLev, bestOK := eval(best)
@@ -241,27 +139,27 @@ func (t *Tracker) Calibrate(block int, eval func(shiftMv int) (levels int, ok bo
 		// Rescue sweep: strides of the initial step in the pattern
 		// -1, -2, +1, -3, -4, +2, ... — two negative probes per positive
 		// one — skipping candidates already clamped to a probed bound.
-		origin, step := best, t.cfg.stepMv()
+		origin := best
 		probedNeg, probedPos := origin, origin
-		for k := 0; !bestOK && probes < budget; k++ {
+		for k := 0; !bestOK && probes < maxProbes; k++ {
 			g, m := k/3, k%3
 			neg := m < 2
 			stride := g + 1
 			if neg {
 				stride = 2*g + m + 1
 			}
-			cand := origin + stride*step
+			cand := origin + stride*initialStepMv
 			if neg {
-				cand = origin - stride*step
+				cand = origin - stride*initialStepMv
 			}
-			if cand < -maxShift {
-				cand = -maxShift
+			if cand < -maxShiftMv {
+				cand = -maxShiftMv
 			}
-			if cand > maxShift {
-				cand = maxShift
+			if cand > maxShiftMv {
+				cand = maxShiftMv
 			}
 			if cand == probedNeg || cand == probedPos {
-				if probedNeg == -maxShift && probedPos == maxShift {
+				if probedNeg == -maxShiftMv && probedPos == maxShiftMv {
 					break // the whole range is exhausted
 				}
 				continue
@@ -278,14 +176,14 @@ func (t *Tracker) Calibrate(block int, eval func(shiftMv int) (levels int, ok bo
 			}
 		}
 	}
-	for probes < budget && c.stepMv >= t.cfg.minStepMv() {
+	for probes < maxProbes && c.stepMv >= minStepMv {
 		improved := false
 		for _, cand := range [2]int{best - c.stepMv, best + c.stepMv} {
-			if cand < -maxShift {
-				cand = -maxShift
+			if cand < -maxShiftMv {
+				cand = -maxShiftMv
 			}
-			if cand > maxShift {
-				cand = maxShift
+			if cand > maxShiftMv {
+				cand = maxShiftMv
 			}
 			if cand == best {
 				continue
@@ -297,7 +195,7 @@ func (t *Tracker) Calibrate(block int, eval func(shiftMv int) (levels int, ok bo
 				improved = true
 				break // re-center before probing further
 			}
-			if probes >= budget {
+			if probes >= maxProbes {
 				break
 			}
 		}

@@ -24,11 +24,7 @@ func convexEval(optMv, mvPerLevel int) func(int) (int, bool) {
 }
 
 func TestCalibrateConvergesTowardOptimum(t *testing.T) {
-	cfg := DefaultConfig()
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := New()
 	// Retention drift moved the distributions down ~120mV: the optimal
 	// read-reference shift is −120mV and each 40mV of error costs one
 	// extra sensing level.
@@ -37,8 +33,8 @@ func TestCalibrateConvergesTowardOptimum(t *testing.T) {
 	var lastLev int
 	for i := 0; i < 4; i++ {
 		probes, lev, ok := tr.Calibrate(3, eval)
-		if probes > cfg.maxProbes() {
-			t.Fatalf("round %d: %d probes, budget %d", i, probes, cfg.maxProbes())
+		if probes > maxProbes {
+			t.Fatalf("round %d: %d probes, budget %d", i, probes, maxProbes)
 		}
 		if !ok {
 			t.Fatalf("round %d: unreadable at shift %dmV", i, tr.ShiftMv(3))
@@ -58,10 +54,7 @@ func TestCalibrateConvergesTowardOptimum(t *testing.T) {
 }
 
 func TestCalibrateRescuesUnreadable(t *testing.T) {
-	tr, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := New()
 	// Unreadable at the nominal references (8+ levels needed), readable
 	// within 40mV of −80mV.
 	eval := convexEval(-80, 10)
@@ -77,35 +70,22 @@ func TestCalibrateRescuesUnreadable(t *testing.T) {
 	}
 }
 
-// Property: for any optimum and any budget the search respects the
-// probe budget, the shift bound, and never leaves the block worse than
-// it entered.
+// Property: for any optimum and any history of rounds the search
+// respects the probe budget, the shift bound, and never leaves the block
+// worse than it entered.
 func TestCalibrateProperties(t *testing.T) {
-	f := func(optRaw int16, stepRaw, budgetRaw uint8, rounds uint8) bool {
-		cfg := Config{
-			Enabled:    true,
-			StepMv:     int(stepRaw)%120 + 5,
-			MinStepMv:  5,
-			MaxShiftMv: 300,
-			MaxProbes:  int(budgetRaw)%12 + 2,
-		}
-		if cfg.StepMv > cfg.MaxShiftMv {
-			cfg.StepMv = cfg.MaxShiftMv
-		}
-		tr, err := New(cfg)
-		if err != nil {
-			return false
-		}
+	f := func(optRaw int16, rounds uint8) bool {
+		tr := New()
 		opt := int(optRaw) % 400
 		eval := convexEval(opt, 25)
 		prevLev, prevOK := eval(0)
 		for i := 0; i < int(rounds)%5+1; i++ {
 			probes, lev, ok := tr.Calibrate(1, eval)
-			if probes < 1 || probes > cfg.MaxProbes {
+			if probes < 1 || probes > maxProbes {
 				return false
 			}
 			s := tr.ShiftMv(1)
-			if s < -cfg.MaxShiftMv || s > cfg.MaxShiftMv {
+			if s < -maxShiftMv || s > maxShiftMv {
 				return false
 			}
 			// Monotone: each round ends no worse than the last.
@@ -124,7 +104,7 @@ func TestCalibrateProperties(t *testing.T) {
 // Determinism: the same observation sequence produces the same state.
 func TestCalibrateDeterministic(t *testing.T) {
 	run := func() (int, Stats) {
-		tr, _ := New(DefaultConfig())
+		tr := New()
 		eval := convexEval(-160, 30)
 		for i := 0; i < 3; i++ {
 			tr.Calibrate(7, eval)
@@ -139,10 +119,7 @@ func TestCalibrateDeterministic(t *testing.T) {
 }
 
 func TestObserveGating(t *testing.T) {
-	tr, err := New(DefaultConfig()) // LowWater 2
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := New() // low-water mark 2
 	if tr.Observe(1, 0, true) || tr.Observe(1, 1, true) {
 		t.Error("below low-water reads must not trigger calibration")
 	}
@@ -164,10 +141,7 @@ func TestObserveGating(t *testing.T) {
 }
 
 func TestForgetAndReset(t *testing.T) {
-	tr, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := New()
 	tr.Calibrate(4, convexEval(-100, 20))
 	if tr.ShiftMv(4) == 0 {
 		t.Fatal("calibration did not move the shift")
@@ -181,25 +155,5 @@ func TestForgetAndReset(t *testing.T) {
 	tr.Reset()
 	if tr.TrackedBlocks() != 0 || tr.ShiftMv(5) != 0 {
 		t.Error("Reset left calibration state behind")
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{Enabled: true, StepMv: -1},
-		{Enabled: true, LowWater: -2},
-		{Enabled: true, StepMv: 5, MinStepMv: 10},
-		{Enabled: true, StepMv: 500, MaxShiftMv: 100},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %d validated, want error", i)
-		}
-	}
-	if err := (Config{}).Validate(); err != nil {
-		t.Errorf("disabled zero config must validate: %v", err)
-	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config must validate: %v", err)
 	}
 }

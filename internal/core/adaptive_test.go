@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"flexlevel/internal/calib"
 	"flexlevel/internal/ftl"
 	"flexlevel/internal/noise"
 	"flexlevel/internal/ssd"
@@ -101,7 +100,7 @@ func TestSurfaceKeyFallback(t *testing.T) {
 // tracker on the device, the adaptive policy, and the shifted surface.
 func TestRunnerWiresAdaptiveStack(t *testing.T) {
 	opts := fastOptions(LevelAdjustOnly, 6000)
-	opts.SSD.Calib = calib.DefaultConfig()
+	opts.SSD.Calib = true
 	r, err := NewRunner(opts)
 	if err != nil {
 		t.Fatal(err)

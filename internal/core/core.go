@@ -246,11 +246,11 @@ func NewRunner(opts Options) (*Runner, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown system %v", opts.System)
 	}
-	if opts.SSD.Calib.Enabled {
+	if opts.SSD.Calib {
 		// Online threshold calibration implies the adaptive retry policy:
 		// the ladder needs the bounded-budget escalation and the downward
 		// memory path, whatever the base system is.
-		policy = baseline.NewAdaptiveRetry(0)
+		policy = baseline.NewAdaptiveRetry()
 	}
 
 	device, err := ssd.New(opts.SSD, surface.BER, policy)

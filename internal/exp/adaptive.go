@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 
-	"flexlevel/internal/calib"
 	"flexlevel/internal/core"
 	"flexlevel/internal/nunma"
 	"flexlevel/internal/runner"
@@ -120,7 +119,7 @@ func Adaptive(cfg SimConfig) ([]AdaptiveRow, error) {
 			// pool's, or their reads never see the drift being studied.
 			opts.AgedReducedPreload = true
 			if c.Mode == AdaptiveMode {
-				opts.SSD.Calib = calib.DefaultConfig()
+				opts.SSD.Calib = true
 			}
 			m, err := cfg.replay(s, AdaptiveWorkload, opts)
 			if err != nil {

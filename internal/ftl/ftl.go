@@ -320,11 +320,10 @@ type FTL struct {
 	// when the pool has none.
 	active [numStates]*activeBlock
 
-	stats     Stats
-	wearSwaps int64
-	retired   int // lifetime bad-block count (survives ResetStats)
-	degraded  bool
-	inRetire  bool // suppress nested faults while relocating off a bad block
+	stats    Stats
+	retired  int // lifetime bad-block count (survives ResetStats)
+	degraded bool
+	inRetire bool // suppress nested faults while relocating off a bad block
 
 	// Crash-consistency state (nil/zero unless cfg.Journal.Enabled).
 	media    *Media   // durable image: per-page OOB, journal log, checkpoint

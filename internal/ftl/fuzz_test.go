@@ -39,8 +39,6 @@ func FuzzJournalReplay(f *testing.F) {
 			if ftl.Mapped(op.lpn) {
 				ftl.Migrate(op.lpn, op.state)
 			}
-		case 3:
-			ftl.LevelWear(2)
 		}
 	}
 	journal := ftl.Media().JournalBytes()

@@ -60,8 +60,8 @@ func checkInvariants(t *testing.T, f *FTL) {
 	}
 }
 
-// TestInvariantFuzz drives random write / overwrite / migrate / trim /
-// wear-level sequences and verifies every structural invariant after
+// TestInvariantFuzz drives random write / overwrite / migrate / trim
+// sequences and verifies every structural invariant after
 // each operation batch.
 func TestInvariantFuzz(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
@@ -74,7 +74,7 @@ func TestInvariantFuzz(t *testing.T) {
 		const ops = 8000
 		for op := 0; op < ops; op++ {
 			lpn := uint64(rng.Intn(int(f.cfg.LogicalPages)))
-			switch rng.Intn(10) {
+			switch rng.Intn(9) {
 			case 0, 1, 2, 3, 4: // write, mixed pools
 				state := NormalState
 				if rng.Intn(4) == 0 {
@@ -104,8 +104,6 @@ func TestInvariantFuzz(t *testing.T) {
 					t.Fatalf("seed %d op %d: trim: %v", seed, op, err)
 				}
 				delete(live, lpn)
-			case 9: // wear leveling round
-				f.LevelWear(2)
 			}
 			if op%500 == 0 {
 				checkInvariants(t, f)

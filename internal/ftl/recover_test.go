@@ -34,23 +34,23 @@ func baseScript() []fault.ScriptEvent {
 }
 
 // crashTraceOps sizes the scripted workload: long enough to wrap the
-// logical space, trigger GC, wear leveling and every scripted fault.
+// logical space, trigger GC and every scripted fault.
 const crashTraceOps = 1200
 
 type wop struct {
-	kind  int // 0 write, 1 trim, 2 migrate, 3 wear-level round
+	kind  int // 0 write, 1 trim, 2 migrate
 	lpn   uint64
 	state BlockState
 }
 
 // crashTrace is the deterministic workload: writes across both pools,
-// overwrites, trims, migrations and wear-leveling rounds.
+// overwrites, trims and migrations.
 func crashTrace(n int, logical int) []wop {
 	rng := rand.New(rand.NewSource(42))
 	ops := make([]wop, 0, n)
 	for i := 0; i < n; i++ {
 		lpn := uint64(rng.Intn(logical))
-		switch r := rng.Intn(12); {
+		switch r := rng.Intn(11); {
 		case r < 7:
 			st := NormalState
 			if rng.Intn(4) == 0 {
@@ -59,14 +59,12 @@ func crashTrace(n int, logical int) []wop {
 			ops = append(ops, wop{kind: 0, lpn: lpn, state: st})
 		case r < 9:
 			ops = append(ops, wop{kind: 1, lpn: lpn})
-		case r < 11:
+		default:
 			st := NormalState
 			if rng.Intn(2) == 0 {
 				st = ReducedState
 			}
 			ops = append(ops, wop{kind: 2, lpn: lpn, state: st})
-		default:
-			ops = append(ops, wop{kind: 3})
 		}
 	}
 	return ops
@@ -122,11 +120,9 @@ func runCrashTrace(t *testing.T, f *FTL, ops []wop) traceOracle {
 				}
 				t.Fatalf("migrate lpn %d: %v", op.lpn, err)
 			}
-		case 3:
-			f.LevelWear(2)
 		}
 		if f.Dead() {
-			// The op was acknowledged but a GC/wear power cut followed.
+			// The op was acknowledged but a GC power cut followed.
 			return o
 		}
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -70,6 +71,28 @@ func TestServerRejectsBadTenants(t *testing.T) {
 	bad[0].WorkingSet = 0
 	if _, err := New(Config{FTL: smallFTL(), Tenants: bad}); err == nil {
 		t.Fatal("empty working set accepted")
+	}
+}
+
+// TestServerRejectsBadBucket: a token bucket that cannot work fails
+// construction — a NaN, infinite or negative value would otherwise read
+// as "unlimited" or "default", and a burst below one token would shed
+// every op with 429 forever. A one-token bucket admits its first op,
+// and a burst without a rate is ignored.
+func TestServerRejectsBadBucket(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct{ rate, burst float64 }{
+		{nan, 0}, {inf, 0}, {-1, 0}, {10, nan}, {10, inf}, {10, -1}, {0, -1},
+		{10, 0.5}, {10, 1e-9},
+	} {
+		if _, err := New(Config{FTL: smallFTL(), Tenants: testTenants(), Rate: c.rate, Burst: c.burst}); err == nil {
+			t.Errorf("rate %g burst %g accepted", c.rate, c.burst)
+		}
+	}
+	newTestServer(t, Config{Burst: 0.5})
+	_, hs := newTestServer(t, Config{Rate: 10, Burst: 1})
+	if code := get(t, hs.Client(), hs.URL+"/v1/read?tenant=alpha&lpn=0", nil); code != 200 {
+		t.Fatalf("one-token bucket answered its first op with %d", code)
 	}
 }
 

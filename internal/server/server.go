@@ -44,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -96,7 +97,9 @@ type Config struct {
 	MaxQueue int
 	// Rate, when positive, is each tenant's token-bucket rate in
 	// requests per simulated second; Burst is the bucket size (defaults
-	// to Rate's one-second volume, min 1).
+	// to Rate's one-second volume, min 1). Both must be finite and
+	// non-negative, and with a Rate set an explicit Burst must be at
+	// least 1: an op takes one token, so a smaller bucket sheds every op.
 	Rate  float64
 	Burst float64
 	// SLOWait, when positive, sheds any op whose projected simulated
@@ -167,6 +170,21 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	return c
+}
+
+// checkBucket refuses a token bucket that would silently misbehave: a
+// NaN or negative value would read as "unlimited" or "default", and a
+// burst below one token could never admit an op.
+func checkBucket(rate, burst float64) error {
+	for _, v := range [2]float64{rate, burst} {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return fmt.Errorf("server: token bucket rate %g, burst %g: both must be finite and >= 0", rate, burst)
+		}
+	}
+	if rate > 0 && burst > 0 && burst < 1 {
+		return fmt.Errorf("server: token bucket burst %g below one token sheds every op", burst)
+	}
+	return nil
 }
 
 // op is one admitted request travelling handler → engine → handler.
@@ -247,6 +265,9 @@ type Server struct {
 // tenant window preloaded on its owning shard) and starts the engine
 // goroutines.
 func New(cfg Config) (*Server, error) {
+	if err := checkBucket(cfg.Rate, cfg.Burst); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if cfg.CrashShard < 0 || cfg.CrashShard >= cfg.Shards {
 		return nil, fmt.Errorf("server: crash shard %d outside [0,%d)", cfg.CrashShard, cfg.Shards)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"flexlevel/internal/baseline"
-	"flexlevel/internal/calib"
 	"flexlevel/internal/fault"
 	"flexlevel/internal/ftl"
 )
@@ -34,11 +33,11 @@ func driftBER(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float
 func newAdaptiveDevice(t *testing.T, mutate func(*Config)) *Device {
 	t.Helper()
 	cfg := smallConfig()
-	cfg.Calib = calib.DefaultConfig()
+	cfg.Calib = true
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	d, err := New(cfg, keyed(driftBER), baseline.NewAdaptiveRetry(0))
+	d, err := New(cfg, keyed(driftBER), baseline.NewAdaptiveRetry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +97,63 @@ func TestAdaptiveLadderRescuesDriftedPage(t *testing.T) {
 	}
 }
 
+// TestCalibratedLadderEscalates: calibration alone arms the whole
+// ladder. A page hopeless at every read-reference shift exhausts stage
+// 2's probe budget without a rescue, so stage 3 refreshes it in place;
+// when every program fails, the refused refresh escalates to stage 4
+// and the block is retired.
+func TestCalibratedLadderEscalates(t *testing.T) {
+	hopeless := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+		if ageHours > 100 {
+			return 0.1 // no shift recovers it
+		}
+		return 1e-4
+	}
+	read := func(t *testing.T, faults fault.Config) Results {
+		t.Helper()
+		cfg := smallConfig()
+		cfg.Calib = true
+		cfg.Faults = faults
+		d, err := New(cfg, keyed(hopeless), baseline.NewAdaptiveRetry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Preload(512); err != nil {
+			t.Fatal(err)
+		}
+		d.Read(time.Second, agedVictim(t, d))
+		res := d.Results()
+		if res.Recalibrations != 1 || res.CalibProbes != 8 || res.CalibRescues != 0 {
+			t.Errorf("recalibrations/probes/rescues = %d/%d/%d, want 1/8/0 (stage 2 spends its budget and fails)",
+				res.Recalibrations, res.CalibProbes, res.CalibRescues)
+		}
+		if res.Unreadable != 1 {
+			t.Errorf("Unreadable = %d, want 1", res.Unreadable)
+		}
+		return res
+	}
+	t.Run("refresh", func(t *testing.T) {
+		res := read(t, fault.Config{})
+		if res.Refreshes != 1 || res.RefreshFailures != 0 || res.EscalatedRetirements != 0 {
+			t.Errorf("refreshes/failures/retirements = %d/%d/%d, want 1/0/0",
+				res.Refreshes, res.RefreshFailures, res.EscalatedRetirements)
+		}
+	})
+	t.Run("retire", func(t *testing.T) {
+		// Preload issues exactly 512 program checks; fail every program
+		// the refresh and its retry cascade can issue afterwards.
+		var script []fault.ScriptEvent
+		for i := int64(512); i < 612; i++ {
+			script = append(script, fault.ScriptEvent{Op: fault.Program, Index: i})
+		}
+		res := read(t, fault.Config{Script: script})
+		if res.Refreshes != 0 || res.RefreshFailures != 1 || res.EscalatedRetirements != 1 {
+			t.Errorf("refreshes/failures/retirements = %d/%d/%d, want 0/1/1",
+				res.Refreshes, res.RefreshFailures, res.EscalatedRetirements)
+		}
+	})
+}
+
 func victimBlock(d *Device, lpn uint64) int {
 	ppn, _, _ := d.ftl.Lookup(lpn)
 	return int(ppn) / d.cfg.FTL.PagesPerBlock
@@ -110,7 +166,7 @@ func victimBlock(d *Device, lpn uint64) int {
 // stays readable where it is.
 func TestRefreshFailureCountedInDegradedMode(t *testing.T) {
 	cfg := smallConfig()
-	cfg.AutoRefresh = true
+	cfg.Calib = true
 	berOf := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 		if ageHours > 100 {
 			return 0.1
@@ -163,7 +219,7 @@ func TestRefreshFailureCountedInDegradedMode(t *testing.T) {
 // retiring the victim block instead of leaving data on a decaying block.
 func TestRefreshFailureEscalatesToRetirement(t *testing.T) {
 	cfg := smallConfig()
-	cfg.AutoRefresh = true
+	cfg.Calib = true
 	// Preload issues exactly 512 program checks (512 pages, no journal,
 	// no GC at this occupancy); fail every program attempt the refresh
 	// and its retry cascade can issue afterwards.

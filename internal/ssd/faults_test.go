@@ -41,7 +41,6 @@ func TestValidateErrorBranches(t *testing.T) {
 		{func(c *Config) { c.Rule.Target = 2 }, "target UBER"},
 		{func(c *Config) { c.MaxDataAgeHours = -1 }, "data age"},
 		{func(c *Config) { c.Channels = -1 }, "channel count"},
-		{func(c *Config) { c.WearLevelEvery = -1 }, "wear-level"},
 		{func(c *Config) { c.RefreshAboveLevels = -1 }, "refresh threshold"},
 		{func(c *Config) { c.Faults.Read.Base = 2 }, "fault:"},
 	}

@@ -20,14 +20,14 @@ func TestUnreadableTracked(t *testing.T) {
 		t.Errorf("Unreadable = %d, want 10", res.Unreadable)
 	}
 	if res.Refreshes != 0 {
-		t.Errorf("Refreshes = %d without AutoRefresh, want 0", res.Refreshes)
+		t.Errorf("Refreshes = %d without calibration, want 0", res.Refreshes)
 	}
 }
 
 func TestAutoRefreshRestoresReadability(t *testing.T) {
 	// Age-driven BER: old pages unreadable, rewritten pages fine.
 	cfg := smallConfig()
-	cfg.AutoRefresh = true
+	cfg.Calib = true
 	berOf := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
 		if ageHours > 100 {
 			return 0.1 // hopeless
@@ -66,29 +66,6 @@ func TestAutoRefreshRestoresReadability(t *testing.T) {
 	res = d.Results()
 	if res.Unreadable != 1 {
 		t.Errorf("refreshed page counted unreadable again: %d", res.Unreadable)
-	}
-}
-
-func TestWearLevelingHookRuns(t *testing.T) {
-	cfg := smallConfig()
-	cfg.WearLevelEvery = 50
-	d, err := New(cfg, flatBER(0, 0), baseline.Oracle{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Preload(512); err != nil {
-		t.Fatal(err)
-	}
-	// Hammer a tiny hot range so wear skews, letting the periodic
-	// leveler trigger (spread threshold is 64 cycles).
-	for i := 0; i < 30000; i++ {
-		if _, err := d.Write(time.Duration(i)*time.Microsecond, uint64(i%8), ftl.NormalState); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ws := d.FTL().WearStats()
-	if ws.MaxPE-ws.MinPE > 1000 {
-		t.Errorf("wear spread %d despite periodic leveling", ws.MaxPE-ws.MinPE)
 	}
 }
 

@@ -65,21 +65,11 @@ type Config struct {
 	// single-channel device the calibrated experiments use.
 	Channels int
 
-	// AutoRefresh rewrites a page in place when its BER exceeds even the
-	// maximum soft-sensing capability (retention relaxation: the read
-	// succeeds only after the refresh). Off by default — the paper's
-	// evaluation does not model refresh.
-	AutoRefresh bool
-
 	// RefreshAboveLevels, when positive, rewrites any page whose read
 	// needed at least that many extra sensing levels (aggressive
 	// scrubbing — the retention-relaxation related work [10] that trades
 	// write traffic for read latency). 0 disables.
 	RefreshAboveLevels int
-
-	// WearLevelEvery, when positive, runs one static wear-leveling round
-	// after every N user writes.
-	WearLevelEvery int
 
 	// Faults configures the deterministic fault injector (program/erase
 	// failures, grown bad blocks, transient uncorrectable reads). The
@@ -87,11 +77,13 @@ type Config struct {
 	// bit-identical to a fault-free device.
 	Faults fault.Config
 
-	// Calib configures online per-block read-threshold calibration (the
-	// adaptive read-retry ladder, DESIGN.md §13). Disabled by default;
-	// when enabled, reads and calibration probes evaluate the device's
-	// BERFunc at each block's tracked reference shift.
-	Calib calib.Config
+	// Calib turns on the adaptive read-retry ladder (DESIGN.md §13):
+	// online per-block read-threshold calibration, with reads and
+	// calibration probes evaluating the device's BERFunc at each block's
+	// tracked reference shift, then in-place refresh and block
+	// retirement for a page that still cannot decode. Off by default —
+	// the paper's evaluation models neither calibration nor refresh.
+	Calib bool
 
 	// SampleCap, when positive, bounds the read response-time sample to
 	// that many kept observations via a seeded uniform reservoir, so a
@@ -149,14 +141,8 @@ func (c Config) Validate() error {
 	if c.Channels < 0 {
 		return fmt.Errorf("ssd: negative channel count")
 	}
-	if c.WearLevelEvery < 0 {
-		return fmt.Errorf("ssd: negative wear-level interval")
-	}
 	if c.RefreshAboveLevels < 0 {
 		return fmt.Errorf("ssd: negative refresh threshold")
-	}
-	if err := c.Calib.Validate(); err != nil {
-		return err
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -206,10 +192,10 @@ type Results struct {
 	LevelHist       [sensing.MaxExtraLevels + 1]int64
 
 	// Unreadable counts reads whose BER exceeded even the maximum soft
-	// sensing capability; Refreshes counts the in-place rewrites
-	// AutoRefresh performed for them. RefreshFailures counts rewrites
-	// the FTL refused (degraded pool, no room) — previously dropped
-	// silently, now the trigger of the ladder's retirement stage.
+	// sensing capability; Refreshes counts the in-place rewrites the
+	// ladder (or RefreshAboveLevels scrubbing) performed, and
+	// RefreshFailures the rewrites the FTL refused (degraded pool, no
+	// room) — the trigger of the ladder's retirement stage.
 	Unreadable      int64
 	Refreshes       int64
 	RefreshFailures int64
@@ -330,7 +316,7 @@ type Device struct {
 	berBase  CacheStats
 
 	// Adaptive ladder state: the per-block threshold calibration tracker
-	// (nil unless Config.Calib.Enabled). lower is the policy's
+	// (nil unless Config.Calib). lower is the policy's
 	// downward-memory hook, resolved once in New.
 	calib *calib.Tracker
 	lower interface{ Lower(int, int) }
@@ -458,12 +444,8 @@ func New(cfg Config, berOf BERFunc, policy baseline.ReadPolicy) (*Device, error)
 	if lp, ok := policy.(interface{ Lower(int, int) }); ok {
 		d.lower = lp
 	}
-	if cfg.Calib.Enabled {
-		tr, err := calib.New(cfg.Calib)
-		if err != nil {
-			return nil, err
-		}
-		d.calib = tr
+	if cfg.Calib {
+		d.calib = calib.New()
 	}
 	if cfg.Faults.Enabled() {
 		inj, err := fault.New(cfg.Faults)
@@ -783,7 +765,7 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 
 	if !achievable && mapped {
 		d.res.Unreadable++
-		if d.cfg.AutoRefresh {
+		if d.calib != nil {
 			// Ladder stage 3 — refresh: rewrite the page in place so its
 			// age (and BER) restart. Charged as background work. A failed
 			// rewrite escalates to stage 4, block retirement, instead of
@@ -894,14 +876,6 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 	}
 	d.res.Writes++
 	d.recordWrite(resp)
-
-	if d.cfg.WearLevelEvery > 0 && d.res.Writes%int64(d.cfg.WearLevelEvery) == 0 {
-		// Static wear leveling rides along as background work.
-		const spreadThreshold = 64
-		if wlOps, did := d.ftl.LevelWear(spreadThreshold); did {
-			d.charge(ch, now, d.opsTime(wlOps))
-		}
-	}
 	return resp, nil
 }
 

@@ -340,9 +340,6 @@ func maxOf(xs []float64) float64 {
 	return m
 }
 
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
 // Histogram counts observations into equal-width buckets over [Lo, Hi).
 // Observations outside the range land in the under/overflow counters.
 type Histogram struct {
