@@ -222,10 +222,12 @@ func (c *Controller) OnWrite(lpn uint64) (reduced bool) {
 	return false
 }
 
-// Remove drops lpn from the pool (e.g. the caller failed to migrate it).
+// Remove takes back the admission of a pool member the caller failed to
+// migrate: lpn leaves the pool and Migrations no longer counts it.
 func (c *Controller) Remove(lpn uint64) {
 	if c.InPool(lpn) {
 		c.unlink(int32(lpn))
+		c.migrations--
 	}
 }
 

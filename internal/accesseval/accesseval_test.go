@@ -185,11 +185,18 @@ func TestRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, c, 70, 1)
+	admitted := c.Migrations()
 	c.Remove(70)
 	if c.InPool(70) {
 		t.Error("Remove left page in pool")
 	}
+	if c.Migrations() != admitted-1 {
+		t.Errorf("Migrations = %d after Remove, want the admission taken back (%d)", c.Migrations(), admitted-1)
+	}
 	c.Remove(999) // no-op on non-members
+	if c.Migrations() != admitted-1 {
+		t.Errorf("Remove of a non-member changed Migrations to %d", c.Migrations())
+	}
 }
 
 func TestZeroPoolNeverMigrates(t *testing.T) {

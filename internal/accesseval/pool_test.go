@@ -68,6 +68,7 @@ func (c *refController) Remove(lpn uint64) {
 	if el, ok := c.pool[lpn]; ok {
 		c.lru.Remove(el)
 		delete(c.pool, lpn)
+		c.migrations--
 	}
 }
 

@@ -383,12 +383,17 @@ func (r *Runner) read(now time.Duration, lpn uint64) (time.Duration, error) {
 			if migrationSkippable(err) {
 				continue
 			}
+			r.ctrl.Remove(lpn) // the admission's own move is never tried
 			return resp, fmt.Errorf("core: evict lpn %d: %w", victim, err)
 		}
 	}
 	if dec.Migrate {
-		if err := r.device.Migrate(now, lpn, ftl.ReducedState); err != nil && !migrationSkippable(err) {
-			return resp, fmt.Errorf("core: migrate lpn %d: %w", lpn, err)
+		if err := r.device.Migrate(now, lpn, ftl.ReducedState); err != nil {
+			// The page stays where it was: take the admission back.
+			r.ctrl.Remove(lpn)
+			if !migrationSkippable(err) {
+				return resp, fmt.Errorf("core: migrate lpn %d: %w", lpn, err)
+			}
 		}
 	}
 	return resp, nil

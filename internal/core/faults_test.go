@@ -1,10 +1,17 @@
 package core
 
 import (
+	"errors"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
+	"flexlevel/internal/accesseval"
 	"flexlevel/internal/fault"
+	"flexlevel/internal/ftl"
+	"flexlevel/internal/trace"
 )
 
 // TestZeroRateFaultConfigBitIdentical is the acceptance regression: a
@@ -73,5 +80,138 @@ func TestFaultyRunSurfacesReliabilityMetrics(t *testing.T) {
 	}
 	if m.Reads == 0 {
 		t.Error("read count not populated")
+	}
+}
+
+// TestSkippedMigrationLeavesPool drives a FlexLevel runner to the end of
+// its write life (every erase grows a bad block, one spare, the small
+// geometry the serve out-of-blocks test uses), then reads until
+// AccessEval admits pages whose conversion finds no free block. A
+// skipped conversion leaves the page in normal state, so the admission
+// must be taken back: every pool member is mapped in the reduced pool,
+// and Migrations counts only moves that happened.
+func TestSkippedMigrationLeavesPool(t *testing.T) {
+	opts := DefaultOptions(FlexLevel, 6000)
+	opts.SSD.Seed = 11
+	opts.SSD.Faults = fault.Config{Seed: 1, Grown: fault.RateCurve{Base: 1}}
+	opts.SSD.FTL = ftl.Config{
+		LogicalPages:  2048,
+		PagesPerBlock: 16,
+		Blocks:        176,
+		ReducedFactor: 0.75,
+		GCThreshold:   3,
+		GCTarget:      4,
+		SpareBlocks:   1,
+	}
+	opts.AccessEval = accesseval.DefaultParams(2048)
+	r, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Prepare(nil, 2048); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var now time.Duration
+	// Four tenants of 512 pages each, visited in turn.
+	next := func(i int) uint64 { return uint64(i%4)*512 + uint64(rng.Intn(512)) }
+	outOfBlocks := false
+	for i := 0; i < 3000 && !outOfBlocks; i++ {
+		done, err := r.StepAt(trace.Request{Arrival: now, Op: trace.Write, LPN: next(i), Pages: 1}, now)
+		switch {
+		case errors.Is(err, ftl.ErrNoFreeBlocks):
+			outOfBlocks = true
+		case err != nil:
+			t.Fatalf("write %d: %v", i, err)
+		}
+		now = max(now, done)
+	}
+	if !outOfBlocks {
+		t.Fatal("the device never ran out of free blocks")
+	}
+	for i := 0; i < 5000; i++ {
+		done, err := r.StepAt(trace.Request{Arrival: now, Op: trace.Read, LPN: next(i), Pages: 1}, now)
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		now = max(now, done)
+	}
+	members, admissible := 0, 0
+	for lpn := uint64(0); lpn < 2048; lpn++ {
+		// A read needing one extra level admits a page this hot.
+		if r.ctrl.Overhead(lpn, 1) >= r.ctrl.Params().Threshold {
+			admissible++
+		}
+		if !r.ctrl.InPool(lpn) {
+			continue
+		}
+		members++
+		if _, state, ok := r.Device().FTL().Lookup(lpn); !ok || state != ftl.ReducedState {
+			t.Errorf("lpn %d is in the AccessEval pool but mapped %v (ok %v), not in the reduced pool", lpn, state, ok)
+		}
+	}
+	if admissible == 0 {
+		t.Fatal("the reads made no page hot enough for AccessEval to admit")
+	}
+	if got := r.ctrl.Migrations() - r.ctrl.Evictions(); got != int64(members) {
+		t.Errorf("Migrations - Evictions = %d, want the %d pages in the pool", got, members)
+	}
+}
+
+// TestEvictionPowerLossTakesBackAdmission cuts power during the first
+// eviction a read's admission forces. The read fails before the page it
+// admitted is moved, so that page must not stay in the AccessEval pool.
+func TestEvictionPowerLossTakesBackAdmission(t *testing.T) {
+	opts := fastOptions(FlexLevel, 6000)
+	opts.AccessEval.PoolPages = 8
+	opts.AccessEval.Threshold = 1 // every read of a non-member admits it
+	reads := func(i int) uint64 { return uint64(i*37) % opts.SSD.FTL.LogicalPages }
+	prepare := func(opts Options) *Runner {
+		r, err := NewRunner(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Prepare(nil, opts.SSD.FTL.LogicalPages); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// Find the first evicting read and the media op its eviction starts at.
+	r := prepare(opts)
+	var now time.Duration
+	victim, cut := -1, int64(0)
+	for i := 0; i < 100 && victim < 0; i++ {
+		ops, evictions := r.Device().FTL().MediaOps(), r.ctrl.Evictions()
+		done, err := r.StepAt(trace.Request{Arrival: now, Op: trace.Read, LPN: reads(i), Pages: 1}, now)
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if r.ctrl.Evictions() > evictions {
+			victim, cut = i, ops
+		}
+		now = max(now, done)
+	}
+	if victim < 0 {
+		t.Fatal("no read evicted a pool member")
+	}
+	// Replay with power lost on that media op.
+	opts.SSD.Faults = fault.Config{Script: []fault.ScriptEvent{{Op: fault.PowerLoss, Index: cut}}}
+	r = prepare(opts)
+	now = 0
+	for i := 0; i <= victim; i++ {
+		done, err := r.StepAt(trace.Request{Arrival: now, Op: trace.Read, LPN: reads(i), Pages: 1}, now)
+		if i < victim {
+			if err != nil {
+				t.Fatalf("read %d: %v", i, err)
+			}
+			now = max(now, done)
+			continue
+		}
+		if !errors.Is(err, ftl.ErrPowerLoss) || !strings.Contains(err.Error(), "evict") {
+			t.Fatalf("read %d: error %v, want a power loss during the eviction", i, err)
+		}
+	}
+	if lpn := reads(victim); r.ctrl.InPool(lpn) {
+		t.Errorf("lpn %d stays in the AccessEval pool although power died before it moved", lpn)
 	}
 }

@@ -192,8 +192,7 @@ type softSensor struct {
 // apart.
 func newSoftSensor(spec *noise.Spec, extra int, delta float64) *softSensor {
 	var bounds []float64
-	for i, base := range spec.ReadRefs {
-		_ = i
+	for _, base := range spec.ReadRefs {
 		n := extra + 1
 		for k := 0; k < n; k++ {
 			bounds = append(bounds, base+delta*(float64(k)-float64(n-1)/2))

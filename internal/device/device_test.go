@@ -2,11 +2,14 @@ package device
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"flexlevel/internal/ldpc"
 	"flexlevel/internal/nand"
+	"flexlevel/internal/noise"
 	"flexlevel/internal/nunma"
 )
 
@@ -227,14 +230,27 @@ func TestStateMismatchRejected(t *testing.T) {
 }
 
 func TestMoreLevelsMoreInformative(t *testing.T) {
-	// The sensor's bin count grows with extra levels, and posteriors
-	// stay normalized.
+	// The sensor's bin count grows with extra levels, each read
+	// reference's extra+1 bounds are delta apart and centred on it, and
+	// posteriors stay normalized.
+	const delta = 0.06
 	spec := nunma.BaselineMLC()
 	for _, extra := range []int{0, 2, 5} {
-		s := newSoftSensor(spec, extra, 0.06)
+		s := newSoftSensor(spec, extra, delta)
 		wantBounds := (extra + 1) * len(spec.ReadRefs)
 		if len(s.bounds) != wantBounds {
-			t.Errorf("extra=%d: %d bounds, want %d", extra, len(s.bounds), wantBounds)
+			t.Fatalf("extra=%d: %d bounds, want %d", extra, len(s.bounds), wantBounds)
+		}
+		for i, ref := range spec.ReadRefs {
+			group := s.bounds[i*(extra+1) : (i+1)*(extra+1)]
+			for k := 1; k < len(group); k++ {
+				if d := group[k] - group[k-1]; math.Abs(d-delta) > 1e-12 {
+					t.Errorf("extra=%d ref %g: bound spacing %g, want %g", extra, ref, d, delta)
+				}
+			}
+			if mid := (group[0] + group[len(group)-1]) / 2; math.Abs(mid-ref) > 1e-12 {
+				t.Errorf("extra=%d: bounds centred at %g, want %g", extra, mid, ref)
+			}
 		}
 		for bin, post := range s.post {
 			sum := 0.0
@@ -244,6 +260,27 @@ func TestMoreLevelsMoreInformative(t *testing.T) {
 			if sum < 0.999 || sum > 1.001 {
 				t.Errorf("extra=%d bin %d posterior sums to %g", extra, bin, sum)
 			}
+		}
+	}
+}
+
+func TestSoftSensorWeakestAtReference(t *testing.T) {
+	// Soft sensing's value: with the read reference at the crossover of
+	// two equal-sigma levels, the bin holding the reference straddles
+	// both, so its most likely level is far less certain than in the
+	// outermost bins, which lie beyond every reference.
+	spec := &noise.Spec{
+		Levels: []noise.Level{{Verify: 2.375, Sigma: 0.08}, {Verify: 2.95, Sigma: 0.08}},
+		Vpp:    0.15, // programmed level 1 centres at 3.025
+		Vpass:  noise.DefaultVpass,
+	}
+	spec.ReadRefs = []float64{(spec.Programmed(0).Mu + spec.Programmed(1).Mu) / 2}
+	for _, extra := range []int{2, 5} {
+		s := newSoftSensor(spec, extra, 0.06)
+		near := slices.Max(s.levelPosterior(spec.ReadRefs[0]))
+		far := math.Min(slices.Max(s.post[0]), slices.Max(s.post[len(s.post)-1]))
+		if near >= far {
+			t.Errorf("extra=%d: max posterior %g at the reference, want below %g far from it", extra, near, far)
 		}
 	}
 }

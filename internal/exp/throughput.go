@@ -76,7 +76,6 @@ func Throughput(cfg SimConfig) ([]ThroughputRow, error) {
 			if err != nil {
 				return ThroughputRow{}, err
 			}
-			w.QueueDepth = c.QD
 			reqs, err := w.Generate()
 			if err != nil {
 				return ThroughputRow{}, err

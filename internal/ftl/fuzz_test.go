@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"flexlevel/internal/fault"
@@ -15,34 +16,8 @@ func FuzzJournalReplay(f *testing.F) {
 	// Seed corpus: real images from a crashed workload, plus truncations
 	// and bit flips of them, plus degenerate frames.
 	cfg := crashConfig()
-	ftl, err := New(cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	inj, err := fault.New(fault.Config{
-		Script: append(baseScript(), fault.ScriptEvent{Op: fault.PowerLoss, Index: 900}),
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	ftl.Fault = inj.Fails
-	for _, op := range crashTrace(crashTraceOps, int(cfg.LogicalPages)) {
-		if ftl.Dead() {
-			break
-		}
-		switch op.kind {
-		case 0:
-			ftl.Write(op.lpn, op.state)
-		case 1:
-			ftl.Trim(op.lpn)
-		case 2:
-			if ftl.Mapped(op.lpn) {
-				ftl.Migrate(op.lpn, op.state)
-			}
-		}
-	}
-	journal := ftl.Media().JournalBytes()
-	checkpoint := ftl.Media().CheckpointBytes()
+	crashed := crashedFTL(f, cfg, 900)
+	journal, checkpoint := crashed.Media().JournalBytes(), crashed.Media().CheckpointBytes()
 	f.Add(journal, checkpoint)
 	f.Add(AppendFrame(nil, sampleRecords()), []byte{})
 	if len(journal) > 4 {
@@ -59,6 +34,19 @@ func FuzzJournalReplay(f *testing.F) {
 	}
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{0x31, 0x4a, 0x4c, 0x46, 0xff, 0xff, 0xff, 0x7f}, []byte{0x4b, 0x43, 0x4c, 0x46})
+	// The cut at op 900 comes before any reclaim; this one lands after
+	// garbage collection has run, with erase records in the live journal.
+	gc := crashedFTL(f, cfg, 1550)
+	recs, _, err := DecodeJournal(gc.Media().JournalBytes())
+	if err != nil {
+		f.Fatal(err)
+	}
+	erased := slices.ContainsFunc(recs, func(r Record) bool { return r.Type == recErase })
+	if gc.Stats().GCPrograms == 0 || !erased {
+		f.Fatalf("GC seed: %d GC programs before the cut, erase record in the journal %v; want both",
+			gc.Stats().GCPrograms, erased)
+	}
+	f.Add(gc.Media().JournalBytes(), gc.Media().CheckpointBytes())
 
 	f.Fuzz(func(t *testing.T, jbytes, cbytes []byte) {
 		recs, torn, err := DecodeJournal(jbytes)
@@ -88,4 +76,40 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatal("recovered FTL unusable")
 		}
 	})
+}
+
+// crashedFTL runs the crash trace on cfg until a scripted power loss at
+// media op cut and returns the dead FTL, whose media holds the journal
+// and checkpoint images recovery would read.
+func crashedFTL(f *testing.F, cfg Config, cut int64) *FTL {
+	ftl, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	inj, err := fault.New(fault.Config{
+		Script: append(baseScript(), fault.ScriptEvent{Op: fault.PowerLoss, Index: cut}),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ftl.Fault = inj.Fails
+	for _, op := range crashTrace(crashTraceOps, int(cfg.LogicalPages)) {
+		if ftl.Dead() {
+			break
+		}
+		switch op.kind {
+		case 0:
+			ftl.Write(op.lpn, op.state)
+		case 1:
+			ftl.Trim(op.lpn)
+		case 2:
+			if ftl.Mapped(op.lpn) {
+				ftl.Migrate(op.lpn, op.state)
+			}
+		}
+	}
+	if !ftl.Dead() {
+		f.Fatalf("no power loss at media op %d", cut)
+	}
+	return ftl
 }

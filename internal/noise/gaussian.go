@@ -66,24 +66,3 @@ func (g Gaussian) String() string {
 func Q(z float64) float64 {
 	return 0.5 * math.Erfc(z/math.Sqrt2)
 }
-
-// QInv approximates the inverse of Q via bisection on [-40, 40].
-// It returns the z such that Q(z) = p for p in (0, 1).
-func QInv(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	if p >= 1 {
-		return math.Inf(-1)
-	}
-	lo, hi := -40.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if Q(mid) > p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}

@@ -50,18 +50,6 @@ func TestGaussianAddScale(t *testing.T) {
 	}
 }
 
-func TestQInvRoundTrip(t *testing.T) {
-	for _, p := range []float64{0.5, 0.1, 1e-3, 1e-6, 1e-12} {
-		z := QInv(p)
-		if got := Q(z); math.Abs(math.Log(got)-math.Log(p)) > 1e-6 {
-			t.Errorf("Q(QInv(%g)) = %g", p, got)
-		}
-	}
-	if !math.IsInf(QInv(0), 1) || !math.IsInf(QInv(1), -1) {
-		t.Error("QInv at boundaries should be infinite")
-	}
-}
-
 func TestGaussianSampleMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := Gaussian{Mu: 3, Sigma: 0.5}

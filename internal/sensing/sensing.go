@@ -1,8 +1,8 @@
 // Package sensing models the soft-decision sensing machinery whose cost
 // FlexLevel attacks: how many extra sensing levels an LDPC read needs at
-// a given raw BER (paper Table 5's rule), what each extra level costs in
-// read latency (Table 6 timing), and how sensed Vth values quantize into
-// LLRs for the decoder.
+// a given raw BER (paper Table 5's rule) and what each extra level costs in
+// read latency (Table 6 timing). Turning sensed Vth values into LLRs
+// for the decoder is internal/device's soft sensor.
 package sensing
 
 import (
@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"flexlevel/internal/noise"
 	"flexlevel/internal/uber"
 )
 
@@ -239,96 +238,3 @@ func (t Timing) CalibrationLatency(probes int) time.Duration {
 	}
 	return time.Duration(probes) * (t.Read + t.Decode)
 }
-
-// Quantizer converts a sensed Vth around one read reference into an LLR
-// using extra sensing levels: L extra reference voltages spaced Delta
-// apart split the boundary region into L+1 bins, and each bin's LLR is
-// the log ratio of the two adjacent levels' probability masses in it.
-type Quantizer struct {
-	Lower, Upper noise.Gaussian // Vth distributions of the two levels
-	Boundary     float64        // nominal read reference
-	ExtraLevels  int
-	Delta        float64 // spacing of the extra references
-
-	bounds []float64 // len ExtraLevels, ascending, centered on Boundary
-	llrs   []float64 // len ExtraLevels+1, LLR per bin
-}
-
-// NewQuantizer builds the bin boundaries and per-bin LLRs.
-func NewQuantizer(lower, upper noise.Gaussian, boundary float64, extraLevels int, delta float64) (*Quantizer, error) {
-	if extraLevels < 0 || extraLevels > MaxExtraLevels {
-		return nil, fmt.Errorf("sensing: extra levels %d out of [0,%d]", extraLevels, MaxExtraLevels)
-	}
-	if delta <= 0 {
-		return nil, fmt.Errorf("sensing: non-positive delta %g", delta)
-	}
-	if lower.Mu >= upper.Mu {
-		return nil, fmt.Errorf("sensing: lower level mean %g not below upper %g", lower.Mu, upper.Mu)
-	}
-	q := &Quantizer{
-		Lower: lower, Upper: upper,
-		Boundary: boundary, ExtraLevels: extraLevels, Delta: delta,
-	}
-	// Reference voltages: the nominal boundary plus extraLevels extra
-	// refs spread symmetrically around it.
-	n := extraLevels + 1 // total sensing passes
-	q.bounds = make([]float64, n)
-	for i := 0; i < n; i++ {
-		q.bounds[i] = boundary + delta*(float64(i)-float64(n-1)/2)
-	}
-	q.llrs = make([]float64, n+1)
-	for bin := 0; bin <= n; bin++ {
-		lo, hi := math.Inf(-1), math.Inf(1)
-		if bin > 0 {
-			lo = q.bounds[bin-1]
-		}
-		if bin < n {
-			hi = q.bounds[bin]
-		}
-		p0 := mass(lower, lo, hi)
-		p1 := mass(upper, lo, hi)
-		q.llrs[bin] = clampLLR(math.Log(p0 / p1))
-	}
-	return q, nil
-}
-
-func mass(g noise.Gaussian, lo, hi float64) float64 {
-	m := g.CDF(hi) - g.CDF(lo)
-	if m < 1e-300 {
-		m = 1e-300
-	}
-	return m
-}
-
-func clampLLR(x float64) float64 {
-	const lim = 40
-	if x > lim {
-		return lim
-	}
-	if x < -lim {
-		return -lim
-	}
-	return x
-}
-
-// Boundaries returns the sensing reference voltages, ascending.
-func (q *Quantizer) Boundaries() []float64 {
-	out := make([]float64, len(q.bounds))
-	copy(out, q.bounds)
-	return out
-}
-
-// LLR returns the log-likelihood ratio (positive favors the lower
-// level / bit 0) for a sensed Vth.
-func (q *Quantizer) LLR(vth float64) float64 {
-	bin := 0
-	for bin < len(q.bounds) && vth >= q.bounds[bin] {
-		bin++
-	}
-	return q.llrs[bin]
-}
-
-// BinCount returns the number of quantization bins (ExtraLevels + 2
-// sensing passes produce ExtraLevels + 2 bins... precisely: passes =
-// ExtraLevels+1, bins = passes+1).
-func (q *Quantizer) BinCount() int { return len(q.llrs) }

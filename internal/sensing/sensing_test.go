@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"flexlevel/internal/noise"
 )
 
 func TestDefaultRuleValid(t *testing.T) {
@@ -106,114 +104,6 @@ func TestReadLatencySevenX(t *testing.T) {
 	}
 	if tm.ReadLatency(-3) != base {
 		t.Error("negative levels should clamp to base latency")
-	}
-}
-
-func quantizerUnderTest(t *testing.T, extra int) *Quantizer {
-	t.Helper()
-	lower := noise.Gaussian{Mu: 2.375, Sigma: 0.08}
-	upper := noise.Gaussian{Mu: 3.025, Sigma: 0.08}
-	q, err := NewQuantizer(lower, upper, 2.9, extra, 0.06)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
-}
-
-func TestQuantizerValidation(t *testing.T) {
-	g := noise.Gaussian{Mu: 1, Sigma: 0.1}
-	h := noise.Gaussian{Mu: 2, Sigma: 0.1}
-	if _, err := NewQuantizer(g, h, 1.5, -1, 0.05); err == nil {
-		t.Error("negative levels accepted")
-	}
-	if _, err := NewQuantizer(g, h, 1.5, MaxExtraLevels+1, 0.05); err == nil {
-		t.Error("too many levels accepted")
-	}
-	if _, err := NewQuantizer(g, h, 1.5, 2, 0); err == nil {
-		t.Error("zero delta accepted")
-	}
-	if _, err := NewQuantizer(h, g, 1.5, 2, 0.05); err == nil {
-		t.Error("inverted levels accepted")
-	}
-}
-
-func TestQuantizerStructure(t *testing.T) {
-	q := quantizerUnderTest(t, 4)
-	bs := q.Boundaries()
-	if len(bs) != 5 {
-		t.Fatalf("boundaries = %d, want 5 (extra+1 passes)", len(bs))
-	}
-	for i := 1; i < len(bs); i++ {
-		if d := bs[i] - bs[i-1]; math.Abs(d-0.06) > 1e-12 {
-			t.Errorf("boundary spacing %g, want 0.06", d)
-		}
-	}
-	// Centered on the nominal reference.
-	mid := (bs[0] + bs[len(bs)-1]) / 2
-	if math.Abs(mid-2.9) > 1e-12 {
-		t.Errorf("boundaries centered at %g, want 2.9", mid)
-	}
-	if q.BinCount() != 6 {
-		t.Errorf("bins = %d, want 6", q.BinCount())
-	}
-}
-
-func TestQuantizerLLRSigns(t *testing.T) {
-	q := quantizerUnderTest(t, 4)
-	// Vth well below the boundary: strongly favors lower level (positive).
-	if l := q.LLR(2.4); l <= 5 {
-		t.Errorf("LLR(2.4) = %g, want strongly positive", l)
-	}
-	// Well above: strongly negative.
-	if l := q.LLR(3.0); l >= -5 {
-		t.Errorf("LLR(3.0) = %g, want strongly negative", l)
-	}
-	// LLR is non-increasing in Vth.
-	prev := math.Inf(1)
-	for v := 2.3; v <= 3.1; v += 0.01 {
-		l := q.LLR(v)
-		if l > prev+1e-9 {
-			t.Errorf("LLR not monotone at %g: %g after %g", v, l, prev)
-		}
-		prev = l
-	}
-}
-
-func TestQuantizerMoreLevelsFinerInformation(t *testing.T) {
-	// With zero extra levels the LLR takes two values; with four it must
-	// take more distinct values (finer soft information).
-	distinct := func(extra int) int {
-		q := quantizerUnderTest(t, extra)
-		seen := map[float64]bool{}
-		for v := 2.2; v <= 3.2; v += 0.005 {
-			seen[q.LLR(v)] = true
-		}
-		return len(seen)
-	}
-	d0, d4 := distinct(0), distinct(4)
-	if d0 != 2 {
-		t.Errorf("0 extra levels gives %d distinct LLRs, want 2", d0)
-	}
-	if d4 <= d0 {
-		t.Errorf("4 extra levels gives %d distinct LLRs, want more than %d", d4, d0)
-	}
-}
-
-func TestQuantizerNearBoundaryWeak(t *testing.T) {
-	// Soft sensing's value: near the decision boundary (the midpoint of
-	// two equal-sigma levels) the LLR magnitude is small, far away it is
-	// large.
-	lower := noise.Gaussian{Mu: 2.375, Sigma: 0.08}
-	upper := noise.Gaussian{Mu: 3.025, Sigma: 0.08}
-	mid := (lower.Mu + upper.Mu) / 2
-	q, err := NewQuantizer(lower, upper, mid, 6, 0.06)
-	if err != nil {
-		t.Fatal(err)
-	}
-	near := math.Abs(q.LLR(mid))
-	far := math.Abs(q.LLR(lower.Mu + 0.05))
-	if near >= far {
-		t.Errorf("near-boundary |LLR| %g should be below far |LLR| %g", near, far)
 	}
 }
 

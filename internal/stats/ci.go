@@ -5,18 +5,6 @@ import "math"
 // z95 is the two-sided 95% normal quantile.
 const z95 = 1.959963984540054
 
-// MeanCI95 returns the normal-approximation 95% confidence interval of
-// the accumulator's mean. With fewer than 2 observations the interval
-// collapses to the mean itself.
-func (a *Accumulator) MeanCI95() (lo, hi float64) {
-	m := a.Mean()
-	if a.n < 2 {
-		return m, m
-	}
-	se := a.Stddev() / math.Sqrt(float64(a.n))
-	return m - z95*se, m + z95*se
-}
-
 // ProportionCI95 returns the Wilson score 95% interval for a binomial
 // proportion with the given successes out of n trials — the right
 // interval for frame-error-rate estimates where successes may be 0.

@@ -6,42 +6,6 @@ import (
 	"testing"
 )
 
-func TestMeanCI95Coverage(t *testing.T) {
-	// Repeated sampling from N(10, 2²): the CI must contain the true
-	// mean close to 95% of the time.
-	rng := rand.New(rand.NewSource(11))
-	covered := 0
-	const trials = 400
-	for trial := 0; trial < trials; trial++ {
-		var a Accumulator
-		for i := 0; i < 200; i++ {
-			a.Add(rng.NormFloat64()*2 + 10)
-		}
-		lo, hi := a.MeanCI95()
-		if lo <= 10 && 10 <= hi {
-			covered++
-		}
-		if hi < lo {
-			t.Fatal("inverted interval")
-		}
-	}
-	rate := float64(covered) / trials
-	if rate < 0.90 || rate > 0.99 {
-		t.Errorf("CI coverage %.3f, want ~0.95", rate)
-	}
-}
-
-func TestMeanCI95Degenerate(t *testing.T) {
-	var a Accumulator
-	if lo, hi := a.MeanCI95(); lo != 0 || hi != 0 {
-		t.Error("empty accumulator CI should collapse to 0")
-	}
-	a.Add(5)
-	if lo, hi := a.MeanCI95(); lo != 5 || hi != 5 {
-		t.Error("single-observation CI should collapse to the value")
-	}
-}
-
 func TestProportionCI95(t *testing.T) {
 	// Zero successes: lower bound 0, upper bound positive and small for
 	// large n (rule-of-three territory).

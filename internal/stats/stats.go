@@ -1,7 +1,7 @@
 // Package stats provides small statistical accumulators used across the
 // FlexLevel simulator: streaming mean/variance, exact percentiles by
-// in-place selection, fixed-bucket histograms, and normalized comparison
-// helpers used by the experiment harnesses.
+// in-place selection over bounded reservoirs, and the proportion
+// confidence intervals and means the experiment harnesses report.
 package stats
 
 import (
@@ -40,13 +40,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// AddN records the same observation n times.
-func (a *Accumulator) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		a.Add(x)
-	}
-}
-
 // N returns the number of observations recorded.
 func (a *Accumulator) N() int64 { return a.n }
 
@@ -77,28 +70,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 
 // Max returns the largest observation, or 0 with no observations.
 func (a *Accumulator) Max() float64 { return a.max }
-
-// Merge folds other into a.
-func (a *Accumulator) Merge(other *Accumulator) {
-	if other.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *other
-		return
-	}
-	n := a.n + other.n
-	d := other.mean - a.mean
-	mean := a.mean + d*float64(other.n)/float64(n)
-	m2 := a.m2 + other.m2 + d*d*float64(a.n)*float64(other.n)/float64(n)
-	if other.min < a.min {
-		a.min = other.min
-	}
-	if other.max > a.max {
-		a.max = other.max
-	}
-	a.n, a.mean, a.m2 = n, mean, m2
-}
 
 // Reset clears the accumulator.
 func (a *Accumulator) Reset() { *a = Accumulator{} }
@@ -338,66 +309,6 @@ func maxOf(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Histogram counts observations into equal-width buckets over [Lo, Hi).
-// Observations outside the range land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Buckets   []int64
-	Underflow int64
-	Overflow  int64
-	total     int64
-}
-
-// NewHistogram builds a histogram with n equal-width buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	if !(hi > lo) {
-		panic("stats: histogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-		if i >= len(h.Buckets) { // guard float roundoff at the upper edge
-			i = len(h.Buckets) - 1
-		}
-		h.Buckets[i]++
-	}
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BucketMid returns the midpoint value of bucket i.
-func (h *Histogram) BucketMid(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Normalize expresses each value in xs relative to base (base maps to 1.0).
-// A zero base yields all zeros to avoid NaNs in report tables.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
 }
 
 // GeoMean returns the geometric mean of xs, ignoring non-positive entries.

@@ -38,59 +38,6 @@ func TestAccumulatorEmpty(t *testing.T) {
 	}
 }
 
-func TestAccumulatorAddN(t *testing.T) {
-	var a, b Accumulator
-	a.AddN(7, 4)
-	for i := 0; i < 4; i++ {
-		b.Add(7)
-	}
-	if a.N() != b.N() || !almostEq(a.Mean(), b.Mean(), 1e-12) {
-		t.Errorf("AddN mismatch: %v vs %v", a.String(), b.String())
-	}
-}
-
-func TestAccumulatorMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var whole, left, right Accumulator
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 10
-		whole.Add(x)
-		if i%2 == 0 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	left.Merge(&right)
-	if left.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", left.N(), whole.N())
-	}
-	if !almostEq(left.Mean(), whole.Mean(), 1e-9) {
-		t.Errorf("merged mean = %g, want %g", left.Mean(), whole.Mean())
-	}
-	if !almostEq(left.Variance(), whole.Variance(), 1e-9) {
-		t.Errorf("merged variance = %g, want %g", left.Variance(), whole.Variance())
-	}
-	if left.Min() != whole.Min() || left.Max() != whole.Max() {
-		t.Errorf("merged min/max = %g/%g, want %g/%g",
-			left.Min(), left.Max(), whole.Min(), whole.Max())
-	}
-}
-
-func TestAccumulatorMergeEmptySides(t *testing.T) {
-	var a, empty Accumulator
-	a.Add(2)
-	a.Merge(&empty)
-	if a.N() != 1 || a.Mean() != 2 {
-		t.Errorf("merge with empty rhs changed accumulator: %v", a.String())
-	}
-	var b Accumulator
-	b.Merge(&a)
-	if b.N() != 1 || b.Mean() != 2 {
-		t.Errorf("merge into empty lhs wrong: %v", b.String())
-	}
-}
-
 func TestAccumulatorMeanWithinBounds(t *testing.T) {
 	f := func(xs []float64) bool {
 		var a Accumulator
@@ -173,74 +120,6 @@ func TestSamplePercentileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	for i, c := range h.Buckets {
-		if c != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, c)
-		}
-	}
-	if h.Underflow != 1 || h.Overflow != 1 {
-		t.Errorf("under/overflow = %d/%d, want 1/1", h.Underflow, h.Overflow)
-	}
-	if h.Total() != 12 {
-		t.Errorf("Total = %d, want 12", h.Total())
-	}
-	if mid := h.BucketMid(0); !almostEq(mid, 0.5, 1e-12) {
-		t.Errorf("BucketMid(0) = %g, want 0.5", mid)
-	}
-}
-
-func TestHistogramEdge(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(0) // lower edge inclusive
-	if h.Buckets[0] != 1 {
-		t.Error("lower edge should land in bucket 0")
-	}
-	h.Add(1) // upper edge exclusive
-	if h.Overflow != 1 {
-		t.Error("upper edge should overflow")
-	}
-	h.Add(math.Nextafter(1, 0)) // just below the top edge
-	if h.Buckets[3] != 1 {
-		t.Error("value just below hi should land in last bucket")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	assertPanics(t, func() { NewHistogram(0, 1, 0) })
-	assertPanics(t, func() { NewHistogram(1, 1, 4) })
-}
-
-func assertPanics(t *testing.T, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	f()
-}
-
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4, 6}, 2)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if !almostEq(got[i], want[i], 1e-12) {
-			t.Errorf("Normalize[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	zeros := Normalize([]float64{1, 2}, 0)
-	if zeros[0] != 0 || zeros[1] != 0 {
-		t.Error("Normalize with zero base should return zeros")
 	}
 }
 

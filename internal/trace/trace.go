@@ -63,12 +63,6 @@ type Workload struct {
 	// Arrivals is the arrival process (steady, burst, diurnal — see
 	// ArrivalModel). nil means Steady{Mean: Interarrive}.
 	Arrivals ArrivalModel
-
-	// QueueDepth is replay metadata, not a generator parameter: the
-	// number of requests an NCQ-style host keeps outstanding when the
-	// stream is driven through the batched engine. 0 means unspecified
-	// (serial replay).
-	QueueDepth int
 }
 
 // Validate reports parameter problems.
@@ -81,9 +75,6 @@ func (w Workload) Validate() error {
 	}
 	if w.Interarrive <= 0 {
 		return fmt.Errorf("trace: %s non-positive interarrival", w.Name)
-	}
-	if w.QueueDepth < 0 {
-		return fmt.Errorf("trace: %s negative queue depth", w.Name)
 	}
 	if w.Arrivals != nil {
 		if err := w.Arrivals.Validate(); err != nil {

@@ -221,15 +221,3 @@ func TestCloseLoop(t *testing.T) {
 		t.Fatal("input stream mutated (or degenerate test vector)")
 	}
 }
-
-func TestQueueDepthValidation(t *testing.T) {
-	w := Workloads(100, 1<<12, 1)[0]
-	w.QueueDepth = -1
-	if w.Validate() == nil {
-		t.Error("negative queue depth accepted")
-	}
-	w.QueueDepth = 8
-	if err := w.Validate(); err != nil {
-		t.Errorf("queue depth 8 rejected: %v", err)
-	}
-}
