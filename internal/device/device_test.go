@@ -230,16 +230,36 @@ func TestStateMismatchRejected(t *testing.T) {
 }
 
 func TestMoreLevelsMoreInformative(t *testing.T) {
-	// The sensor's bin count grows with extra levels, each read
-	// reference's extra+1 bounds are delta apart and centred on it, and
-	// posteriors stay normalized.
+	// The sensor's bin count grows with extra levels, and posteriors
+	// stay normalized.
+	spec := nunma.BaselineMLC()
+	for _, extra := range []int{0, 2, 5} {
+		s := newSoftSensor(spec, extra, 0.06)
+		wantBounds := (extra + 1) * len(spec.ReadRefs)
+		if len(s.bounds) != wantBounds {
+			t.Errorf("extra=%d: %d bounds, want %d", extra, len(s.bounds), wantBounds)
+		}
+		for bin, post := range s.post {
+			sum := 0.0
+			for _, p := range post {
+				sum += p
+			}
+			if sum < 0.999 || sum > 1.001 {
+				t.Errorf("extra=%d bin %d posterior sums to %g", extra, bin, sum)
+			}
+		}
+	}
+}
+
+func TestSoftSensorStructure(t *testing.T) {
+	// Each read reference gets extra+1 sensing bounds, delta apart and
+	// centred on the reference.
 	const delta = 0.06
 	spec := nunma.BaselineMLC()
 	for _, extra := range []int{0, 2, 5} {
 		s := newSoftSensor(spec, extra, delta)
-		wantBounds := (extra + 1) * len(spec.ReadRefs)
-		if len(s.bounds) != wantBounds {
-			t.Fatalf("extra=%d: %d bounds, want %d", extra, len(s.bounds), wantBounds)
+		if want := (extra + 1) * len(spec.ReadRefs); len(s.bounds) != want {
+			t.Fatalf("extra=%d: %d bounds, want %d", extra, len(s.bounds), want)
 		}
 		for i, ref := range spec.ReadRefs {
 			group := s.bounds[i*(extra+1) : (i+1)*(extra+1)]
@@ -250,15 +270,6 @@ func TestMoreLevelsMoreInformative(t *testing.T) {
 			}
 			if mid := (group[0] + group[len(group)-1]) / 2; math.Abs(mid-ref) > 1e-12 {
 				t.Errorf("extra=%d: bounds centred at %g, want %g", extra, mid, ref)
-			}
-		}
-		for bin, post := range s.post {
-			sum := 0.0
-			for _, p := range post {
-				sum += p
-			}
-			if sum < 0.999 || sum > 1.001 {
-				t.Errorf("extra=%d bin %d posterior sums to %g", extra, bin, sum)
 			}
 		}
 	}
