@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"flexlevel/internal/baseline"
-	"flexlevel/internal/bch"
 	"flexlevel/internal/core"
 	"flexlevel/internal/exp"
 	"flexlevel/internal/ftl"
@@ -296,36 +295,6 @@ func BenchmarkLDPCQCDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := d.Decode(llr)
-		if err != nil || !res.OK {
-			b.Fatal("decode failed")
-		}
-	}
-}
-
-// BenchmarkBCHDecode measures the hard-decision BCH comparator at a
-// flash-like operating point (255,191) t=8 with 4 errors.
-func BenchmarkBCHDecode(b *testing.B) {
-	code, err := bch.New(8, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	data := make([]byte, code.K)
-	for i := range data {
-		data[i] = byte(rng.Intn(2))
-	}
-	cw, err := code.Encode(data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	noisy := make([]byte, len(cw))
-	copy(noisy, cw)
-	for _, p := range rng.Perm(code.N)[:4] {
-		noisy[p] ^= 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := code.Decode(noisy)
 		if err != nil || !res.OK {
 			b.Fatal("decode failed")
 		}

@@ -25,6 +25,13 @@
 //	flexlevel serve [-addr :8077] [-tenants f] [-qd 8] [-slo d] ...
 //	flexlevel load  [-url u] [-n 100000] [-gate] [-json] ...
 //
+// Three tools evaluate the models and inputs directly, each with its
+// own flags (see cmd/flexlevel/tools.go):
+//
+//	flexlevel ber [-scheme s] [-pe c] [-hours h] [-sweep] [-density]  raw BER, correctable bits, extra levels
+//	flexlevel tracegen [-w name] [-n N] [-list] [-summary] [-tenants N]  workload trace or tenant spec CSV
+//	flexlevel fer [-frames f] [-bers list] [-construction ira|qc]  LDPC frame error rates over a BSC
+//
 // serve drains cleanly on SIGTERM (stop admitting, finish in-flight,
 // flush the final metrics snapshot); see cmd/flexlevel/serve.go.
 //
@@ -68,10 +75,19 @@ func subcommands() []string {
 	return names
 }
 
+// tools are the subcommands with their own flag sets, dispatched before
+// the shared experiment flag set. Each parses args and writes its
+// output to w.
+var tools = map[string]func(w io.Writer, args []string) error{
+	"serve": serveCmd, "load": loadCmd,
+	"ber": berCmd, "tracegen": tracegenCmd, "fer": ferCmd,
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: flexlevel <"+strings.Join(subcommands(), "|")+"|all> [-n requests] [-seed s] [-pe cycles] [-parallel w] [-faults m] [-crashes k] [-scale f] [-in file -format csv|msr] [-tenants file] [-cpuprofile f] [-memprofile f] [-trace f]")
 	fmt.Fprintln(os.Stderr, "       flexlevel serve [-addr a] [-shards n] [-tenants f] [-qd d] [-rate r] [-slo d] [-deadline d] [-faults m] [-crash-at n] [-crash-shard k] [-auto-restart] [-snapshot f] [-pprof]")
 	fmt.Fprintln(os.Stderr, "       flexlevel load  [-url u] [-n requests] [-tenants f] [-workers w] [-readratio r] [-gate] [-json]")
+	fmt.Fprintln(os.Stderr, "       flexlevel ber [-scheme s] [-pe c] [-hours h] [-sweep] [-density] | tracegen [-w name] [-n requests] [-pages p] [-seed s] [-list] [-summary] [-tenants k] | fer [-frames f] [-bers list] [-construction ira|qc] [-seed s]")
 	os.Exit(2)
 }
 
@@ -142,16 +158,12 @@ func main() {
 		usage()
 	}
 	cmd := os.Args[1]
-	// serve and load have their own flag surfaces; dispatch before the
-	// shared experiment flag set.
-	switch cmd {
-	case "serve", "load":
-		run := serveCmd
-		if cmd == "load" {
-			run = loadCmd
-		}
-		if err := run(os.Args[2:]); err != nil {
+	if tool, ok := tools[cmd]; ok {
+		if err := tool(os.Stdout, os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "flexlevel:", err)
+			if errors.As(err, new(usageError)) {
+				usage()
+			}
 			os.Exit(1)
 		}
 		return

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -174,7 +175,7 @@ func runServe(ctx context.Context, o serveOpts, ready chan<- string) error {
 	return nil
 }
 
-func serveCmd(args []string) error {
+func serveCmd(_ io.Writer, args []string) error {
 	o, err := parseServe(args)
 	if err != nil {
 		return err
@@ -290,7 +291,7 @@ func gateLoad(res server.LoadResult, maxShedRate float64) error {
 	return nil
 }
 
-func loadCmd(args []string) error {
+func loadCmd(w io.Writer, args []string) error {
 	o, err := parseLoad(args)
 	if err != nil {
 		return err
@@ -300,20 +301,20 @@ func loadCmd(args []string) error {
 		return err
 	}
 	if o.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
 			return err
 		}
 	} else {
 		total := res.OK + res.Failed + res.Deadline
-		fmt.Printf("load: %d ops settled in %.1fs (%.0f ops/s wall): %d ok (%d reads, %d writes), %d deadline, %d failed\n",
+		fmt.Fprintf(w, "load: %d ops settled in %.1fs (%.0f ops/s wall): %d ok (%d reads, %d writes), %d deadline, %d failed\n",
 			total, res.WallSeconds, float64(total)/res.WallSeconds,
 			res.OK, res.ReadOK, res.WriteOK, res.Deadline, res.Failed)
-		fmt.Printf("load: %d round trips, %d retries, %d shed (429), %d retryable 503, %d bad, %d 5xx\n",
+		fmt.Fprintf(w, "load: %d round trips, %d retries, %d shed (429), %d retryable 503, %d bad, %d 5xx\n",
 			res.Sent, res.Retries, res.Shed, res.Retryable, res.BadStatus, res.Status5xx)
 		for name, max := range res.MaxSeq {
-			fmt.Printf("load: tenant %-12s acked %6d writes, max seq %6d, dense %v\n",
+			fmt.Fprintf(w, "load: tenant %-12s acked %6d writes, max seq %6d, dense %v\n",
 				name, res.WriteAcks[name], max, max == uint64(res.WriteAcks[name]))
 		}
 	}
@@ -321,7 +322,7 @@ func loadCmd(args []string) error {
 		if err := gateLoad(res, o.maxShedRate); err != nil {
 			return err
 		}
-		fmt.Println("load: gate passed")
+		fmt.Fprintln(w, "load: gate passed")
 	}
 	return nil
 }

@@ -112,11 +112,14 @@ func (s *Server) parseOp(r *http.Request, write bool) (*op, string, error) {
 	}
 	o := &op{tenant: idx, write: write, lpn: lpn, pages: pages}
 	if d := q.Get("deadline_us"); d != "" {
+		// A deadline that rounds to 0 ns or overflows int64 is refused,
+		// not read as "none" and replaced by the server default.
 		us, err := strconv.ParseFloat(d, 64)
-		if err != nil || us <= 0 || math.IsNaN(us) || math.IsInf(us, 0) {
+		ns := us * float64(time.Microsecond)
+		if err != nil || !(ns >= 1 && ns < 1<<63) {
 			return nil, name, fmt.Errorf("bad deadline_us %q", d)
 		}
-		o.deadline = time.Duration(us * float64(time.Microsecond))
+		o.deadline = time.Duration(ns)
 	}
 	return o, name, nil
 }

@@ -129,6 +129,8 @@ func TestServeReadWrite(t *testing.T) {
 		"/v1/read?tenant=alpha&lpn=x",            // junk lpn
 		"/v1/read?tenant=alpha&lpn=1&pages=999",  // pages over limit
 		"/v1/read?tenant=alpha&lpn=1&deadline_us=-1",
+		"/v1/read?tenant=alpha&lpn=1&deadline_us=1e16", // overflows int64 ns
+		"/v1/read?tenant=alpha&lpn=1&deadline_us=1e-4", // rounds to 0 ns
 	} {
 		var er ErrorResponse
 		if code := get(t, c, hs.URL+bad, &er); code != 400 || er.Code != CodeBadRequest {
