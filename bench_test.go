@@ -18,7 +18,6 @@ import (
 	"flexlevel/internal/ldpc"
 	"flexlevel/internal/noise"
 	"flexlevel/internal/nunma"
-	"flexlevel/internal/reducecode"
 	"flexlevel/internal/runner"
 	"flexlevel/internal/sensing"
 	"flexlevel/internal/ssd"
@@ -326,21 +325,6 @@ func BenchmarkLDPCEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := code.Encode(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReduceCodePack measures the 3-bit pair packing of a 4KB page.
-func BenchmarkReduceCodePack(b *testing.B) {
-	data := make([]byte, 4096)
-	rand.New(rand.NewSource(1)).Read(data)
-	nbits := reducecode.PadBits(len(data) * 8)
-	padded := make([]byte, (nbits+7)/8)
-	copy(padded, data)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reducecode.PackBits(padded, nbits); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -63,8 +63,8 @@ func WordlineBits(cols int, state nand.CellState) int {
 // programs the codeword onto row. The row must already be in the
 // codec's state.
 func (pc *PageCodec) WritePage(row int, data []byte) error {
-	if pc.Array.RowState(row) != pc.State {
-		return fmt.Errorf("device: row %d is %v, codec wants %v", row, pc.Array.RowState(row), pc.State)
+	if err := pc.checkRow(row); err != nil {
+		return err
 	}
 	cw, err := pc.Code.Encode(data)
 	if err != nil {
@@ -101,9 +101,8 @@ type ReadResult struct {
 // ReadPage senses row with extraLevels soft sensing levels around every
 // read reference, converts the sensed bins to per-bit LLRs and decodes.
 func (pc *PageCodec) ReadPage(row int, extraLevels int) (ReadResult, error) {
-	if pc.Array.RowState(row) != pc.State {
-		return ReadResult{}, fmt.Errorf("device: row %d is %v, codec wants %v",
-			row, pc.Array.RowState(row), pc.State)
+	if err := pc.checkRow(row); err != nil {
+		return ReadResult{}, err
 	}
 	if extraLevels < 0 {
 		extraLevels = 0
@@ -113,8 +112,7 @@ func (pc *PageCodec) ReadPage(row int, extraLevels int) (ReadResult, error) {
 
 	llr := make([]float64, pc.Code.N)
 	if pc.State == nand.Reduced {
-		pairs := pairColumns(pc.Array.Cols)
-		for pi, cols := range pairs {
+		for pi, cols := range nand.PairColumns(pc.Array.Cols) {
 			postI := sensor.levelPosterior(pc.Array.SenseVth(row, cols[0]))
 			postII := sensor.levelPosterior(pc.Array.SenseVth(row, cols[1]))
 			bits := reduceCodeBitLLRs(postI, postII)
@@ -165,17 +163,17 @@ func (pc *PageCodec) spec() *noise.Spec {
 	return pc.Array.NormalSpec
 }
 
-// pairColumns mirrors the ReduceCode bitline pairing of the array
-// (adjacent even columns, then adjacent odd columns).
-func pairColumns(cols int) [][2]int {
-	pairs := make([][2]int, 0, cols/2)
-	for c := 0; c+2 < cols; c += 4 {
-		pairs = append(pairs, [2]int{c, c + 2})
+// checkRow refuses a row outside the array or in another state than the
+// codec's.
+func (pc *PageCodec) checkRow(row int) error {
+	state, err := pc.Array.RowState(row)
+	if err != nil {
+		return fmt.Errorf("device: %w", err)
 	}
-	for c := 1; c+2 < cols; c += 4 {
-		pairs = append(pairs, [2]int{c, c + 2})
+	if state != pc.State {
+		return fmt.Errorf("device: row %d is %v, codec wants %v", row, state, pc.State)
 	}
-	return pairs
+	return nil
 }
 
 // softSensor quantizes a Vth into a bin over the spec's references plus

@@ -229,6 +229,23 @@ func TestStateMismatchRejected(t *testing.T) {
 	}
 }
 
+func TestRowOutOfRange(t *testing.T) {
+	a := newArray(t, 1)
+	code := codeFor(t, nand.Normal)
+	pc, err := NewPageCodec(a, code, nand.Normal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{-1, a.Rows} {
+		if err := pc.WritePage(r, randomData(code.K, 8)); err == nil {
+			t.Errorf("WritePage(%d) on a %d-row array accepted", r, a.Rows)
+		}
+		if _, err := pc.ReadPage(r, 0); err == nil {
+			t.Errorf("ReadPage(%d) on a %d-row array accepted", r, a.Rows)
+		}
+	}
+}
+
 func TestMoreLevelsMoreInformative(t *testing.T) {
 	// The sensor's bin count grows with extra levels, and posteriors
 	// stay normalized.

@@ -47,13 +47,12 @@ type Array struct {
 	// methods; each sense draws a fresh sample.
 	ReadNoiseSigma float64
 
-	state        []CellState // per row
-	vth          []float64   // Rows*Cols
-	programed    []bool
-	intermediate []bool    // lower page programmed, awaiting upper (normal MLC)
-	x0           []float64 // per-cell erased reference, sampled at erase
-	peCycles     int
-	rng          *rand.Rand
+	state     []CellState // per row
+	vth       []float64   // Rows*Cols
+	programed []bool
+	x0        []float64 // per-cell erased reference, sampled at erase
+	peCycles  int
+	rng       *rand.Rand
 }
 
 // DefaultReadNoiseSigma is the per-sense noise spread in volts.
@@ -85,7 +84,6 @@ func NewArray(rows, cols int, normal, reduced *noise.Spec, seed int64) (*Array, 
 		state:          make([]CellState, rows),
 		vth:            make([]float64, rows*cols),
 		programed:      make([]bool, rows*cols),
-		intermediate:   make([]bool, rows*cols),
 		x0:             make([]float64, rows*cols),
 		rng:            rand.New(rand.NewSource(seed)),
 	}
@@ -100,7 +98,6 @@ func (a *Array) eraseAll() {
 		a.x0[i] = a.Retention.X0.Sample(a.rng)
 		a.vth[i] = a.x0[i]
 		a.programed[i] = false
-		a.intermediate[i] = false
 	}
 }
 
@@ -134,7 +131,12 @@ func (a *Array) SetRowState(r int, s CellState) error {
 }
 
 // RowState returns the LevelAdjust state of a wordline.
-func (a *Array) RowState(r int) CellState { return a.state[r] }
+func (a *Array) RowState(r int) (CellState, error) {
+	if r < 0 || r >= a.Rows {
+		return Normal, fmt.Errorf("nand: row %d out of range", r)
+	}
+	return a.state[r], nil
+}
 
 func (a *Array) spec(r int) *noise.Spec {
 	if a.state[r] == Reduced {
@@ -237,7 +239,7 @@ func (a *Array) ProgramRowReduced(r int, values []uint8) error {
 			return fmt.Errorf("nand: value %d out of 3-bit range", v)
 		}
 	}
-	pairs := a.pairColumns()
+	pairs := PairColumns(a.Cols)
 	// Step 1: program the two LSBs of every pair (lower page on even
 	// bitlines, middle page on odd bitlines).
 	for pi, pc := range pairs {
@@ -258,14 +260,15 @@ func (a *Array) ProgramRowReduced(r int, values []uint8) error {
 	return nil
 }
 
-// pairColumns returns the column index pairs of the ReduceCode bitline
-// structure: adjacent even columns pair up, then adjacent odd columns.
-func (a *Array) pairColumns() [][2]int {
-	pairs := make([][2]int, 0, a.Cols/2)
-	for c := 0; c+2 < a.Cols; c += 4 {
+// PairColumns returns the column index pairs of the ReduceCode bitline
+// structure of a wordline with cols cells: adjacent even columns pair
+// up, then adjacent odd columns. Pair i stores the i-th 3-bit value.
+func PairColumns(cols int) [][2]int {
+	pairs := make([][2]int, 0, cols/2)
+	for c := 0; c+2 < cols; c += 4 {
 		pairs = append(pairs, [2]int{c, c + 2})
 	}
-	for c := 1; c+2 < a.Cols; c += 4 {
+	for c := 1; c+2 < cols; c += 4 {
 		pairs = append(pairs, [2]int{c, c + 2})
 	}
 	return pairs
@@ -304,6 +307,9 @@ func (a *Array) ReadRowLevels(r int) ([]uint8, error) {
 // pairs back to 3-bit values (DecodeClosest policy for the unused
 // combination).
 func (a *Array) ReadRowReduced(r int) ([]uint8, error) {
+	if r < 0 || r >= a.Rows {
+		return nil, fmt.Errorf("nand: row %d out of range", r)
+	}
 	if a.state[r] != Reduced {
 		return nil, fmt.Errorf("nand: row %d is in %v state", r, a.state[r])
 	}
@@ -311,7 +317,7 @@ func (a *Array) ReadRowReduced(r int) ([]uint8, error) {
 	if err != nil {
 		return nil, err
 	}
-	pairs := a.pairColumns()
+	pairs := PairColumns(a.Cols)
 	out := make([]uint8, len(pairs))
 	for pi, pc := range pairs {
 		out[pi] = reducecode.DecodeClosest(reducecode.LevelPair{I: levels[pc[0]], II: levels[pc[1]]})

@@ -186,8 +186,8 @@ func TestStateSwitchRequiresErase(t *testing.T) {
 	if err := a.SetRowState(0, Reduced); err != nil {
 		t.Errorf("state switch after erase rejected: %v", err)
 	}
-	if a.RowState(0) != Reduced {
-		t.Error("row state not updated")
+	if s, err := a.RowState(0); err != nil || s != Reduced {
+		t.Errorf("row state = %v, %v; want reduced", s, err)
 	}
 	if a.PECycles() != 1 {
 		t.Errorf("PECycles = %d, want 1", a.PECycles())
@@ -300,27 +300,68 @@ func TestReducedStateMoreRobustThanNormal(t *testing.T) {
 }
 
 func TestPairColumnsStructure(t *testing.T) {
-	a := newTestArray(t, 1, 16)
-	pairs := a.pairColumns()
-	if len(pairs) != 8 {
-		t.Fatalf("%d pairs for 16 cols, want 8", len(pairs))
+	for _, cols := range []int{4, 8, 16, 2048} {
+		pairs := PairColumns(cols)
+		if len(pairs) != cols/2 {
+			t.Fatalf("%d pairs for %d cols, want %d", len(pairs), cols, cols/2)
+		}
+		evens, odds := 0, 0
+		seen := make([]int, cols)
+		for _, p := range pairs {
+			if p[0]%2 != p[1]%2 {
+				t.Errorf("cols %d: pair %v mixes even and odd bitlines", cols, p)
+			}
+			if p[1]-p[0] != 2 {
+				t.Errorf("cols %d: pair %v not adjacent same-parity bitlines", cols, p)
+			}
+			if p[0]%2 == 0 {
+				evens++
+			} else {
+				odds++
+			}
+			seen[p[0]]++
+			seen[p[1]]++
+		}
+		if evens != cols/4 || odds != cols/4 {
+			t.Errorf("cols %d: pairs split %d even / %d odd, want %d/%d", cols, evens, odds, cols/4, cols/4)
+		}
+		for c, n := range seen {
+			if n != 1 {
+				t.Errorf("cols %d: column %d in %d pairs, want 1", cols, c, n)
+			}
+		}
 	}
-	evens, odds := 0, 0
-	for _, p := range pairs {
-		if p[0]%2 != p[1]%2 {
-			t.Errorf("pair %v mixes even and odd bitlines", p)
-		}
-		if p[1]-p[0] != 2 {
-			t.Errorf("pair %v not adjacent same-parity bitlines", p)
-		}
-		if p[0]%2 == 0 {
-			evens++
-		} else {
-			odds++
-		}
+}
+
+func TestRowOutOfRange(t *testing.T) {
+	a := newTestArray(t, 1, 8)
+	calls := map[string]func(r int) error{
+		"RowState": func(r int) error {
+			_, err := a.RowState(r)
+			return err
+		},
+		"SetRowState": func(r int) error { return a.SetRowState(r, Reduced) },
+		"ProgramRowNormal": func(r int) error {
+			return a.ProgramRowNormal(r, make([]uint8, 8))
+		},
+		"ProgramRowReduced": func(r int) error {
+			return a.ProgramRowReduced(r, make([]uint8, 4))
+		},
+		"ReadRowLevels": func(r int) error {
+			_, err := a.ReadRowLevels(r)
+			return err
+		},
+		"ReadRowReduced": func(r int) error {
+			_, err := a.ReadRowReduced(r)
+			return err
+		},
 	}
-	if evens != 4 || odds != 4 {
-		t.Errorf("pairs split %d even / %d odd, want 4/4", evens, odds)
+	for name, call := range calls {
+		for _, r := range []int{-1, a.Rows} {
+			if err := call(r); err == nil {
+				t.Errorf("%s(%d) on a %d-row array accepted", name, r, a.Rows)
+			}
+		}
 	}
 }
 

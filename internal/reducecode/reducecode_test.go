@@ -1,9 +1,7 @@
 package reducecode
 
 import (
-	"bytes"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -226,63 +224,6 @@ func TestGrayOn3Levels(t *testing.T) {
 	}
 }
 
-func TestPackUnpackRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(64)
-		data := make([]byte, n)
-		rng.Read(data)
-		nbits := PadBits(n * 8)
-		padded := make([]byte, (nbits+7)/8)
-		copy(padded, data)
-		pairs, err := PackBits(padded, nbits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := UnpackBits(pairs, nbits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(back[:n], data) {
-			t.Fatalf("round trip failed for %d bytes", n)
-		}
-	}
-}
-
-func TestPackBitsErrors(t *testing.T) {
-	if _, err := PackBits([]byte{0}, 4); err == nil {
-		t.Error("non-multiple-of-3 bit count accepted")
-	}
-	if _, err := PackBits([]byte{0}, 9); err == nil {
-		t.Error("bit count beyond data accepted")
-	}
-	if _, err := UnpackBits(nil, 3); err == nil {
-		t.Error("unpack beyond pairs accepted")
-	}
-	if _, err := UnpackBits([]LevelPair{{0, 0}}, 4); err == nil {
-		t.Error("unpack with non-multiple-of-3 accepted")
-	}
-}
-
-func TestPadBits(t *testing.T) {
-	cases := map[int]int{0: 0, 1: 3, 3: 3, 4: 6, 8: 9, 24: 24}
-	for in, want := range cases {
-		if got := PadBits(in); got != want {
-			t.Errorf("PadBits(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
-func TestCellsForBytes(t *testing.T) {
-	// 3 bytes = 24 bits = 8 pairs = 16 cells. Normal MLC would need 12.
-	if got := CellsForBytes(3); got != 16 {
-		t.Errorf("CellsForBytes(3) = %d, want 16", got)
-	}
-	if got := PairsForBytes(3); got != 8 {
-		t.Errorf("PairsForBytes(3) = %d, want 8", got)
-	}
-}
-
 // Property: every valid pair decodes, and re-encoding gives it back.
 func TestDecodeEncodeProperty(t *testing.T) {
 	f := func(a, b uint8) bool {
@@ -292,27 +233,6 @@ func TestDecodeEncodeProperty(t *testing.T) {
 			return p.I == 1 && p.II == 2 // the only invalid in-range pair
 		}
 		return Encode(v) == p
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: pack/unpack is identity on arbitrary byte strings.
-func TestPackUnpackProperty(t *testing.T) {
-	f := func(data []byte) bool {
-		nbits := PadBits(len(data) * 8)
-		padded := make([]byte, (nbits+7)/8)
-		copy(padded, data)
-		pairs, err := PackBits(padded, nbits)
-		if err != nil {
-			return false
-		}
-		back, err := UnpackBits(pairs, nbits)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(back[:len(data)], data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
