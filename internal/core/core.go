@@ -276,14 +276,6 @@ func NewRunner(opts Options) (*Runner, error) {
 // Device exposes the underlying simulator (for tests and tooling).
 func (r *Runner) Device() *ssd.Device { return r.device }
 
-// preloadState returns the pool preloaded data lands in.
-func (r *Runner) preloadState() ftl.BlockState {
-	if r.opts.System == LevelAdjustOnly {
-		return ftl.ReducedState
-	}
-	return ftl.NormalState
-}
-
 // writeState returns the pool a user write of lpn targets.
 func (r *Runner) writeState(lpn uint64) ftl.BlockState {
 	switch r.opts.System {

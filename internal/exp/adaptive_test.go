@@ -23,7 +23,7 @@ func readGoldenAdaptive(t *testing.T) ([]byte, []AdaptiveRow) {
 	if err != nil {
 		t.Skipf("no golden file yet: %v", err)
 	}
-	rows, err := ReadAdaptiveCSV(bytes.NewReader(raw))
+	rows, err := adaptiveCSV.Read(bytes.NewReader(raw), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func readGoldenAdaptive(t *testing.T) ([]byte, []AdaptiveRow) {
 func TestGoldenAdaptiveRoundTrip(t *testing.T) {
 	raw, rows := readGoldenAdaptive(t)
 	var buf bytes.Buffer
-	if err := WriteAdaptiveCSV(&buf, rows); err != nil {
+	if err := adaptiveCSV.Write(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), raw) {
-		t.Errorf("adaptive CSV does not round-trip through ReadAdaptiveCSV")
+		t.Errorf("adaptive CSV does not round-trip through adaptiveCSV")
 	}
 }
 

@@ -59,7 +59,7 @@ func TestCrashRecoverySweep(t *testing.T) {
 	}
 
 	var csv bytes.Buffer
-	if err := WriteCrashCSV(&csv, data.Rows); err != nil {
+	if err := crashCSV.Write(&csv, data.Rows); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(csv.String(), "\n"); lines != len(data.Rows)+1 {

@@ -185,9 +185,6 @@ var lifetimeCSV = csvtab.Table[LifetimeRow]{Name: "lifetime", Cols: []csvtab.Col
 
 // ------------------------------------------------------- the entry points
 
-// WriteFig5CSV emits scheme,c2c_ber.
-func WriteFig5CSV(w io.Writer, rows []Fig5Row) error { return fig5CSV.Write(w, rows) }
-
 // WriteTable4CSV emits pe,scheme,hours,ber in long form.
 func WriteTable4CSV(w io.Writer, cells []Table4Cell) error {
 	var lines []table4Line
@@ -224,29 +221,6 @@ func WriteFig6aCSV(w io.Writer, d *Fig6aData) error {
 	return fig6aCSV.Write(w, lines)
 }
 
-// WriteFig7CSV emits workload,write_increase,erase_increase,lifetime.
-func WriteFig7CSV(w io.Writer, rows []Fig7Row) error { return fig7CSV.Write(w, rows) }
-
-// WriteReliabilityCSV emits the reliability sweep in long form.
-func WriteReliabilityCSV(w io.Writer, rows []ReliabilityRow) error {
-	return reliabilityCSV.Write(w, rows)
-}
-
-// ReadReliabilityCSV parses a WriteReliabilityCSV artifact back.
-func ReadReliabilityCSV(r io.Reader) ([]ReliabilityRow, error) { return reliabilityCSV.Read(r, nil) }
-
-// WriteCrashCSV emits the per-crash-point rows.
-func WriteCrashCSV(w io.Writer, rows []CrashRow) error { return crashCSV.Write(w, rows) }
-
-// WriteAdaptiveCSV emits the adaptive sweep in long form.
-func WriteAdaptiveCSV(w io.Writer, rows []AdaptiveRow) error { return adaptiveCSV.Write(w, rows) }
-
-// ReadAdaptiveCSV parses a WriteAdaptiveCSV artifact back.
-func ReadAdaptiveCSV(r io.Reader) ([]AdaptiveRow, error) { return adaptiveCSV.Read(r, nil) }
-
 // WriteLifetimeCSV emits the per-epoch lifetime trajectories in long
 // form.
 func WriteLifetimeCSV(w io.Writer, rows []LifetimeRow) error { return lifetimeCSV.Write(w, rows) }
-
-// ReadLifetimeCSV parses a WriteLifetimeCSV artifact back.
-func ReadLifetimeCSV(r io.Reader) ([]LifetimeRow, error) { return lifetimeCSV.Read(r, nil) }

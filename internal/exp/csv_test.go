@@ -17,7 +17,7 @@ func TestWriteFig5CSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := WriteFig5CSV(&sb, rows); err != nil {
+	if err := fig5CSV.Write(&sb, rows); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -80,7 +80,7 @@ func TestWriteFig6aAndFig7CSV(t *testing.T) {
 		t.Errorf("fig6a csv: %d lines, want %d", countLines(sb.String()), want)
 	}
 	var sb7 strings.Builder
-	if err := WriteFig7CSV(&sb7, Fig7(data)); err != nil {
+	if err := fig7CSV.Write(&sb7, Fig7(data)); err != nil {
 		t.Fatal(err)
 	}
 	if countLines(sb7.String()) != 1+len(data.Workloads) {

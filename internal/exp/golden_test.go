@@ -215,16 +215,16 @@ func TestGoldenReliabilityRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Skipf("no golden file yet: %v", err)
 	}
-	rows, err := ReadReliabilityCSV(bytes.NewReader(raw))
+	rows, err := reliabilityCSV.Read(bytes.NewReader(raw), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteReliabilityCSV(&buf, rows); err != nil {
+	if err := reliabilityCSV.Write(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), raw) {
-		t.Errorf("reliability CSV does not round-trip through ReadReliabilityCSV")
+		t.Errorf("reliability CSV does not round-trip through reliabilityCSV")
 	}
 }
 

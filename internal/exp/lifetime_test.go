@@ -37,7 +37,7 @@ func TestGoldenLifetimeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Skipf("no golden file yet: %v", err)
 	}
-	rows, err := ReadLifetimeCSV(bytes.NewReader(raw))
+	rows, err := lifetimeCSV.Read(bytes.NewReader(raw), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestGoldenLifetimeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), raw) {
-		t.Errorf("lifetime CSV does not round-trip through ReadLifetimeCSV")
+		t.Errorf("lifetime CSV does not round-trip through lifetimeCSV")
 	}
 }
 
@@ -62,7 +62,7 @@ func TestLifetimeTrajectories(t *testing.T) {
 	if err != nil {
 		t.Skipf("no golden file yet: %v", err)
 	}
-	rows, err := ReadLifetimeCSV(bytes.NewReader(raw))
+	rows, err := lifetimeCSV.Read(bytes.NewReader(raw), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

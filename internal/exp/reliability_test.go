@@ -44,7 +44,7 @@ func TestReliabilitySweep(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := WriteReliabilityCSV(&buf, rows); err != nil {
+	if err := reliabilityCSV.Write(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

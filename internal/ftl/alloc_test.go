@@ -50,7 +50,7 @@ func checkFreeIndex(t *testing.T, f *FTL, step string) bool {
 	return len(f.freePE) > 1
 }
 
-// TestAllocBlockMatchesReference: over seeded random writes, trims,
+// TestAllocBlockMatchesReference: over seeded random writes,
 // migrations, GC, forced retirements, program/erase/grown-bad faults and
 // power cuts followed by Recover, the free-list wear index stays an
 // exact recount and the block allocBlock takes is the one the
@@ -91,8 +91,6 @@ func TestAllocBlockMatchesReference(t *testing.T) {
 				if ppn, _, ok := f.Lookup(lpn); ok {
 					_, err = f.RetireBlock(f.blockOf(ppn))
 				}
-			case r < 10:
-				err = f.Trim(lpn)
 			case r < 16 && f.Mapped(lpn):
 				_, _, err = f.Migrate(lpn, st)
 			case r < 18:

@@ -323,7 +323,8 @@ type FTL struct {
 	stats    Stats
 	retired  int // lifetime bad-block count (survives ResetStats)
 	degraded bool
-	inRetire bool // suppress nested faults while relocating off a bad block
+	inRetire bool         // suppress nested faults while relocating off a bad block
+	moving   []movingPage // rewrites in flight, innermost last
 
 	// Crash-consistency state (nil/zero unless cfg.Journal.Enabled).
 	media    *Media   // durable image: per-page OOB, journal log, checkpoint
@@ -584,33 +585,6 @@ func (f *FTL) Write(lpn uint64, state BlockState) (int64, OpCount, error) {
 	return newPPN, ops, nil
 }
 
-// Trim discards lpn's mapping (the block-device TRIM/discard command):
-// the physical page is invalidated without a rewrite, giving the
-// collector free garbage. Trimming an unmapped page is a no-op.
-func (f *FTL) Trim(lpn uint64) error {
-	if lpn >= f.cfg.LogicalPages {
-		return fmt.Errorf("ftl: trim lpn %d out of range", lpn)
-	}
-	if f.dead {
-		return ErrPowerLoss
-	}
-	if f.l2p[lpn] == unmapped32 {
-		return nil
-	}
-	f.invalidate(lpn)
-	if f.media != nil {
-		// No OOB backs a trim, so its record must be durable before the
-		// trim is acknowledged: journal it and flush synchronously.
-		if err := f.journalAppend(nil, Record{Type: recTrim, Seq: f.nextSeq(), LPN: lpn}); err != nil {
-			return fmt.Errorf("ftl: trim lpn %d: %w", lpn, err)
-		}
-		if err := f.journalFlush(nil); err != nil {
-			return fmt.Errorf("ftl: trim lpn %d: %w", lpn, err)
-		}
-	}
-	return nil
-}
-
 // Migrate rewrites lpn into a block of the opposite pool (AccessEval's
 // normal <-> reduced conversion). It costs one copy read plus one
 // program, attributed to migration.
@@ -638,14 +612,25 @@ func (f *FTL) Migrate(lpn uint64, state BlockState) (int64, OpCount, error) {
 	return newPPN, ops, nil
 }
 
+// movingPage is an lpn whose rewrite is in flight and the page that
+// holds its only durable copy until the new page programs.
+type movingPage struct {
+	lpn uint64
+	old int64
+}
+
 // rewrite moves lpn's data to a fresh page of the state pool and counts
 // the program in ops and in the per-cause counter. When the append
 // fails the previous mapping is re-established: a rejected rewrite must
-// not lose the stored data.
+// not lose the stored data. While the append runs, lpn sits on f.moving,
+// so a checkpoint written by a flush inside it (a block allocation or a
+// retirement) still maps lpn to its old page.
 func (f *FTL) rewrite(lpn uint64, state BlockState, counter *int64, ops *OpCount) (int64, error) {
 	old := f.mapOf(lpn)
 	f.invalidate(lpn)
+	f.moving = append(f.moving, movingPage{lpn, old})
 	newPPN, err := f.appendPage(lpn, state, ops)
+	f.moving = f.moving[:len(f.moving)-1]
 	if err != nil {
 		f.restoreMapping(lpn, old)
 		return 0, err
@@ -741,8 +726,8 @@ func (f *FTL) nextSeq() uint64 {
 }
 
 // journalAppend buffers one record, flushing the buffer to the durable
-// journal once it reaches the configured page capacity. ops (which may
-// be nil, e.g. on the Trim path) is charged for metadata programs.
+// journal once it reaches the configured page capacity. ops is charged
+// for metadata programs.
 func (f *FTL) journalAppend(ops *OpCount, r Record) error {
 	if f.media == nil {
 		return nil
@@ -780,9 +765,7 @@ func (f *FTL) journalFlush(ops *OpCount) error {
 	f.pending = f.pending[:0]
 	f.stats.JournalFlushes++
 	f.stats.MetaPrograms++
-	if ops != nil {
-		ops.MetaPrograms++
-	}
+	ops.MetaPrograms++
 	f.flushes++
 	if f.flushes >= f.cfg.Journal.checkpointEvery() {
 		return f.writeCheckpoint(ops)

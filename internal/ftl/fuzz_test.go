@@ -14,10 +14,14 @@ import (
 // cleanly, report a torn tail, or return the typed ErrCorruptJournal.
 func FuzzJournalReplay(f *testing.F) {
 	// Seed corpus: real images from a crashed workload, plus truncations
-	// and bit flips of them, plus degenerate frames.
+	// and bit flips of them, plus degenerate frames. The first cut tears
+	// a journal flush, so its journal ends in a torn frame.
 	cfg := crashConfig()
-	crashed := crashedFTL(f, cfg, 900)
+	crashed := crashedFTL(f, cfg, 907)
 	journal, checkpoint := crashed.Media().JournalBytes(), crashed.Media().CheckpointBytes()
+	if _, torn, err := DecodeJournal(journal); err != nil || !torn {
+		f.Fatalf("torn-flush seed: torn %v, err %v; want a torn tail", torn, err)
+	}
 	f.Add(journal, checkpoint)
 	f.Add(AppendFrame(nil, sampleRecords()), []byte{})
 	if len(journal) > 4 {
@@ -34,8 +38,8 @@ func FuzzJournalReplay(f *testing.F) {
 	}
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{0x31, 0x4a, 0x4c, 0x46, 0xff, 0xff, 0xff, 0x7f}, []byte{0x4b, 0x43, 0x4c, 0x46})
-	// The cut at op 900 comes before any reclaim; this one lands after
-	// garbage collection has run, with erase records in the live journal.
+	// This cut lands after several garbage-collection runs, with erase
+	// records in the live journal.
 	gc := crashedFTL(f, cfg, 1550)
 	recs, _, err := DecodeJournal(gc.Media().JournalBytes())
 	if err != nil {
@@ -97,15 +101,11 @@ func crashedFTL(f *testing.F, cfg Config, cut int64) *FTL {
 		if ftl.Dead() {
 			break
 		}
-		switch op.kind {
-		case 0:
+		switch {
+		case !op.migrate:
 			ftl.Write(op.lpn, op.state)
-		case 1:
-			ftl.Trim(op.lpn)
-		case 2:
-			if ftl.Mapped(op.lpn) {
-				ftl.Migrate(op.lpn, op.state)
-			}
+		case ftl.Mapped(op.lpn):
+			ftl.Migrate(op.lpn, op.state)
 		}
 	}
 	if !ftl.Dead() {

@@ -60,7 +60,7 @@ func checkInvariants(t *testing.T, f *FTL) {
 	}
 }
 
-// TestInvariantFuzz drives random write / overwrite / migrate / trim
+// TestInvariantFuzz drives random write / overwrite / migrate
 // sequences and verifies every structural invariant after
 // each operation batch.
 func TestInvariantFuzz(t *testing.T) {
@@ -74,7 +74,7 @@ func TestInvariantFuzz(t *testing.T) {
 		const ops = 8000
 		for op := 0; op < ops; op++ {
 			lpn := uint64(rng.Intn(int(f.cfg.LogicalPages)))
-			switch rng.Intn(9) {
+			switch rng.Intn(8) {
 			case 0, 1, 2, 3, 4: // write, mixed pools
 				state := NormalState
 				if rng.Intn(4) == 0 {
@@ -99,18 +99,13 @@ func TestInvariantFuzz(t *testing.T) {
 						t.Fatalf("seed %d op %d: migrate: %v", seed, op, err)
 					}
 				}
-			case 8: // trim
-				if err := f.Trim(lpn); err != nil {
-					t.Fatalf("seed %d op %d: trim: %v", seed, op, err)
-				}
-				delete(live, lpn)
 			}
 			if op%500 == 0 {
 				checkInvariants(t, f)
 			}
 		}
 		checkInvariants(t, f)
-		// Every live page still resolves; every trimmed page does not.
+		// Every written page still resolves; no other page does.
 		for lpn := uint64(0); lpn < f.cfg.LogicalPages; lpn++ {
 			if live[lpn] != f.Mapped(lpn) {
 				t.Fatalf("seed %d: lpn %d mapped=%v, expected %v", seed, lpn, f.Mapped(lpn), live[lpn])

@@ -6,7 +6,7 @@ package ftl
 // dedicated system area:
 //
 //   - the *journal*: a write-ahead log of mapping-table mutations
-//     (page programs, trims, erases, retirements, block allocations),
+//     (page programs, erases, retirements, block allocations),
 //     buffered in RAM and flushed one metadata page at a time;
 //   - the *checkpoint*: a periodic full snapshot of the mapping state
 //     that bounds journal replay (and journal size).
@@ -83,10 +83,10 @@ func (c JournalConfig) checkpointEvery() int {
 // Record types. Every record carries the global mutation sequence
 // number assigned when the mutation happened, so replay can skip
 // records already covered by a checkpoint and order OOB-scan candidates
-// against the replayed state.
+// against the replayed state. Type 2 is unassigned and decodes as an
+// unknown record.
 const (
 	recProgram byte = 1 // page program: lpn now lives at ppn (write, migrate, GC copy, retire copy)
-	recTrim    byte = 2 // lpn unmapped without a rewrite
 	recErase   byte = 3 // block erased; PE is the post-erase cycle count
 	recRetire  byte = 4 // block retired (grown bad); pulls a spare if one is left
 	recAlloc   byte = 5 // free block opened for programming in State
@@ -96,7 +96,7 @@ const (
 type Record struct {
 	Type  byte
 	Seq   uint64
-	LPN   uint64     // recProgram, recTrim
+	LPN   uint64     // recProgram
 	PPN   int64      // recProgram
 	Block int32      // recErase, recRetire, recAlloc
 	PE    int32      // recErase
@@ -121,8 +121,6 @@ func appendRecord(buf []byte, r Record) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, r.LPN)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.PPN))
 		buf = append(buf, byte(r.State))
-	case recTrim:
-		buf = binary.LittleEndian.AppendUint64(buf, r.LPN)
 	case recErase:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Block))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.PE))
@@ -161,12 +159,6 @@ func parseRecord(data []byte) (Record, int, error) {
 		r.PPN = int64(binary.LittleEndian.Uint64(rest[8:16]))
 		r.State = BlockState(rest[16])
 		n += 17
-	case recTrim:
-		if err := need(8); err != nil {
-			return Record{}, 0, err
-		}
-		r.LPN = binary.LittleEndian.Uint64(rest[0:8])
-		n += 8
 	case recErase:
 		if err := need(8); err != nil {
 			return Record{}, 0, err
@@ -300,11 +292,19 @@ func (f *FTL) encodeCheckpoint() []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Blocks))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.PagesPerBlock))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.retired))
+	l2pAt := len(buf)
 	for _, p := range f.l2p {
 		if p == unmapped32 {
 			buf = binary.LittleEndian.AppendUint64(buf, math.MaxUint64)
 		} else {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(p))
+		}
+	}
+	// An lpn whose rewrite has not yet programmed its new page still
+	// lives on its old one: record that, not the transient unmapping.
+	for _, m := range f.moving {
+		if m.old != unmapped && f.l2p[m.lpn] == unmapped32 {
+			binary.LittleEndian.PutUint64(buf[l2pAt+8*int(m.lpn):], uint64(m.old))
 		}
 	}
 	for b := 0; b < c.Blocks; b++ {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"strings"
 	"testing"
 )
 
@@ -11,10 +12,9 @@ func sampleRecords() []Record {
 	return []Record{
 		{Type: recProgram, Seq: 1, LPN: 7, PPN: 130, State: NormalState},
 		{Type: recProgram, Seq: 2, LPN: 9, PPN: 131, State: ReducedState},
-		{Type: recTrim, Seq: 3, LPN: 7},
-		{Type: recErase, Seq: 4, Block: 3, PE: 11},
-		{Type: recRetire, Seq: 5, Block: 12},
-		{Type: recAlloc, Seq: 6, Block: 4, State: ReducedState},
+		{Type: recErase, Seq: 3, Block: 3, PE: 11},
+		{Type: recRetire, Seq: 4, Block: 12},
+		{Type: recAlloc, Seq: 5, Block: 4, State: ReducedState},
 	}
 }
 
@@ -66,17 +66,20 @@ func TestJournalTornTail(t *testing.T) {
 
 func TestJournalCorruptPayload(t *testing.T) {
 	// A CRC-valid frame with an unknown record type is corruption, not a
-	// torn tail: hand-build the frame around a bogus payload.
-	bogus := appendRecord(nil, Record{Type: recTrim, Seq: 1, LPN: 2})
-	bogus[0] = 99 // unknown type
-	var log []byte
-	log = binary.LittleEndian.AppendUint32(log, journalMagic)
-	log = binary.LittleEndian.AppendUint32(log, uint32(len(bogus)))
-	log = append(log, bogus...)
-	log = binary.LittleEndian.AppendUint32(log, crc32.Checksum(log, crcTable))
-	_, _, err := DecodeJournal(log)
-	if !errors.Is(err, ErrCorruptJournal) {
-		t.Fatalf("unknown record type: err=%v, want ErrCorruptJournal", err)
+	// torn tail: hand-build the frame around a bogus payload. Type 2 is
+	// the unassigned byte between recProgram and recErase.
+	for _, typ := range []byte{2, 99} {
+		bogus := appendRecord(nil, Record{Type: recErase, Seq: 1, Block: 2})
+		bogus[0] = typ
+		var log []byte
+		log = binary.LittleEndian.AppendUint32(log, journalMagic)
+		log = binary.LittleEndian.AppendUint32(log, uint32(len(bogus)))
+		log = append(log, bogus...)
+		log = binary.LittleEndian.AppendUint32(log, crc32.Checksum(log, crcTable))
+		_, _, err := DecodeJournal(log)
+		if !errors.Is(err, ErrCorruptJournal) || !strings.Contains(err.Error(), "unknown record type") {
+			t.Fatalf("record type %d: err=%v, want ErrCorruptJournal for an unknown type", typ, err)
+		}
 	}
 }
 
@@ -87,7 +90,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range crashTrace(300, int(cfg.LogicalPages)) {
-		if op.kind == 0 {
+		if !op.migrate {
 			f.Write(op.lpn, op.state)
 		}
 	}

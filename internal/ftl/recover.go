@@ -16,8 +16,8 @@ package ftl
 //
 // The ordering argument behind the OOB scan: journal records are
 // buffered and flushed strictly FIFO, so every flushed record has a
-// lower sequence number than every lost (buffered) one. Trims and
-// erases flush synchronously. A page program whose record was flushed
+// lower sequence number than every lost (buffered) one. Erases
+// flush synchronously. A page program whose record was flushed
 // is inside the journal-known fill level of its block; one whose record
 // was lost sits above it, where the scan finds its OOB — and all such
 // candidates carry sequence numbers above everything replayed, so
@@ -157,11 +157,6 @@ func Recover(cfg Config, m *Media, faultFn func(op fault.Op, block, pe int) bool
 			if int32(page+1) > f.blockUsed[b] {
 				f.blockUsed[b] = int32(page + 1)
 			}
-		case recTrim:
-			if r.LPN >= cfg.LogicalPages {
-				return nil, rep, fmt.Errorf("%w: trim record lpn %d out of range", ErrCorruptJournal, r.LPN)
-			}
-			f.l2p[r.LPN] = unmapped32
 		case recErase:
 			b := int(r.Block)
 			if b < 0 || b >= cfg.Blocks || r.PE < 0 {

@@ -38,43 +38,40 @@ func baseScript() []fault.ScriptEvent {
 const crashTraceOps = 1200
 
 type wop struct {
-	kind  int // 0 write, 1 trim, 2 migrate
-	lpn   uint64
-	state BlockState
+	migrate bool // a migration of a mapped lpn; otherwise a write
+	lpn     uint64
+	state   BlockState
 }
 
 // crashTrace is the deterministic workload: writes across both pools,
-// overwrites, trims and migrations.
+// overwrites and migrations.
 func crashTrace(n int, logical int) []wop {
 	rng := rand.New(rand.NewSource(42))
 	ops := make([]wop, 0, n)
 	for i := 0; i < n; i++ {
 		lpn := uint64(rng.Intn(logical))
-		switch r := rng.Intn(11); {
-		case r < 7:
+		if rng.Intn(9) < 7 {
 			st := NormalState
 			if rng.Intn(4) == 0 {
 				st = ReducedState
 			}
-			ops = append(ops, wop{kind: 0, lpn: lpn, state: st})
-		case r < 9:
-			ops = append(ops, wop{kind: 1, lpn: lpn})
-		default:
-			st := NormalState
-			if rng.Intn(2) == 0 {
-				st = ReducedState
-			}
-			ops = append(ops, wop{kind: 2, lpn: lpn, state: st})
+			ops = append(ops, wop{lpn: lpn, state: st})
+			continue
 		}
+		st := NormalState
+		if rng.Intn(2) == 0 {
+			st = ReducedState
+		}
+		ops = append(ops, wop{migrate: true, lpn: lpn, state: st})
 	}
 	return ops
 }
 
 // traceOracle is the durable state the trace driver promises: for every
 // acked operation, whether the lpn must be mapped after recovery. The
-// lpn of the operation in flight when power died is "loose": lost-write
-// ops (write, trim) may recover to either side of the cut, but a torn
-// migration must stay mapped — the old page is never destroyed.
+// lpn of the operation in flight when power died is "loose": a lost
+// write may recover to either side of the cut, but a torn migration
+// must stay mapped — the old page is never destroyed.
 type traceOracle struct {
 	mapped   map[uint64]bool
 	loose    map[uint64]bool
@@ -88,8 +85,8 @@ func runCrashTrace(t *testing.T, f *FTL, ops []wop) traceOracle {
 	t.Helper()
 	o := traceOracle{mapped: map[uint64]bool{}, loose: map[uint64]bool{}, mustMap: map[uint64]bool{}}
 	for _, op := range ops {
-		switch op.kind {
-		case 0:
+		switch {
+		case !op.migrate:
 			_, _, err := f.Write(op.lpn, op.state)
 			if err != nil {
 				if errors.Is(err, ErrPowerLoss) {
@@ -99,19 +96,7 @@ func runCrashTrace(t *testing.T, f *FTL, ops []wop) traceOracle {
 				t.Fatalf("write lpn %d: %v", op.lpn, err)
 			}
 			o.mapped[op.lpn] = true
-		case 1:
-			if err := f.Trim(op.lpn); err != nil {
-				if errors.Is(err, ErrPowerLoss) {
-					o.loose[op.lpn] = true
-					return o
-				}
-				t.Fatalf("trim lpn %d: %v", op.lpn, err)
-			}
-			o.mapped[op.lpn] = false
-		case 2:
-			if !f.Mapped(op.lpn) {
-				continue
-			}
+		case f.Mapped(op.lpn):
 			if _, _, err := f.Migrate(op.lpn, op.state); err != nil {
 				if errors.Is(err, ErrPowerLoss) {
 					o.loose[op.lpn] = true
@@ -169,7 +154,9 @@ func verifyRecovered(t *testing.T, rf *FTL, o traceOracle) {
 }
 
 // countMediaOps runs the trace with no power cut and returns how many
-// physical media operations it performs — the crash-point space.
+// physical media operations it performs — the crash-point space. The
+// run must collect garbage and fire every scripted fault, so the crash
+// points cover those paths.
 func countMediaOps(t *testing.T, cfg Config, ops []wop) int64 {
 	t.Helper()
 	f, err := New(cfg)
@@ -184,6 +171,9 @@ func countMediaOps(t *testing.T, cfg Config, ops []wop) int64 {
 	o := runCrashTrace(t, f, ops)
 	if !o.finished {
 		t.Fatal("fault-free trace did not finish")
+	}
+	if fired, gc := inj.Stats().TotalInjected(), f.Stats().GCRuns; fired != int64(len(baseScript())) || gc == 0 {
+		t.Fatalf("trace fired %d of %d scripted faults and ran GC %d times", fired, len(baseScript()), gc)
 	}
 	return f.MediaOps()
 }

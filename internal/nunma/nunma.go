@@ -156,53 +156,3 @@ func OptimalShift(m *noise.BERModel, pe int, hours float64, loMv, hiMv, stepMv i
 	}
 	return best, bestBER
 }
-
-// SearchResult is the outcome of Optimize.
-type SearchResult struct {
-	Config       Config
-	C2CBER       float64
-	RetentionBER float64 // at the evaluation point
-	WorstBER     float64
-}
-
-// Optimize grid-searches verify voltages for the reduced state that
-// minimize the worse of C2C BER and retention BER at the given P/E and
-// storage time, holding read references fixed at the Table 3 values.
-// enc is the encoding whose occupancy weights apply (ReduceCode for the
-// paper's design). step is the search granularity in volts.
-func Optimize(enc noise.Encoding, pe int, hours float64, step float64) (SearchResult, error) {
-	if step <= 0 {
-		return SearchResult{}, fmt.Errorf("nunma: non-positive search step %g", step)
-	}
-	const (
-		ref1, ref2 = 2.65, 3.55
-		vpp        = 0.15
-	)
-	best := SearchResult{WorstBER: math.Inf(1)}
-	for v1 := ref1 + 0.01; v1 <= ref1+0.20; v1 += step {
-		for v2 := ref2 + 0.01; v2 <= ref2+0.25; v2 += step {
-			if v2 <= v1+vpp { // keep levels separated by at least one step
-				continue
-			}
-			cfg := Config{
-				Name: "search", Vpp: vpp,
-				Vverify1: v1, Vverify2: v2,
-				VreadRef1: ref1, VreadRef2: ref2,
-			}
-			m, err := noise.NewBERModel(cfg.Spec(), enc)
-			if err != nil {
-				return SearchResult{}, err
-			}
-			c2c := m.C2CBER()
-			ret := m.RetentionBER(pe, hours)
-			worst := math.Max(c2c, ret)
-			if worst < best.WorstBER {
-				best = SearchResult{Config: cfg, C2CBER: c2c, RetentionBER: ret, WorstBER: worst}
-			}
-		}
-	}
-	if math.IsInf(best.WorstBER, 1) {
-		return SearchResult{}, fmt.Errorf("nunma: search space empty")
-	}
-	return best, nil
-}

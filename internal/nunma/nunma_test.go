@@ -210,26 +210,3 @@ func TestBaselineExceedsTriggerAtHighWear(t *testing.T) {
 		t.Errorf("baseline total BER %g at P/E 6000, 1 month should exceed 4e-3", b)
 	}
 }
-
-func TestOptimize(t *testing.T) {
-	res, err := Optimize(reducecode.Encoding(), 6000, 720, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WorstBER <= 0 || math.IsInf(res.WorstBER, 1) {
-		t.Fatalf("optimizer returned worst BER %g", res.WorstBER)
-	}
-	// The optimum should not be worse than NUNMA 1 (the weakest config).
-	c1, _ := ByName("NUNMA 1")
-	m, err := noise.NewBERModel(c1.Spec(), reducecode.Encoding())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n1Worst := math.Max(m.C2CBER(), m.RetentionBER(6000, 720))
-	if res.WorstBER > n1Worst*1.0000001 {
-		t.Errorf("optimizer worst %g exceeds NUNMA 1 worst %g", res.WorstBER, n1Worst)
-	}
-	if _, err := Optimize(reducecode.Encoding(), 6000, 720, 0); err == nil {
-		t.Error("zero step accepted")
-	}
-}

@@ -68,32 +68,3 @@ func TestAutoRefreshRestoresReadability(t *testing.T) {
 		t.Errorf("refreshed page counted unreadable again: %d", res.Unreadable)
 	}
 }
-
-func TestTrim(t *testing.T) {
-	f, err := ftl.New(ftl.Config{
-		LogicalPages:  512,
-		PagesPerBlock: 16,
-		Blocks:        44,
-		ReducedFactor: 0.75,
-		GCThreshold:   3,
-		GCTarget:      6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := f.Write(9, ftl.NormalState); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Trim(9); err != nil {
-		t.Fatal(err)
-	}
-	if f.Mapped(9) {
-		t.Error("trimmed page still mapped")
-	}
-	if err := f.Trim(9); err != nil {
-		t.Error("double trim should be a no-op")
-	}
-	if err := f.Trim(99999); err == nil {
-		t.Error("out-of-range trim accepted")
-	}
-}

@@ -113,18 +113,3 @@ func TestWriteFailureChargesOwningChannel(t *testing.T) {
 		}
 	}
 }
-
-func TestResultsReadPercentiles(t *testing.T) {
-	d := newDevice(t, flatBER(0, 0), baseline.Oracle{})
-	for i := 0; i < 200; i++ {
-		d.Read(time.Duration(i)*time.Second, uint64(i%512)) // idle channel: constant resp
-	}
-	p50, p95, p99 := d.Results().ReadPercentiles()
-	if p50 <= 0 || p50 > p95 || p95 > p99 {
-		t.Fatalf("percentiles not ordered: p50=%g p95=%g p99=%g", p50, p95, p99)
-	}
-	var empty Results
-	if a, b, c := empty.ReadPercentiles(); a != 0 || b != 0 || c != 0 {
-		t.Fatalf("empty results percentiles = %g/%g/%g, want zeros", a, b, c)
-	}
-}

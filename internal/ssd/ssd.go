@@ -260,16 +260,6 @@ type Results struct {
 	FTL ftl.Stats
 }
 
-// ReadPercentiles returns the p50/p95/p99 of recorded read response
-// times, in seconds. All zero when no reads were sampled.
-func (r Results) ReadPercentiles() (p50, p95, p99 float64) {
-	if r.ReadSample == nil || r.ReadSample.N() == 0 {
-		return 0, 0, 0
-	}
-	q := r.ReadSample.Percentiles(50, 95, 99)
-	return q[0], q[1], q[2]
-}
-
 // Device is the simulated SSD.
 type Device struct {
 	cfg    Config

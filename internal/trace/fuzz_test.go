@@ -100,6 +100,7 @@ func FuzzReadMSR(f *testing.F) {
 	f.Add("5,h,0,Write,18446744073709551615,2,0\n")
 	f.Add("5,h,0,Write,0,18446744073709551615,0\n")
 	f.Add("1,h,0,Flush,0,4096,0\n")
+	f.Add("0,h,0,Read,0,4096,5\n90000000000000000,h,0,Read,0,4096,5\n200000000000000000,h,0,Write,0,4096,5\n")
 	f.Add("\n\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		for _, cfg := range []MSRConfig{DefaultMSRConfig(), {PageSize: 16 * 1024, WrapPages: 1 << 20}} {

@@ -81,10 +81,16 @@ func ReadMSR(r io.Reader, cfg MSRConfig) ([]Request, error) {
 			base = ts
 			first = false
 		}
-		// Windows filetime ticks are 100ns.
-		arrival := time.Duration(ts-base) * 100 * time.Nanosecond
-		if arrival < 0 {
-			arrival = 0 // out-of-order timestamps clamp to trace start
+		// Windows filetime ticks are 100ns; out-of-order timestamps clamp
+		// to trace start. ts-base wraps negative when the true gap
+		// exceeds int64.
+		var arrival time.Duration
+		if ts > base {
+			ticks := ts - base
+			if ticks < 0 || ticks > math.MaxInt64/100 {
+				return nil, fmt.Errorf("trace: msr line %d: timestamp %d is too far after the first (%d)", line, ts, base)
+			}
+			arrival = time.Duration(ticks) * 100 * time.Nanosecond
 		}
 		lpn := offset / uint64(cfg.PageSize)
 		lastByte := offset + size - 1

@@ -71,11 +71,19 @@ func TestReadMSRErrors(t *testing.T) {
 		"1,h,0,Read,0,0,5\n",      // zero size
 		"1,h,0,Read,0\n",          // short line
 		"1,h,0,Read,0,banana,5\n", // bad size
+		// arrival past time.Duration's range: 2e17 ticks is 2e19 ns
+		"0,h,0,Read,0,4096,5\n90000000000000000,h,0,Read,0,4096,5\n200000000000000000,h,0,Read,0,4096,5\n",
+		// ts-base itself overflows int64
+		"-9000000000000000000,h,0,Read,0,4096,5\n9000000000000000000,h,0,Read,0,4096,5\n",
 	}
 	for i, c := range cases {
 		if _, err := ReadMSR(strings.NewReader(c), DefaultMSRConfig()); err == nil {
 			t.Errorf("case %d accepted: %q", i, c)
 		}
+	}
+	_, err := ReadMSR(strings.NewReader(cases[len(cases)-2]), DefaultMSRConfig())
+	if err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("overflowing arrival: err=%v, want it to name line 3", err)
 	}
 	if _, err := ReadMSR(strings.NewReader(""), MSRConfig{PageSize: 0}); err == nil {
 		t.Error("zero page size accepted")
