@@ -564,6 +564,24 @@ func BenchmarkTraceGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceGeneratePaper generates the seven paper workloads at
+// 30 000 requests each on the default device's logical space: the set-up
+// every Fig. 6(a) grid pays once per workload.
+func BenchmarkTraceGeneratePaper(b *testing.B) {
+	const requests = 30000
+	ws := trace.Workloads(requests, core.DefaultOptions(core.Baseline, 6000).SSD.FTL.LogicalPages, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range ws {
+			if _, err := w.Generate(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ws)*requests), "ns/request")
+}
+
 // replayBench replays a Fig. 6(a)-style fin-2 trace under FlexLevel on
 // an 8-channel device through Replay, either open-loop (qd 0, every
 // request at its arrival) or with a queue-depth window (qd > 0). Both

@@ -80,6 +80,10 @@ func (w *Window) Complete(done time.Duration) {
 // in a crash.
 func (w *Window) Reset() { w.done = w.done[:0] }
 
+// replayPoll is how many requests Replay steps between context checks:
+// ctx.Err takes a lock, and a request steps in about a microsecond.
+const replayPoll = 256
+
 // Replay preconditions the device for reqs (Prepare), replays them, and
 // returns the metrics (Finish). workingSet is the number of logical
 // pages to precondition; pass 0 to derive it from the largest page the
@@ -89,12 +93,12 @@ func (w *Window) Reset() { w.done = w.done[:0] }
 // arrival and the completion of the request whose slot it takes, so
 // qd == 1 serializes requests back-to-back (closed loop at depth 1).
 //
-// The loop checks ctx before every request, so a deadline, SIGINT or
-// server drain stops a replay mid-flight instead of only between
-// runner.Map shards. On cancellation the context's error is returned and
-// the device keeps the requests replayed so far (Finish still yields a
-// consistent partial metric set). A nil ctx never cancels and adds no
-// per-request cost beyond one pointer test.
+// The loop checks ctx before the first request and then before every
+// replayPoll-th, so a deadline, SIGINT or server drain stops a replay
+// within replayPoll requests instead of only between runner.Map shards.
+// On cancellation the context's error is returned and the device keeps
+// the requests replayed so far (Finish still yields a consistent partial
+// metric set). reqs is only read. A nil ctx never cancels.
 func (r *Runner) Replay(ctx context.Context, name string, reqs []trace.Request, workingSet uint64, qd int) (Metrics, error) {
 	if err := r.Prepare(reqs, workingSet); err != nil {
 		return Metrics{}, err
@@ -103,8 +107,8 @@ func (r *Runner) Replay(ctx context.Context, name string, reqs []trace.Request, 
 	if qd >= 1 {
 		w = NewWindow(qd)
 	}
-	for _, req := range reqs {
-		if ctx != nil {
+	for i, req := range reqs {
+		if ctx != nil && i%replayPoll == 0 {
 			if err := ctx.Err(); err != nil {
 				return Metrics{}, err
 			}

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"flexlevel/internal/fault"
 	"flexlevel/internal/trace"
 )
 
@@ -153,5 +155,61 @@ func TestReplayMatchesStepLoops(t *testing.T) {
 	}
 	if !migrated {
 		t.Error("no FlexLevel run migrated; the streams miss the AccessEval path")
+	}
+}
+
+// TestReplayLeavesInputUnchanged: sweeps share one generated stream
+// across cells, so replay must only read it. For all four systems, with
+// and without injected faults, Replay at qd 0 and qd 8 and a
+// Prepare/Step loop must leave the stream equal to a copy taken before.
+func TestReplayLeavesInputUnchanged(t *testing.T) {
+	w, err := trace.ByName("fin-2", 6000, 4096, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := w.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := slices.Clone(reqs)
+	for _, sys := range Systems() {
+		for _, faulty := range []bool{false, true} {
+			opts := fastOptions(sys, 6000)
+			if faulty {
+				opts.SSD.FTL.SpareBlocks = 8
+				opts.SSD.Faults = fault.Config{
+					Seed:    11,
+					Program: fault.RateCurve{Base: 0.01},
+					Read:    fault.RateCurve{Base: 0.001},
+				}
+			}
+			runs := map[string]func(r *Runner) error{
+				"replay qd 0": func(r *Runner) error { _, err := r.Replay(nil, w.Name, reqs, w.WorkingSet, 0); return err },
+				"replay qd 8": func(r *Runner) error { _, err := r.Replay(nil, w.Name, reqs, w.WorkingSet, 8); return err },
+				"step loop": func(r *Runner) error {
+					if err := r.Prepare(reqs, w.WorkingSet); err != nil {
+						return err
+					}
+					for _, req := range reqs {
+						if err := r.Step(req); err != nil {
+							return err
+						}
+					}
+					return nil
+				},
+			}
+			for name, run := range runs {
+				r, err := NewRunner(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := run(r); err != nil {
+					t.Fatalf("%v faults=%v %s: %v", sys, faulty, name, err)
+				}
+				if !slices.Equal(reqs, before) {
+					t.Fatalf("%v faults=%v %s wrote its input stream", sys, faulty, name)
+				}
+			}
+		}
 	}
 }

@@ -148,6 +148,10 @@ func HLOAblation(cfg SimConfig) ([]AblationHLO, error) {
 			return p
 		}},
 	}
+	st, err := cfg.workloadStreams(len(cases), func(int) string { return "fin-2" })
+	if err != nil {
+		return nil, err
+	}
 	results, _, err := runner.Map(cfg.Ctx, cfg.engine("ablation-hlo"), cases,
 		func(_ int, c hloCase) string { return "rule=" + c.name },
 		func(s runner.Shard, c hloCase) (core.Metrics, error) {
@@ -157,7 +161,7 @@ func HLOAblation(cfg SimConfig) ([]AblationHLO, error) {
 			} else {
 				o.AccessEval = c.params(o.SSD.FTL.LogicalPages)
 			}
-			return cfg.replay(s, "fin-2", o)
+			return cfg.replay(s, st, "fin-2", o)
 		})
 	if err != nil {
 		return nil, err
@@ -198,6 +202,10 @@ func PoolSweep(cfg SimConfig, fractions []float64) ([]AblationPool, error) {
 	// Shard 0 is the reference; shard i+1 is fractions[i]. A negative
 	// fraction marks the reference cell.
 	cells := append([]float64{-1}, fractions...)
+	st, err := cfg.workloadStreams(len(cells), func(int) string { return "web-1" })
+	if err != nil {
+		return nil, err
+	}
 	results, _, err := runner.Map(cfg.Ctx, cfg.engine("ablation-pool"), cells,
 		func(_ int, frac float64) string {
 			if frac < 0 {
@@ -213,7 +221,7 @@ func PoolSweep(cfg SimConfig, fractions []float64) ([]AblationPool, error) {
 				o.AccessEval = accesseval.DefaultParams(o.SSD.FTL.LogicalPages)
 				o.AccessEval.PoolPages = int(float64(o.SSD.FTL.LogicalPages) * frac)
 			}
-			return cfg.replay(s, "web-1", o)
+			return cfg.replay(s, st, "web-1", o)
 		})
 	if err != nil {
 		return nil, err
@@ -265,10 +273,14 @@ func ScrubAblation(cfg SimConfig) ([]AblationScrub, error) {
 		}},
 		{"FlexLevel", func() core.Options { return core.DefaultOptions(core.FlexLevel, cfg.PE) }},
 	}
+	st, err := cfg.workloadStreams(len(cases), func(int) string { return "web-1" })
+	if err != nil {
+		return nil, err
+	}
 	results, _, err := runner.Map(cfg.Ctx, cfg.engine("ablation-scrub"), cases,
 		func(_ int, c scrubCase) string { return "scheme=" + c.scheme },
 		func(s runner.Shard, c scrubCase) (core.Metrics, error) {
-			return cfg.replay(s, "web-1", c.opts())
+			return cfg.replay(s, st, "web-1", c.opts())
 		})
 	if err != nil {
 		return nil, err
@@ -319,12 +331,16 @@ func ChannelAblation(cfg SimConfig, channelCounts []int) ([]AblationChannels, er
 	for _, ch := range channelCounts {
 		cells = append(cells, chCell{ch, core.LDPCInSSD}, chCell{ch, core.FlexLevel})
 	}
+	st, err := cfg.workloadStreams(len(cells), func(int) string { return "web-1" })
+	if err != nil {
+		return nil, err
+	}
 	results, _, err := runner.Map(cfg.Ctx, cfg.engine("ablation-channels"), cells,
 		func(_ int, c chCell) string { return fmt.Sprintf("channels=%d/system=%v", c.Channels, c.System) },
 		func(s runner.Shard, c chCell) (core.Metrics, error) {
 			o := core.DefaultOptions(c.System, cfg.PE)
 			o.SSD.Channels = c.Channels
-			return cfg.replay(s, "web-1", o)
+			return cfg.replay(s, st, "web-1", o)
 		})
 	if err != nil {
 		return nil, err

@@ -107,6 +107,10 @@ func Adaptive(cfg SimConfig) ([]AdaptiveRow, error) {
 			}
 		}
 	}
+	st, err := cfg.workloadStreams(len(cells), func(int) string { return AdaptiveWorkload })
+	if err != nil {
+		return nil, err
+	}
 	rows, _, err := runner.Map(cfg.Ctx, cfg.engine("adaptive"), cells,
 		func(_ int, c adaptiveCell) string {
 			return fmt.Sprintf("scheme=%s/mode=%s/pe=%d/age=%g", c.Scheme.Name, c.Mode, c.PE, c.Age)
@@ -121,7 +125,7 @@ func Adaptive(cfg SimConfig) ([]AdaptiveRow, error) {
 			if c.Mode == AdaptiveMode {
 				opts.SSD.Calib = true
 			}
-			m, err := cfg.replay(s, AdaptiveWorkload, opts)
+			m, err := cfg.replay(s, st, AdaptiveWorkload, opts)
 			if err != nil {
 				return AdaptiveRow{}, err
 			}

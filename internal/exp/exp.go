@@ -302,16 +302,18 @@ func (c SimConfig) engine(name string) runner.Config {
 	return runner.Config{Name: name, Workers: c.Parallel, Seed: c.Seed, OnSummary: c.OnSummary}
 }
 
-// replay is one replaying sweep cell: it builds the named workload
-// against opts' logical space, replays it on a fresh runner, and records
-// the run on the shard. Errors need no cell context here: runner.Map
-// wraps every shard error with the cell key.
-func (c SimConfig) replay(s runner.Shard, workload string, opts core.Options) (core.Metrics, error) {
+// replay is one replaying sweep cell: it takes the named workload,
+// built against opts' logical space, from the sweep's streams, replays
+// it on a fresh runner, and records the run on the shard. Errors need
+// no cell context here: runner.Map wraps every shard error with the
+// cell key.
+func (c SimConfig) replay(s runner.Shard, st *streams[trace.Workload], workload string, opts core.Options) (core.Metrics, error) {
 	w, err := trace.ByName(workload, c.Requests, opts.SSD.FTL.LogicalPages, c.Seed)
 	if err != nil {
 		return core.Metrics{}, err
 	}
-	reqs, err := w.Generate()
+	reqs, err := st.get(w)
+	defer st.put(w)
 	if err != nil {
 		return core.Metrics{}, err
 	}
@@ -357,9 +359,10 @@ type fig6aCell struct {
 }
 
 // Fig6a replays the seven workloads under all four systems, one engine
-// shard per (workload, system) cell. Every shard rebuilds its own
-// workload and runner from the sweep config, so cells share no state
-// and the grid is byte-identical for any worker count.
+// shard per (workload, system) cell. Each workload's stream is
+// generated once and shared read-only by its four cells; every shard
+// builds its own runner, so cells share no mutable state and the grid
+// is byte-identical for any worker count.
 func Fig6a(cfg SimConfig) (*Fig6aData, error) {
 	opts := core.DefaultOptions(core.Baseline, cfg.PE)
 	ws := trace.Workloads(cfg.Requests, opts.SSD.FTL.LogicalPages, cfg.Seed)
@@ -371,12 +374,16 @@ func Fig6a(cfg SimConfig) (*Fig6aData, error) {
 			cells = append(cells, fig6aCell{Workload: w.Name, System: sys})
 		}
 	}
+	st, err := cfg.workloadStreams(len(cells), func(i int) string { return cells[i].Workload })
+	if err != nil {
+		return nil, err
+	}
 	results, _, err := runner.Map(cfg.Ctx, cfg.engine(fmt.Sprintf("fig6a-pe%d", cfg.PE)), cells,
 		func(_ int, c fig6aCell) string {
 			return fmt.Sprintf("workload=%s/system=%v", c.Workload, c.System)
 		},
 		func(s runner.Shard, c fig6aCell) (RunResult, error) {
-			m, err := cfg.replay(s, c.Workload, core.DefaultOptions(c.System, cfg.PE))
+			m, err := cfg.replay(s, st, c.Workload, core.DefaultOptions(c.System, cfg.PE))
 			return RunResult{m}, err
 		})
 	if err != nil {

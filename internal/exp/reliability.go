@@ -87,6 +87,10 @@ func Reliability(cfg SimConfig, scales []float64) ([]ReliabilityRow, error) {
 			cells = append(cells, reliabilityCell{Scale: scale, System: sys})
 		}
 	}
+	st, err := cfg.workloadStreams(len(cells), func(int) string { return ReliabilityWorkload })
+	if err != nil {
+		return nil, err
+	}
 	rows, _, err := runner.Map(cfg.Ctx, cfg.engine("reliability"), cells,
 		func(_ int, c reliabilityCell) string {
 			return fmt.Sprintf("scale=%g/system=%v", c.Scale, c.System)
@@ -95,7 +99,7 @@ func Reliability(cfg SimConfig, scales []float64) ([]ReliabilityRow, error) {
 			opts := core.DefaultOptions(c.System, cfg.PE)
 			opts.SSD.FTL.SpareBlocks = reliabilitySpares(opts.SSD.FTL.Blocks)
 			opts.SSD.Faults = DefaultFaultConfig(s.Seed).Scaled(c.Scale)
-			m, err := cfg.replay(s, ReliabilityWorkload, opts)
+			m, err := cfg.replay(s, st, ReliabilityWorkload, opts)
 			if err != nil {
 				return ReliabilityRow{}, err
 			}

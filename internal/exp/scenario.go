@@ -125,8 +125,9 @@ type scenarioCell struct {
 // grid over the tenant mix (nil = ScenarioTenants defaults), one
 // engine shard per cell. The interleaved stream of a (shape) point is
 // derived from the master seed — not the shard seed — so every system
-// and queue depth replays the identical trace and cells differ only in
-// what the paper's axes change; fault injectors draw from shard seeds,
+// and queue depth replays the identical trace, generated once and
+// shared read-only, and cells differ only in what the paper's axes
+// change; fault injectors draw from shard seeds,
 // as in the reliability sweep. Each cell yields an "all" row plus one
 // row per tenant.
 func Scenario(cfg SimConfig, tenants []trace.TenantSpec) ([]ScenarioRow, error) {
@@ -147,27 +148,38 @@ func Scenario(cfg SimConfig, tenants []trace.TenantSpec) ([]ScenarioRow, error) 
 			}
 		}
 	}
+	shapes := make([]string, len(cells))
+	for i, c := range cells {
+		shapes[i] = c.Shape
+	}
+	st := newStreams(shapes, func(shape string) ([]trace.Request, error) {
+		shaped, err := shapeTenants(shape, tenants)
+		if err != nil {
+			return nil, err
+		}
+		reqs, err := trace.Interleave(trace.InterleaveSpec{
+			Tenants:     shaped,
+			Requests:    cfg.Requests,
+			Interarrive: ScenarioInterarrive,
+			Seed:        cfg.Seed,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if shape == ScenarioClosedShape {
+			reqs = trace.CloseLoop(reqs)
+		}
+		return reqs, nil
+	})
 	groups, _, err := runner.Map(cfg.Ctx, cfg.engine("scenario"), cells,
 		func(_ int, c scenarioCell) string {
 			return fmt.Sprintf("shape=%s/faults=%g/qd=%d/system=%v", c.Shape, c.Scale, c.QD, c.System)
 		},
 		func(s runner.Shard, c scenarioCell) ([]ScenarioRow, error) {
-			shaped, err := shapeTenants(c.Shape, tenants)
+			reqs, err := st.get(c.Shape)
+			defer st.put(c.Shape)
 			if err != nil {
 				return nil, err
-			}
-			spec := trace.InterleaveSpec{
-				Tenants:     shaped,
-				Requests:    cfg.Requests,
-				Interarrive: ScenarioInterarrive,
-				Seed:        cfg.Seed,
-			}
-			reqs, err := trace.Interleave(spec)
-			if err != nil {
-				return nil, err
-			}
-			if c.Shape == ScenarioClosedShape {
-				reqs = trace.CloseLoop(reqs)
 			}
 			opts := core.DefaultOptions(c.System, cfg.PE)
 			opts.SSD.Channels = ScenarioChannels
@@ -179,10 +191,12 @@ func Scenario(cfg SimConfig, tenants []trace.TenantSpec) ([]ScenarioRow, error) 
 			if err != nil {
 				return nil, err
 			}
-			r.TrackTenants(trace.TenantNames(shaped))
+			// Shaping changes arrival models only: names and windows are
+			// the tenants'.
+			r.TrackTenants(trace.TenantNames(tenants))
 			// cfg.Ctx propagates into the event loop, so SIGINT stops a
 			// cell mid-replay instead of only between shards.
-			m, err := r.Replay(cfg.Ctx, "scenario", reqs, trace.WindowEnd(shaped), c.QD)
+			m, err := r.Replay(cfg.Ctx, "scenario", reqs, trace.WindowEnd(tenants), c.QD)
 			if err != nil {
 				return nil, err
 			}

@@ -55,7 +55,8 @@ func addLatencyGauges(s runner.Shard, m core.Metrics) {
 // Throughput replays the workload closed-loop (arrivals zeroed: each
 // request is submitted the moment a queue slot frees) under every
 // system at every queue depth, one engine shard per (qd, system) cell.
-// Shards share no state, so the sweep is byte-identical for any worker
+// The closed-loop stream is generated once and shared read-only; shards
+// share no mutable state, so the sweep is byte-identical for any worker
 // count. IOPS is requests over the simulated makespan — the point at
 // which the last flash channel went idle.
 func Throughput(cfg SimConfig) ([]ThroughputRow, error) {
@@ -65,6 +66,22 @@ func Throughput(cfg SimConfig) ([]ThroughputRow, error) {
 			cells = append(cells, throughputCell{QD: qd, System: sys})
 		}
 	}
+	logical := core.DefaultOptions(core.Baseline, cfg.PE).SSD.FTL.LogicalPages
+	w, err := trace.ByName(ThroughputWorkload, cfg.Requests, logical, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]trace.Workload, len(cells))
+	for i := range keys {
+		keys[i] = w
+	}
+	st := newStreams(keys, func(w trace.Workload) ([]trace.Request, error) {
+		reqs, err := w.Generate()
+		if err != nil {
+			return nil, err
+		}
+		return trace.CloseLoop(reqs), nil
+	})
 	rows, _, err := runner.Map(cfg.Ctx, cfg.engine("throughput"), cells,
 		func(_ int, c throughputCell) string {
 			return fmt.Sprintf("qd=%d/system=%v", c.QD, c.System)
@@ -72,11 +89,8 @@ func Throughput(cfg SimConfig) ([]ThroughputRow, error) {
 		func(s runner.Shard, c throughputCell) (ThroughputRow, error) {
 			opts := core.DefaultOptions(c.System, cfg.PE)
 			opts.SSD.Channels = ThroughputChannels
-			w, err := trace.ByName(ThroughputWorkload, cfg.Requests, opts.SSD.FTL.LogicalPages, cfg.Seed)
-			if err != nil {
-				return ThroughputRow{}, err
-			}
-			reqs, err := w.Generate()
+			reqs, err := st.get(w)
+			defer st.put(w)
 			if err != nil {
 				return ThroughputRow{}, err
 			}
@@ -84,7 +98,7 @@ func Throughput(cfg SimConfig) ([]ThroughputRow, error) {
 			if err != nil {
 				return ThroughputRow{}, err
 			}
-			m, err := r.Replay(cfg.Ctx, w.Name, trace.CloseLoop(reqs), w.WorkingSet, c.QD)
+			m, err := r.Replay(cfg.Ctx, w.Name, reqs, w.WorkingSet, c.QD)
 			if err != nil {
 				return ThroughputRow{}, err
 			}

@@ -238,6 +238,9 @@ type Injector struct {
 	rng    *rand.Rand
 	script [NumOps]map[int64]bool
 	stats  Stats
+	// probs[op][pe] memoizes curve(op).Prob(pe), grown on demand; a
+	// negative entry is not yet computed.
+	probs [NumOps][]float64
 }
 
 // New builds an Injector. A nil Injector is valid and never fails
@@ -283,6 +286,29 @@ func (i *Injector) curve(op Op) RateCurve {
 	}
 }
 
+// prob is curve(op).Prob(pe), memoized per class and P/E count: Prob
+// is pure, and Fails asks it on every physical operation.
+func (i *Injector) prob(op Op, pe int) float64 {
+	if pe < 0 {
+		return i.curve(op).Prob(pe)
+	}
+	memo := i.probs[op]
+	if pe >= len(memo) {
+		n := max(pe+1, 2*len(memo))
+		grown := make([]float64, n)
+		copy(grown, memo)
+		for j := len(memo); j < n; j++ {
+			grown[j] = -1
+		}
+		memo = grown
+		i.probs[op] = memo
+	}
+	if memo[pe] < 0 {
+		memo[pe] = i.curve(op).Prob(pe)
+	}
+	return memo[pe]
+}
+
 // Fails reports whether this check's physical operation fails. block is
 // the physical block the operation targets and pe its current wear. Safe
 // on a nil receiver (always false).
@@ -300,7 +326,7 @@ func (i *Injector) Fails(op Op, block, pe int) bool {
 		i.stats.Injected[op]++
 		return true
 	}
-	p := i.curve(op).Prob(pe)
+	p := i.prob(op, pe)
 	if p <= 0 {
 		return false // zero-rate class: no RNG draw
 	}

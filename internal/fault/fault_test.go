@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -264,5 +265,33 @@ func TestRateInjectionFrequency(t *testing.T) {
 	st := inj.Stats()
 	if st.Checked[Program] != n || st.Injected[Program] != int64(hits) {
 		t.Errorf("stats mismatch: %+v vs hits=%d", st, hits)
+	}
+}
+
+// TestFailsMemoMatchesProb: the memoized probabilities decide every
+// check as evaluating each curve afresh does, over wear values that
+// arrive out of order and grow the memo several times.
+func TestFailsMemoMatchesProb(t *testing.T) {
+	cfg := Config{
+		Seed:    3,
+		Program: RateCurve{Base: 0.01, Amp: 0.3, Scale: 3000, Shape: 2},
+		Erase:   RateCurve{Base: 0.02, Amp: 0.2, Scale: 5000},
+		Read:    RateCurve{Base: 0.05},
+	}
+	inj, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := rand.New(rand.NewSource(cfg.Seed))
+	curves := [NumOps]RateCurve{Program: cfg.Program, Erase: cfg.Erase, Read: cfg.Read}
+	pick := rand.New(rand.NewSource(9))
+	for k := 0; k < 50000; k++ {
+		op := Op(pick.Intn(int(NumOps)))
+		pe := pick.Intn(1 << uint(pick.Intn(15)))
+		p := curves[op].Prob(pe)
+		want := p > 0 && (p >= 1 || ref.Float64() < p)
+		if got := inj.Fails(op, 0, pe); got != want {
+			t.Fatalf("check %d (%v, pe %d): Fails = %v, fresh curve gives %v", k, op, pe, got, want)
+		}
 	}
 }

@@ -69,9 +69,11 @@ func crashTrace(n int, logical int) []wop {
 
 // traceOracle is the durable state the trace driver promises: for every
 // acked operation, whether the lpn must be mapped after recovery. The
-// lpn of the operation in flight when power died is "loose": a lost
-// write may recover to either side of the cut, but a torn migration
-// must stay mapped — the old page is never destroyed.
+// lpn of the operation in flight when power died is either "loose" or
+// must stay mapped. A torn first write of an lpn is loose: it may
+// recover to either side of the cut. A torn overwrite of an acked lpn
+// or a torn migration must stay mapped: the page holding the previous
+// acknowledged version is never destroyed before the new one lands.
 type traceOracle struct {
 	mapped   map[uint64]bool
 	loose    map[uint64]bool
@@ -90,7 +92,11 @@ func runCrashTrace(t *testing.T, f *FTL, ops []wop) traceOracle {
 			_, _, err := f.Write(op.lpn, op.state)
 			if err != nil {
 				if errors.Is(err, ErrPowerLoss) {
-					o.loose[op.lpn] = true
+					if o.mapped[op.lpn] {
+						o.mustMap[op.lpn] = true
+					} else {
+						o.loose[op.lpn] = true
+					}
 					return o
 				}
 				t.Fatalf("write lpn %d: %v", op.lpn, err)
@@ -132,7 +138,7 @@ func verifyRecovered(t *testing.T, rf *FTL, o traceOracle) {
 	}
 	for lpn := range o.mustMap {
 		if !rf.Mapped(lpn) {
-			t.Fatalf("torn migration lost lpn %d: old page must survive", lpn)
+			t.Fatalf("torn overwrite or migration lost lpn %d: its previous page must survive", lpn)
 		}
 	}
 	for lpn := uint64(0); lpn < rf.cfg.LogicalPages; lpn++ {
@@ -194,54 +200,116 @@ func TestRecoverExhaustiveCrashPoints(t *testing.T) {
 		step = 7
 	}
 	for n := int64(0); n < total; n += step {
-		f, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inj, err := fault.New(fault.Config{
-			Script: append(baseScript(), fault.ScriptEvent{Op: fault.PowerLoss, Index: n}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Fault = inj.Fails
-		o := runCrashTrace(t, f, ops)
-		if o.finished {
-			t.Fatalf("crash point %d: trace finished without dying", n)
-		}
-		if !f.Dead() {
-			t.Fatalf("crash point %d: FTL not dead after power loss", n)
-		}
-		if _, _, err := f.Write(0, NormalState); !errors.Is(err, ErrPowerLoss) {
-			t.Fatalf("crash point %d: dead FTL accepted a write: %v", n, err)
-		}
+		checkCrashPoint(t, cfg, ops, n)
+	}
+}
 
-		rf, rep, err := Recover(cfg, f.Media(), nil)
-		if err != nil {
-			t.Fatalf("crash point %d: recover: %v", n, err)
-		}
-		if rep.TotalReads() == 0 {
-			t.Fatalf("crash point %d: recovery read nothing", n)
-		}
-		verifyRecovered(t, rf, o)
+// TestRecoverCrashPointsMidRewrite runs, in every mode, each crash
+// point that lands in a journal flush or checkpoint programmed while a
+// rewrite is in flight, or later in that same rewrite. A checkpoint
+// taken there must still map the moving lpn to its old page; -short's
+// stride through the exhaustive test can step over all of them.
+func TestRecoverCrashPointsMidRewrite(t *testing.T) {
+	cfg := crashConfig()
+	ops := crashTrace(crashTraceOps, int(cfg.LogicalPages))
+	points := midRewriteCrashPoints(t, cfg, ops)
+	if len(points) == 0 {
+		t.Fatal("no journal flush or checkpoint ran inside a rewrite; the trace misses the window")
+	}
+	for _, n := range points {
+		checkCrashPoint(t, cfg, ops, n)
+	}
+}
 
-		// Idempotence: recovering the recovered image changes nothing.
-		rf2, _, err := Recover(cfg, rf.Media().Clone(), nil)
-		if err != nil {
-			t.Fatalf("crash point %d: second recover: %v", n, err)
-		}
-		if !bytes.Equal(rf.EncodeState(), rf2.EncodeState()) {
-			t.Fatalf("crash point %d: double recovery diverged", n)
-		}
-
-		// The recovered device keeps working.
-		for i := uint64(0); i < 8; i++ {
-			if _, _, err := rf.Write(i, NormalState); err != nil && !errors.Is(err, ErrDegraded) {
-				t.Fatalf("crash point %d: post-recovery write: %v", n, err)
+// midRewriteCrashPoints runs the trace without a power cut and returns
+// the crash points (PowerLoss check indexes) from each metadata program
+// — a journal flush or a checkpoint page — issued while a rewrite is in
+// flight, through the last media op of that rewrite.
+func midRewriteCrashPoints(t *testing.T, cfg Config, ops []wop) []int64 {
+	t.Helper()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.New(fault.Config{Script: baseScript()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []int64
+	var window *movingPage // the outermost rewrite a metadata program landed in
+	f.Fault = func(op fault.Op, block, pe int) bool {
+		if op == fault.PowerLoss {
+			switch {
+			case len(f.moving) == 0 || window != nil && *window != f.moving[0]:
+				window = nil
+			case block < 0 && window == nil:
+				outer := f.moving[0]
+				window = &outer
+			}
+			if window != nil {
+				points = append(points, f.MediaOps()-1)
 			}
 		}
-		checkInvariants(t, rf)
+		return inj.Fails(op, block, pe)
 	}
+	if o := runCrashTrace(t, f, ops); !o.finished {
+		t.Fatal("fault-free trace did not finish")
+	}
+	return points
+}
+
+// checkCrashPoint cuts power during media operation n of the trace,
+// recovers, and verifies zero acked loss, OOB consistency, recovery
+// idempotence and that the recovered device keeps working.
+func checkCrashPoint(t *testing.T, cfg Config, ops []wop, n int64) {
+	t.Helper()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.New(fault.Config{
+		Script: append(baseScript(), fault.ScriptEvent{Op: fault.PowerLoss, Index: n}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Fault = inj.Fails
+	o := runCrashTrace(t, f, ops)
+	if o.finished {
+		t.Fatalf("crash point %d: trace finished without dying", n)
+	}
+	if !f.Dead() {
+		t.Fatalf("crash point %d: FTL not dead after power loss", n)
+	}
+	if _, _, err := f.Write(0, NormalState); !errors.Is(err, ErrPowerLoss) {
+		t.Fatalf("crash point %d: dead FTL accepted a write: %v", n, err)
+	}
+
+	rf, rep, err := Recover(cfg, f.Media(), nil)
+	if err != nil {
+		t.Fatalf("crash point %d: recover: %v", n, err)
+	}
+	if rep.TotalReads() == 0 {
+		t.Fatalf("crash point %d: recovery read nothing", n)
+	}
+	verifyRecovered(t, rf, o)
+
+	// Idempotence: recovering the recovered image changes nothing.
+	rf2, _, err := Recover(cfg, rf.Media().Clone(), nil)
+	if err != nil {
+		t.Fatalf("crash point %d: second recover: %v", n, err)
+	}
+	if !bytes.Equal(rf.EncodeState(), rf2.EncodeState()) {
+		t.Fatalf("crash point %d: double recovery diverged", n)
+	}
+
+	// The recovered device keeps working.
+	for i := uint64(0); i < 8; i++ {
+		if _, _, err := rf.Write(i, NormalState); err != nil && !errors.Is(err, ErrDegraded) {
+			t.Fatalf("crash point %d: post-recovery write: %v", n, err)
+		}
+	}
+	checkInvariants(t, rf)
 }
 
 // TestRecoverCrashDuringRecovery injects a second power cut into the

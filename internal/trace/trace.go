@@ -117,7 +117,7 @@ func (w Workload) Generate() ([]Request, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(w.Seed))
-	zipf := rand.NewZipf(rng, w.ZipfS, 1, w.WorkingSet-1)
+	zipf := newZipf(rng, w.ZipfS, 1, w.WorkingSet-1)
 	reqs := make([]Request, 0, w.Requests)
 	arrivals := w.Arrivals
 	if arrivals == nil {
@@ -132,13 +132,23 @@ func (w Workload) Generate() ([]Request, error) {
 		if rng.Float64() < w.ReadRatio {
 			op = Read
 		}
+		// Both wraps subtract the working set at most once: a
+		// sequential continuation ends at most at the set's end (pages
+		// are clamped to it), and a rotated zipf rank stays below twice
+		// the set (or wraps uint64 to below it, as the modulo did).
 		var lpn uint64
 		if i > 0 && rng.Float64() < w.SeqProb {
-			lpn = (lastLPN + uint64(lastPages)) % w.WorkingSet
+			lpn = lastLPN + uint64(lastPages)
+			if lpn >= w.WorkingSet {
+				lpn -= w.WorkingSet
+			}
 		} else {
 			lpn = zipf.Uint64()
 			if op == Write && w.SplitWriteSet {
-				lpn = (lpn + w.WorkingSet/2) % w.WorkingSet
+				lpn += w.WorkingSet / 2
+				if lpn >= w.WorkingSet {
+					lpn -= w.WorkingSet
+				}
 			}
 		}
 		// Geometric request size with the configured mean.
