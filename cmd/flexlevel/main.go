@@ -258,9 +258,7 @@ func replay(w io.Writer, path, format string, pe int) error {
 			err = trace.CheckStream(reqs, logical)
 		}
 	case "msr":
-		cfg := trace.DefaultMSRConfig()
-		cfg.WrapPages = logical / 2
-		reqs, err = trace.ReadMSR(f, cfg)
+		reqs, err = trace.ReadMSR(f, logical/2)
 	default:
 		return fmt.Errorf("unknown trace format %q", format)
 	}

@@ -163,7 +163,8 @@ func TestServePprofSmoke(t *testing.T) {
 			Tenants: []server.LoadTenant{
 				{Name: tenants[0].Name, Requests: 20000, Window: tenants[0].WorkingSet},
 			},
-			Workers: 4, ReadRatio: 0.8, Seed: 3,
+			Workers: 4, ReadRatio: 0.8, MaxPages: 4, Seed: 3,
+			BackoffBase: 200 * time.Microsecond, BackoffCap: 50 * time.Millisecond, MaxRetries: 8,
 		})
 		loadDone <- err
 	}()

@@ -11,14 +11,16 @@ import (
 	"math"
 
 	"flexlevel/internal/hotdata"
-	"flexlevel/internal/sensing"
 )
 
+// Lf is the number of read-frequency levels (N); the paper's evaluation
+// uses 2 (§6.2).
+const Lf = 2
+
 // Params configures the controller. The paper's evaluation uses
-// Lf = Lsensing = 2 and a pool of one quarter of the logical space
-// (64GB of 256GB).
+// Lsensing = 2 and a pool of one quarter of the logical space (64GB of
+// 256GB).
 type Params struct {
-	Lf        int // read-frequency levels (N)
 	Lsensing  int // sensing-level buckets (M)
 	Threshold int // migrate when Lf-level × Lsensing-bucket >= Threshold
 	PoolPages int // ReducedCell pool capacity (logical pages)
@@ -26,11 +28,10 @@ type Params struct {
 }
 
 // DefaultParams returns the paper's configuration scaled to logicalPages
-// of storage: both rule dimensions at 2 levels, threshold requiring both
-// to be at their maximum, and a pool of a quarter of the logical space.
+// of storage: Lsensing at 2 levels like Lf, threshold requiring both to
+// be at their maximum, and a pool of a quarter of the logical space.
 func DefaultParams(logicalPages uint64) Params {
 	return Params{
-		Lf:        2,
 		Lsensing:  2,
 		Threshold: 4,
 		PoolPages: int(logicalPages / 4),
@@ -40,11 +41,11 @@ func DefaultParams(logicalPages uint64) Params {
 
 // Validate reports parameter problems.
 func (p Params) Validate() error {
-	if p.Lf < 1 || p.Lsensing < 1 {
-		return fmt.Errorf("accesseval: Lf/Lsensing %d/%d must be >= 1", p.Lf, p.Lsensing)
+	if p.Lsensing < 1 {
+		return fmt.Errorf("accesseval: Lsensing %d must be >= 1", p.Lsensing)
 	}
-	if p.Threshold < 1 || p.Threshold > p.Lf*p.Lsensing {
-		return fmt.Errorf("accesseval: threshold %d out of [1, %d]", p.Threshold, p.Lf*p.Lsensing)
+	if p.Threshold < 1 || p.Threshold > Lf*p.Lsensing {
+		return fmt.Errorf("accesseval: threshold %d out of [1, %d]", p.Threshold, Lf*p.Lsensing)
 	}
 	if p.PoolPages < 0 {
 		return fmt.Errorf("accesseval: negative pool capacity")
@@ -178,7 +179,7 @@ func (c *Controller) SensingBucket(levels int) int {
 // Overhead returns the LDPC-overhead estimate L_f × L_sensing for a read
 // of lpn that used the given sensing levels.
 func (c *Controller) Overhead(lpn uint64, levels int) int {
-	return c.hot.FreqLevel(lpn, c.params.Lf) * c.SensingBucket(levels)
+	return c.hot.FreqLevel(lpn, Lf) * c.SensingBucket(levels)
 }
 
 // OnRead records a read of lpn that needed the given extra sensing
@@ -195,7 +196,7 @@ func (c *Controller) OnRead(lpn uint64, levels int) Decision {
 		return Decision{}
 	}
 	// The read's L_f × L_sensing, as Overhead reports it after the read.
-	if c.hot.RecordLevel(lpn, c.params.Lf)*c.SensingBucket(levels) < c.params.Threshold {
+	if c.hot.RecordLevel(lpn, Lf)*c.SensingBucket(levels) < c.params.Threshold {
 		return Decision{}
 	}
 	var d Decision
@@ -231,10 +232,6 @@ func (c *Controller) Remove(lpn uint64) {
 	}
 }
 
-// MaxSensingLevels exposes the saturation point of SensingBucket — the
-// device limit, for documentation and tests.
-func MaxSensingLevels() int { return sensing.MaxExtraLevels }
-
 // MemoryFootprintBytes estimates the controller's DRAM cost: 4 bytes
 // per ReducedCell pool entry (the paper's §5 estimate — 8MB for a 64GB
 // pool of 16KB pages) plus the bloom filters of the read-frequency
@@ -242,6 +239,6 @@ func MaxSensingLevels() int { return sensing.MaxExtraLevels }
 func (c *Controller) MemoryFootprintBytes() int64 {
 	const bytesPerEntry = 4
 	pool := int64(c.params.PoolPages) * bytesPerEntry
-	bloom := int64(c.params.Hot.Filters) * int64(c.params.Hot.BitsPerFilter) / 8
+	const bloom = hotdata.Filters * hotdata.FilterBits / 8
 	return pool + bloom
 }

@@ -8,13 +8,12 @@ import (
 
 func smallParams() Params {
 	return Params{
-		Lf:        2,
 		Lsensing:  2,
 		Threshold: 4,
 		PoolPages: 4,
 		// Small window so frequency accumulates across rotations within
 		// a few accesses (hot = present in >= half the filters).
-		Hot: hotdata.Config{Filters: 4, BitsPerFilter: 1 << 14, Hashes: 2, Window: 4},
+		Hot: hotdata.Config{Window: 4},
 	}
 }
 
@@ -23,7 +22,6 @@ func TestParamsValidate(t *testing.T) {
 		t.Fatalf("default params invalid: %v", err)
 	}
 	cases := []func(*Params){
-		func(p *Params) { p.Lf = 0 },
 		func(p *Params) { p.Lsensing = 0 },
 		func(p *Params) { p.Threshold = 0 },
 		func(p *Params) { p.Threshold = 100 },
@@ -43,8 +41,8 @@ func TestDefaultParamsPoolQuarter(t *testing.T) {
 	if p.PoolPages != 16384 {
 		t.Errorf("pool = %d pages, want a quarter of logical (paper: 64GB of 256GB)", p.PoolPages)
 	}
-	if p.Lf != 2 || p.Lsensing != 2 {
-		t.Errorf("Lf/Lsensing = %d/%d, want 2/2 (paper §6.2)", p.Lf, p.Lsensing)
+	if Lf != 2 || p.Lsensing != 2 {
+		t.Errorf("Lf/Lsensing = %d/%d, want 2/2 (paper §6.2)", Lf, p.Lsensing)
 	}
 }
 
@@ -234,38 +232,31 @@ func TestOverheadRule(t *testing.T) {
 	}
 }
 
-func TestMaxSensingLevels(t *testing.T) {
-	if MaxSensingLevels() < 6 {
-		t.Errorf("MaxSensingLevels = %d, want >= 6 (Table 5 reaches 6)", MaxSensingLevels())
-	}
-}
-
 func TestMemoryFootprint(t *testing.T) {
 	// Paper §5: a 64GB pool of 16KB pages (4Mi entries) at 4 bytes per
 	// entry costs 16MB... the paper says 8MB for 32GB of data — verify
 	// the 4-bytes-per-entry accounting at our scale.
 	p := smallParams()
 	p.PoolPages = 1000
-	p.Hot.BitsPerFilter = 1 << 13 // 1KB per filter
-	p.Hot.Filters = 4
 	c, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(1000*4 + 4*1024)
+	const bloom = 4 * 32 << 10 // four 2^18-bit filters
+	want := int64(1000*4 + bloom)
 	if got := c.MemoryFootprintBytes(); got != want {
 		t.Errorf("footprint = %d bytes, want %d", got, want)
 	}
 	// The paper's example: 32GB in reduced pages at 16KB pages = 2Mi
 	// entries -> 8MB.
-	paper := Params{Lf: 2, Lsensing: 2, Threshold: 4,
+	paper := Params{Lsensing: 2, Threshold: 4,
 		PoolPages: 32 << 30 / (16 << 10),
 		Hot:       p.Hot}
 	cp, err := New(paper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	poolOnly := cp.MemoryFootprintBytes() - 4*1024
+	poolOnly := cp.MemoryFootprintBytes() - bloom
 	if poolOnly != 8<<20 {
 		t.Errorf("paper example footprint = %d, want 8MB", poolOnly)
 	}

@@ -3,6 +3,8 @@ package accesseval
 import (
 	"math/rand"
 	"testing"
+
+	"flexlevel/internal/sensing"
 )
 
 // BenchmarkAccessEvalOnRead measures one AccessEval read decision — a
@@ -21,7 +23,7 @@ func BenchmarkAccessEvalOnRead(b *testing.B) {
 	lpns, levels := make([]uint64, n), make([]int, n)
 	for i := range lpns {
 		lpns[i] = zipf.Uint64()
-		levels[i] = rng.Intn(MaxSensingLevels() + 1)
+		levels[i] = rng.Intn(sensing.MaxExtraLevels + 1)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"flexlevel/internal/hotdata"
+	"flexlevel/internal/sensing"
 )
 
 // refController is the controller the LPN-indexed pool replaced: the
@@ -39,7 +40,7 @@ func (c *refController) OnRead(lpn uint64, levels int) Decision {
 		return Decision{}
 	}
 	bucket := min(1+max(levels, 0), c.params.Lsensing)
-	if c.hot.FreqLevel(lpn, c.params.Lf)*bucket < c.params.Threshold {
+	if c.hot.FreqLevel(lpn, Lf)*bucket < c.params.Threshold {
 		return Decision{}
 	}
 	d := Decision{Migrate: true}
@@ -82,7 +83,7 @@ func TestPoolMatchesListReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := smallParams()
 		p.PoolPages = 1 + rng.Intn(24)
-		p.Threshold = 1 + rng.Intn(p.Lf*p.Lsensing)
+		p.Threshold = 1 + rng.Intn(Lf*p.Lsensing)
 		c, err := New(p)
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +94,7 @@ func TestPoolMatchesListReference(t *testing.T) {
 			lpn := uint64(rng.Intn(1 + rng.Intn(span)))
 			switch r := rng.Intn(10); {
 			case r < 6:
-				levels := rng.Intn(MaxSensingLevels()+2) - 1
+				levels := rng.Intn(sensing.MaxExtraLevels+2) - 1
 				got, want := c.OnRead(lpn, levels), ref.OnRead(lpn, levels)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d call %d: OnRead(%d, %d) = %+v, reference %+v", seed, i, lpn, levels, got, want)

@@ -22,7 +22,6 @@ func (p *refLDPCInSSD) AppendAttempts(dst []int, block int, required int) []int 
 	return dst
 }
 
-func (p *refLDPCInSSD) Name() string     { return "ldpc-in-ssd" }
 func (p *refLDPCInSSD) Forget(block int) { delete(p.mem, block) }
 func (p *refLDPCInSSD) Reset()           { p.mem = map[int]int{} }
 
@@ -51,8 +50,6 @@ func (p *refAdaptiveRetry) AppendAttempts(dst []int, block int, required int) []
 	p.mem[block] = required
 	return dst
 }
-
-func (p *refAdaptiveRetry) Name() string { return "adaptive-retry" }
 
 func (p *refAdaptiveRetry) Lower(block, level int) {
 	if level < 0 {
@@ -98,8 +95,8 @@ func TestRetryMemoryMatchesMap(t *testing.T) {
 					got := pr.got.AppendAttempts([]int{-7}, block, level+1)
 					want := pr.want.AppendAttempts([]int{-7}, block, level+1)
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d op %d %s: block %d required %d: attempts %v, map memory %v",
-							seed, i, pr.got.Name(), block, level+1, got, want)
+						t.Fatalf("seed %d op %d %T: block %d required %d: attempts %v, map memory %v",
+							seed, i, pr.got, block, level+1, got, want)
 					}
 				case op < 92:
 					pr.got.Forget(block)

@@ -8,8 +8,6 @@
 //     per-block memory; reads start at the block's remembered level and
 //     escalate one level per retry until decoding succeeds, then the
 //     level is memorized.
-//   - Oracle — an idealized lower bound that always knows the exact
-//     requirement (used by ablation benches).
 package baseline
 
 // ReadPolicy decides the sensing-level attempts a read performs.
@@ -20,7 +18,6 @@ package baseline
 // reads allocate nothing) and returns the extended slice.
 type ReadPolicy interface {
 	AppendAttempts(dst []int, block int, required int) []int
-	Name() string
 }
 
 // FixedWorstCase always senses at a fixed conservative level, escalating
@@ -28,9 +25,6 @@ type ReadPolicy interface {
 type FixedWorstCase struct {
 	Levels int
 }
-
-// Name implements ReadPolicy.
-func (FixedWorstCase) Name() string { return "baseline" }
 
 // AppendAttempts implements ReadPolicy.
 func (p FixedWorstCase) AppendAttempts(dst []int, _ int, required int) []int {
@@ -78,9 +72,6 @@ type LDPCInSSD struct {
 // NewLDPCInSSD returns an empty-memory policy.
 func NewLDPCInSSD() *LDPCInSSD { return &LDPCInSSD{} }
 
-// Name implements ReadPolicy.
-func (*LDPCInSSD) Name() string { return "ldpc-in-ssd" }
-
 // AppendAttempts implements ReadPolicy: start at the remembered level
 // (0 for an unseen block), escalate until sufficient, and memorize the
 // result. Memory only rises — a block's BER only grows with wear and
@@ -122,9 +113,6 @@ type AdaptiveRetry struct {
 
 // NewAdaptiveRetry returns an empty-memory policy.
 func NewAdaptiveRetry() *AdaptiveRetry { return &AdaptiveRetry{} }
-
-// Name implements ReadPolicy.
-func (*AdaptiveRetry) Name() string { return "adaptive-retry" }
 
 // AppendAttempts implements ReadPolicy: start at the remembered
 // level; on escalation the stride doubles each retry (0,1,3,7 from a
@@ -169,14 +157,3 @@ func (p *AdaptiveRetry) Forget(block int) { p.mem.forget(block) }
 
 // Reset drops all remembered levels (called on power loss).
 func (p *AdaptiveRetry) Reset() { clear(p.mem) }
-
-// Oracle always senses at exactly the required level.
-type Oracle struct{}
-
-// Name implements ReadPolicy.
-func (Oracle) Name() string { return "oracle" }
-
-// AppendAttempts implements ReadPolicy.
-func (Oracle) AppendAttempts(dst []int, _ int, required int) []int {
-	return append(dst, required)
-}

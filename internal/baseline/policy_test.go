@@ -23,9 +23,6 @@ func TestFixedWorstCase(t *testing.T) {
 	if got := attempts(p, 0, 6); len(got) != 3 || got[0] != 4 || got[2] != 6 {
 		t.Errorf("attempts(required=6) = %v, want [4 5 6]", got)
 	}
-	if p.Name() != "baseline" {
-		t.Error("name wrong")
-	}
 }
 
 func TestLDPCInSSDProgression(t *testing.T) {
@@ -58,9 +55,6 @@ func TestLDPCInSSDProgression(t *testing.T) {
 	if got := attempts(p, 6, 0); len(got) != 1 || got[0] != 0 {
 		t.Errorf("fresh block attempts = %v, want [0]", got)
 	}
-	if p.Name() != "ldpc-in-ssd" {
-		t.Error("name wrong")
-	}
 }
 
 func TestLDPCInSSDForget(t *testing.T) {
@@ -70,18 +64,6 @@ func TestLDPCInSSDForget(t *testing.T) {
 	// After erase, the block starts over from hard decision.
 	if got := attempts(p, 9, 2); len(got) != 3 || got[0] != 0 {
 		t.Errorf("attempts after Forget = %v, want [0 1 2]", got)
-	}
-}
-
-func TestOracle(t *testing.T) {
-	var p Oracle
-	for _, req := range []int{0, 3, 7} {
-		if got := attempts(p, 1, req); len(got) != 1 || got[0] != req {
-			t.Errorf("Oracle attempts(%d) = %v", req, got)
-		}
-	}
-	if p.Name() != "oracle" {
-		t.Error("name wrong")
 	}
 }
 
@@ -113,9 +95,6 @@ func TestAdaptiveRetryLadder(t *testing.T) {
 	if got := attempts(p, 2, 1); len(got) != 1 || got[0] != 1 {
 		t.Errorf("Lower raised memory: attempts = %v, want [1]", got)
 	}
-	if p.Name() != "adaptive-retry" {
-		t.Error("name wrong")
-	}
 }
 
 // Property: AdaptiveRetry respects its attempt budget of 4 for any
@@ -146,7 +125,6 @@ func TestPolicyContract(t *testing.T) {
 		FixedWorstCase{Levels: 3},
 		NewLDPCInSSD(),
 		NewAdaptiveRetry(),
-		Oracle{},
 	}
 	meetsContract := func(got []int, required int) bool {
 		if len(got) == 0 || got[0] < 0 {
@@ -192,7 +170,7 @@ func TestPolicyContract(t *testing.T) {
 		attempts(p, 3, 7)
 		forgetter.Forget(3)
 		if got := attempts(p, 3, 0); len(got) != 1 || got[0] != 0 {
-			t.Errorf("%s: attempts after Forget = %v, want [0]", p.Name(), got)
+			t.Errorf("%T: attempts after Forget = %v, want [0]", p, got)
 		}
 	}
 }

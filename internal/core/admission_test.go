@@ -180,10 +180,10 @@ func TestShedDoesNotMovePercentiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i < sheds {
-				r.CountShed(req.Tenant)
+				r.CountShed()
 			}
 			if i < deadlines {
-				r.CountDeadlineExceeded(req.Tenant)
+				r.CountDeadlineExceeded()
 			}
 		}
 		return r.Finish("shed")
@@ -203,26 +203,10 @@ func TestShedDoesNotMovePercentiles(t *testing.T) {
 	if clean.AvgResponse != shed.AvgResponse {
 		t.Fatalf("shedding moved the mean: %g vs %g", clean.AvgResponse, shed.AvgResponse)
 	}
-	var tenantShed, tenantDeadline int64
 	for i, tm := range shed.Tenants {
-		tenantShed += tm.Shed
-		tenantDeadline += tm.DeadlineExceeded
 		if tm.P99Read != clean.Tenants[i].P99Read {
 			t.Fatalf("tenant %s p99 moved by shedding: %g vs %g",
 				tm.Name, tm.P99Read, clean.Tenants[i].P99Read)
 		}
-	}
-	if tenantShed != 500 || tenantDeadline != 200 {
-		t.Fatalf("tenant attribution lost rejections: shed %d deadline %d", tenantShed, tenantDeadline)
-	}
-	// Out-of-range tenant indexes must count runner-wide without panic.
-	r, err := NewRunner(DefaultOptions(Baseline, 6000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.CountShed(-1)
-	r.CountDeadlineExceeded(99)
-	if m := r.Finish("stray"); m.Shed != 1 || m.DeadlineExceeded != 1 {
-		t.Fatalf("stray-index rejections lost: %+v", m)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"flexlevel/internal/ftl"
+	"flexlevel/internal/ssd"
 	"flexlevel/internal/trace"
 )
 
@@ -91,7 +92,9 @@ const replayPoll = 256
 // arrival, exactly as a Prepare/Step/Finish loop does. With qd >= 1 at
 // most qd requests are in flight: each is submitted at the later of its
 // arrival and the completion of the request whose slot it takes, so
-// qd == 1 serializes requests back-to-back (closed loop at depth 1).
+// qd == 1 serializes requests back-to-back (closed loop at depth 1). A
+// write the device dropped (ssd.WriteDropped) is counted in the metrics
+// and the replay goes on.
 //
 // The loop checks ctx before the first request and then before every
 // replayPoll-th, so a deadline, SIGINT or server drain stops a replay
@@ -118,7 +121,7 @@ func (r *Runner) Replay(ctx context.Context, name string, reqs []trace.Request, 
 			at = w.Submit(at)
 		}
 		done, err := r.StepAt(req, at)
-		if err != nil {
+		if err != nil && !ssd.WriteDropped(err) {
 			return Metrics{}, err
 		}
 		if w != nil {
@@ -133,11 +136,13 @@ func (r *Runner) Replay(ctx context.Context, name string, reqs []trace.Request, 
 // than its recorded arrival — and returns the completion time of the
 // request's last page. Pages of one request are issued together at the
 // submit time; same-channel pages serialize in the device's FIFO, so the
-// request completes when its slowest page does. A failed write page
-// stops the request with a *WriteError naming how many pages went
-// through. It is the single-request surface of Replay, exported for
-// drivers that compute submit times themselves (per-tenant queue-depth
-// windows in the serve daemon).
+// request completes when its slowest page does. A write page the device
+// dropped (ssd.WriteDropped) does not stop the request: the later pages
+// are still issued, and StepAt returns the completion time with a
+// *WriteError for the first dropped page. Any other failed write page
+// stops the request with a *WriteError. It is the single-request
+// surface of Replay, exported for drivers that compute submit times
+// themselves (per-tenant queue-depth windows in the serve daemon).
 func (r *Runner) StepAt(req trace.Request, at time.Duration) (time.Duration, error) {
 	if r.device.Crashed() {
 		return 0, ftl.ErrPowerLoss
@@ -146,6 +151,8 @@ func (r *Runner) StepAt(req trace.Request, at time.Duration) (time.Duration, err
 		r.sizeReadSample()
 	}
 	done := at
+	var dropped *WriteError
+	stored := 0
 	for p := 0; p < req.Pages; p++ {
 		lpn := req.LPN + uint64(p)
 		if lpn >= r.opts.SSD.FTL.LogicalPages {
@@ -162,11 +169,18 @@ func (r *Runner) StepAt(req trace.Request, at time.Duration) (time.Duration, err
 			}
 		} else {
 			var err error
-			if resp, err = r.device.Write(at, lpn, r.writeState(lpn)); err != nil {
-				if errors.Is(err, ftl.ErrPowerLoss) {
-					return done, err
+			if resp, err = r.device.Write(at, lpn, r.writeState(lpn)); err == nil {
+				stored++
+			} else if errors.Is(err, ftl.ErrPowerLoss) {
+				return done, err
+			} else {
+				werr := &WriteError{Stored: stored, err: fmt.Errorf("core: %s write lpn %d: %w", r.opts.System, lpn, err)}
+				if !ssd.WriteDropped(err) {
+					return done, werr
 				}
-				return done, &WriteError{Page: p, err: fmt.Errorf("core: %s write lpn %d: %w", r.opts.System, lpn, err)}
+				if dropped == nil {
+					dropped = werr
+				}
 			}
 		}
 		if end := at + resp; end > done {
@@ -176,15 +190,19 @@ func (r *Runner) StepAt(req trace.Request, at time.Duration) (time.Duration, err
 	if r.tenants != nil {
 		r.observeTenant(req, at, done)
 	}
+	if dropped != nil {
+		dropped.Stored = stored
+		return done, dropped
+	}
 	return done, nil
 }
 
-// WriteError is StepAt's error for a write request whose page Page
-// failed: the request's pages before it are programmed and remapped,
-// the rest are not.
+// WriteError is StepAt's error for a write request some page of which
+// was not stored. Stored counts the request's pages that were programmed
+// and remapped: with Stored 0 the request changed nothing.
 type WriteError struct {
-	Page int
-	err  error
+	Stored int
+	err    error
 }
 
 func (e *WriteError) Error() string { return e.err.Error() }

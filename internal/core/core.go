@@ -13,7 +13,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -261,7 +260,7 @@ func NewRunner(opts Options) (*Runner, error) {
 	r := &Runner{opts: opts, device: device}
 	if opts.System == FlexLevel {
 		p := opts.AccessEval
-		if p.Lf == 0 {
+		if p == (accesseval.Params{}) {
 			p = accesseval.DefaultParams(opts.SSD.FTL.LogicalPages)
 		}
 		ctrl, err := accesseval.New(p)
@@ -332,7 +331,8 @@ func (r *Runner) sizeReadSample() {
 // Step replays one request. A device felled by a power loss (before the
 // call or on any page of it) surfaces as an error matching
 // ftl.ErrPowerLoss; the caller decides whether that is fatal or the cue
-// to run ssd.Device.Restart and resume.
+// to run ssd.Device.Restart and resume. A dropped write surfaces as in
+// StepAt; Replay counts it and goes on.
 func (r *Runner) Step(req trace.Request) error {
 	_, err := r.StepAt(req, req.Arrival)
 	return err
@@ -356,7 +356,7 @@ func (r *Runner) preload(pages uint64) error {
 		return r.device.PreloadState(pages, ftl.ReducedState)
 	}
 	for lpn := uint64(0); lpn < pages; lpn++ {
-		if _, err := r.device.Write(0, lpn, ftl.ReducedState); err != nil {
+		if _, err := r.device.Write(0, lpn, ftl.ReducedState); err != nil && !ssd.WriteDropped(err) {
 			return fmt.Errorf("core: leveladjust-only preload: %w", err)
 		}
 	}
@@ -372,7 +372,7 @@ func (r *Runner) read(now time.Duration, lpn uint64) (time.Duration, error) {
 	dec := r.ctrl.OnRead(lpn, levels)
 	for _, victim := range dec.Evict {
 		if err := r.device.Migrate(now, victim, ftl.NormalState); err != nil {
-			if migrationSkippable(err) {
+			if ftl.WriteRefused(err) {
 				continue
 			}
 			r.ctrl.Remove(lpn) // the admission's own move is never tried
@@ -383,21 +383,12 @@ func (r *Runner) read(now time.Duration, lpn uint64) (time.Duration, error) {
 		if err := r.device.Migrate(now, lpn, ftl.ReducedState); err != nil {
 			// The page stays where it was: take the admission back.
 			r.ctrl.Remove(lpn)
-			if !migrationSkippable(err) {
+			if !ftl.WriteRefused(err) {
 				return resp, fmt.Errorf("core: migrate lpn %d: %w", lpn, err)
 			}
 		}
 	}
 	return resp, nil
-}
-
-// migrationSkippable reports whether a background pool conversion may be
-// silently skipped: a degraded, write-failing or out-of-blocks device
-// keeps serving the data from its current pool, so AccessEval
-// migrations are best-effort.
-func migrationSkippable(err error) bool {
-	return errors.Is(err, ftl.ErrDegraded) || errors.Is(err, ftl.ErrWriteFailed) ||
-		errors.Is(err, ftl.ErrNoFreeBlocks)
 }
 
 func (r *Runner) metrics(workload string) Metrics {

@@ -215,3 +215,35 @@ func TestEvictionPowerLossTakesBackAdmission(t *testing.T) {
 		t.Errorf("lpn %d stays in the AccessEval pool although power died before it moved", lpn)
 	}
 }
+
+// TestStepAtReportsDroppedWrite: a write page whose program fails on
+// every retry does not stop its request — the later pages are still
+// written — but StepAt reports it as a *WriteError counting the stored
+// pages, and the device counts the dropped write.
+func TestStepAtReportsDroppedWrite(t *testing.T) {
+	opts := fastOptions(Baseline, 6000)
+	// Preloading 1024 pages makes program checks 0-1023; the next ones
+	// fail, one more than the FTL retries: the request's first page is
+	// dropped.
+	for i := int64(0); i <= ftl.DefaultProgramRetries; i++ {
+		opts.SSD.Faults.Script = append(opts.SSD.Faults.Script, fault.ScriptEvent{Op: fault.Program, Index: 1024 + i})
+	}
+	r, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Prepare(nil, 1024); err != nil {
+		t.Fatal(err)
+	}
+	done, err := r.StepAt(trace.Request{Op: trace.Write, LPN: 5, Pages: 3}, time.Second)
+	var we *WriteError
+	if !errors.As(err, &we) || !errors.Is(err, ftl.ErrWriteFailed) || we.Stored != 2 {
+		t.Fatalf("StepAt = %v, want a *WriteError for ErrWriteFailed with 2 pages stored", err)
+	}
+	if done <= time.Second {
+		t.Errorf("completion %v not after the submit time", done)
+	}
+	if m := r.Finish("dropped"); m.WriteFailures != 1 {
+		t.Errorf("WriteFailures = %d, want 1", m.WriteFailures)
+	}
+}

@@ -26,12 +26,6 @@ type TenantMetrics struct {
 	P50Read  float64
 	P95Read  float64
 	P99Read  float64
-
-	// Admission outcomes attributed to this tenant (serve daemon).
-	// Rejected requests are counted here and nowhere else: they have no
-	// completion, so they never contribute a latency sample above.
-	Shed             int64
-	DeadlineExceeded int64
 }
 
 // tenantTrack accumulates one tenant's request latencies during replay.
@@ -39,8 +33,6 @@ type tenantTrack struct {
 	name     string
 	requests int64
 	writes   int64
-	shed     int64
-	deadline int64
 	reads    *stats.Sample
 }
 
@@ -74,26 +66,14 @@ func (r *Runner) observeTenant(req trace.Request, at, done time.Duration) {
 }
 
 // CountShed records a load-shed request — rejected by admission control
-// before reaching the device — against the runner and, when tracking is
-// enabled and the index is in range, against its tenant. Shed requests
-// deliberately produce no latency sample: percentiles describe admitted
-// traffic only.
-func (r *Runner) CountShed(tenant int) {
-	r.shed++
-	if tenant >= 0 && tenant < len(r.tenants) {
-		r.tenants[tenant].shed++
-	}
-}
+// before reaching the device. Shed requests deliberately produce no
+// latency sample: percentiles describe admitted traffic only.
+func (r *Runner) CountShed() { r.shed++ }
 
 // CountDeadlineExceeded records a queued request cancelled because its
 // deadline passed before it could be submitted. Like CountShed, it adds
 // no latency sample.
-func (r *Runner) CountDeadlineExceeded(tenant int) {
-	r.deadlineExceeded++
-	if tenant >= 0 && tenant < len(r.tenants) {
-		r.tenants[tenant].deadline++
-	}
-}
+func (r *Runner) CountDeadlineExceeded() { r.deadlineExceeded++ }
 
 // tenantMetrics snapshots the per-tenant accumulators.
 func (r *Runner) tenantMetrics() []TenantMetrics {
@@ -104,16 +84,14 @@ func (r *Runner) tenantMetrics() []TenantMetrics {
 	for i, t := range r.tenants {
 		q := t.reads.Percentiles(50, 95, 99)
 		out[i] = TenantMetrics{
-			Name:             t.name,
-			Requests:         t.requests,
-			Reads:            int64(t.reads.N()),
-			Writes:           t.writes,
-			AvgRead:          t.reads.Mean(),
-			P50Read:          q[0],
-			P95Read:          q[1],
-			P99Read:          q[2],
-			Shed:             t.shed,
-			DeadlineExceeded: t.deadline,
+			Name:     t.name,
+			Requests: t.requests,
+			Reads:    int64(t.reads.N()),
+			Writes:   t.writes,
+			AvgRead:  t.reads.Mean(),
+			P50Read:  q[0],
+			P95Read:  q[1],
+			P99Read:  q[2],
 		}
 	}
 	return out

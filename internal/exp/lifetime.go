@@ -16,7 +16,6 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -28,6 +27,7 @@ import (
 	"flexlevel/internal/fault"
 	"flexlevel/internal/ftl"
 	"flexlevel/internal/runner"
+	"flexlevel/internal/ssd"
 )
 
 // LifetimePolicies are the compared scrub/refresh policies.
@@ -36,11 +36,19 @@ const (
 	// accumulate until host overwrites or GC happen to refresh a page.
 	PolicyNone = "none"
 	// PolicyScrub rewrites every mapped page on a fixed interval
-	// (ScrubEveryEpochs), regardless of its health.
+	// (scrubEveryEpochs), regardless of its health.
 	PolicyScrub = "scrub"
 	// PolicyThreshold rewrites only the pages whose patrol read needed
-	// at least RefreshLevels extra sensing levels (or was unreadable).
+	// at least refreshLevels extra sensing levels (or was unreadable).
 	PolicyThreshold = "threshold"
+)
+
+const (
+	// scrubEveryEpochs is PolicyScrub's rewrite interval.
+	scrubEveryEpochs = 4
+	// refreshLevels is PolicyThreshold's trigger: patrol reads needing
+	// at least this many extra sensing levels are rewritten.
+	refreshLevels = 6
 )
 
 // LifetimePolicies lists the policy grid in sweep order.
@@ -72,12 +80,6 @@ type LifetimeParams struct {
 	// retirements) while leaving most of the device aging undisturbed.
 	WritesPerEpoch int
 
-	// ScrubEveryEpochs is PolicyScrub's rewrite interval.
-	ScrubEveryEpochs int
-	// RefreshLevels is PolicyThreshold's trigger: patrol reads needing
-	// at least this many extra sensing levels are rewritten.
-	RefreshLevels int
-
 	// FaultScale multiplies the end-of-life failure curves (grown-bad
 	// and erase-failure retirement rates). 1 is the calibrated default;
 	// the golden harness scales it down so a tiny device still shows a
@@ -90,16 +92,14 @@ type LifetimeParams struct {
 // rated endurance).
 func DefaultLifetime() LifetimeParams {
 	return LifetimeParams{
-		PagesPerBlock:    256,
-		Blocks:           4200,
-		LogicalPages:     768 * 1024,
-		SpareBlocks:      64,
-		EpochHours:       120,
-		MaxEpochs:        30,
-		WritesPerEpoch:   16384,
-		ScrubEveryEpochs: 4,
-		RefreshLevels:    6,
-		FaultScale:       1,
+		PagesPerBlock:  256,
+		Blocks:         4200,
+		LogicalPages:   768 * 1024,
+		SpareBlocks:    64,
+		EpochHours:     120,
+		MaxEpochs:      30,
+		WritesPerEpoch: 16384,
+		FaultScale:     1,
 	}
 }
 
@@ -184,15 +184,6 @@ type lifetimeCell struct {
 	Policy string
 }
 
-// lifetimeEOL reports whether err is the device reaching the end of its
-// write service life rather than a simulation failure: graceful
-// degradation, a program that exhausted its retries, or GC finding no
-// block left to reclaim into. Reads survive all three.
-func lifetimeEOL(err error) bool {
-	return errors.Is(err, ftl.ErrDegraded) || errors.Is(err, ftl.ErrWriteFailed) ||
-		errors.Is(err, ftl.ErrNoFreeBlocks)
-}
-
 // pageBytes is the payload of one 16KB logical page.
 const pageBytes = pageBits / 8
 
@@ -272,8 +263,10 @@ func lifetimeShard(s runner.Shard, c lifetimeCell, cfg SimConfig, p LifetimePara
 		// blocks through GC while leaving ~98% of the device aging.
 		for i := 0; i < p.WritesPerEpoch && !readOnly; i++ {
 			lpn := uint64(rng.Int63n(int64(logical)))
-			if _, err := dev.Write(now, lpn, state); err != nil {
-				if !lifetimeEOL(err) {
+			// A dropped write loses only itself: the trickle goes on
+			// until the device degrades.
+			if _, err := dev.Write(now, lpn, state); err != nil && !ssd.WriteDropped(err) {
+				if !ftl.WriteRefused(err) {
 					return rows, err
 				}
 				readOnly = true
@@ -285,7 +278,7 @@ func lifetimeShard(s runner.Shard, c lifetimeCell, cfg SimConfig, p LifetimePara
 		// the policy rewrite what it wants to. Patrols are pure reads
 		// and keep working on a read-only device; only the refresh
 		// rewrites stop.
-		scrub := c.Policy == PolicyScrub && epoch%p.ScrubEveryEpochs == 0
+		scrub := c.Policy == PolicyScrub && epoch%scrubEveryEpochs == 0
 		for lpn := uint64(0); lpn < logical; lpn++ {
 			levels, readable := dev.Patrol(lpn, now)
 			patrolled++
@@ -294,14 +287,14 @@ func lifetimeShard(s runner.Shard, c lifetimeCell, cfg SimConfig, p LifetimePara
 			}
 			refresh := scrub
 			if c.Policy == PolicyThreshold {
-				refresh = !readable || levels >= p.RefreshLevels
+				refresh = !readable || levels >= refreshLevels
 			}
 			if !refresh || readOnly {
 				continue
 			}
 			if _, cur, ok := dev.FTL().Lookup(lpn); ok {
 				if err := dev.Migrate(now, lpn, cur); err != nil {
-					if !lifetimeEOL(err) {
+					if !ftl.WriteRefused(err) {
 						return rows, err
 					}
 					readOnly = true

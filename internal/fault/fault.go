@@ -3,9 +3,11 @@
 // (Cai et al., PAPERS.md): program-status failures, erase failures,
 // grown bad blocks and transient uncorrectable reads all become more
 // likely as a block accumulates P/E cycles. The injector models each
-// fault class with a Weibull/exponential rate curve of block wear, and
-// additionally supports a table-driven "script" mode that fires exact
-// faults at exact operation indexes for reproducible tests.
+// media fault class with a Weibull/exponential rate curve of block
+// wear, and additionally supports a table-driven "script" mode that
+// fires exact faults at exact operation indexes for reproducible tests.
+// Power loss is not a wear effect and has no curve: it fires only where
+// a script puts it.
 //
 // Determinism: every stochastic draw comes from a private source seeded
 // by Config.Seed and draws occur in check order, so a given Config and
@@ -44,7 +46,7 @@ const (
 	// operation, so a script event {PowerLoss, N} means "die during the
 	// Nth NAND program/erase" (0-based) — mid-GC, mid-migration,
 	// mid-retirement, or between the two program steps of a reduced
-	// page, depending on where N lands.
+	// page, depending on where N lands. Only a script fires it.
 	PowerLoss
 	// NumOps is the number of fault classes.
 	NumOps
@@ -147,12 +149,11 @@ type ScriptEvent struct {
 type Config struct {
 	Seed int64
 
-	// One rate curve per fault class.
-	Program   RateCurve
-	Erase     RateCurve
-	Grown     RateCurve
-	Read      RateCurve
-	PowerLoss RateCurve
+	// One rate curve per media fault class.
+	Program RateCurve
+	Erase   RateCurve
+	Grown   RateCurve
+	Read    RateCurve
 
 	// Script, when non-empty, replaces the stochastic curves entirely:
 	// exactly the listed checks fail and nothing else, with no RNG use.
@@ -163,7 +164,7 @@ type Config struct {
 func (c Config) Enabled() bool {
 	return len(c.Script) > 0 ||
 		!c.Program.Zero() || !c.Erase.Zero() || !c.Grown.Zero() ||
-		!c.Read.Zero() || !c.PowerLoss.Zero()
+		!c.Read.Zero()
 }
 
 // Scaled returns a copy with every curve's probability multiplied by m
@@ -177,7 +178,6 @@ func (c Config) Scaled(m float64) Config {
 	c.Erase = c.Erase.scaled(m)
 	c.Grown = c.Grown.scaled(m)
 	c.Read = c.Read.scaled(m)
-	c.PowerLoss = c.PowerLoss.scaled(m)
 	return c
 }
 
@@ -188,7 +188,7 @@ func (c Config) Validate() error {
 		curve RateCurve
 	}{
 		{"program", c.Program}, {"erase", c.Erase}, {"grown", c.Grown},
-		{"read", c.Read}, {"power-loss", c.PowerLoss},
+		{"read", c.Read},
 	} {
 		if err := cl.curve.Validate(); err != nil {
 			return fmt.Errorf("%w (%s class)", err, cl.name)
@@ -270,7 +270,7 @@ func (i *Injector) Stats() Stats {
 	return i.stats
 }
 
-// curve returns the rate curve of a class.
+// curve returns the rate curve of a class; PowerLoss has none.
 func (i *Injector) curve(op Op) RateCurve {
 	switch op {
 	case Program:
@@ -279,10 +279,10 @@ func (i *Injector) curve(op Op) RateCurve {
 		return i.cfg.Erase
 	case Grown:
 		return i.cfg.Grown
-	case PowerLoss:
-		return i.cfg.PowerLoss
-	default:
+	case Read:
 		return i.cfg.Read
+	default:
+		return RateCurve{}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"flexlevel/internal/bitset"
 	"flexlevel/internal/fault"
+	"flexlevel/internal/reducecode"
 )
 
 // ErrDegraded is returned by Write/Migrate once the device has lost so
@@ -33,6 +34,16 @@ var ErrWriteFailed = errors.New("ftl: program retries exhausted")
 // degraded-mode capacity check could notice. Like ErrDegraded it marks
 // the end of write service; stored data stays readable.
 var ErrNoFreeBlocks = errors.New("ftl: out of free blocks")
+
+// WriteRefused reports whether err is the FTL failing to store a write
+// while the data it already holds stays readable: degraded mode, a
+// program that exhausted its retries, or no free block to append into.
+// The lifetime sweep reads it as the end of write life; AccessEval
+// skips a pool conversion that hits it.
+func WriteRefused(err error) bool {
+	return errors.Is(err, ErrDegraded) || errors.Is(err, ErrWriteFailed) ||
+		errors.Is(err, ErrNoFreeBlocks)
+}
 
 // ErrEmptyBlock is returned by RetireBlock for a block that holds no
 // programmed page: a free or reserved spare block. Retiring one would
@@ -131,7 +142,7 @@ func DefaultConfig() Config {
 		LogicalPages:  logical,
 		PagesPerBlock: ppb,
 		Blocks:        blocks,
-		ReducedFactor: 0.75,
+		ReducedFactor: reducecode.CapacityFactor,
 		GCThreshold:   4,
 		GCTarget:      5,
 		InitialPE:     0,
@@ -197,15 +208,6 @@ type OpCount struct {
 	// MetaPrograms counts metadata-page programs (journal flushes and
 	// checkpoint pages); zero unless the journal is enabled.
 	MetaPrograms int
-}
-
-// Add accumulates other into o.
-func (o *OpCount) Add(other OpCount) {
-	o.Programs += other.Programs
-	o.CopyReads += other.CopyReads
-	o.Erases += other.Erases
-	o.GCRuns += other.GCRuns
-	o.MetaPrograms += other.MetaPrograms
 }
 
 // Stats are cumulative FTL counters.

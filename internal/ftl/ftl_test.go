@@ -333,14 +333,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestOpCountAdd(t *testing.T) {
-	a := OpCount{Programs: 1, CopyReads: 2, Erases: 3, GCRuns: 4, MetaPrograms: 5}
-	a.Add(OpCount{Programs: 10, CopyReads: 20, Erases: 30, GCRuns: 40, MetaPrograms: 50})
-	if a != (OpCount{11, 22, 33, 44, 55}) {
-		t.Errorf("Add = %+v", a)
-	}
-}
-
 func TestBlockStateString(t *testing.T) {
 	if NormalState.String() != "normal" || ReducedState.String() != "reduced" {
 		t.Error("BlockState strings wrong")

@@ -6,12 +6,19 @@ package hotdata
 
 import "fmt"
 
+// The identifier's shape, sized for a ~64Ki-page working set: V = 4
+// bloom filters (the maximum frequency level) of 2^18 bits each, probed
+// by 2 hash functions per insert. FilterBits is a power of two, so a bit
+// position reduces with a mask.
+const (
+	Filters    = 4
+	FilterBits = 1 << 18
+	hashes     = 2
+)
+
 // Identifier tracks approximate read frequency per LPN.
 type Identifier struct {
-	filters  [][]uint64 // V bit arrays
-	bits     uint64     // bits per filter
-	mask     uint64     // bits-1 when bits is a power of two, else 0
-	hashes   int
+	filters  [Filters][]uint64
 	window   int // accesses between rotations
 	accesses int // since the last rotation
 	current  int // filter receiving inserts
@@ -19,43 +26,22 @@ type Identifier struct {
 
 // Config parameterizes an Identifier.
 type Config struct {
-	Filters       int // V: number of bloom filters (max frequency level)
-	BitsPerFilter int // size of each filter in bits
-	Hashes        int // hash functions per insert
-	Window        int // accesses between filter rotations (decay rate)
+	Window int // accesses between filter rotations (decay rate)
 }
 
-// DefaultConfig sizes the identifier for a ~64Ki-page working set.
+// DefaultConfig rotates every 4096 accesses.
 func DefaultConfig() Config {
-	return Config{Filters: 4, BitsPerFilter: 1 << 18, Hashes: 2, Window: 4096}
+	return Config{Window: 4096}
 }
 
 // New builds an Identifier.
 func New(cfg Config) (*Identifier, error) {
-	if cfg.Filters < 2 {
-		return nil, fmt.Errorf("hotdata: need at least 2 filters, have %d", cfg.Filters)
-	}
-	if cfg.BitsPerFilter < 64 {
-		return nil, fmt.Errorf("hotdata: filter size %d too small", cfg.BitsPerFilter)
-	}
-	if cfg.Hashes < 1 {
-		return nil, fmt.Errorf("hotdata: need at least 1 hash, have %d", cfg.Hashes)
-	}
 	if cfg.Window < 1 {
 		return nil, fmt.Errorf("hotdata: window %d too small", cfg.Window)
 	}
-	id := &Identifier{
-		filters: make([][]uint64, cfg.Filters),
-		bits:    uint64(cfg.BitsPerFilter),
-		hashes:  cfg.Hashes,
-		window:  cfg.Window,
-	}
-	if id.bits&(id.bits-1) == 0 {
-		id.mask = id.bits - 1
-	}
-	words := (cfg.BitsPerFilter + 63) / 64
+	id := &Identifier{window: cfg.Window}
 	for i := range id.filters {
-		id.filters[i] = make([]uint64, words)
+		id.filters[i] = make([]uint64, FilterBits/64)
 	}
 	return id, nil
 }
@@ -86,14 +72,9 @@ func newProbe(lpn uint64) probe {
 	return probe{h1: h1, h2: h1>>33 | h1<<31}
 }
 
-// pos returns the i-th bit position of the probe; a power-of-two filter
-// size reduces it with a mask instead of a 64-bit division.
-func (id *Identifier) pos(pb probe, i int) uint64 {
-	h := pb.h1 + uint64(i)*pb.h2
-	if id.mask != 0 {
-		return h & id.mask
-	}
-	return h % id.bits
+// pos returns the i-th bit position of the probe.
+func pos(pb probe, i int) uint64 {
+	return (pb.h1 + uint64(i)*pb.h2) & (FilterBits - 1)
 }
 
 // Record notes one read access to lpn.
@@ -109,9 +90,9 @@ func (id *Identifier) RecordLevel(lpn uint64, nLevels int) int {
 
 func (id *Identifier) record(pb probe) {
 	f := id.filters[id.current]
-	for i := 0; i < id.hashes; i++ {
-		pos := id.pos(pb, i)
-		f[pos/64] |= 1 << (pos % 64)
+	for i := 0; i < hashes; i++ {
+		p := pos(pb, i)
+		f[p/64] |= 1 << (p % 64)
 	}
 	id.accesses++
 	if id.accesses == id.window {
@@ -131,9 +112,9 @@ func (id *Identifier) rotate() {
 
 // contains reports whether filter f claims the probed LPN.
 func (id *Identifier) contains(f []uint64, pb probe) bool {
-	for i := 0; i < id.hashes; i++ {
-		pos := id.pos(pb, i)
-		if f[pos/64]&(1<<(pos%64)) == 0 {
+	for i := 0; i < hashes; i++ {
+		p := pos(pb, i)
+		if f[p/64]&(1<<(p%64)) == 0 {
 			return false
 		}
 	}
@@ -146,7 +127,7 @@ func (id *Identifier) Frequency(lpn uint64) int { return id.frequency(newProbe(l
 
 func (id *Identifier) frequency(pb probe) int {
 	n := 0
-	for _, f := range id.filters {
+	for _, f := range &id.filters {
 		if id.contains(f, pb) {
 			n++
 		}
@@ -155,7 +136,7 @@ func (id *Identifier) frequency(pb probe) int {
 }
 
 // MaxFrequency returns the largest value Frequency can report.
-func (id *Identifier) MaxFrequency() int { return len(id.filters) }
+func (id *Identifier) MaxFrequency() int { return Filters }
 
 // FreqLevel buckets the frequency into levels 1..nLevels (the paper's
 // L_f). Frequency 0 maps to level 1 (cold); the level thresholds divide
@@ -179,7 +160,7 @@ func (id *Identifier) freqLevel(pb probe, nLevels int) int {
 
 // Reset clears all filters.
 func (id *Identifier) Reset() {
-	for _, f := range id.filters {
+	for _, f := range &id.filters {
 		for i := range f {
 			f[i] = 0
 		}

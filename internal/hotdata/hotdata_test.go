@@ -10,15 +10,9 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	cases := []Config{
-		{Filters: 1, BitsPerFilter: 1024, Hashes: 2, Window: 64},
-		{Filters: 4, BitsPerFilter: 32, Hashes: 2, Window: 64},
-		{Filters: 4, BitsPerFilter: 1024, Hashes: 0, Window: 64},
-		{Filters: 4, BitsPerFilter: 1024, Hashes: 2, Window: 0},
-	}
-	for i, c := range cases {
-		if _, err := New(c); err == nil {
-			t.Errorf("case %d: invalid config accepted: %+v", i, c)
+	for _, w := range []int{0, -1} {
+		if _, err := New(Config{Window: w}); err == nil {
+			t.Errorf("window %d accepted", w)
 		}
 	}
 	if _, err := New(DefaultConfig()); err != nil {
@@ -27,7 +21,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestFrequencyGrowsWithAccesses(t *testing.T) {
-	id, err := New(Config{Filters: 4, BitsPerFilter: 1 << 16, Hashes: 2, Window: 100})
+	id, err := New(Config{Window: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +47,7 @@ func TestFrequencyGrowsWithAccesses(t *testing.T) {
 }
 
 func TestDecayByRotation(t *testing.T) {
-	id, err := New(Config{Filters: 3, BitsPerFilter: 1 << 16, Hashes: 2, Window: 10})
+	id, err := New(Config{Window: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +57,7 @@ func TestDecayByRotation(t *testing.T) {
 		t.Fatalf("frequency after one access = %d, want 1", f)
 	}
 	// Push enough cold accesses to rotate through every filter.
-	for i := 0; i < 35; i++ {
+	for i := 0; i < 10*Filters-1; i++ {
 		id.Record(uint64(100 + i))
 	}
 	if f := id.Frequency(page); f != 0 {
@@ -72,7 +66,7 @@ func TestDecayByRotation(t *testing.T) {
 }
 
 func TestFreqLevelBuckets(t *testing.T) {
-	id, err := New(Config{Filters: 4, BitsPerFilter: 1 << 16, Hashes: 2, Window: 1 << 30})
+	id, err := New(Config{Window: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +91,17 @@ func TestFreqLevelBuckets(t *testing.T) {
 }
 
 func TestMaxFrequency(t *testing.T) {
-	id, err := New(Config{Filters: 5, BitsPerFilter: 1 << 12, Hashes: 2, Window: 16})
+	id, err := New(Config{Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id.MaxFrequency() != 5 {
-		t.Errorf("MaxFrequency = %d, want 5", id.MaxFrequency())
+	if id.MaxFrequency() != 4 {
+		t.Errorf("MaxFrequency = %d, want 4 (the paper's V)", id.MaxFrequency())
 	}
 }
 
 func TestReset(t *testing.T) {
-	id, err := New(Config{Filters: 3, BitsPerFilter: 1 << 12, Hashes: 2, Window: 4})
+	id, err := New(Config{Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,67 +147,59 @@ func TestBitPositionsMatchFNV(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		lpns = append(lpns, rng.Uint64())
 	}
-	for _, cfg := range []Config{
-		DefaultConfig(),
-		{Filters: 2, BitsPerFilter: 1000, Hashes: 8, Window: 1 << 20},
-	} {
-		for _, lpn := range lpns {
-			h := fnv.New64a()
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], lpn)
-			h.Write(buf[:])
-			h1 := h.Sum64()
-			h2 := h1>>33 | h1<<31
-			want := map[uint64]bool{}
-			id, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, lpn := range lpns {
+		h := fnv.New64a()
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], lpn)
+		h.Write(buf[:])
+		h1 := h.Sum64()
+		h2 := h1>>33 | h1<<31
+		want := map[uint64]bool{}
+		id, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb := newProbe(lpn)
+		for i := 0; i < hashes; i++ {
+			ref := (h1 + uint64(i)*h2) % FilterBits
+			if got := pos(pb, i); got != ref {
+				t.Fatalf("lpn %#x hash %d: bit %d, hash/fnv reference %d", lpn, i, got, ref)
 			}
-			pb := newProbe(lpn)
-			for i := 0; i < cfg.Hashes; i++ {
-				ref := (h1 + uint64(i)*h2) % uint64(cfg.BitsPerFilter)
-				if got := id.pos(pb, i); got != ref {
-					t.Fatalf("lpn %#x hash %d: bit %d, hash/fnv reference %d", lpn, i, got, ref)
-				}
-				want[ref] = true
+			want[ref] = true
+		}
+		id.Record(lpn)
+		set := 0
+		for _, word := range id.filters[0] {
+			set += bits.OnesCount64(word)
+		}
+		for p := range want {
+			if id.filters[0][p/64]&(1<<(p%64)) == 0 {
+				t.Fatalf("lpn %#x: reference bit %d not set", lpn, p)
 			}
-			id.Record(lpn)
-			set := 0
-			for _, word := range id.filters[0] {
-				set += bits.OnesCount64(word)
-			}
-			for pos := range want {
-				if id.filters[0][pos/64]&(1<<(pos%64)) == 0 {
-					t.Fatalf("lpn %#x: reference bit %d not set", lpn, pos)
-				}
-			}
-			if set != len(want) {
-				t.Fatalf("lpn %#x: %d bits set, reference sets %d", lpn, set, len(want))
-			}
+		}
+		if set != len(want) {
+			t.Fatalf("lpn %#x: %d bits set, reference sets %d", lpn, set, len(want))
 		}
 	}
 }
 
 // TestRecordLevelMatchesRecordThenFreqLevel: the one-hash RecordLevel
-// answers what Record followed by FreqLevel does, at a power-of-two and
-// a non-power-of-two filter size, across rotations.
+// answers what Record followed by FreqLevel does, across rotations.
 func TestRecordLevelMatchesRecordThenFreqLevel(t *testing.T) {
-	for _, bits := range []int{1 << 10, 1000} {
-		cfg := Config{Filters: 4, BitsPerFilter: bits, Hashes: 3, Window: 37}
-		a, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := New(cfg)
-		rng := rand.New(rand.NewSource(int64(bits)))
-		for i := 0; i < 5000; i++ {
-			lpn := uint64(rng.Intn(300))
-			levels := 1 + rng.Intn(4)
-			got := a.RecordLevel(lpn, levels)
-			b.Record(lpn)
-			if want := b.FreqLevel(lpn, levels); got != want {
-				t.Fatalf("bits %d access %d lpn %d: RecordLevel %d, Record+FreqLevel %d", bits, i, lpn, got, want)
-			}
+	cfg := Config{Window: 37}
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := New(cfg)
+	rng := rand.New(rand.NewSource(1 << 10))
+	for i := 0; i < 5000; i++ {
+		lpn := uint64(rng.Intn(300))
+		levels := 1 + rng.Intn(4)
+		got := a.RecordLevel(lpn, levels)
+		b.Record(lpn)
+		if want := b.FreqLevel(lpn, levels); got != want {
+			t.Fatalf("access %d lpn %d: RecordLevel %d, Record+FreqLevel %d", i, lpn, got, want)
 		}
 	}
 }

@@ -197,23 +197,24 @@ func (r LevelRule) TriggerBER() float64 {
 // Timing is the NAND operation latency model of paper Table 6, plus the
 // cost of soft sensing: each extra sensing level re-senses and re-
 // transfers the page, adding one base read latency — which reproduces
-// the paper's "7x higher read latency" at six extra levels.
+// the paper's "7x higher read latency" at six extra levels. The LDPC
+// decode pipeline is not charged: the paper's latencies hold sensing
+// and transfer only.
 type Timing struct {
 	Read          time.Duration // base read: sense + transfer
 	Program       time.Duration
 	Erase         time.Duration
 	ExtraPerLevel time.Duration // added per extra soft sensing level
-	Decode        time.Duration // LDPC decode pipeline cost per read
 }
 
 // DefaultTiming returns Table 6: read 90µs, program 1000µs, erase 3ms.
+// It is the one timing the device charges.
 func DefaultTiming() Timing {
 	return Timing{
 		Read:          90 * time.Microsecond,
 		Program:       1000 * time.Microsecond,
 		Erase:         3 * time.Millisecond,
 		ExtraPerLevel: 90 * time.Microsecond,
-		Decode:        0,
 	}
 }
 
@@ -223,18 +224,17 @@ func (t Timing) ReadLatency(extraLevels int) time.Duration {
 	if extraLevels < 0 {
 		extraLevels = 0
 	}
-	return t.Read + time.Duration(extraLevels)*t.ExtraPerLevel + t.Decode
+	return t.Read + time.Duration(extraLevels)*t.ExtraPerLevel
 }
 
 // CalibrationLatency returns the cost of a read-threshold recalibration
 // that issued probes re-sense probes: each probe senses the page once at
-// a candidate reference shift and runs the decode pipeline to observe
-// the levels needed there. Extra soft levels are not charged per probe —
+// a candidate reference shift to observe the levels needed there. Extra soft levels are not charged per probe —
 // a probe is a single hard sense; the ladder pays for soft levels only
 // on the final re-read it actually serves.
 func (t Timing) CalibrationLatency(probes int) time.Duration {
 	if probes < 0 {
 		probes = 0
 	}
-	return time.Duration(probes) * (t.Read + t.Decode)
+	return time.Duration(probes) * t.Read
 }

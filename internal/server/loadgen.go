@@ -26,19 +26,21 @@ type LoadConfig struct {
 	// Tenants lists target tenant names with their request budget and
 	// address-space size (the tenant's WorkingSet).
 	Tenants []LoadTenant
-	// Workers is the closed-loop worker count per tenant.
+	// Workers is the closed-loop worker count per tenant, at least 1.
 	Workers int
-	// ReadRatio is the read fraction of generated ops.
+	// ReadRatio is the read fraction of generated ops, in [0, 1].
 	ReadRatio float64
 	// MaxPages bounds each op's page count (uniform in [1, MaxPages]).
 	MaxPages int
 	// Seed drives every worker's generator (worker seeds derive from it).
 	Seed int64
 	// BackoffBase/BackoffCap shape the retry backoff: attempt n sleeps
-	// min(cap, base·2ⁿ) scaled by a uniform jitter in [0.5, 1).
+	// min(cap, base·2ⁿ) scaled by a uniform jitter in [0.5, 1). Both are
+	// positive and BackoffCap >= BackoffBase.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// MaxRetries bounds retries per op; past it the op counts as Failed.
+	// MaxRetries bounds retries per op (0 retries none); past it the op
+	// counts as Failed.
 	MaxRetries int
 	// Client overrides the HTTP client (tests inject the httptest one).
 	// Nil gets NewLoadClient sized to the run's total worker count, so
@@ -115,26 +117,30 @@ type LoadResult struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
-func (c LoadConfig) withDefaults() LoadConfig {
-	if c.Workers < 1 {
-		c.Workers = 4
+// validate refuses a config Load cannot run as given, naming the field.
+func (c LoadConfig) validate() error {
+	switch {
+	case len(c.Tenants) == 0:
+		return fmt.Errorf("server: load needs at least one tenant")
+	case c.Workers < 1:
+		return fmt.Errorf("server: load Workers %d, want >= 1", c.Workers)
+	case !(c.ReadRatio >= 0 && c.ReadRatio <= 1):
+		return fmt.Errorf("server: load ReadRatio %g, want within [0, 1]", c.ReadRatio)
+	case c.MaxPages < 1:
+		return fmt.Errorf("server: load MaxPages %d, want >= 1", c.MaxPages)
+	case c.BackoffBase <= 0:
+		return fmt.Errorf("server: load BackoffBase %v, want > 0", c.BackoffBase)
+	case c.BackoffCap < c.BackoffBase:
+		return fmt.Errorf("server: load BackoffCap %v, want >= BackoffBase %v", c.BackoffCap, c.BackoffBase)
+	case c.MaxRetries < 0:
+		return fmt.Errorf("server: load MaxRetries %d, want >= 0", c.MaxRetries)
 	}
-	if c.ReadRatio <= 0 || c.ReadRatio > 1 {
-		c.ReadRatio = 0.8
+	for _, t := range c.Tenants {
+		if t.Window == 0 || t.Requests < 0 {
+			return fmt.Errorf("server: load tenant %q needs a window and a request budget", t.Name)
+		}
 	}
-	if c.MaxPages < 1 {
-		c.MaxPages = 4
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 200 * time.Microsecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 50 * time.Millisecond
-	}
-	if c.MaxRetries < 1 {
-		c.MaxRetries = 8
-	}
-	return c
+	return nil
 }
 
 // loadAgg collects worker outcomes under one mutex.
@@ -147,14 +153,8 @@ type loadAgg struct {
 
 // Load runs the closed-loop generator and returns the aggregate.
 func Load(cfg LoadConfig) (LoadResult, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.Tenants) == 0 {
-		return LoadResult{}, fmt.Errorf("server: load needs at least one tenant")
-	}
-	for _, t := range cfg.Tenants {
-		if t.Window == 0 || t.Requests < 0 {
-			return LoadResult{}, fmt.Errorf("server: load tenant %q needs a window and a request budget", t.Name)
-		}
+	if err := cfg.validate(); err != nil {
+		return LoadResult{}, err
 	}
 	if cfg.Client == nil {
 		// One closed-loop worker per tenant per Workers slot: size the

@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,10 +28,14 @@ func TestLoadClosedLoop(t *testing.T) {
 			{Name: "alpha", Requests: 400, Window: 1024},
 			{Name: "beta", Requests: 200, Window: 1024},
 		},
-		Workers:   4,
-		ReadRatio: 0.7,
-		Seed:      1,
-		Client:    hs.Client(),
+		Workers:     4,
+		ReadRatio:   0.7,
+		MaxPages:    4,
+		Seed:        1,
+		BackoffBase: 200 * time.Microsecond,
+		BackoffCap:  50 * time.Millisecond,
+		MaxRetries:  8,
+		Client:      hs.Client(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +80,7 @@ func TestLoadBacksOffUnderOverload(t *testing.T) {
 	res, err := Load(LoadConfig{
 		BaseURL: hs.URL,
 		Tenants: []LoadTenant{{Name: "alpha", Requests: 300, Window: 1024}},
-		Workers: 8, ReadRatio: 1.0,
+		Workers: 8, ReadRatio: 1.0, MaxPages: 4,
 		Seed:        2,
 		BackoffBase: 50 * time.Microsecond,
 		BackoffCap:  2 * time.Millisecond,
@@ -102,16 +108,74 @@ func TestLoadBacksOffUnderOverload(t *testing.T) {
 	}
 }
 
+// validLoad is a load config every field of which is in range. Its
+// URL is a closed local port: a config that slips through validation
+// fails to connect instead of reaching anything.
+func validLoad() LoadConfig {
+	return LoadConfig{
+		BaseURL:     "http://127.0.0.1:1",
+		Tenants:     []LoadTenant{{Name: "a", Requests: 10, Window: 16}},
+		Workers:     1,
+		ReadRatio:   0.5,
+		MaxPages:    1,
+		BackoffBase: time.Millisecond,
+		BackoffCap:  time.Millisecond,
+	}
+}
+
 // TestLoadValidation: structural errors fail fast.
 func TestLoadValidation(t *testing.T) {
-	if _, err := Load(LoadConfig{BaseURL: "http://x"}); err == nil {
+	c := validLoad()
+	c.Tenants = nil
+	if _, err := Load(c); err == nil {
 		t.Fatal("empty tenant list accepted")
 	}
-	if _, err := Load(LoadConfig{
-		BaseURL: "http://x",
-		Tenants: []LoadTenant{{Name: "a", Requests: 10, Window: 0}},
-	}); err == nil {
+	c = validLoad()
+	c.Tenants[0].Window = 0
+	if _, err := Load(c); err == nil {
 		t.Fatal("zero window accepted")
+	}
+}
+
+// TestLoadRefusesOutOfRange: Load keeps no defaults of its own. Every
+// out-of-range field is refused with an error naming it instead of
+// being rewritten, and the in-range edges run as given: a ReadRatio of
+// 0 is a write-only run.
+func TestLoadRefusesOutOfRange(t *testing.T) {
+	for field, mutate := range map[string]func(*LoadConfig){
+		"Workers":     func(c *LoadConfig) { c.Workers = 0 },
+		"ReadRatio":   func(c *LoadConfig) { c.ReadRatio = 1.5 },
+		"MaxPages":    func(c *LoadConfig) { c.MaxPages = 0 },
+		"BackoffBase": func(c *LoadConfig) { c.BackoffBase = 0 },
+		"BackoffCap":  func(c *LoadConfig) { c.BackoffCap = c.BackoffBase / 2 },
+		"MaxRetries":  func(c *LoadConfig) { c.MaxRetries = -1 },
+	} {
+		c := validLoad()
+		mutate(&c)
+		if _, err := Load(c); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("out-of-range %s: err = %v, want an error naming it", field, err)
+		}
+	}
+	c := validLoad()
+	c.ReadRatio = math.NaN()
+	if _, err := Load(c); err == nil {
+		t.Error("NaN ReadRatio accepted")
+	}
+
+	s, hs := newTestServer(t, Config{System: core.Baseline, PE: 4000, Seed: 5})
+	c = validLoad()
+	c.BaseURL, c.Client = hs.URL, hs.Client()
+	c.Tenants = []LoadTenant{{Name: "alpha", Requests: 50, Window: 1024}}
+	c.ReadRatio = 0
+	res, err := Load(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReadOK != 0 || res.WriteOK != 50 {
+		t.Fatalf("write-only run completed %d reads and %d writes, want 0 and 50", res.ReadOK, res.WriteOK)
+	}
+	if snap := s.Snapshot(); snap.Reads != 0 {
+		t.Fatalf("write-only run served %d reads", snap.Reads)
 	}
 }
 
@@ -144,7 +208,8 @@ func TestLoadReusesConnections(t *testing.T) {
 		}
 		res, err := Load(LoadConfig{
 			BaseURL: hs.URL, Tenants: ts, Workers: workers,
-			ReadRatio: 0.7, Seed: 5, Client: client,
+			ReadRatio: 0.7, MaxPages: 4, Seed: 5, Client: client,
+			BackoffBase: 200 * time.Microsecond, BackoffCap: 50 * time.Millisecond, MaxRetries: 8,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -101,7 +101,7 @@ type tenantStats struct {
 // Per-shard slices are indexed by shard id; each engine writes only
 // its own slot (plus its tenants' counters), handlers read them all.
 type serverStats struct {
-	internalErrors int64 // no tenant owns these; counted once here
+	internalErrors int64 // 500 internal and 503 write_failed, counted once here
 	tenants        []*tenantStats
 
 	// Per-shard state: latency rings, sim clocks, cached device

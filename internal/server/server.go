@@ -120,7 +120,8 @@ type Config struct {
 	MetricsEvery int
 
 	// Faults forwards a deterministic fault-injection config to the
-	// devices (Weibull wear-out curves, transient read faults, ...);
+	// devices (Weibull wear-out curves, transient read faults, a
+	// scripted power cut, ...);
 	// shards beyond the first decorrelate the draws by deriving their
 	// fault seeds, the same way their device seeds derive.
 	Faults fault.Config
@@ -210,14 +211,15 @@ type opResult struct {
 
 // Typed error codes the API returns.
 const (
-	CodeShed       = "shed"              // 429: admission control rejected the op
-	CodeQueueFull  = "queue_full"        // 429: per-tenant admission queue at bound
-	CodeDeadline   = "deadline_exceeded" // 504: queue wait blew the op's deadline
-	CodeReadOnly   = "read_only"         // 503: degraded device, writes disabled
-	CodePowerLoss  = "power_loss"        // 503: op died in a crash; retry after recovery
-	CodeDraining   = "draining"          // 503: server is shutting down
-	CodeBadRequest = "bad_request"       // 400
-	CodeInternal   = "internal"          // 500
+	CodeShed        = "shed"              // 429: admission control rejected the op
+	CodeQueueFull   = "queue_full"        // 429: per-tenant admission queue at bound
+	CodeDeadline    = "deadline_exceeded" // 504: queue wait blew the op's deadline
+	CodeReadOnly    = "read_only"         // 503: degraded device, writes disabled
+	CodeWriteFailed = "write_failed"      // 503: program retries exhausted, nothing stored; retry
+	CodePowerLoss   = "power_loss"        // 503: op died in a crash; retry after recovery
+	CodeDraining    = "draining"          // 503: server is shutting down
+	CodeBadRequest  = "bad_request"       // 400
+	CodeInternal    = "internal"          // 500
 )
 
 // tenantState is one tenant's engine-owned admission state. Each
@@ -401,14 +403,14 @@ func (s *Server) do(ctx context.Context, o *op) opResult {
 }
 
 func (s *Server) countShed(e *engineShard, tenant int) {
-	e.runner.CountShed(tenant)
+	e.runner.CountShed()
 	s.statMu.Lock()
 	s.stats.tenants[tenant].shed++
 	s.statMu.Unlock()
 }
 
 func (s *Server) countDeadline(e *engineShard, tenant int) {
-	e.runner.CountDeadlineExceeded(tenant)
+	e.runner.CountDeadlineExceeded()
 	s.statMu.Lock()
 	s.stats.tenants[tenant].deadline++
 	s.statMu.Unlock()

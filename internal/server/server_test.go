@@ -398,7 +398,7 @@ func serveOutOfBlocks(t *testing.T, system core.System, pages int, partial bool)
 	if got := codes[500] == 1; got != partial {
 		t.Fatalf("first failed write answered %q; want a partial write %v", first, partial)
 	}
-	if partial && !strings.Contains(first, "pages written before the device turned read-only") {
+	if partial && !strings.Contains(first, "pages written") {
 		t.Fatalf("partial write answered %q, not naming the pages written", first)
 	}
 	var h healthStatus
@@ -421,6 +421,55 @@ func serveOutOfBlocks(t *testing.T, system core.System, pages int, partial bool)
 	if !snap.Degraded || snap.ReadOnlyRejects != int64(readOnly) || snap.InternalErrors != int64(codes[500]) {
 		t.Fatalf("/metrics degraded=%v read_only_rejects=%d internal=%d, want degraded, %d, %d",
 			snap.Degraded, snap.ReadOnlyRejects, snap.InternalErrors, readOnly, codes[500])
+	}
+}
+
+// TestServeDroppedWriteNotAcked: a write the device dropped — its
+// program failed on every retry — is never acknowledged. The program
+// checks after the 2048-page preload fail four times in a row: a
+// one-page write then gets the typed 503 write_failed, a two-page
+// write whose first page failed but whose second was stored gets the
+// unacknowledged 500, and the next write that succeeds takes sequence 1.
+func TestServeDroppedWriteNotAcked(t *testing.T) {
+	for _, tc := range []struct {
+		pages  int
+		status int
+		code   string
+	}{
+		{1, 503, CodeWriteFailed},
+		{2, 500, CodeInternal},
+	} {
+		t.Run(fmt.Sprintf("pages=%d", tc.pages), func(t *testing.T) {
+			var script []fault.ScriptEvent
+			for i := int64(2048); i < 2052; i++ {
+				script = append(script, fault.ScriptEvent{Op: fault.Program, Index: i})
+			}
+			_, hs := newTestServer(t, Config{
+				System: core.Baseline, PE: 4000, Seed: 3,
+				Faults: fault.Config{Script: script},
+			})
+			c := hs.Client()
+			var body struct {
+				ErrorResponse
+				Seq uint64 `json:"seq"`
+			}
+			url := fmt.Sprintf("%s/v1/write?tenant=alpha&lpn=5&pages=%d", hs.URL, tc.pages)
+			code := post(t, c, url, &body)
+			if code != tc.status || body.Code != tc.code || body.Seq != 0 {
+				t.Fatalf("dropped write answered %d %q seq %d (%s); want %d %q and no sequence",
+					code, body.Code, body.Seq, body.Message, tc.status, tc.code)
+			}
+			var wr WriteResponse
+			if code := post(t, c, hs.URL+"/v1/write?tenant=alpha&lpn=5", &wr); code != 200 || wr.Seq != 1 {
+				t.Fatalf("next write answered %d seq %d, want 200 seq 1", code, wr.Seq)
+			}
+			var snap Snapshot
+			get(t, c, hs.URL+"/metrics", &snap)
+			if snap.InternalErrors != 1 || snap.Device.WriteFailures != 1 || snap.Tenants[0].AckSeq != 1 {
+				t.Fatalf("/metrics internal=%d write_failures=%d alpha ack_seq=%d, want 1, 1, 1",
+					snap.InternalErrors, snap.Device.WriteFailures, snap.Tenants[0].AckSeq)
+			}
+		})
 	}
 }
 

@@ -253,9 +253,8 @@ func (e *engineShard) process(o *op) opResult {
 		}
 	}
 
-	// Degraded device: reads keep flowing, writes fail typed (the
-	// device itself silently rejects degraded writes, so the contract
-	// lives here).
+	// Degraded device: reads keep flowing, writes fail typed before
+	// they reach the device.
 	if o.write && (e.outOfBlocks || e.runner.Device().Degraded()) {
 		return e.readOnly(o)
 	}
@@ -275,26 +274,33 @@ func (e *engineShard) process(o *op) opResult {
 		if errors.Is(err, ftl.ErrPowerLoss) {
 			return e.handlePowerLoss(o)
 		}
-		msg := err.Error()
-		if o.write && errors.Is(err, ftl.ErrNoFreeBlocks) {
-			// The end of write life, as the lifetime sweep treats it:
-			// the shard turns read-only and reads keep working.
-			e.outOfBlocks = true
+		res := opResult{status: 500, code: CodeInternal, message: err.Error()}
+		var we *core.WriteError
+		if o.write && ftl.WriteRefused(err) && errors.As(err, &we) {
+			if errors.Is(err, ftl.ErrNoFreeBlocks) {
+				// The end of write life, as the lifetime sweep treats
+				// it: the shard turns read-only and reads keep working.
+				e.outOfBlocks = true
+			}
 			e.refreshDeviceMetrics()
-			var we *core.WriteError
-			if !errors.As(err, &we) || we.Page == 0 {
+			switch {
+			case we.Stored > 0:
+				// Some pages are remapped already, so this is no clean
+				// refusal: the write fails unacked.
+				res.message = fmt.Sprintf("%s: %d of %d pages written", res.message, we.Stored, o.pages)
+			case e.outOfBlocks || e.runner.Device().Degraded():
 				// No page went through, so the write's old mapping
 				// survives: a refusal like every later write's.
 				return e.readOnly(o)
+			default:
+				// Nothing stored on a device that still takes writes.
+				res.status, res.code = 503, CodeWriteFailed
 			}
-			// The pages before the failing one are remapped already,
-			// so this is no clean refusal: the write fails unacked.
-			msg = fmt.Sprintf("%s: %d of %d pages written before the device turned read-only", msg, we.Page, o.pages)
 		}
 		s.statMu.Lock()
 		s.stats.internalErrors++
 		s.statMu.Unlock()
-		return opResult{status: 500, code: CodeInternal, message: msg}
+		return res
 	}
 	t.window.Complete(done)
 

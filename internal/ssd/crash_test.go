@@ -125,7 +125,7 @@ func TestCrashRestartRoundTrip(t *testing.T) {
 
 func TestRestartMisuse(t *testing.T) {
 	// A running device refuses Restart.
-	d := newDevice(t, flatBER(0, 0), baseline.Oracle{})
+	d := newDevice(t, flatBER(0, 0), baseline.FixedWorstCase{})
 	if _, err := d.Restart(0); err == nil {
 		t.Fatal("restart of a running device succeeded")
 	}

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func TestEmptyAttemptsGuard(t *testing.T) {
 	if final != 0 {
 		t.Errorf("final level = %d, want 0 (hard-decision fallback)", final)
 	}
-	if want := d.cfg.Timing.ReadLatency(0); resp != want {
+	if want := timing.ReadLatency(0); resp != want {
 		t.Errorf("resp = %v, want one hard-decision read %v", resp, want)
 	}
 	r := d.Results()
@@ -55,7 +56,7 @@ func TestValidateErrorBranches(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("case %d: error %q does not mention %q", i, err, tc.want)
 		}
-		if _, err := New(c, flatBER(0, 0), baseline.Oracle{}); err == nil {
+		if _, err := New(c, flatBER(0, 0), baseline.FixedWorstCase{}); err == nil {
 			t.Errorf("case %d: New accepted invalid config", i)
 		}
 	}
@@ -72,7 +73,7 @@ func readScript(n int) Config {
 }
 
 func TestTransientReadRetryEscalation(t *testing.T) {
-	d, err := New(readScript(2), flatBER(0, 0), baseline.Oracle{})
+	d, err := New(readScript(2), flatBER(0, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestTransientReadRetryEscalation(t *testing.T) {
 	if r.TransientReadFaults != 2 || r.ReadRetries != 2 || r.DataLoss != 0 {
 		t.Errorf("results = %+v, want 2 transient faults, 2 retries, no loss", r)
 	}
-	// Oracle needs 1 attempt; the two retries escalate to levels 1 and 2
+	// A zero BER needs 1 attempt; the two retries escalate to levels 1 and 2
 	// and each is charged.
 	if r.SensingAttempts != 3 {
 		t.Errorf("SensingAttempts = %d, want 3", r.SensingAttempts)
@@ -92,7 +93,7 @@ func TestTransientReadRetryEscalation(t *testing.T) {
 	if final != 2 {
 		t.Errorf("final level = %d, want 2 after two escalations", final)
 	}
-	want := d.cfg.Timing.ReadLatency(0) + d.cfg.Timing.ReadLatency(1) + d.cfg.Timing.ReadLatency(2)
+	want := timing.ReadLatency(0) + timing.ReadLatency(1) + timing.ReadLatency(2)
 	if resp != want {
 		t.Errorf("resp = %v, want %v (retries charged)", resp, want)
 	}
@@ -108,7 +109,7 @@ func TestTransientReadRetryEscalation(t *testing.T) {
 }
 
 func TestReadRetryExhaustionIsDataLoss(t *testing.T) {
-	d, err := New(readScript(4), flatBER(0, 0), baseline.Oracle{})
+	d, err := New(readScript(4), flatBER(0, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestZeroRateFaultsBitIdentical(t *testing.T) {
 }
 
 func TestLevelCacheBounded(t *testing.T) {
-	d, err := New(smallConfig(), agedBER(1e-9), baseline.Oracle{})
+	d, err := New(smallConfig(), agedBER(1e-9), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +248,11 @@ func TestScriptedFaultScenario(t *testing.T) {
 	if !d.Degraded() {
 		t.Fatal("device never entered degraded mode")
 	}
-	// Writes are rejected gracefully (no error, counted), reads and the
-	// stored data still work.
+	// Writes are rejected gracefully (a dropped-write error, counted),
+	// reads and the stored data still work.
 	pre := d.Results().WritesRejected
-	if _, err := d.Write(now, 7, ftl.NormalState); err != nil {
-		t.Fatalf("degraded-mode write returned hard error: %v", err)
+	if resp, err := d.Write(now, 7, ftl.NormalState); !errors.Is(err, ftl.ErrDegraded) || !WriteDropped(err) || resp != bufferLatency {
+		t.Fatalf("degraded-mode write = %v, %v; want the buffer latency and a dropped ErrDegraded", resp, err)
 	}
 	r = d.Results()
 	if r.WritesRejected != pre+1 {

@@ -13,8 +13,8 @@ import (
 )
 
 // TestLevelTableDeviceEquivalence checks the device's sensing-level
-// table against the rule's bisection called directly: with the Oracle
-// policy every read senses at exactly the level the rule gives for the
+// table against the rule's bisection called directly: every read ends
+// its FixedWorstCase{} escalation at exactly the level the rule gives for the
 // BER the device evaluated, and flags exactly the pages the rule calls
 // unreadable — across every level regime.
 func TestLevelTableDeviceEquivalence(t *testing.T) {
@@ -26,7 +26,7 @@ func TestLevelTableDeviceEquivalence(t *testing.T) {
 		last = 1e-4 * math.Pow(500, ageHours/cfg.MaxDataAgeHours)
 		return last
 	}
-	d, err := New(cfg, keyed(ber), baseline.Oracle{})
+	d, err := New(cfg, keyed(ber), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +91,12 @@ func TestWriteFailureChargesOwningChannel(t *testing.T) {
 		t.Fatal("ErrWriteFailed carries no block attribution")
 	}
 
-	d, err := New(cfg, flatBER(0, 0), baseline.Oracle{})
+	d, err := New(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Write(0, 7, ftl.NormalState); err != nil {
-		t.Fatalf("failed write should degrade gracefully, got %v", err)
+	if _, err := d.Write(0, 7, ftl.NormalState); !errors.Is(err, ftl.ErrWriteFailed) || !WriteDropped(err) {
+		t.Fatalf("failed write = %v, want a dropped ErrWriteFailed", err)
 	}
 	if got := d.Results().WriteFailures; got != 1 {
 		t.Fatalf("WriteFailures = %d, want 1", got)

@@ -52,9 +52,8 @@ type levelEpoch struct{ _ byte }
 
 // Config parameterizes a Device.
 type Config struct {
-	FTL    ftl.Config
-	Timing sensing.Timing
-	Rule   sensing.LevelRule
+	FTL  ftl.Config
+	Rule sensing.LevelRule
 
 	// MaxDataAgeHours is the upper bound of the uniform retention age
 	// assigned to preloaded data (the paper evaluates at up to 1 month).
@@ -109,6 +108,9 @@ type Config struct {
 // read fault may trigger before the page is declared lost.
 const DefaultReadRetries = 3
 
+// timing is the Table 6 operation latency model every device charges.
+var timing = sensing.DefaultTiming()
+
 // Write-back buffer: writes complete at bufferLatency as long as the
 // flash backlog stays within bufferPages' worth of program time.
 const (
@@ -120,7 +122,6 @@ const (
 func DefaultConfig() Config {
 	return Config{
 		FTL:             ftl.DefaultConfig(),
-		Timing:          sensing.DefaultTiming(),
 		Rule:            sensing.DefaultRule(),
 		MaxDataAgeHours: 720,
 		Seed:            1,
@@ -705,7 +706,7 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 	}
 	var service time.Duration
 	for _, l := range attempts {
-		service += d.cfg.Timing.ReadLatency(l)
+		service += timing.ReadLatency(l)
 	}
 	senses := int64(len(attempts))
 	final := attempts[len(attempts)-1]
@@ -726,9 +727,9 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 		})
 		d.res.Recalibrations++
 		d.res.CalibProbes += int64(probes)
-		service += d.cfg.Timing.CalibrationLatency(probes)
+		service += timing.CalibrationLatency(probes)
 		if ok && (!achievable || lev < required) {
-			service += d.cfg.Timing.ReadLatency(lev)
+			service += timing.ReadLatency(lev)
 			senses++
 			d.res.CalibReReads++
 			if !achievable {
@@ -806,15 +807,17 @@ func (d *Device) escalateRetire(now time.Duration, block int) {
 
 // opsTime converts FTL operation counts into flash busy time.
 func (d *Device) opsTime(ops ftl.OpCount) time.Duration {
-	t := time.Duration(ops.Programs+ops.MetaPrograms) * d.cfg.Timing.Program
-	t += time.Duration(ops.CopyReads) * d.cfg.Timing.Read
-	t += time.Duration(ops.Erases) * d.cfg.Timing.Erase
+	t := time.Duration(ops.Programs+ops.MetaPrograms) * timing.Program
+	t += time.Duration(ops.CopyReads) * timing.Read
+	t += time.Duration(ops.Erases) * timing.Erase
 	return t
 }
 
 // Write simulates a one-page write arriving at now, directed at the
 // given pool. Write-back semantics: the request completes at buffer
-// latency unless the flash backlog exceeds the buffer's capacity.
+// latency unless the flash backlog exceeds the buffer's capacity. A
+// write the device refused or dropped still returns its buffer latency,
+// together with the error (see WriteDropped): the data was not stored.
 func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (time.Duration, error) {
 	if d.crashed {
 		return 0, ftl.ErrPowerLoss
@@ -834,7 +837,7 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 			// previously stored data stays intact and readable.
 			d.res.WritesRejected++
 			d.recordWrite(bufferLatency)
-			return bufferLatency, nil
+			return bufferLatency, err
 		case errors.Is(err, ftl.ErrWriteFailed):
 			// Program retries exhausted: the write is dropped (its old
 			// mapping survives), but the failed attempts and relocations
@@ -849,7 +852,7 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 			}
 			d.charge(ch, now, d.opsTime(ops))
 			d.recordWrite(bufferLatency)
-			return bufferLatency, nil
+			return bufferLatency, err
 		}
 		return 0, err
 	}
@@ -859,7 +862,7 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 	d.charge(ch, now, d.opsTime(ops))
 
 	backlog := d.chanFree[ch] - now
-	allowance := bufferPages * d.cfg.Timing.Program
+	allowance := bufferPages * timing.Program
 	resp := bufferLatency
 	if backlog > allowance {
 		resp += backlog - allowance
@@ -867,6 +870,16 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 	d.res.Writes++
 	d.recordWrite(resp)
 	return resp, nil
+}
+
+// WriteDropped reports whether err is a write the device refused in
+// degraded mode or dropped after its program retries ran out. Write
+// counted it (Results.WritesRejected, WriteFailures), charged its flash
+// work and recorded its response time; the page keeps its old data and
+// the device keeps serving. A replay counts such a write and goes on; a
+// service must not acknowledge it.
+func WriteDropped(err error) bool {
+	return errors.Is(err, ftl.ErrDegraded) || errors.Is(err, ftl.ErrWriteFailed)
 }
 
 // recordWrite adds one write's response time to the write and overall
@@ -962,8 +975,8 @@ func (d *Device) Restart(now time.Duration) (ftl.RecoveryReport, error) {
 	// Recovery serializes the whole device: reads dominate (checkpoint
 	// pages, journal frames, the OOB scan), plus the fresh checkpoint's
 	// programs. Whatever was queued on the channels died with the power.
-	rt := time.Duration(rep.TotalReads())*d.cfg.Timing.Read +
-		time.Duration(rep.CheckpointWritePages)*d.cfg.Timing.Program
+	rt := time.Duration(rep.TotalReads())*timing.Read +
+		time.Duration(rep.CheckpointWritePages)*timing.Program
 	for i := range d.chanFree {
 		d.chanFree[i] = now + rt
 	}

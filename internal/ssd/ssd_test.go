@@ -66,7 +66,7 @@ func newDevice(t *testing.T, ber BERFunc, policy baseline.ReadPolicy) *Device {
 
 func TestNewValidation(t *testing.T) {
 	cfg := smallConfig()
-	if _, err := New(cfg, nil, baseline.Oracle{}); err == nil {
+	if _, err := New(cfg, nil, baseline.FixedWorstCase{}); err == nil {
 		t.Error("nil BER function accepted")
 	}
 	if _, err := New(cfg, flatBER(0, 0), nil); err == nil {
@@ -74,18 +74,18 @@ func TestNewValidation(t *testing.T) {
 	}
 	bad := cfg
 	bad.Channels = -1
-	if _, err := New(bad, flatBER(0, 0), baseline.Oracle{}); err == nil {
+	if _, err := New(bad, flatBER(0, 0), baseline.FixedWorstCase{}); err == nil {
 		t.Error("negative channel count accepted")
 	}
 	bad = cfg
 	bad.MaxDataAgeHours = -1
-	if _, err := New(bad, flatBER(0, 0), baseline.Oracle{}); err == nil {
+	if _, err := New(bad, flatBER(0, 0), baseline.FixedWorstCase{}); err == nil {
 		t.Error("negative age accepted")
 	}
 }
 
 func TestPreloadBounds(t *testing.T) {
-	d, err := New(smallConfig(), flatBER(0, 0), baseline.Oracle{})
+	d, err := New(smallConfig(), flatBER(0, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestPreloadBounds(t *testing.T) {
 
 func TestReadLatencyDependsOnBER(t *testing.T) {
 	// Clean device: reads at hard decision, 90µs.
-	d := newDevice(t, flatBER(0, 0), baseline.Oracle{})
+	d := newDevice(t, flatBER(0, 0), baseline.FixedWorstCase{})
 	resp, levels := d.Read(time.Second, 5)
 	if levels != 0 {
 		t.Errorf("levels = %d, want 0 at zero BER", levels)
@@ -117,7 +117,7 @@ func TestReadLatencyDependsOnBER(t *testing.T) {
 		t.Errorf("resp = %v, want 90µs", resp)
 	}
 	// Dirty device: BER above trigger needs soft levels -> slower.
-	d2 := newDevice(t, flatBER(8e-3, 0), baseline.Oracle{})
+	d2 := newDevice(t, flatBER(8e-3, 0), baseline.FixedWorstCase{})
 	resp2, levels2 := d2.Read(time.Second, 5)
 	if levels2 < 1 {
 		t.Errorf("levels = %d, want >= 1 at BER 8e-3", levels2)
@@ -128,7 +128,7 @@ func TestReadLatencyDependsOnBER(t *testing.T) {
 }
 
 func TestReducedStateReadsFast(t *testing.T) {
-	d := newDevice(t, flatBER(2e-2, 1e-4), baseline.Oracle{})
+	d := newDevice(t, flatBER(2e-2, 1e-4), baseline.FixedWorstCase{})
 	// Page 5 in normal state: very slow.
 	_, normalLevels := d.Read(time.Second, 5)
 	if normalLevels < 5 {
@@ -145,7 +145,7 @@ func TestReducedStateReadsFast(t *testing.T) {
 }
 
 func TestQueueingDelaysBackToBackReads(t *testing.T) {
-	d := newDevice(t, flatBER(0, 0), baseline.Oracle{})
+	d := newDevice(t, flatBER(0, 0), baseline.FixedWorstCase{})
 	// Two reads arriving at the same instant: the second waits.
 	r1, _ := d.Read(time.Second, 1)
 	r2, _ := d.Read(time.Second, 2)
@@ -163,7 +163,7 @@ func TestQueueingDelaysBackToBackReads(t *testing.T) {
 }
 
 func TestWriteBufferAbsorbsWrites(t *testing.T) {
-	d := newDevice(t, flatBER(0, 0), baseline.Oracle{})
+	d := newDevice(t, flatBER(0, 0), baseline.FixedWorstCase{})
 	resp, err := d.Write(time.Second, 5, ftl.NormalState)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestWriteBufferAbsorbsWrites(t *testing.T) {
 }
 
 func TestWriteResetsAge(t *testing.T) {
-	d := newDevice(t, agedBER(1e-4), baseline.Oracle{})
+	d := newDevice(t, agedBER(1e-4), baseline.FixedWorstCase{})
 	// Find a page with nonzero required levels (aged by preload).
 	var victim uint64
 	found := false
@@ -207,7 +207,7 @@ func TestWriteResetsAge(t *testing.T) {
 }
 
 func TestGCRelocationResetsAge(t *testing.T) {
-	d := newDevice(t, agedBER(1e-4), baseline.Oracle{})
+	d := newDevice(t, agedBER(1e-4), baseline.FixedWorstCase{})
 	// Churn writes to force GC; relocated pages get fresh ages. Then no
 	// page the GC moved may report a pre-aged BER. We simply verify GC
 	// happened and nothing crashed, plus spot-check ages via the hook
@@ -253,7 +253,7 @@ func TestPolicyRetriesCharged(t *testing.T) {
 }
 
 func TestResultsAccounting(t *testing.T) {
-	d := newDevice(t, flatBER(0, 0), baseline.Oracle{})
+	d := newDevice(t, flatBER(0, 0), baseline.FixedWorstCase{})
 	d.Read(time.Second, 1)
 	d.Read(time.Second, 2)
 	if _, err := d.Write(time.Second, 3, ftl.NormalState); err != nil {
@@ -275,7 +275,7 @@ func TestResultsAccounting(t *testing.T) {
 }
 
 func TestResetMeasurement(t *testing.T) {
-	d := newDevice(t, flatBER(0, 0), baseline.Oracle{})
+	d := newDevice(t, flatBER(0, 0), baseline.FixedWorstCase{})
 	d.Read(time.Second, 1)
 	if _, err := d.Write(time.Second, 2, ftl.NormalState); err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestResetMeasurement(t *testing.T) {
 }
 
 func TestMigrateChargesBusyTime(t *testing.T) {
-	d := newDevice(t, flatBER(0, 0), baseline.Oracle{})
+	d := newDevice(t, flatBER(0, 0), baseline.FixedWorstCase{})
 	before := d.Now()
 	if err := d.Migrate(0, 5, ftl.ReducedState); err != nil {
 		t.Fatal(err)
@@ -322,7 +322,7 @@ func TestEraseForgetsPolicyMemory(t *testing.T) {
 }
 
 func TestUnmappedReadCheap(t *testing.T) {
-	d, err := New(smallConfig(), flatBER(1e-2, 0), baseline.Oracle{})
+	d, err := New(smallConfig(), flatBER(1e-2, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,8 +103,8 @@ func FuzzReadMSR(f *testing.F) {
 	f.Add("0,h,0,Read,0,4096,5\n90000000000000000,h,0,Read,0,4096,5\n200000000000000000,h,0,Write,0,4096,5\n")
 	f.Add("\n\n")
 	f.Fuzz(func(t *testing.T, data string) {
-		for _, cfg := range []MSRConfig{DefaultMSRConfig(), {PageSize: 16 * 1024, WrapPages: 1 << 20}} {
-			reqs, err := ReadMSR(strings.NewReader(data), cfg)
+		for _, wrap := range []uint64{0, 1 << 20} {
+			reqs, err := ReadMSR(strings.NewReader(data), wrap)
 			if err != nil {
 				continue
 			}
@@ -118,9 +118,9 @@ func FuzzReadMSR(f *testing.F) {
 				if r.Pages < 1 {
 					t.Fatalf("request %d: %d pages", i, r.Pages)
 				}
-				if cfg.WrapPages > 0 && r.LPN+uint64(r.Pages) > cfg.WrapPages {
+				if wrap > 0 && r.LPN+uint64(r.Pages) > wrap {
 					t.Fatalf("request %d: [%d, %d) outside wrap window %d",
-						i, r.LPN, r.LPN+uint64(r.Pages), cfg.WrapPages)
+						i, r.LPN, r.LPN+uint64(r.Pages), wrap)
 				}
 			}
 		}

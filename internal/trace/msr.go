@@ -19,24 +19,14 @@ import (
 // from this corpus; ReadMSR lets the simulator replay the real traces
 // when a user has them, alongside the built-in synthetic generators.
 
-// MSRConfig controls the conversion from byte addresses to pages.
-type MSRConfig struct {
-	PageSize  int    // bytes per logical page (default 16KB, Table 6)
-	WrapPages uint64 // if nonzero, LPNs wrap into [0, WrapPages)
-}
+// msrPageSize is the simulator's logical page in bytes (16KB, Table 6).
+const msrPageSize = 16 * 1024
 
-// DefaultMSRConfig matches the simulator's 16KB pages.
-func DefaultMSRConfig() MSRConfig {
-	return MSRConfig{PageSize: 16 * 1024}
-}
-
-// ReadMSR parses an MSR-Cambridge CSV stream into requests. Arrival
-// times are rebased so the first request arrives at t=0. Lines with an
+// ReadMSR parses an MSR-Cambridge CSV stream into requests of 16KB
+// pages. Arrival times are rebased so the first request arrives at t=0.
+// With wrapPages nonzero, LPNs wrap into [0, wrapPages). Lines with an
 // unknown Type are rejected; blank lines are skipped.
-func ReadMSR(r io.Reader, cfg MSRConfig) ([]Request, error) {
-	if cfg.PageSize <= 0 {
-		return nil, fmt.Errorf("trace: non-positive page size %d", cfg.PageSize)
-	}
+func ReadMSR(r io.Reader, wrapPages uint64) ([]Request, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
 	var reqs []Request
@@ -92,20 +82,20 @@ func ReadMSR(r io.Reader, cfg MSRConfig) ([]Request, error) {
 			}
 			arrival = time.Duration(ticks) * 100 * time.Nanosecond
 		}
-		lpn := offset / uint64(cfg.PageSize)
+		lpn := offset / msrPageSize
 		lastByte := offset + size - 1
-		pages64 := lastByte/uint64(cfg.PageSize) - lpn + 1
+		pages64 := lastByte/msrPageSize - lpn + 1
 		if pages64 > math.MaxInt32 {
 			return nil, fmt.Errorf("trace: msr line %d: request spans %d pages", line, pages64)
 		}
 		pages := int(pages64)
-		if cfg.WrapPages > 0 {
-			lpn %= cfg.WrapPages
-			if uint64(pages) > cfg.WrapPages {
-				pages = int(cfg.WrapPages)
+		if wrapPages > 0 {
+			lpn %= wrapPages
+			if uint64(pages) > wrapPages {
+				pages = int(wrapPages)
 			}
-			if lpn+uint64(pages) > cfg.WrapPages {
-				lpn = cfg.WrapPages - uint64(pages)
+			if lpn+uint64(pages) > wrapPages {
+				lpn = wrapPages - uint64(pages)
 			}
 		}
 		reqs = append(reqs, Request{Arrival: arrival, Op: op, LPN: lpn, Pages: pages})

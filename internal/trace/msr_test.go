@@ -12,7 +12,7 @@ const msrSample = `128166372003061629,hm,0,Read,32768,16384,153
 `
 
 func TestReadMSR(t *testing.T) {
-	reqs, err := ReadMSR(strings.NewReader(msrSample), DefaultMSRConfig())
+	reqs, err := ReadMSR(strings.NewReader(msrSample), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestReadMSR(t *testing.T) {
 func TestReadMSRStraddle(t *testing.T) {
 	// A request crossing a page boundary touches both pages.
 	in := "1,host,0,Read,16000,1000,5\n"
-	reqs, err := ReadMSR(strings.NewReader(in), DefaultMSRConfig())
+	reqs, err := ReadMSR(strings.NewReader(in), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,8 @@ func TestReadMSRStraddle(t *testing.T) {
 }
 
 func TestReadMSRWrap(t *testing.T) {
-	cfg := DefaultMSRConfig()
-	cfg.WrapPages = 4
 	in := "1,h,0,Read,163840,16384,5\n" // LPN 10 wraps into [0,4)
-	reqs, err := ReadMSR(strings.NewReader(in), cfg)
+	reqs, err := ReadMSR(strings.NewReader(in), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,22 +75,19 @@ func TestReadMSRErrors(t *testing.T) {
 		"-9000000000000000000,h,0,Read,0,4096,5\n9000000000000000000,h,0,Read,0,4096,5\n",
 	}
 	for i, c := range cases {
-		if _, err := ReadMSR(strings.NewReader(c), DefaultMSRConfig()); err == nil {
+		if _, err := ReadMSR(strings.NewReader(c), 0); err == nil {
 			t.Errorf("case %d accepted: %q", i, c)
 		}
 	}
-	_, err := ReadMSR(strings.NewReader(cases[len(cases)-2]), DefaultMSRConfig())
+	_, err := ReadMSR(strings.NewReader(cases[len(cases)-2]), 0)
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Errorf("overflowing arrival: err=%v, want it to name line 3", err)
-	}
-	if _, err := ReadMSR(strings.NewReader(""), MSRConfig{PageSize: 0}); err == nil {
-		t.Error("zero page size accepted")
 	}
 }
 
 func TestReadMSROutOfOrderClamped(t *testing.T) {
 	in := "100,h,0,Read,0,4096,5\n50,h,0,Read,0,4096,5\n"
-	reqs, err := ReadMSR(strings.NewReader(in), DefaultMSRConfig())
+	reqs, err := ReadMSR(strings.NewReader(in), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +97,7 @@ func TestReadMSROutOfOrderClamped(t *testing.T) {
 }
 
 func TestReadMSREmptyAndBlank(t *testing.T) {
-	reqs, err := ReadMSR(strings.NewReader("\n\n"), DefaultMSRConfig())
+	reqs, err := ReadMSR(strings.NewReader("\n\n"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
