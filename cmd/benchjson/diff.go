@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -34,7 +35,10 @@ type DiffRow struct {
 
 // diffReports compares old and new, gating ns/op and allocs/op at tol
 // (fractional, e.g. 0.15 = +15%). filter, when non-nil, restricts which
-// benchmarks are gated (others are skipped entirely).
+// benchmarks are gated (others are skipped entirely), and a gated
+// baseline benchmark missing from the new run is a regression: deleting
+// or renaming it must not pass the gate silently. Without a filter a
+// missing benchmark is only reported.
 func diffReports(old, new *Report, tol float64, filter *regexp.Regexp) []DiffRow {
 	type key struct{ pkg, name string }
 	index := func(r *Report) map[key]Benchmark {
@@ -74,6 +78,10 @@ func diffReports(old, new *Report, tol float64, filter *regexp.Regexp) []DiffRow
 		switch {
 		case !inNew:
 			row.OnlyInOld = true
+			if filter != nil {
+				row.Regressed = true
+				row.Reason = "in baseline only, missing from the new run"
+			}
 		case !inOld:
 			row.OnlyInNew = true
 		default:
@@ -102,6 +110,9 @@ func printDiff(w io.Writer, rows []DiffRow, tol float64) int {
 	fmt.Fprintf(w, "benchmark regression gate (tolerance %+.0f%%)\n", 100*tol)
 	for _, r := range rows {
 		switch {
+		case r.Regressed:
+			regressions++
+			fmt.Fprintf(w, "  FAIL     %s: %s\n", r.Key, r.Reason)
 		case r.OnlyInOld:
 			fmt.Fprintf(w, "  MISSING  %s (in baseline only)\n", r.Key)
 		case r.OnlyInNew:
@@ -109,9 +120,6 @@ func printDiff(w io.Writer, rows []DiffRow, tol float64) int {
 			// regression: report it and let the run pass, so landing new
 			// benchmarks never requires refreshing the baseline first.
 			fmt.Fprintf(w, "  ADDED    %s (no baseline)\n", r.Key)
-		case r.Regressed:
-			regressions++
-			fmt.Fprintf(w, "  FAIL     %s: %s\n", r.Key, r.Reason)
 		default:
 			delta := 0.0
 			if r.OldNs > 0 {
@@ -154,6 +162,12 @@ func diffMain(args []string) int {
 	tol := fs.Float64("tol", 0.15, "fractional regression tolerance (0.15 = +15%)")
 	bench := fs.String("bench", "", "regexp restricting which benchmarks are gated")
 	if err := fs.Parse(args[2:]); err != nil {
+		return 2
+	}
+	// A NaN tolerance would pass every row (no comparison with NaN is
+	// true), and a negative or infinite one gates nothing meaningful.
+	if math.IsNaN(*tol) || math.IsInf(*tol, 0) || *tol < 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: -tol %v: want a finite fraction >= 0\n", *tol)
 		return 2
 	}
 	var filter *regexp.Regexp

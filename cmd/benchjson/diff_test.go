@@ -131,3 +131,83 @@ func TestDiffBenchFilter(t *testing.T) {
 		t.Errorf("filter should gate only BenchmarkHot: %+v", rows)
 	}
 }
+
+// TestDiffFilteredMissingFails: a baseline benchmark the -bench filter
+// gates but the new run lacks fails the gate, so deleting or renaming a
+// gated benchmark cannot pass unnoticed; one the filter does not gate
+// stays out of the table.
+func TestDiffFilteredMissingFails(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, r *Report) string {
+		path := filepath.Join(dir, name)
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	oldPath := write("old.json", mkReport(
+		Benchmark{Name: "BenchmarkHot", Package: "p", NsPerOp: 100},
+		Benchmark{Name: "BenchmarkHotGone", Package: "p", NsPerOp: 100},
+		Benchmark{Name: "BenchmarkColdGone", Package: "p", NsPerOp: 100},
+	))
+	newPath := write("new.json", mkReport(
+		Benchmark{Name: "BenchmarkHot", Package: "p", NsPerOp: 100},
+	))
+	old, err := loadReport(oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := loadReport(newPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := diffReports(old, cur, 0.15, regexp.MustCompile("Hot"))
+	if r := findRow(t, rows, "p BenchmarkHotGone"); !r.OnlyInOld || !r.Regressed {
+		t.Errorf("gated missing bench should regress: %+v", r)
+	}
+	var sb strings.Builder
+	if n := printDiff(&sb, rows, 0.15); n != 1 || !strings.Contains(sb.String(), "FAIL     p BenchmarkHotGone") {
+		t.Errorf("want one FAIL row for the gated missing bench, got %d\n%s", n, sb.String())
+	}
+	if code := diffMain([]string{oldPath, newPath, "-bench", "Hot"}); code != 1 {
+		t.Errorf("gated missing benchmark should exit 1, got %d", code)
+	}
+	if code := diffMain([]string{oldPath, newPath, "-bench", "^BenchmarkHot$"}); code != 0 {
+		t.Errorf("missing benchmarks outside the filter should not fail, exit %d", code)
+	}
+	if code := diffMain([]string{oldPath, newPath}); code != 0 {
+		t.Errorf("without -bench a missing benchmark is informational, exit %d", code)
+	}
+}
+
+// TestDiffMainRejectsBadTol: a NaN tolerance would pass every row, and
+// an infinite or negative one gates nothing meaningful; each exits 2.
+func TestDiffMainRejectsBadTol(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "r.json")
+	data, err := json.Marshal(mkReport(Benchmark{Name: "BenchmarkA", Package: "p", NsPerOp: 100}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tol  string
+		want int
+	}{
+		{"NaN", 2},
+		{"+Inf", 2},
+		{"-0.1", 2},
+		{"0", 0},
+		{"0.15", 0},
+	} {
+		if code := diffMain([]string{path, path, "-tol", c.tol}); code != c.want {
+			t.Errorf("-tol %s: exit %d, want %d", c.tol, code, c.want)
+		}
+	}
+}

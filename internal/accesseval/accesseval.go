@@ -104,16 +104,10 @@ func New(p Params) (*Controller, error) {
 	return &Controller{params: p, hot: hot, head: noLink, tail: noLink}, nil
 }
 
-// Params returns the controller's configuration.
-func (c *Controller) Params() Params { return c.params }
-
 // InPool reports whether lpn currently lives in reduced state.
 func (c *Controller) InPool(lpn uint64) bool {
 	return lpn < uint64(len(c.links)) && c.links[lpn].in
 }
-
-// PoolSize returns the number of pages in the reduced pool.
-func (c *Controller) PoolSize() int { return c.size }
 
 // Migrations returns how many pages were admitted to the pool.
 func (c *Controller) Migrations() int64 { return c.migrations }
@@ -176,12 +170,6 @@ func (c *Controller) SensingBucket(levels int) int {
 	return b
 }
 
-// Overhead returns the LDPC-overhead estimate L_f × L_sensing for a read
-// of lpn that used the given sensing levels.
-func (c *Controller) Overhead(lpn uint64, levels int) int {
-	return c.hot.FreqLevel(lpn, Lf) * c.SensingBucket(levels)
-}
-
 // OnRead records a read of lpn that needed the given extra sensing
 // levels and returns the migration decision. Pool membership is updated
 // immediately; the caller performs the physical page moves.
@@ -195,7 +183,7 @@ func (c *Controller) OnRead(lpn uint64, levels int) Decision {
 		}
 		return Decision{}
 	}
-	// The read's L_f × L_sensing, as Overhead reports it after the read.
+	// The read's L_f × L_sensing, counting the read itself.
 	if c.hot.RecordLevel(lpn, Lf)*c.SensingBucket(levels) < c.params.Threshold {
 		return Decision{}
 	}
@@ -230,15 +218,4 @@ func (c *Controller) Remove(lpn uint64) {
 		c.unlink(int32(lpn))
 		c.migrations--
 	}
-}
-
-// MemoryFootprintBytes estimates the controller's DRAM cost: 4 bytes
-// per ReducedCell pool entry (the paper's §5 estimate — 8MB for a 64GB
-// pool of 16KB pages) plus the bloom filters of the read-frequency
-// identifier.
-func (c *Controller) MemoryFootprintBytes() int64 {
-	const bytesPerEntry = 4
-	pool := int64(c.params.PoolPages) * bytesPerEntry
-	const bloom = hotdata.Filters * hotdata.FilterBits / 8
-	return pool + bloom
 }

@@ -100,8 +100,8 @@ func TestHotSlowDataMigrates(t *testing.T) {
 	if !c.InPool(3) {
 		t.Error("migrated page not in pool")
 	}
-	if c.PoolSize() != 1 || c.Migrations() != 1 {
-		t.Errorf("pool size %d, migrations %d; want 1, 1", c.PoolSize(), c.Migrations())
+	if c.size != 1 || c.Migrations() != 1 {
+		t.Errorf("pool size %d, migrations %d; want 1, 1", c.size, c.Migrations())
 	}
 	// Further reads of a pool member are no-ops.
 	if d := c.OnRead(3, 0); d.Migrate || len(d.Evict) != 0 {
@@ -133,8 +133,8 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, c, 100, 4)
-	if c.PoolSize() != 4 {
-		t.Fatalf("pool size %d, want 4", c.PoolSize())
+	if c.size != 4 {
+		t.Fatalf("pool size %d, want 4", c.size)
 	}
 	// Touch 101..103 so 100 is LRU.
 	c.OnRead(101, 0)

@@ -107,9 +107,9 @@ func TestPoolMatchesListReference(t *testing.T) {
 				c.Remove(lpn)
 				ref.Remove(lpn)
 			}
-			if c.PoolSize() != len(ref.pool) || c.Migrations() != ref.migrations || c.Evictions() != ref.evictions {
+			if c.size != len(ref.pool) || c.Migrations() != ref.migrations || c.Evictions() != ref.evictions {
 				t.Fatalf("seed %d call %d: size/migrations/evictions %d/%d/%d, reference %d/%d/%d", seed, i,
-					c.PoolSize(), c.Migrations(), c.Evictions(), len(ref.pool), ref.migrations, ref.evictions)
+					c.size, c.Migrations(), c.Evictions(), len(ref.pool), ref.migrations, ref.evictions)
 			}
 			for q := uint64(0); q < uint64(span)+2; q++ {
 				if c.InPool(q) != (ref.pool[q] != nil) {

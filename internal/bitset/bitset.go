@@ -20,9 +20,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Len returns the set's capacity in bits.
-func (s *Set) Len() int { return s.n }
-
 // Get reports whether bit i is set. Out-of-range indexes read clear.
 func (s *Set) Get(i int) bool {
 	if i < 0 || i >= s.n {
@@ -73,11 +70,6 @@ func (s *Set) Reset() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
-}
-
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() *Set {
-	return &Set{words: append([]uint64(nil), s.words...), n: s.n}
 }
 
 // Range calls fn for each set bit in ascending order until fn returns

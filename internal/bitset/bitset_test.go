@@ -7,8 +7,8 @@ import (
 
 func TestBasicOps(t *testing.T) {
 	s := New(130)
-	if s.Len() != 130 {
-		t.Fatalf("Len = %d, want 130", s.Len())
+	if s.n != 130 {
+		t.Fatalf("Len = %d, want 130", s.n)
 	}
 	if s.Count() != 0 {
 		t.Fatalf("fresh set count = %d", s.Count())

@@ -64,12 +64,6 @@ func New() *Tracker {
 	return &Tracker{blocks: make(map[int]*blockCal)}
 }
 
-// Stats returns a snapshot of the activity counters.
-func (t *Tracker) Stats() Stats { return t.stats }
-
-// TrackedBlocks returns the number of blocks with calibration state.
-func (t *Tracker) TrackedBlocks() int { return len(t.blocks) }
-
 // ShiftMv returns the block's current read-reference shift in
 // millivolts (0 for an uncalibrated block). It never allocates.
 func (t *Tracker) ShiftMv(block int) int {

@@ -47,7 +47,7 @@ func TestCalibrateConvergesTowardOptimum(t *testing.T) {
 	if lastLev > entryLev {
 		t.Errorf("calibration regressed: entry %d levels, final %d", entryLev, lastLev)
 	}
-	st := tr.Stats()
+	st := tr.stats
 	if st.Recalibrations != 4 || st.Improvements == 0 {
 		t.Errorf("stats = %+v, want 4 recalibrations and >=1 improvement", st)
 	}
@@ -65,8 +65,8 @@ func TestCalibrateRescuesUnreadable(t *testing.T) {
 	if !ok {
 		t.Fatalf("calibration failed to rescue: %d levels at %dmV", lev, tr.ShiftMv(9))
 	}
-	if tr.Stats().Rescues != 1 {
-		t.Errorf("rescues = %d, want 1", tr.Stats().Rescues)
+	if tr.stats.Rescues != 1 {
+		t.Errorf("rescues = %d, want 1", tr.stats.Rescues)
 	}
 }
 
@@ -109,7 +109,7 @@ func TestCalibrateDeterministic(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			tr.Calibrate(7, eval)
 		}
-		return tr.ShiftMv(7), tr.Stats()
+		return tr.ShiftMv(7), tr.stats
 	}
 	s1, st1 := run()
 	s2, st2 := run()
@@ -147,13 +147,13 @@ func TestForgetAndReset(t *testing.T) {
 		t.Fatal("calibration did not move the shift")
 	}
 	tr.Forget(4)
-	if tr.ShiftMv(4) != 0 || tr.TrackedBlocks() != 0 {
+	if tr.ShiftMv(4) != 0 || len(tr.blocks) != 0 {
 		t.Error("Forget left calibration state behind")
 	}
 	tr.Calibrate(5, convexEval(-100, 20))
 	tr.Calibrate(6, convexEval(-50, 20))
 	tr.Reset()
-	if tr.TrackedBlocks() != 0 || tr.ShiftMv(5) != 0 {
+	if len(tr.blocks) != 0 || tr.ShiftMv(5) != 0 {
 		t.Error("Reset left calibration state behind")
 	}
 }

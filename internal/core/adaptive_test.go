@@ -98,28 +98,32 @@ func TestSurfaceKeyFallback(t *testing.T) {
 
 // Enabling calibration in Options wires the full adaptive stack: the
 // tracker on the device, the adaptive policy, and the shifted surface.
+// Reduced-state reads never drift far enough to recalibrate, so the
+// LDPC-in-SSD run is the one that shows the tracker at work.
 func TestRunnerWiresAdaptiveStack(t *testing.T) {
-	opts := fastOptions(LevelAdjustOnly, 6000)
-	opts.SSD.Calib = true
-	r, err := NewRunner(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Device().Calib() == nil {
-		t.Fatal("calibration tracker not wired")
-	}
-	m, err := replayWorkload(r, fastWorkload("web-1", t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Reads == 0 {
-		t.Fatal("no reads replayed")
-	}
-	// The counters flow Device -> Results -> Metrics.
-	res := r.Device().Results()
-	if m.Recalibrations != res.Recalibrations || m.CalibProbes != res.CalibProbes ||
-		m.Unreadable != res.Unreadable || m.Refreshes != res.Refreshes {
-		t.Errorf("metrics/results counter mismatch: %+v vs %+v", m, res)
+	for _, sys := range []System{LevelAdjustOnly, LDPCInSSD} {
+		opts := fastOptions(sys, 6000)
+		opts.SSD.Calib = true
+		r, err := NewRunner(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := replayWorkload(r, fastWorkload("web-1", t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Reads == 0 {
+			t.Fatalf("%v: no reads replayed", sys)
+		}
+		if sys == LDPCInSSD && m.Recalibrations == 0 {
+			t.Fatalf("%v: calibration tracker not wired: no read recalibrated", sys)
+		}
+		// The counters flow Device -> Results -> Metrics.
+		res := r.Device().Results()
+		if m.Recalibrations != res.Recalibrations || m.CalibProbes != res.CalibProbes ||
+			m.Unreadable != res.Unreadable || m.Refreshes != res.Refreshes {
+			t.Errorf("%v: metrics/results counter mismatch: %+v vs %+v", sys, m, res)
+		}
 	}
 }
 

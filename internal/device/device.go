@@ -138,24 +138,6 @@ func (pc *PageCodec) ReadPage(row int, extraLevels int) (ReadResult, error) {
 	}, nil
 }
 
-// ReadPageAdaptive escalates sensing levels one at a time until the
-// decoder converges or maxLevels is reached — the read-retry flow the
-// storage system models with its attempts sequences.
-func (pc *PageCodec) ReadPageAdaptive(row, maxLevels int) (ReadResult, error) {
-	var last ReadResult
-	for l := 0; l <= maxLevels; l++ {
-		res, err := pc.ReadPage(row, l)
-		if err != nil {
-			return ReadResult{}, err
-		}
-		if res.OK {
-			return res, nil
-		}
-		last = res
-	}
-	return last, nil
-}
-
 func (pc *PageCodec) spec() *noise.Spec {
 	if pc.State == nand.Reduced {
 		return pc.Array.ReducedSpec

@@ -466,14 +466,9 @@ type Fig6bPoint struct {
 	Reduction float64 // mean response-time reduction of FlexLevel vs LDPC-in-SSD
 }
 
-// Fig6b sweeps the P/E cycle count (paper: 4000..6000) and reports the
-// mean reduction of FlexLevel vs LDPC-in-SSD.
-func Fig6b(cfg SimConfig, pes []int) ([]Fig6bPoint, error) {
-	return (&Env{Sim: cfg}).fig6b(pes)
-}
-
-// fig6b is Fig6b over the Env's grids, so a grid already replayed at
-// one of pes is reused.
+// fig6b sweeps the P/E cycle count (paper: 4000..6000) and reports the
+// mean reduction of FlexLevel vs LDPC-in-SSD, over the Env's grids, so
+// a grid already replayed at one of pes is reused.
 func (e *Env) fig6b(pes []int) ([]Fig6bPoint, error) {
 	var out []Fig6bPoint
 	for _, pe := range pes {

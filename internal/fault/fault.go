@@ -221,15 +221,6 @@ func (s Stats) Sub(base Stats) Stats {
 	return s
 }
 
-// TotalInjected returns the number of faults injected across classes.
-func (s Stats) TotalInjected() int64 {
-	var n int64
-	for _, v := range s.Injected {
-		n += v
-	}
-	return n
-}
-
 // Injector decides, one physical operation at a time, whether that
 // operation fails. It is not safe for concurrent use (the simulator is
 // single-threaded by design).
@@ -258,9 +249,6 @@ func New(cfg Config) (*Injector, error) {
 	}
 	return inj, nil
 }
-
-// Enabled reports whether the injector can ever fire.
-func (i *Injector) Enabled() bool { return i != nil && i.cfg.Enabled() }
 
 // Stats returns a snapshot of the activity counters.
 func (i *Injector) Stats() Stats {

@@ -107,9 +107,6 @@ func TestEnabled(t *testing.T) {
 		t.Error("scripted config not enabled")
 	}
 	var nilInj *Injector
-	if nilInj.Enabled() {
-		t.Error("nil injector enabled")
-	}
 	if nilInj.Fails(Program, 0, 0) {
 		t.Error("nil injector injected a fault")
 	}

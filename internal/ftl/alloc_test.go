@@ -110,7 +110,7 @@ func TestAllocBlockMatchesReference(t *testing.T) {
 			default:
 				_, _, err = f.Write(lpn, st)
 			}
-			if f.Dead() {
+			if f.dead {
 				f, _, err = Recover(cfg, f.Media().Clone(), hook)
 				if errors.Is(err, ErrPowerLoss) {
 					break // a second cut during recovery; start the next seed

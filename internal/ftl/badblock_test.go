@@ -71,7 +71,7 @@ func TestSparePoolReservation(t *testing.T) {
 	if got := f.SpareBlocksLeft(); got != 4 {
 		t.Errorf("SpareBlocksLeft = %d, want 4", got)
 	}
-	if got := f.FreeBlocks(); got != 40 {
+	if got := len(f.free); got != 40 {
 		t.Errorf("FreeBlocks = %d, want 40 (44 total - 4 spares)", got)
 	}
 }

@@ -440,14 +440,8 @@ func (f *FTL) clearP2L(p int64) {
 	}
 }
 
-// Config returns the FTL's configuration.
-func (f *FTL) Config() Config { return f.cfg }
-
 // Stats returns cumulative counters.
 func (f *FTL) Stats() Stats { return f.stats }
-
-// FreeBlocks returns the current free-block count.
-func (f *FTL) FreeBlocks() int { return len(f.free) }
 
 // SpareBlocksLeft returns how many reserved spares remain unused.
 func (f *FTL) SpareBlocksLeft() int { return f.spare.Count() }
@@ -455,11 +449,6 @@ func (f *FTL) SpareBlocksLeft() int { return f.spare.Count() }
 // Degraded reports whether the FTL has entered degraded mode: reads are
 // still served but Write/Migrate return ErrDegraded.
 func (f *FTL) Degraded() bool { return f.degraded }
-
-// Dead reports whether an injected power cut has killed the FTL. A dead
-// FTL rejects every operation with ErrPowerLoss; Recover over Media
-// builds its replacement.
-func (f *FTL) Dead() bool { return f.dead }
 
 // Media returns the durable media image, or nil when the journal is
 // disabled. After a crash it is the sole input to Recover.
@@ -758,7 +747,7 @@ func (f *FTL) journalFlush(ops *OpCount) error {
 	}
 	if !f.mediaTick(-1) {
 		// Torn flush: the interrupted frame is trailing garbage that
-		// DecodeJournal recognizes as a torn tail and discards.
+		// decodeJournalFrames recognizes as a torn tail and discards.
 		f.media.journal = append(f.media.journal, 0x46)
 		f.pending = nil
 		return ErrPowerLoss

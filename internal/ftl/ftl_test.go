@@ -127,20 +127,20 @@ func TestReducedBlocksHoldFewerPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fill exactly one reduced block: 16 * 0.75 = 12 pages.
-	start := f.FreeBlocks()
+	start := len(f.free)
 	for lpn := uint64(0); lpn < 12; lpn++ {
 		if _, _, err := f.Write(lpn, ReducedState); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if used := start - f.FreeBlocks(); used != 1 {
+	if used := start - len(f.free); used != 1 {
 		t.Errorf("12 reduced pages used %d blocks, want 1", used)
 	}
 	// One more write must open a second block.
 	if _, _, err := f.Write(12, ReducedState); err != nil {
 		t.Fatal(err)
 	}
-	if used := start - f.FreeBlocks(); used != 2 {
+	if used := start - len(f.free); used != 2 {
 		t.Errorf("13th reduced page used %d blocks, want 2", used)
 	}
 }
@@ -194,8 +194,8 @@ func TestGCReclaimsSpace(t *testing.T) {
 	if wa := s.WriteAmplification(); wa <= 1.0 || wa > 5 {
 		t.Errorf("write amplification %.2f out of plausible range", wa)
 	}
-	if f.FreeBlocks() < 2 {
-		t.Errorf("free blocks %d after workload; GC failed to keep up", f.FreeBlocks())
+	if len(f.free) < 2 {
+		t.Errorf("free blocks %d after workload; GC failed to keep up", len(f.free))
 	}
 }
 

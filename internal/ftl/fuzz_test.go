@@ -76,7 +76,7 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 			return
 		}
-		if rf.Dead() || rf.Media() == nil {
+		if rf.dead || rf.Media() == nil {
 			t.Fatal("recovered FTL unusable")
 		}
 	})
@@ -98,7 +98,7 @@ func crashedFTL(f *testing.F, cfg Config, cut int64) *FTL {
 	}
 	ftl.Fault = inj.Fails
 	for _, op := range crashTrace(crashTraceOps, int(cfg.LogicalPages)) {
-		if ftl.Dead() {
+		if ftl.dead {
 			break
 		}
 		switch {
@@ -108,7 +108,7 @@ func crashedFTL(f *testing.F, cfg Config, cut int64) *FTL {
 			ftl.Migrate(op.lpn, op.state)
 		}
 	}
-	if !ftl.Dead() {
+	if !ftl.dead {
 		f.Fatalf("no power loss at media op %d", cut)
 	}
 	return ftl

@@ -207,20 +207,14 @@ func AppendFrame(log []byte, recs []Record) []byte {
 	return log
 }
 
-// DecodeJournal parses a durable journal log into its records. torn
+// decodeJournalFrames parses a durable journal log into its records and
+// the count of complete frames parsed — each frame was one metadata-page
+// flush, so recovery charges one metadata-page read per frame. torn
 // reports that the log ended in an incomplete or CRC-failing frame —
 // the expected artifact of a power cut during a flush, whose records
 // were never acknowledged and are silently discarded. A CRC-valid
 // frame whose payload does not parse returns ErrCorruptJournal with
 // the records of all preceding frames.
-func DecodeJournal(log []byte) (recs []Record, torn bool, err error) {
-	recs, _, torn, err = decodeJournalFrames(log)
-	return recs, torn, err
-}
-
-// decodeJournalFrames is DecodeJournal plus the count of complete
-// frames parsed — each frame was one metadata-page flush, so recovery
-// charges one metadata-page read per frame.
 func decodeJournalFrames(log []byte) (recs []Record, frames int, torn bool, err error) {
 	off := 0
 	for off < len(log) {

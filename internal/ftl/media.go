@@ -122,17 +122,6 @@ func (m *Media) setProgrammed(ppn int64, lpn uint64, state BlockState, seq uint6
 	}
 }
 
-// JournalBytes returns a copy of the durable journal log (for tests
-// and fuzz corpora).
-func (m *Media) JournalBytes() []byte {
-	return append([]byte(nil), m.journal...)
-}
-
-// CheckpointBytes returns a copy of the last complete checkpoint blob.
-func (m *Media) CheckpointBytes() []byte {
-	return append([]byte(nil), m.checkpoint...)
-}
-
 // Clone returns an independent copy of the media image, so a second
 // recovery can be simulated without disturbing the first.
 func (m *Media) Clone() *Media {

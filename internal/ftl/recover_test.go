@@ -112,7 +112,7 @@ func runCrashTrace(t *testing.T, f *FTL, ops []wop) traceOracle {
 				t.Fatalf("migrate lpn %d: %v", op.lpn, err)
 			}
 		}
-		if f.Dead() {
+		if f.dead {
 			// The op was acknowledged but a GC power cut followed.
 			return o
 		}
@@ -178,7 +178,11 @@ func countMediaOps(t *testing.T, cfg Config, ops []wop) int64 {
 	if !o.finished {
 		t.Fatal("fault-free trace did not finish")
 	}
-	if fired, gc := inj.Stats().TotalInjected(), f.Stats().GCRuns; fired != int64(len(baseScript())) || gc == 0 {
+	var fired int64
+	for _, n := range inj.Stats().Injected {
+		fired += n
+	}
+	if gc := f.Stats().GCRuns; fired != int64(len(baseScript())) || gc == 0 {
 		t.Fatalf("trace fired %d of %d scripted faults and ran GC %d times", fired, len(baseScript()), gc)
 	}
 	return f.MediaOps()
@@ -278,7 +282,7 @@ func checkCrashPoint(t *testing.T, cfg Config, ops []wop, n int64) {
 	if o.finished {
 		t.Fatalf("crash point %d: trace finished without dying", n)
 	}
-	if !f.Dead() {
+	if !f.dead {
 		t.Fatalf("crash point %d: FTL not dead after power loss", n)
 	}
 	if _, _, err := f.Write(0, NormalState); !errors.Is(err, ErrPowerLoss) {

@@ -121,10 +121,6 @@ func (id *Identifier) contains(f []uint64, pb probe) bool {
 	return true
 }
 
-// Frequency returns the number of filters containing lpn: an
-// approximate, recency-decayed access count in [0, Filters].
-func (id *Identifier) Frequency(lpn uint64) int { return id.frequency(newProbe(lpn)) }
-
 func (id *Identifier) frequency(pb probe) int {
 	n := 0
 	for _, f := range &id.filters {
@@ -135,7 +131,8 @@ func (id *Identifier) frequency(pb probe) int {
 	return n
 }
 
-// MaxFrequency returns the largest value Frequency can report.
+// MaxFrequency returns the largest frequency a page can have: the
+// number of filters.
 func (id *Identifier) MaxFrequency() int { return Filters }
 
 // FreqLevel buckets the frequency into levels 1..nLevels (the paper's
@@ -156,15 +153,4 @@ func (id *Identifier) freqLevel(pb probe, nLevels int) int {
 		lvl = nLevels
 	}
 	return lvl
-}
-
-// Reset clears all filters.
-func (id *Identifier) Reset() {
-	for _, f := range &id.filters {
-		for i := range f {
-			f[i] = 0
-		}
-	}
-	id.accesses = 0
-	id.current = 0
 }

@@ -35,7 +35,6 @@ type Code struct {
 	checkVars [][]int32
 	// varChecks[v] lists the check indices variable v participates in.
 	varChecks [][]int32
-	edges     int
 }
 
 // New constructs a code from params. Construction is deterministic for a
@@ -99,9 +98,6 @@ func New(p Params) (*Code, error) {
 			c.varChecks[prev] = append(c.varChecks[prev], int32(i))
 		}
 	}
-	for _, vs := range c.checkVars {
-		c.edges += len(vs)
-	}
 	return c, nil
 }
 
@@ -113,9 +109,6 @@ func TestParams() Params {
 
 // Rate returns the code rate k/n.
 func (c *Code) Rate() float64 { return float64(c.K) / float64(c.N) }
-
-// Edges returns the number of edges in the Tanner graph.
-func (c *Code) Edges() int { return c.edges }
 
 // Encode computes the codeword for k data bits (one bit per byte, 0/1).
 // The result is systematic: codeword[:K] equals data, codeword[K:] holds
@@ -155,19 +148,4 @@ func (c *Code) Syndrome(cw []byte) bool {
 		}
 	}
 	return true
-}
-
-// CheckDegrees returns the histogram of check-node degrees, used by
-// tests to confirm the balancer works.
-func (c *Code) CheckDegrees() (min, max int) {
-	min, max = len(c.checkVars[0]), len(c.checkVars[0])
-	for _, vs := range c.checkVars {
-		if len(vs) < min {
-			min = len(vs)
-		}
-		if len(vs) > max {
-			max = len(vs)
-		}
-	}
-	return min, max
 }

@@ -22,14 +22,6 @@ func (r FERResult) FER() float64 {
 	return float64(r.FrameFails) / float64(r.Frames)
 }
 
-// BER returns the residual information bit error rate after decoding.
-func (r FERResult) BER() float64 {
-	if r.TotalBits == 0 {
-		return 0
-	}
-	return float64(r.BitErrors) / float64(r.TotalBits)
-}
-
 // SimulateFER Monte-Carlo-simulates the min-sum decoder over a binary
 // symmetric channel at crossover probability p: SimulateBSC's frames,
 // decoded from ±log((1-p)/p) LLRs. It drives the k(L) calibration

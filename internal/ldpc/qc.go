@@ -18,13 +18,6 @@ type QCParams struct {
 	Seed int64 // shift selection seed
 }
 
-// PaperQCParams returns a rate-8/9 QC layout: 4 x 36 blocks with a
-// prime circulant size 127 (n = 4572). Scaling Z toward 1021 approaches
-// the paper's 36864-bit codeword.
-func PaperQCParams() QCParams {
-	return QCParams{J: 4, L: 36, Z: 127, Seed: 20150607}
-}
-
 // Validate reports structural problems.
 func (p QCParams) Validate() error {
 	if p.J < 2 || p.L <= p.J {
@@ -109,9 +102,6 @@ func NewQC(p QCParams) (*Code, error) {
 		if i > 0 {
 			addEdge(i, c.K+i-1)
 		}
-	}
-	for _, vs := range c.checkVars {
-		c.edges += len(vs)
 	}
 	return c, nil
 }

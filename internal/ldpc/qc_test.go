@@ -29,7 +29,11 @@ func TestQCValidation(t *testing.T) {
 			t.Errorf("case %d: invalid params accepted: %+v", i, p)
 		}
 	}
-	if err := PaperQCParams().Validate(); err != nil {
+	// A rate-8/9 layout: 4 x 36 blocks with a prime circulant size 127
+	// (n = 4572). Scaling Z toward 1021 approaches the paper's
+	// 36864-bit codeword.
+	paper := QCParams{J: 4, L: 36, Z: 127, Seed: 20150607}
+	if err := paper.Validate(); err != nil {
 		t.Errorf("paper QC params invalid: %v", err)
 	}
 }

@@ -101,16 +101,6 @@ func (a *Array) eraseAll() {
 	}
 }
 
-// Erase resets every cell to the erased distribution and bumps the P/E
-// counter.
-func (a *Array) Erase() {
-	a.eraseAll()
-	a.peCycles++
-}
-
-// PECycles returns the number of erase cycles the array has seen.
-func (a *Array) PECycles() int { return a.peCycles }
-
 // SetPECycles force-sets wear, letting experiments model pre-aged blocks.
 func (a *Array) SetPECycles(n int) { a.peCycles = n }
 
@@ -324,9 +314,6 @@ func (a *Array) ReadRowReduced(r int) ([]uint8, error) {
 	}
 	return out, nil
 }
-
-// Vth exposes a cell's true threshold voltage (no sensing noise).
-func (a *Array) Vth(r, c int) float64 { return a.vth[a.idx(r, c)] }
 
 // SenseVth returns one noisy sense of a cell's threshold voltage: the
 // true Vth plus a fresh read-noise sample. Soft sensing re-reads with

@@ -37,19 +37,3 @@ func GrayDecode(level uint8) (msb, lsb uint8) {
 	b := grayLevelToBits[level]
 	return b.MSB, b.LSB
 }
-
-// GrayAdjacentOneBit reports whether the Gray mapping's defining
-// property holds between two levels: adjacent levels differ in exactly
-// one bit. Used by tests.
-func GrayAdjacentOneBit(a, b uint8) bool {
-	ma, la := GrayDecode(a)
-	mb, lb := GrayDecode(b)
-	diff := 0
-	if ma != mb {
-		diff++
-	}
-	if la != lb {
-		diff++
-	}
-	return diff == 1
-}

@@ -189,8 +189,8 @@ func TestStateSwitchRequiresErase(t *testing.T) {
 	if s, err := a.RowState(0); err != nil || s != Reduced {
 		t.Errorf("row state = %v, %v; want reduced", s, err)
 	}
-	if a.PECycles() != 1 {
-		t.Errorf("PECycles = %d, want 1", a.PECycles())
+	if a.peCycles != 1 {
+		t.Errorf("PECycles = %d, want 1", a.peCycles)
 	}
 }
 
@@ -372,11 +372,11 @@ func TestC2CDisturbObservable(t *testing.T) {
 	if err := a.ProgramRowNormal(0, []uint8{1, 0, 0, 0, 0, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	before := a.Vth(0, 0)
+	before := a.vth[a.idx(0, 0)]
 	if err := a.ProgramRowNormal(1, []uint8{3, 3, 3, 3, 3, 3, 3, 3}); err != nil {
 		t.Fatal(err)
 	}
-	after := a.Vth(0, 0)
+	after := a.vth[a.idx(0, 0)]
 	if after <= before {
 		t.Errorf("victim Vth %g -> %g: programming neighbours should raise it", before, after)
 	}

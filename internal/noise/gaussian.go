@@ -7,7 +7,6 @@
 package noise
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -43,26 +42,4 @@ func (g Gaussian) Tail(x float64) float64 {
 // Sample draws one value using rng.
 func (g Gaussian) Sample(rng *rand.Rand) float64 {
 	return g.Mu + g.Sigma*rng.NormFloat64()
-}
-
-// Add returns the distribution of the sum of two independent Gaussians.
-func (g Gaussian) Add(h Gaussian) Gaussian {
-	return Gaussian{
-		Mu:    g.Mu + h.Mu,
-		Sigma: math.Hypot(g.Sigma, h.Sigma),
-	}
-}
-
-// Scale returns the distribution of c*X.
-func (g Gaussian) Scale(c float64) Gaussian {
-	return Gaussian{Mu: c * g.Mu, Sigma: math.Abs(c) * g.Sigma}
-}
-
-func (g Gaussian) String() string {
-	return fmt.Sprintf("N(%.4g, %.4g²)", g.Mu, g.Sigma)
-}
-
-// Q is the standard normal upper-tail function Q(z) = P(N(0,1) > z).
-func Q(z float64) float64 {
-	return 0.5 * math.Erfc(z/math.Sqrt2)
 }

@@ -21,9 +21,9 @@ func TestGaussianCDFTail(t *testing.T) {
 			t.Errorf("CDF(%g)+Tail(%g) = %g, want 1", x, x, s)
 		}
 	}
-	// Known value: Q(1.96) ~ 0.025.
-	if q := Q(1.96); math.Abs(q-0.0249979) > 1e-4 {
-		t.Errorf("Q(1.96) = %g, want ~0.025", q)
+	// Known value: the standard normal tail at 1.96 is ~0.025.
+	if q := (Gaussian{Mu: 0, Sigma: 1}).Tail(1.96); math.Abs(q-0.0249979) > 1e-4 {
+		t.Errorf("Tail(1.96) of N(0, 1) = %g, want ~0.025", q)
 	}
 }
 

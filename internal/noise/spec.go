@@ -95,24 +95,6 @@ func (s *Spec) UpperRef(i int, shift float64) float64 {
 	return s.ReadRefs[i] + shift
 }
 
-// RetentionMargin returns the paper's retention-time noise margin for
-// level i: the voltage distance between the Vth right after programming
-// (distribution mean) and the lower read reference voltage. The erased
-// level has no lower boundary; its margin is +Inf.
-func (s *Spec) RetentionMargin(i int) float64 {
-	if i == 0 {
-		return math.Inf(1)
-	}
-	return s.Programmed(i).Mu - s.LowerRef(i, 0)
-}
-
-// InterferenceMargin returns the paper's cell-to-cell interference noise
-// margin for level i: the distance between the post-program Vth mean and
-// the upper read reference voltage.
-func (s *Spec) InterferenceMargin(i int) float64 {
-	return s.UpperRef(i, 0) - s.Programmed(i).Mu
-}
-
 // ReadLevel classifies a Vth value against the spec's read references,
 // returning the level index it would be sensed as. Values above Vpass
 // return the top level index plus one is not representable, so they are

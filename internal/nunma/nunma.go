@@ -78,12 +78,6 @@ func (c Config) Spec() *noise.Spec {
 	}
 }
 
-// RetentionMargins returns the verify-to-read-reference distances of the
-// two programmed levels — the quantity NUNMA adjusts non-uniformly.
-func (c Config) RetentionMargins() (m1, m2 float64) {
-	return c.Vverify1 - c.VreadRef1, c.Vverify2 - c.VreadRef2
-}
-
 // BaselineMLC returns the regular 4-level MLC normal-state spec used as
 // the comparison baseline throughout the paper's evaluation. Verify
 // voltages sit just above their read references (the paper's Fig. 4(a)

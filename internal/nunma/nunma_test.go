@@ -107,8 +107,11 @@ func TestReducedStateHasLargerMarginsThanBaseline(t *testing.T) {
 		if spec.NumLevels() != 3 {
 			t.Fatalf("%s has %d levels, want 3", c.Name, spec.NumLevels())
 		}
-		// Interference margin of the first programmed level.
-		if rm, bm := spec.InterferenceMargin(1), base.InterferenceMargin(1); rm <= bm {
+		// Interference margin of the first programmed level: its upper
+		// read reference less its post-program Vth mean.
+		rm := spec.UpperRef(1, 0) - spec.Programmed(1).Mu
+		bm := base.UpperRef(1, 0) - base.Programmed(1).Mu
+		if rm <= bm {
 			t.Errorf("%s interference margin %g not larger than baseline %g", c.Name, rm, bm)
 		}
 	}

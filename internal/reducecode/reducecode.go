@@ -30,12 +30,6 @@ type LevelPair struct {
 	I, II uint8
 }
 
-// Valid reports whether the pair is one of the 8 used combinations.
-// (1,2) is the unused ninth combination.
-func (p LevelPair) Valid() bool {
-	return p.I < NumLevels && p.II < NumLevels && !(p.I == 1 && p.II == 2)
-}
-
 // encodeTable is paper Table 1: 3-bit value -> (Vth I, Vth II).
 var encodeTable = [8]LevelPair{
 	0b000: {0, 0},

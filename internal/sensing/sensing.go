@@ -158,9 +158,6 @@ func SharedTable(rule LevelRule) (*LevelTable, error) {
 	return t, nil
 }
 
-// Rule returns the rule the table inverts.
-func (t *LevelTable) Rule() LevelRule { return t.rule }
-
 // RequiredLevels returns exactly what t.Rule().RequiredLevels returns.
 func (t *LevelTable) RequiredLevels(pc float64) (levels int, ok bool) {
 	if pc <= 0 {
@@ -176,22 +173,6 @@ func (t *LevelTable) RequiredLevels(pc float64) (levels int, ok bool) {
 		}
 	}
 	return MaxExtraLevels, false
-}
-
-// TriggerBER returns the raw BER above which the first extra sensing
-// level becomes necessary — the paper quotes 4e-3 for its code. Found by
-// bisection on the monotone RequiredLevels rule.
-func (r LevelRule) TriggerBER() float64 {
-	lo, hi := 1e-6, 0.5
-	for i := 0; i < 80; i++ {
-		mid := math.Sqrt(lo * hi) // geometric bisection: BER spans decades
-		if l, _ := r.RequiredLevels(mid); l == 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return math.Sqrt(lo * hi)
 }
 
 // Timing is the NAND operation latency model of paper Table 6, plus the

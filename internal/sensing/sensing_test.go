@@ -215,8 +215,8 @@ func TestSharedTableConcurrent(t *testing.T) {
 				t.Fatalf("rule %d caller %d got table %p, want the shared %p", i, c, tab, got[i][0])
 			}
 		}
-		if got[i][0].Rule() != r {
-			t.Errorf("rule %d: table inverts %+v, want %+v", i, got[i][0].Rule(), r)
+		if got[i][0].rule != r {
+			t.Errorf("rule %d: table inverts %+v, want %+v", i, got[i][0].rule, r)
 		}
 	}
 	if got[0][0] == got[1][0] {

@@ -144,7 +144,7 @@ func TestServeChaosCrashUnderFaults(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	f := s.ShardDevice(0).FTL()
+	f := s.shards[0].runner.Device().FTL()
 	baseOf := map[string]uint64{}
 	for _, spec := range s.Tenants() {
 		baseOf[spec.Name] = spec.Base

@@ -51,7 +51,6 @@ import (
 	"flexlevel/internal/core"
 	"flexlevel/internal/fault"
 	"flexlevel/internal/ftl"
-	"flexlevel/internal/ssd"
 	"flexlevel/internal/trace"
 )
 
@@ -344,12 +343,6 @@ func (s *Server) Tenant(name string) (int, bool) {
 // Tenants lists the tenant specs in index order.
 func (s *Server) Tenants() []trace.TenantSpec { return s.cfg.Tenants }
 
-// Shards reports the engine count.
-func (s *Server) Shards() int { return len(s.shards) }
-
-// ShardOfTenant reports which engine owns tenant i's window.
-func (s *Server) ShardOfTenant(i int) int { return s.router.tenantOf(i) }
-
 // errQueueFull and errDraining are the handler-side admission
 // rejections.
 var (
@@ -477,8 +470,3 @@ func (s *Server) Draining() bool {
 	defer s.mu.Unlock()
 	return s.draining
 }
-
-// ShardDevice exposes shard k's simulator for audits (chaos tests
-// verifying acked writes survived recovery). Only safe once Shutdown
-// has returned.
-func (s *Server) ShardDevice(k int) *ssd.Device { return s.shards[k].runner.Device() }

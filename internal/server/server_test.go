@@ -541,7 +541,7 @@ func TestServeCrashRestart(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	f := s.ShardDevice(0).FTL()
+	f := s.shards[0].runner.Device().FTL()
 	base := s.Tenants()[0].Base
 	for _, a := range acks {
 		if _, _, ok := f.Lookup(base + a.lpn); !ok {

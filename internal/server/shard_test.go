@@ -96,12 +96,12 @@ func TestServeShardedReadWrite(t *testing.T) {
 		Shards:  4,
 		Tenants: tenants,
 	})
-	if s.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", s.Shards())
+	if len(s.shards) != 4 {
+		t.Fatalf("shards = %d, want 4", len(s.shards))
 	}
 	onShard := make(map[int]bool)
 	for i := range tenants {
-		onShard[s.ShardOfTenant(i)] = true
+		onShard[s.router.tenantOf(i)] = true
 	}
 	if len(onShard) != 4 {
 		t.Fatalf("tenants cover %d shards, want all 4", len(onShard))
@@ -204,7 +204,7 @@ func TestServeShardedCrashIsolation(t *testing.T) {
 			}
 			if ti != crashShard {
 				t.Fatalf("tenant %s (shard %d) saw the shard-%d power loss",
-					tenants[ti].Name, s.ShardOfTenant(ti), crashShard)
+					tenants[ti].Name, s.router.tenantOf(ti), crashShard)
 			}
 			sawCrash = true
 		default:
@@ -236,7 +236,7 @@ func TestServeShardedCrashIsolation(t *testing.T) {
 	}
 	// Durability audit on every shard, not just the crashed one.
 	for _, a := range acks {
-		f := s.ShardDevice(s.ShardOfTenant(a.tenant)).FTL()
+		f := s.shards[s.router.tenantOf(a.tenant)].runner.Device().FTL()
 		lpn := tenants[a.tenant].Base + a.lpn
 		if _, _, ok := f.Lookup(lpn); !ok {
 			t.Fatalf("acked write (tenant %s, lpn %d, seq %d) unmapped after the shard-%d crash: acknowledged data lost",

@@ -82,7 +82,7 @@ func TestAdaptiveLadderRescuesDriftedPage(t *testing.T) {
 	if resp <= 0 {
 		t.Errorf("non-positive response %v", resp)
 	}
-	if s := d.Calib().ShiftMv(victimBlock(d, victim)); s >= 0 {
+	if s := d.calib.ShiftMv(victimBlock(d, victim)); s >= 0 {
 		t.Errorf("calibrated shift %dmV, want negative (drift is downward)", s)
 	}
 	// The next read of the same block serves at the calibrated shift
@@ -307,15 +307,17 @@ func TestCrashResetsCalibration(t *testing.T) {
 	victim := agedVictim(t, d)
 	d.Read(time.Second, victim)
 	vb := victimBlock(d, victim)
-	if d.Calib().ShiftMv(vb) == 0 {
+	if d.calib.ShiftMv(vb) == 0 {
 		t.Fatal("read did not calibrate the victim block")
 	}
 	d.Crash()
 	if _, err := d.Restart(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if d.Calib().ShiftMv(vb) != 0 || d.Calib().TrackedBlocks() != 0 {
-		t.Error("calibration state survived the power loss")
+	for b := 0; b < d.cfg.FTL.Blocks; b++ {
+		if d.calib.ShiftMv(b) != 0 {
+			t.Errorf("block %d: calibration state survived the power loss", b)
+		}
 	}
 	d.Read(3*time.Second, victim)
 	if res := d.Results(); res.Recalibrations != 2 {

@@ -85,7 +85,7 @@ func TestReadSamplePercentiles(t *testing.T) {
 	if res.ReadSample.N() != 100 {
 		t.Fatalf("sample holds %d, want 100", res.ReadSample.N())
 	}
-	p99 := res.ReadSample.Percentile(99)
+	p99 := res.ReadSample.Percentiles(99)[0]
 	if p99 < res.ReadResp.Mean() {
 		t.Errorf("p99 %g below mean %g", p99, res.ReadResp.Mean())
 	}
@@ -113,10 +113,10 @@ func TestSampleCapBoundsReadSample(t *testing.T) {
 		if res.ReadSample.N() != 32 {
 			t.Fatalf("capped sample holds %d, want 32", res.ReadSample.N())
 		}
-		if res.ReadSample.Seen() != 200 {
-			t.Fatalf("capped sample saw %d reads, want 200", res.ReadSample.Seen())
+		if res.Reads != 200 {
+			t.Fatalf("capped sample saw %d reads, want 200", res.Reads)
 		}
-		if res.ReadSample.Percentile(99) <= 0 {
+		if res.ReadSample.Percentiles(99)[0] <= 0 {
 			t.Fatal("capped sample answers zero p99")
 		}
 	}

@@ -269,8 +269,12 @@ func TestScriptedFaultScenario(t *testing.T) {
 	if r.FTL.RetiredBlocks < 3 {
 		t.Errorf("RetiredBlocks = %d, want >= 3", r.FTL.RetiredBlocks)
 	}
-	if r.Faults.TotalInjected() != r.FTL.ProgramFailures+r.FTL.EraseFailures {
+	var injected int64
+	for _, n := range r.Faults.Injected {
+		injected += n
+	}
+	if injected != r.FTL.ProgramFailures+r.FTL.EraseFailures {
 		t.Errorf("injector total %d != program+erase failures %d",
-			r.Faults.TotalInjected(), r.FTL.ProgramFailures+r.FTL.EraseFailures)
+			injected, r.FTL.ProgramFailures+r.FTL.EraseFailures)
 	}
 }

@@ -477,9 +477,6 @@ func (d *Device) wireOnErase(f *ftl.FTL) {
 	}
 }
 
-// Calib exposes the calibration tracker (nil when disabled).
-func (d *Device) Calib() *calib.Tracker { return d.calib }
-
 // FTL exposes the underlying mapping layer (read-only use intended).
 func (d *Device) FTL() *ftl.FTL { return d.ftl }
 

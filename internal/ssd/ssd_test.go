@@ -6,6 +6,7 @@ import (
 
 	"flexlevel/internal/baseline"
 	"flexlevel/internal/ftl"
+	"flexlevel/internal/stats"
 )
 
 // keyed adapts a plain BER function to a non-memoizing BERFunc, pairing
@@ -254,17 +255,23 @@ func TestPolicyRetriesCharged(t *testing.T) {
 
 func TestResultsAccounting(t *testing.T) {
 	d := newDevice(t, flatBER(0, 0), baseline.FixedWorstCase{})
-	d.Read(time.Second, 1)
-	d.Read(time.Second, 2)
-	if _, err := d.Write(time.Second, 3, ftl.NormalState); err != nil {
+	// The overall statistics must hold exactly the three responses.
+	var want stats.Accumulator
+	for lpn := uint64(1); lpn <= 2; lpn++ {
+		resp, _ := d.Read(time.Second, lpn)
+		want.Add(resp.Seconds())
+	}
+	resp, err := d.Write(time.Second, 3, ftl.NormalState)
+	if err != nil {
 		t.Fatal(err)
 	}
+	want.Add(resp.Seconds())
 	res := d.Results()
 	if res.Reads != 2 || res.Writes != 1 {
 		t.Errorf("reads/writes = %d/%d, want 2/1", res.Reads, res.Writes)
 	}
-	if res.OverallResp.N() != 3 {
-		t.Errorf("overall samples = %d, want 3", res.OverallResp.N())
+	if res.OverallResp != want {
+		t.Errorf("overall samples = %+v, want the three responses %+v", res.OverallResp, want)
 	}
 	if res.LevelHist[0] != 2 {
 		t.Errorf("level hist[0] = %d, want 2", res.LevelHist[0])
@@ -301,7 +308,7 @@ func TestMigrateChargesBusyTime(t *testing.T) {
 	}
 	// Migration is background work: no response-time samples.
 	res := d.Results()
-	if res.OverallResp.N() != 0 {
+	if res.OverallResp != (stats.Accumulator{}) {
 		t.Error("migration produced a response-time sample")
 	}
 }

@@ -12,8 +12,8 @@ func TestReservoirBoundsMemory(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Add(float64(i))
 	}
-	if r.N() != 100 || r.Seen() != 100 {
-		t.Fatalf("sub-cap stream: N=%d Seen=%d, want 100/100", r.N(), r.Seen())
+	if r.N() != 100 || r.seen != 100 {
+		t.Fatalf("sub-cap stream: N=%d Seen=%d, want 100/100", r.N(), r.seen)
 	}
 	// Below cap nothing is evicted: exact percentiles.
 	if got := r.Percentile(50); got != 49.5 {
@@ -25,8 +25,8 @@ func TestReservoirBoundsMemory(t *testing.T) {
 	if r.N() != 128 {
 		t.Fatalf("kept %d observations, cap is 128", r.N())
 	}
-	if r.Seen() != 100000 {
-		t.Fatalf("Seen=%d, want 100000", r.Seen())
+	if r.seen != 100000 {
+		t.Fatalf("Seen=%d, want 100000", r.seen)
 	}
 }
 

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -40,9 +39,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// N returns the number of observations recorded.
-func (a *Accumulator) N() int64 { return a.n }
-
 // Mean returns the arithmetic mean, or 0 with no observations.
 func (a *Accumulator) Mean() float64 {
 	if a.n == 0 {
@@ -70,15 +66,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 
 // Max returns the largest observation, or 0 with no observations.
 func (a *Accumulator) Max() float64 { return a.max }
-
-// Reset clears the accumulator.
-func (a *Accumulator) Reset() { *a = Accumulator{} }
-
-// String summarizes the accumulator for logging.
-func (a *Accumulator) String() string {
-	return fmt.Sprintf("n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g",
-		a.n, a.Mean(), a.Stddev(), a.min, a.max)
-}
 
 // Sample keeps observations and answers percentile queries. The default
 // (NewSample / zero value) keeps every observation and answers exactly —
@@ -145,11 +132,6 @@ func (s *Sample) Grow(n int) {
 // N returns the number of kept observations (at most the reservoir cap).
 func (s *Sample) N() int { return len(s.xs) }
 
-// Seen returns the number of observations ever recorded, including
-// those a bounded reservoir has since evicted. For unbounded samples
-// Seen equals N.
-func (s *Sample) Seen() int64 { return s.seen }
-
 // Mean returns the arithmetic mean, or 0 with no observations.
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
@@ -162,20 +144,16 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-// Percentile returns the p-th percentile using linear interpolation
-// between closest ranks; p below 0 or above 100 is clamped. Returns 0
-// with no observations and NaN for a NaN p. The ranks come from an
-// in-place selection, which reorders the kept observations but, order
-// statistics being exact, answers exactly what a full sort would.
-func (s *Sample) Percentile(p float64) float64 { return s.Percentiles(p)[0] }
-
-// Percentiles answers Percentile for each of ps, in order, from one
-// selection pass: the ranks are settled in ascending order, and each
+// Percentiles returns the p-th percentile for each p of ps, in order,
+// using linear interpolation between closest ranks; p below 0 or above
+// 100 is clamped. Each answer is 0 with no observations and NaN for a NaN
+// p. The ranks come from one in-place selection pass, which reorders the
+// kept observations: the ranks are settled in ascending order, and each
 // selection searches only the part of the observations the previous one
 // left above its rank. When a rank is not whole, the next rank up is the
 // minimum of that part. Order statistics being exact, every answer is
-// the one a separate Percentile call gives (a zero's sign aside: -0 and
-// +0 tie, so either may come first).
+// the one a full sort gives (a zero's sign aside: -0 and +0 tie, so
+// either may come first).
 func (s *Sample) Percentiles(ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	n := len(s.xs)

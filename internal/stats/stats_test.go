@@ -14,8 +14,8 @@ func TestAccumulatorBasics(t *testing.T) {
 	for _, x := range []float64{1, 2, 3, 4, 5} {
 		a.Add(x)
 	}
-	if a.N() != 5 {
-		t.Fatalf("N = %d, want 5", a.N())
+	if a.n != 5 {
+		t.Fatalf("N = %d, want 5", a.n)
 	}
 	if !almostEq(a.Mean(), 3, 1e-12) {
 		t.Errorf("Mean = %g, want 3", a.Mean())
@@ -34,7 +34,7 @@ func TestAccumulatorBasics(t *testing.T) {
 func TestAccumulatorEmpty(t *testing.T) {
 	var a Accumulator
 	if a.Mean() != 0 || a.Variance() != 0 || a.Stddev() != 0 {
-		t.Errorf("empty accumulator should report zeros, got %v", a.String())
+		t.Errorf("empty accumulator should report zeros, got %+v", a)
 	}
 }
 
@@ -50,7 +50,7 @@ func TestAccumulatorMeanWithinBounds(t *testing.T) {
 			lo = math.Min(lo, x)
 			hi = math.Max(hi, x)
 		}
-		if a.N() == 0 {
+		if a.n == 0 {
 			return true
 		}
 		// Mean must lie within [min, max] up to roundoff.

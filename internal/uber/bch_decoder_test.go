@@ -1,4 +1,4 @@
-package bch
+package uber_test
 
 import "fmt"
 
@@ -218,11 +218,4 @@ func (c *Code) berlekampMassey(synd []int) (sigma []int, ok bool) {
 		sigma = sigma[:len(sigma)-1]
 	}
 	return sigma, len(sigma)-1 <= c.T
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

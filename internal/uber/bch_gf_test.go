@@ -1,11 +1,11 @@
-// Package bch implements binary BCH codes — the hard-decision ECC that
-// NAND controllers used before LDPC (paper §1: "for the storage systems
-// of 3Xnm NAND flash memory, hard-decision ECC such as BCH is usually
-// utilized"). It provides GF(2^m) arithmetic, systematic encoding via
-// the generator polynomial, and syndrome / Berlekamp-Massey / Chien
-// decoding. The FlexLevel evaluation uses it as the baseline ECC whose
-// correction capability soft-decision LDPC must beat.
-package bch
+// This file and bch_decoder_test.go hold a binary BCH code, the
+// hard-decision ECC NAND controllers used before LDPC (paper §1: "for
+// the storage systems of 3Xnm NAND flash memory, hard-decision ECC such
+// as BCH is usually utilized"): GF(2^m) arithmetic, systematic encoding
+// via the generator polynomial, and syndrome / Berlekamp-Massey / Chien
+// decoding. No program uses it; it is the reference decoder of
+// TestTailMatchesBCH, which checks Eq. 1's binomial tail against it.
+package uber_test
 
 import "fmt"
 

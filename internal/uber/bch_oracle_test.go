@@ -1,4 +1,4 @@
-package bch
+package uber_test
 
 import (
 	"bytes"

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"flexlevel/internal/bch"
 	"flexlevel/internal/ldpc"
 	"flexlevel/internal/uber"
 )
@@ -22,7 +21,7 @@ func TestTailMatchesBCH(t *testing.T) {
 		frames   = 4000
 		tolSigma = 4
 	)
-	code, err := bch.New(8, 8)
+	code, err := New(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,6 @@ type Code struct {
 	TotalBits int // m: codeword length in bits
 }
 
-// Rate returns the code rate n/m.
-func (c Code) Rate() float64 { return float64(c.InfoBits) / float64(c.TotalBits) }
-
 // ParityBits returns m - n.
 func (c Code) ParityBits() int { return c.TotalBits - c.InfoBits }
 
@@ -51,10 +48,10 @@ func RateCode(infoBytes, num, den int) Code {
 }
 
 // logFactTable caches log(x!) = lgamma(x+1) for x in [0, m]. The tail
-// sum evaluates logChoose for thousands of consecutive i per call and
+// sum evaluates log C(m, i) for thousands of consecutive i per call and
 // Lgamma dominated the whole simulator's CPU profile before the table
 // (three transcendental evaluations per binomial term); the table turns
-// each logChoose into three loads. Entries are exactly the values
+// each log C(m, i) into three loads. Entries are exactly the values
 // math.Lgamma returns, so every downstream result is bit-identical to
 // the untabled computation.
 var logFactTable struct {
@@ -77,12 +74,6 @@ func logFact(m int) []float64 {
 		logFactTable.tab = append(logFactTable.tab, v)
 	}
 	return logFactTable.tab
-}
-
-// logChoose returns log C(m, i) via the lgamma table.
-func logChoose(m, i int) float64 {
-	tab := logFact(m)
-	return tab[m] - tab[i] - tab[m-i]
 }
 
 // logAdd returns log(exp(a) + exp(b)) stably.
@@ -155,12 +146,6 @@ func logBinomTail(m, k int, p float64) float64 {
 func UBER(c Code, k int, pc float64) float64 {
 	tail := logBinomTail(c.TotalBits, k, pc)
 	return math.Exp(tail) / float64(c.InfoBits)
-}
-
-// LogUBER returns log10 of UBER, usable when UBER underflows float64.
-func LogUBER(c Code, k int, pc float64) float64 {
-	tail := logBinomTail(c.TotalBits, k, pc)
-	return (tail - math.Log(float64(c.InfoBits))) / math.Ln10
 }
 
 // RequiredK returns the smallest number of correctable bits k such that

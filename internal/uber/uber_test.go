@@ -14,7 +14,7 @@ func TestCodeBasics(t *testing.T) {
 	if c.TotalBits != 36864 {
 		t.Errorf("TotalBits = %d, want 36864", c.TotalBits)
 	}
-	if r := c.Rate(); math.Abs(r-8.0/9.0) > 1e-12 {
+	if r := float64(c.InfoBits) / float64(c.TotalBits); math.Abs(r-8.0/9.0) > 1e-12 {
 		t.Errorf("Rate = %g, want 8/9", r)
 	}
 	if c.ParityBits() != 4096 {
