@@ -33,20 +33,11 @@ const (
 	lowWater      = 2
 )
 
-// Stats counts tracker activity.
-type Stats struct {
-	Recalibrations int64 // Calibrate calls
-	Probes         int64 // re-sense probes issued across all of them
-	Improvements   int64 // recalibrations that lowered the block's levels
-	Rescues        int64 // recalibrations that made an unreadable block readable
-}
-
 // blockCal is the calibration state of one block.
 type blockCal struct {
 	shiftMv   int  // current read-reference shift
 	stepMv    int  // current probe step (halves as the search converges)
 	calLevels int  // sensing levels observed at the last calibration
-	calOK     bool // achievability at the last calibration
 	seen      bool // a Calibrate has run for this block
 }
 
@@ -56,7 +47,6 @@ type blockCal struct {
 // device (DESIGN.md §9).
 type Tracker struct {
 	blocks map[int]*blockCal
-	stats  Stats
 }
 
 // New builds a Tracker with no calibration state.
@@ -123,12 +113,10 @@ func (t *Tracker) Calibrate(block int, eval func(shiftMv int) (levels int, ok bo
 		c = &blockCal{stepMv: initialStepMv}
 		t.blocks[block] = c
 	}
-	t.stats.Recalibrations++
 
 	best := c.shiftMv
 	bestLev, bestOK := eval(best)
 	probes = 1
-	entryLev, entryOK := bestLev, bestOK
 	if !bestOK {
 		// Rescue sweep: strides of the initial step in the pattern
 		// -1, -2, +1, -3, -4, +2, ... — two negative probes per positive
@@ -197,17 +185,9 @@ func (t *Tracker) Calibrate(block int, eval func(shiftMv int) (levels int, ok bo
 			c.stepMv /= 2
 		}
 	}
-	if better(bestLev, bestOK, entryLev, entryOK) {
-		t.stats.Improvements++
-		if bestOK && !entryOK {
-			t.stats.Rescues++
-		}
-	}
 	c.shiftMv = best
 	c.calLevels = bestLev
-	c.calOK = bestOK
 	c.seen = true
-	t.stats.Probes += int64(probes)
 	return probes, bestLev, bestOK
 }
 

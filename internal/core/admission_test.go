@@ -51,10 +51,10 @@ func TestStepBatchCtxCancelsMidFlight(t *testing.T) {
 		pageBound += int64(req.Pages)
 	}
 	res := r.Device().Results()
-	if got := res.Reads + res.Writes + res.WritesRejected + res.WriteFailures; got > pageBound {
+	if got := res.Reads + res.FTL.UserPrograms + res.WritesRejected + res.WriteFailures; got > pageBound {
 		t.Fatalf("replay served %d pages after cancellation at request %d (page bound %d)", got, admit, pageBound)
 	}
-	if res.Reads+res.Writes == 0 {
+	if res.Reads+res.FTL.UserPrograms == 0 {
 		t.Fatal("replay stopped before serving anything; wanted a mid-flight stop")
 	}
 	// The partial run still finishes into a consistent metric set.
@@ -77,7 +77,7 @@ type progressCtx struct {
 // served is the page total the device has answered or refused.
 func served(r *Runner) int64 {
 	res := r.Device().Results()
-	return res.Reads + res.Writes + res.WritesRejected + res.WriteFailures
+	return res.Reads + res.FTL.UserPrograms + res.WritesRejected + res.WriteFailures
 }
 
 func (c *progressCtx) Err() error {
@@ -133,8 +133,8 @@ func TestStepBatchCtxPreCancelled(t *testing.T) {
 	if _, err := r.Replay(ctx, "pre-cancelled", reqs, 4096, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled replay returned %v", err)
 	}
-	if res := r.Device().Results(); res.Reads+res.Writes != 0 {
-		t.Fatalf("pre-cancelled replay served %d requests", res.Reads+res.Writes)
+	if res := r.Device().Results(); res.Reads+res.FTL.UserPrograms != 0 {
+		t.Fatalf("pre-cancelled replay served %d requests", res.Reads+res.FTL.UserPrograms)
 	}
 }
 

@@ -92,10 +92,9 @@ func (pc *PageCodec) WritePage(row int, data []byte) error {
 
 // ReadResult reports one soft read.
 type ReadResult struct {
-	Data        []byte // decoded information bits
-	OK          bool   // decoder converged (syndrome clean)
-	Iterations  int
-	ExtraLevels int
+	Data       []byte // decoded information bits
+	OK         bool   // decoder converged (syndrome clean)
+	Iterations int
 }
 
 // ReadPage senses row with extraLevels soft sensing levels around every
@@ -130,12 +129,7 @@ func (pc *PageCodec) ReadPage(row int, extraLevels int) (ReadResult, error) {
 	if err != nil {
 		return ReadResult{}, err
 	}
-	return ReadResult{
-		Data:        res.Data,
-		OK:          res.OK,
-		Iterations:  res.Iterations,
-		ExtraLevels: extraLevels,
-	}, nil
+	return ReadResult{Data: res.Data, OK: res.OK, Iterations: res.Iterations}, nil
 }
 
 func (pc *PageCodec) spec() *noise.Spec {
@@ -161,7 +155,6 @@ func (pc *PageCodec) checkRow(row int) error {
 // softSensor quantizes a Vth into a bin over the spec's references plus
 // extra soft levels, and yields per-level posteriors.
 type softSensor struct {
-	spec   *noise.Spec
 	bounds []float64   // ascending sensing reference voltages
 	post   [][]float64 // per bin, per level: P(level | bin), normalized
 }
@@ -185,7 +178,7 @@ func newSoftSensor(spec *noise.Spec, extra int, delta float64) *softSensor {
 			bounds[j], bounds[j-1] = bounds[j-1], bounds[j]
 		}
 	}
-	s := &softSensor{spec: spec, bounds: bounds}
+	s := &softSensor{bounds: bounds}
 	nBins := len(bounds) + 1
 	s.post = make([][]float64, nBins)
 	for bin := 0; bin < nBins; bin++ {

@@ -170,7 +170,7 @@ func TestPremiseEndToEnd(t *testing.T) {
 		if hard.OK && bytes.Equal(hard.Data, data) {
 			hardOK++
 		}
-		soft, err := pc.ReadPageAdaptive(0, 6)
+		soft, _, err := pc.ReadPageAdaptive(0, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,12 +202,12 @@ func TestReadPageAdaptiveStopsEarly(t *testing.T) {
 	if err := pc.WritePage(0, data); err != nil {
 		t.Fatal(err)
 	}
-	res, err := pc.ReadPageAdaptive(0, 6)
+	res, levels, err := pc.ReadPageAdaptive(0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.OK || res.ExtraLevels != 0 {
-		t.Errorf("fresh page adaptive read used %d levels, want 0", res.ExtraLevels)
+	if !res.OK || levels != 0 {
+		t.Errorf("fresh page adaptive read used %d levels, want 0", levels)
 	}
 }
 

@@ -2,18 +2,13 @@ package device
 
 // ReadPageAdaptive escalates sensing levels one at a time until the
 // decoder converges or maxLevels is reached — the read-retry flow the
-// storage system models with its attempts sequences.
-func (pc *PageCodec) ReadPageAdaptive(row, maxLevels int) (ReadResult, error) {
-	var last ReadResult
+// storage system models with its attempts sequences — and returns the
+// last read with the levels it sensed at.
+func (pc *PageCodec) ReadPageAdaptive(row, maxLevels int) (res ReadResult, levels int, err error) {
 	for l := 0; l <= maxLevels; l++ {
-		res, err := pc.ReadPage(row, l)
-		if err != nil {
-			return ReadResult{}, err
+		if res, err = pc.ReadPage(row, l); err != nil || res.OK {
+			return res, l, err
 		}
-		if res.OK {
-			return res, nil
-		}
-		last = res
 	}
-	return last, nil
+	return res, maxLevels, nil
 }

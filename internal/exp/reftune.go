@@ -36,20 +36,20 @@ func RefTuneAblation(cfg SimConfig, pe int, hours float64) ([]RefTuneRow, error)
 	rows, _, err := runner.Map(cfg.Ctx, cfg.engine("ablation-reftune"), cases,
 		func(_ int, c refTuneCase) string { return "scheme=" + c.name },
 		func(_ runner.Shard, c refTuneCase) (RefTuneRow, error) {
-			var ber float64
+			var m *noise.BERModel
+			var err error
 			if c.model == "" {
-				tuned, err := nunma.TuneReadRefs(nunma.BaselineMLC(), noise.MLCGray(), pe, hours)
-				if err != nil {
-					return RefTuneRow{}, err
+				var tuned *noise.Spec
+				if tuned, err = nunma.TuneReadRefs(nunma.BaselineMLC(), noise.MLCGray(), pe, hours); err == nil {
+					m, err = noise.NewBERModel(tuned, noise.MLCGray())
 				}
-				ber = tuned.BERAfter
 			} else {
-				m, err := nunma.Model(c.model)
-				if err != nil {
-					return RefTuneRow{}, err
-				}
-				ber = m.TotalBER(pe, hours)
+				m, err = nunma.Model(c.model)
 			}
+			if err != nil {
+				return RefTuneRow{}, err
+			}
+			ber := m.TotalBER(pe, hours)
 			l, _ := sensing.DefaultRule().RequiredLevels(ber)
 			return RefTuneRow{Scheme: c.name, BER: ber, Levels: l}, nil
 		})

@@ -205,22 +205,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats counts injector activity per fault class, indexed by Op.
-type Stats struct {
-	Checked  [NumOps]int64
-	Injected [NumOps]int64
-}
-
-// Sub returns s minus base, fieldwise — the activity between two
-// snapshots.
-func (s Stats) Sub(base Stats) Stats {
-	for op := Op(0); op < NumOps; op++ {
-		s.Checked[op] -= base.Checked[op]
-		s.Injected[op] -= base.Injected[op]
-	}
-	return s
-}
-
 // Injector decides, one physical operation at a time, whether that
 // operation fails. It is not safe for concurrent use (the simulator is
 // single-threaded by design).
@@ -228,7 +212,9 @@ type Injector struct {
 	cfg    Config
 	rng    *rand.Rand
 	script [NumOps]map[int64]bool
-	stats  Stats
+	// checked counts the checks of each class: the index a script
+	// event names.
+	checked [NumOps]int64
 	// probs[op][pe] memoizes curve(op).Prob(pe), grown on demand; a
 	// negative entry is not yet computed.
 	probs [NumOps][]float64
@@ -248,14 +234,6 @@ func New(cfg Config) (*Injector, error) {
 		inj.script[ev.Op][ev.Index] = true
 	}
 	return inj, nil
-}
-
-// Stats returns a snapshot of the activity counters.
-func (i *Injector) Stats() Stats {
-	if i == nil {
-		return Stats{}
-	}
-	return i.stats
 }
 
 // curve returns the rate curve of a class; PowerLoss has none.
@@ -305,22 +283,14 @@ func (i *Injector) Fails(op Op, block, pe int) bool {
 		return false
 	}
 	_ = block // per-block scripting is a future extension
-	n := i.stats.Checked[op]
-	i.stats.Checked[op]++
+	n := i.checked[op]
+	i.checked[op]++
 	if len(i.cfg.Script) > 0 {
-		if !i.script[op][n] {
-			return false
-		}
-		i.stats.Injected[op]++
-		return true
+		return i.script[op][n]
 	}
 	p := i.prob(op, pe)
 	if p <= 0 {
 		return false // zero-rate class: no RNG draw
 	}
-	if p < 1 && i.rng.Float64() >= p {
-		return false
-	}
-	i.stats.Injected[op]++
-	return true
+	return p >= 1 || i.rng.Float64() < p
 }

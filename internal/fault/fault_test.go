@@ -110,9 +110,6 @@ func TestEnabled(t *testing.T) {
 	if nilInj.Fails(Program, 0, 0) {
 		t.Error("nil injector injected a fault")
 	}
-	if nilInj.Stats().TotalInjected() != 0 {
-		t.Error("nil injector has stats")
-	}
 }
 
 // sequence records the outcome of a fixed check pattern.
@@ -211,12 +208,8 @@ func TestScriptMode(t *testing.T) {
 				k, progs, erases, reads)
 		}
 	}
-	st := inj.Stats()
-	if st.Injected[Program] != 1 || st.Injected[Erase] != 1 || st.Injected[Read] != 1 || st.Injected[Grown] != 0 {
-		t.Errorf("unexpected injected counts: %+v", st.Injected)
-	}
-	if st.Checked[Program] != 4 || st.TotalInjected() != 3 {
-		t.Errorf("unexpected checked/total counts: %+v", st)
+	if want := [NumOps]int64{Program: 4, Erase: 4, Read: 4}; inj.checked != want {
+		t.Errorf("checked counts %v, want %v", inj.checked, want)
 	}
 }
 
@@ -259,9 +252,8 @@ func TestRateInjectionFrequency(t *testing.T) {
 	if got < 0.08 || got > 0.12 {
 		t.Errorf("injection frequency %.3f, want ~0.10", got)
 	}
-	st := inj.Stats()
-	if st.Checked[Program] != n || st.Injected[Program] != int64(hits) {
-		t.Errorf("stats mismatch: %+v vs hits=%d", st, hits)
+	if inj.checked[Program] != n {
+		t.Errorf("checked %d programs, want %d", inj.checked[Program], n)
 	}
 }
 

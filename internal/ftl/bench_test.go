@@ -102,7 +102,7 @@ func BenchmarkFTLPickVictim(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if f.Stats().GCRuns == 0 || f.pickVictim() < 0 {
+	if f.Stats().Erases == 0 || f.pickVictim() < 0 {
 		b.Fatal("churn never reached steady-state GC")
 	}
 	b.ReportAllocs()

@@ -204,7 +204,6 @@ type OpCount struct {
 	Programs  int // page programs (user, GC copies and migrations)
 	CopyReads int // page reads performed to relocate data
 	Erases    int
-	GCRuns    int
 	// MetaPrograms counts metadata-page programs (journal flushes and
 	// checkpoint pages); zero unless the journal is enabled.
 	MetaPrograms int
@@ -215,9 +214,7 @@ type Stats struct {
 	UserPrograms      int64
 	GCPrograms        int64
 	MigrationPrograms int64
-	CopyReads         int64
 	Erases            int64
-	GCRuns            int64
 
 	// Fault handling / bad-block management.
 	ProgramFailures int64 // page programs whose status read reported failure
@@ -225,12 +222,6 @@ type Stats struct {
 	GrownBadBlocks  int64 // blocks retired by the wear-out screen after a good erase
 	RetiredBlocks   int64 // total blocks taken out of service
 	SparesUsed      int64 // retirements backfilled from the spare pool
-	RetireCopies    int64 // valid pages relocated off retiring blocks
-
-	// Crash-consistency layer (zero unless Config.Journal is enabled).
-	MetaPrograms   int64 // metadata-page programs (journal + checkpoints)
-	JournalFlushes int64 // journal frames made durable
-	Checkpoints    int64 // full mapping snapshots written
 }
 
 // Add returns the field-wise sum of s and other — used to carry
@@ -240,18 +231,12 @@ func (s Stats) Add(other Stats) Stats {
 	s.UserPrograms += other.UserPrograms
 	s.GCPrograms += other.GCPrograms
 	s.MigrationPrograms += other.MigrationPrograms
-	s.CopyReads += other.CopyReads
 	s.Erases += other.Erases
-	s.GCRuns += other.GCRuns
 	s.ProgramFailures += other.ProgramFailures
 	s.EraseFailures += other.EraseFailures
 	s.GrownBadBlocks += other.GrownBadBlocks
 	s.RetiredBlocks += other.RetiredBlocks
 	s.SparesUsed += other.SparesUsed
-	s.RetireCopies += other.RetireCopies
-	s.MetaPrograms += other.MetaPrograms
-	s.JournalFlushes += other.JournalFlushes
-	s.Checkpoints += other.Checkpoints
 	return s
 }
 
@@ -594,7 +579,6 @@ func (f *FTL) Migrate(lpn uint64, state BlockState) (int64, OpCount, error) {
 		return 0, ops, ErrDegraded
 	}
 	ops.CopyReads++
-	f.stats.CopyReads++
 	newPPN, err := f.rewrite(lpn, state, &f.stats.MigrationPrograms, &ops)
 	if err != nil {
 		return 0, ops, err
@@ -611,11 +595,11 @@ type movingPage struct {
 }
 
 // rewrite moves lpn's data to a fresh page of the state pool and counts
-// the program in ops and in the per-cause counter. When the append
-// fails the previous mapping is re-established: a rejected rewrite must
-// not lose the stored data. While the append runs, lpn sits on f.moving,
-// so a checkpoint written by a flush inside it (a block allocation or a
-// retirement) still maps lpn to its old page.
+// the program in ops and, when it is not nil, in the per-cause counter.
+// When the append fails the previous mapping is re-established: a
+// rejected rewrite must not lose the stored data. While the append runs,
+// lpn sits on f.moving, so a checkpoint written by a flush inside it (a
+// block allocation or a retirement) still maps lpn to its old page.
 func (f *FTL) rewrite(lpn uint64, state BlockState, counter *int64, ops *OpCount) (int64, error) {
 	old := f.mapOf(lpn)
 	f.invalidate(lpn)
@@ -626,16 +610,18 @@ func (f *FTL) rewrite(lpn uint64, state BlockState, counter *int64, ops *OpCount
 		f.restoreMapping(lpn, old)
 		return 0, err
 	}
-	*counter++
+	if counter != nil {
+		*counter++
+	}
 	ops.Programs++
 	return newPPN, nil
 }
 
 // relocate copies block b's valid pages into fresh blocks of its pool,
-// counting each copy in counter (the retirement or GC cause). It stops
-// at the first page it cannot place, which stays mapped where it is —
-// the caller sees a stuck FTL rather than lost data — and reports
-// whether every page moved.
+// counting each copy as rewrite does (counter is the GC cause; a
+// retirement passes nil). It stops at the first page it cannot place,
+// which stays mapped where it is — the caller sees a stuck FTL rather
+// than lost data — and reports whether every page moved.
 func (f *FTL) relocate(b int, counter *int64, ops *OpCount) bool {
 	state := f.blockState[b]
 	base := f.ppn(b, 0)
@@ -650,7 +636,6 @@ func (f *FTL) relocate(b int, counter *int64, ops *OpCount) bool {
 			return false
 		}
 		ops.CopyReads++
-		f.stats.CopyReads++
 		if f.OnRelocate != nil {
 			f.OnRelocate(uint64(lpn), old, newPPN)
 		}
@@ -754,8 +739,6 @@ func (f *FTL) journalFlush(ops *OpCount) error {
 	}
 	f.media.journal = AppendFrame(f.media.journal, f.pending)
 	f.pending = f.pending[:0]
-	f.stats.JournalFlushes++
-	f.stats.MetaPrograms++
 	ops.MetaPrograms++
 	f.flushes++
 	if f.flushes >= f.cfg.Journal.checkpointEvery() {
@@ -787,7 +770,6 @@ func (f *FTL) writeCheckpoint(ops *OpCount) error {
 		if !f.mediaTick(-1) {
 			return ErrPowerLoss
 		}
-		f.stats.MetaPrograms++
 		if ops != nil {
 			ops.MetaPrograms++
 		}
@@ -795,7 +777,6 @@ func (f *FTL) writeCheckpoint(ops *OpCount) error {
 	f.media.checkpoint = blob
 	f.media.journal = f.media.journal[:0]
 	f.flushes = 0
-	f.stats.Checkpoints++
 	return nil
 }
 
@@ -941,7 +922,7 @@ func (f *FTL) retire(b int, ops *OpCount) {
 	// A page left behind when relocation runs out of room stays
 	// readable: the bad block is simply never erased or programmed
 	// again.
-	f.relocate(b, &f.stats.RetireCopies, ops)
+	f.relocate(b, nil, ops)
 	f.inRetire = wasRetiring
 	if s, ok := f.spare.Max(); ok {
 		f.spare.Clear(s)
@@ -997,8 +978,6 @@ func (f *FTL) maybeGC(ops *OpCount) {
 	if f.dead || len(f.free) >= f.cfg.GCThreshold {
 		return
 	}
-	f.stats.GCRuns++
-	ops.GCRuns++
 	for len(f.free) < f.cfg.GCTarget {
 		if f.dead {
 			return

@@ -34,14 +34,12 @@ import (
 // RecoveryReport itemizes the work one Recover pass performed, so the
 // SSD layer can charge recovery time and the experiments can report it.
 type RecoveryReport struct {
-	CheckpointReadPages  int  // metadata pages read to load the checkpoint
-	JournalFrames        int  // journal frames (metadata pages) read and replayed
-	RecordsReplayed      int  // journal records applied over the checkpoint
-	TornJournalTail      bool // the journal ended in a power-interrupted frame
-	OOBReads             int  // per-page OOB reads during the scan
-	Candidates           int  // OOB-valid post-journal pages applied to the mapping
-	TornPages            int  // written-but-CRC-invalid pages detected and discarded
-	CheckpointWritePages int  // pages of the fresh checkpoint written on success
+	CheckpointReadPages  int // metadata pages read to load the checkpoint
+	JournalFrames        int // journal frames (metadata pages) read and replayed
+	RecordsReplayed      int // journal records applied over the checkpoint
+	OOBReads             int // per-page OOB reads during the scan
+	TornPages            int // written-but-CRC-invalid pages detected and discarded
+	CheckpointWritePages int // pages of the fresh checkpoint written on success
 }
 
 // TotalReads returns the read operations recovery performed — the
@@ -132,12 +130,11 @@ func Recover(cfg Config, m *Media, faultFn func(op fault.Op, block, pe int) bool
 	}
 
 	// 2. Journal replay: mutations flushed after the checkpoint.
-	recs, frames, torn, err := decodeJournalFrames(m.journal)
+	recs, frames, _, err := decodeJournalFrames(m.journal)
 	if err != nil {
 		return nil, rep, err
 	}
 	rep.JournalFrames = frames
-	rep.TornJournalTail = torn
 	base := f.seq
 	for _, r := range recs {
 		if r.Seq <= base {
@@ -221,7 +218,6 @@ func Recover(cfg Config, m *Media, faultFn func(op fault.Op, block, pe int) bool
 		if c.oob.Seq > f.seq {
 			f.seq = c.oob.Seq
 		}
-		rep.Candidates++
 	}
 
 	// A spare that carries data was promoted by a retirement whose

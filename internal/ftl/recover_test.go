@@ -79,6 +79,8 @@ type traceOracle struct {
 	loose    map[uint64]bool
 	mustMap  map[uint64]bool
 	finished bool // the trace completed without power loss
+	// metaPrograms sums the metadata-page programs the ops charged.
+	metaPrograms int
 }
 
 // runCrashTrace drives ops against f until the trace ends or power
@@ -89,7 +91,8 @@ func runCrashTrace(t *testing.T, f *FTL, ops []wop) traceOracle {
 	for _, op := range ops {
 		switch {
 		case !op.migrate:
-			_, _, err := f.Write(op.lpn, op.state)
+			_, wops, err := f.Write(op.lpn, op.state)
+			o.metaPrograms += wops.MetaPrograms
 			if err != nil {
 				if errors.Is(err, ErrPowerLoss) {
 					if o.mapped[op.lpn] {
@@ -103,7 +106,9 @@ func runCrashTrace(t *testing.T, f *FTL, ops []wop) traceOracle {
 			}
 			o.mapped[op.lpn] = true
 		case f.Mapped(op.lpn):
-			if _, _, err := f.Migrate(op.lpn, op.state); err != nil {
+			_, mops, err := f.Migrate(op.lpn, op.state)
+			o.metaPrograms += mops.MetaPrograms
+			if err != nil {
 				if errors.Is(err, ErrPowerLoss) {
 					o.loose[op.lpn] = true
 					o.mustMap[op.lpn] = true
@@ -173,16 +178,19 @@ func countMediaOps(t *testing.T, cfg Config, ops []wop) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Fault = inj.Fails
+	var fired int64
+	f.Fault = func(op fault.Op, block, pe int) bool {
+		hit := inj.Fails(op, block, pe)
+		if hit {
+			fired++
+		}
+		return hit
+	}
 	o := runCrashTrace(t, f, ops)
 	if !o.finished {
 		t.Fatal("fault-free trace did not finish")
 	}
-	var fired int64
-	for _, n := range inj.Stats().Injected {
-		fired += n
-	}
-	if gc := f.Stats().GCRuns; fired != int64(len(baseScript())) || gc == 0 {
+	if gc := f.Stats().Erases; fired != int64(len(baseScript())) || gc == 0 {
 		t.Fatalf("trace fired %d of %d scripted faults and ran GC %d times", fired, len(baseScript()), gc)
 	}
 	return f.MediaOps()
@@ -386,8 +394,8 @@ func TestRecoverCleanShutdown(t *testing.T) {
 	if !o.finished {
 		t.Fatal("trace did not finish")
 	}
-	if f.Stats().MetaPrograms == 0 || f.Stats().JournalFlushes == 0 || f.Stats().Checkpoints == 0 {
-		t.Fatalf("journal not exercised: %+v", f.Stats())
+	if o.metaPrograms == 0 || f.Media().checkpoint == nil {
+		t.Fatalf("journal not exercised: %d metadata programs, checkpoint written %v", o.metaPrograms, f.Media().checkpoint != nil)
 	}
 	rf, _, err := Recover(cfg, f.Media().Clone(), nil)
 	if err != nil {
@@ -417,9 +425,6 @@ func TestJournalDisabledIsInert(t *testing.T) {
 	}
 	if f.Media() != nil {
 		t.Fatal("media image allocated with journal disabled")
-	}
-	if s := f.Stats(); s.MetaPrograms != 0 || s.JournalFlushes != 0 || s.Checkpoints != 0 {
-		t.Fatalf("journal stats nonzero with journal disabled: %+v", s)
 	}
 	if f.MediaOps() == 0 {
 		t.Fatal("media-op counter should tick even without a journal")

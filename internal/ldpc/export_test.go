@@ -23,11 +23,3 @@ func (c *Code) CheckDegrees() (min, max int) {
 	}
 	return min, max
 }
-
-// BER returns the residual information bit error rate after decoding.
-func (r FERResult) BER() float64 {
-	if r.TotalBits == 0 {
-		return 0
-	}
-	return float64(r.BitErrors) / float64(r.TotalBits)
-}

@@ -1,6 +1,7 @@
 package ldpc
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 )
@@ -9,8 +10,6 @@ import (
 type FERResult struct {
 	Frames     int
 	FrameFails int
-	BitErrors  int64 // residual information-bit errors after decoding
-	TotalBits  int64
 	AvgIters   float64
 }
 
@@ -68,15 +67,7 @@ func SimulateBSC(k int, encode func(data []byte) ([]byte, error),
 			return FERResult{}, err
 		}
 		iterSum += int64(out.Iterations)
-		frameBad := false
-		for i := range data {
-			res.TotalBits++
-			if out.Data[i] != data[i] {
-				res.BitErrors++
-				frameBad = true
-			}
-		}
-		if frameBad || !out.OK {
+		if !out.OK || !bytes.Equal(out.Data, data) {
 			res.FrameFails++
 		}
 	}

@@ -98,17 +98,17 @@ func TestSimulateFER(t *testing.T) {
 	if high.FER() < 0.9 {
 		t.Errorf("FER at BER 8e-2 = %g, want near 1", high.FER())
 	}
-	if high.BER() <= low.BER() {
-		t.Errorf("residual BER should grow with channel BER: %g vs %g", low.BER(), high.BER())
+	if high.FrameFails <= low.FrameFails {
+		t.Errorf("frame failures should grow with channel BER: %d vs %d", low.FrameFails, high.FrameFails)
 	}
-	if low.Frames != 30 || low.TotalBits != int64(30*c.K) {
-		t.Errorf("accounting wrong: %+v", low)
+	if low.Frames != 30 || high.Frames != 20 {
+		t.Errorf("accounting wrong: %+v, %+v", low, high)
 	}
 	if low.AvgIters <= 0 {
 		t.Error("average iterations not tracked")
 	}
 	// A zero-value result (no frames run) reports zeros.
-	if empty := (FERResult{}); empty.FER() != 0 || empty.BER() != 0 {
+	if empty := (FERResult{}); empty.FER() != 0 {
 		t.Error("empty result should report zeros")
 	}
 }
@@ -157,11 +157,10 @@ func TestSimulateBSCFrameOutcomes(t *testing.T) {
 		name      string
 		ok, flip  bool
 		wantFails int
-		wantBits  int64
 	}{
-		{"clean", true, false, 0, 0},
-		{"parity failure, right data", false, false, 5, 0},
-		{"wrong data, parity passed", true, true, 5, 5},
+		{"clean", true, false, 0},
+		{"parity failure, right data", false, false, 5},
+		{"wrong data, parity passed", true, true, 5},
 	} {
 		var sent []byte
 		encode := func(data []byte) ([]byte, error) {
@@ -179,9 +178,8 @@ func TestSimulateBSCFrameOutcomes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.FrameFails != tc.wantFails || res.BitErrors != tc.wantBits ||
-			res.TotalBits != 40 || res.AvgIters != 2 {
-			t.Errorf("%s: %+v, want %d fails and %d bit errors over 40 bits", tc.name, res, tc.wantFails, tc.wantBits)
+		if res.Frames != 5 || res.FrameFails != tc.wantFails || res.AvgIters != 2 {
+			t.Errorf("%s: %+v, want %d fails of 5 frames", tc.name, res, tc.wantFails)
 		}
 	}
 }

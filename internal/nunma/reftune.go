@@ -15,32 +15,18 @@ import (
 // whether reference tuning alone removes the need for soft sensing
 // (it does not, at high wear — see exp.RefTuneAblation).
 
-// TuneResult reports a tuning run.
-type TuneResult struct {
-	Spec      *noise.Spec // tuned copy (original untouched)
-	Shifts    []float64   // applied per-reference shifts (negative = down)
-	BERBefore float64
-	BERAfter  float64
-}
-
 // TuneReadRefs grid-searches a downward shift for every read reference
 // of spec, minimizing the combined C2C + retention BER under enc at the
-// given wear point. Shifts are bounded so references stay ordered.
-func TuneReadRefs(spec *noise.Spec, enc noise.Encoding, pe int, hours float64) (TuneResult, error) {
+// given wear point, and returns the tuned copy (spec is untouched).
+// Shifts are bounded so references stay ordered.
+func TuneReadRefs(spec *noise.Spec, enc noise.Encoding, pe int, hours float64) (*noise.Spec, error) {
 	if err := spec.Validate(); err != nil {
-		return TuneResult{}, err
+		return nil, err
 	}
-	base, err := noise.NewBERModel(spec, enc)
-	if err != nil {
-		return TuneResult{}, err
-	}
-	before := base.TotalBER(pe, hours)
-
 	tuned := *spec
 	tuned.Name = spec.Name + "+reftune"
 	tuned.Levels = append([]noise.Level(nil), spec.Levels...)
 	tuned.ReadRefs = append([]float64(nil), spec.ReadRefs...)
-	shifts := make([]float64, len(tuned.ReadRefs))
 
 	// Each reference only affects its two adjacent levels, so optimize
 	// boundaries independently, in order, keeping refs strictly
@@ -66,26 +52,16 @@ func TuneReadRefs(spec *noise.Spec, enc noise.Encoding, pe int, hours float64) (
 			tuned.ReadRefs[i] = cand
 			m, err := noise.NewBERModel(&tuned, enc)
 			if err != nil {
-				return TuneResult{}, err
+				return nil, err
 			}
 			if b := m.TotalBER(pe, hours); b < bestBER {
 				bestBER, bestShift = b, s
 			}
 		}
 		if math.IsInf(bestBER, 1) {
-			return TuneResult{}, fmt.Errorf("nunma: no feasible shift for reference %d", i)
+			return nil, fmt.Errorf("nunma: no feasible shift for reference %d", i)
 		}
 		tuned.ReadRefs[i] = orig + bestShift
-		shifts[i] = bestShift
 	}
-	m, err := noise.NewBERModel(&tuned, enc)
-	if err != nil {
-		return TuneResult{}, err
-	}
-	return TuneResult{
-		Spec:      &tuned,
-		Shifts:    shifts,
-		BERBefore: before,
-		BERAfter:  m.TotalBER(pe, hours),
-	}, nil
+	return &tuned, nil
 }

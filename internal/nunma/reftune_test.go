@@ -7,27 +7,47 @@ import (
 	"flexlevel/internal/noise"
 )
 
-func TestTuneReadRefsImproves(t *testing.T) {
-	res, err := TuneReadRefs(BaselineMLC(), noise.MLCGray(), 6000, 720)
+// tuneMLC tunes the baseline MLC's references at a wear point and
+// returns the tuned spec, the per-reference shifts (negative = down) and
+// the BER before and after.
+func tuneMLC(t *testing.T, pe int, hours float64) (tuned *noise.Spec, shifts []float64, before, after float64) {
+	t.Helper()
+	spec := BaselineMLC()
+	tuned, err := TuneReadRefs(spec, noise.MLCGray(), pe, hours)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BERAfter >= res.BERBefore {
-		t.Errorf("tuning did not improve: %.3e -> %.3e", res.BERBefore, res.BERAfter)
+	for i, r := range tuned.ReadRefs {
+		shifts = append(shifts, r-spec.ReadRefs[i])
+	}
+	ber := func(s *noise.Spec) float64 {
+		m, err := noise.NewBERModel(s, noise.MLCGray())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.TotalBER(pe, hours)
+	}
+	return tuned, shifts, ber(spec), ber(tuned)
+}
+
+func TestTuneReadRefsImproves(t *testing.T) {
+	tuned, shifts, before, after := tuneMLC(t, 6000, 720)
+	if after >= before {
+		t.Errorf("tuning did not improve: %.3e -> %.3e", before, after)
 	}
 	// At heavy retention the optimal shifts are downward (tracking
 	// charge loss).
 	down := 0
-	for _, s := range res.Shifts {
+	for _, s := range shifts {
 		if s < 0 {
 			down++
 		}
 	}
 	if down == 0 {
-		t.Errorf("no downward shifts at heavy retention: %v", res.Shifts)
+		t.Errorf("no downward shifts at heavy retention: %v", shifts)
 	}
 	// The tuned spec stays structurally valid and ordered.
-	if err := res.Spec.Validate(); err != nil {
+	if err := tuned.Validate(); err != nil {
 		t.Errorf("tuned spec invalid: %v", err)
 	}
 	// The original spec is untouched.
@@ -39,14 +59,11 @@ func TestTuneReadRefsImproves(t *testing.T) {
 func TestTuneReadRefsFreshNearNoop(t *testing.T) {
 	// With no retention stress the stock placement is already close to
 	// optimal; tuning must not make things worse and shifts stay small.
-	res, err := TuneReadRefs(BaselineMLC(), noise.MLCGray(), 1000, 1)
-	if err != nil {
-		t.Fatal(err)
+	_, shifts, before, after := tuneMLC(t, 1000, 1)
+	if after > before*1.0001 {
+		t.Errorf("tuning worsened a fresh device: %.3e -> %.3e", before, after)
 	}
-	if res.BERAfter > res.BERBefore*1.0001 {
-		t.Errorf("tuning worsened a fresh device: %.3e -> %.3e", res.BERBefore, res.BERAfter)
-	}
-	for i, s := range res.Shifts {
+	for i, s := range shifts {
 		if math.Abs(s) > 0.1 {
 			t.Errorf("fresh-device shift %d = %.3f suspiciously large", i, s)
 		}
@@ -56,10 +73,7 @@ func TestTuneReadRefsFreshNearNoop(t *testing.T) {
 func TestTuneReadRefsCannotMatchLevelAdjust(t *testing.T) {
 	// The ablation's conclusion, pinned: tuned baseline BER stays an
 	// order of magnitude above NUNMA 3 at the worst corner.
-	tuned, err := TuneReadRefs(BaselineMLC(), noise.MLCGray(), 6000, 720)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, _, tunedBER := tuneMLC(t, 6000, 720)
 	cfg, err := ByName("NUNMA 3")
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +82,8 @@ func TestTuneReadRefsCannotMatchLevelAdjust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if redBER := red.TotalBER(6000, 720); tuned.BERAfter < 5*redBER {
-		t.Errorf("tuned baseline %.3e too close to NUNMA 3 %.3e", tuned.BERAfter, redBER)
+	if redBER := red.TotalBER(6000, 720); tunedBER < 5*redBER {
+		t.Errorf("tuned baseline %.3e too close to NUNMA 3 %.3e", tunedBER, redBER)
 	}
 }
 

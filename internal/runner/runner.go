@@ -47,11 +47,10 @@ type Config struct {
 }
 
 // Shard is the per-shard context handed to a sweep function: its stable
-// identity and its derived seed. The seed depends only on the master
-// seed and the shard key, never on scheduling.
+// index and the seed derived from its key. The seed depends only on the
+// master seed and the shard key, never on scheduling.
 type Shard struct {
 	Index    int
-	Key      string
 	Seed     int64
 	ops      *int64
 	counters *map[string]int64
@@ -224,7 +223,7 @@ func Map[I, O any](ctx context.Context, cfg Config, items []I, key func(i int, i
 				}
 				item := items[i]
 				k := key(i, item)
-				shard := Shard{Index: i, Key: k, Seed: DeriveSeed(cfg.Seed, k), ops: &ops[i], counters: &counters[i], gauges: &gauges[i]}
+				shard := Shard{Index: i, Seed: DeriveSeed(cfg.Seed, k), ops: &ops[i], counters: &counters[i], gauges: &gauges[i]}
 				t0 := time.Now()
 				res, err := fn(shard, item)
 				shardMetrics[i] = ShardMetric{Key: k, Seed: shard.Seed, Seconds: time.Since(t0).Seconds()}

@@ -286,8 +286,7 @@ func TestDisabledCalibInert(t *testing.T) {
 		return driftBER(state, pe, ageHours, 0)
 	}
 	a, b := run(keyed(nominal)), run(keyed(driftBER))
-	if a.ReadResp != b.ReadResp || a.Unreadable != b.Unreadable ||
-		a.SensingAttempts != b.SensingAttempts || a.LevelHist != b.LevelHist {
+	if a.ReadResp != b.ReadResp || a.Unreadable != b.Unreadable || a.LevelHist != b.LevelHist {
 		t.Error("a shift-dependent BER perturbed a calibration-disabled device")
 	}
 	if b.Unreadable == 0 {

@@ -28,8 +28,8 @@ func TestEmptyAttemptsGuard(t *testing.T) {
 		t.Errorf("resp = %v, want one hard-decision read %v", resp, want)
 	}
 	r := d.Results()
-	if r.SensingAttempts != 1 || r.LevelHist[0] != 1 {
-		t.Errorf("results = %+v, want exactly one level-0 attempt", r)
+	if r.Reads != 1 || r.LevelHist[0] != 1 {
+		t.Errorf("results = %+v, want exactly one level-0 read", r)
 	}
 }
 
@@ -87,11 +87,8 @@ func TestTransientReadRetryEscalation(t *testing.T) {
 	}
 	// A zero BER needs 1 attempt; the two retries escalate to levels 1 and 2
 	// and each is charged.
-	if r.SensingAttempts != 3 {
-		t.Errorf("SensingAttempts = %d, want 3", r.SensingAttempts)
-	}
-	if final != 2 {
-		t.Errorf("final level = %d, want 2 after two escalations", final)
+	if final != 2 || r.LevelHist[2] != 1 {
+		t.Errorf("final level = %d (histogram %v), want 2 after two escalations", final, r.LevelHist)
 	}
 	want := timing.ReadLatency(0) + timing.ReadLatency(1) + timing.ReadLatency(2)
 	if resp != want {
@@ -101,10 +98,8 @@ func TestTransientReadRetryEscalation(t *testing.T) {
 	if _, final := d.Read(time.Second, 2); final != 0 {
 		t.Errorf("clean read escalated to level %d", final)
 	}
-	// 3 checks on the faulty read (2 hits + 1 miss ending the loop) plus
-	// 1 on the clean read.
-	if r := d.Results(); r.Faults.Injected[fault.Read] != 2 || r.Faults.Checked[fault.Read] != 4 {
-		t.Errorf("injector stats = %+v, want 2 injected / 4 checked", r.Faults)
+	if r := d.Results(); r.TransientReadFaults != 2 || r.ReadRetries != 2 || r.LevelHist[0] != 1 || r.LevelHist[2] != 1 {
+		t.Errorf("results = %+v, want the clean read at level 0 with no new fault", r)
 	}
 }
 
@@ -202,6 +197,15 @@ func TestScriptedFaultScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var injected int64
+	fails := d.ftl.Fault
+	d.ftl.Fault = func(op fault.Op, block, pe int) bool {
+		hit := fails(op, block, pe)
+		if hit {
+			injected++
+		}
+		return hit
+	}
 
 	// Phase 1 — the very first write hits a program-status failure and
 	// must transparently replay on a fresh block.
@@ -268,10 +272,6 @@ func TestScriptedFaultScenario(t *testing.T) {
 	}
 	if r.FTL.RetiredBlocks < 3 {
 		t.Errorf("RetiredBlocks = %d, want >= 3", r.FTL.RetiredBlocks)
-	}
-	var injected int64
-	for _, n := range r.Faults.Injected {
-		injected += n
 	}
 	if injected != r.FTL.ProgramFailures+r.FTL.EraseFailures {
 		t.Errorf("injector total %d != program+erase failures %d",

@@ -187,10 +187,8 @@ type Results struct {
 	// ReadSample keeps every read response time for percentile queries.
 	ReadSample *stats.Sample
 
-	Reads           int64
-	Writes          int64
-	SensingAttempts int64 // total sensing passes across all attempts
-	LevelHist       [sensing.MaxExtraLevels + 1]int64
+	Reads     int64
+	LevelHist [sensing.MaxExtraLevels + 1]int64
 
 	// Unreadable counts reads whose BER exceeded even the maximum soft
 	// sensing capability; Refreshes counts the in-place rewrites the
@@ -203,10 +201,10 @@ type Results struct {
 
 	// Adaptive read-retry ladder (DESIGN.md §13). Recalibrations counts
 	// background read-threshold retunes; CalibProbes the re-sense probes
-	// they issued (charged via Timing.CalibrationLatency, counted apart
-	// from SensingAttempts); CalibRescues the reads that were unreadable
-	// at the stale shift and decoded after retuning; CalibReReads the
-	// served re-senses at a freshly improved calibration.
+	// they issued (charged via Timing.CalibrationLatency); CalibRescues
+	// the reads that were unreadable at the stale shift and decoded after
+	// retuning; CalibReReads the served re-senses at a freshly improved
+	// calibration.
 	// EscalatedRetirements counts blocks the ladder retired after both
 	// recalibration and refresh failed to make them readable.
 	Recalibrations       int64
@@ -215,35 +213,29 @@ type Results struct {
 	CalibReReads         int64
 	EscalatedRetirements int64
 
-	// Fault handling and graceful degradation. Writes counts accepted
-	// user writes; WritesRejected the writes refused in degraded mode
-	// (spare pool exhausted) and WriteFailures the writes dropped after
-	// exhausting program retries. TransientReadFaults counts injected
-	// read faults, ReadRetries the escalating re-reads they triggered,
-	// and DataLoss the pages declared unrecoverable after the retry
-	// bound.
+	// Fault handling and graceful degradation. WritesRejected counts the
+	// writes refused in degraded mode (spare pool exhausted) and
+	// WriteFailures the writes dropped after exhausting program retries.
+	// TransientReadFaults counts injected read faults, ReadRetries the
+	// escalating re-reads they triggered, and DataLoss the pages declared
+	// unrecoverable after the retry bound.
 	WritesRejected      int64
 	WriteFailures       int64
 	TransientReadFaults int64
 	ReadRetries         int64
 	DataLoss            int64
 
-	// Faults is a snapshot of the injector's activity counters.
-	Faults fault.Stats
-
 	// Crash consistency. Crashes counts power losses; InFlightLost the
 	// user writes cut off mid-flight (never acknowledged, so losing them
-	// honours the ack contract). RecoveryReads / RecoveryRecords /
-	// RecoveryTornPages itemize the recovery work: metadata and OOB
-	// reads performed, journal records replayed, and power-interrupted
-	// pages detected and discarded. RecoveryTime is the cumulative
-	// device unavailability spent recovering.
-	Crashes           int64
-	InFlightLost      int64
-	RecoveryReads     int64
-	RecoveryRecords   int64
-	RecoveryTornPages int64
-	RecoveryTime      time.Duration
+	// honours the ack contract). RecoveryReads / RecoveryRecords
+	// itemize the recovery work: metadata and OOB reads performed and
+	// journal records replayed. RecoveryTime is the cumulative device
+	// unavailability spent recovering.
+	Crashes         int64
+	InFlightLost    int64
+	RecoveryReads   int64
+	RecoveryRecords int64
+	RecoveryTime    time.Duration
 
 	// MetaBytes is the resident size of the FTL's mapping/block tables
 	// plus the device's retention-age tracking at snapshot time
@@ -283,10 +275,9 @@ type Device struct {
 	// same rule and provably equal to the rule's bisection.
 	levels *sensing.LevelTable
 
-	res       Results
-	rng       *rand.Rand
-	inj       *fault.Injector // nil when fault injection is disabled
-	faultBase fault.Stats     // injector counters at the last measurement reset
+	res Results
+	rng *rand.Rand
+	inj *fault.Injector // nil when fault injection is disabled
 
 	// crashed is set on power loss and cleared by a successful Restart;
 	// ftlPrior carries the dead FTL's counters across the swap.
@@ -518,7 +509,6 @@ func (d *Device) ResetMeasurement() {
 		d.chanFree[i] = 0
 	}
 	d.res = Results{ReadSample: d.newReadSample()}
-	d.faultBase = d.inj.Stats()
 	if d.berStats != nil {
 		d.berBase = d.berStats()
 	}
@@ -705,7 +695,6 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 	for _, l := range attempts {
 		service += timing.ReadLatency(l)
 	}
-	senses := int64(len(attempts))
 	final := attempts[len(attempts)-1]
 	if final > sensing.MaxExtraLevels {
 		final = sensing.MaxExtraLevels
@@ -727,7 +716,6 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 		service += timing.CalibrationLatency(probes)
 		if ok && (!achievable || lev < required) {
 			service += timing.ReadLatency(lev)
-			senses++
 			d.res.CalibReReads++
 			if !achievable {
 				d.res.CalibRescues++
@@ -744,7 +732,6 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 	resp := d.charge(ch, now, service) - now
 
 	d.res.Reads++
-	d.res.SensingAttempts += senses
 	d.res.LevelHist[final]++
 	sec := resp.Seconds()
 	d.res.ReadResp.Add(sec)
@@ -864,7 +851,6 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 	if backlog > allowance {
 		resp += backlog - allowance
 	}
-	d.res.Writes++
 	d.recordWrite(resp)
 	return resp, nil
 }
@@ -979,7 +965,6 @@ func (d *Device) Restart(now time.Duration) (ftl.RecoveryReport, error) {
 	}
 	d.res.RecoveryReads += int64(rep.TotalReads())
 	d.res.RecoveryRecords += int64(rep.RecordsReplayed)
-	d.res.RecoveryTornPages += int64(rep.TornPages)
 	d.res.RecoveryTime += rt
 	d.crashed = false
 	return rep, nil
@@ -1001,7 +986,6 @@ func (d *Device) Results() Results {
 	r := d.res
 	r.MetaBytes = d.MetaBytes()
 	r.FTL = d.ftlPrior.Add(d.ftl.Stats())
-	r.Faults = d.inj.Stats().Sub(d.faultBase)
 	if d.berStats != nil {
 		r.BERCache = d.berStats().Sub(d.berBase)
 	}
