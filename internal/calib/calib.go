@@ -35,10 +35,9 @@ const (
 
 // blockCal is the calibration state of one block.
 type blockCal struct {
-	shiftMv   int  // current read-reference shift
-	stepMv    int  // current probe step (halves as the search converges)
-	calLevels int  // sensing levels observed at the last calibration
-	seen      bool // a Calibrate has run for this block
+	shiftMv   int // current read-reference shift
+	stepMv    int // current probe step (halves as the search converges)
+	calLevels int // sensing levels observed at the last calibration
 }
 
 // Tracker estimates one read-reference shift per block from decode
@@ -77,7 +76,7 @@ func (t *Tracker) Observe(block, levels int, ok bool) bool {
 	if levels < lowWater {
 		return false
 	}
-	if c, calibrated := t.blocks[block]; calibrated && c.seen {
+	if c, calibrated := t.blocks[block]; calibrated {
 		return levels > c.calLevels
 	}
 	return true
@@ -187,7 +186,6 @@ func (t *Tracker) Calibrate(block int, eval func(shiftMv int) (levels int, ok bo
 	}
 	c.shiftMv = best
 	c.calLevels = bestLev
-	c.seen = true
 	return probes, bestLev, bestOK
 }
 

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"flexlevel/internal/ftl"
-	"flexlevel/internal/ssd"
 	"flexlevel/internal/trace"
 )
 
@@ -93,7 +92,7 @@ const replayPoll = 256
 // most qd requests are in flight: each is submitted at the later of its
 // arrival and the completion of the request whose slot it takes, so
 // qd == 1 serializes requests back-to-back (closed loop at depth 1). A
-// write the device dropped (ssd.WriteDropped) is counted in the metrics
+// write the device dropped (ftl.WriteRefused) is counted in the metrics
 // and the replay goes on.
 //
 // The loop checks ctx before the first request and then before every
@@ -121,7 +120,7 @@ func (r *Runner) Replay(ctx context.Context, name string, reqs []trace.Request, 
 			at = w.Submit(at)
 		}
 		done, err := r.StepAt(req, at)
-		if err != nil && !ssd.WriteDropped(err) {
+		if err != nil && !ftl.WriteRefused(err) {
 			return Metrics{}, err
 		}
 		if w != nil {
@@ -137,7 +136,7 @@ func (r *Runner) Replay(ctx context.Context, name string, reqs []trace.Request, 
 // request's last page. Pages of one request are issued together at the
 // submit time; same-channel pages serialize in the device's FIFO, so the
 // request completes when its slowest page does. A write page the device
-// dropped (ssd.WriteDropped) does not stop the request: the later pages
+// dropped (ftl.WriteRefused) does not stop the request: the later pages
 // are still issued, and StepAt returns the completion time with a
 // *WriteError for the first dropped page. Any other failed write page
 // stops the request with a *WriteError. It is the single-request
@@ -175,7 +174,7 @@ func (r *Runner) StepAt(req trace.Request, at time.Duration) (time.Duration, err
 				return done, err
 			} else {
 				werr := &WriteError{Stored: stored, err: fmt.Errorf("core: %s write lpn %d: %w", r.opts.System, lpn, err)}
-				if !ssd.WriteDropped(err) {
+				if !ftl.WriteRefused(err) {
 					return done, werr
 				}
 				if dropped == nil {

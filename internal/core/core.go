@@ -356,7 +356,7 @@ func (r *Runner) preload(pages uint64) error {
 		return r.device.PreloadState(pages, ftl.ReducedState)
 	}
 	for lpn := uint64(0); lpn < pages; lpn++ {
-		if _, err := r.device.Write(0, lpn, ftl.ReducedState); err != nil && !ssd.WriteDropped(err) {
+		if _, err := r.device.Write(0, lpn, ftl.ReducedState); err != nil && !ftl.WriteRefused(err) {
 			return fmt.Errorf("core: leveladjust-only preload: %w", err)
 		}
 	}
@@ -371,10 +371,7 @@ func (r *Runner) read(now time.Duration, lpn uint64) (time.Duration, error) {
 	}
 	dec := r.ctrl.OnRead(lpn, levels)
 	for _, victim := range dec.Evict {
-		if err := r.device.Migrate(now, victim, ftl.NormalState); err != nil {
-			if ftl.WriteRefused(err) {
-				continue
-			}
+		if err := r.device.Migrate(now, victim, ftl.NormalState); err != nil && !ftl.WriteRefused(err) {
 			r.ctrl.Remove(lpn) // the admission's own move is never tried
 			return resp, fmt.Errorf("core: evict lpn %d: %w", victim, err)
 		}

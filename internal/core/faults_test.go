@@ -86,8 +86,8 @@ func TestFaultyRunSurfacesReliabilityMetrics(t *testing.T) {
 // TestSkippedMigrationLeavesPool drives a FlexLevel runner to the end of
 // its write life (every erase grows a bad block, one spare, the small
 // geometry the serve out-of-blocks test uses), then reads until
-// AccessEval admits pages whose conversion finds no free block. A
-// skipped conversion leaves the page in normal state, so the admission
+// AccessEval admits pages whose conversion the read-only device refuses.
+// A skipped conversion leaves the page in normal state, so the admission
 // must be taken back: every pool member is mapped in the reduced pool,
 // and Migrations counts only moves that happened.
 func TestSkippedMigrationLeavesPool(t *testing.T) {
@@ -115,18 +115,18 @@ func TestSkippedMigrationLeavesPool(t *testing.T) {
 	var now time.Duration
 	// Four tenants of 512 pages each, visited in turn.
 	next := func(i int) uint64 { return uint64(i%4)*512 + uint64(rng.Intn(512)) }
-	outOfBlocks := false
-	for i := 0; i < 3000 && !outOfBlocks; i++ {
+	noBlock := false
+	for i := 0; i < 3000 && !noBlock; i++ {
 		done, err := r.StepAt(trace.Request{Arrival: now, Op: trace.Write, LPN: next(i), Pages: 1}, now)
 		switch {
 		case errors.Is(err, ftl.ErrNoFreeBlocks):
-			outOfBlocks = true
+			noBlock = true
 		case err != nil:
 			t.Fatalf("write %d: %v", i, err)
 		}
 		now = max(now, done)
 	}
-	if !outOfBlocks {
+	if !noBlock {
 		t.Fatal("the device never ran out of free blocks")
 	}
 	for i := 0; i < 5000; i++ {

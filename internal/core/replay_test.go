@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"flexlevel/internal/fault"
-	"flexlevel/internal/ssd"
+	"flexlevel/internal/ftl"
 	"flexlevel/internal/trace"
 )
 
@@ -190,7 +190,7 @@ func TestReplayLeavesInputUnchanged(t *testing.T) {
 						return err
 					}
 					for _, req := range reqs {
-						if err := r.Step(req); err != nil && !ssd.WriteDropped(err) {
+						if err := r.Step(req); err != nil && !ftl.WriteRefused(err) {
 							return err
 						}
 					}

@@ -251,58 +251,17 @@ func lifetimeShard(s runner.Shard, c lifetimeCell, cfg SimConfig, p LifetimePara
 		return nil, err
 	}
 
-	rng := rand.New(rand.NewSource(s.Seed))
+	cell := &lifetimeDrive{
+		dev: dev, rng: rand.New(rand.NewSource(s.Seed)),
+		policy: c.Policy, state: state, logical: logical,
+	}
 	epochDur := time.Duration(p.EpochHours) * time.Hour
 	var rows []LifetimeRow
-	var patrolled, unreadable int64
-	readOnly := false
 	for epoch := 1; epoch <= p.MaxEpochs; epoch++ {
 		now := time.Duration(epoch) * epochDur
-
-		// Host traffic: a uniform-random overwrite trickle. It wears
-		// blocks through GC while leaving ~98% of the device aging.
-		for i := 0; i < p.WritesPerEpoch && !readOnly; i++ {
-			lpn := uint64(rng.Int63n(int64(logical)))
-			// A dropped write loses only itself: the trickle goes on
-			// until the device degrades.
-			if _, err := dev.Write(now, lpn, state); err != nil && !ssd.WriteDropped(err) {
-				if !ftl.WriteRefused(err) {
-					return rows, err
-				}
-				readOnly = true
-			}
-			readOnly = readOnly || dev.Degraded()
+		if err := cell.epoch(epoch, p.WritesPerEpoch, now); err != nil {
+			return rows, err
 		}
-
-		// Patrol scan: read health of the whole logical space, then let
-		// the policy rewrite what it wants to. Patrols are pure reads
-		// and keep working on a read-only device; only the refresh
-		// rewrites stop.
-		scrub := c.Policy == PolicyScrub && epoch%scrubEveryEpochs == 0
-		for lpn := uint64(0); lpn < logical; lpn++ {
-			levels, readable := dev.Patrol(lpn, now)
-			patrolled++
-			if !readable {
-				unreadable++
-			}
-			refresh := scrub
-			if c.Policy == PolicyThreshold {
-				refresh = !readable || levels >= refreshLevels
-			}
-			if !refresh || readOnly {
-				continue
-			}
-			if _, cur, ok := dev.FTL().Lookup(lpn); ok {
-				if err := dev.Migrate(now, lpn, cur); err != nil {
-					if !ftl.WriteRefused(err) {
-						return rows, err
-					}
-					readOnly = true
-				}
-				readOnly = readOnly || dev.Degraded()
-			}
-		}
-
 		res := dev.Results()
 		row := LifetimeRow{
 			Scheme:        c.Scheme.Name,
@@ -312,17 +271,17 @@ func lifetimeShard(s runner.Shard, c lifetimeCell, cfg SimConfig, p LifetimePara
 			MeanPE:        dev.FTL().MeanPE(),
 			SparesLeft:    dev.FTL().SpareBlocksLeft(),
 			RetiredBlocks: res.FTL.RetiredBlocks,
-			Patrolled:     patrolled,
-			Unreadable:    unreadable,
+			Patrolled:     cell.patrolled,
+			Unreadable:    cell.unreadable,
 			Refreshes:     res.FTL.MigrationPrograms,
 			UserWrites:    res.FTL.UserPrograms,
 			TotalPrograms: res.FTL.TotalPrograms(),
 			WriteAmp:      res.FTL.WriteAmplification(),
 			TBWBytes:      res.FTL.UserPrograms * pageBytes,
-			Degraded:      readOnly,
+			Degraded:      dev.Degraded(),
 		}
-		if patrolled > 0 {
-			row.UBER = float64(unreadable) / (float64(patrolled) * pageBits)
+		if row.Patrolled > 0 {
+			row.UBER = float64(row.Unreadable) / (float64(row.Patrolled) * pageBits)
 		}
 		rows = append(rows, row)
 		if row.Degraded {
@@ -331,7 +290,7 @@ func lifetimeShard(s runner.Shard, c lifetimeCell, cfg SimConfig, p LifetimePara
 	}
 
 	last := rows[len(rows)-1]
-	s.AddOps(last.UserWrites + patrolled)
+	s.AddOps(last.UserWrites + last.Patrolled)
 	s.AddCounter("refresh_programs", last.Refreshes)
 	s.AddCounter("unreadable", last.Unreadable)
 	s.AddCounter("retired_blocks", last.RetiredBlocks)
@@ -340,6 +299,57 @@ func lifetimeShard(s runner.Shard, c lifetimeCell, cfg SimConfig, p LifetimePara
 	runtime.ReadMemStats(&ms)
 	s.AddGauge("heap_alloc_bytes", float64(ms.HeapAlloc))
 	return rows, nil
+}
+
+// lifetimeDrive is one lifetime cell in motion, with its patrol totals.
+type lifetimeDrive struct {
+	dev                   *ssd.Device
+	rng                   *rand.Rand
+	policy                string
+	state                 ftl.BlockState // the pool host writes go to
+	logical               uint64
+	patrolled, unreadable int64
+}
+
+// epoch runs one epoch ending at simulated time now: the host write
+// trickle, then the patrol scan with the policy's refreshes. A write or
+// refresh the device refused (ftl.WriteRefused) loses only itself; once
+// the device is degraded, writes and refreshes stop and the patrol
+// reads go on (DESIGN.md §8).
+func (l *lifetimeDrive) epoch(epoch, writes int, now time.Duration) error {
+	dev := l.dev
+	// Host traffic: a uniform-random overwrite trickle. It wears blocks
+	// through GC while leaving ~98% of the device aging.
+	for i := 0; i < writes && !dev.Degraded(); i++ {
+		lpn := uint64(l.rng.Int63n(int64(l.logical)))
+		if _, err := dev.Write(now, lpn, l.state); err != nil && !ftl.WriteRefused(err) {
+			return err
+		}
+	}
+
+	// Patrol scan: read health of the whole logical space, then let the
+	// policy rewrite what it wants to.
+	scrub := l.policy == PolicyScrub && epoch%scrubEveryEpochs == 0
+	for lpn := uint64(0); lpn < l.logical; lpn++ {
+		levels, readable := dev.Patrol(lpn, now)
+		l.patrolled++
+		if !readable {
+			l.unreadable++
+		}
+		refresh := scrub
+		if l.policy == PolicyThreshold {
+			refresh = !readable || levels >= refreshLevels
+		}
+		if !refresh || dev.Degraded() {
+			continue
+		}
+		if _, cur, ok := dev.FTL().Lookup(lpn); ok {
+			if err := dev.Migrate(now, lpn, cur); err != nil && !ftl.WriteRefused(err) {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // lifetimeEnd indexes the final row of each (scheme, policy) cell,

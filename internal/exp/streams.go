@@ -22,7 +22,6 @@ type streams[K comparable] struct {
 	mu    sync.Mutex
 	users map[K]int        // cells that have yet to put each key
 	live  map[K]*sharedReq // streams generated or being generated
-	peak  int              // most streams live at once
 }
 
 // sharedReq is one generated stream and its generation error.
@@ -55,7 +54,6 @@ func (st *streams[K]) get(key K) ([]trace.Request, error) {
 	if e == nil {
 		e = new(sharedReq)
 		st.live[key] = e
-		st.peak = max(st.peak, len(st.live))
 	}
 	st.mu.Unlock()
 	e.once.Do(func() { e.reqs, e.err = st.gen(key) })

@@ -25,9 +25,18 @@ func TestStreamsShareOnePerKey(t *testing.T) {
 		}
 		var mu sync.Mutex
 		made := map[string]int{}
-		st := newStreams(keys, func(key string) ([]trace.Request, error) {
+		// peak is the most streams live when one is generated: a
+		// stream goes live just before its generation, so this is the
+		// most live at once.
+		peak := 0
+		var st *streams[string]
+		st = newStreams(keys, func(key string) ([]trace.Request, error) {
+			st.mu.Lock()
+			live := len(st.live)
+			st.mu.Unlock()
 			mu.Lock()
 			made[key]++
+			peak = max(peak, live)
 			mu.Unlock()
 			return make([]trace.Request, 16), nil
 		})
@@ -52,8 +61,8 @@ func TestStreamsShareOnePerKey(t *testing.T) {
 				t.Fatalf("workers %d: cell %d got a different slice of stream %s", workers, i, key)
 			}
 		}
-		if st.peak > workers+1 {
-			t.Fatalf("workers %d: %d streams live at once", workers, st.peak)
+		if peak > workers+1 {
+			t.Fatalf("workers %d: %d streams live at once", workers, peak)
 		}
 		if len(st.live) != 0 || len(st.users) != 0 {
 			t.Fatalf("workers %d: %d streams still held after the sweep", workers, len(st.live))

@@ -17,32 +17,30 @@ import (
 	"flexlevel/internal/reducecode"
 )
 
-// ErrDegraded is returned by Write/Migrate once the device has lost so
-// many blocks to retirement that it can no longer hold the logical space
-// plus GC headroom: reads keep working, writes are rejected (a real
-// controller goes read-only rather than corrupting data).
-var ErrDegraded = errors.New("ftl: degraded mode, writes disabled (bad blocks exceed spare capacity)")
+// ErrDegraded is returned by Write/Migrate once the device cannot hold
+// the logical space plus GC headroom, or a write found no free block:
+// reads keep working, writes are rejected (a real controller goes
+// read-only rather than corrupting data).
+var ErrDegraded = errors.New("ftl: degraded mode, writes disabled")
 
 // ErrWriteFailed is returned when a program failed on DefaultProgramRetries
 // consecutive fresh blocks; the previous mapping of the page (if any) is
 // left intact.
 var ErrWriteFailed = errors.New("ftl: program retries exhausted")
 
-// ErrNoFreeBlocks is returned when an append cannot allocate a target
-// block: the logical space overcommits the pool, or retirements plus
-// fragmentation have eaten the over-provisioned space faster than the
-// degraded-mode capacity check could notice. Like ErrDegraded it marks
-// the end of write service; stored data stays readable.
+// ErrNoFreeBlocks marks a Write or Migrate that could not allocate a
+// target block: the logical space overcommits the pool, or retirements
+// plus fragmentation have eaten the over-provisioned space faster than
+// the capacity check could notice. The FTL enters degraded mode, and
+// the error matches ErrDegraded too.
 var ErrNoFreeBlocks = errors.New("ftl: out of free blocks")
 
 // WriteRefused reports whether err is the FTL failing to store a write
-// while the data it already holds stays readable: degraded mode, a
-// program that exhausted its retries, or no free block to append into.
-// The lifetime sweep reads it as the end of write life; AccessEval
-// skips a pool conversion that hits it.
+// while the data it already holds stays readable: degraded mode or a
+// program that exhausted its retries. Degraded tells whether a later
+// write can succeed (DESIGN.md §8).
 func WriteRefused(err error) bool {
-	return errors.Is(err, ErrDegraded) || errors.Is(err, ErrWriteFailed) ||
-		errors.Is(err, ErrNoFreeBlocks)
+	return errors.Is(err, ErrDegraded) || errors.Is(err, ErrWriteFailed)
 }
 
 // ErrEmptyBlock is returned by RetireBlock for a block that holds no
@@ -435,6 +433,10 @@ func (f *FTL) SpareBlocksLeft() int { return f.spare.Count() }
 // still served but Write/Migrate return ErrDegraded.
 func (f *FTL) Degraded() bool { return f.degraded }
 
+// Degrade enters degraded mode. Recover re-derives the capacity check
+// but not the out-of-free-blocks latch, which a restart carries over.
+func (f *FTL) Degrade() { f.degraded = true }
+
 // Media returns the durable media image, or nil when the journal is
 // disabled. After a crash it is the sole input to Recover.
 func (f *FTL) Media() *Media { return f.media }
@@ -555,7 +557,7 @@ func (f *FTL) Write(lpn uint64, state BlockState) (int64, OpCount, error) {
 	}
 	newPPN, err := f.rewrite(lpn, state, &f.stats.UserPrograms, &ops)
 	if err != nil {
-		return 0, ops, err
+		return 0, ops, f.refused(err)
 	}
 	f.maybeGC(&ops)
 	return newPPN, ops, nil
@@ -581,10 +583,20 @@ func (f *FTL) Migrate(lpn uint64, state BlockState) (int64, OpCount, error) {
 	ops.CopyReads++
 	newPPN, err := f.rewrite(lpn, state, &f.stats.MigrationPrograms, &ops)
 	if err != nil {
-		return 0, ops, err
+		return 0, ops, f.refused(err)
 	}
 	f.maybeGC(&ops)
 	return newPPN, ops, nil
+}
+
+// refused latches degraded mode when a Write or Migrate found no free
+// block, whatever the capacity check counts; other errors pass through.
+func (f *FTL) refused(err error) error {
+	if !errors.Is(err, ErrNoFreeBlocks) {
+		return err
+	}
+	f.degraded = true
+	return fmt.Errorf("%w: %w", ErrDegraded, err)
 }
 
 // movingPage is an lpn whose rewrite is in flight and the page that

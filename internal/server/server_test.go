@@ -324,8 +324,9 @@ func TestServeDegradedReadOnly(t *testing.T) {
 // before the FTL's capacity check trips degraded mode — every erase
 // grows a bad block, and with random writes spread over the whole
 // device GC strands the survivors faster than their count falls. The
-// write that finds no free block is the end of write life: from then on
-// every write answers the typed 503 read_only, the tenants count them,
+// write that finds no free block is the end of write life, which the
+// FTL latches as degraded mode: that write and every later one answer
+// the typed 503 read_only, the tenants count them,
 // /healthz and /metrics report the shard degraded, and reads keep
 // flowing — FlexLevel's included, whose AccessEval migrations need
 // blocks too. The one write that may not be a refusal is a multi-page
@@ -421,6 +422,62 @@ func serveOutOfBlocks(t *testing.T, system core.System, pages int, partial bool)
 	if !snap.Degraded || snap.ReadOnlyRejects != int64(readOnly) || snap.InternalErrors != int64(codes[500]) {
 		t.Fatalf("/metrics degraded=%v read_only_rejects=%d internal=%d, want degraded, %d, %d",
 			snap.Degraded, snap.ReadOnlyRejects, snap.InternalErrors, readOnly, codes[500])
+	}
+}
+
+// TestServeReadOnlyOutlivesRestart: the end of write life survives a
+// power cut. A shard that ran out of free blocks is crashed on a read
+// (CrashAtOp) and recovered in place (AutoRestart); recovery re-derives
+// the FTL from the media, where nothing records the out-of-blocks
+// latch, yet the next writes still answer 503 read_only and reads 200.
+func TestServeReadOnlyOutlivesRestart(t *testing.T) {
+	geo := smallFTL()
+	geo.SpareBlocks = 1
+	tenants := spreadTenants(4, geo.LogicalPages)
+	const crashAt = 2500
+	_, hs := newTestServer(t, Config{
+		System: core.Baseline, PE: 6000, Seed: 11,
+		FTL:         geo,
+		Tenants:     tenants,
+		Faults:      fault.Config{Seed: 1, Grown: fault.RateCurve{Base: 1}},
+		CrashAtOp:   crashAt,
+		AutoRestart: true,
+	})
+	c := hs.Client()
+	rng := rand.New(rand.NewSource(1))
+	op := 0
+	url := func(kind string) string {
+		op++
+		return fmt.Sprintf("%s/v1/%s?tenant=%s&lpn=%d", hs.URL, kind, tenants[op%len(tenants)].Name, rng.Intn(512))
+	}
+	var er ErrorResponse
+	for code := 200; code == 200; {
+		if op == crashAt-1 {
+			t.Fatalf("no write refused in %d ops; the shard no longer runs out of blocks before the crash", op)
+		}
+		er = ErrorResponse{}
+		code = post(t, c, url("write"), &er)
+	}
+	if er.Code != CodeReadOnly || !strings.Contains(er.Message, "out of free blocks") {
+		t.Fatalf("first refused write answered %q %q, want read_only out of free blocks", er.Code, er.Message)
+	}
+	for op < crashAt-1 {
+		if code := get(t, c, url("read"), nil); code != 200 {
+			t.Fatalf("read %d before the crash answered %d", op, code)
+		}
+	}
+	er = ErrorResponse{}
+	if code := get(t, c, url("read"), &er); code != 503 || er.Code != CodePowerLoss || !strings.Contains(er.Message, "recovered") {
+		t.Fatalf("read at the crash answered %d %q %q, want 503 power_loss and recovery", code, er.Code, er.Message)
+	}
+	for i := 0; i < 20; i++ {
+		er = ErrorResponse{}
+		if code := post(t, c, url("write"), &er); code != 503 || er.Code != CodeReadOnly {
+			t.Fatalf("write %d after the restart answered %d %q %q, want 503 read_only", i, code, er.Code, er.Message)
+		}
+		if code := get(t, c, url("read"), nil); code != 200 {
+			t.Fatalf("read %d after the restart answered %d, want 200", i, code)
+		}
 	}
 }
 

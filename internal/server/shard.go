@@ -94,11 +94,6 @@ type engineShard struct {
 	// Engine-owned simulation state (no locks: one goroutine).
 	simNow  time.Duration
 	opCount int64
-	// outOfBlocks latches once a write found no free block to program:
-	// the device has reached the end of its write life even though the
-	// FTL's capacity check still counts enough surviving blocks, so the
-	// shard serves as degraded and read-only from then on.
-	outOfBlocks bool
 }
 
 // newEngineShard builds shard id's runner and preloads the windows of
@@ -255,8 +250,8 @@ func (e *engineShard) process(o *op) opResult {
 
 	// Degraded device: reads keep flowing, writes fail typed before
 	// they reach the device.
-	if o.write && (e.outOfBlocks || e.runner.Device().Degraded()) {
-		return e.readOnly(o)
+	if o.write && e.runner.Device().Degraded() {
+		return e.readOnly(o, "device degraded: read-only mode")
 	}
 
 	req := trace.Request{
@@ -277,21 +272,17 @@ func (e *engineShard) process(o *op) opResult {
 		res := opResult{status: 500, code: CodeInternal, message: err.Error()}
 		var we *core.WriteError
 		if o.write && ftl.WriteRefused(err) && errors.As(err, &we) {
-			if errors.Is(err, ftl.ErrNoFreeBlocks) {
-				// The end of write life, as the lifetime sweep treats
-				// it: the shard turns read-only and reads keep working.
-				e.outOfBlocks = true
-			}
 			e.refreshDeviceMetrics()
 			switch {
 			case we.Stored > 0:
 				// Some pages are remapped already, so this is no clean
 				// refusal: the write fails unacked.
 				res.message = fmt.Sprintf("%s: %d of %d pages written", res.message, we.Stored, o.pages)
-			case e.outOfBlocks || e.runner.Device().Degraded():
+			case e.runner.Device().Degraded():
 				// No page went through, so the write's old mapping
-				// survives: a refusal like every later write's.
-				return e.readOnly(o)
+				// survives: a refusal like every later write's, naming
+				// what ended the write life.
+				return e.readOnly(o, res.message)
 			default:
 				// Nothing stored on a device that still takes writes.
 				res.status, res.code = 503, CodeWriteFailed
@@ -325,15 +316,11 @@ func (e *engineShard) process(o *op) opResult {
 
 // readOnly refuses a write on a shard past its write life with the
 // typed 503 and counts it against the tenant.
-func (e *engineShard) readOnly(o *op) opResult {
+func (e *engineShard) readOnly(o *op, msg string) opResult {
 	s := e.srv
 	s.statMu.Lock()
 	s.stats.tenants[o.tenant].readOnly++
 	s.statMu.Unlock()
-	msg := "device degraded: read-only mode"
-	if e.outOfBlocks {
-		msg = "device out of free blocks: read-only mode"
-	}
 	return opResult{status: 503, code: CodeReadOnly, message: msg}
 }
 
@@ -379,7 +366,6 @@ func (e *engineShard) handlePowerLoss(o *op) opResult {
 // percentiles.
 func (e *engineShard) refreshDeviceMetrics() {
 	m := e.runner.Finish("serve")
-	m.Degraded = m.Degraded || e.outOfBlocks
 	s := e.srv
 	s.statMu.Lock()
 	s.stats.shardDevice[e.id] = m

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -255,7 +256,7 @@ func TestScriptedFaultScenario(t *testing.T) {
 	// Writes are rejected gracefully (a dropped-write error, counted),
 	// reads and the stored data still work.
 	pre := d.Results().WritesRejected
-	if resp, err := d.Write(now, 7, ftl.NormalState); !errors.Is(err, ftl.ErrDegraded) || !WriteDropped(err) || resp != bufferLatency {
+	if resp, err := d.Write(now, 7, ftl.NormalState); !errors.Is(err, ftl.ErrDegraded) || !ftl.WriteRefused(err) || resp != bufferLatency {
 		t.Fatalf("degraded-mode write = %v, %v; want the buffer latency and a dropped ErrDegraded", resp, err)
 	}
 	r = d.Results()
@@ -277,4 +278,44 @@ func TestScriptedFaultScenario(t *testing.T) {
 		t.Errorf("injector total %d != program+erase failures %d",
 			injected, r.FTL.ProgramFailures+r.FTL.EraseFailures)
 	}
+}
+
+// TestOutOfBlocksWriteRejected: the write that finds no free block ends
+// the device's write life. The FTL latches degraded mode, and Write
+// counts that write in WritesRejected at buffer latency, like every
+// refusal after it.
+func TestOutOfBlocksWriteRejected(t *testing.T) {
+	cfg := smallConfig()
+	cfg.FTL.SpareBlocks = 1
+	cfg.Faults = fault.Config{Seed: 1, Grown: fault.RateCurve{Base: 1}}
+	d, err := New(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Preload(cfg.FTL.LogicalPages); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20000; i++ {
+		pre := d.Results()
+		resp, err := d.Write(0, uint64(i*7)%cfg.FTL.LogicalPages, ftl.NormalState)
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, ftl.ErrNoFreeBlocks) {
+			t.Fatalf("write %d: %v; the device no longer runs out of free blocks first", i, err)
+		}
+		if !errors.Is(err, ftl.ErrDegraded) || !d.Degraded() {
+			t.Fatalf("out-of-blocks write = %v, degraded %v; want ErrDegraded and the latch set", err, d.Degraded())
+		}
+		got := d.Results()
+		if resp != bufferLatency || got.WritesRejected != pre.WritesRejected+1 {
+			t.Fatalf("out-of-blocks write = %v, WritesRejected %d; want %v and %d",
+				resp, got.WritesRejected, bufferLatency, pre.WritesRejected+1)
+		}
+		if rec := got.WriteResp.Sum() - pre.WriteResp.Sum(); math.Abs(rec-bufferLatency.Seconds()) > 1e-12 {
+			t.Fatalf("out-of-blocks write recorded %gs of write latency, want %gs", rec, bufferLatency.Seconds())
+		}
+		return
+	}
+	t.Fatal("the device never ran out of free blocks")
 }

@@ -95,7 +95,7 @@ func TestWriteFailureChargesOwningChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Write(0, 7, ftl.NormalState); !errors.Is(err, ftl.ErrWriteFailed) || !WriteDropped(err) {
+	if _, err := d.Write(0, 7, ftl.NormalState); !errors.Is(err, ftl.ErrWriteFailed) || !ftl.WriteRefused(err) {
 		t.Fatalf("failed write = %v, want a dropped ErrWriteFailed", err)
 	}
 	if got := d.Results().WriteFailures; got != 1 {

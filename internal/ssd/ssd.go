@@ -214,8 +214,9 @@ type Results struct {
 	EscalatedRetirements int64
 
 	// Fault handling and graceful degradation. WritesRejected counts the
-	// writes refused in degraded mode (spare pool exhausted) and
-	// WriteFailures the writes dropped after exhausting program retries.
+	// writes refused in degraded mode (the one that found no free block
+	// included) and WriteFailures the writes dropped after exhausting
+	// program retries.
 	// TransientReadFaults counts injected read faults, ReadRetries the
 	// escalating re-reads they triggered, and DataLoss the pages declared
 	// unrecoverable after the retry bound.
@@ -800,8 +801,9 @@ func (d *Device) opsTime(ops ftl.OpCount) time.Duration {
 // Write simulates a one-page write arriving at now, directed at the
 // given pool. Write-back semantics: the request completes at buffer
 // latency unless the flash backlog exceeds the buffer's capacity. A
-// write the device refused or dropped still returns its buffer latency,
-// together with the error (see WriteDropped): the data was not stored.
+// write the device refused or dropped (ftl.WriteRefused) is counted and
+// still returns its buffer latency, together with the error: the page
+// keeps its old data. A replay goes on; a service must not ack it.
 func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (time.Duration, error) {
 	if d.crashed {
 		return 0, ftl.ErrPowerLoss
@@ -817,7 +819,8 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 			d.Crash()
 			return 0, err
 		case errors.Is(err, ftl.ErrDegraded):
-			// Degraded mode: the write is refused at buffer latency, the
+			// Degraded mode, or the write that found no free block and
+			// latched it: the write is refused at buffer latency, the
 			// previously stored data stays intact and readable.
 			d.res.WritesRejected++
 			d.recordWrite(bufferLatency)
@@ -853,16 +856,6 @@ func (d *Device) Write(now time.Duration, lpn uint64, state ftl.BlockState) (tim
 	}
 	d.recordWrite(resp)
 	return resp, nil
-}
-
-// WriteDropped reports whether err is a write the device refused in
-// degraded mode or dropped after its program retries ran out. Write
-// counted it (Results.WritesRejected, WriteFailures), charged its flash
-// work and recorded its response time; the page keeps its old data and
-// the device keeps serving. A replay counts such a write and goes on; a
-// service must not acknowledge it.
-func WriteDropped(err error) bool {
-	return errors.Is(err, ftl.ErrDegraded) || errors.Is(err, ftl.ErrWriteFailed)
 }
 
 // recordWrite adds one write's response time to the write and overall
@@ -939,6 +932,9 @@ func (d *Device) Restart(now time.Duration) (ftl.RecoveryReport, error) {
 		return rep, err
 	}
 	d.ftlPrior = d.ftlPrior.Add(prior)
+	if d.ftl.Degraded() {
+		f.Degrade() // the end of write life outlives the power cut
+	}
 	d.ftl = f
 	f.OnRelocate = func(lpn uint64, oldPPN, newPPN int64) {
 		d.resetAge(newPPN, d.Now())

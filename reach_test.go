@@ -469,8 +469,9 @@ func loadSources(root string, dirs []string) ([]*source, error) {
 
 // readFields returns every field program code reads. A selector is not a
 // read when it is the whole left side of an assignment, the operand of
-// ++/--, the base of an indexed assignment, or the right side of
-// s.F op= o.F for the same field; a composite-literal key is no selector.
+// ++/--, or the base of an indexed assignment; nor when it selects the
+// field it is assigned to, as in s.F op= o.F or x.F = f(x.F), where the
+// value flows only into itself. A composite-literal key is no selector.
 // An embedded field on the path of a promoted field or method is read.
 // So is every exported field of a struct that encoding/json or fmt can
 // reach by reflection: from a struct with a json tag, or from an argument
@@ -515,11 +516,24 @@ func readFields(srcs []*source) map[*types.Var]bool {
 							notRead[sel] = true
 						}
 					}
-					if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
-						l, lok := ast.Unparen(n.Lhs[0]).(*ast.SelectorExpr)
-						r, rok := ast.Unparen(n.Rhs[0]).(*ast.SelectorExpr)
-						if lok && rok && info.Uses[l.Sel] == info.Uses[r.Sel] {
-							notRead[r] = true
+					if n.Tok != token.DEFINE {
+						for i, l := range n.Lhs {
+							l, ok := ast.Unparen(l).(*ast.SelectorExpr)
+							if !ok {
+								continue
+							}
+							rhs := n.Rhs
+							if len(rhs) == len(n.Lhs) {
+								rhs = rhs[i : i+1]
+							}
+							for _, r := range rhs {
+								ast.Inspect(r, func(m ast.Node) bool {
+									if r, ok := m.(*ast.SelectorExpr); ok && info.Uses[r.Sel] == info.Uses[l.Sel] {
+										notRead[r] = true
+									}
+									return true
+								})
+							}
 						}
 					}
 				case *ast.IncDecStmt:
@@ -671,7 +685,8 @@ func writeTree(t *testing.T, root string, files map[string]string) {
 
 // TestFieldGateReportsUnread runs the field gate on a throwaway module.
 // Reported: a write-only field, one set only in a composite literal, one
-// read only by its own s.F += o.F, and one read only in a _test.go file.
+// read only by its own s.F += o.F, one read only by its own
+// x.F = max(x.F, …), and one read only in a _test.go file.
 // Not reported: a field read through &d.F, fields reached through a
 // json-tagged struct or a fmt argument, an embedded sync.Mutex whose
 // Lock is called, and the root package's exported types. An allowlist
@@ -705,8 +720,8 @@ type Row struct{ Label string }
 
 type Dev struct {
 	sync.Mutex
-	written, literal, tested, addr int
-	stats                          Stats
+	written, literal, tested, addr, peak int
+	stats                                Stats
 }
 
 func New() *Dev { return &Dev{literal: 1} }
@@ -717,6 +732,7 @@ func (d *Dev) Run() int {
 	d.written++
 	d.stats.Add(Stats{Hits: 1, Misses: 1})
 	p := &d.addr
+	d.peak = max(d.peak, *p)
 	fmt.Println(Row{})
 	return *p + d.stats.Hits
 }
@@ -731,6 +747,7 @@ func (d *Dev) Run() int {
 	}
 	want := []string{
 		"fixture/internal/lib.Dev.literal",
+		"fixture/internal/lib.Dev.peak",
 		"fixture/internal/lib.Dev.tested",
 		"fixture/internal/lib.Dev.written",
 		"fixture/internal/lib.Stats.Misses",
