@@ -632,7 +632,7 @@ func scenarioBenchSpec(b *testing.B) trace.InterleaveSpec {
 	b.Helper()
 	logical := core.DefaultOptions(core.Baseline, 6000).SSD.FTL.LogicalPages
 	return trace.InterleaveSpec{
-		Tenants:     exp.ScenarioTenants(logical),
+		Tenants:     trace.DefaultTenants(logical),
 		Requests:    8000,
 		Interarrive: exp.ScenarioInterarrive,
 		Seed:        1,

@@ -59,7 +59,7 @@ func parseServe(args []string) (serveOpts, error) {
 	crashAt := fs.Int64("crash-at", 0, "script a power loss before the Nth admitted op (0 = never)")
 	crashShard := fs.Int("crash-shard", 0, "shard whose engine -crash-at counts ops on")
 	autoRestart := fs.Bool("auto-restart", false, "recover a crashed device in place and resume serving")
-	shards := fs.Int("shards", 1, "independent engine shards partitioning the device (1 = legacy single-engine path)")
+	shards := fs.Int("shards", 1, "engine shards, each a full-size device; every tenant is placed on one by its window base")
 	pprof := fs.Bool("pprof", false, "mount /debug/pprof/* profiling endpoints on the service mux")
 	snapshot := fs.String("snapshot", "", "write the final JSON metrics snapshot here on drain")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "bound on the shutdown drain")

@@ -1,6 +1,6 @@
 // Merging per-shard telemetry. The sharded serve path (internal/server
-// with Shards > 1) runs N independent Runners — one sub-device per
-// engine — and /metrics must present them as one device. MergeMetrics
+// with Shards > 1) runs N independent Runners — one full-size device
+// per engine — and /metrics must present them as one device. MergeMetrics
 // is that composition, and it is deliberately deterministic: every
 // rule below is order-independent (sums, maxima, volume-weighted
 // means), so two snapshots of the same per-shard states agree no
@@ -11,7 +11,7 @@ package core
 //
 //   - event counters (programs, erases, faults, recovery work, shed,
 //     …) and histogram buckets sum — they count disjoint events on
-//     disjoint sub-devices;
+//     separate shard devices;
 //   - response-time means weight by the volume that produced them
 //     (reads for AvgRead, user writes for AvgWrite, both for
 //     AvgResponse), so an idle shard cannot drag the average;
@@ -22,16 +22,13 @@ package core
 //     merged makespan is the slowest clock, not the sum;
 //   - RecoveryTime sums: each shard's recovery unavailability is real
 //     serving capacity lost, even when other shards kept going;
-//   - Degraded ORs — one read-only sub-device makes the service
+//   - Degraded ORs — one read-only shard device makes the service
 //     partially degraded, and /healthz must say so.
 //
-// A single input is returned verbatim, which is what keeps the
-// one-shard snapshot byte-identical to the legacy single-engine
-// artifact. An empty slice yields the zero Metrics.
+// A single input is returned verbatim, so a one-shard server reports
+// its device's own Metrics. ms must not be empty: every shard holds a
+// snapshot from the moment it is built.
 func MergeMetrics(ms []Metrics) Metrics {
-	if len(ms) == 0 {
-		return Metrics{}
-	}
 	if len(ms) == 1 {
 		return ms[0]
 	}
@@ -127,7 +124,7 @@ func MergeMetrics(ms []Metrics) Metrics {
 	if out.UserWrites > 0 {
 		out.WriteAmp = float64(out.TotalPrograms) / float64(out.UserWrites)
 	}
-	// Capacity loss is a fraction of each equal sub-device's space:
+	// Capacity loss is a fraction of each equal shard device's space:
 	// the merged device loses the mean fraction.
 	out.CapacityLoss = capLoss / float64(len(ms))
 	return out

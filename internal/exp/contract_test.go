@@ -203,6 +203,14 @@ func TestRefusalContract(t *testing.T) {
 					t.Fatalf("/metrics read_only_rejects %d, internal_errors %d; want 1, 0",
 						snap.ReadOnlyRejects, snap.InternalErrors)
 				}
+				// The first refusal publishes the latch, whether it tripped
+				// inside this write or inside an earlier write's GC.
+				var health struct{ Status string }
+				call(http.MethodGet, "/healthz", &health)
+				if !snap.Degraded || health.Status != "degraded" {
+					t.Fatalf("after the first read_only: /metrics degraded %v, /healthz %q; want true, degraded",
+						snap.Degraded, health.Status)
+				}
 				if code, er = write(0); code != 503 || er.Code != server.CodeReadOnly {
 					t.Fatalf("write after the refusal answered %d %q, want 503 read_only", code, er.Code)
 				}

@@ -47,14 +47,6 @@ const ScenarioInterarrive = 500 * time.Microsecond
 // ScenarioAllTenant labels the whole-device row of each cell.
 const ScenarioAllTenant = "all"
 
-// ScenarioTenants returns the default tenant mix (the canonical trio
-// in trace.DefaultTenants), sized against the device's logical space.
-// The serve daemon and `tracegen -tenants` share the same definitions,
-// so a spec file produced by one tool drives the others unchanged.
-func ScenarioTenants(logicalPages uint64) []trace.TenantSpec {
-	return trace.DefaultTenants(logicalPages)
-}
-
 // shapeTenants returns the tenant set with every arrival model forced
 // to the cell's shape (closed generates steady, then zeroes arrivals).
 // Shape parameters a tenant spec left zero get scenario defaults.
@@ -122,7 +114,7 @@ type scenarioCell struct {
 }
 
 // Scenario runs the workload-shape × fault-rate × queue-depth × system
-// grid over the tenant mix (nil = ScenarioTenants defaults), one
+// grid over the tenant mix (nil = trace.DefaultTenants), one
 // engine shard per cell. The interleaved stream of a (shape) point is
 // derived from the master seed — not the shard seed — so every system
 // and queue depth replays the identical trace, generated once and
@@ -133,7 +125,7 @@ type scenarioCell struct {
 func Scenario(cfg SimConfig, tenants []trace.TenantSpec) ([]ScenarioRow, error) {
 	logical := core.DefaultOptions(core.Baseline, cfg.PE).SSD.FTL.LogicalPages
 	if tenants == nil {
-		tenants = ScenarioTenants(logical)
+		tenants = trace.DefaultTenants(logical)
 	}
 	if err := trace.CheckWindows(tenants, logical); err != nil {
 		return nil, fmt.Errorf("exp: scenario: %w", err)

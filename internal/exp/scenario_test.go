@@ -28,7 +28,7 @@ func TestScenarioGridShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tenants := ScenarioTenants(16)
+	tenants := trace.DefaultTenants(16)
 	wantRows := scenarioCells() * (1 + len(tenants))
 	if len(rows) != wantRows {
 		t.Fatalf("got %d rows, want %d (%d cells × %d rows each)",
@@ -155,7 +155,7 @@ func TestScenarioSummaryGauges(t *testing.T) {
 		t.Errorf("summary name %q, want scenario", sum.Name)
 	}
 	gauges := []string{"p50_read_s", "p95_read_s", "p99_read_s"}
-	for _, ten := range ScenarioTenants(16) {
+	for _, ten := range trace.DefaultTenants(16) {
 		gauges = append(gauges, "tenant_"+ten.Name+"_p99_read_s")
 	}
 	for _, g := range gauges {

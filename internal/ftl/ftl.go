@@ -222,22 +222,6 @@ type Stats struct {
 	SparesUsed      int64 // retirements backfilled from the spare pool
 }
 
-// Add returns the field-wise sum of s and other — used to carry
-// counters across a crash/restart, where the recovered FTL starts with
-// fresh statistics.
-func (s Stats) Add(other Stats) Stats {
-	s.UserPrograms += other.UserPrograms
-	s.GCPrograms += other.GCPrograms
-	s.MigrationPrograms += other.MigrationPrograms
-	s.Erases += other.Erases
-	s.ProgramFailures += other.ProgramFailures
-	s.EraseFailures += other.EraseFailures
-	s.GrownBadBlocks += other.GrownBadBlocks
-	s.RetiredBlocks += other.RetiredBlocks
-	s.SparesUsed += other.SparesUsed
-	return s
-}
-
 // TotalPrograms returns all page programs performed.
 func (s Stats) TotalPrograms() int64 {
 	return s.UserPrograms + s.GCPrograms + s.MigrationPrograms
@@ -433,9 +417,24 @@ func (f *FTL) SpareBlocksLeft() int { return f.spare.Count() }
 // still served but Write/Migrate return ErrDegraded.
 func (f *FTL) Degraded() bool { return f.degraded }
 
-// Degrade enters degraded mode. Recover re-derives the capacity check
-// but not the out-of-free-blocks latch, which a restart carries over.
-func (f *FTL) Degrade() { f.degraded = true }
+// Inherit carries what a crashed FTL knew beyond its media onto f, the
+// FTL Recover rebuilt from that media: its cumulative counters (f's
+// own start at recovery) and its degraded latch (Recover re-derives
+// the capacity check, but the out-of-free-blocks latch is no media
+// state).
+func (f *FTL) Inherit(dead *FTL) {
+	s, d := &f.stats, dead.stats
+	s.UserPrograms += d.UserPrograms
+	s.GCPrograms += d.GCPrograms
+	s.MigrationPrograms += d.MigrationPrograms
+	s.Erases += d.Erases
+	s.ProgramFailures += d.ProgramFailures
+	s.EraseFailures += d.EraseFailures
+	s.GrownBadBlocks += d.GrownBadBlocks
+	s.RetiredBlocks += d.RetiredBlocks
+	s.SparesUsed += d.SparesUsed
+	f.degraded = f.degraded || dead.degraded
+}
 
 // Media returns the durable media image, or nil when the journal is
 // disabled. After a crash it is the sole input to Recover.

@@ -96,6 +96,32 @@ func TestServerRejectsBadBucket(t *testing.T) {
 	}
 }
 
+// TestServerRejectsNegativeSettings: a negative count or gap fails
+// construction with an error naming the field, instead of silently
+// reading as its default; 0 keeps the default.
+func TestServerRejectsNegativeSettings(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Shards", Config{Shards: -3}},
+		{"QueueDepth", Config{QueueDepth: -1}},
+		{"MaxQueue", Config{MaxQueue: -1}},
+		{"SimGap", Config{SimGap: -time.Microsecond}},
+		{"MetricsEvery", Config{MetricsEvery: -1}},
+	} {
+		c.cfg.FTL, c.cfg.Tenants = smallFTL(), testTenants()
+		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("negative %s: err %v, want one naming the field", c.field, err)
+		}
+	}
+	s, _ := newTestServer(t, Config{})
+	if c := s.cfg; len(s.shards) != 1 || c.QueueDepth != DefaultQueueDepth || c.MaxQueue != DefaultMaxQueue ||
+		c.SimGap != DefaultSimGap || c.MetricsEvery != DefaultMetricsEvery {
+		t.Fatalf("zero settings resolved to %d shards, %+v", len(s.shards), c)
+	}
+}
+
 // TestServerRejectsWindowPastDevice: a tenant window that runs past the
 // device's logical pages fails construction, naming the tenant, instead
 // of wrapping its LPNs onto other tenants' pages. Windows that overlap

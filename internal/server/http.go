@@ -174,9 +174,9 @@ type healthStatus struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := healthStatus{Status: "ok"}
-	s.statMu.Lock()
-	for k, have := range s.stats.haveDevice {
-		if have && s.stats.shardDevice[k].Degraded {
+	s.mu.Lock()
+	for _, e := range s.shards {
+		if e.device.Degraded {
 			h.Degraded = true
 			// Degraded is not down: reads still flow (on every shard),
 			// so health stays 200 with the condition surfaced for
@@ -184,10 +184,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			h.Status = "degraded"
 		}
 	}
-	s.statMu.Unlock()
+	h.Draining = s.draining
+	s.mu.Unlock()
 	status := http.StatusOK
-	if s.Draining() {
-		h.Draining = true
+	if h.Draining {
 		h.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}

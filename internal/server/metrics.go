@@ -14,8 +14,7 @@
 // volume, percentile tails take the worst shard — the conservative
 // choice for SLO reporting), and aggregate IOPS is the sum of each
 // shard's admitted rate over its own simulated clock. With one shard
-// every merge degenerates to the legacy single-engine artifact,
-// byte for byte.
+// every merge returns that shard's own numbers.
 package server
 
 import (
@@ -81,56 +80,6 @@ func (r *latencyRing) percentiles() (p50, p95, p99, mean float64) {
 	return percentilesOf([]*latencyRing{r})
 }
 
-// tenantStats is one tenant's shared counters: the only copy of each
-// request outcome count (the snapshot totals are their sums).
-type tenantStats struct {
-	name      string
-	admitted  int64
-	reads     int64
-	writes    int64
-	shed      int64
-	deadline  int64
-	queueFull int64
-	readOnly  int64
-	powerLoss int64
-	ackSeq    uint64
-	ring      *latencyRing
-}
-
-// serverStats is every shared observability field, guarded by statMu.
-// Per-shard slices are indexed by shard id; each engine writes only
-// its own slot (plus its tenants' counters), handlers read them all.
-type serverStats struct {
-	internalErrors int64 // 500 internal and 503 write_failed, counted once here
-	tenants        []*tenantStats
-
-	// Per-shard state: latency rings, sim clocks, cached device
-	// telemetry and crash flags.
-	rings        []*latencyRing
-	shardSimTime []time.Duration
-	shardDevice  []core.Metrics
-	haveDevice   []bool
-	shardCrashed []bool // shard's device is down awaiting restart
-
-	snapshotErr string
-	final       *Snapshot
-}
-
-func (st *serverStats) init(cfg Config, names []string) {
-	st.rings = make([]*latencyRing, cfg.Shards)
-	for i := range st.rings {
-		st.rings[i] = newLatencyRing(DefaultRingSize)
-	}
-	st.shardSimTime = make([]time.Duration, cfg.Shards)
-	st.shardDevice = make([]core.Metrics, cfg.Shards)
-	st.haveDevice = make([]bool, cfg.Shards)
-	st.shardCrashed = make([]bool, cfg.Shards)
-	st.tenants = make([]*tenantStats, len(names))
-	for i, name := range names {
-		st.tenants[i] = &tenantStats{name: name, ring: newLatencyRing(DefaultRingSize)}
-	}
-}
-
 // TenantSnapshot is one tenant's slice of /metrics.
 type TenantSnapshot struct {
 	Name             string  `json:"name"`
@@ -181,13 +130,12 @@ type Snapshot struct {
 
 	// Device is the runner's full telemetry — cache and calibration
 	// activity, wear, crash-recovery counters — refreshed every
-	// MetricsEvery ops per shard, merged across shards via
-	// core.MergeMetrics when Shards > 1.
+	// MetricsEvery ops per shard and after any op that changed the
+	// device's state, merged across shards via core.MergeMetrics.
 	Device core.Metrics `json:"device"`
 
 	// Shards and the per-shard views appear only on a sharded server
-	// (Shards > 1), so the single-engine snapshot stays byte-identical
-	// to the legacy artifact.
+	// (Shards > 1); a one-shard snapshot carries none of these keys.
 	Shards              int            `json:"shards,omitempty"`
 	ShardSimTimeSeconds []float64      `json:"shard_sim_time_seconds,omitempty"`
 	ShardDevices        []core.Metrics `json:"shard_devices,omitempty"`
@@ -199,91 +147,76 @@ func (s Snapshot) marshal() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// snapshotLocked composes the current snapshot. Callers must NOT hold
-// statMu; any engine or handler may call it. The outcome totals and
-// each shard's admitted count are sums over the tenant rows.
-func (s *Server) snapshotLocked() Snapshot {
-	draining := s.Draining()
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	st := &s.stats
+// Snapshot returns the current metrics view (what /metrics serves).
+// The outcome totals and each shard's admitted count are sums over the
+// tenant rows.
+func (s *Server) Snapshot() Snapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	snap := Snapshot{
 		UptimeSeconds:  time.Since(s.started).Seconds(),
-		Draining:       draining,
-		InternalErrors: st.internalErrors,
-		SnapshotError:  st.snapshotErr,
+		Draining:       s.draining,
+		InternalErrors: s.internalErrors,
+		SnapshotError:  s.snapshotErr,
 	}
-	snap.Tenants = make([]TenantSnapshot, len(st.tenants))
-	shardAdmitted := make([]int64, len(st.rings))
-	for i, ts := range st.tenants {
-		t := TenantSnapshot{
-			Name:             ts.name,
-			Admitted:         ts.admitted,
-			Reads:            ts.reads,
-			Writes:           ts.writes,
-			Shed:             ts.shed,
-			DeadlineExceeded: ts.deadline,
-			QueueFull:        ts.queueFull,
-			ReadOnlyRejects:  ts.readOnly,
-			PowerLossErrors:  ts.powerLoss,
-			AckSeq:           ts.ackSeq,
+	snap.Tenants = make([]TenantSnapshot, len(s.tenants))
+	shardAdmitted := make([]int64, len(s.shards))
+	for i, t := range s.tenants {
+		ts := TenantSnapshot{
+			Name:             t.spec.Name,
+			Admitted:         t.admitted,
+			Reads:            t.reads,
+			Writes:           t.writes,
+			Shed:             t.shed,
+			DeadlineExceeded: t.deadline,
+			QueueFull:        t.queueFull,
+			ReadOnlyRejects:  t.readOnly,
+			PowerLossErrors:  t.powerLoss,
+			AckSeq:           t.ackSeq,
 		}
-		t.P50, t.P95, t.P99, t.Mean = ts.ring.percentiles()
-		snap.Tenants[i] = t
-		snap.Admitted += t.Admitted
-		snap.Reads += t.Reads
-		snap.Writes += t.Writes
-		snap.Shed += t.Shed
-		snap.DeadlineExceeded += t.DeadlineExceeded
-		snap.QueueFull += t.QueueFull
-		snap.ReadOnlyRejects += t.ReadOnlyRejects
-		snap.PowerLossErrors += t.PowerLossErrors
-		shardAdmitted[s.router.tenantOf(i)] += t.Admitted
+		ts.P50, ts.P95, ts.P99, ts.Mean = t.ring.percentiles()
+		snap.Tenants[i] = ts
+		snap.Admitted += ts.Admitted
+		snap.Reads += ts.Reads
+		snap.Writes += ts.Writes
+		snap.Shed += ts.Shed
+		snap.DeadlineExceeded += ts.DeadlineExceeded
+		snap.QueueFull += ts.QueueFull
+		snap.ReadOnlyRejects += ts.ReadOnlyRejects
+		snap.PowerLossErrors += ts.PowerLossErrors
+		shardAdmitted[t.shard.id] += ts.Admitted
 	}
-	for k := range st.shardCrashed {
-		if st.shardCrashed[k] {
-			snap.Crashed = true
+	rings := make([]*latencyRing, len(s.shards))
+	devices := make([]core.Metrics, len(s.shards))
+	simTimes := make([]float64, len(s.shards))
+	for k, e := range s.shards {
+		snap.Crashed = snap.Crashed || e.crashed
+		simTimes[k] = e.simTime.Seconds()
+		if simTimes[k] > 0 {
+			snap.IOPS += float64(shardAdmitted[k]) / simTimes[k]
 		}
-		if st.shardSimTime[k] > 0 {
-			snap.IOPS += float64(shardAdmitted[k]) / st.shardSimTime[k].Seconds()
-		}
-		if sec := st.shardSimTime[k].Seconds(); sec > snap.SimTimeSeconds {
-			snap.SimTimeSeconds = sec
-		}
+		snap.SimTimeSeconds = max(snap.SimTimeSeconds, simTimes[k])
+		rings[k], devices[k] = e.ring, e.device
 	}
-	live := make([]core.Metrics, 0, len(st.shardDevice))
-	for k, have := range st.haveDevice {
-		if have {
-			live = append(live, st.shardDevice[k])
-		}
-	}
-	if len(live) > 0 {
-		snap.Device = core.MergeMetrics(live)
-		snap.Degraded = snap.Device.Degraded
-	}
-	if n := len(st.rings); n > 1 {
+	snap.Device = core.MergeMetrics(devices)
+	snap.Degraded = snap.Device.Degraded
+	if n := len(s.shards); n > 1 {
 		snap.Shards = n
-		snap.ShardSimTimeSeconds = make([]float64, n)
-		for k := range st.shardSimTime {
-			snap.ShardSimTimeSeconds[k] = st.shardSimTime[k].Seconds()
-		}
-		snap.ShardDevices = append([]core.Metrics(nil), st.shardDevice...)
+		snap.ShardSimTimeSeconds = simTimes
+		snap.ShardDevices = devices
 	}
-	snap.P50, snap.P95, snap.P99, snap.Mean = percentilesOf(st.rings)
+	snap.P50, snap.P95, snap.P99, snap.Mean = percentilesOf(rings)
 	return snap
 }
 
-// Snapshot returns the current metrics view (what /metrics serves).
-func (s *Server) Snapshot() Snapshot { return s.snapshotLocked() }
-
 // FinalSnapshot returns the drain-time snapshot, if the drain finished.
 func (s *Server) FinalSnapshot() (Snapshot, bool) {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	if s.stats.final == nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.final == nil {
 		return Snapshot{}, false
 	}
-	return *s.stats.final, true
+	return *s.final, true
 }
 
 func defaultWriteFile(path string, data []byte) error {

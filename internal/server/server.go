@@ -7,16 +7,17 @@
 // The simulator is single-threaded by design (ssd.Device and
 // core.Runner share no locks), so every device touch serializes
 // through an engine goroutine fed by a bounded op channel. With
-// Config.Shards > 1 the service runs N such engines side by side —
-// the logical space partitions into contiguous shard ranges, each
-// with its own ftl/ssd.Device, sim clock and journal, and a router
-// pins every tenant to the shard owning its window base (shard.go) —
+// Config.Shards > 1 the service runs N such engines side by side, each
+// with its own full-size ftl/ssd.Device, sim clock and journal, and
+// every tenant is placed on one shard by its window base (shard.go) —
 // which is how the serve path scales across cores the way real SSD
-// firmware scales across channels and dies. Shards = 1 (the default)
-// is the legacy single-engine path, bit for bit.
+// firmware scales across channels and dies.
 //
-// Handlers admit under a mutex — draining flag, per-tenant admission
-// queue bound — and then block only on their own reply channel. Each
+// Each piece of state has one owner. A tenant record holds the
+// tenant's shard, admission state and outcome counters; a shard record
+// holds its engine, device and published telemetry. One mutex,
+// Server.mu, guards everything handlers and engines share: a handler
+// takes it once to admit an op, an engine once to settle it. Each
 // engine owns its shard's simulated clock: each admitted op advances
 // it by Config.SimGap (the modeled interarrival gap), computes the
 // op's submit time under the tenant's queue-depth window exactly as
@@ -37,7 +38,7 @@
 // fails writes with a typed read-only error while reads keep flowing.
 // Shutdown stops admission, lets every queued op finish on every
 // shard, writes a final merged metrics snapshot and only then returns
-// — the SIGTERM drain contract, now per-shard.
+// — the SIGTERM drain contract, per shard.
 package server
 
 import (
@@ -77,10 +78,10 @@ type Config struct {
 	Channels int
 	Seed     int64
 
-	// Shards is the engine count: the logical space splits into this
-	// many contiguous sub-devices, each behind its own engine
-	// goroutine, sim clock and journal (shard.go). 0 or 1 selects the
-	// legacy single-engine path unchanged.
+	// Shards is the engine count: this many full-size devices, each
+	// behind its own engine goroutine, sim clock and journal, with
+	// every tenant placed on one of them by its window base (shard.go).
+	// 0 means 1.
 	Shards int
 
 	// Tenants defines the namespaces: each tenant addresses logical
@@ -133,8 +134,7 @@ type Config struct {
 	// The op sees a retryable power-loss error (it is never
 	// acknowledged); other shards keep serving.
 	CrashAtOp int64
-	// CrashShard selects which engine CrashAtOp counts ops on
-	// (default 0 — with one shard, exactly the legacy semantics).
+	// CrashShard selects which engine CrashAtOp counts ops on.
 	CrashShard int
 	// AutoRestart recovers a crashed device in place via ftl.Recover
 	// (requires the journal, which the server enables whenever
@@ -172,17 +172,32 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// checkBucket refuses a token bucket that would silently misbehave: a
-// NaN or negative value would read as "unlimited" or "default", and a
-// burst below one token could never admit an op.
-func checkBucket(rate, burst float64) error {
-	for _, v := range [2]float64{rate, burst} {
+// validate refuses settings that would silently misbehave: a negative
+// count or gap would read as its default, a NaN or negative bucket
+// value as "unlimited" or "default", and a burst below one token could
+// never admit an op. 0 keeps each default.
+func (c Config) validate() error {
+	switch {
+	case c.Shards < 0:
+		return fmt.Errorf("server: Shards %d, want >= 0", c.Shards)
+	case c.QueueDepth < 0:
+		return fmt.Errorf("server: QueueDepth %d, want >= 0", c.QueueDepth)
+	case c.MaxQueue < 0:
+		return fmt.Errorf("server: MaxQueue %d, want >= 0", c.MaxQueue)
+	case c.SimGap < 0:
+		return fmt.Errorf("server: SimGap %v, want >= 0", c.SimGap)
+	case c.MetricsEvery < 0:
+		return fmt.Errorf("server: MetricsEvery %d, want >= 0", c.MetricsEvery)
+	case c.CrashShard < 0 || c.CrashShard >= max(c.Shards, 1):
+		return fmt.Errorf("server: crash shard %d outside [0,%d)", c.CrashShard, max(c.Shards, 1))
+	}
+	for _, v := range [2]float64{c.Rate, c.Burst} {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("server: token bucket rate %g, burst %g: both must be finite and >= 0", rate, burst)
+			return fmt.Errorf("server: token bucket rate %g, burst %g: both must be finite and >= 0", c.Rate, c.Burst)
 		}
 	}
-	if rate > 0 && burst > 0 && burst < 1 {
-		return fmt.Errorf("server: token bucket burst %g below one token sheds every op", burst)
+	if c.Rate > 0 && c.Burst > 0 && c.Burst < 1 {
+		return fmt.Errorf("server: token bucket burst %g below one token sheds every op", c.Burst)
 	}
 	return nil
 }
@@ -221,42 +236,55 @@ const (
 	CodeInternal    = "internal"          // 500
 )
 
-// tenantState is one tenant's engine-owned admission state. Each
-// tenant belongs to exactly one shard (router affinity), so exactly
-// one engine goroutine ever touches it — no locks, as in the
-// single-engine original.
-type tenantState struct {
-	spec trace.TenantSpec
+// tenant is one tenant's whole state. It lives on exactly one shard,
+// so only that shard's engine goroutine touches its admission state;
+// the fields below it are shared with handlers under Server.mu.
+type tenant struct {
+	spec  trace.TenantSpec
+	shard *engineShard
 
 	// Token bucket, refilled on the owning shard's simulated clock.
 	tokens     float64
 	lastRefill time.Duration
-
 	// The tenant's queue-depth window, the one core.Runner.Replay uses.
 	window *core.Window
+
+	// Guarded by Server.mu: admitted-but-unreplied ops, the only copy
+	// of each request outcome count (the snapshot totals are their
+	// sums), the ack sequence and the admitted-latency ring.
+	queued    int
+	admitted  int64
+	reads     int64
+	writes    int64
+	shed      int64
+	deadline  int64
+	queueFull int64
+	readOnly  int64
+	powerLoss int64
+	ackSeq    uint64
+	ring      *latencyRing
 }
 
 // Server is the block service. Create with New, serve via Handler (or
 // cmd/flexlevel's HTTP listener), stop with Shutdown.
 type Server struct {
 	cfg     Config
-	router  *shardRouter
 	shards  []*engineShard
-	tenants []*tenantState
+	tenants []*tenant
 	index   map[string]int // tenant name -> index
 
-	// Admission state, shared handler/engine.
-	mu       sync.Mutex
-	draining bool
-	queued   []int // per-tenant admitted-but-unreplied counts
+	// mu guards every piece of state handlers and engines share: the
+	// fields below, the tenants' queued counts and outcome counters,
+	// and each shard's published telemetry.
+	mu             sync.Mutex
+	draining       bool
+	internalErrors int64 // 500 internal and 503 write_failed: no tenant owns them
+	snapshotErr    string
+	final          *Snapshot
 
 	drainDone chan struct{}
 	drainOnce sync.Once
-
-	// Observability state, shared engines/handlers under statMu.
-	statMu  sync.Mutex
-	stats   serverStats
-	started time.Time
+	started   time.Time
 
 	// writeFile persists the final snapshot; swapped in tests.
 	writeFile func(path string, data []byte) error
@@ -266,13 +294,10 @@ type Server struct {
 // tenant window preloaded on its owning shard) and starts the engine
 // goroutines.
 func New(cfg Config) (*Server, error) {
-	if err := checkBucket(cfg.Rate, cfg.Burst); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if cfg.CrashShard < 0 || cfg.CrashShard >= cfg.Shards {
-		return nil, fmt.Errorf("server: crash shard %d outside [0,%d)", cfg.CrashShard, cfg.Shards)
-	}
 	logical := core.DefaultOptions(cfg.System, cfg.PE).SSD.FTL.LogicalPages
 	if cfg.FTL != nil {
 		logical = cfg.FTL.LogicalPages
@@ -294,30 +319,21 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 
-	router := newShardRouter(cfg.Shards, logical, cfg.Tenants)
-	owned := make([][]int, cfg.Shards)
-	for i := range cfg.Tenants {
-		k := router.tenantOf(i)
-		owned[k] = append(owned[k], i)
+	place := make([]int, len(cfg.Tenants))
+	owned := make([][]trace.TenantSpec, cfg.Shards)
+	for i, t := range cfg.Tenants {
+		place[i] = shardOf(t.Base, logical, cfg.Shards)
+		owned[place[i]] = append(owned[place[i]], t)
 	}
-
 	s := &Server{
 		cfg:       cfg,
-		router:    router,
 		index:     index,
-		queued:    make([]int, len(cfg.Tenants)),
 		drainDone: make(chan struct{}),
 		started:   time.Now(),
 		writeFile: defaultWriteFile,
 	}
-	s.tenants = make([]*tenantState, len(cfg.Tenants))
-	for i, t := range cfg.Tenants {
-		s.tenants[i] = &tenantState{spec: t, tokens: cfg.Burst, window: core.NewWindow(cfg.QueueDepth)}
-	}
-	s.stats.init(cfg, trace.TenantNames(cfg.Tenants))
-
 	s.shards = make([]*engineShard, cfg.Shards)
-	for k := 0; k < cfg.Shards; k++ {
+	for k := range s.shards {
 		e, err := newEngineShard(k, cfg, owned[k])
 		if err != nil {
 			// No engine goroutine has started yet (they launch below,
@@ -327,6 +343,13 @@ func New(cfg Config) (*Server, error) {
 		}
 		e.srv = s
 		s.shards[k] = e
+	}
+	s.tenants = make([]*tenant, len(cfg.Tenants))
+	for i, t := range cfg.Tenants {
+		s.tenants[i] = &tenant{
+			spec: t, shard: s.shards[place[i]], tokens: cfg.Burst,
+			window: core.NewWindow(cfg.QueueDepth), ring: newLatencyRing(DefaultRingSize),
+		}
 	}
 	for _, e := range s.shards {
 		go e.engine()
@@ -355,17 +378,18 @@ var (
 // admission order equals engine order (FIFO per shard) and the drain
 // sentinel provably follows every admitted op on its shard.
 func (s *Server) admit(o *op) error {
-	shard := s.shards[s.router.tenantOf(o.tenant)]
+	t := s.tenants[o.tenant]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return errDraining
 	}
-	if s.queued[o.tenant] >= s.cfg.MaxQueue {
+	if t.queued >= s.cfg.MaxQueue {
+		t.queueFull++
 		return errQueueFull
 	}
-	s.queued[o.tenant]++
-	shard.ops <- o
+	t.queued++
+	t.shard.ops <- o
 	return nil
 }
 
@@ -378,9 +402,6 @@ func (s *Server) do(ctx context.Context, o *op) opResult {
 		if errors.Is(err, errDraining) {
 			return opResult{status: 503, code: CodeDraining, message: "server is draining"}
 		}
-		s.statMu.Lock()
-		s.stats.tenants[o.tenant].queueFull++
-		s.statMu.Unlock()
 		return opResult{
 			status: 429, code: CodeQueueFull,
 			message:    "tenant admission queue full",
@@ -395,40 +416,24 @@ func (s *Server) do(ctx context.Context, o *op) opResult {
 	}
 }
 
-func (s *Server) countShed(e *engineShard, tenant int) {
-	e.runner.CountShed()
-	s.statMu.Lock()
-	s.stats.tenants[tenant].shed++
-	s.statMu.Unlock()
-}
-
-func (s *Server) countDeadline(e *engineShard, tenant int) {
-	e.runner.CountDeadlineExceeded()
-	s.statMu.Lock()
-	s.stats.tenants[tenant].deadline++
-	s.statMu.Unlock()
-}
-
 // finalize flushes the final merged snapshot at the end of a drain.
 // Runs once, after every shard's engine has exited and refreshed its
 // telemetry.
 func (s *Server) finalize() {
-	snap := s.snapshotLocked()
+	snap := s.Snapshot()
 	if s.cfg.SnapshotPath != "" {
 		if data, err := snap.marshal(); err == nil {
 			// Best effort: a failed snapshot write must not block the
 			// drain; the error surfaces in the caller's logs via Err.
 			if werr := s.writeFile(s.cfg.SnapshotPath, data); werr != nil {
-				s.statMu.Lock()
-				s.stats.snapshotErr = werr.Error()
-				s.statMu.Unlock()
 				snap.SnapshotError = werr.Error()
 			}
 		}
 	}
-	s.statMu.Lock()
-	s.stats.final = &snap
-	s.statMu.Unlock()
+	s.mu.Lock()
+	s.snapshotErr = snap.SnapshotError
+	s.final = &snap
+	s.mu.Unlock()
 }
 
 // Shutdown drains the server: admission stops immediately (handlers
@@ -437,15 +442,13 @@ func (s *Server) finalize() {
 // Safe to call more than once; ctx bounds the wait.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainOnce.Do(func() {
-		sentinels := make([]*op, len(s.shards))
 		s.mu.Lock()
 		s.draining = true
 		// FIFO per shard: each sentinel follows every op admitted to
 		// that shard before the flag flipped, so each engine sees it
 		// only after finishing them.
-		for i, e := range s.shards {
-			sentinels[i] = &op{sentinel: true, reply: make(chan opResult, 1)}
-			e.ops <- sentinels[i]
+		for _, e := range s.shards {
+			e.ops <- &op{sentinel: true}
 		}
 		s.mu.Unlock()
 		go func() {
@@ -462,11 +465,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Draining reports whether shutdown has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }

@@ -1,22 +1,17 @@
 // Sharded multi-engine serve path. The simulator is single-threaded by
-// design, so one engine goroutine can never use more than one core —
-// the PR 8 server was pinned there no matter how many cores the host
-// had. Real SSD firmware scales by partitioning the device across
-// independent per-channel/per-die engines behind a shared front end,
-// and this file does the same: the logical address space splits into
-// Config.Shards contiguous ranges, each owned by an engineShard with
-// its own ftl/ssd.Device, bounded op channel, simulated clock and
-// journal. A router assigns every LPN to exactly one shard and every
-// tenant to the shard owning its window base, so a tenant's window
-// never straddles shards and each tenantState is touched by exactly
-// one engine goroutine — the per-shard state needs no locks, exactly
-// like the single-engine original.
+// design, so one engine goroutine can never use more than one core.
+// Real SSD firmware scales by running independent per-channel/per-die
+// engines behind a shared front end, and this file does the same:
+// Config.Shards engineShards each own a full-size ftl/ssd.Device,
+// bounded op channel, simulated clock and journal. Every tenant is
+// placed on one shard by its window base, so a tenant's ops never
+// straddle engines and its admission state is touched by exactly one
+// engine goroutine, with no lock.
 //
-// Shard 0 with Shards=1 is the legacy path, bit for bit: the same
-// seed, the same preload, the same clock discipline, the same
-// admission gates in the same order. Shards k>0 derive their device
-// seeds through runner.DeriveSeed, the same pure derivation the
-// parallel experiment engine uses for its workers.
+// Shard 0 is built with the configured seed and options verbatim;
+// shards k>0 derive their device seeds through runner.DeriveSeed, the
+// same pure derivation the parallel experiment engine uses for its
+// workers.
 package server
 
 import (
@@ -31,76 +26,46 @@ import (
 	"flexlevel/internal/trace"
 )
 
-// shardRouter is the pure routing function of the sharded server:
-// logical space → contiguous shard ranges, tenant → shard of its
-// window base. Both mappings are total and deterministic — two
-// routers built from the same inputs agree on every address — which
-// is what makes the per-shard journals recoverable: after a crash the
-// rebuilt router sends every LPN back to the shard whose journal
-// holds it.
-type shardRouter struct {
-	shards      int
-	perShard    uint64 // ceil(logicalPages / shards)
-	tenantShard []int  // tenant index -> owning shard
+// shardOf places a tenant whose window starts at base on one of shards
+// engines: min(base / ceil(logical/shards), shards-1). Placement is
+// deterministic and non-decreasing in base, so tenants striped evenly
+// over the device land one stripe per shard.
+func shardOf(base, logical uint64, shards int) int {
+	per := max((logical+uint64(shards)-1)/uint64(shards), 1)
+	return int(min(base/per, uint64(shards-1)))
 }
-
-func newShardRouter(shards int, logicalPages uint64, tenants []trace.TenantSpec) *shardRouter {
-	if shards < 1 {
-		shards = 1
-	}
-	per := (logicalPages + uint64(shards) - 1) / uint64(shards)
-	if per == 0 {
-		per = 1
-	}
-	r := &shardRouter{shards: shards, perShard: per}
-	r.tenantShard = make([]int, len(tenants))
-	for i, t := range tenants {
-		r.tenantShard[i] = r.lpnShard(t.Base)
-	}
-	return r
-}
-
-// lpnShard maps an absolute LPN to its owning shard: contiguous
-// ranges of perShard pages, with everything past the last boundary
-// clamped into the final shard so the function is total over uint64.
-func (r *shardRouter) lpnShard(lpn uint64) int {
-	s := int(lpn / r.perShard)
-	if s >= r.shards {
-		s = r.shards - 1
-	}
-	return s
-}
-
-// tenantOf returns the shard owning tenant i's window. Tenant
-// affinity is absolute: every op of the tenant — whatever LPN inside
-// the window it touches — runs on this shard, so a window that
-// numerically crosses a range boundary still never straddles engines.
-func (r *shardRouter) tenantOf(i int) int { return r.tenantShard[i] }
 
 // engineShard is one independent engine: a full device behind its own
-// bounded op channel and simulated clock. All fields below the
-// channel are engine-goroutine-only, like the original single-engine
-// state.
+// bounded op channel and simulated clock.
 type engineShard struct {
 	id     int
 	srv    *Server
 	runner *core.Runner
-	// tenantIdx lists the global tenant indices this shard owns.
-	tenantIdx []int
 
 	ops        chan *op
 	engineDone chan struct{}
 
-	// Engine-owned simulation state (no locks: one goroutine).
+	// Engine goroutine only. stale marks a device change /metrics must
+	// show before the next MetricsEvery refresh.
 	simNow  time.Duration
 	opCount int64
+	stale   bool
+
+	// Published for /metrics under Server.mu; only this shard's engine
+	// writes them. ring holds the admitted latencies, simTime the clock
+	// as of the last admitted op, device the last Finish snapshot, and
+	// crashed whether the device is down awaiting restart.
+	ring    *latencyRing
+	simTime time.Duration
+	device  core.Metrics
+	crashed bool
 }
 
 // newEngineShard builds shard id's runner and preloads the windows of
-// the tenants it owns. Shard 0 reproduces the legacy construction
-// exactly (same seed, same options); other shards derive their device
-// seed from the master seed and the shard key.
-func newEngineShard(id int, cfg Config, owned []int) (*engineShard, error) {
+// the tenants placed on it. Shard 0 is built with the configured seed;
+// other shards derive their device seed from the master seed and the
+// shard key.
+func newEngineShard(id int, cfg Config, owned []trace.TenantSpec) (*engineShard, error) {
 	opts := core.DefaultOptions(cfg.System, cfg.PE)
 	if cfg.Channels > 0 {
 		opts.SSD.Channels = cfg.Channels
@@ -132,58 +97,96 @@ func newEngineShard(id int, cfg Config, owned []int) (*engineShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	mine := make([]trace.TenantSpec, len(owned))
-	for i, ti := range owned {
-		mine[i] = cfg.Tenants[ti]
-	}
-	if err := r.Prepare(nil, trace.WindowEnd(mine)); err != nil {
+	if err := r.Prepare(nil, trace.WindowEnd(owned)); err != nil {
 		return nil, err
 	}
-	e := &engineShard{
-		id:         id,
-		runner:     r,
-		tenantIdx:  owned,
+	return &engineShard{
+		id:     id,
+		runner: r,
+		// The channel holds every admissible op of this shard's tenants
+		// plus the drain sentinel, so a send under the server mutex never
+		// blocks. A shard with no tenant still takes the sentinel.
+		ops:        make(chan *op, len(owned)*cfg.MaxQueue+1),
 		engineDone: make(chan struct{}),
-	}
-	// The channel holds every admissible op of this shard's tenants
-	// plus the drain sentinel, so a send under the server mutex never
-	// blocks. An idle shard (no tenants) still takes the sentinel.
-	e.ops = make(chan *op, len(owned)*cfg.MaxQueue+1)
-	return e, nil
+		ring:       newLatencyRing(DefaultRingSize),
+		// A first snapshot, so /metrics merges this shard from the start.
+		device: r.Finish("serve"),
+	}, nil
 }
 
 // engine is the goroutine that owns this shard's device and simulated
-// clock — a verbatim transplant of the single-engine loop.
+// clock. It takes Server.mu once per op, to settle the op's outcome.
 func (e *engineShard) engine() {
 	s := e.srv
 	defer close(e.engineDone)
 	for o := range e.ops {
 		if o.sentinel {
-			// Refresh this shard's telemetry so the coordinator's final
-			// snapshot merges fresh numbers, then exit; the coordinator
-			// (Shutdown) composes and writes the snapshot once every
-			// shard has drained.
-			e.refreshDeviceMetrics()
-			o.reply <- opResult{status: 200}
+			// Refresh this shard's telemetry so the final snapshot merges
+			// fresh numbers, then exit; Shutdown composes and writes the
+			// snapshot once every shard has drained.
+			m := e.runner.Finish("serve")
+			s.mu.Lock()
+			e.device = m
+			s.mu.Unlock()
 			return
 		}
-		res := e.process(o)
+		t := s.tenants[o.tenant]
+		res := e.process(t, o)
 		// Refresh the cached device telemetry on a fixed op cadence
 		// regardless of outcome — a fully-shedding or degraded shard
-		// must still report fresh /metrics and /healthz.
-		if e.opCount%int64(s.cfg.MetricsEvery) == 0 {
-			e.refreshDeviceMetrics()
+		// must still report fresh /metrics and /healthz — and at once
+		// after an op that changed the device's state.
+		refresh := e.stale || e.opCount%int64(s.cfg.MetricsEvery) == 0
+		var m core.Metrics
+		if refresh {
+			m = e.runner.Finish("serve")
+			e.stale = false
 		}
 		s.mu.Lock()
-		s.queued[o.tenant]--
+		t.queued--
+		e.settle(t, o, &res)
+		if refresh {
+			e.device = m
+		}
 		s.mu.Unlock()
 		o.reply <- res
 	}
 }
 
+// settle counts o's outcome, once, against its tenant and this shard,
+// and hands a successful write its ack sequence. Caller holds
+// Server.mu.
+func (e *engineShard) settle(t *tenant, o *op, res *opResult) {
+	switch res.code {
+	case "":
+		t.admitted++
+		t.ring.add(res.latency.Seconds())
+		e.ring.add(res.latency.Seconds())
+		e.simTime = e.simNow
+		if o.write {
+			t.ackSeq++
+			res.seq = t.ackSeq
+			t.writes++
+		} else {
+			t.reads++
+		}
+	case CodeShed:
+		t.shed++
+	case CodeDeadline:
+		t.deadline++
+	case CodeReadOnly:
+		t.readOnly++
+	case CodePowerLoss:
+		t.powerLoss++
+		e.crashed = e.runner.Device().Crashed()
+	default: // internal, write_failed
+		e.srv.internalErrors++
+	}
+}
+
 // process runs one op through admission control and, if it survives,
 // this shard's device. Engine goroutine only.
-func (e *engineShard) process(o *op) opResult {
+func (e *engineShard) process(t *tenant, o *op) opResult {
 	s := e.srv
 	e.opCount++
 	if s.cfg.CrashAtOp > 0 && e.id == s.cfg.CrashShard && e.opCount == s.cfg.CrashAtOp && !e.runner.Device().Crashed() {
@@ -195,7 +198,6 @@ func (e *engineShard) process(o *op) opResult {
 
 	arrival := e.simNow
 	e.simNow += s.cfg.SimGap
-	t := s.tenants[o.tenant]
 
 	// Token bucket on this shard's simulated clock.
 	if s.cfg.Rate > 0 {
@@ -206,7 +208,7 @@ func (e *engineShard) process(o *op) opResult {
 		t.lastRefill = arrival
 		if t.tokens < 1 {
 			wait := time.Duration((1 - t.tokens) / s.cfg.Rate * float64(time.Second))
-			s.countShed(e, o.tenant)
+			e.runner.CountShed()
 			return opResult{
 				status: 429, code: CodeShed,
 				message:    "tenant rate limit exceeded",
@@ -227,7 +229,7 @@ func (e *engineShard) process(o *op) opResult {
 	// backlog drains at device speed — but every shed skips a SimGap of
 	// offered load, so the rejection clears itself.
 	if s.cfg.SLOWait > 0 && wait > s.cfg.SLOWait {
-		s.countShed(e, o.tenant)
+		e.runner.CountShed()
 		return opResult{
 			status: 429, code: CodeShed,
 			message:    fmt.Sprintf("projected queue wait %v exceeds SLO budget %v", wait, s.cfg.SLOWait),
@@ -241,7 +243,7 @@ func (e *engineShard) process(o *op) opResult {
 		deadline = s.cfg.Deadline
 	}
 	if deadline > 0 && wait > deadline {
-		s.countDeadline(e, o.tenant)
+		e.runner.CountDeadlineExceeded()
 		return opResult{
 			status: 504, code: CodeDeadline,
 			message: fmt.Sprintf("queue wait %v exceeds deadline %v", wait, deadline),
@@ -249,9 +251,11 @@ func (e *engineShard) process(o *op) opResult {
 	}
 
 	// Degraded device: reads keep flowing, writes fail typed before
-	// they reach the device.
+	// they reach the device. The latch may have tripped inside an
+	// earlier op's GC; the first refusal publishes it.
 	if o.write && e.runner.Device().Degraded() {
-		return e.readOnly(o, "device degraded: read-only mode")
+		e.stale = !e.device.Degraded
+		return opResult{status: 503, code: CodeReadOnly, message: "device degraded: read-only mode"}
 	}
 
 	req := trace.Request{
@@ -267,12 +271,12 @@ func (e *engineShard) process(o *op) opResult {
 	done, err := e.runner.StepAt(req, submit)
 	if err != nil {
 		if errors.Is(err, ftl.ErrPowerLoss) {
-			return e.handlePowerLoss(o)
+			return e.handlePowerLoss()
 		}
 		res := opResult{status: 500, code: CodeInternal, message: err.Error()}
 		var we *core.WriteError
 		if o.write && ftl.WriteRefused(err) && errors.As(err, &we) {
-			e.refreshDeviceMetrics()
+			e.stale = true
 			switch {
 			case we.Stored > 0:
 				// Some pages are remapped already, so this is no clean
@@ -282,93 +286,42 @@ func (e *engineShard) process(o *op) opResult {
 				// No page went through, so the write's old mapping
 				// survives: a refusal like every later write's, naming
 				// what ended the write life.
-				return e.readOnly(o, res.message)
+				res.status, res.code = 503, CodeReadOnly
 			default:
 				// Nothing stored on a device that still takes writes.
 				res.status, res.code = 503, CodeWriteFailed
 			}
 		}
-		s.statMu.Lock()
-		s.stats.internalErrors++
-		s.statMu.Unlock()
 		return res
 	}
 	t.window.Complete(done)
-
-	latency := done - arrival
-	res := opResult{status: 200, latency: latency}
-	s.statMu.Lock()
-	ts := s.stats.tenants[o.tenant]
-	ts.admitted++
-	s.stats.rings[e.id].add(latency.Seconds())
-	ts.ring.add(latency.Seconds())
-	if o.write {
-		ts.ackSeq++
-		res.seq = ts.ackSeq
-		ts.writes++
-	} else {
-		ts.reads++
-	}
-	s.stats.shardSimTime[e.id] = e.simNow
-	s.statMu.Unlock()
-	return res
-}
-
-// readOnly refuses a write on a shard past its write life with the
-// typed 503 and counts it against the tenant.
-func (e *engineShard) readOnly(o *op, msg string) opResult {
-	s := e.srv
-	s.statMu.Lock()
-	s.stats.tenants[o.tenant].readOnly++
-	s.statMu.Unlock()
-	return opResult{status: 503, code: CodeReadOnly, message: msg}
+	return opResult{status: 200, latency: done - arrival}
 }
 
 // handlePowerLoss settles an op that died in a crash of this shard:
 // the op is never acknowledged, and with AutoRestart the shard's
 // device is recovered in place before its next op runs. Other shards
 // keep serving throughout — their acked writes are never at risk.
-func (e *engineShard) handlePowerLoss(o *op) opResult {
+func (e *engineShard) handlePowerLoss() opResult {
 	s := e.srv
-	recovered := false
+	msg := "power loss: request not acknowledged"
 	if s.cfg.AutoRestart {
 		if _, err := e.runner.Device().Restart(e.simNow); err == nil {
-			recovered = true
+			msg += "; device recovered, retry"
 			// Recovery charged every channel; in-sim time moved on.
-			if now := e.runner.Device().Now(); now > e.simNow {
-				e.simNow = now
-			}
+			e.simNow = max(e.simNow, e.runner.Device().Now())
 			// This shard's tenants' outstanding windows died with the
 			// queues; other shards' windows are untouched.
-			for _, ti := range e.tenantIdx {
-				s.tenants[ti].window.Reset()
+			for _, t := range s.tenants {
+				if t.shard == e {
+					t.window.Reset()
+				}
 			}
 		}
 	}
-	s.statMu.Lock()
-	s.stats.tenants[o.tenant].powerLoss++
-	s.stats.shardCrashed[e.id] = !recovered
-	s.statMu.Unlock()
-	e.refreshDeviceMetrics()
-	msg := "power loss: request not acknowledged"
-	if recovered {
-		msg += "; device recovered, retry"
-	}
+	e.stale = true
 	return opResult{
 		status: 503, code: CodePowerLoss, message: msg,
 		retryAfter: s.cfg.SimGap * 16,
 	}
-}
-
-// refreshDeviceMetrics caches this shard's full telemetry (device,
-// cache, calibration, crash-recovery counters) for /metrics. Engine
-// goroutine only: Finish reorders the shared read sample to answer its
-// percentiles.
-func (e *engineShard) refreshDeviceMetrics() {
-	m := e.runner.Finish("serve")
-	s := e.srv
-	s.statMu.Lock()
-	s.stats.shardDevice[e.id] = m
-	s.stats.haveDevice[e.id] = true
-	s.statMu.Unlock()
 }

@@ -1,5 +1,5 @@
-// Tests for the sharded serve path: routing laws (total,
-// deterministic, tenant-affine), multi-shard integration over real
+// Tests for the sharded serve path: placement laws (deterministic,
+// in range, monotone in the window base), multi-shard integration over real
 // HTTP, crash isolation (a power loss on one shard loses no acked
 // write anywhere and keeps every tenant's ack sequence dense), and the
 // single-shard snapshot staying free of shard-only fields.
@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -35,53 +36,59 @@ func spreadTenants(n int, logicalPages uint64) []trace.TenantSpec {
 	return ts
 }
 
-// TestShardRoutingProperties: the router is a pure function — total
-// (every LPN lands on exactly one shard in range), deterministic (two
-// routers from the same inputs agree everywhere), contiguous
-// (shard ids are non-decreasing in LPN), and tenant-affine (a tenant
-// routes to the shard of its window base, always).
+// TestShardRoutingProperties: tenant placement is a pure function of
+// (base, logical pages, shards) — deterministic, in [0, N), the rule
+// min(base / ceil(L/N), N-1), and non-decreasing in base — New places
+// every tenant by it, and a shard with no tenant still drains on
+// Shutdown.
 func TestShardRoutingProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		shards := 1 + rng.Intn(9)
 		logical := uint64(1 + rng.Intn(1<<16))
-		var tenants []trace.TenantSpec
-		for i := 0; i < 1+rng.Intn(5); i++ {
-			base := uint64(rng.Int63n(int64(logical)))
-			tenants = append(tenants, trace.TenantSpec{
-				Name: fmt.Sprintf("t%d", i), Base: base,
-				WorkingSet: 1 + uint64(rng.Int63n(int64(logical-base))),
-			})
+		per := (logical + uint64(shards) - 1) / uint64(shards)
+		bases := make([]uint64, 1+rng.Intn(20))
+		for i := range bases {
+			bases[i] = uint64(rng.Int63n(int64(logical)))
 		}
-		r1 := newShardRouter(shards, logical, tenants)
-		r2 := newShardRouter(shards, logical, tenants)
+		sort.Slice(bases, func(a, b int) bool { return bases[a] < bases[b] })
 		prev := 0
-		for lpn := uint64(0); lpn < logical; lpn++ {
-			k := r1.lpnShard(lpn)
+		for _, base := range bases {
+			k := shardOf(base, logical, shards)
 			if k < 0 || k >= shards {
-				t.Fatalf("shards=%d logical=%d: lpn %d routed to %d, outside [0,%d)",
-					shards, logical, lpn, k, shards)
+				t.Fatalf("shards=%d logical=%d: base %d placed on %d, outside [0,%d)", shards, logical, base, k, shards)
 			}
-			if k2 := r2.lpnShard(lpn); k2 != k {
-				t.Fatalf("routing nondeterministic: lpn %d -> %d vs %d", lpn, k, k2)
+			if k2 := shardOf(base, logical, shards); k2 != k {
+				t.Fatalf("placement nondeterministic: base %d -> %d vs %d", base, k, k2)
+			}
+			if base < uint64(k)*per || (k < shards-1 && base >= uint64(k+1)*per) {
+				t.Fatalf("shards=%d logical=%d: base %d on shard %d, outside its range of %d pages", shards, logical, base, k, per)
 			}
 			if k < prev {
-				t.Fatalf("ranges not contiguous: lpn %d -> shard %d after shard %d", lpn, k, prev)
+				t.Fatalf("placement decreasing: base %d -> shard %d after shard %d", base, k, prev)
 			}
 			prev = k
 		}
-		// Out-of-space addresses still route (total over uint64).
-		for _, lpn := range []uint64{logical, logical * 2, ^uint64(0)} {
-			if k := r1.lpnShard(lpn); k != shards-1 {
-				t.Fatalf("lpn %d past the space routed to %d, want clamp to %d", lpn, k, shards-1)
-			}
+	}
+
+	// Two tenants on four shards: New places each by its base, and the
+	// two shards nobody owns still take the drain sentinel.
+	s, err := New(Config{System: core.Baseline, PE: 4000, Seed: 5, FTL: smallFTL(), Tenants: testTenants(), Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ten := range s.tenants {
+		if want := shardOf(ten.spec.Base, 2048, 4); ten.shard != s.shards[want] {
+			t.Fatalf("tenant %d (base %d) on shard %d, want %d", i, ten.spec.Base, ten.shard.id, want)
 		}
-		for i, spec := range tenants {
-			if got, want := r1.tenantOf(i), r1.lpnShard(spec.Base); got != want {
-				t.Fatalf("tenant %d (base %d) on shard %d, want its base's shard %d",
-					i, spec.Base, got, want)
-			}
-		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown with idle shards: %v", err)
+	}
+	if snap, ok := s.FinalSnapshot(); !ok || len(snap.ShardDevices) != 4 {
+		t.Fatalf("final snapshot %v with %d shard devices, want 4", ok, len(snap.ShardDevices))
 	}
 }
 
@@ -100,8 +107,8 @@ func TestServeShardedReadWrite(t *testing.T) {
 		t.Fatalf("shards = %d, want 4", len(s.shards))
 	}
 	onShard := make(map[int]bool)
-	for i := range tenants {
-		onShard[s.router.tenantOf(i)] = true
+	for _, ten := range s.tenants {
+		onShard[ten.shard.id] = true
 	}
 	if len(onShard) != 4 {
 		t.Fatalf("tenants cover %d shards, want all 4", len(onShard))
@@ -204,7 +211,7 @@ func TestServeShardedCrashIsolation(t *testing.T) {
 			}
 			if ti != crashShard {
 				t.Fatalf("tenant %s (shard %d) saw the shard-%d power loss",
-					tenants[ti].Name, s.router.tenantOf(ti), crashShard)
+					tenants[ti].Name, s.tenants[ti].shard.id, crashShard)
 			}
 			sawCrash = true
 		default:
@@ -236,7 +243,7 @@ func TestServeShardedCrashIsolation(t *testing.T) {
 	}
 	// Durability audit on every shard, not just the crashed one.
 	for _, a := range acks {
-		f := s.shards[s.router.tenantOf(a.tenant)].runner.Device().FTL()
+		f := s.tenants[a.tenant].shard.runner.Device().FTL()
 		lpn := tenants[a.tenant].Base + a.lpn
 		if _, _, ok := f.Lookup(lpn); !ok {
 			t.Fatalf("acked write (tenant %s, lpn %d, seq %d) unmapped after the shard-%d crash: acknowledged data lost",
@@ -245,9 +252,9 @@ func TestServeShardedCrashIsolation(t *testing.T) {
 	}
 }
 
-// TestSnapshotSingleShardHasNoShardFields: with Shards=1 the snapshot
-// JSON is the legacy artifact — none of the shard-only keys appear, so
-// existing scrapers and the CI greps see byte-compatible output.
+// TestSnapshotSingleShardHasNoShardFields: with Shards=1 none of the
+// snapshot JSON's shard-only keys appear, so existing scrapers and the
+// CI greps see byte-compatible output.
 func TestSnapshotSingleShardHasNoShardFields(t *testing.T) {
 	s, hs := newTestServer(t, Config{System: core.FlexLevel, PE: 5000, Seed: 3})
 	c := hs.Client()

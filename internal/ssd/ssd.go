@@ -280,10 +280,8 @@ type Device struct {
 	rng *rand.Rand
 	inj *fault.Injector // nil when fault injection is disabled
 
-	// crashed is set on power loss and cleared by a successful Restart;
-	// ftlPrior carries the dead FTL's counters across the swap.
-	crashed  bool
-	ftlPrior ftl.Stats
+	// crashed is set on power loss and cleared by a successful Restart.
+	crashed bool
 
 	levelCache map[int64]*levelEntry // quantized BER -> required levels
 	levelEpoch *levelEpoch           // the generation LevelSlots must match
@@ -407,7 +405,6 @@ func New(cfg Config, berOf BERFunc, policy baseline.ReadPolicy) (*Device, error)
 	phys := cfg.FTL.PagesPerBlock * cfg.FTL.Blocks
 	d := &Device{
 		cfg:        cfg,
-		ftl:        f,
 		berOf:      berOf,
 		policy:     policy,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
@@ -442,19 +439,21 @@ func New(cfg Config, berOf BERFunc, policy baseline.ReadPolicy) (*Device, error)
 	}
 	d.chanFree = make([]time.Duration, cfg.channels())
 	d.res.ReadSample = d.newReadSample()
+	d.attach(f)
+	return d, nil
+}
+
+// attach makes f the device's FTL and points its hooks at the device: a
+// GC copy restarts the page's retention age, and an erase resets
+// whatever per-block state must reset with the block — the policy's
+// retry memory and the calibration tracker's shift (with neither
+// present the erase hook stays nil).
+func (d *Device) attach(f *ftl.FTL) {
+	d.ftl = f
 	f.OnRelocate = func(lpn uint64, oldPPN, newPPN int64) {
 		// A GC copy reprograms the data: retention age restarts.
 		d.resetAge(newPPN, d.Now())
 	}
-	d.wireOnErase(f)
-	return d, nil
-}
-
-// wireOnErase points the FTL's erase hook at whatever per-block state
-// must reset with the block: the policy's retry memory and the
-// calibration tracker's shift. With neither present the hook stays nil
-// (bit-identical to the pre-calibration wiring).
-func (d *Device) wireOnErase(f *ftl.FTL) {
 	forgetter, hasForget := d.policy.(interface{ Forget(int) })
 	switch {
 	case hasForget && d.calib != nil:
@@ -513,7 +512,6 @@ func (d *Device) ResetMeasurement() {
 	if d.berStats != nil {
 		d.berBase = d.berStats()
 	}
-	d.ftlPrior = ftl.Stats{}
 	d.ftl.ResetStats()
 }
 
@@ -926,20 +924,12 @@ func (d *Device) Restart(now time.Duration) (ftl.RecoveryReport, error) {
 	if d.inj != nil {
 		faultFn = d.inj.Fails
 	}
-	prior := d.ftl.Stats()
 	f, rep, err := ftl.Recover(d.cfg.FTL, m, faultFn)
 	if err != nil {
 		return rep, err
 	}
-	d.ftlPrior = d.ftlPrior.Add(prior)
-	if d.ftl.Degraded() {
-		f.Degrade() // the end of write life outlives the power cut
-	}
-	d.ftl = f
-	f.OnRelocate = func(lpn uint64, oldPPN, newPPN int64) {
-		d.resetAge(newPPN, d.Now())
-	}
-	d.wireOnErase(f)
+	f.Inherit(d.ftl)
+	d.attach(f)
 	// Controller RAM did not survive: the level cache, the policy's
 	// per-block sensing memory and the calibration tracker start cold.
 	d.levelCache = make(map[int64]*levelEntry)
@@ -981,7 +971,7 @@ func (d *Device) MetaBytes() int64 {
 func (d *Device) Results() Results {
 	r := d.res
 	r.MetaBytes = d.MetaBytes()
-	r.FTL = d.ftlPrior.Add(d.ftl.Stats())
+	r.FTL = d.ftl.Stats()
 	if d.berStats != nil {
 		r.BERCache = d.berStats().Sub(d.berBase)
 	}

@@ -58,8 +58,7 @@ func TestZipfMatchesStdlibPaperWorkloads(t *testing.T) {
 }
 
 func TestZipfMatchesStdlibScenarioTenants(t *testing.T) {
-	// exp.ScenarioTenants on the default device: oltp, web and batch
-	// (trace cannot import exp, so the pairs are written out).
+	// DefaultTenants on the default device: oltp, web and batch.
 	cases := []zipfCase{{1.30, 8191}, {1.40, 16383}, {1.10, 8191}}
 	n := 1_000_000
 	if testing.Short() {
