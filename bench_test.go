@@ -394,18 +394,10 @@ func BenchmarkFTLWrite(b *testing.B) {
 	}
 }
 
-// keyedBER adapts a plain BER function to an ssd.BERFunc, pairing every
-// value with its ssd.LevelKey as a non-memoizing BERFunc must, with no
-// level slot.
-func keyedBER(ber func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64) ssd.BERFunc {
-	return func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64, *ssd.LevelSlot) {
-		v := ber(state, pe, ageHours, shiftMv)
-		return v, ssd.LevelKey(v), nil
-	}
-}
-
-// benchDevice builds the small read-bench device around berOf.
-func benchDevice(b *testing.B, berOf ssd.BERFunc) *ssd.Device {
+// benchDevice builds the small read-bench device over a BER surface of
+// ber whose dense window starts at P/E anchorPE; the device's blocks
+// sit at P/E 0.
+func benchDevice(b *testing.B, ber ssd.BERFunc, anchorPE int) *ssd.Device {
 	b.Helper()
 	cfg := ssd.DefaultConfig()
 	cfg.FTL = ftl.Config{
@@ -416,7 +408,7 @@ func benchDevice(b *testing.B, berOf ssd.BERFunc) *ssd.Device {
 		GCThreshold:   3,
 		GCTarget:      4,
 	}
-	d, err := ssd.New(cfg, berOf, baseline.NewLDPCInSSD())
+	d, err := ssd.New(cfg, ssd.NewBERSurface(ber, anchorPE, cfg.MaxDataAgeHours), baseline.NewLDPCInSSD())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -426,25 +418,26 @@ func benchDevice(b *testing.B, berOf ssd.BERFunc) *ssd.Device {
 	return d
 }
 
-// BenchmarkSSDRead measures one simulated read end to end with a warm
-// level cache, answered from the cache's map: the BER and its level key
-// come precomputed but without a level slot, as from a BER-surface hit
-// off the dense window (a shifted or far-aged point).
+// flatBER is the read benchmarks' physics: one BER everywhere.
+func flatBER(ftl.BlockState, int, int, int) float64 { return 5e-3 }
+
+// BenchmarkSSDRead measures one simulated read end to end with warm
+// caches, answered from their maps: the surface's window starts past
+// the blocks' wear, so every point is a BER-surface map hit without a
+// level slot, as a shifted or far-aged point is.
 func BenchmarkSSDRead(b *testing.B) {
-	key := ssd.LevelKey(5e-3)
-	d := benchDevice(b, func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64, *ssd.LevelSlot) {
-		return 5e-3, key, nil
-	})
-	benchReads(b, d)
+	benchReads(b, benchDevice(b, flatBER, 1000))
 }
 
 // benchReads times b.N reads cycling over d's 4096 pages, after one
-// untimed read that fills the level cache. The read sample is sized up
-// front, as a Runner sizes it for a replay, so no timed read regrows
-// it.
+// untimed pass that fills the BER surface and the level cache. The read
+// sample is sized up front, as a Runner sizes it for a replay, so no
+// timed read regrows it.
 func benchReads(b *testing.B, d *ssd.Device) {
-	d.ReserveReads(b.N + 1)
-	d.Read(0, 0)
+	d.ReserveReads(b.N + 4096)
+	for i := 0; i < 4096; i++ {
+		d.Read(0, uint64(i))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -452,38 +445,35 @@ func benchReads(b *testing.B, d *ssd.Device) {
 	}
 }
 
-// BenchmarkSSDReadMemoized is BenchmarkSSDRead through a memoizing
-// BERFunc that hands out the point's level slot, as a dense-window
-// BER-surface hit does: the steady-state nominal read, whose sensing
-// decision is one slot check instead of a map probe.
+// BenchmarkSSDReadMemoized is BenchmarkSSDRead with the surface's
+// dense window over the blocks' wear, so every point is a dense hit
+// that hands out its level slot: the steady-state nominal read, whose
+// sensing decision is one slot check instead of a map probe.
 func BenchmarkSSDReadMemoized(b *testing.B) {
-	key := ssd.LevelKey(5e-3)
-	var slot ssd.LevelSlot
-	d := benchDevice(b, func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64, *ssd.LevelSlot) {
-		return 5e-3, key, &slot
-	})
+	d := benchDevice(b, flatBER, 0)
 	benchReads(b, d)
 	b.StopTimer()
-	if lc := d.Results().LevelCache; lc.Misses != 1 || lc.Hits != int64(b.N) {
+	if lc := d.Results().LevelCache; lc.Misses != 1 || lc.Hits != int64(b.N)+4095 {
 		b.Fatalf("level cache %+v over %d timed reads, want one miss before them", lc, b.N)
 	}
 }
 
-// BenchmarkSSDReadCold forces a level-cache miss on every read: each
-// call sees a BER whose ssd.LevelKey is fresh (steps of 1e-4 in log
-// space, 10x the 1e-5 quantum), so every read falls through to the
-// shared sensing-level table. The warm/cold pair brackets what the
-// level cache buys.
+// BenchmarkSSDReadCold forces a miss of both caches on every read: the
+// reads are an hour apart, so each one finds its page at an age hour
+// the BER surface has not seen, and each BER it evaluates has a fresh
+// level key (steps of 1e-4 in log space, 10x the 1e-5 quantum), so
+// every read falls through to the shared sensing-level table. The
+// warm/cold pair brackets what the two memos buy.
 func BenchmarkSSDReadCold(b *testing.B) {
 	calls := 0
-	d := benchDevice(b, keyedBER(func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	d := benchDevice(b, func(ftl.BlockState, int, int, int) float64 {
 		calls++
 		return 5e-3 * math.Exp(float64(calls)*1e-4)
-	}))
+	}, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Read(time.Duration(i)*time.Millisecond, uint64(i%4096))
+		d.Read(time.Duration(i)*time.Hour, uint64(i%4096))
 	}
 }
 
@@ -506,7 +496,7 @@ func BenchmarkAdaptiveRead(b *testing.B) {
 	// Drifted landscape: pages past 100h are unreadable at nominal
 	// references and decode cleanly within 50mV of a -120mV shift, so
 	// the warm-up pass calibrates every block once and then holds.
-	berOf := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	berOf := func(state ftl.BlockState, pe, ageHours, shiftMv int) float64 {
 		if ageHours <= 100 {
 			return 1e-4
 		}
@@ -519,7 +509,7 @@ func BenchmarkAdaptiveRead(b *testing.B) {
 		}
 		return 0.1
 	}
-	d, err := ssd.New(cfg, keyedBER(berOf), baseline.NewAdaptiveRetry())
+	d, err := ssd.New(cfg, ssd.NewBERSurface(berOf, 0, cfg.MaxDataAgeHours), baseline.NewAdaptiveRetry())
 	if err != nil {
 		b.Fatal(err)
 	}

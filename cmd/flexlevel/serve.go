@@ -227,22 +227,12 @@ func parseLoad(args []string) (loadOpts, error) {
 		}
 		tenants = trace.DefaultTenants(core.DefaultOptions(sys, *pe).SSD.FTL.LogicalPages)
 	}
-	var weight uint64
-	for _, t := range tenants {
-		weight += uint64(t.Weight)
-	}
-	if weight == 0 {
-		return loadOpts{}, fmt.Errorf("tenant spec has zero total weight")
-	}
+	// The split flexlevel scenario uses: by weight, flooring remainders
+	// to the earliest tenants.
+	counts := trace.TenantCounts(trace.InterleaveSpec{Tenants: tenants, Requests: *n})
 	var lts []server.LoadTenant
-	assigned := 0
 	for i, t := range tenants {
-		budget := *n * t.Weight / int(weight)
-		if i == len(tenants)-1 {
-			budget = *n - assigned // remainder to the last tenant
-		}
-		assigned += budget
-		lts = append(lts, server.LoadTenant{Name: t.Name, Requests: budget, Window: t.WorkingSet})
+		lts = append(lts, server.LoadTenant{Name: t.Name, Requests: counts[i], Window: t.WorkingSet})
 	}
 	return loadOpts{
 		cfg: server.LoadConfig{

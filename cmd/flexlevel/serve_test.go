@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func TestParseServeFlags(t *testing.T) {
 }
 
 // TestParseLoadSplitsBudget: -n splits across the default tenant mix by
-// weight, exactly (remainder to the last tenant).
+// weight, exactly: each tenant gets its floored share or one more.
 func TestParseLoadSplitsBudget(t *testing.T) {
 	o, err := parseLoad([]string{"-n", "1000", "-workers", "2", "-seed", "5"})
 	if err != nil {
@@ -74,12 +75,42 @@ func TestParseLoadSplitsBudget(t *testing.T) {
 			t.Fatalf("tenant %d: %+v does not match spec %+v", i, lt, specs[i])
 		}
 		total += lt.Requests
-		if i < len(specs)-1 && lt.Requests != 1000*specs[i].Weight/weight {
-			t.Fatalf("tenant %s budget %d, want weighted share", lt.Name, lt.Requests)
+		if share := 1000 * specs[i].Weight / weight; lt.Requests != share && lt.Requests != share+1 {
+			t.Fatalf("tenant %s budget %d, want weighted share %d or one more", lt.Name, lt.Requests, share)
 		}
 	}
 	if total != 1000 {
 		t.Fatalf("budgets sum to %d, want exactly 1000", total)
+	}
+}
+
+// TestParseLoadSplitsLikeScenario: load splits -n by the rule scenario
+// uses (trace.TenantCounts), which hands the flooring remainder to the
+// earliest tenants: 10 requests over weights 4/2/2 are 6/2/2.
+func TestParseLoadSplitsLikeScenario(t *testing.T) {
+	tenants := trace.DefaultTenants(2048)[:3]
+	for i, w := range []int{4, 2, 2} {
+		tenants[i].Weight = w
+	}
+	specPath := filepath.Join(t.TempDir(), "tenants.csv")
+	f, err := os.Create(specPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteScenarioSpec(f, tenants); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	o, err := parseLoad([]string{"-tenants", specPath, "-n", "10"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, lt := range o.cfg.Tenants {
+		got = append(got, lt.Requests)
+	}
+	if want := []int{6, 2, 2}; !slices.Equal(got, want) {
+		t.Fatalf("budgets %v, want %v", got, want)
 	}
 }
 

@@ -2,97 +2,40 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"flexlevel/internal/ftl"
-	"flexlevel/internal/noise"
-	"flexlevel/internal/ssd"
 )
 
-// Shifted evaluations memoize: the same probe repeated is a cache hit,
-// and cached values agree with direct model evaluation.
-func TestSurfaceShiftedMemo(t *testing.T) {
-	s, err := newBERSurface("NUNMA 3", 6000, 720)
+// The physics a runner's surface memoizes is the state's model,
+// bit for bit: a nominal point's hoisted interference term sums in
+// TotalBERShifted's operand order, and a block state the models do not
+// name reads as a normal block.
+func TestPhysicsMatchesModel(t *testing.T) {
+	p, err := newPhysics("NUNMA 3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, _ := s.BER(ftl.NormalState, 6000, 720, -120)
-	miss := s.Stats().Misses
-	b, _, _ := s.BER(ftl.NormalState, 6000, 720.7, -120) // same quantized age
-	if a != b {
-		t.Errorf("memoized %g != %g", a, b)
-	}
-	st := s.Stats()
-	if st.Misses != miss || st.Hits == 0 {
-		t.Errorf("repeat probe was not a cache hit: %+v", st)
-	}
-	if direct := s.normal.TotalBERShifted(6000, 720, -0.120); a != direct {
-		t.Errorf("cached %g != direct %g", a, direct)
-	}
-	// A drift-tracking negative shift recovers BER at high wear+age.
-	if nominal, _, _ := s.BER(ftl.NormalState, 6000, 720, 0); a >= nominal {
-		t.Error("negative shift did not reduce BER under heavy drift")
-	}
-}
-
-// Inputs just outside the packed key's ranges are evaluated directly:
-// the cache counters do not move, and the value equals the model's.
-// The in-range neighbours of each point do pack, so the test pins the
-// exact field edges.
-func TestSurfaceKeyFallback(t *testing.T) {
-	s, err := newBERSurface("NUNMA 3", 6000, 720)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		state   ftl.BlockState
-		pe      int
-		age     float64
-		shiftMv int
-		model   *noise.BERModel
-	}{
-		{ftl.NormalState, 1 << 24, 720, 0, s.normal.BERModel},
-		{ftl.ReducedState, 6000, 1 << 26, -120, s.reduced.BERModel},
-		{ftl.NormalState, 6000, 720, -2049, s.normal.BERModel},
-		{ftl.ReducedState, 6000, 720, 2048, s.reduced.BERModel},
-		{ftl.NormalState, -1, 720, 0, s.normal.BERModel},
-		{ftl.NormalState, 6000, -1, 0, s.normal.BERModel},
-	} {
-		before := s.Stats()
-		got, key, slot := s.BER(tc.state, tc.pe, tc.age, tc.shiftMv)
-		if slot != nil {
-			t.Errorf("BER(%v,%d,%g,%d) handed out a level slot", tc.state, tc.pe, tc.age, tc.shiftMv)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		state := ftl.BlockState(rng.Intn(3))
+		pe, age, shiftMv := rng.Intn(12000), rng.Intn(3000), 0
+		if rng.Intn(3) == 0 {
+			shiftMv = rng.Intn(401) - 200
 		}
-		if st := s.Stats(); st != before {
-			t.Errorf("BER(%v,%d,%g,%d) touched the cache: %+v -> %+v",
-				tc.state, tc.pe, tc.age, tc.shiftMv, before, st)
+		m := p.normal.BERModel
+		if state == ftl.ReducedState {
+			m = p.reduced.BERModel
 		}
-		want := tc.model.TotalBERShifted(tc.pe, float64(int(tc.age)), float64(tc.shiftMv)/1000)
+		got, want := p.ber(state, pe, age, shiftMv), m.TotalBERShifted(pe, float64(age), float64(shiftMv)/1000)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("BER(%v,%d,%g,%d) = %g, direct %g", tc.state, tc.pe, tc.age, tc.shiftMv, got, want)
-		}
-		if key != ssd.LevelKey(got) {
-			t.Errorf("BER(%v,%d,%g,%d) key %d, want LevelKey %d", tc.state, tc.pe, tc.age, tc.shiftMv, key, ssd.LevelKey(got))
+			t.Fatalf("ber(%v,%d,%d,%d) = %g, model %g", state, pe, age, shiftMv, got, want)
 		}
 	}
-	// Every field at its edges packs, and no two such inputs share a key.
-	seen := map[int64]bool{}
-	for _, state := range []ftl.BlockState{ftl.NormalState, ftl.ReducedState} {
-		for _, pe := range []int{0, 1<<24 - 1} {
-			for _, ageQ := range []int{0, 1<<26 - 1} {
-				for _, shiftMv := range []int{-2048, 0, 2047} {
-					key, ok := surfaceKey(state, pe, ageQ, shiftMv)
-					if !ok {
-						t.Errorf("surfaceKey(%v,%d,%d,%d) fell back; want it packed", state, pe, ageQ, shiftMv)
-					}
-					if seen[key] {
-						t.Errorf("surfaceKey(%v,%d,%d,%d) = %#x collides", state, pe, ageQ, shiftMv, key)
-					}
-					seen[key] = true
-				}
-			}
-		}
+	if _, err := newPhysics("baseline"); err == nil {
+		t.Error("the baseline cell accepted as a reduced-state configuration")
 	}
 }
 

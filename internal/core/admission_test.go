@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"flexlevel/internal/trace"
 )
 
 // countdownCtx is a context whose Err becomes non-nil after n calls —
@@ -157,56 +155,5 @@ func TestStepBatchCtxNilMatchesLegacy(t *testing.T) {
 	a, b := run(nil), run(context.Background())
 	if a.AvgResponse != b.AvgResponse || a.Reads != b.Reads || a.P99Read != b.P99Read {
 		t.Fatalf("nil-ctx and Background replays diverge: %+v vs %+v", a, b)
-	}
-}
-
-// TestShedDoesNotMovePercentiles is the latency-attribution satellite:
-// shed and deadline-exceeded requests land in their own counters and
-// leave every latency percentile untouched.
-func TestShedDoesNotMovePercentiles(t *testing.T) {
-	reqs, tenants := tenantTestStream(t)
-	run := func(sheds, deadlines int) Metrics {
-		r, err := NewRunner(DefaultOptions(FlexLevel, 6000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.TrackTenants(trace.TenantNames(tenants))
-		if err := r.Prepare(reqs, 4096); err != nil {
-			t.Fatal(err)
-		}
-		// Interleave rejections with real traffic the way a server would.
-		for i, req := range reqs {
-			if _, err := r.StepAt(req, req.Arrival); err != nil {
-				t.Fatal(err)
-			}
-			if i < sheds {
-				r.CountShed()
-			}
-			if i < deadlines {
-				r.CountDeadlineExceeded()
-			}
-		}
-		return r.Finish("shed")
-	}
-	clean := run(0, 0)
-	shed := run(500, 200)
-	if shed.Shed != 500 || shed.DeadlineExceeded != 200 {
-		t.Fatalf("counters Shed=%d DeadlineExceeded=%d, want 500/200", shed.Shed, shed.DeadlineExceeded)
-	}
-	if clean.Shed != 0 || clean.DeadlineExceeded != 0 {
-		t.Fatalf("clean run carries rejection counters: %+v", clean)
-	}
-	if clean.P50Read != shed.P50Read || clean.P95Read != shed.P95Read || clean.P99Read != shed.P99Read {
-		t.Fatalf("shedding moved percentiles: clean p50/p95/p99 %g/%g/%g vs shed %g/%g/%g",
-			clean.P50Read, clean.P95Read, clean.P99Read, shed.P50Read, shed.P95Read, shed.P99Read)
-	}
-	if clean.AvgResponse != shed.AvgResponse {
-		t.Fatalf("shedding moved the mean: %g vs %g", clean.AvgResponse, shed.AvgResponse)
-	}
-	for i, tm := range shed.Tenants {
-		if tm.P99Read != clean.Tenants[i].P99Read {
-			t.Fatalf("tenant %s p99 moved by shedding: %g vs %g",
-				tm.Name, tm.P99Read, clean.Tenants[i].P99Read)
-		}
 	}
 }

@@ -19,6 +19,8 @@ import (
 	"flexlevel/internal/accesseval"
 	"flexlevel/internal/baseline"
 	"flexlevel/internal/ftl"
+	"flexlevel/internal/noise"
+	"flexlevel/internal/nunma"
 	"flexlevel/internal/sensing"
 	"flexlevel/internal/ssd"
 	"flexlevel/internal/trace"
@@ -162,12 +164,13 @@ type Metrics struct {
 	DataLoss            int64
 	Degraded            bool
 
-	// Admission-control outcomes (nonzero only under a driver that sheds
-	// load or enforces deadlines, e.g. the serve daemon). Shed counts
-	// requests rejected before reaching the device; DeadlineExceeded
-	// counts queued requests cancelled because their deadline passed
-	// before submission. Neither class ever produces a latency sample, so
-	// the response-time percentiles above cover admitted requests only.
+	// Admission-control outcomes. Shed counts requests rejected before
+	// reaching the device; DeadlineExceeded counts queued requests
+	// cancelled because their deadline passed before submission. A
+	// runner never sees either, so it reports zero; the serve daemon
+	// fills them in from its tenant counters. Neither class ever produces
+	// a latency sample, so the response-time percentiles above cover
+	// admitted requests only.
 	Shed             int64
 	DeadlineExceeded int64
 
@@ -185,7 +188,7 @@ type Metrics struct {
 	MetaBytes int64
 
 	// Hot-path cache activity over the measured window: the device's
-	// level cache and the BER surface behind its BERFunc.
+	// level cache and BER surface.
 	LevelCache ssd.CacheStats
 	BERCache   ssd.CacheStats
 
@@ -205,13 +208,57 @@ type Runner struct {
 	// unsized is the stream Prepare was given, kept until the replay's
 	// first step sizes the device's read sample for its read pages.
 	unsized []trace.Request
+}
 
-	// Admission outcomes recorded via CountShed/CountDeadlineExceeded.
-	// Kept apart from the latency accumulators by construction: a
-	// rejected request has no completion, so it must never move a
-	// percentile (see TestShedDoesNotMovePercentiles).
-	shed             int64
-	deadlineExceeded int64
+// stateModel is one block state's BER model with its shift-0
+// interference term, which depends on neither P/E nor age and so is
+// computed once instead of on every surface miss.
+type stateModel struct {
+	*noise.BERModel
+	c2c0 float64
+}
+
+func newStateModel(m *noise.BERModel) stateModel {
+	return stateModel{BERModel: m, c2c0: m.C2CBERShifted(0)}
+}
+
+// physics is the device physics a runner's BER surface memoizes: the
+// baseline cell for normal blocks and a Table 3 reduced-state (NUNMA)
+// configuration for reduced ones.
+type physics struct {
+	normal, reduced stateModel
+}
+
+func newPhysics(nunmaName string) (*physics, error) {
+	// The reduced pool takes a Table 3 configuration only; nunma.Model
+	// would also accept the baseline and basic cells.
+	if _, err := nunma.ByName(nunmaName); err != nil {
+		return nil, err
+	}
+	normalModel, err := nunma.Model("baseline")
+	if err != nil {
+		return nil, err
+	}
+	reducedModel, err := nunma.Model(nunmaName)
+	if err != nil {
+		return nil, err
+	}
+	return &physics{normal: newStateModel(normalModel), reduced: newStateModel(reducedModel)}, nil
+}
+
+// ber is the ssd.BERFunc: the BER computed directly from the state's
+// model. A nominal point adds the precomputed interference term to its
+// retention term in TotalBERShifted's operand order, so the sum is
+// bit-identical.
+func (p *physics) ber(state ftl.BlockState, pe, ageHours, shiftMv int) float64 {
+	m := &p.normal
+	if state == ftl.ReducedState {
+		m = &p.reduced
+	}
+	if shiftMv == 0 {
+		return m.c2c0 + m.RetentionBERShifted(pe, float64(ageHours), 0)
+	}
+	return m.TotalBERShifted(pe, float64(ageHours), float64(shiftMv)/1000)
 }
 
 // NewRunner builds the system described by opts.
@@ -222,10 +269,13 @@ func NewRunner(opts Options) (*Runner, error) {
 	if opts.NUNMAConfig == "" {
 		opts.NUNMAConfig = "NUNMA 3"
 	}
-	surface, err := newBERSurface(opts.NUNMAConfig, opts.PE, opts.SSD.MaxDataAgeHours)
+	phys, err := newPhysics(opts.NUNMAConfig)
 	if err != nil {
 		return nil, err
 	}
+	// The surface comes before the device: Baseline's worst-case lookup
+	// below goes through the memo the device's reads then use.
+	surface := ssd.NewBERSurface(phys.ber, opts.PE, opts.SSD.MaxDataAgeHours)
 	opts.SSD.FTL.InitialPE = opts.PE
 
 	var policy baseline.ReadPolicy
@@ -237,8 +287,7 @@ func NewRunner(opts Options) (*Runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		ber, _, _ := surface.BER(ftl.NormalState, opts.PE, opts.SSD.MaxDataAgeHours, 0)
-		levels, _ := table.RequiredLevels(ber)
+		levels, _ := table.RequiredLevels(surface.BER(ftl.NormalState, opts.PE, opts.SSD.MaxDataAgeHours, 0))
 		policy = baseline.FixedWorstCase{Levels: levels}
 	case LDPCInSSD, LevelAdjustOnly, FlexLevel:
 		policy = baseline.NewLDPCInSSD()
@@ -252,11 +301,10 @@ func NewRunner(opts Options) (*Runner, error) {
 		policy = baseline.NewAdaptiveRetry()
 	}
 
-	device, err := ssd.New(opts.SSD, surface.BER, policy)
+	device, err := ssd.New(opts.SSD, surface, policy)
 	if err != nil {
 		return nil, err
 	}
-	device.SetBERCacheStats(surface.Stats)
 	r := &Runner{opts: opts, device: device}
 	if opts.System == FlexLevel {
 		p := opts.AccessEval
@@ -429,8 +477,6 @@ func (r *Runner) metrics(workload string) Metrics {
 	m.ReadRetries = res.ReadRetries
 	m.DataLoss = res.DataLoss
 	m.Degraded = r.device.Degraded()
-	m.Shed = r.shed
-	m.DeadlineExceeded = r.deadlineExceeded
 	m.Crashes = res.Crashes
 	m.InFlightLost = res.InFlightLost
 	m.RecoveryReads = res.RecoveryReads

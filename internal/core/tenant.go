@@ -65,16 +65,6 @@ func (r *Runner) observeTenant(req trace.Request, at, done time.Duration) {
 	}
 }
 
-// CountShed records a load-shed request — rejected by admission control
-// before reaching the device. Shed requests deliberately produce no
-// latency sample: percentiles describe admitted traffic only.
-func (r *Runner) CountShed() { r.shed++ }
-
-// CountDeadlineExceeded records a queued request cancelled because its
-// deadline passed before it could be submitted. Like CountShed, it adds
-// no latency sample.
-func (r *Runner) CountDeadlineExceeded() { r.deadlineExceeded++ }
-
 // tenantMetrics snapshots the per-tenant accumulators.
 func (r *Runner) tenantMetrics() []TenantMetrics {
 	if len(r.tenants) == 0 {

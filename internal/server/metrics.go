@@ -20,6 +20,7 @@ package server
 import (
 	"encoding/json"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -47,37 +48,28 @@ func (r *latencyRing) add(x float64) {
 	}
 }
 
-// percentilesOf returns p50/p95/p99 and the mean over the union of the
-// given rings' windows. The union is sorted, so the result depends only
-// on the multiset of observations, never on shard enumeration order —
-// the determinism argument for merged metrics.
-func percentilesOf(rings []*latencyRing) (p50, p95, p99, mean float64) {
-	n := 0
-	for _, r := range rings {
-		n += len(r.xs)
-	}
-	if n == 0 {
+// window returns a copy of the ring's observations, so the caller can
+// let go of Server.mu before it sorts them.
+func (r *latencyRing) window() []float64 { return slices.Clone(r.xs) }
+
+// percentiles returns p50/p95/p99 and the mean over xs, which it sorts
+// in place. Over the union of several rings' windows the result depends
+// only on the multiset of observations, never on shard enumeration
+// order — the determinism argument for merged metrics.
+func percentiles(xs []float64) (p50, p95, p99, mean float64) {
+	if len(xs) == 0 {
 		return 0, 0, 0, 0
 	}
-	tmp := make([]float64, 0, n)
-	for _, r := range rings {
-		tmp = append(tmp, r.xs...)
-	}
-	sort.Float64s(tmp)
+	sort.Float64s(xs)
 	at := func(p float64) float64 {
-		i := int(p / 100 * float64(len(tmp)-1))
-		return tmp[i]
+		i := int(p / 100 * float64(len(xs)-1))
+		return xs[i]
 	}
 	sum := 0.0
-	for _, x := range tmp {
+	for _, x := range xs {
 		sum += x
 	}
-	return at(50), at(95), at(99), sum / float64(len(tmp))
-}
-
-// percentiles returns p50/p95/p99 and the mean over one ring's window.
-func (r *latencyRing) percentiles() (p50, p95, p99, mean float64) {
-	return percentilesOf([]*latencyRing{r})
+	return at(50), at(95), at(99), sum / float64(len(xs))
 }
 
 // TenantSnapshot is one tenant's slice of /metrics.
@@ -148,18 +140,31 @@ func (s Snapshot) marshal() ([]byte, error) {
 }
 
 // Snapshot returns the current metrics view (what /metrics serves).
-// The outcome totals and each shard's admitted count are sums over the
-// tenant rows.
+// The outcome totals and each shard's admitted, shed and
+// deadline-exceeded counts are sums over the tenant rows; the latter
+// two are the only count of those outcomes, written into each shard's
+// device metrics before they merge. Server.mu is held only to copy the
+// shared state: the ring windows are sorted and the device metrics
+// merged after it is released.
 func (s *Server) Snapshot() Snapshot {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	snap := Snapshot{
 		UptimeSeconds:  time.Since(s.started).Seconds(),
 		Draining:       s.draining,
 		InternalErrors: s.internalErrors,
 		SnapshotError:  s.snapshotErr,
 	}
+	devices := make([]core.Metrics, len(s.shards))
+	simTimes := make([]float64, len(s.shards))
+	var all []float64
+	for k, e := range s.shards {
+		snap.Crashed = snap.Crashed || e.crashed
+		simTimes[k] = e.simTime.Seconds()
+		devices[k] = e.device
+		all = append(all, e.ring.xs...)
+	}
 	snap.Tenants = make([]TenantSnapshot, len(s.tenants))
+	windows := make([][]float64, len(s.tenants))
 	shardAdmitted := make([]int64, len(s.shards))
 	for i, t := range s.tenants {
 		ts := TenantSnapshot{
@@ -174,7 +179,7 @@ func (s *Server) Snapshot() Snapshot {
 			PowerLossErrors:  t.powerLoss,
 			AckSeq:           t.ackSeq,
 		}
-		ts.P50, ts.P95, ts.P99, ts.Mean = t.ring.percentiles()
+		windows[i] = t.ring.window()
 		snap.Tenants[i] = ts
 		snap.Admitted += ts.Admitted
 		snap.Reads += ts.Reads
@@ -185,18 +190,20 @@ func (s *Server) Snapshot() Snapshot {
 		snap.ReadOnlyRejects += ts.ReadOnlyRejects
 		snap.PowerLossErrors += ts.PowerLossErrors
 		shardAdmitted[t.shard.id] += ts.Admitted
+		devices[t.shard.id].Shed += ts.Shed
+		devices[t.shard.id].DeadlineExceeded += ts.DeadlineExceeded
 	}
-	rings := make([]*latencyRing, len(s.shards))
-	devices := make([]core.Metrics, len(s.shards))
-	simTimes := make([]float64, len(s.shards))
-	for k, e := range s.shards {
-		snap.Crashed = snap.Crashed || e.crashed
-		simTimes[k] = e.simTime.Seconds()
-		if simTimes[k] > 0 {
-			snap.IOPS += float64(shardAdmitted[k]) / simTimes[k]
+	s.mu.Unlock()
+
+	for i := range snap.Tenants {
+		ts := &snap.Tenants[i]
+		ts.P50, ts.P95, ts.P99, ts.Mean = percentiles(windows[i])
+	}
+	for k, sec := range simTimes {
+		if sec > 0 {
+			snap.IOPS += float64(shardAdmitted[k]) / sec
 		}
-		snap.SimTimeSeconds = max(snap.SimTimeSeconds, simTimes[k])
-		rings[k], devices[k] = e.ring, e.device
+		snap.SimTimeSeconds = max(snap.SimTimeSeconds, sec)
 	}
 	snap.Device = core.MergeMetrics(devices)
 	snap.Degraded = snap.Device.Degraded
@@ -205,7 +212,7 @@ func (s *Server) Snapshot() Snapshot {
 		snap.ShardSimTimeSeconds = simTimes
 		snap.ShardDevices = devices
 	}
-	snap.P50, snap.P95, snap.P99, snap.Mean = percentilesOf(rings)
+	snap.P50, snap.P95, snap.P99, snap.Mean = percentiles(all)
 	return snap
 }
 

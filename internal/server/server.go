@@ -24,9 +24,8 @@
 // a queue-depth replay (core.Runner.Replay at qd >= 1) would, and
 // rejects — token bucket empty, projected queue wait past the SLO
 // budget, deadline already blown — before the device is touched.
-// Rejections are counted (core.Runner.CountShed /
-// CountDeadlineExceeded) and never produce a latency sample, so the
-// served percentiles describe admitted traffic only.
+// Rejections are counted once, per tenant, and never produce a latency
+// sample, so the served percentiles describe admitted traffic only.
 //
 // Robustness: a power loss (injected, or scripted via CrashAtOp) kills
 // the in-flight op with a retryable error — it is never acknowledged —

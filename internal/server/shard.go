@@ -208,7 +208,6 @@ func (e *engineShard) process(t *tenant, o *op) opResult {
 		t.lastRefill = arrival
 		if t.tokens < 1 {
 			wait := time.Duration((1 - t.tokens) / s.cfg.Rate * float64(time.Second))
-			e.runner.CountShed()
 			return opResult{
 				status: 429, code: CodeShed,
 				message:    "tenant rate limit exceeded",
@@ -229,7 +228,6 @@ func (e *engineShard) process(t *tenant, o *op) opResult {
 	// backlog drains at device speed — but every shed skips a SimGap of
 	// offered load, so the rejection clears itself.
 	if s.cfg.SLOWait > 0 && wait > s.cfg.SLOWait {
-		e.runner.CountShed()
 		return opResult{
 			status: 429, code: CodeShed,
 			message:    fmt.Sprintf("projected queue wait %v exceeds SLO budget %v", wait, s.cfg.SLOWait),
@@ -243,7 +241,6 @@ func (e *engineShard) process(t *tenant, o *op) opResult {
 		deadline = s.cfg.Deadline
 	}
 	if deadline > 0 && wait > deadline {
-		e.runner.CountDeadlineExceeded()
 		return opResult{
 			status: 504, code: CodeDeadline,
 			message: fmt.Sprintf("queue wait %v exceeds deadline %v", wait, deadline),

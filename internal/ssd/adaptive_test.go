@@ -14,7 +14,7 @@ import (
 // 100 hours are unreadable at the nominal references but decode cleanly
 // once the read shift is within 50mV of -120mV. Younger pages decode
 // cleanly everywhere.
-func driftBER(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+func driftBER(state ftl.BlockState, pe, ageHours, shiftMv int) float64 {
 	if ageHours <= 100 {
 		return 1e-4
 	}
@@ -37,7 +37,7 @@ func newAdaptiveDevice(t *testing.T, mutate func(*Config)) *Device {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	d, err := New(cfg, keyed(driftBER), baseline.NewAdaptiveRetry())
+	d, err := newWith(cfg, driftBER, baseline.NewAdaptiveRetry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAdaptiveLadderRescuesDriftedPage(t *testing.T) {
 // when every program fails, the refused refresh escalates to stage 4
 // and the block is retired.
 func TestCalibratedLadderEscalates(t *testing.T) {
-	hopeless := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	hopeless := func(state ftl.BlockState, pe, ageHours, shiftMv int) float64 {
 		if ageHours > 100 {
 			return 0.1 // no shift recovers it
 		}
@@ -114,7 +114,7 @@ func TestCalibratedLadderEscalates(t *testing.T) {
 		cfg := smallConfig()
 		cfg.Calib = true
 		cfg.Faults = faults
-		d, err := New(cfg, keyed(hopeless), baseline.NewAdaptiveRetry())
+		d, err := newWith(cfg, hopeless, baseline.NewAdaptiveRetry())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,13 +167,13 @@ func victimBlock(d *Device, lpn uint64) int {
 func TestRefreshFailureCountedInDegradedMode(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Calib = true
-	berOf := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	berOf := func(state ftl.BlockState, pe, ageHours, shiftMv int) float64 {
 		if ageHours > 100 {
 			return 0.1
 		}
 		return 1e-4
 	}
-	d, err := New(cfg, keyed(berOf), baseline.NewLDPCInSSD())
+	d, err := newWith(cfg, berOf, baseline.NewLDPCInSSD())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +228,13 @@ func TestRefreshFailureEscalatesToRetirement(t *testing.T) {
 		script = append(script, fault.ScriptEvent{Op: fault.Program, Index: i})
 	}
 	cfg.Faults = fault.Config{Script: script}
-	berOf := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	berOf := func(state ftl.BlockState, pe, ageHours, shiftMv int) float64 {
 		if ageHours > 100 {
 			return 0.1
 		}
 		return 1e-4
 	}
-	d, err := New(cfg, keyed(berOf), baseline.NewLDPCInSSD())
+	d, err := newWith(cfg, berOf, baseline.NewLDPCInSSD())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestRefreshFailureEscalatesToRetirement(t *testing.T) {
 // unless Config.Calib enables it.
 func TestDisabledCalibInert(t *testing.T) {
 	run := func(berOf BERFunc) Results {
-		d, err := New(smallConfig(), berOf, baseline.NewLDPCInSSD())
+		d, err := newWith(smallConfig(), berOf, baseline.NewLDPCInSSD())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,10 +282,10 @@ func TestDisabledCalibInert(t *testing.T) {
 		}
 		return d.Results()
 	}
-	nominal := func(state ftl.BlockState, pe int, ageHours float64, _ int) float64 {
+	nominal := func(state ftl.BlockState, pe, ageHours, _ int) float64 {
 		return driftBER(state, pe, ageHours, 0)
 	}
-	a, b := run(keyed(nominal)), run(keyed(driftBER))
+	a, b := run(nominal), run(driftBER)
 	if a.ReadResp != b.ReadResp || a.Unreadable != b.Unreadable || a.LevelHist != b.LevelHist {
 		t.Error("a shift-dependent BER perturbed a calibration-disabled device")
 	}

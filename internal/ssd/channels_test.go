@@ -12,7 +12,7 @@ func TestMultiChannelParallelism(t *testing.T) {
 	// queue behind each other; on the same channel they must.
 	cfg := smallConfig()
 	cfg.Channels = 4
-	d, err := New(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
+	d, err := newWith(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestMultiChannelParallelism(t *testing.T) {
 func TestChannelsDefaultSingle(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Channels = 0
-	d, err := New(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
+	d, err := newWith(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestChannelsDefaultSingle(t *testing.T) {
 	}
 	bad := smallConfig()
 	bad.Channels = -1
-	if _, err := New(bad, flatBER(0, 0), baseline.FixedWorstCase{}); err == nil {
+	if _, err := newWith(bad, flatBER(0, 0), baseline.FixedWorstCase{}); err == nil {
 		t.Error("negative channel count accepted")
 	}
 }
@@ -57,7 +57,7 @@ func TestMultiChannelThroughput(t *testing.T) {
 	run := func(channels int) time.Duration {
 		cfg := smallConfig()
 		cfg.Channels = channels
-		d, err := New(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
+		d, err := newWith(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestReadSamplePercentiles(t *testing.T) {
 func TestSampleCapBoundsReadSample(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SampleCap = 32
-	d, err := New(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
+	d, err := newWith(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}

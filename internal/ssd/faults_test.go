@@ -57,7 +57,7 @@ func TestValidateErrorBranches(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("case %d: error %q does not mention %q", i, err, tc.want)
 		}
-		if _, err := New(c, flatBER(0, 0), baseline.FixedWorstCase{}); err == nil {
+		if _, err := newWith(c, flatBER(0, 0), baseline.FixedWorstCase{}); err == nil {
 			t.Errorf("case %d: New accepted invalid config", i)
 		}
 	}
@@ -74,7 +74,7 @@ func readScript(n int) Config {
 }
 
 func TestTransientReadRetryEscalation(t *testing.T) {
-	d, err := New(readScript(2), flatBER(0, 0), baseline.FixedWorstCase{})
+	d, err := newWith(readScript(2), flatBER(0, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTransientReadRetryEscalation(t *testing.T) {
 }
 
 func TestReadRetryExhaustionIsDataLoss(t *testing.T) {
-	d, err := New(readScript(4), flatBER(0, 0), baseline.FixedWorstCase{})
+	d, err := newWith(readScript(4), flatBER(0, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestReadRetryExhaustionIsDataLoss(t *testing.T) {
 // leave the simulation bit-identical to a device without one.
 func TestZeroRateFaultsBitIdentical(t *testing.T) {
 	run := func(cfg Config) Results {
-		d, err := New(cfg, agedBER(1e-6), baseline.NewLDPCInSSD())
+		d, err := newWith(cfg, agedBER(1e-6), baseline.NewLDPCInSSD())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestZeroRateFaultsBitIdentical(t *testing.T) {
 }
 
 func TestLevelCacheBounded(t *testing.T) {
-	d, err := New(smallConfig(), agedBER(1e-9), baseline.FixedWorstCase{})
+	d, err := newWith(smallConfig(), agedBER(1e-9), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestScriptedFaultScenario(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		cfg.Faults.Script = append(cfg.Faults.Script, fault.ScriptEvent{Op: fault.Erase, Index: int64(i)})
 	}
-	d, err := New(cfg, flatBER(0, 0), baseline.NewLDPCInSSD())
+	d, err := newWith(cfg, flatBER(0, 0), baseline.NewLDPCInSSD())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestOutOfBlocksWriteRejected(t *testing.T) {
 	cfg := smallConfig()
 	cfg.FTL.SpareBlocks = 1
 	cfg.Faults = fault.Config{Seed: 1, Grown: fault.RateCurve{Base: 1}}
-	d, err := New(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
+	d, err := newWith(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}

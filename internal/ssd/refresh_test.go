@@ -28,13 +28,13 @@ func TestAutoRefreshRestoresReadability(t *testing.T) {
 	// Age-driven BER: old pages unreadable, rewritten pages fine.
 	cfg := smallConfig()
 	cfg.Calib = true
-	berOf := func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	berOf := func(state ftl.BlockState, pe, ageHours, shiftMv int) float64 {
 		if ageHours > 100 {
 			return 0.1 // hopeless
 		}
 		return 1e-4
 	}
-	d, err := New(cfg, keyed(berOf), baseline.NewLDPCInSSD())
+	d, err := newWith(cfg, berOf, baseline.NewLDPCInSSD())
 	if err != nil {
 		t.Fatal(err)
 	}

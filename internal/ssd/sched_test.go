@@ -19,14 +19,12 @@ import (
 // unreadable — across every level regime.
 func TestLevelTableDeviceEquivalence(t *testing.T) {
 	cfg := smallConfig()
-	var last float64
-	ber := func(_ ftl.BlockState, _ int, ageHours float64, _ int) float64 {
+	ber := func(_ ftl.BlockState, _, ageHours, _ int) float64 {
 		// Log-sweep 1e-4..5e-2 over the preload's age range: every
 		// sensing-level threshold lies inside it.
-		last = 1e-4 * math.Pow(500, ageHours/cfg.MaxDataAgeHours)
-		return last
+		return 1e-4 * math.Pow(500, float64(ageHours)/cfg.MaxDataAgeHours)
 	}
-	d, err := New(cfg, keyed(ber), baseline.FixedWorstCase{})
+	d, err := newWith(cfg, ber, baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +35,10 @@ func TestLevelTableDeviceEquivalence(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		lpn := uint64(i*7) % 512
 		unreadable := d.Results().Unreadable
-		_, final := d.Read(time.Duration(i)*time.Millisecond, lpn)
+		now := time.Duration(i) * time.Millisecond
+		ppn, _, _ := d.ftl.Lookup(lpn)
+		last := ber(ftl.NormalState, 0, int(d.ageHours(ppn, now)), 0)
+		_, final := d.Read(now, lpn)
 		want, ok := cfg.Rule.RequiredLevels(last)
 		if final != want {
 			t.Fatalf("read %d at BER %g: device sensed %d levels, rule wants %d", i, last, final, want)
@@ -91,7 +92,7 @@ func TestWriteFailureChargesOwningChannel(t *testing.T) {
 		t.Fatal("ErrWriteFailed carries no block attribution")
 	}
 
-	d, err := New(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
+	d, err := newWith(cfg, flatBER(0, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,48 +10,26 @@ import (
 )
 
 // slotBER is the test's plain BER: it depends only on the state and the
-// age in hundredths of an hour, and each step of that age moves the
-// level key by at least one quantum, so thousands of pages with random
-// preload ages give thousands of distinct level-cache keys.
-func slotBER(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
-	ber := 1e-4 * (1 + float64(int(ageHours*100))*1e-3)
+// age, and each whole hour of age moves the level key by at least one
+// quantum, so thousands of pages with random preload ages give
+// thousands of distinct level-cache keys.
+func slotBER(state ftl.BlockState, pe, ageHours, shiftMv int) float64 {
+	ber := 1e-4 * (1 + float64(ageHours)*1e-3)
 	if state == ftl.ReducedState {
 		ber /= 2
 	}
 	return ber
 }
 
-// slotPoint is one point of slotMemo.
-type slotPoint struct {
-	ber  float64
-	key  int64
-	slot LevelSlot
-}
-
-// slotMemo is a memoizing BERFunc over slotBER's quantized inputs that
-// keeps a LevelSlot beside every point and hands it out, as the BER
-// surface does for its dense window.
-type slotMemo map[[4]int]*slotPoint
-
-func (m slotMemo) ber(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64, *LevelSlot) {
-	k := [4]int{int(state), pe, int(ageHours * 100), shiftMv}
-	p, ok := m[k]
-	if !ok {
-		v := slotBER(state, pe, ageHours, shiftMv)
-		p = &slotPoint{ber: v, key: LevelKey(v)}
-		m[k] = p
-	}
-	return p.ber, p.key, &p.slot
-}
-
 // TestLevelSlotMatchesMap replays one stream on two devices, one whose
-// BERFunc hands out level slots and one whose BERFunc hands out none,
-// and requires the same response and sensing level on every read and
-// the same level-cache counters throughout. The stream reads more than
-// levelCacheCap distinct keys, so the cache compacts while slots point
-// at entries it drops, and it crashes and restarts the devices, which
-// drops the whole cache under the slots: a slot that outlived either
-// would answer as a hit where the map misses.
+// BER surface has a dense window over the pages' wear, and so hands out
+// level slots, and one whose window lies past the packed P/E range, and
+// so hands out none. It requires the same response and sensing level
+// on every read and the same cache counters throughout. The stream
+// reads more than levelCacheCap distinct keys, so the cache compacts
+// while slots point at entries it drops, and it crashes and restarts
+// the devices, which drops the whole cache under the slots: a slot that
+// outlived either would answer as a hit where the map misses.
 func TestLevelSlotMatchesMap(t *testing.T) {
 	const pages = 12000
 	cfg := smallConfig()
@@ -59,18 +37,22 @@ func TestLevelSlotMatchesMap(t *testing.T) {
 	cfg.FTL.PagesPerBlock = 64
 	cfg.FTL.Blocks = 300
 	cfg.FTL.Journal = ftl.JournalConfig{Enabled: true}
-	memo := slotMemo{}
-	build := func(berOf BERFunc) *Device {
-		d, err := New(cfg, berOf, baseline.NewLDPCInSSD())
+	// More age hours than the level cache holds keys; the younger pages
+	// sit in the dense window, the older ones on the surface's map.
+	cfg.MaxDataAgeHours = 20000
+	build := func(anchorPE int) (*Device, *BERSurface) {
+		surf := NewBERSurface(slotBER, anchorPE, cfg.MaxDataAgeHours)
+		d, err := New(cfg, surf, baseline.NewLDPCInSSD())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Preload(pages); err != nil {
 			t.Fatal(err)
 		}
-		return d
+		return d, surf
 	}
-	slotted, plain := build(memo.ber), build(keyed(slotBER))
+	slotted, surf := build(cfg.FTL.InitialPE)
+	plain, _ := build(1 << keyPEBits)
 
 	rng := rand.New(rand.NewSource(5))
 	var now time.Duration
@@ -81,8 +63,9 @@ func TestLevelSlotMatchesMap(t *testing.T) {
 		if r1 != r2 || l1 != l2 {
 			t.Fatalf("%s read %d (lpn %d): slotted (%v, %d levels), plain (%v, %d levels)", phase, i, lpn, r1, l1, r2, l2)
 		}
-		if a, b := slotted.Results().LevelCache, plain.Results().LevelCache; a != b {
-			t.Fatalf("%s read %d (lpn %d): level cache %+v slotted, %+v plain", phase, i, lpn, a, b)
+		if a, b := slotted.Results(), plain.Results(); a.LevelCache != b.LevelCache || a.BERCache != b.BERCache {
+			t.Fatalf("%s read %d (lpn %d): level cache %+v / surface %+v slotted, %+v / %+v plain",
+				phase, i, lpn, a.LevelCache, a.BERCache, b.LevelCache, b.BERCache)
 		}
 	}
 	pass := func(phase string) {
@@ -109,10 +92,17 @@ func TestLevelSlotMatchesMap(t *testing.T) {
 	now = slotted.Now()
 	pass("after restart")
 
-	trusted := 0
-	for _, p := range memo {
-		if p.slot.epoch == slotted.levelEpoch {
-			trusted++
+	trusted, points := 0, 0
+	for _, rows := range surf.dense {
+		for _, row := range rows {
+			for _, e := range row {
+				if e.set {
+					points++
+				}
+				if e.slot.epoch == slotted.levelEpoch {
+					trusted++
+				}
+			}
 		}
 	}
 	if trusted == 0 {
@@ -122,5 +112,5 @@ func TestLevelSlotMatchesMap(t *testing.T) {
 	if a.LevelCache != b.LevelCache || a.LevelHist != b.LevelHist {
 		t.Fatalf("final level cache %+v / hist %v slotted, %+v / %v plain", a.LevelCache, a.LevelHist, b.LevelCache, b.LevelHist)
 	}
-	t.Logf("level cache %+v, %d trusted slots of %d points", a.LevelCache, trusted, len(memo))
+	t.Logf("level cache %+v, %d trusted slots of %d dense points", a.LevelCache, trusted, points)
 }

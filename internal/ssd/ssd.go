@@ -22,34 +22,6 @@ import (
 	"flexlevel/internal/stats"
 )
 
-// BERFunc returns the raw bit error rate of a page in a block of the
-// given state, at the block's P/E wear, after ageHours of storage, read
-// with every reference moved by shiftMv millivolts (0 is the nominal
-// placement; the calibration tracker probes and reads at other shifts),
-// together with its level-cache key, which must equal LevelKey(ber). A
-// memoizing implementation stores the key beside the BER, so the read
-// path never recomputes it, and may keep a LevelSlot beside each point
-// and return it as slot; it returns nil otherwise. A slot must only
-// ever be handed out with the one key its point has.
-type BERFunc func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (ber float64, key int64, slot *LevelSlot)
-
-// LevelSlot is the level-cache answer a memoizing BERFunc keeps beside
-// one of its points, so a repeated read of that point finds its sensing
-// levels without probing the level cache's map (DESIGN.md §11). The
-// zero value is an empty slot; the device fills it and owns its
-// contents. A slot counts as a level-cache hit only while its epoch is
-// the device's current one: New, every compaction and every Restart
-// start a fresh epoch, so a slot can never answer for an entry the
-// cache has since dropped.
-type LevelSlot struct {
-	epoch *levelEpoch
-	e     *levelEntry
-}
-
-// levelEpoch is the identity of one level-cache generation. It has a
-// non-zero size so that every allocation has its own address.
-type levelEpoch struct{ _ byte }
-
 // Config parameterizes a Device.
 type Config struct {
 	FTL  ftl.Config
@@ -78,7 +50,7 @@ type Config struct {
 
 	// Calib turns on the adaptive read-retry ladder (DESIGN.md §13):
 	// online per-block read-threshold calibration, with reads and
-	// calibration probes evaluating the device's BERFunc at each block's
+	// calibration probes evaluating the device physics at each block's
 	// tracked reference shift, then in-place refresh and block
 	// retirement for a page that still cannot decode. Off by default —
 	// the paper's evaluation models neither calibration nor refresh.
@@ -169,15 +141,6 @@ type CacheStats struct {
 	Resets int64 `json:"resets"`
 }
 
-// Sub returns c minus base (for measurement-window snapshots).
-func (c CacheStats) Sub(base CacheStats) CacheStats {
-	return CacheStats{
-		Hits:   c.Hits - base.Hits,
-		Misses: c.Misses - base.Misses,
-		Resets: c.Resets - base.Resets,
-	}
-}
-
 // Results holds the simulator's outputs.
 type Results struct {
 	ReadResp    stats.Accumulator
@@ -245,9 +208,8 @@ type Results struct {
 	MetaBytes int64
 
 	// Cache observability (DESIGN.md §11): the per-device level cache
-	// (quantized BER -> sensing levels) and the BER surface backing the
-	// device's BERFunc, when the caller registered one via
-	// SetBERCacheStats. Counters cover the current measurement window.
+	// (quantized BER -> sensing levels) and the BER surface in front of
+	// the device physics. Counters cover the current measurement window.
 	LevelCache CacheStats
 	BERCache   CacheStats
 
@@ -258,7 +220,7 @@ type Results struct {
 type Device struct {
 	cfg    Config
 	ftl    *ftl.FTL
-	berOf  BERFunc
+	surf   *BERSurface
 	policy baseline.ReadPolicy
 
 	// Per physical page: the retention-age offset (pre-aging) and the
@@ -284,17 +246,11 @@ type Device struct {
 	crashed bool
 
 	levelCache map[int64]*levelEntry // quantized BER -> required levels
-	levelEpoch *levelEpoch           // the generation LevelSlots must match
+	levelEpoch *levelEpoch           // the generation levelSlots must match
 
 	// attemptsBuf is the reusable scratch the read path hands to the
 	// policy's AppendAttempts, so steady-state reads allocate nothing.
 	attemptsBuf []int
-
-	// berStats, when registered, snapshots the counters of the cache
-	// behind berOf (e.g. core's BER surface); berBase is its value at the
-	// last measurement reset.
-	berStats func() CacheStats
-	berBase  CacheStats
 
 	// Adaptive ladder state: the per-block threshold calibration tracker
 	// (nil unless Config.Calib). lower is the policy's
@@ -310,14 +266,14 @@ type Device struct {
 // recomputation.
 const levelCacheCap = 8192
 
-// LevelKey quantizes a BER to ~1e-5 relative resolution in log space so
+// levelKey quantizes a BER to ~1e-5 relative resolution in log space so
 // continuous BER values collapse onto a finite key set. The level rule's
 // step boundaries are orders of magnitude wider than the quantum, so the
 // quantization does not change computed levels in practice. The key is
 // an integer: float64 map keys hash poorly in this range and leave the
 // -0/+0 ambiguity open (both quantize to key 0 here, but -0 == +0 as
 // int64 where they were distinct bit patterns as floats).
-func LevelKey(ber float64) int64 {
+func levelKey(ber float64) int64 {
 	if ber <= 0 {
 		return math.MinInt64
 	}
@@ -329,6 +285,22 @@ type levelEntry struct {
 	achievable bool
 	hits       int64
 }
+
+// levelSlot is the level-cache answer a dense BER-surface entry keeps,
+// so a repeated read of that point finds its sensing levels without
+// probing the level cache's map (DESIGN.md §11). The zero value is an
+// empty slot. A slot counts as a level-cache hit only while its epoch
+// is the device's current one: New, every compaction and every Restart
+// start a fresh epoch, so a slot can never answer for an entry the
+// cache has since dropped.
+type levelSlot struct {
+	epoch *levelEpoch
+	e     *levelEntry
+}
+
+// levelEpoch is the identity of one level-cache generation. It has a
+// non-zero size so that every allocation has its own address.
+type levelEpoch struct{ _ byte }
 
 // compactLevelCache shrinks a full level cache to its hottest quarter
 // instead of dropping the whole map. Survivors are chosen by hit count
@@ -389,14 +361,15 @@ func (d *Device) newReadSample() *stats.Sample {
 	return stats.NewSample(0)
 }
 
-// New builds a Device. berOf supplies the device-physics BER; policy the
-// read-retry behaviour.
-func New(cfg Config, berOf BERFunc, policy baseline.ReadPolicy) (*Device, error) {
+// New builds a Device. surf memoizes the device-physics BER and becomes
+// the device's own, its counters zeroed; policy sets the read-retry
+// behaviour.
+func New(cfg Config, surf *BERSurface, policy baseline.ReadPolicy) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if berOf == nil || policy == nil {
-		return nil, fmt.Errorf("ssd: nil BER function or policy")
+	if surf == nil || policy == nil {
+		return nil, fmt.Errorf("ssd: nil BER surface or policy")
 	}
 	f, err := ftl.New(cfg.FTL)
 	if err != nil {
@@ -405,7 +378,7 @@ func New(cfg Config, berOf BERFunc, policy baseline.ReadPolicy) (*Device, error)
 	phys := cfg.FTL.PagesPerBlock * cfg.FTL.Blocks
 	d := &Device{
 		cfg:        cfg,
-		berOf:      berOf,
+		surf:       surf,
 		policy:     policy,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		levelCache: make(map[int64]*levelEntry),
@@ -439,6 +412,7 @@ func New(cfg Config, berOf BERFunc, policy baseline.ReadPolicy) (*Device, error)
 	}
 	d.chanFree = make([]time.Duration, cfg.channels())
 	d.res.ReadSample = d.newReadSample()
+	surf.stats = CacheStats{}
 	d.attach(f)
 	return d, nil
 }
@@ -501,17 +475,15 @@ func (d *Device) PreloadState(pages uint64, state ftl.BlockState) error {
 }
 
 // ResetMeasurement zeroes the clock, the response-time accumulators and
-// the FTL counters. Callers that precondition the device through the
-// regular Write path (instead of Preload) use it to start a clean
-// measured phase.
+// the FTL and cache counters. Callers that precondition the device
+// through the regular Write path (instead of Preload) use it to start a
+// clean measured phase.
 func (d *Device) ResetMeasurement() {
 	for i := range d.chanFree {
 		d.chanFree[i] = 0
 	}
 	d.res = Results{ReadSample: d.newReadSample()}
-	if d.berStats != nil {
-		d.berBase = d.berStats()
-	}
+	d.surf.stats = CacheStats{}
 	d.ftl.ResetStats()
 }
 
@@ -520,16 +492,6 @@ func (d *Device) ResetMeasurement() {
 // front allocates it once instead of regrowing it. A bounded
 // (SampleCap) reservoir already holds its cap and is left as it is.
 func (d *Device) ReserveReads(n int) { d.res.ReadSample.Grow(n) }
-
-// SetBERCacheStats registers a counter snapshot function for the cache
-// behind the device's BERFunc, so Results can report BER-cache activity
-// for the measurement window alongside the level cache's.
-func (d *Device) SetBERCacheStats(fn func() CacheStats) {
-	d.berStats = fn
-	if fn != nil {
-		d.berBase = fn()
-	}
-}
 
 // resetAge records a fresh program of ppn at sim time now: its
 // retention age restarts from zero.
@@ -592,24 +554,24 @@ func (d *Device) requiredLevelsAt(ppn int64, state ftl.BlockState, now time.Dura
 	return d.levelsForBER(d.pageBER(state, pe, d.ageHours(ppn, now), block))
 }
 
-// pageBER evaluates a page's raw BER, level key and level slot at its
-// block's calibrated reference shift, or at the nominal references when
-// calibration is off.
-func (d *Device) pageBER(state ftl.BlockState, pe int, age float64, block int) (float64, int64, *LevelSlot) {
+// pageBER looks a page's raw BER, level key and level slot up on the
+// BER surface at its block's calibrated reference shift, or at the
+// nominal references when calibration is off.
+func (d *Device) pageBER(state ftl.BlockState, pe int, age float64, block int) (float64, int64, *levelSlot) {
 	shiftMv := 0
 	if d.calib != nil {
 		shiftMv = d.calib.ShiftMv(block)
 	}
-	return d.berOf(state, pe, age, shiftMv)
+	return d.surf.lookup(state, pe, age, shiftMv)
 }
 
 // levelsForBER answers the sensing-level rule for a raw BER through the
-// level cache, under the BERFunc's key for it (LevelKey(ber)). It is the
+// level cache, under the surface's key for it (levelKey(ber)). It is the
 // shared back end of the read path and of calibration probes (which
 // feed it shifted BERs). A slot of the current epoch holds the cache's
 // entry for key, so it answers as a map hit would, counters included;
 // any other slot is refilled from the map path.
-func (d *Device) levelsForBER(ber float64, key int64, slot *LevelSlot) (int, bool) {
+func (d *Device) levelsForBER(ber float64, key int64, slot *levelSlot) (int, bool) {
 	if slot != nil && slot.epoch == d.levelEpoch {
 		e := slot.e
 		e.hits++
@@ -630,7 +592,7 @@ func (d *Device) levelsForBER(ber float64, key int64, slot *LevelSlot) (int, boo
 		d.levelCache[key] = e
 	}
 	if slot != nil {
-		*slot = LevelSlot{epoch: d.levelEpoch, e: e}
+		*slot = levelSlot{epoch: d.levelEpoch, e: e}
 	}
 	return e.levels, e.achievable
 }
@@ -708,7 +670,7 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 		pe := d.ftl.BlockPE(block)
 		age := d.ageHours(ppn, now)
 		probes, lev, ok := d.calib.Calibrate(block, func(shiftMv int) (int, bool) {
-			return d.levelsForBER(d.berOf(state, pe, age, shiftMv))
+			return d.levelsForBER(d.surf.lookup(state, pe, age, shiftMv))
 		})
 		d.res.Recalibrations++
 		d.res.CalibProbes += int64(probes)
@@ -932,6 +894,8 @@ func (d *Device) Restart(now time.Duration) (ftl.RecoveryReport, error) {
 	d.attach(f)
 	// Controller RAM did not survive: the level cache, the policy's
 	// per-block sensing memory and the calibration tracker start cold.
+	// The BER surface stays: it memoizes physics, which a power loss
+	// does not change, and the new epoch disowns its level slots.
 	d.levelCache = make(map[int64]*levelEntry)
 	d.levelEpoch = new(levelEpoch)
 	d.res.LevelCache.Resets++
@@ -972,9 +936,7 @@ func (d *Device) Results() Results {
 	r := d.res
 	r.MetaBytes = d.MetaBytes()
 	r.FTL = d.ftl.Stats()
-	if d.berStats != nil {
-		r.BERCache = d.berStats().Sub(d.berBase)
-	}
+	r.BERCache = d.surf.stats
 	return r
 }
 

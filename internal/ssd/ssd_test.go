@@ -9,34 +9,30 @@ import (
 	"flexlevel/internal/stats"
 )
 
-// keyed adapts a plain BER function to a non-memoizing BERFunc, pairing
-// every value with its LevelKey as the contract requires and handing
-// out no level slot.
-func keyed(ber func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64) BERFunc {
-	return func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64, *LevelSlot) {
-		v := ber(state, pe, ageHours, shiftMv)
-		return v, LevelKey(v), nil
-	}
-}
-
 // flatBER returns a BERFunc with fixed per-state values.
 func flatBER(normal, reduced float64) BERFunc {
-	return keyed(func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	return func(state ftl.BlockState, pe, ageHours, shiftMv int) float64 {
 		if state == ftl.ReducedState {
 			return reduced
 		}
 		return normal
-	})
+	}
 }
 
 // agedBER grows linearly with age: ber = slope * ageHours.
 func agedBER(slope float64) BERFunc {
-	return keyed(func(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	return func(state ftl.BlockState, pe, ageHours, shiftMv int) float64 {
 		if state == ftl.ReducedState {
 			return 0
 		}
-		return slope * ageHours
-	})
+		return slope * float64(ageHours)
+	}
+}
+
+// newWith builds a device over a fresh BER surface of ber, anchored at
+// cfg's starting wear as a runner anchors its own.
+func newWith(cfg Config, ber BERFunc, policy baseline.ReadPolicy) (*Device, error) {
+	return New(cfg, NewBERSurface(ber, cfg.FTL.InitialPE, cfg.MaxDataAgeHours), policy)
 }
 
 func smallConfig() Config {
@@ -55,7 +51,7 @@ func smallConfig() Config {
 
 func newDevice(t *testing.T, ber BERFunc, policy baseline.ReadPolicy) *Device {
 	t.Helper()
-	d, err := New(smallConfig(), ber, policy)
+	d, err := newWith(smallConfig(), ber, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,25 +64,25 @@ func newDevice(t *testing.T, ber BERFunc, policy baseline.ReadPolicy) *Device {
 func TestNewValidation(t *testing.T) {
 	cfg := smallConfig()
 	if _, err := New(cfg, nil, baseline.FixedWorstCase{}); err == nil {
-		t.Error("nil BER function accepted")
+		t.Error("nil BER surface accepted")
 	}
-	if _, err := New(cfg, flatBER(0, 0), nil); err == nil {
+	if _, err := newWith(cfg, flatBER(0, 0), nil); err == nil {
 		t.Error("nil policy accepted")
 	}
 	bad := cfg
 	bad.Channels = -1
-	if _, err := New(bad, flatBER(0, 0), baseline.FixedWorstCase{}); err == nil {
+	if _, err := newWith(bad, flatBER(0, 0), baseline.FixedWorstCase{}); err == nil {
 		t.Error("negative channel count accepted")
 	}
 	bad = cfg
 	bad.MaxDataAgeHours = -1
-	if _, err := New(bad, flatBER(0, 0), baseline.FixedWorstCase{}); err == nil {
+	if _, err := newWith(bad, flatBER(0, 0), baseline.FixedWorstCase{}); err == nil {
 		t.Error("negative age accepted")
 	}
 }
 
 func TestPreloadBounds(t *testing.T) {
-	d, err := New(smallConfig(), flatBER(0, 0), baseline.FixedWorstCase{})
+	d, err := newWith(smallConfig(), flatBER(0, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +324,7 @@ func TestEraseForgetsPolicyMemory(t *testing.T) {
 }
 
 func TestUnmappedReadCheap(t *testing.T) {
-	d, err := New(smallConfig(), flatBER(1e-2, 0), baseline.FixedWorstCase{})
+	d, err := newWith(smallConfig(), flatBER(1e-2, 0), baseline.FixedWorstCase{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,14 @@
-// BER surface: the memoized channel-statistics lookup behind every
-// simulated read (DESIGN.md §11). The device physics BER is a function
-// of (block state, P/E count, retention age, read-reference shift);
-// reads quantize age to whole hours — exactly the truncation the
-// pre-surface code applied — and shifts are whole millivolts, so the key
-// space a steady-state workload touches is tiny (states × P/E points ×
-// distinct age hours × the few shifts calibration visits). Each entry
-// also carries its level-cache key (ssd.LevelKey), so the steady-state
-// read path evaluates zero Erfc/pow/Log calls, and nominal reads inside
-// the dense window (below) hash nothing either: their entries also hold
-// an ssd.LevelSlot, through which the device answers the sensing-level
-// rule without probing its level cache's map.
+// BER surface: the memo in front of the device physics behind every
+// simulated read (DESIGN.md §11). The physics BER is a function of
+// (block state, P/E count, retention age, read-reference shift); reads
+// quantize age to whole hours and shifts are whole millivolts, so the
+// key space a steady-state workload touches is tiny (states × P/E
+// points × distinct age hours × the few shifts calibration visits).
+// Each entry also carries its level-cache key (levelKey), so the
+// steady-state read path evaluates zero Erfc/pow/Log calls, and nominal
+// reads inside the dense window (below) hash nothing either: their
+// entries also hold a levelSlot, through which the device answers the
+// sensing-level rule without probing its level cache's map.
 //
 // Quantized precomputation of channel statistics at these resolutions
 // is lossless for the decisions downstream (cf. mutual-information
@@ -17,14 +16,17 @@
 // Peleato et al.): the sensing-level rule's step boundaries are orders
 // of magnitude wider than one age-hour of BER drift at any calibrated
 // operating point.
-package core
+package ssd
 
-import (
-	"flexlevel/internal/ftl"
-	"flexlevel/internal/noise"
-	"flexlevel/internal/nunma"
-	"flexlevel/internal/ssd"
-)
+import "flexlevel/internal/ftl"
+
+// BERFunc is the device physics: the raw bit error rate of a page in a
+// block of the given state, at the block's P/E wear, after ageHours
+// whole hours of storage, read with every reference moved by shiftMv
+// millivolts (0 is the nominal placement; the calibration tracker
+// probes and reads at other shifts). The BER surface memoizes it, so it
+// must be a pure function of its inputs.
+type BERFunc func(state ftl.BlockState, pe, ageHours, shiftMv int) float64
 
 // berSurfaceCap bounds the memo: dense window and map together. The
 // practical key space is a few thousand entries; the cap only guards
@@ -59,7 +61,7 @@ func surfaceKey(state ftl.BlockState, pe, ageQ, shiftMv int) (int64, bool) {
 }
 
 // Dense shift-0 window. Nominal (uncalibrated) reads are almost all of
-// the traffic, and their P/E counts sit just above the runner's starting
+// the traffic, and their P/E counts sit just above the device's starting
 // wear while their ages stay below MaxDataAgeHours plus the simulated
 // span. Those points live in plain arrays instead of the map: per block
 // state, one row per P/E count in [anchorPE, anchorPE+densePERows),
@@ -75,41 +77,30 @@ const (
 )
 
 // surfaceEntry is one memoized surface point: the raw BER and its
-// level-cache key, ssd.LevelKey(ber), both computed once on a miss. set
+// level-cache key, levelKey(ber), both computed once on a miss. set
 // marks a filled dense slot; map entries always have it. slot is the
-// device's level-cache shortcut for the point; only dense entries hand
-// it out, since a map value has no stable address.
+// level cache's answer for the point; only dense entries keep one,
+// since a map value has no stable address.
 type surfaceEntry struct {
 	ber  float64
 	key  int64
 	set  bool
-	slot ssd.LevelSlot
+	slot levelSlot
 }
 
-// stateModel is one block state's BER model with its shift-0
-// interference term, which depends on neither P/E nor age and so is
-// computed once instead of on every miss.
-type stateModel struct {
-	*noise.BERModel
-	c2c0 float64
-}
-
-func newStateModel(m *noise.BERModel) stateModel {
-	return stateModel{BERModel: m, c2c0: m.C2CBERShifted(0)}
-}
-
-// BERSurface memoizes the two per-state BER models over the quantized
-// key space. It is deliberately NOT goroutine-safe: one surface belongs
-// to one Runner, and the experiment engine gives every shard its own
-// Runner (DESIGN.md §9), so no lock is needed on the hot path.
+// BERSurface memoizes a BERFunc over the quantized key space. It
+// belongs to one device and is deliberately NOT goroutine-safe: the
+// experiment engine gives every shard its own Runner (DESIGN.md §9), so
+// no lock is needed on the hot path. The device zeroes its counters
+// when it is built and at every measurement reset; a device restart
+// keeps the surface, whose points stay true across a power loss.
 //
 // Every valid key lives in exactly one place: the dense window when it
 // is a shift-0 point inside it, the map otherwise. n counts the entries
 // of both, so the cap, the reset and the Hits/Misses/Resets counters
 // behave as if all entries sat in one map.
 type BERSurface struct {
-	normal  stateModel
-	reduced stateModel
+	ber BERFunc
 
 	anchorPE int
 	ageRows  int
@@ -117,29 +108,14 @@ type BERSurface struct {
 
 	cache map[int64]surfaceEntry
 	n     int
-	stats ssd.CacheStats
+	stats CacheStats
 }
 
-// newBERSurface builds the surface for the named reduced-state
-// (NUNMA) configuration, with its dense window anchored at P/E count
-// anchorPE and sized for ages up to maxAgeHours plus headroom.
-func newBERSurface(nunmaName string, anchorPE int, maxAgeHours float64) (*BERSurface, error) {
-	// The reduced pool takes a Table 3 configuration only; nunma.Model
-	// would also accept the baseline and basic cells.
-	if _, err := nunma.ByName(nunmaName); err != nil {
-		return nil, err
-	}
-	normalModel, err := nunma.Model("baseline")
-	if err != nil {
-		return nil, err
-	}
-	reducedModel, err := nunma.Model(nunmaName)
-	if err != nil {
-		return nil, err
-	}
+// NewBERSurface memoizes ber, with the dense window anchored at P/E
+// count anchorPE and sized for ages up to maxAgeHours plus headroom.
+func NewBERSurface(ber BERFunc, anchorPE int, maxAgeHours float64) *BERSurface {
 	s := &BERSurface{
-		normal:   newStateModel(normalModel),
-		reduced:  newStateModel(reducedModel),
+		ber:      ber,
 		anchorPE: anchorPE,
 		ageRows:  maxDenseAgeRows,
 		cache:    make(map[int64]surfaceEntry),
@@ -153,16 +129,21 @@ func newBERSurface(nunmaName string, anchorPE int, maxAgeHours float64) (*BERSur
 	for st := range s.dense {
 		s.dense[st] = make([][]surfaceEntry, rows)
 	}
-	return s, nil
+	return s
 }
 
-// BER is the ssd.BERFunc the surface exports: the raw BER with every
-// read reference moved by shiftMv millivolts, its level-cache key, and
-// the point's level slot when it lies in the dense window (nil for map
-// and unpackable points). Age is truncated to whole hours before
-// evaluation — the same quantization the pre-surface code applied — so
-// cached and uncached paths return bit-identical values.
-func (s *BERSurface) BER(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64, *ssd.LevelSlot) {
+// BER returns the raw BER of a point through the memo (see lookup).
+func (s *BERSurface) BER(state ftl.BlockState, pe int, ageHours float64, shiftMv int) float64 {
+	ber, _, _ := s.lookup(state, pe, ageHours, shiftMv)
+	return ber
+}
+
+// lookup returns the raw BER with every read reference moved by shiftMv
+// millivolts, its level-cache key, and the point's level slot when it
+// lies in the dense window (nil for map and unpackable points). Age is
+// truncated to whole hours before evaluation, so cached and uncached
+// paths return bit-identical values.
+func (s *BERSurface) lookup(state ftl.BlockState, pe int, ageHours float64, shiftMv int) (float64, int64, *levelSlot) {
 	ageQ := int(ageHours)
 	if shiftMv == 0 {
 		if e := s.denseSlot(state, pe, ageQ); e != nil {
@@ -176,8 +157,8 @@ func (s *BERSurface) BER(state ftl.BlockState, pe int, ageHours float64, shiftMv
 	}
 	key, ok := surfaceKey(state, pe, ageQ, shiftMv)
 	if !ok {
-		v := s.eval(state, pe, ageQ, shiftMv)
-		return v, ssd.LevelKey(v), nil
+		v := s.ber(state, pe, ageQ, shiftMv)
+		return v, levelKey(v), nil
 	}
 	if e, hit := s.cache[key]; hit {
 		s.stats.Hits++
@@ -212,7 +193,7 @@ func (s *BERSurface) denseSlot(state ftl.BlockState, pe, ageQ int) *surfaceEntry
 // entry.
 func (s *BERSurface) miss(state ftl.BlockState, pe, ageQ, shiftMv int) surfaceEntry {
 	s.stats.Misses++
-	v := s.eval(state, pe, ageQ, shiftMv)
+	v := s.ber(state, pe, ageQ, shiftMv)
 	if s.n >= berSurfaceCap {
 		s.cache = make(map[int64]surfaceEntry, berSurfaceCap/4)
 		for _, rows := range s.dense {
@@ -224,23 +205,5 @@ func (s *BERSurface) miss(state ftl.BlockState, pe, ageQ, shiftMv int) surfaceEn
 		s.stats.Resets++
 	}
 	s.n++
-	return surfaceEntry{ber: v, key: ssd.LevelKey(v), set: true}
+	return surfaceEntry{ber: v, key: levelKey(v), set: true}
 }
-
-// eval computes the BER directly from the state's model. A nominal
-// point adds the precomputed interference term to its retention term in
-// TotalBERShifted's operand order, so the sum is bit-identical.
-func (s *BERSurface) eval(state ftl.BlockState, pe, ageQ, shiftMv int) float64 {
-	m := &s.normal
-	if state == ftl.ReducedState {
-		m = &s.reduced
-	}
-	if shiftMv == 0 {
-		return m.c2c0 + m.RetentionBERShifted(pe, float64(ageQ), 0)
-	}
-	return m.TotalBERShifted(pe, float64(ageQ), float64(shiftMv)/1000)
-}
-
-// Stats returns the surface's counters (ssd.Device snapshots these via
-// SetBERCacheStats to report per-measurement-window activity).
-func (s *BERSurface) Stats() ssd.CacheStats { return s.stats }

@@ -1,4 +1,4 @@
-package core
+package ssd
 
 import (
 	"fmt"
@@ -8,33 +8,71 @@ import (
 
 	"flexlevel/internal/ftl"
 	"flexlevel/internal/noise"
-	"flexlevel/internal/ssd"
+	"flexlevel/internal/nunma"
 )
+
+// physics is the device physics a runner's surface memoizes, as core
+// builds it: the baseline cell for normal blocks and NUNMA 3 for
+// reduced ones (any other state reads as normal), with each model's
+// shift-0 interference term computed once and added to the retention
+// term in TotalBERShifted's operand order.
+type physics struct {
+	normal, reduced *noise.BERModel
+	c2c0            [2]float64
+}
+
+func newPhysics(tb testing.TB) *physics {
+	tb.Helper()
+	normal, err := nunma.Model("baseline")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reduced, err := nunma.Model("NUNMA 3")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &physics{normal: normal, reduced: reduced, c2c0: [2]float64{normal.C2CBERShifted(0), reduced.C2CBERShifted(0)}}
+}
+
+// model returns the state's model and its index in c2c0.
+func (p *physics) model(state ftl.BlockState) (*noise.BERModel, int) {
+	if state == ftl.ReducedState {
+		return p.reduced, 1
+	}
+	return p.normal, 0
+}
+
+func (p *physics) ber(state ftl.BlockState, pe, ageHours, shiftMv int) float64 {
+	m, i := p.model(state)
+	if shiftMv == 0 {
+		return p.c2c0[i] + m.RetentionBERShifted(pe, float64(ageHours), 0)
+	}
+	return m.TotalBERShifted(pe, float64(ageHours), float64(shiftMv)/1000)
+}
+
+// newSurface builds a surface over the test physics.
+func newSurface(tb testing.TB, anchorPE int, maxAgeHours float64) (*BERSurface, *physics) {
+	p := newPhysics(tb)
+	return NewBERSurface(p.ber, anchorPE, maxAgeHours), p
+}
 
 // mapSurface is the reference memo: the map-only surface the dense
 // window replaced, with its own counters. It evaluates every point with
-// the model's TotalBERShifted, so it also pins the surface's hoisted
-// shift-0 interference term.
+// the model's TotalBERShifted, so it also pins the hoisted shift-0
+// interference term.
 type mapSurface struct {
-	normal, reduced *noise.BERModel
-	cache           map[int64]float64
-	stats           ssd.CacheStats
+	p     *physics
+	cache map[int64]float64
+	stats CacheStats
 }
 
 func newMapSurface(t *testing.T) *mapSurface {
 	t.Helper()
-	models, err := newBERSurface("NUNMA 3", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &mapSurface{normal: models.normal.BERModel, reduced: models.reduced.BERModel, cache: map[int64]float64{}}
+	return &mapSurface{p: newPhysics(t), cache: map[int64]float64{}}
 }
 
 func (r *mapSurface) eval(state ftl.BlockState, pe, ageQ, shiftMv int) float64 {
-	m := r.normal
-	if state == ftl.ReducedState {
-		m = r.reduced
-	}
+	m, _ := r.p.model(state)
 	return m.TotalBERShifted(pe, float64(ageQ), float64(shiftMv)/1000)
 }
 
@@ -114,7 +152,7 @@ func denseEntry(s *BERSurface, p surfacePoint) *surfaceEntry {
 
 // matchMapMemo feeds n points from next to s and to the map-only
 // reference and fails on the first call where they differ: the BER
-// bits, a level key other than ssd.LevelKey of that BER, a level slot
+// bits, a level key other than levelKey of that BER, a level slot
 // other than the point's own dense entry's (nil off the window), or the
 // Hits/Misses/Resets after the call. It returns how many resets fired
 // while both the dense rows and the map held entries.
@@ -124,19 +162,19 @@ func matchMapMemo(t *testing.T, name string, s *BERSurface, n int, next func() s
 	for i := 0; i < n; i++ {
 		p := next()
 		mapped, resets := len(s.cache), s.stats.Resets
-		got, key, slot := s.BER(p.state, p.pe, p.age, p.shiftMv)
+		got, key, slot := s.lookup(p.state, p.pe, p.age, p.shiftMv)
 		want := ref.BER(p.state, p.pe, p.age, p.shiftMv)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s call %d %+v: BER %g, map memo %g", name, i, p, got, want)
 		}
-		if key != ssd.LevelKey(got) {
-			t.Fatalf("%s call %d %+v: key %d, LevelKey %d", name, i, p, key, ssd.LevelKey(got))
+		if key != levelKey(got) {
+			t.Fatalf("%s call %d %+v: key %d, levelKey %d", name, i, p, key, levelKey(got))
 		}
 		if e := denseEntry(s, p); (e == nil && slot != nil) || (e != nil && slot != &e.slot) {
 			t.Fatalf("%s call %d %+v: slot %p, dense entry %p", name, i, p, slot, e)
 		}
-		if s.Stats() != ref.stats {
-			t.Fatalf("%s call %d %+v: stats %+v, map memo %+v", name, i, p, s.Stats(), ref.stats)
+		if s.stats != ref.stats {
+			t.Fatalf("%s call %d %+v: stats %+v, map memo %+v", name, i, p, s.stats, ref.stats)
 		}
 		if s.stats.Resets != resets && mapped > 0 && berSurfaceCap-mapped > 0 {
 			crossed++ // the reset dropped dense and mapped entries alike
@@ -159,10 +197,7 @@ func TestSurfaceMatchesMapMemo(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		anchor := 1000 + rng.Intn(8000)
 		maxAge := float64(100 + rng.Intn(1000))
-		s, err := newBERSurface("NUNMA 3", anchor, maxAge)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s, _ := newSurface(t, anchor, maxAge)
 		var recent []surfacePoint
 		crossed += matchMapMemo(t, fmt.Sprintf("seed %d", seed), s, 90000, func() surfacePoint {
 			// Half the queries revisit a recent point, so hits interleave
@@ -190,10 +225,7 @@ func TestSurfaceMatchesMapMemo(t *testing.T) {
 			epochs = 40
 			reads  = 2000
 		)
-		s, err := newBERSurface("NUNMA 3", anchor, maxAge)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s, _ := newSurface(t, anchor, maxAge)
 		rng := rand.New(rand.NewSource(11))
 		// Per epoch: wear grows by 4 P/E (past row 32 by epoch 8), the
 		// data ages by one day (past the 48 h headroom by epoch 3), and
@@ -228,16 +260,93 @@ func TestSurfaceMatchesMapMemo(t *testing.T) {
 	})
 }
 
+// Shifted evaluations memoize: the same probe repeated is a cache hit,
+// and cached values agree with direct model evaluation.
+func TestSurfaceShiftedMemo(t *testing.T) {
+	s, p := newSurface(t, 6000, 720)
+	a := s.BER(ftl.NormalState, 6000, 720, -120)
+	miss := s.stats.Misses
+	b := s.BER(ftl.NormalState, 6000, 720.7, -120) // same quantized age
+	if a != b {
+		t.Errorf("memoized %g != %g", a, b)
+	}
+	st := s.stats
+	if st.Misses != miss || st.Hits == 0 {
+		t.Errorf("repeat probe was not a cache hit: %+v", st)
+	}
+	if direct := p.normal.TotalBERShifted(6000, 720, -0.120); a != direct {
+		t.Errorf("cached %g != direct %g", a, direct)
+	}
+	// A drift-tracking negative shift recovers BER at high wear+age.
+	if nominal := s.BER(ftl.NormalState, 6000, 720, 0); a >= nominal {
+		t.Error("negative shift did not reduce BER under heavy drift")
+	}
+}
+
+// Inputs just outside the packed key's ranges are evaluated directly:
+// the cache counters do not move, and the value equals the model's.
+// The in-range neighbours of each point do pack, so the test pins the
+// exact field edges.
+func TestSurfaceKeyFallback(t *testing.T) {
+	s, p := newSurface(t, 6000, 720)
+	for _, tc := range []struct {
+		state   ftl.BlockState
+		pe      int
+		age     float64
+		shiftMv int
+		model   *noise.BERModel
+	}{
+		{ftl.NormalState, 1 << 24, 720, 0, p.normal},
+		{ftl.ReducedState, 6000, 1 << 26, -120, p.reduced},
+		{ftl.NormalState, 6000, 720, -2049, p.normal},
+		{ftl.ReducedState, 6000, 720, 2048, p.reduced},
+		{ftl.NormalState, -1, 720, 0, p.normal},
+		{ftl.NormalState, 6000, -1, 0, p.normal},
+	} {
+		before := s.stats
+		got, key, slot := s.lookup(tc.state, tc.pe, tc.age, tc.shiftMv)
+		if slot != nil {
+			t.Errorf("BER(%v,%d,%g,%d) handed out a level slot", tc.state, tc.pe, tc.age, tc.shiftMv)
+		}
+		if st := s.stats; st != before {
+			t.Errorf("BER(%v,%d,%g,%d) touched the cache: %+v -> %+v",
+				tc.state, tc.pe, tc.age, tc.shiftMv, before, st)
+		}
+		want := tc.model.TotalBERShifted(tc.pe, float64(int(tc.age)), float64(tc.shiftMv)/1000)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("BER(%v,%d,%g,%d) = %g, direct %g", tc.state, tc.pe, tc.age, tc.shiftMv, got, want)
+		}
+		if key != levelKey(got) {
+			t.Errorf("BER(%v,%d,%g,%d) key %d, want levelKey %d", tc.state, tc.pe, tc.age, tc.shiftMv, key, levelKey(got))
+		}
+	}
+	// Every field at its edges packs, and no two such inputs share a key.
+	seen := map[int64]bool{}
+	for _, state := range []ftl.BlockState{ftl.NormalState, ftl.ReducedState} {
+		for _, pe := range []int{0, 1<<24 - 1} {
+			for _, ageQ := range []int{0, 1<<26 - 1} {
+				for _, shiftMv := range []int{-2048, 0, 2047} {
+					key, ok := surfaceKey(state, pe, ageQ, shiftMv)
+					if !ok {
+						t.Errorf("surfaceKey(%v,%d,%d,%d) fell back; want it packed", state, pe, ageQ, shiftMv)
+					}
+					if seen[key] {
+						t.Errorf("surfaceKey(%v,%d,%d,%d) = %#x collides", state, pe, ageQ, shiftMv, key)
+					}
+					seen[key] = true
+				}
+			}
+		}
+	}
+}
+
 // surfaceSink keeps the benchmarked lookups' results live.
 var surfaceSink int64
 
 // BenchmarkBERSurfaceHit measures a steady-state nominal read's surface
 // lookup: shift-0 points inside the dense window, every one a hit.
 func BenchmarkBERSurfaceHit(b *testing.B) {
-	s, err := newBERSurface("NUNMA 3", 6000, 720)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s, _ := newSurface(b, 6000, 720)
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]surfacePoint, 4096)
 	for i := range pts {
@@ -246,17 +355,17 @@ func BenchmarkBERSurfaceHit(b *testing.B) {
 			pe:    6000 + rng.Intn(4),
 			age:   rng.Float64() * 720,
 		}
-		s.BER(pts[i].state, pts[i].pe, pts[i].age, 0)
+		s.lookup(pts[i].state, pts[i].pe, pts[i].age, 0)
 	}
-	misses := s.Stats().Misses
+	misses := s.stats.Misses
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := &pts[i&(len(pts)-1)]
-		_, surfaceSink, _ = s.BER(p.state, p.pe, p.age, 0)
+		_, surfaceSink, _ = s.lookup(p.state, p.pe, p.age, 0)
 	}
 	b.StopTimer()
-	if s.Stats().Misses != misses {
+	if s.stats.Misses != misses {
 		b.Fatal("steady-state lookups missed")
 	}
 }
@@ -278,8 +387,8 @@ func BenchmarkBERSurfaceMiss(b *testing.B) {
 			pts = append(pts, p)
 		}
 	}
+	phys := newPhysics(b)
 	var s *BERSurface
-	var err error
 	misses := int64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -287,18 +396,16 @@ func BenchmarkBERSurfaceMiss(b *testing.B) {
 		if i%len(pts) == 0 {
 			b.StopTimer()
 			if s != nil {
-				misses += s.Stats().Misses
+				misses += s.stats.Misses
 			}
-			if s, err = newBERSurface("NUNMA 3", 6000, 720); err != nil {
-				b.Fatal(err)
-			}
+			s = NewBERSurface(phys.ber, 6000, 720)
 			b.StartTimer()
 		}
 		p := &pts[i%len(pts)]
-		_, surfaceSink, _ = s.BER(p.state, p.pe, p.age, 0)
+		_, surfaceSink, _ = s.lookup(p.state, p.pe, p.age, 0)
 	}
 	b.StopTimer()
-	if misses += s.Stats().Misses; misses != int64(b.N) {
+	if misses += s.stats.Misses; misses != int64(b.N) {
 		b.Fatalf("%d of %d lookups missed the fresh surfaces", misses, b.N)
 	}
 }
