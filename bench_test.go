@@ -408,7 +408,7 @@ func benchDevice(b *testing.B, ber ssd.BERFunc, anchorPE int) *ssd.Device {
 		GCThreshold:   3,
 		GCTarget:      4,
 	}
-	d, err := ssd.New(cfg, ssd.NewBERSurface(ber, anchorPE, cfg.MaxDataAgeHours), baseline.NewLDPCInSSD())
+	d, err := ssd.New(cfg, ssd.NewBERSurface(ber, anchorPE, cfg.MaxDataAgeHours), baseline.LDPCInSSD{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func BenchmarkAdaptiveRead(b *testing.B) {
 		}
 		return 0.1
 	}
-	d, err := ssd.New(cfg, ssd.NewBERSurface(berOf, 0, cfg.MaxDataAgeHours), baseline.NewAdaptiveRetry())
+	d, err := ssd.New(cfg, ssd.NewBERSurface(berOf, 0, cfg.MaxDataAgeHours), baseline.AdaptiveRetry{})
 	if err != nil {
 		b.Fatal(err)
 	}

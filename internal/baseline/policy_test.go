@@ -7,8 +7,8 @@ import (
 )
 
 // attempts runs one read's policy decision into a fresh slice.
-func attempts(p ReadPolicy, block, required int) []int {
-	return p.AppendAttempts(nil, block, required)
+func attempts(p ReadPolicy, start, required int) []int {
+	return p.AppendAttempts(nil, start, required)
 }
 
 func TestFixedWorstCase(t *testing.T) {
@@ -26,87 +26,64 @@ func TestFixedWorstCase(t *testing.T) {
 }
 
 func TestLDPCInSSDProgression(t *testing.T) {
-	p := NewLDPCInSSD()
+	p := LDPCInSSD{}
 	// First read of a block with requirement 3: tries 0,1,2,3.
-	got := attempts(p, 5, 3)
-	want := []int{0, 1, 2, 3}
-	if len(got) != len(want) {
+	if got, want := attempts(p, 0, 3), []int{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("attempts = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("attempts = %v, want %v", got, want)
-		}
-	}
-	// Second read of the same block: memorized, single attempt.
-	if got := attempts(p, 5, 3); len(got) != 1 || got[0] != 3 {
+	// A block remembered at the requirement: single attempt.
+	if got := attempts(p, 3, 3); len(got) != 1 || got[0] != 3 {
 		t.Errorf("memorized attempts = %v, want [3]", got)
 	}
-	// Lower requirement later still uses the memorized level (memory
-	// only rises within an erase cycle).
-	if got := attempts(p, 5, 1); len(got) != 1 || got[0] != 3 {
-		t.Errorf("attempts after memory = %v, want [3]", got)
+	// A lower requirement still senses at the remembered level.
+	if got := attempts(p, 3, 1); len(got) != 1 || got[0] != 3 {
+		t.Errorf("attempts below memory = %v, want [3]", got)
 	}
-	// Higher requirement escalates from the memory.
-	if got := attempts(p, 5, 5); len(got) != 3 || got[0] != 3 || got[2] != 5 {
+	// A higher requirement escalates from the memory.
+	if got := attempts(p, 3, 5); !reflect.DeepEqual(got, []int{3, 4, 5}) {
 		t.Errorf("escalation = %v, want [3 4 5]", got)
-	}
-	// Other blocks are independent.
-	if got := attempts(p, 6, 0); len(got) != 1 || got[0] != 0 {
-		t.Errorf("fresh block attempts = %v, want [0]", got)
 	}
 }
 
+// TestLDPCInSSDForget: an erase zeroes the block's remembered level, and
+// the policy started from that zero begins over at hard decision instead
+// of the level the block had reached before.
 func TestLDPCInSSDForget(t *testing.T) {
-	p := NewLDPCInSSD()
-	attempts(p, 9, 4)
-	p.Forget(9)
-	// After erase, the block starts over from hard decision.
-	if got := attempts(p, 9, 2); len(got) != 3 || got[0] != 0 {
-		t.Errorf("attempts after Forget = %v, want [0 1 2]", got)
+	p := LDPCInSSD{}
+	got := attempts(p, 0, 4)
+	level := got[len(got)-1]
+	if got := attempts(p, level, 2); !reflect.DeepEqual(got, []int{4}) {
+		t.Fatalf("attempts before erase = %v, want [4]", got)
+	}
+	level = 0 // the device's erase hook
+	if got := attempts(p, level, 2); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Errorf("attempts after erase = %v, want [0 1 2]", got)
 	}
 }
 
 func TestAdaptiveRetryLadder(t *testing.T) {
-	p := NewAdaptiveRetry()
+	p := AdaptiveRetry{}
 	// Cold block, worst requirement: doubling strides reach 7 within the
 	// budget instead of walking all eight levels.
-	got := attempts(p, 2, 7)
-	want := []int{0, 1, 3, 7}
-	if len(got) != len(want) {
+	if got, want := attempts(p, 0, 7), []int{0, 1, 3, 7}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("attempts = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("attempts = %v, want %v", got, want)
-		}
-	}
 	// Memorized: single attempt.
-	if got := attempts(p, 2, 7); len(got) != 1 || got[0] != 7 {
+	if got := attempts(p, 7, 7); len(got) != 1 || got[0] != 7 {
 		t.Errorf("memorized attempts = %v, want [7]", got)
 	}
-	// Lower: a recalibration shrank the requirement; memory follows down.
-	p.Lower(2, 1)
-	if got := attempts(p, 2, 1); len(got) != 1 || got[0] != 1 {
-		t.Errorf("attempts after Lower = %v, want [1]", got)
-	}
-	// Lower never raises.
-	p.Lower(2, 5)
-	if got := attempts(p, 2, 1); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Lower raised memory: attempts = %v, want [1]", got)
+	// From a warm block the budget's last attempt jumps to the requirement.
+	if got, want := attempts(p, 1, 7), []int{1, 2, 4, 7}; !reflect.DeepEqual(got, want) {
+		t.Errorf("attempts from 1 = %v, want %v", got, want)
 	}
 }
 
 // Property: AdaptiveRetry respects its attempt budget of 4 for any
-// block state and requirement.
+// remembered level and requirement.
 func TestAdaptiveRetryBudget(t *testing.T) {
 	f := func(memRaw, reqRaw uint8) bool {
 		const budget = 4
-		p := NewAdaptiveRetry()
-		if m := int(memRaw) % 8; m > 0 {
-			attempts(p, 1, m) // seed the memory
-		}
-		got := attempts(p, 1, int(reqRaw)%8)
+		got := attempts(AdaptiveRetry{}, int(memRaw)%8, int(reqRaw)%8)
 		return len(got) >= 1 && len(got) <= budget
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -123,8 +100,8 @@ func TestAdaptiveRetryBudget(t *testing.T) {
 func TestPolicyContract(t *testing.T) {
 	policies := []ReadPolicy{
 		FixedWorstCase{Levels: 3},
-		NewLDPCInSSD(),
-		NewAdaptiveRetry(),
+		LDPCInSSD{},
+		AdaptiveRetry{},
 	}
 	meetsContract := func(got []int, required int) bool {
 		if len(got) == 0 || got[0] < 0 {
@@ -137,17 +114,17 @@ func TestPolicyContract(t *testing.T) {
 		}
 		return got[len(got)-1] >= required
 	}
-	f := func(blockRaw uint8, reqRaw uint8, prefixRaw []int) bool {
-		block := int(blockRaw) % 16
+	f := func(startRaw uint8, reqRaw uint8, prefixRaw []int) bool {
+		start := int(startRaw) % 8
 		required := int(reqRaw) % 8
 		prefix := append(prefixRaw, -1) // never empty
 		for _, p := range policies {
-			if !meetsContract(p.AppendAttempts(nil, block, required), required) {
+			if !meetsContract(p.AppendAttempts(nil, start, required), required) {
 				return false
 			}
 			dst := make([]int, len(prefix), len(prefix)+16) // spare capacity, like the scratch buffer
 			copy(dst, prefix)
-			got := p.AppendAttempts(dst, block, required)
+			got := p.AppendAttempts(dst, start, required)
 			if len(got) <= len(prefix) || !reflect.DeepEqual(got[:len(prefix)], prefix) {
 				return false
 			}
@@ -159,18 +136,5 @@ func TestPolicyContract(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-	// Forget contract: any policy with per-block memory must restart the
-	// block at hard-decision sensing after an erase.
-	for _, p := range policies {
-		forgetter, ok := p.(interface{ Forget(int) })
-		if !ok {
-			continue
-		}
-		attempts(p, 3, 7)
-		forgetter.Forget(3)
-		if got := attempts(p, 3, 0); len(got) != 1 || got[0] != 0 {
-			t.Errorf("%T: attempts after Forget = %v, want [0]", p, got)
-		}
 	}
 }

@@ -1,17 +1,17 @@
 // Package calib is the online per-block read-threshold calibration
-// tracker behind the adaptive read-retry ladder (DESIGN.md §13). The
+// behind the adaptive read-retry ladder (DESIGN.md §13). The
 // paper fixes read references at program time (static NUNMA); Peleato
 // et al. ("Adaptive Read Thresholds for NAND Flash") and Cai et al.
 // ("Read-Voltage Optimization", both in PAPERS.md) show that retuning
 // them online from decoder feedback recovers most of the retention /
-// wear cliff. The tracker keeps one estimated read-reference shift per
-// block and refines it with a bounded, derivative-free probe search:
+// wear cliff. A Block holds one block's estimated read-reference shift
+// and refines it with a bounded, derivative-free probe search:
 // each probe re-senses the page at a candidate shift and reports the
 // sensing levels the decoder would need there — an observable quantity,
 // never the closed-form optimum — so the search is honest about what a
 // real controller can measure.
 //
-// Determinism: the tracker uses no RNG and no wall clock. Shifts are
+// Determinism: calibration uses no RNG and no wall clock. Shifts are
 // quantized to whole millivolts so the same observation sequence always
 // produces the same per-block state, which keeps adaptive sweeps
 // byte-identical at any engine worker count.
@@ -33,34 +33,22 @@ const (
 	lowWater      = 2
 )
 
-// blockCal is the calibration state of one block.
-type blockCal struct {
-	shiftMv   int // current read-reference shift
-	stepMv    int // current probe step (halves as the search converges)
-	calLevels int // sensing levels observed at the last calibration
-}
-
-// Tracker estimates one read-reference shift per block from decode
-// outcomes. It is not safe for concurrent use: one tracker belongs to
-// one device, and the experiment engine gives every shard its own
-// device (DESIGN.md §9).
-type Tracker struct {
-	blocks map[int]*blockCal
-}
-
-// New builds a Tracker with no calibration state.
-func New() *Tracker {
-	return &Tracker{blocks: make(map[int]*blockCal)}
+// Block is the calibration state of one block. It is controller RAM:
+// the device keeps it in its per-block record, zeroes it when the block
+// is erased and clears every block's on power loss. The zero value is an
+// uncalibrated block at the nominal references. A Block is not safe for
+// concurrent use; the experiment engine gives every shard its own device
+// (DESIGN.md §9).
+type Block struct {
+	shiftMv    int16 // current read-reference shift, within ±maxShiftMv
+	stepMv     int8  // current probe step (halves as the search converges)
+	levels     int8  // sensing levels observed at the last calibration
+	calibrated bool  // Calibrate ran since the last erase or power loss
 }
 
 // ShiftMv returns the block's current read-reference shift in
-// millivolts (0 for an uncalibrated block). It never allocates.
-func (t *Tracker) ShiftMv(block int) int {
-	if c, ok := t.blocks[block]; ok {
-		return c.shiftMv
-	}
-	return 0
-}
+// millivolts (0 for an uncalibrated block).
+func (c *Block) ShiftMv() int { return int(c.shiftMv) }
 
 // Observe records one read outcome at the block's current calibration:
 // the sensing levels the decode needed and whether the page was
@@ -69,15 +57,15 @@ func (t *Tracker) ShiftMv(block int) int {
 // levels and has drifted past what the last calibration achieved. The
 // once-per-drift-stage gate bounds recalibration traffic: a block whose
 // levels are stable never re-triggers.
-func (t *Tracker) Observe(block, levels int, ok bool) bool {
+func (c *Block) Observe(levels int, ok bool) bool {
 	if !ok {
 		return true
 	}
 	if levels < lowWater {
 		return false
 	}
-	if c, calibrated := t.blocks[block]; calibrated {
-		return levels > c.calLevels
+	if c.calibrated {
+		return levels > int(c.levels)
 	}
 	return true
 }
@@ -106,14 +94,12 @@ func better(lev int, ok bool, bestLev int, bestOK bool) bool {
 // charged probe. The search stops at the probe budget or when the step
 // has converged below the floor. It returns the probes spent and the
 // levels/achievability at the final shift.
-func (t *Tracker) Calibrate(block int, eval func(shiftMv int) (levels int, ok bool)) (probes, levels int, ok bool) {
-	c := t.blocks[block]
-	if c == nil {
-		c = &blockCal{stepMv: initialStepMv}
-		t.blocks[block] = c
+func (c *Block) Calibrate(eval func(shiftMv int) (levels int, ok bool)) (probes, levels int, ok bool) {
+	step := int(c.stepMv)
+	if !c.calibrated {
+		step = initialStepMv
 	}
-
-	best := c.shiftMv
+	best := int(c.shiftMv)
 	bestLev, bestOK := eval(best)
 	probes = 1
 	if !bestOK {
@@ -157,9 +143,9 @@ func (t *Tracker) Calibrate(block int, eval func(shiftMv int) (levels int, ok bo
 			}
 		}
 	}
-	for probes < maxProbes && c.stepMv >= minStepMv {
+	for probes < maxProbes && step >= minStepMv {
 		improved := false
-		for _, cand := range [2]int{best - c.stepMv, best + c.stepMv} {
+		for _, cand := range [2]int{best - step, best + step} {
 			if cand < -maxShiftMv {
 				cand = -maxShiftMv
 			}
@@ -181,22 +167,9 @@ func (t *Tracker) Calibrate(block int, eval func(shiftMv int) (levels int, ok bo
 			}
 		}
 		if !improved {
-			c.stepMv /= 2
+			step /= 2
 		}
 	}
-	c.shiftMv = best
-	c.calLevels = bestLev
+	*c = Block{shiftMv: int16(best), stepMv: int8(step), levels: int8(bestLev), calibrated: true}
 	return probes, bestLev, bestOK
-}
-
-// Forget drops a block's calibration state (called on erase: a freshly
-// programmed block starts back at the nominal references).
-func (t *Tracker) Forget(block int) {
-	delete(t.blocks, block)
-}
-
-// Reset drops all calibration state (called on power loss: the tracker
-// is controller RAM and does not survive a crash).
-func (t *Tracker) Reset() {
-	t.blocks = make(map[int]*blockCal)
 }

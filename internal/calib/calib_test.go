@@ -24,28 +24,28 @@ func convexEval(optMv, mvPerLevel int) func(int) (int, bool) {
 }
 
 func TestCalibrateConvergesTowardOptimum(t *testing.T) {
-	tr := New()
+	var b Block
 	// Retention drift moved the distributions down ~120mV: the optimal
 	// read-reference shift is −120mV and each 40mV of error costs one
 	// extra sensing level.
 	eval := convexEval(-120, 40)
-	entryLev, _ := eval(tr.ShiftMv(3))
+	entryLev, _ := eval(b.ShiftMv())
 	var lastLev int
 	improved := false
 	for i := 0; i < 4; i++ {
-		prevLev, _ := eval(tr.ShiftMv(3))
-		probes, lev, ok := tr.Calibrate(3, eval)
+		prevLev, _ := eval(b.ShiftMv())
+		probes, lev, ok := b.Calibrate(eval)
 		if probes > maxProbes {
 			t.Fatalf("round %d: %d probes, budget %d", i, probes, maxProbes)
 		}
 		if !ok {
-			t.Fatalf("round %d: unreadable at shift %dmV", i, tr.ShiftMv(3))
+			t.Fatalf("round %d: unreadable at shift %dmV", i, b.ShiftMv())
 		}
 		improved = improved || lev < prevLev
 		lastLev = lev
 	}
 	if lastLev > 0 {
-		t.Errorf("converged to %d levels at %dmV, want 0 near -120mV", lastLev, tr.ShiftMv(3))
+		t.Errorf("converged to %d levels at %dmV, want 0 near -120mV", lastLev, b.ShiftMv())
 	}
 	if lastLev > entryLev {
 		t.Errorf("calibration regressed: entry %d levels, final %d", entryLev, lastLev)
@@ -56,19 +56,19 @@ func TestCalibrateConvergesTowardOptimum(t *testing.T) {
 }
 
 func TestCalibrateRescuesUnreadable(t *testing.T) {
-	tr := New()
+	var b Block
 	// Unreadable at the nominal references (8+ levels needed), readable
 	// within 40mV of −80mV.
 	eval := convexEval(-80, 10)
 	if _, ok := eval(0); ok {
 		t.Fatal("test eval should be unreadable at shift 0")
 	}
-	_, lev, ok := tr.Calibrate(9, eval)
+	_, lev, ok := b.Calibrate(eval)
 	if !ok {
-		t.Fatalf("calibration failed to rescue: %d levels at %dmV", lev, tr.ShiftMv(9))
+		t.Fatalf("calibration failed to rescue: %d levels at %dmV", lev, b.ShiftMv())
 	}
-	if got, readable := eval(tr.ShiftMv(9)); got != lev || !readable {
-		t.Errorf("Calibrate reported %d levels, readable, but its shift %dmV re-senses to %d, %v", lev, tr.ShiftMv(9), got, readable)
+	if got, readable := eval(b.ShiftMv()); got != lev || !readable {
+		t.Errorf("Calibrate reported %d levels, readable, but its shift %dmV re-senses to %d, %v", lev, b.ShiftMv(), got, readable)
 	}
 }
 
@@ -77,16 +77,16 @@ func TestCalibrateRescuesUnreadable(t *testing.T) {
 // worse than it entered.
 func TestCalibrateProperties(t *testing.T) {
 	f := func(optRaw int16, rounds uint8) bool {
-		tr := New()
+		var b Block
 		opt := int(optRaw) % 400
 		eval := convexEval(opt, 25)
 		prevLev, prevOK := eval(0)
 		for i := 0; i < int(rounds)%5+1; i++ {
-			probes, lev, ok := tr.Calibrate(1, eval)
+			probes, lev, ok := b.Calibrate(eval)
 			if probes < 1 || probes > maxProbes {
 				return false
 			}
-			s := tr.ShiftMv(1)
+			s := b.ShiftMv()
 			if s < -maxShiftMv || s > maxShiftMv {
 				return false
 			}
@@ -107,13 +107,13 @@ func TestCalibrateProperties(t *testing.T) {
 func TestCalibrateDeterministic(t *testing.T) {
 	type round struct{ probes, levels int }
 	run := func() (int, [3]round) {
-		tr := New()
+		var b Block
 		eval := convexEval(-160, 30)
 		var rounds [3]round
 		for i := range rounds {
-			rounds[i].probes, rounds[i].levels, _ = tr.Calibrate(7, eval)
+			rounds[i].probes, rounds[i].levels, _ = b.Calibrate(eval)
 		}
-		return tr.ShiftMv(7), rounds
+		return b.ShiftMv(), rounds
 	}
 	s1, r1 := run()
 	s2, r2 := run()
@@ -123,41 +123,62 @@ func TestCalibrateDeterministic(t *testing.T) {
 }
 
 func TestObserveGating(t *testing.T) {
-	tr := New() // low-water mark 2
-	if tr.Observe(1, 0, true) || tr.Observe(1, 1, true) {
+	var b Block // low-water mark 2
+	if b.Observe(0, true) || b.Observe(1, true) {
 		t.Error("below low-water reads must not trigger calibration")
 	}
-	if !tr.Observe(1, 2, true) {
+	if !b.Observe(2, true) {
 		t.Error("low-water read of an uncalibrated block must trigger")
 	}
-	if !tr.Observe(1, 3, false) {
+	if !b.Observe(3, false) {
 		t.Error("unreadable outcome must always trigger")
 	}
 	// After a calibration that settles at 2 levels, only further drift
 	// re-triggers.
-	tr.Calibrate(1, func(int) (int, bool) { return 2, true })
-	if tr.Observe(1, 2, true) {
+	b.Calibrate(func(int) (int, bool) { return 2, true })
+	if b.Observe(2, true) {
 		t.Error("stable block re-triggered calibration")
 	}
-	if !tr.Observe(1, 3, true) {
+	if !b.Observe(3, true) {
 		t.Error("drift past the calibrated level must re-trigger")
 	}
 }
 
+// TestForgetAndReset: the device forgets a block on erase, and every
+// block on power loss, by zeroing its Block. A zeroed Block must read the
+// nominal references, re-arm the uncalibrated Observe gate and calibrate
+// exactly as a block that was never calibrated.
 func TestForgetAndReset(t *testing.T) {
-	tr := New()
-	tr.Calibrate(4, convexEval(-100, 20))
-	if tr.ShiftMv(4) == 0 {
-		t.Fatal("calibration did not move the shift")
+	eval := convexEval(-100, 20)
+	var fresh Block
+	wantProbes, wantLevels, wantOK := fresh.Calibrate(eval)
+
+	blocks := make([]Block, 3)
+	for i := range blocks {
+		blocks[i].Calibrate(convexEval(-50*(i+1), 20))
+		if blocks[i].ShiftMv() == 0 {
+			t.Fatalf("block %d: calibration did not move the shift", i)
+		}
 	}
-	tr.Forget(4)
-	if tr.ShiftMv(4) != 0 || len(tr.blocks) != 0 {
-		t.Error("Forget left calibration state behind")
+	blocks[0] = Block{} // erase of block 0
+	if blocks[0].ShiftMv() != 0 || blocks[1].ShiftMv() == 0 {
+		t.Error("forgetting block 0 did not clear it alone")
 	}
-	tr.Calibrate(5, convexEval(-100, 20))
-	tr.Calibrate(6, convexEval(-50, 20))
-	tr.Reset()
-	if len(tr.blocks) != 0 || tr.ShiftMv(5) != 0 {
-		t.Error("Reset left calibration state behind")
+	for i := range blocks {
+		blocks[i] = Block{} // power loss
+	}
+	for i := range blocks {
+		b := &blocks[i]
+		if b.ShiftMv() != 0 {
+			t.Errorf("block %d: reset left shift %d", i, b.ShiftMv())
+		}
+		if !b.Observe(lowWater, true) {
+			t.Errorf("block %d: reset block did not re-arm the low-water gate", i)
+		}
+		probes, levels, ok := b.Calibrate(eval)
+		if probes != wantProbes || levels != wantLevels || ok != wantOK || *b != fresh {
+			t.Errorf("block %d: recalibration after reset = (%d, %d, %v, %+v), want (%d, %d, %v, %+v)",
+				i, probes, levels, ok, *b, wantProbes, wantLevels, wantOK, fresh)
+		}
 	}
 }

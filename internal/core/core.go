@@ -283,14 +283,14 @@ func NewRunner(opts Options) (*Runner, error) {
 	case Baseline:
 		// Worst-case fixed sensing: the levels needed at the maximum
 		// retention age for this P/E point.
-		table, err := sensing.SharedTable(opts.SSD.Rule)
+		table, err := sensing.SharedTable(sensing.DefaultRule())
 		if err != nil {
 			return nil, err
 		}
 		levels, _ := table.RequiredLevels(surface.BER(ftl.NormalState, opts.PE, opts.SSD.MaxDataAgeHours, 0))
 		policy = baseline.FixedWorstCase{Levels: levels}
 	case LDPCInSSD, LevelAdjustOnly, FlexLevel:
-		policy = baseline.NewLDPCInSSD()
+		policy = baseline.LDPCInSSD{}
 	default:
 		return nil, fmt.Errorf("core: unknown system %v", opts.System)
 	}
@@ -298,7 +298,7 @@ func NewRunner(opts Options) (*Runner, error) {
 		// Online threshold calibration implies the adaptive retry policy:
 		// the ladder needs the bounded-budget escalation and the downward
 		// memory path, whatever the base system is.
-		policy = baseline.NewAdaptiveRetry()
+		policy = baseline.AdaptiveRetry{}
 	}
 
 	device, err := ssd.New(opts.SSD, surface, policy)

@@ -24,13 +24,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"runtime"
 	"runtime/metrics"
 	"sort"
 	"sync"
 	"time"
-
-	"flexlevel/internal/stats"
 )
 
 // Config parameterizes one engine sweep.
@@ -163,6 +162,29 @@ type Summary struct {
 	Gauges map[string]float64 `json:"gauges,omitempty"`
 }
 
+// shardSpread fills the shard wall-time fields from PerShard: the total,
+// min, mean, max and population standard deviation, all 0 with no shard.
+func (s *Summary) shardSpread() {
+	n := float64(len(s.PerShard))
+	for i, sh := range s.PerShard {
+		s.ShardSeconds += sh.Seconds
+		if i == 0 || sh.Seconds < s.ShardMinSec {
+			s.ShardMinSec = sh.Seconds
+		}
+		s.ShardMaxSec = max(s.ShardMaxSec, sh.Seconds)
+	}
+	if n == 0 {
+		return
+	}
+	s.ShardMeanSec = s.ShardSeconds / n
+	var ss float64
+	for _, sh := range s.PerShard {
+		d := sh.Seconds - s.ShardMeanSec
+		ss += d * d
+	}
+	s.ShardStddevSec = math.Sqrt(ss / n)
+}
+
 // WriteJSON emits the summary as indented JSON.
 func (s *Summary) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -252,7 +274,6 @@ dispatch:
 	wall := time.Since(start).Seconds()
 	allocBytes1, mallocs1 := allocCounts()
 
-	var shardSec stats.Accumulator
 	var totalOps int64
 	perShard := make([]ShardMetric, 0, len(items))
 	var totals map[string]int64
@@ -263,7 +284,6 @@ dispatch:
 		}
 		shardMetrics[i].Ops = ops[i]
 		totalOps += ops[i]
-		shardSec.Add(shardMetrics[i].Seconds)
 		perShard = append(perShard, shardMetrics[i])
 		if len(counters[i]) > 0 {
 			if totals == nil {
@@ -290,23 +310,19 @@ dispatch:
 		}
 	}
 	sum := &Summary{
-		Name:           cfg.Name,
-		Workers:        workers,
-		Shards:         len(items),
-		MasterSeed:     cfg.Seed,
-		WallSeconds:    wall,
-		ShardSeconds:   shardSec.Sum(),
-		Ops:            totalOps,
-		AllocBytes:     allocBytes1 - allocBytes0,
-		Mallocs:        mallocs1 - mallocs0,
-		ShardMinSec:    shardSec.Min(),
-		ShardMeanSec:   shardSec.Mean(),
-		ShardMaxSec:    shardSec.Max(),
-		ShardStddevSec: shardSec.Stddev(),
-		PerShard:       perShard,
-		Counters:       totals,
-		Gauges:         maxGauges,
+		Name:        cfg.Name,
+		Workers:     workers,
+		Shards:      len(items),
+		MasterSeed:  cfg.Seed,
+		WallSeconds: wall,
+		Ops:         totalOps,
+		AllocBytes:  allocBytes1 - allocBytes0,
+		Mallocs:     mallocs1 - mallocs0,
+		PerShard:    perShard,
+		Counters:    totals,
+		Gauges:      maxGauges,
 	}
+	sum.shardSpread()
 	if wall > 0 {
 		sum.Speedup = sum.ShardSeconds / wall
 		sum.OpsPerSec = float64(totalOps) / wall

@@ -61,11 +61,10 @@ type engineShard struct {
 	crashed bool
 }
 
-// newEngineShard builds shard id's runner and preloads the windows of
-// the tenants placed on it. Shard 0 is built with the configured seed;
-// other shards derive their device seed from the master seed and the
-// shard key.
-func newEngineShard(id int, cfg Config, owned []trace.TenantSpec) (*engineShard, error) {
+// shardOptions returns the runner options of shard id. Shard 0 is
+// built with the configured seed; other shards derive their device seed
+// from the master seed and the shard key.
+func shardOptions(id int, cfg Config) core.Options {
 	opts := core.DefaultOptions(cfg.System, cfg.PE)
 	if cfg.Channels > 0 {
 		opts.SSD.Channels = cfg.Channels
@@ -93,7 +92,13 @@ func newEngineShard(id int, cfg Config, owned []trace.TenantSpec) (*engineShard,
 		// crash on this shard replays only its own records.
 		opts.SSD.FTL.Journal = ftl.JournalConfig{Enabled: true, FlushRecords: 64, CheckpointEveryFlushes: 8}
 	}
-	r, err := core.NewRunner(opts)
+	return opts
+}
+
+// newEngineShard builds shard id's runner and preloads the windows of
+// the tenants placed on it.
+func newEngineShard(id int, cfg Config, owned []trace.TenantSpec) (*engineShard, error) {
+	r, err := core.NewRunner(shardOptions(id, cfg))
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func newAdaptiveDevice(t *testing.T, mutate func(*Config)) *Device {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	d, err := newWith(cfg, driftBER, baseline.NewAdaptiveRetry())
+	d, err := newWith(cfg, driftBER, baseline.AdaptiveRetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestAdaptiveLadderRescuesDriftedPage(t *testing.T) {
 	if resp <= 0 {
 		t.Errorf("non-positive response %v", resp)
 	}
-	if s := d.calib.ShiftMv(victimBlock(d, victim)); s >= 0 {
+	if s := d.ram[victimBlock(d, victim)].cal.ShiftMv(); s >= 0 {
 		t.Errorf("calibrated shift %dmV, want negative (drift is downward)", s)
 	}
 	// The next read of the same block serves at the calibrated shift
@@ -114,7 +114,7 @@ func TestCalibratedLadderEscalates(t *testing.T) {
 		cfg := smallConfig()
 		cfg.Calib = true
 		cfg.Faults = faults
-		d, err := newWith(cfg, hopeless, baseline.NewAdaptiveRetry())
+		d, err := newWith(cfg, hopeless, baseline.AdaptiveRetry{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestRefreshFailureCountedInDegradedMode(t *testing.T) {
 		}
 		return 1e-4
 	}
-	d, err := newWith(cfg, berOf, baseline.NewLDPCInSSD())
+	d, err := newWith(cfg, berOf, baseline.LDPCInSSD{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestRefreshFailureEscalatesToRetirement(t *testing.T) {
 		}
 		return 1e-4
 	}
-	d, err := newWith(cfg, berOf, baseline.NewLDPCInSSD())
+	d, err := newWith(cfg, berOf, baseline.LDPCInSSD{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestRefreshFailureEscalatesToRetirement(t *testing.T) {
 // unless Config.Calib enables it.
 func TestDisabledCalibInert(t *testing.T) {
 	run := func(berOf BERFunc) Results {
-		d, err := newWith(smallConfig(), berOf, baseline.NewLDPCInSSD())
+		d, err := newWith(smallConfig(), berOf, baseline.LDPCInSSD{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,8 +297,9 @@ func TestDisabledCalibInert(t *testing.T) {
 	}
 }
 
-// Power loss drops the tracker (controller RAM): after Restart the
-// block recalibrates from scratch on its next read.
+// Power loss drops every block's record (controller RAM): after Restart
+// the block recalibrates from scratch on its next read, and its retry
+// memory starts over at hard-decision sensing.
 func TestCrashResetsCalibration(t *testing.T) {
 	d := newAdaptiveDevice(t, func(cfg *Config) {
 		cfg.FTL.Journal = ftl.JournalConfig{Enabled: true}
@@ -306,16 +307,17 @@ func TestCrashResetsCalibration(t *testing.T) {
 	victim := agedVictim(t, d)
 	d.Read(time.Second, victim)
 	vb := victimBlock(d, victim)
-	if d.calib.ShiftMv(vb) == 0 {
+	if d.ram[vb].cal.ShiftMv() == 0 {
 		t.Fatal("read did not calibrate the victim block")
 	}
+	d.ram[(vb+1)%d.cfg.FTL.Blocks].retry(d.policy, nil, 5)
 	d.Crash()
 	if _, err := d.Restart(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for b := 0; b < d.cfg.FTL.Blocks; b++ {
-		if d.calib.ShiftMv(b) != 0 {
-			t.Errorf("block %d: calibration state survived the power loss", b)
+	for b, r := range d.ram {
+		if r != (blockRAM{}) {
+			t.Errorf("block %d: record %+v survived the power loss", b, r)
 		}
 	}
 	d.Read(3*time.Second, victim)

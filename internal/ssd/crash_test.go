@@ -51,7 +51,7 @@ func driveToCrash(t *testing.T, d *Device) (map[uint64]bool, time.Duration) {
 
 func TestCrashRestartRoundTrip(t *testing.T) {
 	cfg := crashDeviceConfig(900)
-	d, err := newWith(cfg, flatBER(1e-4, 1e-4), baseline.NewLDPCInSSD())
+	d, err := newWith(cfg, flatBER(1e-4, 1e-4), baseline.LDPCInSSD{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestCrashDuringRestart(t *testing.T) {
 	// A second power cut on the very next media operation lands inside
 	// recovery's final checkpoint write.
 	cfg.Faults.Script = append(cfg.Faults.Script, fault.ScriptEvent{Op: fault.PowerLoss, Index: 601})
-	d, err := newWith(cfg, flatBER(1e-4, 1e-4), baseline.NewLDPCInSSD())
+	d, err := newWith(cfg, flatBER(1e-4, 1e-4), baseline.LDPCInSSD{})
 	if err != nil {
 		t.Fatal(err)
 	}

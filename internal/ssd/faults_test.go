@@ -2,7 +2,6 @@ package ssd
 
 import (
 	"errors"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,7 +39,6 @@ func TestValidateErrorBranches(t *testing.T) {
 		want   string
 	}{
 		{func(c *Config) { c.FTL.LogicalPages = 0 }, "ftl:"},
-		{func(c *Config) { c.Rule.Target = 2 }, "target UBER"},
 		{func(c *Config) { c.MaxDataAgeHours = -1 }, "data age"},
 		{func(c *Config) { c.Channels = -1 }, "channel count"},
 		{func(c *Config) { c.RefreshAboveLevels = -1 }, "refresh threshold"},
@@ -126,7 +124,7 @@ func TestReadRetryExhaustionIsDataLoss(t *testing.T) {
 // leave the simulation bit-identical to a device without one.
 func TestZeroRateFaultsBitIdentical(t *testing.T) {
 	run := func(cfg Config) Results {
-		d, err := newWith(cfg, agedBER(1e-6), baseline.NewLDPCInSSD())
+		d, err := newWith(cfg, agedBER(1e-6), baseline.LDPCInSSD{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +192,7 @@ func TestScriptedFaultScenario(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		cfg.Faults.Script = append(cfg.Faults.Script, fault.ScriptEvent{Op: fault.Erase, Index: int64(i)})
 	}
-	d, err := newWith(cfg, flatBER(0, 0), baseline.NewLDPCInSSD())
+	d, err := newWith(cfg, flatBER(0, 0), baseline.LDPCInSSD{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +310,10 @@ func TestOutOfBlocksWriteRejected(t *testing.T) {
 			t.Fatalf("out-of-blocks write = %v, WritesRejected %d; want %v and %d",
 				resp, got.WritesRejected, bufferLatency, pre.WritesRejected+1)
 		}
-		if rec := got.WriteResp.Sum() - pre.WriteResp.Sum(); math.Abs(rec-bufferLatency.Seconds()) > 1e-12 {
-			t.Fatalf("out-of-blocks write recorded %gs of write latency, want %gs", rec, bufferLatency.Seconds())
+		want := pre.WriteResp
+		want.Add(bufferLatency.Seconds())
+		if got.WriteResp != want {
+			t.Fatalf("out-of-blocks write recorded %+v of write latency, want one more %v: %+v", got.WriteResp, bufferLatency, want)
 		}
 		return
 	}

@@ -45,7 +45,7 @@ func legacyMetaBytes(cfg ftl.Config) int64 {
 // journaled device (the mode the lifetime sweep runs).
 func TestMetaBytesReduction(t *testing.T) {
 	cfg := metaConfig()
-	d, err := newWith(cfg, flatBER(1e-4, 1e-4), baseline.NewLDPCInSSD())
+	d, err := newWith(cfg, flatBER(1e-4, 1e-4), baseline.LDPCInSSD{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestPackedMetaAgeTracking(t *testing.T) {
 	exact.PackedMeta = false
 	packed := metaConfig()
 
-	de, err := newWith(exact, flatBER(1e-4, 1e-4), baseline.NewLDPCInSSD())
+	de, err := newWith(exact, flatBER(1e-4, 1e-4), baseline.LDPCInSSD{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := newWith(packed, flatBER(1e-4, 1e-4), baseline.NewLDPCInSSD())
+	dp, err := newWith(packed, flatBER(1e-4, 1e-4), baseline.LDPCInSSD{})
 	if err != nil {
 		t.Fatal(err)
 	}

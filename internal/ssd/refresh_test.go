@@ -11,7 +11,7 @@ import (
 func TestUnreadableTracked(t *testing.T) {
 	// BER far beyond any sensing capability: every mapped read counts
 	// as unreadable.
-	d := newDevice(t, flatBER(0.1, 0), baseline.NewLDPCInSSD())
+	d := newDevice(t, flatBER(0.1, 0), baseline.LDPCInSSD{})
 	for i := 0; i < 10; i++ {
 		d.Read(time.Duration(i)*time.Millisecond, uint64(i))
 	}
@@ -34,7 +34,7 @@ func TestAutoRefreshRestoresReadability(t *testing.T) {
 		}
 		return 1e-4
 	}
-	d, err := newWith(cfg, berOf, baseline.NewLDPCInSSD())
+	d, err := newWith(cfg, berOf, baseline.LDPCInSSD{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestLevelTableDeviceEquivalence(t *testing.T) {
 		ppn, _, _ := d.ftl.Lookup(lpn)
 		last := ber(ftl.NormalState, 0, int(d.ageHours(ppn, now)), 0)
 		_, final := d.Read(now, lpn)
-		want, ok := cfg.Rule.RequiredLevels(last)
+		want, ok := sensing.DefaultRule().RequiredLevels(last)
 		if final != want {
 			t.Fatalf("read %d at BER %g: device sensed %d levels, rule wants %d", i, last, final, want)
 		}

@@ -42,7 +42,7 @@ func TestLevelSlotMatchesMap(t *testing.T) {
 	cfg.MaxDataAgeHours = 20000
 	build := func(anchorPE int) (*Device, *BERSurface) {
 		surf := NewBERSurface(slotBER, anchorPE, cfg.MaxDataAgeHours)
-		d, err := New(cfg, surf, baseline.NewLDPCInSSD())
+		d, err := New(cfg, surf, baseline.LDPCInSSD{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,8 +24,7 @@ import (
 
 // Config parameterizes a Device.
 type Config struct {
-	FTL  ftl.Config
-	Rule sensing.LevelRule
+	FTL ftl.Config
 
 	// MaxDataAgeHours is the upper bound of the uniform retention age
 	// assigned to preloaded data (the paper evaluates at up to 1 month).
@@ -94,7 +93,6 @@ const (
 func DefaultConfig() Config {
 	return Config{
 		FTL:             ftl.DefaultConfig(),
-		Rule:            sensing.DefaultRule(),
 		MaxDataAgeHours: 720,
 		Seed:            1,
 	}
@@ -103,9 +101,6 @@ func DefaultConfig() Config {
 // Validate reports configuration problems.
 func (c Config) Validate() error {
 	if err := c.FTL.Validate(); err != nil {
-		return err
-	}
-	if err := c.Rule.Validate(); err != nil {
 		return err
 	}
 	if c.MaxDataAgeHours < 0 {
@@ -234,8 +229,8 @@ type Device struct {
 	chanFree []time.Duration // per-channel FIFO busy-until time
 
 	// levels answers the sensing-level rule on a level-cache miss: the
-	// rule's inverted threshold table, shared by every device with the
-	// same rule and provably equal to the rule's bisection.
+	// default rule's inverted threshold table, shared by every device and
+	// provably equal to the rule's bisection.
 	levels *sensing.LevelTable
 
 	res Results
@@ -252,12 +247,34 @@ type Device struct {
 	// policy's AppendAttempts, so steady-state reads allocate nothing.
 	attemptsBuf []int
 
-	// Adaptive ladder state: the per-block threshold calibration tracker
-	// (nil unless Config.Calib). lower is the policy's
-	// downward-memory hook, resolved once in New.
-	calib *calib.Tracker
-	lower interface{ Lower(int, int) }
+	// ram is the controller's per-block RAM, one record per physical
+	// block: an erase zeroes the block's record and a power loss clears
+	// them all.
+	ram []blockRAM
 }
+
+// blockRAM is the controller RAM the device keeps for one block: the
+// retry policy's remembered sensing level and the block's read-threshold
+// calibration (DESIGN.md §13). Being RAM, it is not metadata the device
+// persists, and MetaBytes does not count it.
+type blockRAM struct {
+	cal   calib.Block
+	level int8 // remembered retry level: the policy's start
+}
+
+// retry appends a read's sensing attempts to dst: the policy's sequence
+// from the remembered level. The memory then rises to the requirement,
+// since a block's BER only grows with wear and retention within an
+// erase cycle; only a recalibration brings it down (lower).
+func (r *blockRAM) retry(p baseline.ReadPolicy, dst []int, required int) []int {
+	dst = p.AppendAttempts(dst, int(r.level), required)
+	r.level = max(r.level, int8(required))
+	return dst
+}
+
+// lower is the retry memory's downward path: a recalibration reduced
+// what the block needs to level, and the memory follows it down.
+func (r *blockRAM) lower(level int) { r.level = min(r.level, int8(level)) }
 
 // levelCacheCap bounds the level cache; BER is a continuous input, so an
 // uncapped map would grow without limit on long runs. On overflow the
@@ -384,7 +401,7 @@ func New(cfg Config, surf *BERSurface, policy baseline.ReadPolicy) (*Device, err
 		levelCache: make(map[int64]*levelEntry),
 		levelEpoch: new(levelEpoch),
 	}
-	if d.levels, err = sensing.SharedTable(cfg.Rule); err != nil {
+	if d.levels, err = sensing.SharedTable(sensing.DefaultRule()); err != nil {
 		return nil, err
 	}
 	if cfg.PackedMeta {
@@ -394,12 +411,7 @@ func New(cfg Config, surf *BERSurface, policy baseline.ReadPolicy) (*Device, err
 		d.progTime = make([]time.Duration, phys)
 	}
 	d.attemptsBuf = make([]int, 0, sensing.MaxExtraLevels+2)
-	if lp, ok := policy.(interface{ Lower(int, int) }); ok {
-		d.lower = lp
-	}
-	if cfg.Calib {
-		d.calib = calib.New()
-	}
+	d.ram = make([]blockRAM, cfg.FTL.Blocks)
 	if cfg.Faults.Enabled() {
 		inj, err := fault.New(cfg.Faults)
 		if err != nil {
@@ -418,28 +430,16 @@ func New(cfg Config, surf *BERSurface, policy baseline.ReadPolicy) (*Device, err
 }
 
 // attach makes f the device's FTL and points its hooks at the device: a
-// GC copy restarts the page's retention age, and an erase resets
-// whatever per-block state must reset with the block — the policy's
-// retry memory and the calibration tracker's shift (with neither
-// present the erase hook stays nil).
+// GC copy restarts the page's retention age, and an erase zeroes the
+// block's controller RAM (a fresh block starts over at hard-decision
+// sensing and the nominal references).
 func (d *Device) attach(f *ftl.FTL) {
 	d.ftl = f
 	f.OnRelocate = func(lpn uint64, oldPPN, newPPN int64) {
 		// A GC copy reprograms the data: retention age restarts.
 		d.resetAge(newPPN, d.Now())
 	}
-	forgetter, hasForget := d.policy.(interface{ Forget(int) })
-	switch {
-	case hasForget && d.calib != nil:
-		f.OnErase = func(b int) {
-			forgetter.Forget(b)
-			d.calib.Forget(b)
-		}
-	case hasForget:
-		f.OnErase = forgetter.Forget
-	case d.calib != nil:
-		f.OnErase = d.calib.Forget
-	}
+	f.OnErase = func(b int) { d.ram[b] = blockRAM{} }
 }
 
 // FTL exposes the underlying mapping layer (read-only use intended).
@@ -555,14 +555,10 @@ func (d *Device) requiredLevelsAt(ppn int64, state ftl.BlockState, now time.Dura
 }
 
 // pageBER looks a page's raw BER, level key and level slot up on the
-// BER surface at its block's calibrated reference shift, or at the
-// nominal references when calibration is off.
+// BER surface at its block's calibrated reference shift, which stays 0,
+// the nominal references, while calibration is off.
 func (d *Device) pageBER(state ftl.BlockState, pe int, age float64, block int) (float64, int64, *levelSlot) {
-	shiftMv := 0
-	if d.calib != nil {
-		shiftMv = d.calib.ShiftMv(block)
-	}
-	return d.surf.lookup(state, pe, age, shiftMv)
+	return d.surf.lookup(state, pe, age, d.ram[block].cal.ShiftMv())
 }
 
 // levelsForBER answers the sensing-level rule for a raw BER through the
@@ -624,7 +620,10 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 		state = st
 		mapped = true
 	}
-	attempts := d.policy.AppendAttempts(d.attemptsBuf[:0], block, required)
+	// An unmapped read senses at block 0's remembered level; it never
+	// raises it (required is 0).
+	ram := &d.ram[block]
+	attempts := ram.retry(d.policy, d.attemptsBuf[:0], required)
 	if len(attempts) == 0 {
 		// Defensive fallback for a broken policy: a single hard-decision
 		// attempt instead of an index panic below.
@@ -665,11 +664,10 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 	// block's thresholds are stale, retune them from decoder feedback
 	// and, if that lowered (or restored) the requirement, serve the read
 	// with one final re-sense at the fresh calibration.
-	if d.calib != nil && mapped &&
-		d.calib.Observe(block, required, achievable) {
+	if d.cfg.Calib && mapped && ram.cal.Observe(required, achievable) {
 		pe := d.ftl.BlockPE(block)
 		age := d.ageHours(ppn, now)
-		probes, lev, ok := d.calib.Calibrate(block, func(shiftMv int) (int, bool) {
+		probes, lev, ok := ram.cal.Calibrate(func(shiftMv int) (int, bool) {
 			return d.levelsForBER(d.surf.lookup(state, pe, age, shiftMv))
 		})
 		d.res.Recalibrations++
@@ -683,9 +681,7 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 			}
 			required, achievable = lev, ok
 			final = lev
-			if d.lower != nil {
-				d.lower.Lower(block, lev)
-			}
+			ram.lower(lev)
 		}
 	}
 
@@ -701,7 +697,7 @@ func (d *Device) Read(now time.Duration, lpn uint64) (time.Duration, int) {
 
 	if !achievable && mapped {
 		d.res.Unreadable++
-		if d.calib != nil {
+		if d.cfg.Calib {
 			// Ladder stage 3 — refresh: rewrite the page in place so its
 			// age (and BER) restart. Charged as background work. A failed
 			// rewrite escalates to stage 4, block retirement, instead of
@@ -853,8 +849,8 @@ func (d *Device) Migrate(now time.Duration, lpn uint64, state ftl.BlockState) er
 func (d *Device) Crashed() bool { return d.crashed }
 
 // Crash records a sudden power loss: everything volatile — the write
-// buffer, the channel queues, the policy's read-retry memory, the
-// level cache — is gone, and the device refuses service until Restart.
+// buffer, the channel queues, the per-block controller RAM, the level
+// cache — is gone, and the device refuses service until Restart.
 // The FTL's durable media image (OOB, journal, checkpoint) survives.
 // Called automatically when an injected PowerLoss fault surfaces from
 // the FTL; callable directly to script a crash at an arbitrary point.
@@ -892,19 +888,14 @@ func (d *Device) Restart(now time.Duration) (ftl.RecoveryReport, error) {
 	}
 	f.Inherit(d.ftl)
 	d.attach(f)
-	// Controller RAM did not survive: the level cache, the policy's
-	// per-block sensing memory and the calibration tracker start cold.
-	// The BER surface stays: it memoizes physics, which a power loss
-	// does not change, and the new epoch disowns its level slots.
+	// Controller RAM did not survive: the level cache and every block's
+	// retry memory and calibration start cold. The BER surface stays: it
+	// memoizes physics, which a power loss does not change, and the new
+	// epoch disowns its level slots.
 	d.levelCache = make(map[int64]*levelEntry)
 	d.levelEpoch = new(levelEpoch)
 	d.res.LevelCache.Resets++
-	if r, ok := d.policy.(interface{ Reset() }); ok {
-		r.Reset()
-	}
-	if d.calib != nil {
-		d.calib.Reset()
-	}
+	clear(d.ram)
 	// Recovery serializes the whole device: reads dominate (checkpoint
 	// pages, journal frames, the OOB scan), plus the fresh checkpoint's
 	// programs. Whatever was queued on the channels died with the power.

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -130,5 +132,30 @@ func TestSampleGrow(t *testing.T) {
 	r.Grow(1000)
 	if cap(r.xs) != 64 {
 		t.Errorf("Grow on a reservoir changed its buffer to cap %d", cap(r.xs))
+	}
+}
+
+// TestReservoirQueriesDoNotPerturb: a percentile query leaves a
+// reservoir's kept subsample as it was, so a reservoir queried every 500
+// Adds ends with the same slots, and the same answers, as one never
+// queried. (Selecting in place used to reorder the slots that Add then
+// replaces by index.)
+func TestReservoirQueriesDoNotPerturb(t *testing.T) {
+	quiet, queried := NewReservoir(1000, 5), NewReservoir(1000, 5)
+	rng := rand.New(rand.NewSource(9))
+	for i := 1; i <= 20000; i++ {
+		x := rng.ExpFloat64()
+		quiet.Add(x)
+		queried.Add(x)
+		if i%500 == 0 {
+			queried.Percentiles(50, 95, 99)
+		}
+	}
+	if !slices.Equal(quiet.xs, queried.xs) {
+		t.Error("querying changed the reservoir's kept subsample")
+	}
+	a, b := quiet.Percentiles(50, 95, 99), queried.Percentiles(50, 95, 99)
+	if !slices.Equal(a, b) {
+		t.Errorf("p50/p95/p99 %v after periodic queries, %v without", b, a)
 	}
 }

@@ -1,6 +1,6 @@
 // Package stats provides small statistical accumulators used across the
-// FlexLevel simulator: streaming mean/variance, exact percentiles by
-// in-place selection over bounded reservoirs, and the proportion
+// FlexLevel simulator: streaming means, exact percentiles by selection
+// over whole samples or bounded reservoirs, and the proportion
 // confidence intervals and means the experiment harnesses report.
 package stats
 
@@ -11,61 +11,21 @@ import (
 	"slices"
 )
 
-// Accumulator tracks count, mean, variance (Welford), min and max of a
-// stream of float64 observations. The zero value is ready to use.
+// Accumulator tracks the count and running mean of a stream of float64
+// observations. The zero value is ready to use.
 type Accumulator struct {
 	n    int64
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
+	a.mean += (x - a.mean) / float64(a.n)
 }
 
 // Mean returns the arithmetic mean, or 0 with no observations.
-func (a *Accumulator) Mean() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.mean
-}
-
-// Sum returns the total of all observations.
-func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
-
-// Variance returns the (population) variance.
-func (a *Accumulator) Variance() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.m2 / float64(a.n)
-}
-
-// Stddev returns the population standard deviation.
-func (a *Accumulator) Stddev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (a *Accumulator) Max() float64 { return a.max }
+func (a *Accumulator) Mean() float64 { return a.mean }
 
 // Sample keeps observations and answers percentile queries. The default
 // (NewSample / zero value) keeps every observation and answers exactly —
@@ -80,10 +40,12 @@ type Sample struct {
 	xs []float64
 
 	// Reservoir mode (cap > 0): seen counts every Add, rng drives the
-	// replacement draw (algorithm R), deterministic from the seed.
-	cap  int
-	seen int64
-	rng  *rand.Rand
+	// replacement draw (algorithm R), deterministic from the seed, and
+	// scratch is the reused copy of xs a percentile query reorders.
+	cap     int
+	seen    int64
+	rng     *rand.Rand
+	scratch []float64
 }
 
 // NewSample returns a Sample pre-allocated for capacity hint n. It keeps
@@ -147,18 +109,27 @@ func (s *Sample) Mean() float64 {
 // Percentiles returns the p-th percentile for each p of ps, in order,
 // using linear interpolation between closest ranks; p below 0 or above
 // 100 is clamped. Each answer is 0 with no observations and NaN for a NaN
-// p. The ranks come from one in-place selection pass, which reorders the
-// kept observations: the ranks are settled in ascending order, and each
-// selection searches only the part of the observations the previous one
-// left above its rank. When a rank is not whole, the next rank up is the
-// minimum of that part. Order statistics being exact, every answer is
-// the one a full sort gives (a zero's sign aside: -0 and +0 tie, so
-// either may come first).
+// p. The ranks come from one selection pass: the ranks are settled in
+// ascending order, and each selection searches only the part of the
+// observations the previous one left above its rank. When a rank is not
+// whole, the next rank up is the minimum of that part. Order statistics
+// being exact, every answer is the one a full sort gives (a zero's sign
+// aside: -0 and +0 tie, so either may come first).
+//
+// An exact sample is reordered in place. A reservoir selects over a
+// reused copy instead: its Add replaces a slot by index, so reordering
+// the slots would make the subsample it keeps, and every later answer,
+// depend on when it was queried.
 func (s *Sample) Percentiles(ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	n := len(s.xs)
 	if n == 0 {
 		return out
+	}
+	xs := s.xs
+	if s.cap > 0 {
+		s.scratch = append(s.scratch[:0], s.xs...)
+		xs = s.scratch
 	}
 	order := make([]int, len(ps))
 	for i := range order {
@@ -174,16 +145,16 @@ func (s *Sample) Percentiles(ps ...float64) []float64 {
 			out[i] = math.NaN()
 			continue
 		case p <= 0:
-			out[i] = minOf(s.xs)
+			out[i] = minOf(xs)
 			continue
 		case p >= 100:
-			out[i] = maxOf(s.xs)
+			out[i] = maxOf(xs)
 			continue
 		}
 		rank := p / 100 * float64(n-1)
 		lo := int(math.Floor(rank))
 		if lo != settled {
-			x = selectRank(s.xs[settled+1:], lo-settled-1)
+			x = selectRank(xs[settled+1:], lo-settled-1)
 			settled = lo
 		}
 		if float64(lo) == rank {
@@ -191,7 +162,7 @@ func (s *Sample) Percentiles(ps ...float64) []float64 {
 			continue
 		}
 		frac := rank - float64(lo)
-		out[i] = x*(1-frac) + minOf(s.xs[lo+1:])*frac
+		out[i] = x*(1-frac) + minOf(xs[lo+1:])*frac
 	}
 	return out
 }
